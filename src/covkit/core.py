@@ -17,10 +17,6 @@ import numpy as np
 
 NEG_INF = float("-inf")
 
-# Conditional probabilities below exp(LOG_FLOOR) underflow double precision;
-# they are treated as exactly zero in ratio events.
-LOG_FLOOR = -745.0
-
 
 @dataclass(frozen=True)
 class Vocab:
@@ -94,10 +90,7 @@ class Policy:
             p = self.next_dist(traj.x, prefix)[v]
             if p <= 0.0:
                 return NEG_INF
-            lp = math.log(p)
-            if lp < LOG_FLOOR:
-                return NEG_INF
-            total += lp
+            total += math.log(p)
             prefix = prefix + (v,)
         return total
 
@@ -152,11 +145,16 @@ class FinitePromptDist:
         return self.prompts[int(rng.choice(len(self.prompts), p=self.weights))]
 
 
+def check_enum_budget(what: str, n: int):
+    """Raise before an exact computation would enumerate n > 1e6 items."""
+    if n > 10 ** 6:
+        raise ValueError(f"enumeration budget exceeded: {what} = {n} > 1e6; "
+                         "use a Monte Carlo mode instead")
+
+
 def enumerate_responses(V: int, H: int):
     """All V**H responses in lexicographic order."""
-    if V ** H > 10 ** 6:
-        raise ValueError(f"enumeration budget exceeded: V^H = {V**H} > 1e6; "
-                         "use a Monte Carlo mode instead")
+    check_enum_budget("V^H", V ** H)
     idx = np.indices((V,) * H).reshape(H, -1).T if H > 0 else np.zeros((1, 0), int)
     return [tuple(int(v) for v in row) for row in idx]
 

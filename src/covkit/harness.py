@@ -20,7 +20,7 @@ import numpy as np
 
 from . import tasks as _tasks
 from .core import sample_dataset, save_jsonl
-from .metrics import CoverageCurve, MetricReport, coverage_exact, coverage_mc, seq_kl
+from .metrics import MetricReport, coverage_mc, kl_and_coverage, seq_kl
 from .models import LinearARModel
 from .seeding import SeedTree
 from .training import (RunRecord, TrainConfig, mle_fit, policy_stream,
@@ -174,8 +174,8 @@ def checkpoint_metrics(task, rec: RunRecord, metrics_spec: dict, tree: SeedTree)
     for i, (t, theta) in enumerate(rec.checkpoints):
         model = LinearARModel(theta, task.featmap, task.V, task.H)
         if mode == "exact":
-            kl = seq_kl(task.piD, model, task.mu.items(), mode="exact")
-            curve = coverage_exact(task.piD, model, task.mu.items(), n_grid)
+            kl, curve = kl_and_coverage(task.piD, model, task.mu.items(),
+                                        n_grid)
         else:
             rng = tree.child("metric", i).rng()
             kl = seq_kl(task.piD, model, None, mode="mc", n=kl_samples,

@@ -1,23 +1,33 @@
 """Divergences and coverage quantities.
 
 All ratio events are evaluated in log domain and use the closed comparison
-log piD - log piHat >= log N.  Exact modes enumerate the response space (or
-use a multinomial fast path for prefix-independent policies); Monte Carlo
-modes report Hoeffding (or Wilson) confidence half-widths.
+log piD - log piHat >= log N.  Monte Carlo modes report Hoeffding (or
+Wilson) confidence half-widths.  Exact modes use, per prompt x, either
+
+* product closed forms, when both policies return a `step_dist` at x:
+  seq_kl = H KL_step, seq_ce = H CE_step, 1 - hellinger_sq = BC_step^H,
+  stopped_kl = min(log N, H KL_step), a 0/1 stepwise_hellinger_tail, and
+  log-ratio atoms (coverage_exact, coverage_sup_log) from a multinomial over
+  the k <= V groups of distinct step log-ratios; or
+* one `tree_walk` of the piD-positive prefix tree, whose per-leaf arrays
+  each functional reduces.  onpolicy_cov_estimate and non-product
+  models.sigma_star_sq always walk.
+
+Work is estimated first (V^H leaves per walk, comb(H + k - 1, k - 1) atoms
+per product prompt); above 1e6 a ValueError asks for a Monte Carlo mode.
 """
 
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import NEG_INF, Policy, Trajectory
-
-_PRODUCT_ENUM_LIMIT = 10 ** 6
+from .core import NEG_INF, Policy, Trajectory, check_enum_budget
 
 
 @dataclass
@@ -75,91 +85,167 @@ def default_n_grid(max_pow: int = 16) -> np.ndarray:
     return np.array([2.0 ** k for k in range(1, max_pow + 1)])
 
 
-def _enumerate_weighted(piD: Policy, x):
-    """Yield (y, log piD(y|x)) over the piD-positive responses."""
-    stack = [((), 0.0)]
-    while stack:
-        prefix, lp = stack.pop()
-        if len(prefix) == piD.H:
-            yield prefix, lp
+def tree_walk(piD: Policy, x, policies=(), terms=()):
+    """Level-order walk of the piD-positive prefix tree of prompt x.
+
+    Calls next_dist of piD and of each of `policies` once per prefix.  Over
+    the n piD-positive responses y (lexicographic) it returns lpD (n,) =
+    log piD(y|x); lps (len(policies), n), -inf where a policy has no mass;
+    and each term's sum over the H prefixes of y and peak (largest partial
+    sum, the empty one included), each (len(terms), n).  A term maps one
+    level's (prefixes, PD, [policy rows]) to a value per prefix.  Callers
+    check the work budget first.
+    """
+    prefixes = [()]
+    lpD = np.zeros(1)
+    lps = np.zeros((len(policies), 1))
+    sums = np.zeros((len(terms), 1))
+    peaks = np.zeros((len(terms), 1))
+    for h in range(piD.H):
+        if h:
+            prefixes = [prefixes[i] + (v,)
+                        for i, v in zip(parent.tolist(), tok.tolist())]
+        PD = np.array([piD.next_dist(x, p) for p in prefixes], dtype=float)
+        Ps = [np.array([q.next_dist(x, p) for p in prefixes], dtype=float)
+              for q in policies]
+        if terms:
+            sums = sums + np.array([t(prefixes, PD, Ps) for t in terms])
+            peaks = np.maximum(peaks, sums)
+        parent, tok = np.nonzero(PD > 0.0)
+        lpD = lpD[parent] + np.log(PD[parent, tok])
+        rows = np.array([P[parent, tok] for P in Ps])
+        with np.errstate(divide="ignore"):
+            lps = lps[:, parent] + np.log(rows.reshape(len(Ps), len(tok)))
+        sums, peaks = sums[:, parent], peaks[:, parent]
+    return lpD, lps, sums, peaks
+
+
+def _kl_rows(PD, PH):
+    """KL(PD || PH) along the last axis; +inf where PH misses PD mass."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(PD > 0.0, PD * (np.log(PD) - np.log(PH)),
+                        0.0).sum(axis=-1)
+
+
+def _bc_rows(PD, PH):
+    """Bhattacharyya coefficient sum_v sqrt(PD PH) along the last axis."""
+    return np.sqrt(PD * PH).sum(axis=-1)
+
+
+def _ratio_groups(pD, pH):
+    """Distinct step log-ratios on piD's support and the piD mass of each."""
+    sup = pD > 0.0
+    with np.errstate(divide="ignore"):
+        r = np.log(pD[sup]) - np.log(pH[sup])   # +inf where pH == 0
+    ratios, inv = np.unique(r, return_inverse=True)
+    return ratios, np.bincount(inv, weights=pD[sup])
+
+
+def _product_atoms(pD, pH, H):
+    """Log-ratio law of H i.i.d. steps: a multinomial over the k groups of
+    distinct step log-ratios, one atom per composition of H into k parts."""
+    ratios, mass = _ratio_groups(pD, pH)
+    k = len(ratios)
+    n = math.comb(H + k - 1, k - 1)
+    # Stars and bars: the k - 1 bar positions among H + k - 1 slots.
+    bars = np.fromiter(itertools.chain.from_iterable(
+        itertools.combinations(range(H + k - 1), k - 1)),
+        dtype=np.int64, count=n * (k - 1)).reshape(n, k - 1)
+    counts = np.diff(bars, axis=1, prepend=-1, append=H + k - 1) - 1
+    lgam = np.array([math.lgamma(c + 1) for c in range(H + 1)])
+    logp = lgam[H] - lgam[counts].sum(axis=1) + counts @ np.log(mass)
+    fin = np.isfinite(ratios)
+    r = np.where(counts[:, ~fin].any(axis=1), math.inf,
+                 counts[:, fin] @ ratios[fin])
+    return r, np.exp(logp)
+
+
+def _pair_laws(piD, piHat, mu_items, terms=(), atoms=False):
+    """(w, steps, leaves) per prompt x of weight w != 0: steps = (pD, pH)
+    if both policies are products at x, else leaves = tree_walk(piD, x,
+    [piHat], terms).  The budget is checked before anything is walked."""
+    items, work = [], 0
+    for x, w in mu_items:
+        if w == 0.0:
             continue
-        p = piD.next_dist(x, prefix)
-        for v in range(piD.V):
-            if p[v] > 0.0:
-                stack.append((prefix + (v,), lp + math.log(p[v])))
+        pD = piD.step_dist(x)
+        pH = None if pD is None else piHat.step_dist(x)
+        steps = None if pH is None else (np.asarray(pD, dtype=float),
+                                         np.asarray(pH, dtype=float))
+        if steps is None:
+            work += piD.V ** piD.H
+        elif atoms:
+            k = len(_ratio_groups(*steps)[0])
+            work += math.comb(piD.H + k - 1, k - 1)
+        items.append((x, w, steps))
+    check_enum_budget("leaves + atoms", work)
+    return [(w, steps, None if steps is not None else
+             tree_walk(piD, x, [piHat], terms)) for x, w, steps in items]
+
+
+def _reduce(laws, H, closed_form, leaf_value):
+    """sum_x w(x) * value(x): closed_form(pD, pH, H) on product prompts,
+    leaf_value(lpD, lpH, sums, peaks) on walked ones."""
+    total = 0.0
+    for w, steps, leaves in laws:
+        if steps is not None:
+            total += w * closed_form(*steps, H)
+        else:
+            lpD, (lpH,), sums, peaks = leaves
+            total += w * leaf_value(lpD, lpH, sums, peaks)
+    return total
+
+
+def _kl_closed(pD, pH, H):
+    return H * step_kl(pD, pH)
+
+
+def _kl_leaves(lpD, lpH, sums, peaks):
+    if np.isneginf(lpH).any():
+        return math.inf
+    return float(np.exp(lpD) @ (lpD - lpH))
+
+
+def _atoms(laws, H):
+    ratios, probs = [], []
+    for w, steps, leaves in laws:
+        if steps is not None:
+            r, p = _product_atoms(*steps, H)
+        else:
+            lpD, (lpH,), _, _ = leaves
+            r, p = lpD - lpH, np.exp(lpD)     # +inf where lpH == -inf
+        ratios.append(r)
+        probs.append(w * p)
+    ratios, inv = np.unique(np.concatenate(ratios), return_inverse=True)
+    return ratios, np.bincount(inv, weights=np.concatenate(probs))
 
 
 def log_ratio_atoms(piD: Policy, piHat: Policy, mu_items):
     """Exact distribution of log(piD/piHat) under mu x piD.
 
-    Returns (ratios, probs) sorted by ratio; +inf ratios appear when piHat
-    assigns zero mass to a piD-positive response.
+    Returns (ratios, probs) with distinct ratios in increasing order; +inf
+    ratios appear when piHat assigns zero mass to a piD-positive response.
     """
-    atoms = {}
-    for x, w in mu_items:
-        if w == 0.0:
-            continue
-        pair = _product_pair(piD, piHat, x)
-        if pair is not None:
-            for r, pr in _product_ratio_atoms(*pair, piD.H):
-                atoms[r] = atoms.get(r, 0.0) + w * pr
-        else:
-            for y, lpD in _enumerate_weighted(piD, x):
-                lpH = piHat.logprob(Trajectory(x, y))
-                r = math.inf if lpH == NEG_INF else lpD - lpH
-                atoms[r] = atoms.get(r, 0.0) + w * math.exp(lpD)
-    ratios = np.array(sorted(atoms))
-    probs = np.array([atoms[r] for r in ratios])
-    return ratios, probs
+    return _atoms(_pair_laws(piD, piHat, mu_items, atoms=True), piD.H)
 
 
-def _product_pair(piD, piHat, x):
-    pD = piD.step_dist(x)
-    pH = piHat.step_dist(x)
-    if pD is None or pH is None:
-        return None
-    if math.comb(piD.H + piD.V - 1, piD.V - 1) > _PRODUCT_ENUM_LIMIT:
-        return None
-    return np.asarray(pD), np.asarray(pH)
-
-
-def _product_ratio_atoms(pD, pH, H):
-    """Multinomial enumeration of the log-ratio law for i.i.d. steps."""
-    V = len(pD)
-    support = [v for v in range(V) if pD[v] > 0.0]
-    step_lr = np.array([math.inf if pH[v] <= 0.0 else
-                        math.log(pD[v]) - math.log(pH[v]) for v in range(V)])
-    logp = np.log(np.where(pD > 0, pD, 1.0))
-    out = {}
-
-    def rec(idx, remaining, counts):
-        if idx == len(support) - 1:
-            counts = counts + [remaining]
-            lp = math.lgamma(H + 1)
-            ratio = 0.0
-            for v, c in zip(support, counts):
-                lp += c * logp[v] - math.lgamma(c + 1)
-                if c == 0:
-                    continue
-                if step_lr[v] == math.inf:
-                    ratio = math.inf
-                elif ratio != math.inf:
-                    ratio += c * step_lr[v]
-            out[ratio] = out.get(ratio, 0.0) + math.exp(lp)
-            return
-        for c in range(remaining + 1):
-            rec(idx + 1, remaining - c, counts + [c])
-
-    rec(0, H, [])
-    return list(out.items())
+def _curve(atoms, Ns) -> CoverageCurve:
+    ratios, probs = atoms
+    Ns = np.atleast_1d(np.asarray(Ns, dtype=float))
+    values = np.array([probs[ratios >= math.log(N) - 1e-12].sum() for N in Ns])
+    return CoverageCurve(Ns, np.clip(values, 0.0, 1.0), np.zeros_like(Ns))
 
 
 def coverage_exact(piD: Policy, piHat: Policy, mu_items, Ns) -> CoverageCurve:
     """Exact coverage profile over thresholds Ns."""
-    Ns = np.atleast_1d(np.asarray(Ns, dtype=float))
-    ratios, probs = log_ratio_atoms(piD, piHat, mu_items)
-    values = np.array([probs[ratios >= math.log(N) - 1e-12].sum() for N in Ns])
-    return CoverageCurve(Ns, np.clip(values, 0.0, 1.0), np.zeros_like(Ns))
+    return _curve(log_ratio_atoms(piD, piHat, mu_items), Ns)
+
+
+def kl_and_coverage(piD: Policy, piHat: Policy, mu_items, Ns):
+    """(seq_kl, coverage_exact) of one pair from one pass over the prompts."""
+    laws = _pair_laws(piD, piHat, mu_items, atoms=True)
+    return (_reduce(laws, piD.H, _kl_closed, _kl_leaves),
+            _curve(_atoms(laws, piD.H), Ns))
 
 
 def coverage_mc(piD: Policy, piHat: Policy, mu_sampler, Ns, n_samples: int,
@@ -221,15 +307,8 @@ def seq_kl(piD: Policy, piHat: Policy, mu_items, mode="exact",
            n=None, rng=None, mu_sampler=None) -> float:
     """E_piD[log piD - log piHat]; +inf if piHat misses piD mass."""
     if mode == "exact":
-        total = 0.0
-        for x, w in mu_items:
-            if w == 0.0:
-                continue
-            val = _kl_rec(piD, piHat, x, ())
-            if val == math.inf:
-                return math.inf
-            total += w * val
-        return total
+        return _reduce(_pair_laws(piD, piHat, mu_items), piD.H,
+                       _kl_closed, _kl_leaves)
     if mode == "mc":
         vals = np.empty(n)
         for i in range(n):
@@ -243,33 +322,23 @@ def seq_kl(piD: Policy, piHat: Policy, mu_items, mode="exact",
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _kl_rec(piD, piHat, x, prefix):
-    """KL via the chain rule over the piD-weighted prefix tree."""
-    if len(prefix) == piD.H:
-        return 0.0
-    pD = piD.next_dist(x, prefix)
-    pH = piHat.next_dist(x, prefix)
-    total = 0.0
-    for v in range(piD.V):
-        if pD[v] <= 0.0:
-            continue
-        if pH[v] <= 0.0:
-            return math.inf
-        total += pD[v] * (math.log(pD[v]) - math.log(pH[v]))
-        below = _kl_rec(piD, piHat, x, prefix + (v,))
-        if below == math.inf:
-            return math.inf
-        total += pD[v] * below
-    return total
+def _ce_closed(pD, pH, H):
+    with np.errstate(divide="ignore"):
+        return H * float(np.where(pD > 0.0, -pD * np.log(pH), 0.0).sum())
+
+
+def _ce_leaves(lpD, lpH, sums, peaks):
+    if np.isneginf(lpH).any():
+        return math.inf
+    return -float(np.exp(lpD) @ lpH)
 
 
 def seq_ce(piD: Policy, piHat: Policy, mu_items, mode="exact",
            n=None, rng=None, mu_sampler=None) -> float:
     """E_piD[-log piHat]."""
     if mode == "exact":
-        ent = _entropy(piD, mu_items)
-        kl = seq_kl(piD, piHat, mu_items, mode="exact")
-        return kl + ent
+        return _reduce(_pair_laws(piD, piHat, mu_items), piD.H,
+                       _ce_closed, _ce_leaves)
     if mode == "mc":
         vals = np.empty(n)
         for i in range(n):
@@ -282,60 +351,18 @@ def seq_ce(piD: Policy, piHat: Policy, mu_items, mode="exact",
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _entropy(piD, mu_items):
-    total = 0.0
-    for x, w in mu_items:
-        if w == 0.0:
-            continue
-        total += w * _entropy_rec(piD, x, ())
-    return total
-
-
-def _entropy_rec(piD, x, prefix):
-    if len(prefix) == piD.H:
-        return 0.0
-    p = piD.next_dist(x, prefix)
-    total = 0.0
-    for v in range(piD.V):
-        if p[v] > 0.0:
-            total += -p[v] * math.log(p[v])
-            total += p[v] * _entropy_rec(piD, x, prefix + (v,))
-    return total
-
-
 def hellinger_sq(piD: Policy, piHat: Policy, mu_items) -> float:
     """Squared Hellinger distance (1/2) E_x sum_y (sqrt piD - sqrt piHat)^2."""
-    total = 0.0
-    for x, w in mu_items:
-        if w == 0.0:
-            continue
-        bc = _bhattacharyya_rec(piD, piHat, x, ())
-        total += w * (1.0 - bc)
-    return total
-
-
-def _bhattacharyya_rec(piD, piHat, x, prefix):
-    # 1 - D_H^2 factors over the prefix tree via sum_y sqrt(P Q).
-    if len(prefix) == piD.H:
-        return 1.0
-    pD = piD.next_dist(x, prefix)
-    pH = piHat.next_dist(x, prefix)
-    total = 0.0
-    for v in range(piD.V):
-        if pD[v] > 0.0 and pH[v] > 0.0:
-            total += math.sqrt(pD[v] * pH[v]) * \
-                _bhattacharyya_rec(piD, piHat, x, prefix + (v,))
-    return total
+    return _reduce(
+        _pair_laws(piD, piHat, mu_items), piD.H,
+        lambda pD, pH, H: 1.0 - float(_bc_rows(pD, pH)) ** H,
+        lambda lpD, lpH, sums, peaks:
+            1.0 - float(np.exp(0.5 * (lpD + lpH)).sum()))
 
 
 def step_kl(pD: np.ndarray, pH: np.ndarray) -> float:
-    total = 0.0
-    for d, h in zip(pD, pH):
-        if d > 0.0:
-            if h <= 0.0:
-                return math.inf
-            total += d * (math.log(d) - math.log(h))
-    return total
+    return float(_kl_rows(np.asarray(pD, dtype=float),
+                          np.asarray(pH, dtype=float)))
 
 
 def stopped_kl(piD: Policy, piHat: Policy, mu_items, N: float, mode="exact",
@@ -345,12 +372,12 @@ def stopped_kl(piD: Policy, piHat: Policy, mu_items, N: float, mode="exact",
         raise ValueError("N must be > 1")
     logN = math.log(N)
     if mode == "exact":
-        total = 0.0
-        for x, w in mu_items:
-            if w == 0.0:
-                continue
-            total += w * _stopped_rec(piD, piHat, x, (), 0.0, logN)
-        return total
+        return _reduce(
+            _pair_laws(piD, piHat, mu_items,
+                       terms=[lambda pre, PD, Ps: _kl_rows(PD, Ps[0])]), piD.H,
+            lambda pD, pH, H: min(logN, H * step_kl(pD, pH)),
+            lambda lpD, lpH, sums, peaks: float(
+                np.exp(lpD) @ np.where(peaks[0] >= logN, logN, sums[0])))
     if mode == "mc":
         vals = np.empty(n)
         for i in range(n):
@@ -369,48 +396,18 @@ def stopped_kl(piD: Policy, piHat: Policy, mu_items, N: float, mode="exact",
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _stopped_rec(piD, piHat, x, prefix, acc, logN):
-    if acc >= logN:
-        return logN
-    if len(prefix) == piD.H:
-        return acc
-    pD = piD.next_dist(x, prefix)
-    here = acc + step_kl(pD, piHat.next_dist(x, prefix))
-    total = 0.0
-    for v in range(piD.V):
-        if pD[v] > 0.0:
-            total += pD[v] * _stopped_rec(piD, piHat, x, prefix + (v,),
-                                          here, logN)
-    return total
-
-
 def stepwise_hellinger_tail(piD: Policy, piHat: Policy, mu_items, N: float,
                             delta: float) -> float:
-    """P_piD( sum_h per-step squared Hellinger >= log(N/delta) )."""
+    """P_piD(a partial sum of per-step squared Hellinger >= log(N/delta))."""
     thr = math.log(N / delta)
-    total = 0.0
-    for x, w in mu_items:
-        if w == 0.0:
-            continue
-        total += w * _hell_tail_rec(piD, piHat, x, (), 0.0, thr)
-    return total
-
-
-def _hell_tail_rec(piD, piHat, x, prefix, acc, thr):
-    if acc >= thr:
-        return 1.0
-    if len(prefix) == piD.H:
-        return 0.0
-    pD = piD.next_dist(x, prefix)
-    pH = piHat.next_dist(x, prefix)
-    bc = sum(math.sqrt(d * h) for d, h in zip(pD, pH))
-    here = acc + (1.0 - bc)
-    total = 0.0
-    for v in range(piD.V):
-        if pD[v] > 0.0:
-            total += pD[v] * _hell_tail_rec(piD, piHat, x, prefix + (v,),
-                                            here, thr)
-    return total
+    return _reduce(
+        _pair_laws(piD, piHat, mu_items,
+                   terms=[lambda pre, PD, Ps: 1.0 - _bc_rows(PD, Ps[0])]),
+        piD.H,
+        lambda pD, pH, H: float(
+            max(0.0, H * (1.0 - float(_bc_rows(pD, pH)))) >= thr),
+        lambda lpD, lpH, sums, peaks:
+            float(np.exp(lpD)[peaks[0] >= thr].sum()))
 
 
 def kl_to_cov_bound(kl: float, N: float) -> float:
@@ -427,14 +424,10 @@ def coverage_sup_log(piD: Policy, piHat: Policy, mu_items):
     atoms, so the sup over N >= 1 is attained at an atom; this is exact.
     """
     ratios, probs = log_ratio_atoms(piD, piHat, mu_items)
-    log_wmax = ratios[-1]
-    C = 0.0
-    tail = 0.0
-    for r, p in zip(ratios[::-1], probs[::-1]):
-        tail += p
-        if r > 0 and r != math.inf:
-            C = max(C, tail * r)
-    return C, log_wmax
+    tails = np.cumsum(probs[::-1])[::-1]
+    ok = (ratios > 0) & np.isfinite(ratios)
+    C = float(np.max(tails[ok] * ratios[ok], initial=0.0))
+    return C, ratios[-1]
 
 
 def empirical_pairwise_cov(piPrime: Policy, pi: Policy, dataset, N: float,
@@ -462,26 +455,27 @@ def empirical_pairwise_cov(piPrime: Policy, pi: Policy, dataset, N: float,
 def onpolicy_cov_estimate(piBar: Policy, piPrime: Policy, pi: Policy,
                           prompts, N: float, mode="exact", m=None, rng=None
                           ) -> float:
-    """Average over prompts of P_{y~piBar}(log piPrime - log pi >= log N)."""
+    """Average over prompts of P_{y~piBar}(log piPrime - log pi >= log N).
+
+    Exact mode walks each distinct prompt once, weighted by its count.
+    """
     logN = math.log(N)
     total = 0.0
-    for x in prompts:
-        if mode == "exact":
-            p_event = 0.0
-            for y, lpBar in _enumerate_weighted(piBar, x):
-                t = Trajectory(x, y)
-                lpP = piPrime.logprob(t)
-                lpQ = pi.logprob(t)
-                if lpQ == NEG_INF:
-                    hit = lpP > NEG_INF
-                else:
-                    hit = lpP - lpQ >= logN - 1e-12
-                if hit:
-                    p_event += math.exp(lpBar)
-            total += p_event
-        elif mode == "mc":
-            if m is None or m < 1:
-                raise ValueError("mc mode requires m >= 1")
+    if mode == "exact":
+        counts = {}
+        for x in prompts:
+            counts[x] = counts.get(x, 0) + 1
+        check_enum_budget("leaves", piBar.V ** piBar.H * len(counts))
+        for x, c in counts.items():
+            lpBar, (lpP, lpQ), _, _ = tree_walk(piBar, x, [piPrime, pi])
+            with np.errstate(invalid="ignore"):
+                hit = np.where(np.isneginf(lpQ), lpP > NEG_INF,
+                               lpP - lpQ >= logN - 1e-12)
+            total += c * float(np.exp(lpBar)[hit].sum())
+    elif mode == "mc":
+        if m is None or m < 1:
+            raise ValueError("mc mode requires m >= 1")
+        for x in prompts:
             ys = piBar.sample_many(x, m, rng)
             cnt = 0
             for row in ys:
@@ -494,8 +488,8 @@ def onpolicy_cov_estimate(piBar: Policy, piPrime: Policy, pi: Policy,
                     hit = lpP - lpQ >= logN - 1e-12
                 cnt += hit
             total += cnt / m
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
     return total / len(prompts)
 
 

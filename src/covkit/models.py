@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Policy, Trajectory
+from .core import Policy, Trajectory, check_enum_budget
+from .metrics import tree_walk
 
 # Lazy feature-norm validation; off by default in production runs.
 CHECK_FEATURE_NORMS = False
@@ -158,17 +160,20 @@ class TabularModel(Policy):
     def next_dist(self, x, prefix: tuple) -> np.ndarray:
         return self.tables.get((x, tuple(prefix)), self.default)
 
-    def step_dist(self, x):
-        # Prefix-independent only when every step shares one stored row.
-        rows = [row for (xx, _), row in self.tables.items() if xx == x]
-        if not rows:
-            return self.default
-        first = rows[0]
-        keys = {k for k in self.tables if k[0] == x}
+    @functools.cached_property
+    def _steps(self):
+        # One scan for all prompts: a prompt is prefix-independent only when
+        # every prefix has a stored row and all of them are equal.
+        by_prompt = {}
+        for (x, _), row in self.tables.items():
+            by_prompt.setdefault(x, []).append(row)
         n_prefixes = sum(self.V ** h for h in range(self.H))
-        if len(keys) == n_prefixes and all(np.array_equal(r, first) for r in rows):
-            return first
-        return None
+        return {x: rows[0] if len(rows) == n_prefixes and
+                all(np.array_equal(r, rows[0]) for r in rows) else None
+                for x, rows in by_prompt.items()}
+
+    def step_dist(self, x):
+        return self._steps.get(x, self.default)
 
 
 def linear_to_tabular(model: LinearARModel, prompts) -> TabularModel:
@@ -192,18 +197,18 @@ def sigma_star_sq(piD: Policy, featmap: FeatureMap, mu_items, mode="exact",
     prompt sampler callable for mc mode.  mc mode returns (estimate, se).
     """
     if mode == "exact":
+        items = [(x, w, piD.step_dist(x), featmap.step_table(x))
+                 for x, w in mu_items if w != 0.0]
+        walks = sum(s is None or t is None for _, _, s, t in items)
+        check_enum_budget("leaves", piD.V ** piD.H * walks)
         total = 0.0
-        for x, w in mu_items:
-            if w == 0.0:
-                continue
-            step = piD.step_dist(x)
-            table = featmap.step_table(x)
+        for x, w, step, table in items:
             if step is not None and table is not None:
-                mean = step @ table
-                var = float(step @ np.sum((table - mean) ** 2, axis=1))
-                total += w * piD.H * var
+                total += w * piD.H * _variance(step, table)
                 continue
-            total += w * _sigma_rec(piD, featmap, x, (), 0)
+            lpD, _, sums, _ = tree_walk(piD, x,
+                                        terms=[_sigma_term(piD, featmap, x)])
+            total += w * float(np.exp(lpD) @ sums[0])
         return total
     if mode == "mc":
         if n is None or n < 2:
@@ -226,14 +231,15 @@ def sigma_star_sq(piD: Policy, featmap: FeatureMap, mu_items, mode="exact",
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _sigma_rec(piD, featmap, x, prefix, h):
-    if h >= piD.H:
-        return 0.0
-    p = piD.next_dist(x, prefix)
-    feats = np.stack([featmap._checked_phi(x, prefix + (v,))
-                      for v in range(piD.V)])
-    mean = p @ feats
-    here = float(p @ np.sum((feats - mean) ** 2, axis=1))
-    below = sum(p[v] * _sigma_rec(piD, featmap, x, prefix + (v,), h + 1)
-                for v in range(piD.V) if p[v] > 0)
-    return here + below
+def _variance(p, feats):
+    """E_{v ~ p} ||feats[v] - p @ feats||^2."""
+    return float(p @ np.sum((feats - p @ feats) ** 2, axis=1))
+
+
+def _sigma_term(piD, featmap, x):
+    """tree_walk term: the feature variance under piD at each prefix."""
+    def term(prefixes, PD, _):
+        return [_variance(p, np.stack([featmap._checked_phi(x, pre + (v,))
+                                       for v in range(piD.V)]))
+                for pre, p in zip(prefixes, PD)]
+    return term

@@ -65,6 +65,15 @@ def test_logprob_next_dist_consistency():
         assert math.isclose(math.exp(lp), prod, rel_tol=1e-9)
 
 
+def test_subnormal_conditional_has_finite_logprob():
+    # log of the smallest positive double is -744.44: never -inf.
+    tiny = 5e-324
+    pol = TabularModel({(0, ()): [1.0 - tiny, tiny]}, V=2, H=1)
+    lp = pol.logprob(Trajectory(0, (1,)))
+    assert lp == math.log(tiny) and math.isfinite(lp)
+    assert pol.logprob(Trajectory(0, (0,))) == 0.0
+
+
 def test_sampler_law_matches_exact_probabilities():
     rng = SeedTree(4).rng()
     pol = random_tabular(rng, V=2, H=2)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_tabular
+from conftest import random_product, random_tabular
 from covkit.core import FinitePromptDist, Trajectory, enumerate_responses
 from covkit.models import (CallableFeatureMap, LinearARModel, TabularModel,
                            grad_logprob, grad_logprob_token, linear_to_tabular,
@@ -154,6 +154,16 @@ def test_tabular_row_validation_and_default():
         TabularModel({(0, ()): [0.5, 0.6]}, V=2, H=1)
     pol = TabularModel({}, V=4, H=2)
     assert np.allclose(pol.next_dist(0, ()), 0.25)
+
+
+def test_tabular_step_dist():
+    rng = SeedTree(9).rng()
+    prod = random_product(rng, 3, 3, prompts=(0, 1))
+    assert np.array_equal(prod.step_dist(1), prod.next_dist(1, (2, 0)))
+    assert random_tabular(rng, 3, 3).step_dist(0) is None
+    partial = TabularModel({(0, ()): [0.5, 0.5]}, V=2, H=2)
+    assert partial.step_dist(0) is None
+    assert np.allclose(partial.step_dist(1), 0.5)   # no rows: the default
 
 
 def test_linear_to_tabular_equivalence():

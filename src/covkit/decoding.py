@@ -6,8 +6,9 @@ import math
 
 import numpy as np
 
-from .core import NEG_INF, Policy, Trajectory
-from .metrics import hoeffding_half_width
+from .core import (NEG_INF, Policy, Trajectory, group_prompts,
+                   sample_prompts)
+from .metrics import covers, hoeffding_half_width
 from .models import LinearARModel, grad_logprob_token, project_unit_ball
 
 _TTT_CACHE_LIMIT = 200_000
@@ -86,39 +87,49 @@ def best_of_n(policy: Policy, reward, x, N: int, rng) -> tuple:
     if N < 1:
         raise ValueError("N must be >= 1")
     draws = policy.sample_many(x, N, rng)
-    best_y = None
-    best_r = -1
-    for row in draws:
-        y = tuple(int(v) for v in row)
-        r = reward(x, y)
-        if r > best_r:
-            best_y, best_r = y, r
-            if best_r >= 1:
-                break
-    return best_y
+    return tuple(draws[int(np.argmax(_rewards(reward, x, draws)))].tolist())
 
 
 def bon_regret(policy: Policy, piT: Policy, reward, mu, N: int, trials: int,
                rng, delta: float = 0.05):
     """MC estimate of E_x[r(x, piT(x)) - r(x, BoN(x))] with Hoeffding band.
 
-    The per-trial difference lies in [-1, 1], so the half-width carries a
-    range factor of 2.
+    The trials' prompts are drawn first.  Each prompt drawn c times then
+    gets c responses from piT and c * N from `policy` in one batch each;
+    BoN's reward in a trial is the largest of its N rewards, the reward of
+    the response `best_of_n` would return.  The per-trial difference lies
+    in [-1, 1], so the half-width carries a range factor of 2.
     """
     if trials < 100:
         raise ValueError("trials must be >= 100")
+    if N < 1:
+        raise ValueError("N must be >= 1")
     total = 0.0
-    for _ in range(trials):
-        x = mu(rng)
-        y_t = piT.sample(x, rng)
-        y_b = best_of_n(policy, reward, x, N, rng)
-        total += reward(x, y_t) - reward(x, y_b)
+    for x, idx in group_prompts(sample_prompts(mu, trials, rng)).items():
+        c = len(idx)
+        r_t = _rewards(reward, x, piT.sample_many(x, c, rng))
+        r_b = _rewards(reward, x, policy.sample_many(x, c * N, rng))
+        total += float(r_t.sum() - r_b.reshape(c, N).max(axis=1).sum())
     est = total / trials
     return est, 2.0 * hoeffding_half_width(trials, delta)
 
 
+def _rewards(reward, x, Y) -> np.ndarray:
+    """reward(x, y) of each row of Y: `reward.many` if it has one, else
+    one call per row with y a tuple of ints."""
+    if hasattr(reward, "many"):
+        return np.asarray(reward.many(x, Y), dtype=float)
+    # Column lists zipped into row tuples: a fraction of the cost of
+    # converting each row of a large Y on its own.
+    rows = zip(*Y.T.tolist()) if Y.shape[1] else [()] * len(Y)
+    return np.array([reward(x, y) for y in rows], dtype=float)
+
+
 class AdversarialReward:
-    """r(x, y) = 1 iff log piT(y|x) - log piHat(y|x) >= log(2N)."""
+    """r(x, y) = 1 iff log piT(y|x) - log piHat(y|x) >= log(2N).
+
+    A response piT cannot produce scores 0; one only piHat misses scores 1.
+    """
 
     def __init__(self, piT: Policy, piHat: Policy, N: float):
         self.piT = piT
@@ -126,14 +137,13 @@ class AdversarialReward:
         self.log_thresh = math.log(2.0 * N)
 
     def __call__(self, x, y) -> int:
-        t = Trajectory(x, y)
-        lpT = self.piT.logprob(t)
-        if lpT == NEG_INF:
-            return 0
-        lpH = self.piHat.logprob(t)
-        if lpH == NEG_INF:
-            return 1
-        return int(lpT - lpH >= self.log_thresh - 1e-12)
+        return int(self.many(x, [y])[0])
+
+    def many(self, x, Y) -> np.ndarray:
+        """0/1 reward of each row of the (n, H) int array Y."""
+        return covers(self.piT.logprob_many(x, Y),
+                      self.piHat.logprob_many(x, Y),
+                      self.log_thresh).astype(np.int64)
 
 
 def adversarial_reward(piT: Policy, piHat: Policy, N: float) -> AdversarialReward:

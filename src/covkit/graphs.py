@@ -385,6 +385,6 @@ def mixture_prompt_sampler(mix: dict, config: GraphConfig):
     return sample
 
 
-def log2_uniform_paths(k: int) -> float:
+def log_uniform_paths(k: int) -> float:
     """logprob of each path for a uniform class with k binary choices."""
     return -k * math.log(2.0)

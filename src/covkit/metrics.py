@@ -2,7 +2,9 @@
 
 All ratio events are evaluated in log domain and use the closed comparison
 log piD - log piHat >= log N.  Monte Carlo modes report Hoeffding (or
-Wilson) confidence half-widths.  Exact modes use, per prompt x, either
+Wilson) confidence half-widths; they draw all prompts first, then score
+each distinct prompt's responses with one sample_many and one logprob_many
+call per policy.  Exact modes use, per prompt x, either
 
 * product closed forms, when both policies return a `step_dist` at x:
   seq_kl = H KL_step, seq_ce = H CE_step, 1 - hellinger_sq = BC_step^H,
@@ -27,7 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import NEG_INF, Policy, Trajectory, check_enum_budget
+from .core import (Policy, check_enum_budget, group_prompts, logprob_matrix,
+                   prefix_levels, sample_prompts)
 
 
 @dataclass
@@ -255,14 +258,7 @@ def coverage_mc(piD: Policy, piHat: Policy, mu_sampler, Ns, n_samples: int,
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
     Ns = np.atleast_1d(np.asarray(Ns, dtype=float))
-    lrs = np.empty(n_samples)
-    for i in range(n_samples):
-        x = mu_sampler(rng)
-        y = piD.sample(x, rng)
-        t = Trajectory(x, y)
-        lpD = piD.logprob(t)
-        lpH = piHat.logprob(t)
-        lrs[i] = math.inf if lpH == NEG_INF else lpD - lpH
+    lrs = _mc_log_ratios(piD, piHat, mu_sampler, n_samples, rng)
     values = np.array([(lrs >= math.log(N) - 1e-12).mean() for N in Ns])
     if interval == "hoeffding":
         hw = np.full_like(Ns, math.sqrt(math.log(2.0 / delta) / (2 * n_samples)))
@@ -272,6 +268,29 @@ def coverage_mc(piD: Policy, piHat: Policy, mu_sampler, Ns, n_samples: int,
     else:
         raise ValueError(f"unknown interval {interval!r}")
     return CoverageCurve(Ns, values, hw, n_samples=n_samples)
+
+
+def _mc_draws(piD, mu_sampler, n, rng):
+    """n draws from mu x piD: a list of (x, positions, Y), one per prompt.
+
+    All n prompts are drawn first; then each distinct prompt, in order of
+    first appearance, gets its responses Y from one sample_many call.
+    """
+    if n is None or n < 1:
+        raise ValueError("mc mode requires n >= 1")
+    groups = group_prompts(sample_prompts(mu_sampler, n, rng))
+    return [(x, idx, piD.sample_many(x, len(idx), rng))
+            for x, idx in groups.items()]
+
+
+def _mc_log_ratios(piD, piHat, mu_sampler, n, rng):
+    """log piD - log piHat of n draws from mu x piD, +inf where piHat has
+    no mass, in the order the prompts were drawn."""
+    draws = _mc_draws(piD, mu_sampler, n, rng)
+    out = np.empty(n)
+    for x, idx, Y in draws:
+        out[idx] = piD.logprob_many(x, Y) - piHat.logprob_many(x, Y)
+    return out
 
 
 def _norm_ppf(q):
@@ -310,15 +329,7 @@ def seq_kl(piD: Policy, piHat: Policy, mu_items, mode="exact",
         return _reduce(_pair_laws(piD, piHat, mu_items), piD.H,
                        _kl_closed, _kl_leaves)
     if mode == "mc":
-        vals = np.empty(n)
-        for i in range(n):
-            x = mu_sampler(rng)
-            t = Trajectory(x, piD.sample(x, rng))
-            lpH = piHat.logprob(t)
-            if lpH == NEG_INF:
-                return math.inf
-            vals[i] = piD.logprob(t) - lpH
-        return float(vals.mean())
+        return float(_mc_log_ratios(piD, piHat, mu_sampler, n, rng).mean())
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -340,13 +351,10 @@ def seq_ce(piD: Policy, piHat: Policy, mu_items, mode="exact",
         return _reduce(_pair_laws(piD, piHat, mu_items), piD.H,
                        _ce_closed, _ce_leaves)
     if mode == "mc":
+        draws = _mc_draws(piD, mu_sampler, n, rng)
         vals = np.empty(n)
-        for i in range(n):
-            x = mu_sampler(rng)
-            lpH = piHat.logprob(Trajectory(x, piD.sample(x, rng)))
-            if lpH == NEG_INF:
-                return math.inf
-            vals[i] = -lpH
+        for x, idx, Y in draws:
+            vals[idx] = -piHat.logprob_many(x, Y)
         return float(vals.mean())
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -379,19 +387,16 @@ def stopped_kl(piD: Policy, piHat: Policy, mu_items, N: float, mode="exact",
             lambda lpD, lpH, sums, peaks: float(
                 np.exp(lpD) @ np.where(peaks[0] >= logN, logN, sums[0])))
     if mode == "mc":
+        # Step KLs are >= 0, so clipping the full sum equals stopping early.
+        draws = _mc_draws(piD, mu_sampler, n, rng)
         vals = np.empty(n)
-        for i in range(n):
-            x = mu_sampler(rng)
-            y = piD.sample(x, rng)
-            acc = 0.0
-            prefix = ()
-            for v in y:
-                acc += step_kl(piD.next_dist(x, prefix),
-                               piHat.next_dist(x, prefix))
-                if acc >= logN:
-                    break
-                prefix = prefix + (v,)
-            vals[i] = min(logN, acc)
+        for x, idx, Y in draws:
+            acc = np.zeros(len(idx))
+            for h, first, inv in prefix_levels(Y, piD.V):
+                pre = Y[first, :h]
+                acc += _kl_rows(piD.prefix_dists(x, pre),
+                                piHat.prefix_dists(x, pre))[inv]
+            vals[idx] = np.minimum(logN, acc)
         return float(vals.mean())
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -441,15 +446,21 @@ def empirical_pairwise_cov(piPrime: Policy, pi: Policy, dataset, N: float,
     if n == 0:
         raise ValueError("dataset is empty")
     if logp_prime is None:
-        logp_prime = np.array([piPrime.logprob(t) for t in dataset])
+        logp_prime = logprob_matrix([piPrime], dataset)[0]
     if logp is None:
-        logp = np.array([pi.logprob(t) for t in dataset])
-    logN = math.log(N)
+        logp = logprob_matrix([pi], dataset)[0]
+    return float(covers(logp_prime, logp, math.log(N)).mean())
+
+
+def covers(lp_prime, lp, log_thresh):
+    """Elementwise log piPrime - log pi >= log_thresh, with 1e-12 slack.
+
+    Where pi has no mass the event holds iff piPrime has mass: -inf minus
+    -inf is NaN, which compares False, since a point where both densities
+    are zero is not a coverage event.
+    """
     with np.errstate(invalid="ignore"):
-        diff = logp_prime - logp
-    # -inf minus -inf: both densities zero; not a coverage failure.
-    diff = np.where(np.isnan(diff), -math.inf, diff)
-    return float((diff >= logN - 1e-12).mean())
+        return np.asarray(lp_prime) - lp >= log_thresh - 1e-12
 
 
 def onpolicy_cov_estimate(piBar: Policy, piPrime: Policy, pi: Policy,
@@ -457,7 +468,9 @@ def onpolicy_cov_estimate(piBar: Policy, piPrime: Policy, pi: Policy,
                           ) -> float:
     """Average over prompts of P_{y~piBar}(log piPrime - log pi >= log N).
 
-    Exact mode walks each distinct prompt once, weighted by its count.
+    Exact mode walks each distinct prompt once, weighted by its count; mc
+    mode draws m responses per listed prompt, those of each distinct prompt
+    in one sample_many call.
     """
     logN = math.log(N)
     total = 0.0
@@ -468,26 +481,16 @@ def onpolicy_cov_estimate(piBar: Policy, piPrime: Policy, pi: Policy,
         check_enum_budget("leaves", piBar.V ** piBar.H * len(counts))
         for x, c in counts.items():
             lpBar, (lpP, lpQ), _, _ = tree_walk(piBar, x, [piPrime, pi])
-            with np.errstate(invalid="ignore"):
-                hit = np.where(np.isneginf(lpQ), lpP > NEG_INF,
-                               lpP - lpQ >= logN - 1e-12)
+            hit = covers(lpP, lpQ, logN)
             total += c * float(np.exp(lpBar)[hit].sum())
     elif mode == "mc":
         if m is None or m < 1:
             raise ValueError("mc mode requires m >= 1")
-        for x in prompts:
-            ys = piBar.sample_many(x, m, rng)
-            cnt = 0
-            for row in ys:
-                t = Trajectory(x, tuple(int(v) for v in row))
-                lpP = piPrime.logprob(t)
-                lpQ = pi.logprob(t)
-                if lpQ == NEG_INF:
-                    hit = lpP > NEG_INF
-                else:
-                    hit = lpP - lpQ >= logN - 1e-12
-                cnt += hit
-            total += cnt / m
+        for x, idx in group_prompts(prompts).items():
+            Y = piBar.sample_many(x, len(idx) * m, rng)
+            hits = covers(piPrime.logprob_many(x, Y), pi.logprob_many(x, Y),
+                          logN)
+            total += int(hits.sum()) / m
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return total / len(prompts)

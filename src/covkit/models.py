@@ -14,6 +14,8 @@ from .metrics import tree_walk
 # Lazy feature-norm validation; off by default in production runs.
 CHECK_FEATURE_NORMS = False
 
+_STEP_CACHE_LIMIT = 4096
+
 
 class FeatureMap:
     """Deterministic feature map phi(x, y_{1:h}) -> R^d with ||phi|| <= B.
@@ -85,6 +87,7 @@ class LinearARModel(Policy):
         self.featmap = featmap
         self.V = int(V)
         self.H = int(H)
+        self._steps = {}
 
     def with_theta(self, theta) -> "LinearARModel":
         return LinearARModel(theta, self.featmap, self.V, self.H)
@@ -103,10 +106,15 @@ class LinearARModel(Policy):
         return _softmax(self.candidate_features(x, prefix) @ self.theta)
 
     def step_dist(self, x):
-        table = self.featmap.step_table(x)
-        if table is None:
-            return None
-        return _softmax(table @ self.theta)
+        # Cached per prompt: theta is never changed in place (with_theta
+        # builds a new model).
+        if x not in self._steps:
+            if len(self._steps) >= _STEP_CACHE_LIMIT:
+                self._steps.clear()
+            table = self.featmap.step_table(x)
+            self._steps[x] = None if table is None else _softmax(
+                table @ self.theta)
+        return self._steps[x]
 
 
 def grad_logprob(model: LinearARModel, traj: Trajectory) -> np.ndarray:

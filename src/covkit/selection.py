@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import NEG_INF, Policy
+from .core import logprob_matrix
 from .metrics import empirical_pairwise_cov, onpolicy_cov_estimate
 
 
@@ -50,16 +50,11 @@ class SelectionReport:
         return json.dumps(d)
 
 
-def _logprob_matrix(candidates, dataset) -> np.ndarray:
-    """(K, n) cached log-probs; fills once so tournaments cost O(K^2 n)."""
-    return np.array([[pi.logprob(t) for t in dataset] for pi in candidates])
-
-
 def select_ce(candidates: CandidateClass, dataset, return_report=False):
     """Argmax of total log-likelihood; ties break to the lowest index."""
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
-    lp = _logprob_matrix(candidates.candidates, dataset)
+    lp = logprob_matrix(candidates.candidates, dataset)
     totals = np.where(np.isneginf(lp).any(axis=1), -math.inf, lp.sum(axis=1))
     idx = int(np.argmax(totals))
     if return_report:
@@ -68,20 +63,18 @@ def select_ce(candidates: CandidateClass, dataset, return_report=False):
     return idx
 
 
-def _pairwise_matrix(candidates, dataset, N, lp=None) -> np.ndarray:
+def _pairwise_matrix(candidates, dataset, N) -> np.ndarray:
+    """M[i, j]: empirical coverage of candidate j by candidate i, from one
+    (K, n) log-prob matrix, so a tournament scores each example K times."""
     K = len(candidates)
-    if lp is None:
-        lp = _logprob_matrix(candidates, dataset)
-    logN = math.log(N)
+    lp = logprob_matrix(candidates, dataset)
     M = np.zeros((K, K))
     for i in range(K):          # pi' (covering candidate)
         for j in range(K):      # pi  (candidate under evaluation)
-            if i == j:
-                continue
-            with np.errstate(invalid="ignore"):
-                diff = lp[i] - lp[j]
-            diff = np.where(np.isnan(diff), -math.inf, diff)
-            M[i, j] = float((diff >= logN - 1e-12).mean())
+            if i != j:
+                M[i, j] = empirical_pairwise_cov(
+                    candidates[i], candidates[j], dataset, N,
+                    logp_prime=lp[i], logp=lp[j])
     return M
 
 

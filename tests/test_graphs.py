@@ -6,7 +6,7 @@ import pytest
 from covkit.core import Trajectory
 from covkit.graphs import (GraphConfig, GraphPathPolicy, LayeredDag,
                            gen_graph_instance, global_parity_half,
-                           identify_class, log2_uniform_paths,
+                           identify_class, log_uniform_paths,
                            mixture_prompt_sampler, parity, parse_prompt,
                            passable_parity, serialize_prompt, HORIZON_MIX,
                            TEASER_MIX)
@@ -68,12 +68,12 @@ def test_uniform_class_logprob():
     assert len(paths) == 4
     for y, q in paths:
         assert math.isclose(piD.logprob(Trajectory(prompt, y)),
-                            log2_uniform_paths(2), abs_tol=1e-12)
+                            log_uniform_paths(2), abs_tol=1e-12)
     dag, prompt, piD = gen_graph_instance("GH3", GraphConfig(L=16), rng)
     paths = piD.selected_paths(prompt)
     assert len(paths) == 16
     assert math.isclose(piD.logprob(Trajectory(prompt, paths[0][0])),
-                        log2_uniform_paths(4), abs_tol=1e-12)
+                        log_uniform_paths(4), abs_tol=1e-12)
 
 
 def test_horizon_classes():

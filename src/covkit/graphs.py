@@ -23,7 +23,6 @@ HORIZON_CLASSES = ("GH1", "GH2", "GH3")
 
 # Mixture weights from the experiment setups.
 TEASER_MIX = {"G1": 0.9, "G2": 0.1}
-TEASER_PRETRAIN_MIX = {"G1": 1 / 3, "G2": 1 / 3, "G3": 1 / 3}
 HORIZON_MIX = {"GH1": 0.94, "GH2": 0.05, "GH3": 0.01}
 
 

@@ -19,13 +19,12 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import tasks as _tasks
+from . import training
 from .core import sample_dataset, save_jsonl
 from .metrics import MetricReport, coverage_mc, kl_and_coverage, seq_kl
 from .models import LinearARModel
 from .seeding import SeedTree
-from .training import (RunRecord, TrainConfig, mle_fit, policy_stream,
-                       sgd_normalized, sgd_token, sgd_truncated_distill,
-                       sgd_vanilla)
+from .training import RunRecord, TrainConfig, policy_stream
 
 CSV_VERSION = "covkit-csv-v1"
 CONFIG_VERSION = 1
@@ -62,10 +61,21 @@ TASKS = {
     "graph_horizon": lambda **kw: _graph_task("horizon", **kw),
 }
 
-LEARNERS = ("mle", "sgd_vanilla", "sgd_normalized", "sgd_token",
-            "sgd_truncated")
-
 _TRAIN_FIELDS = {f.name for f in dataclasses.fields(TrainConfig)}
+_SGD_FIELDS = frozenset({"eta", "T", "checkpoint_every", "theta0"})
+
+# Learner name -> (function in covkit.training, TrainConfig fields it reads).
+# The function is looked up by name on each call, so a wrapper installed on
+# the module attribute (perfbench's traced run) sees every call.
+LEARNERS = {
+    "mle": ("mle_fit", frozenset({"T"})),
+    "sgd_vanilla": ("sgd_vanilla", _SGD_FIELDS),
+    "sgd_normalized": ("sgd_normalized",
+                       _SGD_FIELDS | {"K", "lam", "N", "sigma_star_sq"}),
+    "sgd_token": ("sgd_token", _SGD_FIELDS),
+    "sgd_truncated": ("sgd_truncated_distill",
+                      _SGD_FIELDS | {"A", "sigma_star_sq"}),
+}
 
 _TOP_KEYS = {"version", "task", "learner", "metrics", "sweep", "out_dir",
              "root_seed"}
@@ -98,6 +108,10 @@ def validate_config(cfg: dict) -> dict:
         raise ConfigError(f"unknown learner {learner.get('name')!r}")
     train = dict(learner.get("train", {}))
     _check_keys(train, _TRAIN_FIELDS, "learner.train")
+    ignored = _TRAIN_FIELDS - LEARNERS[learner["name"]][1]
+    if ignored & set(train):
+        raise ConfigError(f"learner {learner['name']!r} ignores train "
+                          f"fields {sorted(ignored & set(train))}")
     metrics = dict(cfg.get("metrics", {}))
     _check_keys(metrics, _METRIC_KEYS, "metrics")
     if metrics.get("mode", "exact") not in ("exact", "mc"):
@@ -115,6 +129,9 @@ def validate_config(cfg: dict) -> dict:
         if name not in _TRAIN_FIELDS and name not in task_params:
             raise ConfigError(f"sweep axis {name!r} matches neither a "
                               "train field nor a task parameter")
+        if name in ignored:
+            raise ConfigError(f"sweep axis {name!r}: learner "
+                              f"{learner['name']!r} ignores that train field")
     out = {
         "version": CONFIG_VERSION,
         "task": {"name": task["name"], "params": task_params},
@@ -134,30 +151,30 @@ def build_task(name: str, params: dict):
         raise ConfigError(f"bad parameters for task {name!r}: {e}")
 
 
+def _check_task(task, metrics_spec: dict):
+    """Refuse a task that training or the metrics could not use."""
+    if task.featmap is None:
+        raise ConfigError("task has no feature map; cannot train")
+    if (metrics_spec.get("mode", "exact") == "exact"
+            and not hasattr(task.mu, "items")):
+        raise ConfigError("exact metrics need an enumerable prompt "
+                          "distribution; use metrics.mode = 'mc'")
+
+
 def run_learner(name: str, task, train: TrainConfig, rng) -> RunRecord:
+    """Train learner `name` on a task that passed `_check_task`."""
+    fit = getattr(training, LEARNERS[name][0])
     if name == "mle":
         dataset = sample_dataset(task.piD, task.mu, train.T, rng)
-        if task.featmap is None:
-            raise ConfigError("task has no feature map; cannot train")
-        res = mle_fit(dataset, task.featmap, task.V, task.H)
+        res = fit(dataset, task.featmap, task.V, task.H)
         rec = RunRecord(checkpoints=[(train.T, res.theta.copy())],
                         final_theta=res.theta, n_examples=train.T)
         if not res.converged:
             rec.flags.append("mle-not-converged")
         return rec
-    if task.featmap is None:
-        raise ConfigError("task has no feature map; cannot train")
-    stream = policy_stream(task.piD, task.mu, rng)
-    if name == "sgd_vanilla":
-        return sgd_vanilla(stream, task.featmap, task.V, task.H, train)
-    if name == "sgd_normalized":
-        return sgd_normalized(stream, task.featmap, task.V, task.H, train)
-    if name == "sgd_token":
-        return sgd_token(stream, task.featmap, task.V, task.H, train)
-    if name == "sgd_truncated":
-        return sgd_truncated_distill(stream, task.piD, task.featmap,
-                                     task.V, task.H, train)
-    raise ConfigError(f"unknown learner {name!r}")
+    teacher = (task.piD,) if name == "sgd_truncated" else ()
+    return fit(policy_stream(task.piD, task.mu, rng), *teacher,
+               task.featmap, task.V, task.H, train)
 
 
 def checkpoint_metrics(task, rec: RunRecord, metrics_spec: dict, tree: SeedTree):
@@ -167,9 +184,6 @@ def checkpoint_metrics(task, rec: RunRecord, metrics_spec: dict, tree: SeedTree)
     n_samples = int(metrics_spec.get("n_samples", 2000))
     kl_samples = int(metrics_spec.get("kl_samples", n_samples))
     delta = float(metrics_spec.get("delta", 0.05))
-    if mode == "exact" and not hasattr(task.mu, "items"):
-        raise ConfigError("exact metrics need an enumerable prompt "
-                          "distribution; use metrics.mode = 'mc'")
     reports = []
     for i, (t, theta) in enumerate(rec.checkpoints):
         model = LinearARModel(theta, task.featmap, task.V, task.H)
@@ -237,6 +251,7 @@ def run(cfg: dict) -> str:
             else:
                 task_params[name] = value
         task = build_task(cfg["task"]["name"], task_params)
+        _check_task(task, metrics_spec)
         try:
             train = TrainConfig(**train_kwargs)
         except ValueError as e:

@@ -23,9 +23,8 @@ from __future__ import annotations
 
 import io
 import itertools
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,28 +59,10 @@ class CoverageCurve:
 
 @dataclass
 class MetricReport:
-    seq_kl: float | None = None
-    seq_ce: float | None = None
-    hellinger_sq: float | None = None
-    stopped_kl: float | None = None
-    stopped_kl_N: float | None = None
-    sigma_star_sq: float | None = None
-    coverage: CoverageCurve | None = None
-    extra: dict = field(default_factory=dict)
+    """Sequence KL and coverage curve of one checkpoint."""
 
-    def to_json(self) -> str:
-        d = {k: getattr(self, k) for k in
-             ("seq_kl", "seq_ce", "hellinger_sq", "stopped_kl",
-              "stopped_kl_N", "sigma_star_sq")}
-        if self.coverage is not None:
-            d["coverage"] = {
-                "thresholds": self.coverage.thresholds.tolist(),
-                "values": self.coverage.values.tolist(),
-                "half_widths": self.coverage.half_widths.tolist(),
-                "n_samples": self.coverage.n_samples,
-            }
-        d.update(self.extra)
-        return json.dumps(d)
+    seq_kl: float | None = None
+    coverage: CoverageCurve | None = None
 
 
 def default_n_grid(max_pow: int = 16) -> np.ndarray:

@@ -11,9 +11,6 @@ import numpy as np
 from .core import Policy, Trajectory, check_enum_budget
 from .metrics import tree_walk
 
-# Lazy feature-norm validation; off by default in production runs.
-CHECK_FEATURE_NORMS = False
-
 _STEP_CACHE_LIMIT = 4096
 
 
@@ -35,13 +32,6 @@ class FeatureMap:
     def step_table(self, x):
         """(V, d) array with row v = phi(x, prefix + (v,)), if prefix-free."""
         return None
-
-    def _checked_phi(self, x, prefix):
-        v = np.asarray(self.phi(x, prefix), dtype=float)
-        if CHECK_FEATURE_NORMS and np.linalg.norm(v) > self.B + 1e-9:
-            raise AssertionError(
-                f"feature norm {np.linalg.norm(v):.6g} exceeds bound {self.B}")
-        return v
 
 
 class CallableFeatureMap(FeatureMap):
@@ -97,7 +87,7 @@ class LinearARModel(Policy):
         table = self.featmap.step_table(x)
         if table is not None:
             return table
-        return np.stack([self.featmap._checked_phi(x, prefix + (v,))
+        return np.stack([self.featmap.phi(x, prefix + (v,))
                          for v in range(self.V)])
 
     def next_dist(self, x, prefix: tuple) -> np.ndarray:
@@ -229,7 +219,7 @@ def sigma_star_sq(piD: Policy, featmap: FeatureMap, mu_items, mode="exact",
             prefix = ()
             for v in y:
                 p = piD.next_dist(x, prefix)
-                feats = np.stack([featmap._checked_phi(x, prefix + (u,))
+                feats = np.stack([featmap.phi(x, prefix + (u,))
                                   for u in range(piD.V)])
                 mean = p @ feats
                 acc += float(np.sum((feats[v] - mean) ** 2))
@@ -247,7 +237,7 @@ def _variance(p, feats):
 def _sigma_term(piD, featmap, x):
     """tree_walk term: the feature variance under piD at each prefix."""
     def term(prefixes, PD, _):
-        return [_variance(p, np.stack([featmap._checked_phi(x, pre + (v,))
+        return [_variance(p, np.stack([featmap.phi(x, pre + (v,))
                                        for v in range(piD.V)]))
                 for pre, p in zip(prefixes, PD)]
     return term

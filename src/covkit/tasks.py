@@ -22,7 +22,6 @@ class TaskInstance:
     piD: Policy
     featmap: FeatureMap | None = None
     theta_star: np.ndarray | None = None
-    reward: object = None
     metadata: dict = field(default_factory=dict)
 
     @property

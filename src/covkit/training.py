@@ -2,13 +2,15 @@
 
 Five learners: full-batch MLE (projected gradient ascent on the concave
 log-likelihood), vanilla sequence-level SGD, normalized mini-batch SGD,
-token-level SGD, and truncated distillation SGD.  All are single-pass over
-an example stream (except MLE) and emit iterate checkpoints.
+token-level SGD, and truncated distillation SGD.  The four SGD learners are
+single-pass over an example stream and differ only in their step: each
+resolves its step sizes and hands a step function to one driver,
+`_sgd_loop`, which owns the theta init, the stream draws, the checkpoint
+cadence, the example count and the timing.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass, field
@@ -16,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import Trajectory
+from .metrics import step_kl
 from .models import (FeatureMap, LinearARModel, grad_logprob,
                      grad_logprob_token, project_unit_ball)
 
@@ -53,14 +56,6 @@ class RunRecord:
     n_examples: int = 0
     wall_clock: float = 0.0
     flags: list = field(default_factory=list)
-
-    def thetas(self):
-        return [th for _, th in self.checkpoints]
-
-    def to_jsonl(self) -> str:
-        lines = [json.dumps({"t": t, "theta": th.tolist()})
-                 for t, th in self.checkpoints]
-        return "\n".join(lines) + "\n"
 
     def summary(self) -> dict:
         return {"n_examples": self.n_examples, "wall_clock": self.wall_clock,
@@ -138,25 +133,41 @@ def _init_theta(config: TrainConfig, d: int) -> np.ndarray:
     return np.zeros(d)
 
 
-def sgd_vanilla(stream, featmap: FeatureMap, V: int, H: int,
-                config: TrainConfig) -> RunRecord:
-    """Projected sequence-level SGD: theta += eta * grad log pi(y|x)."""
-    if config.eta is None:
-        raise ValueError("vanilla SGD requires an explicit eta")
+def _sgd_loop(stream, featmap: FeatureMap, V: int, H: int,
+              config: TrainConfig, step, k: int = 1) -> RunRecord:
+    """The single-pass driver shared by the four streaming learners.
+
+    Runs T iterations from `config.theta0` (or 0).  Iteration t draws k
+    examples and sets theta = step(model, batch, rec), where model is the
+    LinearARModel at the current theta; a step may append to rec.flags.
+    Snapshots theta at `checkpoint_iters` and counts examples and time.
+    """
     t0 = time.perf_counter()
     theta = _init_theta(config, featmap.d)
     cps = set(checkpoint_iters(config.T, config.checkpoint_every))
     rec = RunRecord()
     for t in range(1, config.T + 1):
-        (traj,) = _take(stream, 1)
-        model = LinearARModel(theta, featmap, V, H)
-        theta = project_unit_ball(theta + config.eta * grad_logprob(model, traj))
-        rec.n_examples += 1
+        batch = _take(stream, k)
+        theta = step(LinearARModel(theta, featmap, V, H), batch, rec)
+        rec.n_examples += k
         if t in cps:
             rec.checkpoints.append((t, theta.copy()))
     rec.final_theta = theta
     rec.wall_clock = time.perf_counter() - t0
     return rec
+
+
+def sgd_vanilla(stream, featmap: FeatureMap, V: int, H: int,
+                config: TrainConfig) -> RunRecord:
+    """Projected sequence-level SGD: theta += eta * grad log pi(y|x)."""
+    if config.eta is None:
+        raise ValueError("vanilla SGD requires an explicit eta")
+
+    def step(model, batch, rec):
+        (traj,) = batch
+        return project_unit_ball(
+            model.theta + config.eta * grad_logprob(model, traj))
+    return _sgd_loop(stream, featmap, V, H, config, step)
 
 
 def normalized_schedule(B: float, T: int, N: float, sigma_star_sq: float):
@@ -171,7 +182,11 @@ def normalized_schedule(B: float, T: int, N: float, sigma_star_sq: float):
 
 def sgd_normalized(stream, featmap: FeatureMap, V: int, H: int,
                    config: TrainConfig) -> RunRecord:
-    """Mini-batch SGD with globally normalized steps g/(lambda + ||g||)."""
+    """Mini-batch SGD with globally normalized steps g/(lambda + ||g||).
+
+    With lambda = 0 a batch whose mean gradient is exactly 0 takes no step
+    and sets the "zero-gradient-zero-lambda" flag.
+    """
     eta, lam = config.eta, config.lam
     if eta is None or lam is None:
         if config.N is None or config.sigma_star_sq is None:
@@ -181,13 +196,8 @@ def sgd_normalized(stream, featmap: FeatureMap, V: int, H: int,
                                            config.sigma_star_sq)
         eta = eta_s if eta is None else eta
         lam = lam_s if lam is None else lam
-    t0 = time.perf_counter()
-    theta = _init_theta(config, featmap.d)
-    cps = set(checkpoint_iters(config.T, config.checkpoint_every))
-    rec = RunRecord()
-    for t in range(1, config.T + 1):
-        batch = _take(stream, config.K)
-        model = LinearARModel(theta, featmap, V, H)
+
+    def step(model, batch, rec):
         g = np.zeros(featmap.d)
         for traj in batch:                      # fixed summation order
             g += grad_logprob(model, traj)
@@ -196,14 +206,9 @@ def sgd_normalized(stream, featmap: FeatureMap, V: int, H: int,
         if lam == 0.0 and gnorm == 0.0:
             if "zero-gradient-zero-lambda" not in rec.flags:
                 rec.flags.append("zero-gradient-zero-lambda")
-        else:
-            theta = project_unit_ball(theta + eta * g / (lam + gnorm))
-        rec.n_examples += config.K
-        if t in cps:
-            rec.checkpoints.append((t, theta.copy()))
-    rec.final_theta = theta
-    rec.wall_clock = time.perf_counter() - t0
-    return rec
+            return model.theta
+        return project_unit_ball(model.theta + eta * g / (lam + gnorm))
+    return _sgd_loop(stream, featmap, V, H, config, step, k=config.K)
 
 
 def sgd_token(stream, featmap: FeatureMap, V: int, H: int,
@@ -211,24 +216,17 @@ def sgd_token(stream, featmap: FeatureMap, V: int, H: int,
     """Token-level SGD: one projected step per token, H steps per example."""
     if config.eta is None:
         raise ValueError("token SGD requires an explicit eta")
-    t0 = time.perf_counter()
-    theta = _init_theta(config, featmap.d)
-    cps = set(checkpoint_iters(config.T, config.checkpoint_every))
-    rec = RunRecord()
-    for t in range(1, config.T + 1):
-        (traj,) = _take(stream, 1)
-        prefix = ()
-        for v in traj.y:
-            model = LinearARModel(theta, featmap, V, H)
-            g = grad_logprob_token(model, traj.x, prefix, v)
+
+    def step(model, batch, rec):
+        (traj,) = batch
+        theta = model.theta
+        for h, v in enumerate(traj.y):
+            if h:       # the driver's model serves the first token
+                model = model.with_theta(theta)
+            g = grad_logprob_token(model, traj.x, traj.y[:h], v)
             theta = project_unit_ball(theta + config.eta * g)
-            prefix = prefix + (v,)
-        rec.n_examples += 1
-        if t in cps:
-            rec.checkpoints.append((t, theta.copy()))
-    rec.final_theta = theta
-    rec.wall_clock = time.perf_counter() - t0
-    return rec
+        return theta
+    return _sgd_loop(stream, featmap, V, H, config, step)
 
 
 def truncation_weights(eps: list, A: float):
@@ -278,14 +276,9 @@ def sgd_truncated_distill(stream, teacher, featmap: FeatureMap, V: int,
         if config.sigma_star_sq is None:
             raise ValueError("provide eta or sigma_star_sq for the schedule")
         eta = truncated_schedule(featmap.B, config.T, A, config.sigma_star_sq)
-    t0 = time.perf_counter()
-    theta = _init_theta(config, featmap.d)
-    cps = set(checkpoint_iters(config.T, config.checkpoint_every))
-    rec = RunRecord()
-    from .metrics import step_kl
-    for t in range(1, config.T + 1):
-        (traj,) = _take(stream, 1)
-        model = LinearARModel(theta, featmap, V, H)
+
+    def step(model, batch, rec):
+        (traj,) = batch
         eps = []
         grads = []
         prefix = ()
@@ -305,13 +298,8 @@ def sgd_truncated_distill(stream, teacher, featmap: FeatureMap, V: int,
         for a, gh in zip(alpha, grads):
             if a > 0.0:
                 g += a * gh
-        theta = project_unit_ball(theta + eta * g)
-        rec.n_examples += 1
-        if t in cps:
-            rec.checkpoints.append((t, theta.copy()))
-    rec.final_theta = theta
-    rec.wall_clock = time.perf_counter() - t0
-    return rec
+        return project_unit_ball(model.theta + eta * g)
+    return _sgd_loop(stream, featmap, V, H, config, step)
 
 
 def policy_stream(piD, mu, rng):

@@ -1,0 +1,72 @@
+"""The benchmark's traced run wraps covkit names listed in perfbench/spans.py.
+
+A renamed or moved target would only show up as an AttributeError in
+`perfbench/run.py --trace 1`, or as a per-layer metric that reads 0; these
+tests load spans.py as it is and check both.
+"""
+
+import importlib
+import importlib.util
+import math
+from pathlib import Path
+
+import pytest
+
+from covkit import harness
+
+SPANS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PY)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+spans = _load_spans()
+TARGETS = [(m, a) for m, a, *_ in spans.SPANS] + \
+    [(m, a) for m, a, _ in spans.COUNTS]
+
+
+@pytest.mark.parametrize("mod_name,attr", TARGETS)
+def test_span_target_resolves(mod_name, attr):
+    mod = importlib.import_module("covkit." + mod_name)
+    if "." in attr:
+        cls_name, meth = attr.split(".")
+        assert callable(getattr(mod, cls_name).__dict__[meth])
+    else:
+        assert callable(getattr(mod, attr))
+
+
+LEARNER_TRAIN = {
+    "mle": {"T": 8},
+    "sgd_vanilla": {"eta": 0.1, "T": 4},
+    "sgd_normalized": {"eta": 0.1, "lam": 0.5, "K": 2, "T": 4},
+    "sgd_token": {"eta": 0.1, "T": 4},
+    "sgd_truncated": {"eta": 0.1, "A": math.log(8.0), "T": 4},
+}
+
+
+@pytest.mark.parametrize("learner", sorted(harness.LEARNERS))
+def test_traced_run_sees_each_learner(tmp_path, learner):
+    cfg = {"version": 1,
+           "task": {"name": "heterogeneous_kl", "params": {"n": 5, "H": 3}},
+           "learner": {"name": learner, "train": LEARNER_TRAIN[learner]},
+           "metrics": {"n_grid": [2, 8], "mode": "exact"},
+           "sweep": {"axes": {}, "seeds": [1, 2]},
+           "out_dir": str(tmp_path),
+           "root_seed": 3}
+    rec = spans.Recorder()
+    with spans.instrumented(rec):
+        harness.run(cfg)
+    out = spans.layer_metrics(rec, cpu_s=1.0, wall_s=1.0, workers=1)
+    assert out["harness.jobs"] == 2
+    assert out["models.grad.calls"] > 0
+    span = {a: n for m, a, n, _ in spans.SPANS
+            if m == "training"}[harness.LEARNERS[learner][0]]
+    names = rec.arrays()["name"]
+    assert (names == rec.names.index(span)).sum() == 2
+    if learner != "mle":
+        train = LEARNER_TRAIN[learner]
+        assert out["training.examples"] == 2 * train["T"] * train.get("K", 1)

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from covkit import harness
 from covkit.harness import (CSV_VERSION, ConfigError, build_task, gen_data,
                             run, validate_config)
 
@@ -75,6 +76,44 @@ def test_validation_sweep_axes(tmp_path):
         validate_config(cfg)
 
 
+# A valid value for every TrainConfig field.
+TRAIN_VALUES = {"eta": 0.1, "T": 8, "K": 2, "lam": 0.5, "A": 1.0, "N": 8.0,
+                "sigma_star_sq": 0.5, "checkpoint_every": 2, "theta0": [0.0]}
+IGNORED = {
+    "mle": ["eta", "K", "lam", "A", "N", "sigma_star_sq", "checkpoint_every",
+            "theta0"],
+    "sgd_vanilla": ["K", "lam", "A", "N", "sigma_star_sq"],
+    "sgd_token": ["K", "lam", "A", "N", "sigma_star_sq"],
+    "sgd_normalized": ["A"],
+    "sgd_truncated": ["K", "lam", "N"],
+}
+
+
+@pytest.mark.parametrize("learner,field", [(name, f) for name, fields in
+                                           IGNORED.items() for f in fields])
+def test_validation_rejects_ignored_train_fields(tmp_path, learner, field):
+    value = TRAIN_VALUES[field]
+    cfg = base_config(tmp_path)
+    cfg["learner"] = {"name": learner, "train": {"T": 8, field: value}}
+    cfg["sweep"]["axes"] = {}
+    with pytest.raises(ConfigError, match="ignores"):
+        validate_config(cfg)
+    cfg["learner"]["train"] = {"T": 8}
+    cfg["sweep"]["axes"] = {field: [value]}
+    with pytest.raises(ConfigError, match="ignores"):
+        validate_config(cfg)
+
+
+@pytest.mark.parametrize("learner", sorted(IGNORED))
+def test_validation_accepts_fields_the_learner_reads(tmp_path, learner):
+    cfg = base_config(tmp_path)
+    read = set(TRAIN_VALUES) - set(IGNORED[learner])
+    cfg["learner"] = {"name": learner,
+                      "train": {f: TRAIN_VALUES[f] for f in read}}
+    cfg["sweep"]["axes"] = {f: [TRAIN_VALUES[f]] for f in read}
+    validate_config(cfg)
+
+
 def test_build_task_bad_params():
     with pytest.raises(ConfigError, match="bad parameters"):
         build_task("bernoulli", {"p": 0.2})
@@ -139,6 +178,26 @@ def test_mle_learner_path(tmp_path):
     cfg["sweep"] = {"axes": {}, "seeds": [1]}
     run(cfg)
     assert (tmp_path / "sweep.csv").exists()
+
+
+def test_task_checks_run_before_any_sampling(tmp_path, monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("sampled before the task was checked")
+    monkeypatch.setattr(harness, "sample_dataset", must_not_run)
+    monkeypatch.setattr(harness, "policy_stream", must_not_run)
+    cfg = base_config(tmp_path)
+    cfg["task"] = {"name": "bernoulli", "params": {"p_star": 0.3}}
+    cfg["learner"] = {"name": "mle", "train": {"T": 20}}
+    cfg["sweep"] = {"axes": {}, "seeds": [1]}
+    with pytest.raises(ConfigError, match="feature map"):
+        run(cfg)
+    # A trainable task whose prompt sampler cannot be enumerated.
+    task = build_task("heterogeneous_kl", {"n": 5, "H": 3})
+    task.mu = lambda rng: 0
+    monkeypatch.setattr(harness, "build_task", lambda name, params: task)
+    cfg = base_config(tmp_path)
+    with pytest.raises(ConfigError, match="enumerable"):
+        run(cfg)
 
 
 def test_exact_metrics_require_enumerable_mu(tmp_path):

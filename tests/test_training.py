@@ -130,8 +130,23 @@ def test_normalized_zero_gradient_zero_lambda_flag():
     stream = policy_stream(piD, lambda r: 0, rng)
     cfg = TrainConfig(eta=0.1, lam=0.0, T=5, theta0=np.array([1.0]))
     rec = sgd_normalized(stream, fm, 2, 1, cfg)
-    # gradient is ~0 but not exactly 0; step norm stays < eta regardless
-    assert np.linalg.norm(rec.final_theta) <= 1 + 1e-12
+    # The model puts all but about e^-120 of its mass on token 1, so the
+    # conditional mean feature rounds to B and every gradient is exactly 0:
+    # no step is taken and the flag is set once.
+    assert rec.flags == ["zero-gradient-zero-lambda"]
+    assert np.array_equal(rec.final_theta, cfg.theta0)
+
+
+def test_normalized_exact_zero_gradient_flag():
+    # theta = 0 is uniform, and y = (0, 1) has features -B and +B, so
+    # g = (-B + B) - 2 * (p @ table) = 0 exactly, with no underflow.
+    fm = bernoulli_featmap(2.0)
+    stream = iter([Trajectory(0, (0, 1))] * 4)
+    cfg = TrainConfig(eta=0.1, lam=0.0, T=4)
+    rec = sgd_normalized(stream, fm, 2, 2, cfg)
+    assert rec.flags == ["zero-gradient-zero-lambda"]
+    assert np.array_equal(rec.final_theta, np.zeros(1))
+    assert rec.n_examples == 4
 
 
 def test_normalized_schedule_formulas():

@@ -1,13 +1,16 @@
 """Command-line interface.
 
-Subcommands: run, gen-data, eval-coverage, tournament, bon.  Exit codes:
-0 success, 2 validation error, 3 runtime error; failures emit a one-line
-error JSON on stderr.
+Subcommands: run, gen-data, eval-coverage, tournament, bon.  Exit codes
+follow the phase that failed: 2 for a usage error, a ConfigError, or any
+error raised while the arguments and input files (config, task, policy,
+data) are read; 3 for any other error, raised once the computation has
+started.  Failures emit a one-line error JSON on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -15,7 +18,7 @@ import numpy as np
 
 from .core import load_jsonl
 from .decoding import adversarial_reward, bon_regret
-from .harness import ConfigError, build_task, gen_data, run
+from .harness import ConfigError, build_task, gen_data, run, validate_config
 from .metrics import coverage_exact, coverage_mc
 from .models import TabularModel
 from .seeding import SeedTree
@@ -54,16 +57,29 @@ def _load_task_file(path: str):
     return build_task(spec["name"], spec.get("params", {}))
 
 
+@contextlib.contextmanager
+def _reading_inputs():
+    """Re-raise any error of the block as a ConfigError (exit 2)."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except Exception as e:
+        raise ConfigError(str(e)) from e
+
+
 def cmd_run(args) -> int:
-    with open(args.config) as f:
-        cfg = json.load(f)
+    with _reading_inputs():
+        with open(args.config) as f:
+            cfg = validate_config(json.load(f))
     out = run(cfg)
     print(json.dumps({"out_dir": out}))
     return 0
 
 
 def cmd_gen_data(args) -> int:
-    params = json.loads(args.params)
+    with _reading_inputs():
+        params = json.loads(args.params)
     gen_data(args.task, params, args.n, args.seed, args.out,
              header_path=args.header)
     print(json.dumps({"out": args.out, "n": args.n}))
@@ -71,10 +87,11 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_eval_coverage(args) -> int:
-    task = _load_task_file(args.task)
-    piD = load_policy(args.pi_d) if args.pi_d else task.piD
-    piHat = load_policy(args.pi_hat)
-    grid = _parse_grid(args.N_grid)
+    with _reading_inputs():
+        task = _load_task_file(args.task)
+        piD = load_policy(args.pi_d) if args.pi_d else task.piD
+        piHat = load_policy(args.pi_hat)
+        grid = _parse_grid(args.N_grid)
     if args.mode == "exact":
         curve = coverage_exact(piD, piHat, task.mu.items(), grid)
     else:
@@ -86,9 +103,10 @@ def cmd_eval_coverage(args) -> int:
 
 
 def cmd_tournament(args) -> int:
-    cands = CandidateClass([load_policy(p) for p in args.candidates])
-    first = cands.candidates[0]
-    dataset = load_jsonl(args.data, H=first.H, V=first.V)
+    with _reading_inputs():
+        cands = CandidateClass([load_policy(p) for p in args.candidates])
+        first = cands.candidates[0]
+        dataset = load_jsonl(args.data, H=first.H, V=first.V)
     if args.rule == "ce":
         report = select_ce(cands, dataset, return_report=True)
     elif args.rule == "simple":
@@ -102,8 +120,10 @@ def cmd_tournament(args) -> int:
 
 
 def cmd_bon(args) -> int:
-    task = _load_task_file(args.task)
-    piHat = load_policy(args.pi_hat)
+    with _reading_inputs():
+        task = _load_task_file(args.task)
+        piHat = load_policy(args.pi_hat)
+        grid = _parse_grid(args.N_grid)
     scale = args.reward_scale
     reward = adversarial_reward(task.piD, piHat, scale)
     rng = SeedTree(args.seed).child("bon").rng()
@@ -113,7 +133,7 @@ def cmd_bon(args) -> int:
                                [2.0 * scale])
         pcov_ref = f"{curve.values[0]:.12g}"
     print("N,regret,half_width,pcov_ref")
-    for N in _parse_grid(args.N_grid):
+    for N in grid:
         est, hw = bon_regret(piHat, task.piD, reward, task.mu, int(N),
                              args.trials, rng)
         print(f"{N:g},{est:.12g},{hw:.12g},{pcov_ref}")
@@ -179,8 +199,7 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (ConfigError, ValueError, FileNotFoundError,
-            json.JSONDecodeError) as e:
+    except ConfigError as e:
         sys.stderr.write(json.dumps(
             {"error": str(e), "kind": "validation"}) + "\n")
         return 2

@@ -13,12 +13,22 @@ prefix once per level (`prefix_levels`).  `sample_prompts` draws n
 prompts at once and `group_prompts` groups them, so Monte Carlo callers
 make one batched call per distinct prompt; `logprob_matrix` does the same
 for a dataset.
+
+Datasets: a `Dataset` is a list of prompts `xs` and an (n, H) int64 array
+`Y`; its `Trajectory` objects are built only on request.  `load_jsonl`
+and `sample_dataset` fill the arrays directly, and `save_jsonl` writes
+from them.  A JSONL data line is one object {"x": prompt, "y": [tokens]}
+with H integer tokens in [0, V); anything else raises a ValueError that
+names the line.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,25 +55,71 @@ class Trajectory:
         object.__setattr__(self, "y", tuple(int(v) for v in self.y))
 
 
-@dataclass
 class Dataset:
-    examples: list
-    H: int
-    V: int
-    seed_info: dict = field(default_factory=dict)
+    """n examples of one horizon H over tokens 0..V-1, held as arrays.
 
-    def __post_init__(self):
-        for t in self.examples:
-            if len(t.y) != self.H:
-                raise ValueError("inhomogeneous horizon in dataset")
-            if any(v < 0 or v >= self.V for v in t.y):
-                raise ValueError("token id out of range")
+    `xs` is the list of the n prompts and `Y` the (n, H) int64 array of
+    responses; `examples` and iteration give the same data as Trajectory
+    objects, built on first use.  `groups` lists each distinct prompt with
+    its positions and rows of Y, in order of first appearance, computed
+    once.
+    """
+
+    def __init__(self, examples, H: int, V: int,
+                 seed_info: dict | None = None):
+        examples = list(examples)
+        try:
+            Y = np.array([t.y for t in examples],
+                         dtype=np.int64).reshape(len(examples), H)
+        except ValueError:
+            raise ValueError("inhomogeneous horizon in dataset") from None
+        self._init([t.x for t in examples], Y, H, V, seed_info)
+        self._examples = examples
+
+    @classmethod
+    def from_arrays(cls, xs, Y, H: int, V: int,
+                    seed_info: dict | None = None):
+        """Dataset of prompts `xs` and the (n, H) int array `Y`."""
+        Y = np.asarray(Y)
+        if Y.size and Y.dtype.kind not in "iu":
+            raise ValueError("token ids must be integers")
+        ds = cls.__new__(cls)
+        ds._init(list(xs), Y.astype(np.int64, copy=False), H, V, seed_info)
+        return ds
+
+    def _init(self, xs, Y, H, V, seed_info):
+        if Y.shape != (len(xs), H):
+            raise ValueError("inhomogeneous horizon in dataset")
+        if Y.size and (Y.min() < 0 or Y.max() >= V):
+            raise ValueError("token id out of range")
+        self.xs, self.Y, self.H, self.V = xs, Y, H, V
+        self.seed_info = {} if seed_info is None else seed_info
+        self._examples = None
+
+    @property
+    def examples(self) -> list:
+        if self._examples is None:
+            self._examples = [Trajectory(x, y) for x, y in
+                              zip(self.xs, self.Y.tolist())]
+        return self._examples
+
+    @functools.cached_property
+    def groups(self) -> list:
+        """[(x, positions, rows of Y)] per distinct prompt."""
+        return _grouped(self.xs, self.Y)
 
     def __len__(self):
-        return len(self.examples)
+        return len(self.xs)
 
     def __iter__(self):
         return iter(self.examples)
+
+    def __eq__(self, other):
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return ((self.H, self.V, self.seed_info, self.xs)
+                == (other.H, other.V, other.seed_info, other.xs)
+                and np.array_equal(self.Y, other.Y))
 
 
 class Policy:
@@ -181,16 +237,19 @@ def sample_dataset(policy: Policy, mu, n: int, rng: np.random.Generator,
                    seed_info: dict | None = None) -> Dataset:
     """Draw n i.i.d. trajectories with x ~ mu and y ~ policy(.|x).
 
-    `mu` is a callable rng -> prompt.
+    `mu` is a callable rng -> prompt.  Each example draws its prompt and
+    then its response, one `policy.sample` call per example.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    examples = []
-    for _ in range(n):
+    xs = []
+    Y = np.empty((n, policy.H), dtype=np.int64)
+    for i in range(n):
         x = mu(rng)
-        examples.append(Trajectory(x, policy.sample(x, rng)))
-    return Dataset(examples, H=policy.H, V=policy.V,
-                   seed_info=dict(seed_info or {}))
+        xs.append(x)
+        Y[i] = policy.sample(x, rng)
+    return Dataset.from_arrays(xs, Y, H=policy.H, V=policy.V,
+                               seed_info=dict(seed_info or {}))
 
 
 class FinitePromptDist:
@@ -223,21 +282,37 @@ def sample_prompts(mu, n: int, rng: np.random.Generator) -> list:
 
 
 def group_prompts(prompts) -> dict:
-    """prompt -> int array of its positions, in order of first appearance."""
-    groups = {}
-    for i, x in enumerate(prompts):
-        groups.setdefault(x, []).append(i)
-    return {x: np.array(idx) for x, idx in groups.items()}
+    """prompt -> int array of its positions, in order of first appearance.
+
+    One dict pass numbers the distinct prompts; a stable argsort of those
+    numbers lists each prompt's positions in increasing order.
+    """
+    ids = {x: i for i, x in enumerate(dict.fromkeys(prompts))}
+    codes = np.fromiter(map(ids.__getitem__, prompts), np.int64, len(prompts))
+    order = np.argsort(codes, kind="stable")
+    ends = np.cumsum(np.bincount(codes, minlength=len(ids)))
+    return dict(zip(ids, np.split(order, ends[:-1])))
+
+
+def _grouped(xs, Y) -> list:
+    return [(x, idx, Y[idx]) for x, idx in group_prompts(xs).items()]
 
 
 def logprob_matrix(policies, dataset) -> np.ndarray:
-    """(K, n) log-probs of the n examples under K policies: the dataset is
-    grouped by prompt once, then one logprob_many call per policy and
-    prompt."""
-    examples = list(dataset)
-    lp = np.empty((len(policies), len(examples)))
-    for x, idx in group_prompts([t.x for t in examples]).items():
-        Y = np.array([examples[i].y for i in idx], dtype=np.int64)
+    """(K, n) log-probs of the n examples under K policies: one
+    logprob_many call per policy and distinct prompt.
+
+    A Dataset supplies its cached prompt groups; any other iterable of
+    Trajectory is grouped here.
+    """
+    if isinstance(dataset, Dataset):
+        groups = dataset.groups
+    else:
+        dataset = list(dataset)
+        groups = _grouped([t.x for t in dataset],
+                          np.array([t.y for t in dataset], dtype=np.int64))
+    lp = np.empty((len(policies), len(dataset)))
+    for x, idx, Y in groups:
         for k, pi in enumerate(policies):
             lp[k, idx] = pi.logprob_many(x, Y)
     return lp
@@ -260,24 +335,105 @@ def enumerate_responses(V: int, H: int):
 def save_jsonl(dataset: Dataset, path, header_path=None):
     """One trajectory per line: {"x": ..., "y": [...]}; seed info sidecar."""
     with open(path, "w") as f:
-        for t in dataset.examples:
-            x = list(t.x) if isinstance(t.x, tuple) else t.x
-            f.write(json.dumps({"x": x, "y": list(t.y)}) + "\n")
+        for x, y in zip(dataset.xs, dataset.Y.tolist()):
+            x = list(x) if isinstance(x, tuple) else x
+            f.write(json.dumps({"x": x, "y": y}) + "\n")
     if header_path is not None:
         with open(header_path, "w") as f:
             json.dump({"H": dataset.H, "V": dataset.V,
                        "n": len(dataset), "seed_info": dataset.seed_info}, f)
 
 
+# Lines parsed per json.loads call: one call per chunk, not per line, but
+# never the whole file's records at once.
+LOAD_CHUNK = 4096
+
+
 def load_jsonl(path, H: int, V: int, header_path=None) -> Dataset:
-    examples = []
+    """Dataset from a JSONL file of one {"x": ..., "y": [...]} per line.
+
+    Each y must be a list of H integer tokens in [0, V); a list x becomes
+    a tuple.  Lines are parsed LOAD_CHUNK at a time as one JSON array, and
+    a chunk is accepted only if it holds one record per line.  Otherwise,
+    or if any record breaks a rule, the chunk is parsed line by line to
+    raise a ValueError naming the first bad line.  A string cannot span
+    lines (JSON forbids a raw newline in one) but an array or object can,
+    so a file that continues one record over two lines and also puts two
+    values on one line is read as its records, not refused.
+    """
+    xs, blocks = [], []
     with open(path) as f:
-        for line in f:
-            rec = json.loads(line)
-            x = tuple(rec["x"]) if isinstance(rec["x"], list) else rec["x"]
-            examples.append(Trajectory(x, tuple(rec["y"])))
+        for start in itertools.count(1, LOAD_CHUNK):
+            lines = list(itertools.islice(f, LOAD_CHUNK))
+            if not lines:
+                break
+            chunk = _parse_chunk(lines, H, V)
+            if chunk is None:
+                _raise_bad_line(path, start, lines, H, V)
+            xs += chunk[0]
+            blocks.append(chunk[1])
     seed_info = {}
     if header_path is not None:
         with open(header_path) as f:
             seed_info = json.load(f).get("seed_info", {})
-    return Dataset(examples, H=H, V=V, seed_info=seed_info)
+    Y = np.concatenate(blocks) if blocks else np.zeros((0, H), np.int64)
+    return Dataset.from_arrays(xs, Y, H=H, V=V, seed_info=seed_info)
+
+
+def _parse_chunk(lines, H, V):
+    """(prompts, (k, H) responses) of k lines, or None if any is bad."""
+    try:
+        recs = json.loads("[" + ",".join(lines) + "]")
+    except json.JSONDecodeError:
+        return None
+    if len(recs) != len(lines) or set(map(type, recs)) != {dict}:
+        return None
+    try:
+        xs = list(map(operator.itemgetter("x"), recs))
+        ys = list(map(operator.itemgetter("y"), recs))
+    except KeyError:
+        return None
+    if set(map(type, ys)) != {list} or set(map(len, ys)) != {H}:
+        return None
+    flat = list(itertools.chain.from_iterable(ys))
+    if not set(map(type, flat)) <= {int}:
+        return None
+    try:
+        Y = np.fromiter(flat, np.int64, len(flat)).reshape(len(ys), H)
+    except OverflowError:
+        return None
+    if Y.size and (Y.min() < 0 or Y.max() >= V):
+        return None
+    if list in set(map(type, xs)):
+        xs = [tuple(x) if type(x) is list else x for x in xs]
+    return xs, Y
+
+
+def _raise_bad_line(path, start, lines, H, V):
+    for lineno, line in enumerate(lines, start):
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as e:
+            problem = f"not one JSON value ({e})"
+        else:
+            problem = _record_problem(rec, H, V)
+        if problem:
+            raise ValueError(f"{path}, line {lineno}: {problem}")
+    raise AssertionError("no bad line in a rejected chunk")
+
+
+def _record_problem(rec, H, V):
+    """Why one parsed record breaks the file format, or None."""
+    if type(rec) is not dict or "x" not in rec or "y" not in rec:
+        return "expected an object with keys 'x' and 'y'"
+    y = rec["y"]
+    if type(y) is not list:
+        return "y must be a list of integer tokens"
+    bad = [v for v in y if type(v) is not int]
+    if bad:
+        return f"token {bad[0]!r} is not an integer"
+    if len(y) != H:
+        return f"inhomogeneous horizon: {len(y)} tokens, expected H = {H}"
+    if any(v < 0 or v >= V for v in y):
+        return f"token id out of range [0, {V})"
+    return None

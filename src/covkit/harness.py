@@ -129,7 +129,7 @@ def validate_config(cfg: dict) -> dict:
         if name not in _TRAIN_FIELDS and name not in task_params:
             raise ConfigError(f"sweep axis {name!r} matches neither a "
                               "train field nor a task parameter")
-        if name in ignored:
+        if name in ignored and name not in task_params:
             raise ConfigError(f"sweep axis {name!r}: learner "
                               f"{learner['name']!r} ignores that train field")
     out = {
@@ -147,7 +147,7 @@ def validate_config(cfg: dict) -> dict:
 def build_task(name: str, params: dict):
     try:
         return TASKS[name](**params)
-    except TypeError as e:
+    except (TypeError, ValueError) as e:
         raise ConfigError(f"bad parameters for task {name!r}: {e}")
 
 
@@ -240,13 +240,17 @@ def run(cfg: dict) -> str:
     out_dir = cfg["out_dir"]
     os.makedirs(os.path.join(out_dir, "runs"), exist_ok=True)
 
+    reads = LEARNERS[cfg["learner"]["name"]][1]
+
     def job(p_idx, s_idx):
         point = points[p_idx]
         seed = seeds[s_idx]
         task_params = dict(cfg["task"]["params"])
         train_kwargs = dict(cfg["learner"]["train"])
+        # An axis goes to the learner when it reads that train field, else
+        # to the task parameter of that name.
         for name, value in zip(axis_names, point):
-            if name in _TRAIN_FIELDS:
+            if name in reads:
                 train_kwargs[name] = value
             else:
                 task_params[name] = value

@@ -110,7 +110,6 @@ def offset_tournament(candidates: CandidateClass, dataset, N: float,
                       "violated; proceeding anyway")
     if mode is None:
         mode = "exact" if cands[0].V ** cands[0].H <= 10 ** 4 else "mc"
-    prompts = [t.x for t in dataset]
     M = _pairwise_matrix(cands, dataset, N)
     offsets = np.zeros((K, K))
     for j in range(K):
@@ -118,7 +117,7 @@ def offset_tournament(candidates: CandidateClass, dataset, N: float,
             if i == j:
                 continue
             offsets[i, j] = onpolicy_cov_estimate(
-                cands[j], cands[i], cands[j], prompts, N, mode=mode,
+                cands[j], cands[i], cands[j], dataset.xs, N, mode=mode,
                 m=m, rng=rng)
     objective = M - 2.0 * gamma * offsets
     worst = objective.max(axis=0)

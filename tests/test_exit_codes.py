@@ -1,0 +1,113 @@
+"""CLI exit codes follow the phase that failed: 2 while the arguments and
+input files are read, 3 once the computation has started."""
+
+import json
+
+import pytest
+
+from covkit import cli, harness
+from covkit.cli import main
+
+
+def write(path, obj):
+    path.write_text(obj if isinstance(obj, str) else json.dumps(obj))
+    return str(path)
+
+
+@pytest.fixture
+def files(tmp_path):
+    task = write(tmp_path / "task.json",
+                 {"name": "bernoulli", "params": {"p_star": 0.3}})
+    pol = write(tmp_path / "pol.json",
+                {"type": "tabular", "V": 2, "H": 1,
+                 "tables": [{"x": 0, "prefix": [], "p": [0.7, 0.3]}]})
+    data = write(tmp_path / "d.jsonl", '{"x": 0, "y": [1]}\n')
+    return task, pol, data
+
+
+def error_of(capsys):
+    return json.loads(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["tournament", "--candidates", "{bad}", "--data", "{data}"],
+    ["tournament", "--candidates", "{pol}", "--data", "{missing}"],
+    ["tournament", "--candidates", "{pol}", "{pol_h2}", "--data", "{data}"],
+    ["eval-coverage", "--task", "{bad}", "--pi-hat", "{pol}", "--N-grid",
+     "2"],
+    ["eval-coverage", "--task", "{task}", "--pi-hat", "{nokeys}",
+     "--N-grid", "2"],
+    ["eval-coverage", "--task", "{task}", "--pi-hat", "{pol}", "--N-grid",
+     "2,x"],
+    ["bon", "--task", "{notask}", "--pi-hat", "{pol}", "--N-grid", "2"],
+    ["gen-data", "--task", "bernoulli", "--params", "{{", "--n", "5",
+     "--out", "{out}"],
+    ["gen-data", "--task", "bernoulli", "--params", '{{"p_star": 0.9}}',
+     "--n", "5", "--out", "{out}"],
+    ["run", "{bad}"],
+    ["run", "{missing}"],
+])
+def test_input_errors_exit_2(tmp_path, files, capsys, argv):
+    task, pol, data = files
+    names = {
+        "task": task, "pol": pol, "data": data,
+        "bad": write(tmp_path / "bad.json", "{not json"),
+        "missing": str(tmp_path / "missing.json"),
+        "nokeys": write(tmp_path / "nokeys.json", {"type": "tabular"}),
+        "notask": write(tmp_path / "notask.json", {"params": {}}),
+        "pol_h2": write(tmp_path / "pol_h2.json",
+                        {"type": "tabular", "V": 2, "H": 2, "tables": []}),
+        "out": str(tmp_path / "out.jsonl"),
+    }
+    assert main([a.format(**names) for a in argv]) == 2
+    assert error_of(capsys)["kind"] == "validation"
+
+
+def boom(*args, **kwargs):
+    raise ValueError("boom")
+
+
+@pytest.mark.parametrize("name,argv", [
+    ("simple_tournament", ["tournament", "--candidates", "{pol}", "--data",
+                           "{data}", "--rule", "simple"]),
+    ("select_ce", ["tournament", "--candidates", "{pol}", "--data", "{data}",
+                   "--rule", "ce"]),
+    ("coverage_exact", ["eval-coverage", "--task", "{task}", "--pi-hat",
+                        "{pol}", "--N-grid", "2"]),
+    ("bon_regret", ["bon", "--task", "{task}", "--pi-hat", "{pol}",
+                    "--N-grid", "2", "--trials", "100"]),
+    ("gen_data", ["gen-data", "--task", "bernoulli", "--params",
+                  '{{"p_star": 0.3}}', "--n", "5", "--out", "{data}"]),
+])
+def test_value_error_after_loading_exits_3(files, capsys, monkeypatch, name,
+                                           argv):
+    task, pol, data = files
+    monkeypatch.setattr(cli, name, boom)
+    assert main([a.format(task=task, pol=pol, data=data)
+                 for a in argv]) == 3
+    assert error_of(capsys) == {"error": "boom", "kind": "runtime"}
+
+
+def run_config(tmp_path):
+    return {"version": 1,
+            "task": {"name": "heterogeneous_kl", "params": {"n": 3, "H": 2}},
+            "learner": {"name": "sgd_vanilla", "train": {"eta": 0.1, "T": 4}},
+            "metrics": {"n_grid": [2]},
+            "sweep": {"axes": {}, "seeds": [1]},
+            "out_dir": str(tmp_path / "out"), "root_seed": 1}
+
+
+def test_value_error_inside_a_job_exits_3(tmp_path, capsys, monkeypatch):
+    cfg = write(tmp_path / "cfg.json", run_config(tmp_path))
+    assert main(["run", cfg]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(harness, "run_learner", boom)
+    assert main(["run", cfg]) == 3
+    assert error_of(capsys)["kind"] == "runtime"
+
+
+def test_config_error_inside_a_job_exits_2(tmp_path, capsys):
+    cfg = run_config(tmp_path)
+    cfg["task"] = {"name": "bernoulli", "params": {"p_star": 0.3}}
+    assert main(["run", write(tmp_path / "cfg.json", cfg)]) == 2
+    assert "feature map" in error_of(capsys)["error"]

@@ -206,3 +206,67 @@ def test_exact_metrics_require_enumerable_mu(tmp_path):
     cfg["sweep"] = {"axes": {}, "seeds": [1]}
     with pytest.raises(ConfigError, match="enumerable|feature map"):
         run(cfg)
+
+
+def sgd_lower_config(tmp_path, learner, train, axes):
+    cfg = base_config(tmp_path)
+    cfg["task"] = {"name": "sgd_lower",
+                   "params": {"variant": "large_eta", "H": 2, "B": 1.0,
+                              "eta": 4.0}}
+    cfg["learner"] = {"name": learner, "train": train}
+    cfg["sweep"] = {"axes": axes, "seeds": [1]}
+    return cfg
+
+
+def record_routing(monkeypatch):
+    """Wrap build_task and run_learner; return the lists they append to."""
+    task_etas, train_etas = [], []
+    real_build, real_learn = harness.build_task, harness.run_learner
+
+    def build(name, params):
+        task_etas.append(params["eta"])
+        return real_build(name, params)
+
+    def learn(name, task, train, rng):
+        train_etas.append(train.eta)
+        return real_learn(name, task, train, rng)
+    monkeypatch.setattr(harness, "build_task", build)
+    monkeypatch.setattr(harness, "run_learner", learn)
+    return task_etas, train_etas
+
+
+def test_axis_reaches_task_parameter_the_learner_ignores(tmp_path,
+                                                         monkeypatch):
+    # mle reads no eta, so an eta axis sets sgd_lower's own eta.
+    cfg = sgd_lower_config(tmp_path, "mle", {"T": 6}, {"eta": [4.0, 8.0]})
+    validate_config(cfg)
+    task_etas, _ = record_routing(monkeypatch)
+    run(cfg)
+    assert task_etas == [4.0, 8.0]
+    # The task checks eta * H * B >= 8, so the axis value is what it saw.
+    cfg["sweep"]["axes"] = {"eta": [1.0]}
+    with pytest.raises(ConfigError, match="eta\\*H\\*B >= 8"):
+        run(cfg)
+
+
+def test_axis_reaches_train_field_the_learner_reads(tmp_path, monkeypatch):
+    # sgd_vanilla reads eta: the axis sets the step size, and the task keeps
+    # the eta of its params.
+    cfg = sgd_lower_config(tmp_path, "sgd_vanilla", {"T": 6},
+                           {"eta": [0.02, 0.1]})
+    task_etas, train_etas = record_routing(monkeypatch)
+    run(cfg)
+    assert train_etas == [0.02, 0.1]
+    assert task_etas == [4.0, 4.0]
+
+
+def test_ignored_axis_without_task_parameter_is_refused(tmp_path):
+    # sgd_lower has no parameter K, and mle ignores that train field.
+    cfg = sgd_lower_config(tmp_path, "mle", {"T": 6}, {"K": [1, 2]})
+    with pytest.raises(ConfigError, match="ignores"):
+        validate_config(cfg)
+    # heterogeneous_kl has no eta parameter.
+    cfg = base_config(tmp_path)
+    cfg["learner"] = {"name": "mle", "train": {"T": 6}}
+    with pytest.raises(ConfigError, match="ignores"):
+        validate_config(cfg)

@@ -158,7 +158,12 @@ class Policy:
         token log-probs left to right, as a per-token loop would.  A
         subclass that overrides `logprob` is scored row by row with it.
         """
-        Y = np.asarray(Y, dtype=np.int64)
+        return self._logprob_rows(x, np.asarray(Y, dtype=np.int64), {})
+
+    def _logprob_rows(self, x, Y, levels: dict) -> np.ndarray:
+        """logprob_many of the int64 array Y; the prefix levels of Y are
+        read from, or added to, `levels` (keyed by V), so callers scoring
+        the same Y under several policies compute them once."""
         if type(self).logprob is not Policy.logprob:
             return np.array([self.logprob(Trajectory(x, y))
                              for y in Y.tolist()], dtype=float)
@@ -170,13 +175,20 @@ class Policy:
                 for h in range(Y.shape[1]):
                     total += logs[:, h]
                 return total
-            for h, first, inv in prefix_levels(Y, self.V):
+            if self.V not in levels:
+                levels[self.V] = list(prefix_levels(Y, self.V))
+            for h, first, inv in levels[self.V]:
                 P = self.prefix_dists(x, Y[first, :h])
                 total += np.log(P[inv, Y[:, h]])
         return total
 
     def prefix_dists(self, x, prefixes) -> np.ndarray:
-        """next_dist of each row of the (k, h) int array `prefixes`, (k, V)."""
+        """next_dist of each row of the (k, h) int array `prefixes`, (k, V).
+
+        Subclasses may override this to answer a whole level at once; an
+        override must equal next_dist row for row.  Callers pass tokens in
+        [0, V) and h < H.
+        """
         return np.array([self.next_dist(x, tuple(p))
                          for p in prefixes.tolist()],
                         dtype=float).reshape(len(prefixes), self.V)
@@ -300,7 +312,8 @@ def _grouped(xs, Y) -> list:
 
 def logprob_matrix(policies, dataset) -> np.ndarray:
     """(K, n) log-probs of the n examples under K policies: one
-    logprob_many call per policy and distinct prompt.
+    logprob_many per policy and distinct prompt, the prompt's prefix
+    levels computed once and shared by the K policies.
 
     A Dataset supplies its cached prompt groups; any other iterable of
     Trajectory is grouped here.
@@ -313,8 +326,9 @@ def logprob_matrix(policies, dataset) -> np.ndarray:
                           np.array([t.y for t in dataset], dtype=np.int64))
     lp = np.empty((len(policies), len(dataset)))
     for x, idx, Y in groups:
+        levels = {}
         for k, pi in enumerate(policies):
-            lp[k, idx] = pi.logprob_many(x, Y)
+            lp[k, idx] = pi._logprob_rows(x, Y, levels)
     return lp
 
 

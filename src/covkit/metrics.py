@@ -12,7 +12,9 @@ call per policy.  Exact modes use, per prompt x, either
   log-ratio atoms (coverage_exact, coverage_sup_log) from a multinomial over
   the k <= V groups of distinct step log-ratios; or
 * one `tree_walk` of the piD-positive prefix tree, whose per-leaf arrays
-  each functional reduces.  onpolicy_cov_estimate and non-product
+  each functional reduces.  The walk carries each level's prefixes as one
+  (k, h) int array and makes one `prefix_dists` call per policy per
+  level; a term gets that array.  onpolicy_cov_estimate and non-product
   models.sigma_star_sq always walk.
 
 Work is estimated first (V^H leaves per walk, comb(H + k - 1, k - 1) atoms
@@ -72,36 +74,40 @@ def default_n_grid(max_pow: int = 16) -> np.ndarray:
 def tree_walk(piD: Policy, x, policies=(), terms=()):
     """Level-order walk of the piD-positive prefix tree of prompt x.
 
-    Calls next_dist of piD and of each of `policies` once per prefix.  Over
+    Each level's k prefixes are one (k, h) int64 array, and each of piD
+    and `policies` answers the level with one `prefix_dists` call.  Over
     the n piD-positive responses y (lexicographic) it returns lpD (n,) =
     log piD(y|x); lps (len(policies), n), -inf where a policy has no mass;
     and each term's sum over the H prefixes of y and peak (largest partial
     sum, the empty one included), each (len(terms), n).  A term maps one
-    level's (prefixes, PD, [policy rows]) to a value per prefix.  Callers
-    check the work budget first.
+    level's (prefixes (k, h), PD (k, V), [policy rows]) to a value per
+    prefix.  Callers check the work budget first.
     """
-    prefixes = [()]
-    lpD = np.zeros(1)
-    lps = np.zeros((len(policies), 1))
+    pre = np.zeros((1, 0), dtype=np.int64)
+    lp = np.zeros((1 + len(policies), 1))     # log piD, then each policy
     sums = np.zeros((len(terms), 1))
     peaks = np.zeros((len(terms), 1))
-    for h in range(piD.H):
-        if h:
-            prefixes = [prefixes[i] + (v,)
-                        for i, v in zip(parent.tolist(), tok.tolist())]
-        PD = np.array([piD.next_dist(x, p) for p in prefixes], dtype=float)
-        Ps = [np.array([q.next_dist(x, p) for p in prefixes], dtype=float)
-              for q in policies]
-        if terms:
-            sums = sums + np.array([t(prefixes, PD, Ps) for t in terms])
-            peaks = np.maximum(peaks, sums)
-        parent, tok = np.nonzero(PD > 0.0)
-        lpD = lpD[parent] + np.log(PD[parent, tok])
-        rows = np.array([P[parent, tok] for P in Ps])
-        with np.errstate(divide="ignore"):
-            lps = lps[:, parent] + np.log(rows.reshape(len(Ps), len(tok)))
-        sums, peaks = sums[:, parent], peaks[:, parent]
-    return lpD, lps, sums, peaks
+    with np.errstate(divide="ignore"):
+        for h in range(piD.H):
+            if h:
+                pre = np.concatenate((pre.take(parent, axis=0),
+                                      tok[:, None]), axis=1)
+            P = np.array([piD.prefix_dists(x, pre)] +
+                         [q.prefix_dists(x, pre) for q in policies])
+            if terms:
+                sums = sums + np.array([t(pre, P[0], list(P[1:]))
+                                        for t in terms])
+                peaks = np.maximum(peaks, sums)
+            # piD-positive entries in row-major order: parent * V + token.
+            pos = (P[0] > 0.0).ravel().nonzero()[0]
+            parent, tok = np.divmod(pos, piD.V)
+            lp = lp.take(parent, axis=1) + np.log(
+                P.reshape(len(P), -1).take(pos, axis=1))
+            if terms:
+                sums, peaks = sums[:, parent], peaks[:, parent]
+    if not terms:
+        sums = peaks = np.zeros((0, lp.shape[1]))
+    return lp[0], lp[1:], sums, peaks
 
 
 def _kl_rows(PD, PH):

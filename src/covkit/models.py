@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import math
-from dataclasses import dataclass
+import numbers
+import operator
+import types
 
 import numpy as np
 
@@ -137,41 +141,191 @@ def grad_logprob_token(model: LinearARModel, x, prefix: tuple, v: int) -> np.nda
 class TabularModel(Policy):
     """Explicit conditional tables keyed by (x, prefix).
 
-    Unseen prefixes fall back to `default` (uniform unless configured),
-    keeping densities defined for arbitrary (x, y) as pairwise coverage
-    requires.
+    Unseen prompts, levels and prefixes fall back to `default` (uniform
+    unless configured), keeping densities defined for arbitrary (x, y) as
+    pairwise coverage requires.  A key is a pair (prompt, prefix tuple) of
+    integer tokens in [0, V) with length < H; a row and `default` are
+    length-V distributions; anything else raises a ValueError naming it.
+
+    The rows are stored once, in one read-only (n + 1, V) array sorted by
+    (prompt, prefix length, base-V code of the prefix) with `default`
+    last, so each (prompt, level) is a contiguous block beside a sorted
+    code array.  `prefix_dists` answers a level with one gather: by code
+    when the level is complete, by searchsorted otherwise.  `tables` is a
+    read-only mapping rebuilt from those arrays on request.
     """
 
     def __init__(self, tables: dict, V: int, H: int, default=None):
-        self.V = int(V)
-        self.H = int(H)
+        V, H = int(V), int(H)
+        self.V, self.H = V, H
+        if V ** max(H - 1, 0) > _INT64_MAX:
+            raise ValueError(f"V^(H-1) = {V}^{H - 1} exceeds the int64 "
+                             f"prefix code limit {_INT64_MAX}")
         if default is None:
             default = np.full(V, 1.0 / V)
-        self.default = np.asarray(default, dtype=float)
-        self.tables = {}
-        for key, row in tables.items():
-            row = np.asarray(row, dtype=float)
-            if abs(row.sum() - 1.0) > 1e-9 or row.min() < 0:
-                raise ValueError(f"conditional row for {key} is not a distribution")
-            self.tables[key] = row
+        keys, n = list(tables), len(tables)
+        rows = _stacked_rows([*tables.values(), default], V)
+        parsed = None if rows is None or _bad_rows(rows).any() else \
+            _parsed_keys(keys, V, H)
+        if parsed is None:
+            _raise_bad_entry(tables, default, V, H)
+        self._prompts, ids, lens, tok = parsed
+        self._pow = V ** np.arange(H - 1, -1, -1, dtype=np.int64)
+        # Base-V code of each prefix: token i of an h-token prefix weighs
+        # V^(h-1-i), so the codes of one level are its lexicographic ranks.
+        owner = np.repeat(np.arange(n), lens)
+        pos = np.arange(len(tok)) - np.repeat(np.cumsum(lens) - lens, lens)
+        code = np.zeros(n, dtype=np.int64)
+        np.add.at(code, owner, tok * self._pow[H - lens[owner] + pos])
+        order = np.lexsort((code, lens, ids))
+        self._rows = rows[np.append(order, n)]
+        self._rows.flags.writeable = False
+        self._codes = code[order]
+        # Block (p, h) is rows _bounds[p*H + h] to _bounds[p*H + h + 1].
+        counts = np.bincount(ids * H + lens, minlength=len(self._prompts) * H)
+        self._bounds = [0] + np.cumsum(counts).tolist()
+        self.default = self._rows[n]
+
+    @property
+    def tables(self):
+        """Read-only {(x, prefix): row} view of the stored rows."""
+        keys = []
+        for x, p in self._prompts.items():
+            for h in range(self.H):
+                lo, hi = self._block(p, h)
+                digits = self._codes[lo:hi, None] // self._pow[self.H - h:]
+                keys += [(x, tuple(d)) for d in (digits % self.V).tolist()]
+        return types.MappingProxyType(dict(zip(keys, self._rows)))
+
+    def _block(self, p, h):
+        i = p * self.H + h
+        return self._bounds[i], self._bounds[i + 1]
 
     def next_dist(self, x, prefix: tuple) -> np.ndarray:
-        return self.tables.get((x, tuple(prefix)), self.default)
+        p, h = self._prompts.get(x), len(prefix)
+        if p is None or h >= self.H:
+            return self.default
+        code = 0
+        for v in prefix:
+            if not (0 <= v < self.V and v == int(v)):
+                return self.default
+            code = code * self.V + int(v)
+        lo, hi = self._block(p, h)
+        if hi - lo == self.V ** h:
+            return self._rows[lo + code]
+        j = bisect.bisect_left(self._codes, code, lo, hi)
+        return self._rows[j] if j < hi and self._codes[j] == code \
+            else self.default
+
+    def prefix_dists(self, x, prefixes) -> np.ndarray:
+        pre = np.asarray(prefixes, dtype=np.int64)
+        k, h = pre.shape
+        p = self._prompts.get(x)
+        lo, hi = (0, 0) if p is None or h >= self.H else self._block(p, h)
+        miss = len(self._rows) - 1
+        if hi == lo:
+            return self._rows.take(np.full(k, miss), axis=0)
+        code = pre @ self._pow[self.H - h:]
+        if hi - lo == self.V ** h:
+            return self._rows.take(lo + code, axis=0)
+        j = np.minimum(np.searchsorted(self._codes[lo:hi], code), hi - lo - 1)
+        hit = self._codes[lo + j] == code
+        return self._rows.take(np.where(hit, lo + j, miss), axis=0)
 
     @functools.cached_property
     def _steps(self):
-        # One scan for all prompts: a prompt is prefix-independent only when
-        # every prefix has a stored row and all of them are equal.
-        by_prompt = {}
-        for (x, _), row in self.tables.items():
-            by_prompt.setdefault(x, []).append(row)
+        # A prompt is prefix-independent only when every prefix has a
+        # stored row and all of them are equal.
         n_prefixes = sum(self.V ** h for h in range(self.H))
-        return {x: rows[0] if len(rows) == n_prefixes and
-                all(np.array_equal(r, rows[0]) for r in rows) else None
-                for x, rows in by_prompt.items()}
+        out = {}
+        for x, p in self._prompts.items():
+            lo, hi = self._bounds[p * self.H], self._bounds[(p + 1) * self.H]
+            block = self._rows[lo:hi]
+            out[x] = block[0] if hi - lo == n_prefixes and \
+                (block == block[0]).all() else None
+        return out
 
     def step_dist(self, x):
         return self._steps.get(x, self.default)
+
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _stacked_rows(rows, V):
+    """The rows as one (len(rows), V) float array, or None."""
+    try:
+        out = np.array(rows, dtype=float)
+    except (TypeError, ValueError):
+        return None
+    return out if out.shape == (len(rows), V) else None
+
+
+def _bad_rows(rows):
+    """Which rows of a 2-D array are not distributions."""
+    with np.errstate(invalid="ignore"):
+        return ~np.isfinite(rows).all(axis=1) | (rows.min(axis=1) < 0) | \
+            (np.abs(rows.sum(axis=1) - 1.0) > 1e-9)
+
+
+def _parsed_keys(keys, V, H):
+    """({prompt: id}, the keys' prompt ids, prefix lengths and concatenated
+    tokens), prompts numbered in order of first appearance; None if any
+    key is bad."""
+    if not set(map(type, keys)) <= {tuple} or not set(map(len, keys)) <= {2}:
+        return None
+    xs = list(map(operator.itemgetter(0), keys))
+    prefixes = list(map(operator.itemgetter(1), keys))
+    if not set(map(type, prefixes)) <= {tuple}:
+        return None
+    flat = list(itertools.chain.from_iterable(prefixes))
+    if not all(issubclass(t, numbers.Integral) for t in set(map(type, flat))):
+        return None
+    try:
+        tok = np.fromiter(flat, np.int64, len(flat))
+    except OverflowError:
+        return None
+    lens = np.fromiter(map(len, prefixes), np.int64, len(keys))
+    if tok.size and (tok.min() < 0 or tok.max() >= V) or \
+            lens.size and lens.max() >= H:
+        return None
+    ids = {x: i for i, x in enumerate(dict.fromkeys(xs))}
+    pid = np.fromiter(map(ids.__getitem__, xs), np.int64, len(xs))
+    return ids, pid, lens, tok
+
+
+def _entry_problem(key, row, V, H):
+    """Why one (key, row) entry of a TabularModel table is invalid, or None."""
+    if type(key) is not tuple or len(key) != 2 or type(key[1]) is not tuple:
+        return "is not a pair (prompt, prefix tuple)"
+    prefix = key[1]
+    if len(prefix) >= H:
+        return f"prefix length {len(prefix)} is not < H = {H}"
+    for v in prefix:
+        if not isinstance(v, numbers.Integral) or not 0 <= v < V:
+            return f"token {v!r} is not in [0, {V})"
+    problem = _row_problem(row, V)
+    return problem and "row " + problem
+
+
+def _row_problem(row, V):
+    row = _stacked_rows([row], V)
+    if row is None:
+        return f"is not a length-{V} vector"
+    if _bad_rows(row)[0]:
+        return "is not a distribution"
+    return None
+
+
+def _raise_bad_entry(tables, default, V, H):
+    for key, row in tables.items():
+        problem = _entry_problem(key, row, V, H)
+        if problem:
+            raise ValueError(f"table key {key!r}: {problem}")
+    problem = _row_problem(default, V)
+    if problem:
+        raise ValueError(f"default {problem}")
+    raise AssertionError("no bad entry in a rejected table")
 
 
 def linear_to_tabular(model: LinearARModel, prompts) -> TabularModel:
@@ -237,7 +391,7 @@ def _variance(p, feats):
 def _sigma_term(piD, featmap, x):
     """tree_walk term: the feature variance under piD at each prefix."""
     def term(prefixes, PD, _):
-        return [_variance(p, np.stack([featmap.phi(x, pre + (v,))
+        return [_variance(p, np.stack([featmap.phi(x, tuple(pre) + (v,))
                                        for v in range(piD.V)]))
-                for pre, p in zip(prefixes, PD)]
+                for pre, p in zip(prefixes.tolist(), PD)]
     return term

@@ -1,0 +1,65 @@
+"""Tuple-prefix references for the integer prefix path.
+
+`DictTabular` looks its rows up by (x, prefix tuple) in a plain dict, and
+`tuple_tree_walk` walks the prefix tree with tuple prefixes and one
+`next_dist` call per prefix.  Neither uses `prefix_dists`, so tests can
+compare `TabularModel` and `metrics.tree_walk` with them exactly.
+"""
+
+import numpy as np
+
+from covkit.core import Policy
+
+
+class DictTabular(Policy):
+    """Conditional tables in a dict keyed by (x, prefix tuple)."""
+
+    def __init__(self, tables, V, H, default=None):
+        self.V, self.H = V, H
+        self.tables = {k: np.asarray(r, dtype=float)
+                       for k, r in tables.items()}
+        self.default = (np.full(V, 1.0 / V) if default is None
+                        else np.asarray(default, dtype=float))
+
+    def next_dist(self, x, prefix):
+        return self.tables.get((x, tuple(prefix)), self.default)
+
+    def step_dist(self, x):
+        by_prompt = {}
+        for (p, _), r in self.tables.items():
+            by_prompt.setdefault(p, []).append(r)
+        if x not in by_prompt:
+            return self.default
+        rows = by_prompt[x]
+        n_prefixes = sum(self.V ** h for h in range(self.H))
+        if len(rows) == n_prefixes and all(np.array_equal(r, rows[0])
+                                           for r in rows):
+            return rows[0]
+        return None
+
+
+def tuple_tree_walk(piD, x, policies=(), terms=()):
+    """Level-order walk with tuple prefixes and one next_dist per prefix;
+    a term gets the level's list of prefix tuples."""
+    prefixes = [()]
+    lpD = np.zeros(1)
+    lps = np.zeros((len(policies), 1))
+    sums = np.zeros((len(terms), 1))
+    peaks = np.zeros((len(terms), 1))
+    for h in range(piD.H):
+        if h:
+            prefixes = [prefixes[i] + (v,)
+                        for i, v in zip(parent.tolist(), tok.tolist())]
+        PD = np.array([piD.next_dist(x, p) for p in prefixes], dtype=float)
+        Ps = [np.array([q.next_dist(x, p) for p in prefixes], dtype=float)
+              for q in policies]
+        if terms:
+            sums = sums + np.array([t(prefixes, PD, Ps) for t in terms])
+            peaks = np.maximum(peaks, sums)
+        parent, tok = np.nonzero(PD > 0.0)
+        lpD = lpD[parent] + np.log(PD[parent, tok])
+        rows = np.array([P[parent, tok] for P in Ps])
+        with np.errstate(divide="ignore"):
+            lps = lps[:, parent] + np.log(rows.reshape(len(Ps), len(tok)))
+        sums, peaks = sums[:, parent], peaks[:, parent]
+    return lpD, lps, sums, peaks

@@ -13,6 +13,7 @@ from covkit.cli import main
 from covkit.core import (Dataset, Trajectory, group_prompts, load_jsonl,
                          logprob_matrix, sample_dataset, save_jsonl)
 from covkit.harness import build_task
+from covkit.models import TabularModel
 from covkit.seeding import SeedTree
 
 PROMPTS = [0, 1, 7, -3, "a", "bc", (1, 2), (0,), ()]
@@ -121,13 +122,13 @@ def test_group_prompts_matches_dict_loop(seed):
 
 def with_missing_mass(rng, V, H, prompts):
     """Random prefix-dependent tables with about one zero entry in four."""
-    pol = random_tabular(rng, V, H, prompts=prompts)
-    for key, row in pol.tables.items():
+    tables = dict(random_tabular(rng, V, H, prompts=prompts).tables)
+    for key, row in tables.items():
         row = np.where(rng.random(V) < 0.25, 0.0, row)
         if row.sum() == 0.0:
             row[int(rng.integers(V))] = 1.0
-        pol.tables[key] = row / row.sum()
-    return pol
+        tables[key] = row / row.sum()
+    return TabularModel(tables, V=V, H=H)
 
 
 @pytest.mark.parametrize("seed", range(4))

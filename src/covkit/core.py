@@ -36,15 +36,6 @@ NEG_INF = float("-inf")
 
 
 @dataclass(frozen=True)
-class Vocab:
-    size: int
-
-    def __post_init__(self):
-        if self.size < 1:
-            raise ValueError(f"vocab size must be >= 1, got {self.size}")
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """A (prompt, response) pair with a fixed-length token response."""
 
@@ -128,6 +119,12 @@ class Policy:
     Subclasses must set `V` and `H` and implement `next_dist`.  All other
     behavior (logprob, sampling) is derived from the token conditionals, so
     the sampler law and logprob consistency hold by construction.
+
+    A policy's conditionals are fixed for the object's lifetime: a changed
+    model is a new object (as `LinearARModel.with_theta` builds one).
+    Per-object caches rely on this: `LinearARModel._steps`,
+    `TabularModel._steps`, `TTTPolicy._cache`, `GraphPathPolicy._parse`,
+    and the exact metrics' memo of walked pair laws.
     """
 
     V: int
@@ -332,9 +329,12 @@ def logprob_matrix(policies, dataset) -> np.ndarray:
     return lp
 
 
+ENUM_BUDGET = 10 ** 6
+
+
 def check_enum_budget(what: str, n: int):
     """Raise before an exact computation would enumerate n > 1e6 items."""
-    if n > 10 ** 6:
+    if n > ENUM_BUDGET:
         raise ValueError(f"enumeration budget exceeded: {what} = {n} > 1e6; "
                          "use a Monte Carlo mode instead")
 

@@ -11,14 +11,26 @@ call per policy.  Exact modes use, per prompt x, either
   stopped_kl = min(log N, H KL_step), a 0/1 stepwise_hellinger_tail, and
   log-ratio atoms (coverage_exact, coverage_sup_log) from a multinomial over
   the k <= V groups of distinct step log-ratios; or
-* one `tree_walk` of the piD-positive prefix tree, whose per-leaf arrays
-  each functional reduces.  The walk carries each level's prefixes as one
-  (k, h) int array and makes one `prefix_dists` call per policy per
-  level; a term gets that array.  onpolicy_cov_estimate and non-product
-  models.sigma_star_sq always walk.
+* the walked pair law of x: one `tree_walk` of the piD-positive prefix
+  tree gives, per leaf, log piD, log piHat and the sum and peak of the
+  step-KL and step-Hellinger (1 - BC) terms, and all seven functionals
+  reduce it.  The walk carries each level's prefixes as one (k, h) int
+  array and makes one `prefix_dists` call per policy per level.
 
-Work is estimated first (V^H leaves per walk, comb(H + k - 1, k - 1) atoms
-per product prompt); above 1e6 a ValueError asks for a Monte Carlo mode.
+The walked laws of the most recent (piD, piHat) pair are kept, per prompt,
+in a module memo that holds its two policies only by weak reference and
+at most 1e6 leaves, so several functionals of one pair walk each prompt
+once.  The memo is dropped as soon as either policy is collected.  This
+relies on a policy's conditionals being fixed for its lifetime.
+onpolicy_cov_estimate and non-product models.sigma_star_sq always walk,
+without the memo.
+
+Work is bounded at 1e6: product atoms, comb(H + k - 1, k - 1) per prompt,
+are estimated before anything is walked, and each walk counts the k * V
+entries a level of k prefixes gathers per policy (a bound on the level's
+piD-positive children) on top of what the call has already spent; a
+ValueError asking for a Monte Carlo mode is raised before a level over
+the budget is built or gathered.
 """
 
 from __future__ import annotations
@@ -26,12 +38,13 @@ from __future__ import annotations
 import io
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Policy, check_enum_budget, group_prompts, logprob_matrix,
-                   prefix_levels, sample_prompts)
+from .core import (ENUM_BUDGET, Policy, check_enum_budget, group_prompts,
+                   logprob_matrix, prefix_levels, sample_prompts)
 
 
 @dataclass
@@ -71,7 +84,8 @@ def default_n_grid(max_pow: int = 16) -> np.ndarray:
     return np.array([2.0 ** k for k in range(1, max_pow + 1)])
 
 
-def tree_walk(piD: Policy, x, policies=(), terms=()):
+def tree_walk(piD: Policy, x, policies=(), terms=(), pair_terms=False,
+              spent=0):
     """Level-order walk of the piD-positive prefix tree of prompt x.
 
     Each level's k prefixes are one (k, h) int64 array, and each of piD
@@ -79,33 +93,47 @@ def tree_walk(piD: Policy, x, policies=(), terms=()):
     the n piD-positive responses y (lexicographic) it returns lpD (n,) =
     log piD(y|x); lps (len(policies), n), -inf where a policy has no mass;
     and each term's sum over the H prefixes of y and peak (largest partial
-    sum, the empty one included), each (len(terms), n).  A term maps one
+    sum, the empty one included), each (n_terms, n).  A term maps one
     level's (prefixes (k, h), PD (k, V), [policy rows]) to a value per
-    prefix.  Callers check the work budget first.
+    prefix.  With `pair_terms` (one policy q) the first two terms are the
+    step KL(piD || q) and step Hellinger 1 - BC(piD, q), summed from the
+    gathered piD-positive entries.
+
+    A level of k prefixes gathers k * V entries per policy, which bound
+    its piD-positive children.  Before it builds and gathers a level the
+    walk checks that `spent` plus k * V stays within the 1e6 enumeration
+    budget, so a refused walk has done no more work than an allowed one.
     """
     pre = np.zeros((1, 0), dtype=np.int64)
     lp = np.zeros((1 + len(policies), 1))     # log piD, then each policy
-    sums = np.zeros((len(terms), 1))
-    peaks = np.zeros((len(terms), 1))
+    n_terms = len(terms) + 2 * bool(pair_terms)
+    sums = peaks = np.zeros((n_terms, 1))
     with np.errstate(divide="ignore"):
         for h in range(piD.H):
+            check_enum_budget("gathered prefix entries",
+                              spent + lp.shape[1] * piD.V)
             if h:
                 pre = np.concatenate((pre.take(parent, axis=0),
                                       tok[:, None]), axis=1)
             P = np.array([piD.prefix_dists(x, pre)] +
                          [q.prefix_dists(x, pre) for q in policies])
-            if terms:
-                sums = sums + np.array([t(pre, P[0], list(P[1:]))
-                                        for t in terms])
-                peaks = np.maximum(peaks, sums)
             # piD-positive entries in row-major order: parent * V + token.
             pos = (P[0] > 0.0).ravel().nonzero()[0]
             parent, tok = np.divmod(pos, piD.V)
-            lp = lp.take(parent, axis=1) + np.log(
-                P.reshape(len(P), -1).take(pos, axis=1))
-            if terms:
+            rows = P.reshape(len(P), -1).take(pos, axis=1)
+            logs = np.log(rows)
+            lp = lp.take(parent, axis=1) + logs
+            if n_terms:
+                t = [term(pre, P[0], list(P[1:])) for term in terms]
+                if pair_terms:
+                    k = len(pre)
+                    kl = np.bincount(parent, rows[0] * (logs[0] - logs[1]), k)
+                    bc = np.bincount(parent, np.sqrt(rows[0] * rows[1]), k)
+                    t = [kl, 1.0 - bc] + t
+                sums = sums + np.array(t)
+                peaks = np.maximum(peaks, sums)
                 sums, peaks = sums[:, parent], peaks[:, parent]
-    if not terms:
+    if not n_terms:
         sums = peaks = np.zeros((0, lp.shape[1]))
     return lp[0], lp[1:], sums, peaks
 
@@ -150,39 +178,100 @@ def _product_atoms(pD, pH, H):
     return r, np.exp(logp)
 
 
-def _pair_laws(piD, piHat, mu_items, terms=(), atoms=False):
-    """(w, steps, leaves) per prompt x of weight w != 0: steps = (pD, pH)
-    if both policies are products at x, else leaves = tree_walk(piD, x,
-    [piHat], terms).  The budget is checked before anything is walked."""
+class _PairMemo:
+    """Walked laws of one (piD, piHat) pair, keyed by prompt.
+
+    The policies are held by weak reference and matched with `is`, so the
+    memo keeps neither alive and a new object at a recycled address is
+    never taken for the old one.  It holds at most 1e6 leaves, and is
+    dropped, laws and all, as soon as either policy is collected.
+    """
+
+    def __init__(self, piD, piHat):
+        self.refs = (weakref.ref(piD, _forget), weakref.ref(piHat, _forget))
+        self.laws, self.leaves = {}, 0
+
+    def holds(self, piD, piHat):
+        return self.refs[0]() is piD and self.refs[1]() is piHat
+
+    def add(self, x, law):
+        if self.leaves + len(law[0]) > ENUM_BUDGET:
+            self.laws, self.leaves = {}, 0
+        self.laws[x] = law
+        self.leaves += len(law[0])
+
+
+_memo = None       # the _PairMemo of the most recently walked pair
+
+
+def _forget(ref):
+    """Weakref callback: drop the memo whose policy `ref` was collected."""
+    global _memo
+    memo = _memo
+    if memo is not None and any(r is ref for r in memo.refs):
+        _memo = None
+
+
+def _pair_laws(piD, piHat, mu_items, atoms=False):
+    """(w, steps, law) per prompt x of weight w > 0: steps = (pD, pH) if
+    both policies are products at x, else law = (lpD, lpH, sums, peaks),
+    the walked pair law of x with the step-KL and step-Hellinger terms,
+    read from the memo or walked and stored there.
+
+    Weights must be finite and >= 0, at least one positive.  Product atoms
+    and memoized leaves count against the budget before anything is
+    walked; each walk then counts its own prefixes.
+    """
+    global _memo
+    memo = _memo      # read once: another thread may replace it
+    if memo is not None and not memo.holds(piD, piHat):
+        memo = None
     items, work = [], 0
     for x, w in mu_items:
+        if not (w >= 0.0 and math.isfinite(w)):
+            raise ValueError(f"mu weights must be finite and >= 0: "
+                             f"prompt {x!r} has weight {w!r}")
         if w == 0.0:
+            continue
+        law = None if memo is None else memo.laws.get(x)
+        if law is not None:
+            work += len(law[0])
+            items.append((x, w, None, law))
             continue
         pD = piD.step_dist(x)
         pH = None if pD is None else piHat.step_dist(x)
         steps = None if pH is None else (np.asarray(pD, dtype=float),
                                          np.asarray(pH, dtype=float))
-        if steps is None:
-            work += piD.V ** piD.H
-        elif atoms:
+        if steps is not None and atoms:
             k = len(_ratio_groups(*steps)[0])
             work += math.comb(piD.H + k - 1, k - 1)
-        items.append((x, w, steps))
+        items.append((x, w, steps, None))
+    if not items:
+        raise ValueError("mu weights must include a positive one")
     check_enum_budget("leaves + atoms", work)
-    return [(w, steps, None if steps is not None else
-             tree_walk(piD, x, [piHat], terms)) for x, w, steps in items]
+    laws = []
+    for x, w, steps, law in items:
+        if steps is None and law is None:
+            lpD, (lpH,), sums, peaks = tree_walk(piD, x, [piHat],
+                                                 pair_terms=True, spent=work)
+            law = lpD, lpH, sums, peaks
+            work += len(lpD)
+            if memo is None:
+                memo = _memo = _PairMemo(piD, piHat)
+            memo.add(x, law)
+        laws.append((w, steps, law))
+    return laws
 
 
 def _reduce(laws, H, closed_form, leaf_value):
     """sum_x w(x) * value(x): closed_form(pD, pH, H) on product prompts,
     leaf_value(lpD, lpH, sums, peaks) on walked ones."""
     total = 0.0
-    for w, steps, leaves in laws:
+    for w, steps, law in laws:
         if steps is not None:
             total += w * closed_form(*steps, H)
         else:
-            lpD, (lpH,), sums, peaks = leaves
-            total += w * leaf_value(lpD, lpH, sums, peaks)
+            total += w * leaf_value(*law)
     return total
 
 
@@ -198,11 +287,11 @@ def _kl_leaves(lpD, lpH, sums, peaks):
 
 def _atoms(laws, H):
     ratios, probs = [], []
-    for w, steps, leaves in laws:
+    for w, steps, law in laws:
         if steps is not None:
             r, p = _product_atoms(*steps, H)
         else:
-            lpD, (lpH,), _, _ = leaves
+            lpD, lpH, _, _ = law
             r, p = lpD - lpH, np.exp(lpD)     # +inf where lpH == -inf
         ratios.append(r)
         probs.append(w * p)
@@ -368,8 +457,7 @@ def stopped_kl(piD: Policy, piHat: Policy, mu_items, N: float, mode="exact",
     logN = math.log(N)
     if mode == "exact":
         return _reduce(
-            _pair_laws(piD, piHat, mu_items,
-                       terms=[lambda pre, PD, Ps: _kl_rows(PD, Ps[0])]), piD.H,
+            _pair_laws(piD, piHat, mu_items), piD.H,
             lambda pD, pH, H: min(logN, H * step_kl(pD, pH)),
             lambda lpD, lpH, sums, peaks: float(
                 np.exp(lpD) @ np.where(peaks[0] >= logN, logN, sums[0])))
@@ -393,13 +481,11 @@ def stepwise_hellinger_tail(piD: Policy, piHat: Policy, mu_items, N: float,
     """P_piD(a partial sum of per-step squared Hellinger >= log(N/delta))."""
     thr = math.log(N / delta)
     return _reduce(
-        _pair_laws(piD, piHat, mu_items,
-                   terms=[lambda pre, PD, Ps: 1.0 - _bc_rows(PD, Ps[0])]),
-        piD.H,
+        _pair_laws(piD, piHat, mu_items), piD.H,
         lambda pD, pH, H: float(
             max(0.0, H * (1.0 - float(_bc_rows(pD, pH)))) >= thr),
         lambda lpD, lpH, sums, peaks:
-            float(np.exp(lpD)[peaks[0] >= thr].sum()))
+            float(np.exp(lpD)[peaks[1] >= thr].sum()))
 
 
 def kl_to_cov_bound(kl: float, N: float) -> float:
@@ -455,19 +541,23 @@ def onpolicy_cov_estimate(piBar: Policy, piPrime: Policy, pi: Policy,
                           ) -> float:
     """Average over prompts of P_{y~piBar}(log piPrime - log pi >= log N).
 
-    Exact mode walks each distinct prompt once, weighted by its count; mc
-    mode draws m responses per listed prompt, those of each distinct prompt
-    in one sample_many call.
+    Exact mode walks each distinct prompt once, weighted by its count, the
+    walks sharing one budget; mc mode draws m responses per listed prompt,
+    those of each distinct prompt in one sample_many call.
     """
+    if len(prompts) == 0:
+        raise ValueError("prompts is empty")
     logN = math.log(N)
     total = 0.0
     if mode == "exact":
         counts = {}
         for x in prompts:
             counts[x] = counts.get(x, 0) + 1
-        check_enum_budget("leaves", piBar.V ** piBar.H * len(counts))
+        spent = 0
         for x, c in counts.items():
-            lpBar, (lpP, lpQ), _, _ = tree_walk(piBar, x, [piPrime, pi])
+            lpBar, (lpP, lpQ), _, _ = tree_walk(piBar, x, [piPrime, pi],
+                                                spent=spent)
+            spent += len(lpBar)
             hit = covers(lpP, lpQ, logN)
             total += c * float(np.exp(lpBar)[hit].sum())
     elif mode == "mc":

@@ -12,7 +12,7 @@ import types
 
 import numpy as np
 
-from .core import Policy, Trajectory, check_enum_budget
+from .core import Policy, Trajectory
 from .metrics import tree_walk
 
 _STEP_CACHE_LIMIT = 4096
@@ -351,15 +351,14 @@ def sigma_star_sq(piD: Policy, featmap: FeatureMap, mu_items, mode="exact",
     if mode == "exact":
         items = [(x, w, piD.step_dist(x), featmap.step_table(x))
                  for x, w in mu_items if w != 0.0]
-        walks = sum(s is None or t is None for _, _, s, t in items)
-        check_enum_budget("leaves", piD.V ** piD.H * walks)
-        total = 0.0
+        total, spent = 0.0, 0
         for x, w, step, table in items:
             if step is not None and table is not None:
                 total += w * piD.H * _variance(step, table)
                 continue
-            lpD, _, sums, _ = tree_walk(piD, x,
+            lpD, _, sums, _ = tree_walk(piD, x, spent=spent,
                                         terms=[_sigma_term(piD, featmap, x)])
+            spent += len(lpD)
             total += w * float(np.exp(lpD) @ sums[0])
         return total
     if mode == "mc":

@@ -4,11 +4,13 @@
 `tuple_tree_walk` walks the prefix tree with tuple prefixes and one
 `next_dist` call per prefix.  Neither uses `prefix_dists`, so tests can
 compare `TabularModel` and `metrics.tree_walk` with them exactly.
+`CountingTabular` records the prefix length of each `prefix_dists` call.
 """
 
 import numpy as np
 
 from covkit.core import Policy
+from covkit.models import TabularModel
 
 
 class DictTabular(Policy):
@@ -63,3 +65,18 @@ def tuple_tree_walk(piD, x, policies=(), terms=()):
             lps = lps[:, parent] + np.log(rows.reshape(len(Ps), len(tok)))
         sums, peaks = sums[:, parent], peaks[:, parent]
     return lpD, lps, sums, peaks
+
+
+class CountingTabular(TabularModel):
+    """Counts prefix_dists calls; any next_dist call fails."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.levels = []
+
+    def prefix_dists(self, x, prefixes):
+        self.levels.append(prefixes.shape[1])
+        return super().prefix_dists(x, prefixes)
+
+    def next_dist(self, x, prefix):
+        raise AssertionError("the walk must not look up single prefixes")

@@ -5,17 +5,11 @@ import numpy as np
 import pytest
 
 from conftest import random_tabular
-from covkit.core import (Dataset, FinitePromptDist, Trajectory, Vocab,
+from covkit.core import (Dataset, FinitePromptDist, Trajectory,
                          enumerate_responses, load_jsonl, sample_dataset,
                          save_jsonl)
 from covkit.models import TabularModel
 from covkit.seeding import SeedTree
-
-
-def test_vocab_validation():
-    Vocab(1)
-    with pytest.raises(ValueError):
-        Vocab(0)
 
 
 def test_dataset_homogeneity():

@@ -16,7 +16,7 @@ from covkit.core import Dataset, logprob_matrix
 from covkit.metrics import tree_walk
 from covkit.models import (CallableFeatureMap, LinearARModel, TabularModel,
                            _sigma_term, _variance)
-from prefix_oracle import DictTabular, tuple_tree_walk
+from prefix_oracle import CountingTabular, DictTabular, tuple_tree_walk
 
 PROMPTS = [0, "a", (1, 2)]
 ABSENT = ["b", 7, (2, 1)]
@@ -210,21 +210,6 @@ def test_tree_walk_default_prefix_dists_equals_tuple_walker():
         assert_walks_equal(
             tree_walk(model, x, [other], [hellinger_term]),
             tuple_tree_walk(model, x, [other], [hellinger_term]))
-
-
-class CountingTabular(TabularModel):
-    """Counts prefix_dists calls; any next_dist call fails."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.levels = []
-
-    def prefix_dists(self, x, prefixes):
-        self.levels.append(prefixes.shape[1])
-        return super().prefix_dists(x, prefixes)
-
-    def next_dist(self, x, prefix):
-        raise AssertionError("the walk must not look up single prefixes")
 
 
 class CountingDict(DictTabular):

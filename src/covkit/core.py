@@ -7,12 +7,18 @@ Conventions used throughout the package:
 * prompts are opaque JSON-serializable values (ints, strings, tuples).
 
 Batched paths: `Policy.logprob_many` scores an (n, H) array of responses
-to one prompt and `Policy.sample_many` draws one; both take the product
-path when `step_dist` is not None, and otherwise visit each distinct
-prefix once per level (`prefix_levels`).  `sample_prompts` draws n
-prompts at once and `group_prompts` groups them, so Monte Carlo callers
-make one batched call per distinct prompt; `logprob_matrix` does the same
-for a dataset.
+to one prompt; both it and the one sampler, `sample_from_uniforms`, take
+the product path when `step_dist` is not None, and otherwise visit each
+distinct prefix once per level (`prefix_levels`).  The sampler maps an
+(n, H) array of uniform doubles to responses by Generator.choice's
+inverse-CDF rule, and `Policy.sample` (one row) and `Policy.sample_many`
+feed it exactly the doubles that their per-token rng.choice draws would
+take, so every seeded draw is unchanged.  `FinitePromptDist.from_uniforms`
+applies the same rule to prompts, and `draw_examples` draws n examples
+from one (n, 1 + H) block: each row is a prompt double and then H token
+doubles, the per-example order.  `sample_prompts` draws n prompts at once
+and `group_prompts` groups them, so Monte Carlo callers make one batched
+call per distinct prompt; `logprob_matrix` does the same for a dataset.
 
 Datasets: a `Dataset` is a list of prompts `xs` and an (n, H) int64 array
 `Y`; its `Trajectory` objects are built only on request.  `load_jsonl`
@@ -191,39 +197,102 @@ class Policy:
                         dtype=float).reshape(len(prefixes), self.V)
 
     def sample(self, x, rng: np.random.Generator) -> tuple:
-        step = self.step_dist(x)
-        if step is not None:
-            return tuple(int(v) for v in rng.choice(self.V, size=self.H, p=step))
-        y = ()
-        for _ in range(self.H):
-            p = self.next_dist(x, y)
-            y = y + (int(rng.choice(self.V, p=p)),)
-        return y
+        """One response: the one-row case of `sample_from_uniforms`, fed
+        rng.random((1, H)), the H doubles of H Generator.choice draws."""
+        U = rng.random((1, self.H))
+        return tuple(sample_from_uniforms(self, x, U)[0].tolist())
 
     def sample_many(self, x, n: int, rng: np.random.Generator) -> np.ndarray:
-        """n responses as an (n, H) int array.
+        """n responses as an (n, H) int array from `sample_from_uniforms`.
 
-        Product policies make one `rng.choice` call.  Otherwise each level
-        calls next_dist once per distinct prefix and draws rng.random(n);
-        row i takes the number of entries of its normalised cumulative
-        distribution that are <= u_i, the rule of Generator.choice, so
-        zero-mass tokens are never drawn.  A subclass that overrides
-        `sample` is sampled row by row with it.
+        Product policies feed it rng.random((n, H)), the doubles of one
+        rng.choice(V, size=(n, H)) call; others rng.random((H, n)).T, one
+        rng.random(n) per level.  A subclass that overrides `sample` is
+        sampled row by row with it.
         """
-        step = self.step_dist(x)
-        if step is not None:
-            return rng.choice(self.V, size=(n, self.H), p=step)
+        if self.step_dist(x) is not None:
+            return sample_from_uniforms(self, x, rng.random((n, self.H)))
         if type(self).sample is not Policy.sample:
             return np.array([self.sample(x, rng) for _ in range(n)],
                             dtype=np.int64).reshape(n, self.H)
-        Y = np.zeros((n, self.H), dtype=np.int64)
-        for h, first, inv in prefix_levels(Y, self.V):
-            cdf = np.cumsum(self.prefix_dists(x, Y[first, :h]), axis=1)
-            cdf /= cdf[:, -1:]
-            u = rng.random(n)
-            # Filled before prefix_levels resumes and reads column h.
-            Y[:, h] = (cdf[inv] <= u[:, None]).sum(axis=1)
-        return Y
+        return sample_from_uniforms(self, x, rng.random((self.H, n)).T)
+
+
+# Generator.choice's tolerance on the sum of its p: sqrt(float64 eps).
+_SUM_ATOL = float(np.sqrt(np.finfo(float).eps))
+_EPS = float(np.finfo(float).eps)
+
+
+def choice_cdf(P) -> np.ndarray:
+    """The normalized cumulative rows of the (k, V) array P, as
+    Generator.choice builds them from its p: cdf = cumsum(p), cdf /= cdf[-1].
+
+    Raises ValueError for a row that Generator.choice would refuse: a NaN
+    or negative entry, or a sum more than sqrt(eps) from 1.  choice adds p
+    in Kahan's compensated order.  Any order of adding V non-negative
+    terms is within (V + 1) eps * sum of that, so only rows whose sum
+    lies that near the tolerance are added again in choice's order.
+    """
+    P = np.asarray(P, dtype=float)
+    cdf = np.add.accumulate(P, axis=1)
+    total = cdf[:, -1].copy()
+    off = np.abs(total - 1.0)
+    # The common case, in two reductions: no NaN or negative entry, and
+    # sums (so at most 2) clear of the tolerance by more than that bound.
+    if not (np.maximum.reduce(off, initial=0.0) <=
+            _SUM_ATOL - 2 * (P.shape[1] + 1) * _EPS
+            and np.minimum.reduce(P, axis=None, initial=0.0) >= 0.0):
+        _check_rows(P, total, off)
+    cdf /= total[:, None]
+    return cdf
+
+
+def _check_rows(P, total, off):
+    """choice_cdf's refusals, for rows whose fast check failed."""
+    if np.isnan(total).any():
+        raise ValueError("probabilities contain NaN")
+    if (P < 0).any():
+        raise ValueError("probabilities are not non-negative")
+    margin = (P.shape[1] + 1) * _EPS * total
+    # A row with an inf entry has off = inf and is refused below as is.
+    near = (np.abs(off - _SUM_ATOL) <= margin) & (off < 1.0)
+    for i in near.nonzero()[0].tolist():
+        off[i] = abs(_kahan_sum(P[i].tolist()) - 1.0)
+    if (off > _SUM_ATOL).any():
+        raise ValueError("probabilities do not sum to 1")
+
+
+def _kahan_sum(row) -> float:
+    """Generator.choice's sum of its p."""
+    total, c = row[0], 0.0
+    for v in row[1:]:
+        y = v - c
+        t = total + y
+        c = (t - total) - y
+        total = t
+    return total
+
+
+def sample_from_uniforms(policy: Policy, x, U) -> np.ndarray:
+    """Responses of `policy` at prompt x from the (n, H) uniforms U.
+
+    Token h of row i is the number of entries <= U[i, h] in the
+    `choice_cdf` row of its conditional: Generator.choice's rule, so a
+    zero-mass token is never drawn, and the draw is choice's on the same
+    double.  Product policies map all of U with one searchsorted on the
+    step CDF; others visit each distinct prefix once per level
+    (`prefix_levels`, one `prefix_dists` call).
+    """
+    step = policy.step_dist(x)
+    if step is not None:
+        cdf = choice_cdf(np.asarray(step)[None])[0]
+        return np.searchsorted(cdf, U, side="right")
+    Y = np.zeros(U.shape, dtype=np.int64)
+    for h, first, inv in prefix_levels(Y, policy.V):
+        cdf = choice_cdf(policy.prefix_dists(x, Y[first, :h]))
+        # Filled before prefix_levels resumes and reads column h.
+        Y[:, h] = np.add.reduce(cdf[inv] <= U[:, h, None], axis=1)
+    return Y
 
 
 def prefix_levels(Y: np.ndarray, V: int):
@@ -234,6 +303,11 @@ def prefix_levels(Y: np.ndarray, V: int):
     codes stay below n * V.  Column h is read only after the yield, so a
     sampler may fill it in place.
     """
+    if len(Y) <= 1:         # at most one prefix per level: nothing to sort
+        idx = np.zeros(len(Y), dtype=np.int64)
+        for h in range(Y.shape[1]):
+            yield h, idx, idx
+        return
     code = np.zeros(len(Y), dtype=np.int64)
     for h in range(Y.shape[1]):
         _, first, inv = np.unique(code, return_index=True,
@@ -242,27 +316,61 @@ def prefix_levels(Y: np.ndarray, V: int):
         code = inv * V + Y[:, h]
 
 
+def draws_in_blocks(policy: Policy, mu) -> bool:
+    """Whether `draw_examples` maps one block of uniforms: mu has
+    `from_uniforms` and the policy samples with `Policy.sample`."""
+    return hasattr(mu, "from_uniforms") and \
+        type(policy).sample is Policy.sample
+
+
+def draw_examples(policy: Policy, mu, n: int, rng: np.random.Generator):
+    """n examples x ~ mu, y ~ policy(.|x) as (prompts, (n, H) int64 Y).
+
+    The result, and the doubles taken from rng, are those of n
+    per-example draws (x = mu(rng), then policy.sample(x, rng)): one
+    double per prompt and per token.  When `draws_in_blocks`, row i of
+    U = rng.random((n, 1 + H)) holds example i's prompt double and then
+    its token doubles; the prompts are mu.from_uniforms(U[:, 0]) and each
+    distinct prompt's rows of U[:, 1:] go to one `sample_from_uniforms`
+    call.  Otherwise the per-example loop runs.
+    """
+    Y = np.empty((n, policy.H), dtype=np.int64)
+    if not draws_in_blocks(policy, mu):
+        xs = []
+        for i in range(n):
+            xs.append(mu(rng))
+            Y[i] = policy.sample(xs[i], rng)
+        return xs, Y
+    U = rng.random((n, 1 + policy.H))
+    xs = mu.from_uniforms(U[:, 0])
+    for x, idx in group_prompts(xs).items():
+        Y[idx] = sample_from_uniforms(policy, x, U[idx, 1:])
+    return xs, Y
+
+
 def sample_dataset(policy: Policy, mu, n: int, rng: np.random.Generator,
                    seed_info: dict | None = None) -> Dataset:
     """Draw n i.i.d. trajectories with x ~ mu and y ~ policy(.|x).
 
-    `mu` is a callable rng -> prompt.  Each example draws its prompt and
-    then its response, one `policy.sample` call per example.
+    `mu` is a callable rng -> prompt.  The n examples come from one
+    `draw_examples` call: one block of uniforms when mu is a
+    `FinitePromptDist`, the same examples that drawing each prompt and
+    then its response, example by example, gives.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    xs = []
-    Y = np.empty((n, policy.H), dtype=np.int64)
-    for i in range(n):
-        x = mu(rng)
-        xs.append(x)
-        Y[i] = policy.sample(x, rng)
+    xs, Y = draw_examples(policy, mu, n, rng)
     return Dataset.from_arrays(xs, Y, H=policy.H, V=policy.V,
                                seed_info=dict(seed_info or {}))
 
 
 class FinitePromptDist:
-    """Finite prompt distribution usable both as weights and as a sampler."""
+    """Finite prompt distribution usable both as weights and as a sampler.
+
+    A draw maps one uniform double u to the prompt at the number of
+    entries <= u of the normalized cumulative weights, the rule of
+    Generator.choice, so zero-weight prompts are never drawn.
+    """
 
     def __init__(self, prompts, weights):
         self.prompts = list(prompts)
@@ -270,17 +378,22 @@ class FinitePromptDist:
         if w.min() < 0 or abs(w.sum() - 1.0) > 1e-9:
             raise ValueError("weights must be a probability vector")
         self.weights = w
+        self._cdf = choice_cdf(w[None])[0]      # also refuses NaN weights
 
     def items(self):
         return list(zip(self.prompts, self.weights))
 
+    def from_uniforms(self, u) -> list:
+        """The prompts drawn by the uniform doubles u, one each."""
+        idx = np.searchsorted(self._cdf, u, side="right")
+        return [self.prompts[i] for i in idx.tolist()]
+
     def __call__(self, rng: np.random.Generator):
-        return self.prompts[int(rng.choice(len(self.prompts), p=self.weights))]
+        return self.from_uniforms(rng.random(1))[0]
 
     def sample_many(self, n: int, rng: np.random.Generator) -> list:
-        """n prompts from one rng.choice call: the same draws as n calls."""
-        idx = rng.choice(len(self.prompts), size=n, p=self.weights)
-        return [self.prompts[i] for i in idx.tolist()]
+        """n prompts from rng.random(n): the same draws as n calls."""
+        return self.from_uniforms(rng.random(n))
 
 
 def sample_prompts(mu, n: int, rng: np.random.Generator) -> list:

@@ -212,6 +212,21 @@ def _forget(ref):
         _memo = None
 
 
+def positive_weights(mu_items) -> list:
+    """The (prompt, weight) items of positive weight.  Raises ValueError
+    unless every weight is finite and >= 0 and at least one is positive."""
+    out = []
+    for x, w in mu_items:
+        if not (w >= 0.0 and math.isfinite(w)):
+            raise ValueError(f"mu weights must be finite and >= 0: "
+                             f"prompt {x!r} has weight {w!r}")
+        if w != 0.0:
+            out.append((x, w))
+    if not out:
+        raise ValueError("mu weights must include a positive one")
+    return out
+
+
 def _pair_laws(piD, piHat, mu_items, atoms=False):
     """(w, steps, law) per prompt x of weight w > 0: steps = (pD, pH) if
     both policies are products at x, else law = (lpD, lpH, sums, peaks),
@@ -227,12 +242,7 @@ def _pair_laws(piD, piHat, mu_items, atoms=False):
     if memo is not None and not memo.holds(piD, piHat):
         memo = None
     items, work = [], 0
-    for x, w in mu_items:
-        if not (w >= 0.0 and math.isfinite(w)):
-            raise ValueError(f"mu weights must be finite and >= 0: "
-                             f"prompt {x!r} has weight {w!r}")
-        if w == 0.0:
-            continue
+    for x, w in positive_weights(mu_items):
         law = None if memo is None else memo.laws.get(x)
         if law is not None:
             work += len(law[0])
@@ -246,8 +256,6 @@ def _pair_laws(piD, piHat, mu_items, atoms=False):
             k = len(_ratio_groups(*steps)[0])
             work += math.comb(piD.H + k - 1, k - 1)
         items.append((x, w, steps, None))
-    if not items:
-        raise ValueError("mu weights must include a positive one")
     check_enum_budget("leaves + atoms", work)
     laws = []
     for x, w, steps, law in items:

@@ -12,8 +12,8 @@ import types
 
 import numpy as np
 
-from .core import Policy, Trajectory
-from .metrics import tree_walk
+from .core import Policy, Trajectory, draw_examples
+from .metrics import positive_weights, tree_walk
 
 _STEP_CACHE_LIMIT = 4096
 
@@ -109,6 +109,14 @@ class LinearARModel(Policy):
             self._steps[x] = None if table is None else _softmax(
                 table @ self.theta)
         return self._steps[x]
+
+    def prefix_dists(self, x, prefixes) -> np.ndarray:
+        """A product prompt's level is its cached step row, broadcast to
+        (k, V) as a read-only view; other prompts loop over next_dist."""
+        step = self.step_dist(x)
+        if step is None:
+            return super().prefix_dists(x, prefixes)
+        return np.broadcast_to(step, (len(prefixes), self.V))
 
 
 def grad_logprob(model: LinearARModel, traj: Trajectory) -> np.ndarray:
@@ -346,11 +354,14 @@ def sigma_star_sq(piD: Policy, featmap: FeatureMap, mu_items, mode="exact",
     """Inherent variance: E_piD[ sum_h ||phi(x,y_{1:h}) - phibar(x,y_{1:h-1})||^2 ].
 
     `mu_items` is a list of (prompt, weight) pairs for exact mode, or a
-    prompt sampler callable for mc mode.  mc mode returns (estimate, se).
+    prompt sampler callable for mc mode.  Exact mode refuses weights that
+    are not finite and >= 0 with one positive, as the exact metrics do.
+    mc mode draws its n examples with one `draw_examples` call and returns
+    (estimate, se).
     """
     if mode == "exact":
         items = [(x, w, piD.step_dist(x), featmap.step_table(x))
-                 for x, w in mu_items if w != 0.0]
+                 for x, w in positive_weights(mu_items)]
         total, spent = 0.0, 0
         for x, w, step, table in items:
             if step is not None and table is not None:
@@ -365,9 +376,8 @@ def sigma_star_sq(piD: Policy, featmap: FeatureMap, mu_items, mode="exact",
         if n is None or n < 2:
             raise ValueError("mc mode requires n >= 2")
         vals = np.empty(n)
-        for i in range(n):
-            x = mu_items(rng)
-            y = piD.sample(x, rng)
+        xs, Y = draw_examples(piD, mu_items, n, rng)
+        for i, (x, y) in enumerate(zip(xs, Y.tolist())):
             acc = 0.0
             prefix = ()
             for v in y:

@@ -211,3 +211,56 @@ def test_sigma_star_bound_and_mc_agreement():
     assert abs(est - exact) <= 4 * se + 1e-9
     with pytest.raises(ValueError):
         sigma_star_sq(piD, fm, mu, mode="mc", n=1, rng=rng)
+
+
+def _prefix_dependent_tabular(V=2, H=6):
+    rng = SeedTree(21).rng()
+    piD = random_tabular(rng, V, H)
+    assert piD.step_dist(0) is None
+    fm = CallableFeatureMap(lambda x, pre: np.array([len(pre), pre[-1]]),
+                            d=2, B=99.0)
+    return piD, fm
+
+
+@pytest.mark.parametrize("weights", [[(0, -1.0)], [(0, float("nan"))],
+                                     [(0, 1.0), (1, float("inf"))]])
+def test_sigma_star_exact_refuses_bad_weights_on_a_walked_prompt(weights):
+    piD, fm = _prefix_dependent_tabular()
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        sigma_star_sq(piD, fm, weights)
+
+
+def test_sigma_star_exact_refuses_weights_without_a_positive_one():
+    piD, fm = _prefix_dependent_tabular()
+    for weights in ([], [(0, 0.0)]):
+        with pytest.raises(ValueError, match="positive"):
+            sigma_star_sq(piD, fm, weights)
+
+
+def test_sigma_star_exact_refuses_negative_product_weights():
+    from covkit.tasks import heterogeneous_kl_instance
+    t = heterogeneous_kl_instance(n=4, H=3)
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        sigma_star_sq(t.piD, t.featmap, [(0, -1.0), (1, -2.0)])
+    # Zero weights are still skipped.
+    assert sigma_star_sq(t.piD, t.featmap, [(0, 0.0), (1, 1.0)]) == \
+        sigma_star_sq(t.piD, t.featmap, [(1, 1.0)])
+
+
+@pytest.mark.parametrize("product", [True, False])
+def test_linear_prefix_dists_equals_next_dist_rows(product):
+    rng = SeedTree(22).rng()
+    V, H, d = 3, 4, 2
+    table = rng.normal(size=(V, d))
+    if product:
+        fm = CallableFeatureMap(lambda x, pre: table[pre[-1]], d=d, B=9.0,
+                                step_tables=lambda x: table)
+    else:
+        fm = _random_featmap(rng, d, V, H)
+    model = LinearARModel(project_unit_ball(rng.normal(size=d)), fm, V, H)
+    for h in range(H):
+        pre = rng.integers(0, V, (5, h))
+        want = np.array([model.next_dist(0, tuple(p)) for p in pre.tolist()])
+        got = model.prefix_dists(0, pre)
+        assert got.shape == (5, V) and np.array_equal(got, want)
+    assert model.prefix_dists(0, np.zeros((0, 2), np.int64)).shape == (0, V)

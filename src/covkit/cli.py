@@ -42,11 +42,20 @@ def load_policy(path: str) -> TabularModel:
                         default=spec.get("default"))
 
 
-def _parse_grid(text: str) -> np.ndarray:
+def _parse_grid(text: str, integers: bool = False) -> np.ndarray:
+    """The comma-separated N grid: values >= 1 (no NaN), and for
+    `integers` (Best-of-N sizes) whole numbers, else in sorted order."""
     try:
-        return np.array([float(v) for v in text.split(",")])
+        grid = np.array([float(v) for v in text.split(",")])
     except ValueError:
         raise ConfigError(f"bad N grid {text!r}")
+    if not (grid >= 1).all():
+        raise ConfigError(f"N grid values must be >= 1: {text!r}")
+    if integers and not (np.isfinite(grid) & (grid == np.floor(grid))).all():
+        raise ConfigError(f"N grid values must be integers: {text!r}")
+    if not integers and (np.diff(grid) < 0).any():
+        raise ConfigError(f"N grid must be sorted: {text!r}")
+    return grid
 
 
 def _load_task_file(path: str):
@@ -123,7 +132,7 @@ def cmd_bon(args) -> int:
     with _reading_inputs():
         task = _load_task_file(args.task)
         piHat = load_policy(args.pi_hat)
-        grid = _parse_grid(args.N_grid)
+        grid = _parse_grid(args.N_grid, integers=True)
     scale = args.reward_scale
     reward = adversarial_reward(task.piD, piHat, scale)
     rng = SeedTree(args.seed).child("bon").rng()

@@ -6,19 +6,20 @@ Conventions used throughout the package:
 * probabilities are carried in natural-log domain; -inf means zero mass,
 * prompts are opaque JSON-serializable values (ints, strings, tuples).
 
-Batched paths: `Policy.logprob_many` scores an (n, H) array of responses
-to one prompt; both it and the one sampler, `sample_from_uniforms`, take
-the product path when `step_dist` is not None, and otherwise visit each
-distinct prefix once per level (`prefix_levels`).  The sampler maps an
-(n, H) array of uniform doubles to responses by Generator.choice's
-inverse-CDF rule, and `Policy.sample` (one row) and `Policy.sample_many`
-feed it exactly the doubles that their per-token rng.choice draws would
-take, so every seeded draw is unchanged.  `FinitePromptDist.from_uniforms`
-applies the same rule to prompts, and `draw_examples` draws n examples
-from one (n, 1 + H) block: each row is a prompt double and then H token
-doubles, the per-example order.  `sample_prompts` draws n prompts at once
-and `group_prompts` groups them, so Monte Carlo callers make one batched
-call per distinct prompt; `logprob_matrix` does the same for a dataset.
+Batched paths: a policy is its token conditionals.  `Policy.logprob_many`
+scores an (n, H) array of responses to one prompt; both it and the one
+sampler, `sample_from_uniforms`, take the product path when `step_dist`
+is not None, and otherwise visit each distinct prefix once per level
+(`prefix_levels`).  The sampler maps an (n, H) array of uniform doubles to
+responses by Generator.choice's inverse-CDF rule, and `Policy.sample` (one
+row) and `Policy.sample_many` feed it exactly the doubles that their
+per-token rng.choice draws would take.  A prompt distribution with
+`from_uniforms` (`FinitePromptDist`) applies the same rule to prompts, and
+`draw_examples` draws n examples from one (n, 1 + H) block: each row is a
+prompt double and then H token doubles, the per-example order.
+`sample_prompts` draws n prompts at once and `group_prompts` groups them,
+so Monte Carlo callers make one batched call per distinct prompt;
+`logprob_matrix` does the same for a dataset.
 
 Datasets: a `Dataset` is a list of prompts `xs` and an (n, H) int64 array
 `Y`; its `Trajectory` objects are built only on request.  `load_jsonl`
@@ -122,9 +123,13 @@ class Dataset:
 class Policy:
     """Abstract conditional sequence distribution.
 
-    Subclasses must set `V` and `H` and implement `next_dist`.  All other
-    behavior (logprob, sampling) is derived from the token conditionals, so
-    the sampler law and logprob consistency hold by construction.
+    A policy is its token conditionals: subclasses set `V` and `H` and
+    implement `next_dist`, and may implement `step_dist` and
+    `prefix_dists`, which must agree with it.  Scoring and sampling are
+    derived from these and never overridden (`draw_examples` calls
+    `sample_from_uniforms` directly, so an overriding `sample` would be
+    bypassed); the sampler law and logprob consistency hold by
+    construction.
 
     A policy's conditionals are fixed for the object's lifetime: a changed
     model is a new object (as `LinearARModel.with_theta` builds one).
@@ -158,8 +163,7 @@ class Policy:
 
         Product policies gather log step[Y]; others call next_dist once per
         distinct prefix, level by level.  Either way each row sums its H
-        token log-probs left to right, as a per-token loop would.  A
-        subclass that overrides `logprob` is scored row by row with it.
+        token log-probs left to right, as a per-token loop would.
         """
         return self._logprob_rows(x, np.asarray(Y, dtype=np.int64), {})
 
@@ -167,9 +171,6 @@ class Policy:
         """logprob_many of the int64 array Y; the prefix levels of Y are
         read from, or added to, `levels` (keyed by V), so callers scoring
         the same Y under several policies compute them once."""
-        if type(self).logprob is not Policy.logprob:
-            return np.array([self.logprob(Trajectory(x, y))
-                             for y in Y.tolist()], dtype=float)
         total = np.zeros(len(Y))
         step = self.step_dist(x)
         with np.errstate(divide="ignore"):
@@ -207,14 +208,10 @@ class Policy:
 
         Product policies feed it rng.random((n, H)), the doubles of one
         rng.choice(V, size=(n, H)) call; others rng.random((H, n)).T, one
-        rng.random(n) per level.  A subclass that overrides `sample` is
-        sampled row by row with it.
+        rng.random(n) per level.
         """
         if self.step_dist(x) is not None:
             return sample_from_uniforms(self, x, rng.random((n, self.H)))
-        if type(self).sample is not Policy.sample:
-            return np.array([self.sample(x, rng) for _ in range(n)],
-                            dtype=np.int64).reshape(n, self.H)
         return sample_from_uniforms(self, x, rng.random((self.H, n)).T)
 
 
@@ -316,26 +313,19 @@ def prefix_levels(Y: np.ndarray, V: int):
         code = inv * V + Y[:, h]
 
 
-def draws_in_blocks(policy: Policy, mu) -> bool:
-    """Whether `draw_examples` maps one block of uniforms: mu has
-    `from_uniforms` and the policy samples with `Policy.sample`."""
-    return hasattr(mu, "from_uniforms") and \
-        type(policy).sample is Policy.sample
-
-
 def draw_examples(policy: Policy, mu, n: int, rng: np.random.Generator):
     """n examples x ~ mu, y ~ policy(.|x) as (prompts, (n, H) int64 Y).
 
     The result, and the doubles taken from rng, are those of n
     per-example draws (x = mu(rng), then policy.sample(x, rng)): one
-    double per prompt and per token.  When `draws_in_blocks`, row i of
-    U = rng.random((n, 1 + H)) holds example i's prompt double and then
+    double per prompt and per token.  When mu has `from_uniforms`, row i
+    of U = rng.random((n, 1 + H)) holds example i's prompt double and then
     its token doubles; the prompts are mu.from_uniforms(U[:, 0]) and each
     distinct prompt's rows of U[:, 1:] go to one `sample_from_uniforms`
-    call.  Otherwise the per-example loop runs.
+    call.  A plain callable mu is drawn in a per-example loop.
     """
     Y = np.empty((n, policy.H), dtype=np.int64)
-    if not draws_in_blocks(policy, mu):
+    if not hasattr(mu, "from_uniforms"):
         xs = []
         for i in range(n):
             xs.append(mu(rng))
@@ -353,9 +343,9 @@ def sample_dataset(policy: Policy, mu, n: int, rng: np.random.Generator,
     """Draw n i.i.d. trajectories with x ~ mu and y ~ policy(.|x).
 
     `mu` is a callable rng -> prompt.  The n examples come from one
-    `draw_examples` call: one block of uniforms when mu is a
-    `FinitePromptDist`, the same examples that drawing each prompt and
-    then its response, example by example, gives.
+    `draw_examples` call: one block of uniforms when mu has
+    `from_uniforms` (a `FinitePromptDist`), the same examples that drawing
+    each prompt and then its response, example by example, gives.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -375,6 +365,9 @@ class FinitePromptDist:
     def __init__(self, prompts, weights):
         self.prompts = list(prompts)
         w = np.asarray(weights, dtype=float)
+        if w.shape != (len(self.prompts),):
+            raise ValueError(f"need one weight per prompt: weights of "
+                             f"shape {w.shape}, {len(self.prompts)} prompts")
         if w.min() < 0 or abs(w.sum() - 1.0) > 1e-9:
             raise ValueError("weights must be a probability vector")
         self.weights = w
@@ -391,15 +384,12 @@ class FinitePromptDist:
     def __call__(self, rng: np.random.Generator):
         return self.from_uniforms(rng.random(1))[0]
 
-    def sample_many(self, n: int, rng: np.random.Generator) -> list:
-        """n prompts from rng.random(n): the same draws as n calls."""
-        return self.from_uniforms(rng.random(n))
-
 
 def sample_prompts(mu, n: int, rng: np.random.Generator) -> list:
-    """n prompts from mu: its `sample_many` if it has one, else n calls."""
-    if hasattr(mu, "sample_many"):
-        return mu.sample_many(n, rng)
+    """n prompts from mu: mu.from_uniforms(rng.random(n)) if it has
+    `from_uniforms`, the same draws as n calls; else n calls."""
+    if hasattr(mu, "from_uniforms"):
+        return mu.from_uniforms(rng.random(n))
     return [mu(rng) for _ in range(n)]
 
 

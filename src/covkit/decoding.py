@@ -6,8 +6,7 @@ import math
 
 import numpy as np
 
-from .core import (NEG_INF, Policy, Trajectory, group_prompts,
-                   sample_prompts)
+from .core import Policy, group_prompts, sample_prompts
 from .metrics import covers, hoeffding_half_width
 from .models import LinearARModel, grad_logprob_token, project_unit_ball
 
@@ -20,7 +19,9 @@ class TTTPolicy(Policy):
     The conditional at (x, prefix) is the base linear model evaluated at the
     parameter obtained by replaying token-gradient steps along the prefix,
     starting from the base theta (reset per prompt).  Replays are memoized
-    per (x, prefix), so a rollout costs O(H) gradient steps total.
+    per (x, prefix), so a rollout costs O(H) gradient steps total.  Like
+    every policy, it is scored and sampled from these conditionals by the
+    `Policy` level paths, one replay per distinct prefix of a batch.
     """
 
     def __init__(self, base: LinearARModel, eta: float):
@@ -50,36 +51,6 @@ class TTTPolicy(Policy):
         if len(prefix) >= self.H:
             raise ValueError("prefix length must be < H")
         return self.base.with_theta(self._theta_at(x, prefix)).next_dist(x, prefix)
-
-    def logprob(self, traj: Trajectory) -> float:
-        # Fresh incremental replay along the given trajectory.
-        theta = self.base.theta
-        total = 0.0
-        prefix = ()
-        for v in traj.y:
-            model = self.base.with_theta(theta)
-            p = model.next_dist(traj.x, prefix)
-            if p[v] <= 0.0:
-                return NEG_INF
-            total += math.log(p[v])
-            if self.eta != 0.0:
-                g = grad_logprob_token(model, traj.x, prefix, v)
-                theta = project_unit_ball(theta + self.eta * g)
-            prefix = prefix + (v,)
-        return total
-
-    def sample(self, x, rng: np.random.Generator) -> tuple:
-        theta = self.base.theta
-        y = ()
-        for _ in range(self.H):
-            model = self.base.with_theta(theta)
-            p = model.next_dist(x, y)
-            v = int(rng.choice(self.V, p=p))
-            if self.eta != 0.0:
-                g = grad_logprob_token(model, x, y, v)
-                theta = project_unit_ball(theta + self.eta * g)
-            y = y + (v,)
-        return y
 
 
 def best_of_n(policy: Policy, reward, x, N: int, rng) -> tuple:

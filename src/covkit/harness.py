@@ -89,7 +89,10 @@ def _check_keys(d, allowed, where):
 
 
 def validate_config(cfg: dict) -> dict:
-    """Fail-closed validation; returns a normalized copy."""
+    """Fail-closed validation; returns a normalized copy.  It also builds
+    the task at each point of the task axes (`_check_task`) and the
+    `TrainConfig` at each point of the train axes, so a config that a job
+    would refuse fails before `run` writes anything."""
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     _check_keys(cfg, _TOP_KEYS, "config")
@@ -132,7 +135,18 @@ def validate_config(cfg: dict) -> dict:
         if name in ignored and name not in task_params:
             raise ConfigError(f"sweep axis {name!r}: learner "
                               f"{learner['name']!r} ignores that train field")
-    out = {
+    reads = LEARNERS[learner["name"]][1]
+    task_axes = [a for a in axes if a not in reads]
+    for values in itertools.product(*(axes[a] for a in task_axes)):
+        params = dict(task_params, **dict(zip(task_axes, values)))
+        _check_task(_build_task(task["name"], params), metrics)
+    train_axes = [a for a in axes if a in reads]
+    for values in itertools.product(*(axes[a] for a in train_axes)):
+        try:
+            TrainConfig(**dict(train, **dict(zip(train_axes, values))))
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"bad train values: {e}")
+    return {
         "version": CONFIG_VERSION,
         "task": {"name": task["name"], "params": task_params},
         "learner": {"name": learner["name"], "train": train},
@@ -141,10 +155,15 @@ def validate_config(cfg: dict) -> dict:
         "out_dir": cfg["out_dir"],
         "root_seed": int(cfg["root_seed"]),
     }
-    return out
 
 
 def build_task(name: str, params: dict):
+    """Task `name` at `params`.  A job starts with this call (the traced
+    run counts jobs by it), so `validate_config` calls `_build_task`."""
+    return _build_task(name, params)
+
+
+def _build_task(name: str, params: dict):
     try:
         return TASKS[name](**params)
     except (TypeError, ValueError) as e:
@@ -256,10 +275,7 @@ def run(cfg: dict) -> str:
                 task_params[name] = value
         task = build_task(cfg["task"]["name"], task_params)
         _check_task(task, metrics_spec)
-        try:
-            train = TrainConfig(**train_kwargs)
-        except ValueError as e:
-            raise ConfigError(str(e))
+        train = TrainConfig(**train_kwargs)
         tree = SeedTree(cfg["root_seed"]).child("sweep", p_idx).child(
             "seed", seed)
         rec = run_learner(cfg["learner"]["name"], task, train,

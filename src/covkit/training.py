@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Trajectory, draw_examples, draws_in_blocks
+from .core import Trajectory, draw_examples
 from .metrics import step_kl
 from .models import (FeatureMap, LinearARModel, grad_logprob,
                      grad_logprob_token, project_unit_ball)
@@ -302,7 +302,7 @@ def sgd_truncated_distill(stream, teacher, featmap: FeatureMap, V: int,
     return _sgd_loop(stream, featmap, V, H, config, step)
 
 
-# Examples a stream draws at a time when `draws_in_blocks` holds.
+# Examples a stream draws at a time when mu has `from_uniforms`.
 STREAM_BLOCK = 256
 
 
@@ -310,15 +310,14 @@ def policy_stream(piD, mu, rng):
     """Infinite stream of fresh (x, y) examples from mu x piD.
 
     The examples, in order, are those of drawing each prompt and then its
-    response, example by example, from rng.  When `draws_in_blocks`
-    holds (a `FinitePromptDist` mu and a policy that samples with
-    `Policy.sample`), they are drawn STREAM_BLOCK at a time by
+    response, example by example, from rng.  When mu has `from_uniforms`
+    (a `FinitePromptDist`), they are drawn STREAM_BLOCK at a time by
     `draw_examples`, ahead of what the consumer has taken: the stream owns
     rng, and a caller that draws from rng while the stream is live gets
-    different numbers than with one example drawn at a time.  Otherwise
-    each example is drawn when it is taken.
+    different numbers than with one example drawn at a time.  For a plain
+    callable mu each example is drawn when it is taken.
     """
-    b = STREAM_BLOCK if draws_in_blocks(piD, mu) else 1
+    b = STREAM_BLOCK if hasattr(mu, "from_uniforms") else 1
     while True:
         xs, Y = draw_examples(piD, mu, b, rng)
         yield from map(Trajectory, xs, Y.tolist())

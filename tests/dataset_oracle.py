@@ -12,8 +12,7 @@ import json
 
 import numpy as np
 
-from covkit.core import (Dataset, FinitePromptDist, Policy, Trajectory,
-                         prefix_levels)
+from covkit.core import Dataset, FinitePromptDist, Trajectory, prefix_levels
 
 
 def load_examples(path, header_path=None):
@@ -47,8 +46,6 @@ def prompt(mu, rng):
 
 def sample(policy, x, rng):
     """One response: one rng.choice per token (one call for a product)."""
-    if type(policy).sample is not Policy.sample:
-        return policy.sample(x, rng)
     step = policy.step_dist(x)
     if step is not None:
         return tuple(int(v) for v in rng.choice(policy.V, size=policy.H,
@@ -66,9 +63,6 @@ def sample_many(policy, x, n, rng):
     step = policy.step_dist(x)
     if step is not None:
         return rng.choice(policy.V, size=(n, policy.H), p=step)
-    if type(policy).sample is not Policy.sample:
-        return np.array([policy.sample(x, rng) for _ in range(n)],
-                        dtype=np.int64).reshape(n, policy.H)
     Y = np.zeros((n, policy.H), dtype=np.int64)
     for h, first, inv in prefix_levels(Y, policy.V):
         cdf = np.cumsum(policy.prefix_dists(x, Y[first, :h]), axis=1)

@@ -168,23 +168,16 @@ def test_level_sampler_chi_square():
     assert pval > 1e-3, (stat, pval)
 
 
-def test_ttt_sample_many_uses_its_own_sampler():
-    pol = ttt(SeedTree(2).rng(), V=2, H=3)
-    got = pol.sample_many(0, 7, SeedTree(9).rng())
-    rng = SeedTree(9).rng()
-    want = np.array([pol.sample(0, rng) for _ in range(7)])
-    assert np.array_equal(got, want)
-
-
 def test_prompt_sampling():
     mu = FinitePromptDist(["a", "b", "c"], [0.2, 0.5, 0.3])
-    got = mu.sample_many(200, SeedTree(1).rng())
-    rng = SeedTree(1).rng()
-    assert got == [mu(rng) for _ in range(200)]
+    rng_a, rng_b = SeedTree(1).rng(), SeedTree(1).rng()
+    got = sample_prompts(mu, 200, rng_a)
+    assert got == [mu(rng_b) for _ in range(200)]
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
     rng_a, rng_b = SeedTree(2).rng(), SeedTree(2).rng()
     fn = lambda r: int(r.integers(5))
     assert sample_prompts(fn, 50, rng_a) == [fn(rng_b) for _ in range(50)]
-    assert sample_prompts(mu, 50, rng_a) == mu.sample_many(50, rng_b)
+    assert sample_prompts(mu, 50, rng_a) == mu.from_uniforms(rng_b.random(50))
 
 
 def test_logprob_matrix_and_pairwise_match_per_row():

@@ -14,7 +14,7 @@ import dataset_oracle as oracle
 from conftest import all_prefixes
 from covkit import harness
 from covkit.core import (FinitePromptDist, Policy, choice_cdf,
-                         sample_dataset, sample_from_uniforms)
+                         sample_dataset, sample_from_uniforms, sample_prompts)
 from covkit.decoding import TTTPolicy
 from covkit.models import CallableFeatureMap, LinearARModel, TabularModel
 from covkit.seeding import SeedTree
@@ -60,7 +60,7 @@ def tabular_model(rng, V, H):
     return TabularModel(tables, V=V, H=H)
 
 
-KINDS = ["product", "prefix_linear", "tabular"]
+KINDS = ["product", "prefix_linear", "tabular", "ttt"]
 
 
 def instance(kind, seed):
@@ -68,6 +68,9 @@ def instance(kind, seed):
     V, H = int(rng.integers(2, 5)), int(rng.integers(2, 5))
     if kind == "tabular":
         pol = tabular_model(rng, V, H)
+    elif kind == "ttt":
+        pol = TTTPolicy(linear_model(rng, V, H, product=seed % 2 == 0),
+                        eta=rng.uniform(0.1, 1.0))
     else:
         pol = linear_model(rng, V, H, product=kind == "product")
     assert (pol.step_dist(0) is not None) == (kind == "product")
@@ -131,7 +134,7 @@ def test_prompt_draws_equal_choice_and_skip_zero_weights():
     mu = FinitePromptDist(["z0", "a", "z1", "b", "z2"],
                           [0.0, 0.3, 0.0, 0.7, 0.0])
     a, b = SeedTree(4).rng(), SeedTree(4).rng()
-    got = [mu(a) for _ in range(500)] + mu.sample_many(500, a)
+    got = [mu(a) for _ in range(500)] + sample_prompts(mu, 500, a)
     assert got == [oracle.prompt(mu, b) for _ in range(1000)]
     assert set(got) == {"a", "b"}
     assert mu.from_uniforms([0.0, 0.3 - 1e-12, 0.3, 1.0 - 1e-16]) == \
@@ -143,13 +146,19 @@ def test_prompt_weights_must_not_be_nan():
         FinitePromptDist([0, 1], [float("nan"), 1.0])
 
 
-def test_plain_callable_mu_and_ttt_keep_the_per_example_loop():
+@pytest.mark.parametrize("prompts,weights", [
+    ([0, 1, 2], [0.5, 0.5]), ([0], [0.5, 0.5]), ([0, 1], [[0.5, 0.5]]),
+    ([0], 1.0), ([], [1.0])])
+def test_prompt_weights_must_be_one_per_prompt(prompts, weights):
+    with pytest.raises(ValueError, match="one weight per prompt"):
+        FinitePromptDist(prompts, weights)
+
+
+def test_plain_callable_mu_keeps_the_per_example_loop():
     rng = np.random.default_rng(3)
     base = linear_model(rng, 3, 3, product=True)
-    mu = random_mu(rng)
-    cases = [(base, lambda r: PROMPTS[int(r.integers(4))]),
-             (TTTPolicy(base, 0.5), mu)]
-    for pol, m in cases:
+    m = lambda r: PROMPTS[int(r.integers(4))]
+    for pol in (base, TTTPolicy(base, 0.5)):
         got = list(itertools.islice(policy_stream(pol, m, SeedTree(1).rng()),
                                     40))
         want = list(itertools.islice(

@@ -39,7 +39,19 @@ def error_of(capsys):
      "--N-grid", "2"],
     ["eval-coverage", "--task", "{task}", "--pi-hat", "{pol}", "--N-grid",
      "2,x"],
+    ["eval-coverage", "--task", "{task}", "--pi-hat", "{pol}", "--N-grid",
+     "0.5"],
+    ["eval-coverage", "--task", "{task}", "--pi-hat", "{pol}", "--N-grid",
+     "8,2"],
+    ["eval-coverage", "--task", "{task}", "--pi-hat", "{pol}", "--N-grid",
+     "nan"],
+    ["eval-coverage", "--task", "{task}", "--pi-hat", "{pol}", "--mode",
+     "mc", "--N-grid", "2,nan"],
     ["bon", "--task", "{notask}", "--pi-hat", "{pol}", "--N-grid", "2"],
+    ["bon", "--task", "{task}", "--pi-hat", "{pol}", "--N-grid", "0.5"],
+    ["bon", "--task", "{task}", "--pi-hat", "{pol}", "--N-grid", "nan"],
+    ["bon", "--task", "{task}", "--pi-hat", "{pol}", "--N-grid", "2.7"],
+    ["bon", "--task", "{task}", "--pi-hat", "{pol}", "--N-grid", "4,inf"],
     ["gen-data", "--task", "bernoulli", "--params", "{{", "--n", "5",
      "--out", "{out}"],
     ["gen-data", "--task", "bernoulli", "--params", '{{"p_star": 0.9}}',
@@ -111,3 +123,14 @@ def test_config_error_inside_a_job_exits_2(tmp_path, capsys):
     cfg["task"] = {"name": "bernoulli", "params": {"p_star": 0.3}}
     assert main(["run", write(tmp_path / "cfg.json", cfg)]) == 2
     assert "feature map" in error_of(capsys)["error"]
+
+
+@pytest.mark.parametrize("argv,labels", [
+    (["eval-coverage", "--N-grid", "1,2,2,8"], ["1", "2", "2", "8"]),
+    (["bon", "--N-grid", "4,1,2.0", "--trials", "100"], ["4", "1", "2"]),
+])
+def test_valid_grids_still_run(files, capsys, argv, labels):
+    task, pol, _ = files
+    assert main(argv + ["--task", task, "--pi-hat", pol]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [r.split(",")[0] for r in rows] == labels

@@ -270,3 +270,67 @@ def test_ignored_axis_without_task_parameter_is_refused(tmp_path):
     cfg["learner"] = {"name": "mle", "train": {"T": 6}}
     with pytest.raises(ConfigError, match="ignores"):
         validate_config(cfg)
+
+
+def sweep_config(tmp_path, task, learner, train, axes):
+    cfg = base_config(tmp_path / "out")
+    cfg["task"] = task
+    cfg["learner"] = {"name": learner, "train": train}
+    cfg["sweep"] = {"axes": axes, "seeds": [1, 2]}
+    return cfg
+
+
+HK = {"name": "heterogeneous_kl", "params": {"n": 5, "H": 3}}
+LATE_FAILURES = {
+    "graph task": ({"name": "graph_teaser", "params": {"L": 2, "m": 16}},
+                   "sgd_vanilla", {"eta": 0.1, "T": 4}, {}, "feature map"),
+    "bad task parameter": ({"name": "bernoulli", "params": {"p_star": 7}},
+                           "mle", {"T": 4}, {}, "bad parameters"),
+    "bad task axis value": (
+        {"name": "sgd_lower", "params": {"variant": "large_eta", "H": 2,
+                                         "B": 1.0, "eta": 4.0}},
+        "mle", {"T": 4}, {"eta": [4.0, 1.0]}, "eta\\*H\\*B >= 8"),
+    "invalid train value": (HK, "sgd_vanilla", {"eta": 0.1, "T": 0}, {},
+                            "T must be positive"),
+    "invalid train axis value": (HK, "sgd_vanilla", {"T": 4},
+                                 {"eta": [0.1, -1.0]}, "eta must be positive"),
+    "train value of the wrong type": (HK, "sgd_normalized",
+                                      {"eta": 0.1, "lam": 1.0, "T": 4},
+                                      {"K": [1, "2"]}, "bad train values"),
+    "train field the learner ignores": (HK, "sgd_token", {"T": 4, "K": 2},
+                                        {}, "ignores"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LATE_FAILURES))
+def test_validation_fails_before_any_output(tmp_path, monkeypatch, case):
+    task, learner, train, axes, match = LATE_FAILURES[case]
+    cfg = sweep_config(tmp_path, task, learner, train, axes)
+    with pytest.raises(ConfigError, match=match):
+        validate_config(cfg)
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a job started")
+    monkeypatch.setattr(harness, "run_learner", must_not_run)
+    with pytest.raises(ConfigError, match=match):
+        run(cfg)
+    assert not os.path.exists(cfg["out_dir"])
+
+
+def test_validation_builds_each_distinct_task_point_once(tmp_path,
+                                                         monkeypatch):
+    built = []
+    real_build = harness._build_task
+
+    def build(name, params):
+        built.append(params["eta"])
+        return real_build(name, params)
+    monkeypatch.setattr(harness, "_build_task", build)
+    # The eta axis reaches the task under mle; the T axis the learner.
+    cfg = sweep_config(tmp_path,
+                       {"name": "sgd_lower",
+                        "params": {"variant": "large_eta", "H": 2, "B": 1.0,
+                                   "eta": 4.0}},
+                       "mle", {"T": 4}, {"eta": [4.0, 8.0], "T": [2, 3, 4]})
+    validate_config(cfg)
+    assert built == [4.0, 8.0]

@@ -14,11 +14,10 @@ import contextlib
 import json
 import sys
 
-import numpy as np
-
 from .core import load_jsonl
 from .decoding import adversarial_reward, bon_regret
-from .harness import ConfigError, build_task, gen_data, run, validate_config
+from .harness import (ConfigError, build_task, check_n_grid, gen_data, run,
+                      validate_config)
 from .metrics import coverage_exact, coverage_mc
 from .models import TabularModel
 from .seeding import SeedTree
@@ -40,22 +39,6 @@ def load_policy(path: str) -> TabularModel:
         tables[(x, tuple(row["prefix"]))] = row["p"]
     return TabularModel(tables, V=int(spec["V"]), H=int(spec["H"]),
                         default=spec.get("default"))
-
-
-def _parse_grid(text: str, integers: bool = False) -> np.ndarray:
-    """The comma-separated N grid: values >= 1 (no NaN), and for
-    `integers` (Best-of-N sizes) whole numbers, else in sorted order."""
-    try:
-        grid = np.array([float(v) for v in text.split(",")])
-    except ValueError:
-        raise ConfigError(f"bad N grid {text!r}")
-    if not (grid >= 1).all():
-        raise ConfigError(f"N grid values must be >= 1: {text!r}")
-    if integers and not (np.isfinite(grid) & (grid == np.floor(grid))).all():
-        raise ConfigError(f"N grid values must be integers: {text!r}")
-    if not integers and (np.diff(grid) < 0).any():
-        raise ConfigError(f"N grid must be sorted: {text!r}")
-    return grid
 
 
 def _load_task_file(path: str):
@@ -100,7 +83,7 @@ def cmd_eval_coverage(args) -> int:
         task = _load_task_file(args.task)
         piD = load_policy(args.pi_d) if args.pi_d else task.piD
         piHat = load_policy(args.pi_hat)
-        grid = _parse_grid(args.N_grid)
+        grid = check_n_grid(args.N_grid)
     if args.mode == "exact":
         curve = coverage_exact(piD, piHat, task.mu.items(), grid)
     else:
@@ -132,7 +115,7 @@ def cmd_bon(args) -> int:
     with _reading_inputs():
         task = _load_task_file(args.task)
         piHat = load_policy(args.pi_hat)
-        grid = _parse_grid(args.N_grid, integers=True)
+        grid = check_n_grid(args.N_grid, integers=True)
     scale = args.reward_scale
     reward = adversarial_reward(task.piD, piHat, scale)
     rng = SeedTree(args.seed).child("bon").rng()
@@ -175,7 +158,9 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--mode", choices=["exact", "mc"], default="exact")
     q.add_argument("--n-samples", type=int, default=2000)
     q.add_argument("--interval", choices=["hoeffding", "wilson"],
-                   default="hoeffding")
+                   default="hoeffding",
+                   help="mc band: hoeffding, the DKW-Massart (1990) width, "
+                        "holds at every N at once; wilson at one N at a time")
     q.add_argument("--seed", type=int, default=0)
     q.set_defaults(fn=cmd_eval_coverage)
 

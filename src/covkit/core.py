@@ -19,14 +19,16 @@ per-token rng.choice draws would take.  A prompt distribution with
 prompt double and then H token doubles, the per-example order.
 `sample_prompts` draws n prompts at once and `group_prompts` groups them,
 so Monte Carlo callers make one batched call per distinct prompt;
-`logprob_matrix` does the same for a dataset.
+`logprob_matrix` does the same for a `Dataset`.
 
-Datasets: a `Dataset` is a list of prompts `xs` and an (n, H) int64 array
-`Y`; its `Trajectory` objects are built only on request.  `load_jsonl`
-and `sample_dataset` fill the arrays directly, and `save_jsonl` writes
-from them.  A JSONL data line is one object {"x": prompt, "y": [tokens]}
-with H integer tokens in [0, V); anything else raises a ValueError that
-names the line.
+Examples: inside covkit an example is a pair (x, y) of a prompt and a
+response row of H token ints, and a `Dataset` is its arrays: a list of
+prompts `xs` and an (n, H) int64 array `Y`.  `Trajectory` is only an
+input form: `Dataset(examples, H, V)` reads a list of them and
+`Policy.logprob` scores one.  `load_jsonl` and `sample_dataset` fill the
+arrays directly, and `save_jsonl` writes from them.  A JSONL data line is
+one object {"x": prompt, "y": [tokens]} with H integer tokens in [0, V);
+anything else raises a ValueError that names the line.
 """
 
 from __future__ import annotations
@@ -57,14 +59,14 @@ class Dataset:
     """n examples of one horizon H over tokens 0..V-1, held as arrays.
 
     `xs` is the list of the n prompts and `Y` the (n, H) int64 array of
-    responses; `examples` and iteration give the same data as Trajectory
-    objects, built on first use.  `groups` lists each distinct prompt with
-    its positions and rows of Y, in order of first appearance, computed
-    once.
+    responses; example i is (xs[i], Y[i]).  `groups` lists each distinct
+    prompt with its positions and rows of Y, in order of first
+    appearance, computed once.
     """
 
     def __init__(self, examples, H: int, V: int,
                  seed_info: dict | None = None):
+        """Dataset of a list of Trajectory objects."""
         examples = list(examples)
         try:
             Y = np.array([t.y for t in examples],
@@ -72,7 +74,6 @@ class Dataset:
         except ValueError:
             raise ValueError("inhomogeneous horizon in dataset") from None
         self._init([t.x for t in examples], Y, H, V, seed_info)
-        self._examples = examples
 
     @classmethod
     def from_arrays(cls, xs, Y, H: int, V: int,
@@ -92,25 +93,15 @@ class Dataset:
             raise ValueError("token id out of range")
         self.xs, self.Y, self.H, self.V = xs, Y, H, V
         self.seed_info = {} if seed_info is None else seed_info
-        self._examples = None
-
-    @property
-    def examples(self) -> list:
-        if self._examples is None:
-            self._examples = [Trajectory(x, y) for x, y in
-                              zip(self.xs, self.Y.tolist())]
-        return self._examples
 
     @functools.cached_property
     def groups(self) -> list:
         """[(x, positions, rows of Y)] per distinct prompt."""
-        return _grouped(self.xs, self.Y)
+        return [(x, idx, self.Y[idx])
+                for x, idx in group_prompts(self.xs).items()]
 
     def __len__(self):
         return len(self.xs)
-
-    def __iter__(self):
-        return iter(self.examples)
 
     def __eq__(self, other):
         if not isinstance(other, Dataset):
@@ -340,7 +331,7 @@ def draw_examples(policy: Policy, mu, n: int, rng: np.random.Generator):
 
 def sample_dataset(policy: Policy, mu, n: int, rng: np.random.Generator,
                    seed_info: dict | None = None) -> Dataset:
-    """Draw n i.i.d. trajectories with x ~ mu and y ~ policy(.|x).
+    """Draw n i.i.d. examples with x ~ mu and y ~ policy(.|x).
 
     `mu` is a callable rng -> prompt.  The n examples come from one
     `draw_examples` call: one block of uniforms when mu has
@@ -406,26 +397,13 @@ def group_prompts(prompts) -> dict:
     return dict(zip(ids, np.split(order, ends[:-1])))
 
 
-def _grouped(xs, Y) -> list:
-    return [(x, idx, Y[idx]) for x, idx in group_prompts(xs).items()]
-
-
-def logprob_matrix(policies, dataset) -> np.ndarray:
-    """(K, n) log-probs of the n examples under K policies: one
-    logprob_many per policy and distinct prompt, the prompt's prefix
-    levels computed once and shared by the K policies.
-
-    A Dataset supplies its cached prompt groups; any other iterable of
-    Trajectory is grouped here.
-    """
-    if isinstance(dataset, Dataset):
-        groups = dataset.groups
-    else:
-        dataset = list(dataset)
-        groups = _grouped([t.x for t in dataset],
-                          np.array([t.y for t in dataset], dtype=np.int64))
+def logprob_matrix(policies, dataset: Dataset) -> np.ndarray:
+    """(K, n) log-probs of the n examples of `dataset` under K policies:
+    one logprob_many per policy and distinct prompt (`Dataset.groups`),
+    the prompt's prefix levels computed once and shared by the K
+    policies."""
     lp = np.empty((len(policies), len(dataset)))
-    for x, idx, Y in groups:
+    for x, idx, Y in dataset.groups:
         levels = {}
         for k, pi in enumerate(policies):
             lp[k, idx] = pi._logprob_rows(x, Y, levels)
@@ -450,7 +428,7 @@ def enumerate_responses(V: int, H: int):
 
 
 def save_jsonl(dataset: Dataset, path, header_path=None):
-    """One trajectory per line: {"x": ..., "y": [...]}; seed info sidecar."""
+    """One example per line: {"x": ..., "y": [...]}; seed info sidecar."""
     with open(path, "w") as f:
         for x, y in zip(dataset.xs, dataset.Y.tolist()):
             x = list(x) if isinstance(x, tuple) else x

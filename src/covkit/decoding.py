@@ -8,7 +8,7 @@ import numpy as np
 
 from .core import Policy, group_prompts, sample_prompts
 from .metrics import covers, hoeffding_half_width
-from .models import LinearARModel, grad_logprob_token, project_unit_ball
+from .models import LinearARModel, token_step
 
 _TTT_CACHE_LIMIT = 200_000
 
@@ -38,10 +38,8 @@ class TTTPolicy(Policy):
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        theta = self._theta_at(x, prefix[:-1])
-        model = self.base.with_theta(theta)
-        g = grad_logprob_token(model, x, prefix[:-1], prefix[-1])
-        theta = project_unit_ball(theta + self.eta * g)
+        model = self.base.with_theta(self._theta_at(x, prefix[:-1]))
+        theta = token_step(model, x, prefix[:-1], prefix[-1], self.eta)
         if len(self._cache) >= _TTT_CACHE_LIMIT:
             self._cache.clear()
         self._cache[key] = theta

@@ -65,10 +65,7 @@ class LayeredDag:
         return [v for layer in self.layers for v in layer]
 
     def valid_path_count(self) -> int:
-        count = 1
-        for i in range(1, self.L + 1):
-            count *= len(self.passable[i])
-        return count
+        return math.prod(len(self.passable[i]) for i in range(1, self.L + 1))
 
     def is_valid_path(self, y) -> bool:
         if len(y) != self.horizon:
@@ -85,20 +82,13 @@ def parity(v: int) -> int:
 def global_parity_half(dag: LayeredDag) -> int:
     """XOR of parities over the smallest half of the sorted node ids."""
     nodes = sorted(dag.all_nodes())
-    half = nodes[: len(nodes) // 2]
-    out = 0
-    for u in half:
-        out ^= parity(u)
-    return out
+    return sum(map(parity, nodes[: len(nodes) // 2])) % 2
 
 
 def passable_parity(dag: LayeredDag) -> int:
     """XOR of parities over all intermediate passable nodes."""
-    out = 0
-    for i in range(1, dag.L + 1):
-        for u in dag.passable[i]:
-            out ^= parity(u)
-    return out
+    return sum(parity(u) for i in range(1, dag.L + 1)
+               for u in dag.passable[i]) % 2
 
 
 def _double_layer_count(dag: LayeredDag) -> int:
@@ -106,11 +96,8 @@ def _double_layer_count(dag: LayeredDag) -> int:
 
 
 def _has_mixed_parity_pairs(dag: LayeredDag) -> bool:
-    for i in range(1, dag.L + 1):
-        pair = dag.passable[i]
-        if len(pair) == 2 and parity(pair[0]) == parity(pair[1]):
-            return False
-    return True
+    return not any(len(pair) == 2 and parity(pair[0]) == parity(pair[1])
+                   for pair in dag.passable[1:])
 
 
 def identify_class(dag: LayeredDag, family: str) -> str:
@@ -142,19 +129,22 @@ def _family_of(class_id: str) -> str:
     raise ValueError(f"unknown graph class {class_id!r}")
 
 
-def _double_layers(class_id: str, L: int, rng) -> list:
-    if class_id in ("G1", "G2", "G3"):
-        k = 2
-    elif class_id == "GH1":
-        return []
-    elif class_id == "GH2":
-        k = L // 2
-    elif class_id == "GH3":
-        k = 4
-    else:
-        raise ValueError(class_id)
+def double_layer_count(class_id: str, L: int) -> int:
+    """Layers with two passable nodes in a graph of class `class_id`;
+    ValueError if there are more than the L layers."""
+    k = {"G1": 2, "G2": 2, "G3": 2, "GH1": 0, "GH2": L // 2,
+         "GH3": 4}.get(class_id)
+    if k is None:
+        raise ValueError(f"unknown graph class {class_id!r}")
     if k > L:
         raise ValueError(f"class {class_id} needs {k} double layers, L={L}")
+    return k
+
+
+def _double_layers(class_id: str, L: int, rng) -> list:
+    if class_id == "GH1":
+        return []
+    k = double_layer_count(class_id, L)
     return sorted(rng.choice(L, size=k, replace=False) + 1)  # layer offsets 1..L
 
 
@@ -165,6 +155,12 @@ def _gen_once(class_id: str, config: GraphConfig, rng) -> LayeredDag:
     evens = list(rng.permutation(np.arange(2, m + 1, 2)))
     odds = list(rng.permutation(np.arange(1, m + 1, 2)))
 
+    def take(pool):
+        if not pool:
+            raise ValueError(f"class {class_id} ran out of node ids of one "
+                             f"parity: m={m}, L={L}, nodes_per_layer={npl}")
+        return int(pool.pop())
+
     def draw_any(k):
         out = []
         for _ in range(k):
@@ -172,7 +168,7 @@ def _gen_once(class_id: str, config: GraphConfig, rng) -> LayeredDag:
                 pool = evens if rng.random() < 0.5 else odds
             else:
                 pool = evens or odds
-            out.append(int(pool.pop()))
+            out.append(take(pool))
         return out
 
     layers = [tuple(draw_any(1))]
@@ -180,10 +176,10 @@ def _gen_once(class_id: str, config: GraphConfig, rng) -> LayeredDag:
     for i in range(1, L + 1):
         if i in doubles:
             if mixed:
-                pair = [int(evens.pop()), int(odds.pop())]
+                pair = [take(evens), take(odds)]
             else:
                 pool = evens if rng.random() < 0.5 else odds
-                pair = [int(pool.pop()), int(pool.pop())]
+                pair = [take(pool), take(pool)]
             rest = draw_any(npl - 2)
             nodes = pair + rest
             order = rng.permutation(npl)
@@ -371,8 +367,12 @@ class GraphPathPolicy(Policy):
 
 
 def mixture_prompt_sampler(mix: dict, config: GraphConfig):
-    """Sampler rng -> prompt tokens for a class mixture."""
+    """Sampler rng -> prompt tokens for a class mixture.  A class of
+    positive weight that needs more double layers than L is refused."""
     classes = sorted(mix)
+    for c in classes:
+        if mix[c] > 0:
+            double_layer_count(c, config.L)
     weights = np.array([mix[c] for c in classes])
     weights = weights / weights.sum()
 

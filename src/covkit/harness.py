@@ -37,10 +37,7 @@ class ConfigError(ValueError):
 def _graph_task(family, **params):
     from .graphs import (HORIZON_MIX, TEASER_MIX, GraphConfig,
                          GraphPathPolicy, mixture_prompt_sampler)
-    allowed = {"m", "L", "nodes_per_layer", "mix"}
-    unknown = set(params) - allowed
-    if unknown:
-        raise ConfigError(f"unknown graph params {sorted(unknown)}")
+    _check_keys(params, {"m", "L", "nodes_per_layer", "mix"}, "graph params")
     mix = params.pop("mix", None)
     cfg = GraphConfig(**params)
     if mix is None:
@@ -88,11 +85,55 @@ def _check_keys(d, allowed, where):
         raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")
 
 
+def check_n_grid(values, integers: bool = False) -> np.ndarray:
+    """The N grid `values` (a config's metrics.n_grid, or the CLI's
+    comma-separated --N-grid text) as a float array: a nonempty list of
+    numbers >= 1 (no NaN), whole numbers for `integers` (Best-of-N sizes),
+    else in sorted order."""
+    if isinstance(values, str):
+        try:
+            values = [float(v) for v in values.split(",")]
+        except ValueError:
+            raise ConfigError(f"bad N grid {values!r}")
+    if not isinstance(values, list) or not values or \
+            not all(type(v) in (int, float) for v in values):
+        raise ConfigError(f"N grid must be a nonempty list of numbers: "
+                          f"{values!r}")
+    grid = np.array(values, dtype=float)
+    if not (grid >= 1).all():
+        raise ConfigError(f"N grid values must be >= 1: {values!r}")
+    if integers and not (np.isfinite(grid) & (grid == np.floor(grid))).all():
+        raise ConfigError(f"N grid values must be integers: {values!r}")
+    if not integers and (np.diff(grid) < 0).any():
+        raise ConfigError(f"N grid must be sorted: {values!r}")
+    return grid
+
+
+def _check_metrics(metrics: dict):
+    """Refuse a metrics block that the metric calls of a job would."""
+    _check_keys(metrics, _METRIC_KEYS, "metrics")
+    if metrics.get("mode", "exact") not in ("exact", "mc"):
+        raise ConfigError("metrics.mode must be 'exact' or 'mc'")
+    if "n_grid" in metrics:
+        check_n_grid(metrics["n_grid"])
+    if metrics.get("mode") == "mc":
+        for key, least in (("n_samples", 2), ("kl_samples", 1)):
+            v = metrics.get(key, least)
+            if not (type(v) is int and v >= least):
+                raise ConfigError(f"metrics.{key} must be an integer "
+                                  f">= {least}, got {v!r}")
+    delta = metrics.get("delta", 0.05)
+    if not (type(delta) in (int, float) and 0 < delta < 1):
+        raise ConfigError(f"metrics.delta must lie in (0, 1), got {delta!r}")
+
+
 def validate_config(cfg: dict) -> dict:
-    """Fail-closed validation; returns a normalized copy.  It also builds
-    the task at each point of the task axes (`_check_task`) and the
-    `TrainConfig` at each point of the train axes, so a config that a job
-    would refuse fails before `run` writes anything."""
+    """Fail-closed validation; returns a normalized copy.  It also checks
+    the metrics block, builds the task at each point of the task axes
+    (`_check_task`), and builds the `TrainConfig` at each point of the
+    train axes and checks it against the learner at every task point
+    (`training.resolve_config`), so a config that a job would refuse fails
+    before `run` writes anything."""
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     _check_keys(cfg, _TOP_KEYS, "config")
@@ -116,9 +157,7 @@ def validate_config(cfg: dict) -> dict:
         raise ConfigError(f"learner {learner['name']!r} ignores train "
                           f"fields {sorted(ignored & set(train))}")
     metrics = dict(cfg.get("metrics", {}))
-    _check_keys(metrics, _METRIC_KEYS, "metrics")
-    if metrics.get("mode", "exact") not in ("exact", "mc"):
-        raise ConfigError("metrics.mode must be 'exact' or 'mc'")
+    _check_metrics(metrics)
     sweep = dict(cfg.get("sweep", {}))
     _check_keys(sweep, {"axes", "seeds"}, "sweep")
     axes = dict(sweep.get("axes", {}))
@@ -135,15 +174,20 @@ def validate_config(cfg: dict) -> dict:
         if name in ignored and name not in task_params:
             raise ConfigError(f"sweep axis {name!r}: learner "
                               f"{learner['name']!r} ignores that train field")
-    reads = LEARNERS[learner["name"]][1]
+    fn_name, reads = LEARNERS[learner["name"]]
     task_axes = [a for a in axes if a not in reads]
+    featmaps = []
     for values in itertools.product(*(axes[a] for a in task_axes)):
         params = dict(task_params, **dict(zip(task_axes, values)))
-        _check_task(_build_task(task["name"], params), metrics)
+        featmaps.append(_check_task(_build_task(task["name"], params),
+                                    metrics))
     train_axes = [a for a in axes if a in reads]
     for values in itertools.product(*(axes[a] for a in train_axes)):
         try:
-            TrainConfig(**dict(train, **dict(zip(train_axes, values))))
+            config = TrainConfig(**dict(train, **dict(zip(train_axes,
+                                                           values))))
+            for featmap in featmaps:
+                training.resolve_config(fn_name, config, featmap)
         except (TypeError, ValueError) as e:
             raise ConfigError(f"bad train values: {e}")
     return {
@@ -171,13 +215,15 @@ def _build_task(name: str, params: dict):
 
 
 def _check_task(task, metrics_spec: dict):
-    """Refuse a task that training or the metrics could not use."""
+    """Refuse a task that training or the metrics could not use; return
+    its feature map."""
     if task.featmap is None:
         raise ConfigError("task has no feature map; cannot train")
     if (metrics_spec.get("mode", "exact") == "exact"
             and not hasattr(task.mu, "items")):
         raise ConfigError("exact metrics need an enumerable prompt "
                           "distribution; use metrics.mode = 'mc'")
+    return task.featmap
 
 
 def run_learner(name: str, task, train: TrainConfig, rng) -> RunRecord:

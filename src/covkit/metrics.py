@@ -35,7 +35,7 @@ the budget is built or gathered.
 
 from __future__ import annotations
 
-import io
+import collections
 import itertools
 import math
 import weakref
@@ -64,12 +64,10 @@ class CoverageCurve:
             raise ValueError("thresholds must be sorted")
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("N,log2N,pcov,half_width,n_samples\n")
-        for N, v, hw in zip(self.thresholds, self.values, self.half_widths):
-            buf.write(f"{N:g},{math.log2(N):.10g},{v:.12g},{hw:.12g},"
-                      f"{self.n_samples}\n")
-        return buf.getvalue()
+        return "N,log2N,pcov,half_width,n_samples\n" + "".join(
+            f"{N:g},{math.log2(N):.10g},{v:.12g},{hw:.12g},{self.n_samples}\n"
+            for N, v, hw in zip(self.thresholds, self.values,
+                                self.half_widths))
 
 
 @dataclass
@@ -338,14 +336,21 @@ def kl_and_coverage(piD: Policy, piHat: Policy, mu_items, Ns):
 def coverage_mc(piD: Policy, piHat: Policy, mu_sampler, Ns, n_samples: int,
                 rng, delta: float = 0.05, interval: str = "hoeffding"
                 ) -> CoverageCurve:
-    """MC coverage from one shared sample set (so the curve is monotone)."""
+    """MC coverage from one shared sample set (so the curve is monotone).
+
+    The Hoeffding half-width sqrt(log(2/delta) / 2n) equals the
+    Dvoretzky-Kiefer-Wolfowitz width with Massart's (1990) constant, so
+    with one shared sample the Hoeffding band holds at every N of the
+    curve at once with probability >= 1 - delta.  A Wilson band holds at
+    one N at a time.
+    """
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
     Ns = np.atleast_1d(np.asarray(Ns, dtype=float))
     lrs = _mc_log_ratios(piD, piHat, mu_sampler, n_samples, rng)
     values = np.array([(lrs >= math.log(N) - 1e-12).mean() for N in Ns])
     if interval == "hoeffding":
-        hw = np.full_like(Ns, math.sqrt(math.log(2.0 / delta) / (2 * n_samples)))
+        hw = np.full_like(Ns, hoeffding_half_width(n_samples, delta))
     elif interval == "wilson":
         z = _norm_ppf(1 - delta / 2)
         hw = np.array([_wilson_half_width(v, n_samples, z) for v in values])
@@ -516,21 +521,13 @@ def coverage_sup_log(piD: Policy, piHat: Policy, mu_items):
     return C, ratios[-1]
 
 
-def empirical_pairwise_cov(piPrime: Policy, pi: Policy, dataset, N: float,
-                           logp_prime=None, logp=None) -> float:
-    """Fraction of dataset points with log piPrime - log pi >= log N.
-
-    Cached per-candidate log-probs may be passed to avoid recomputation in
-    tournaments.
-    """
-    n = len(dataset)
-    if n == 0:
+def empirical_pairwise_cov(piPrime: Policy, pi: Policy, dataset,
+                           N: float) -> float:
+    """Fraction of `dataset` points with log piPrime - log pi >= log N."""
+    if len(dataset) == 0:
         raise ValueError("dataset is empty")
-    if logp_prime is None:
-        logp_prime = logprob_matrix([piPrime], dataset)[0]
-    if logp is None:
-        logp = logprob_matrix([pi], dataset)[0]
-    return float(covers(logp_prime, logp, math.log(N)).mean())
+    lp = logprob_matrix([piPrime, pi], dataset)
+    return float(covers(lp[0], lp[1], math.log(N)).mean())
 
 
 def covers(lp_prime, lp, log_thresh):
@@ -558,9 +555,7 @@ def onpolicy_cov_estimate(piBar: Policy, piPrime: Policy, pi: Policy,
     logN = math.log(N)
     total = 0.0
     if mode == "exact":
-        counts = {}
-        for x in prompts:
-            counts[x] = counts.get(x, 0) + 1
+        counts = collections.Counter(prompts)
         spent = 0
         for x, c in counts.items():
             lpBar, (lpP, lpQ), _, _ = tree_walk(piBar, x, [piPrime, pi],

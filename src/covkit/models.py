@@ -12,7 +12,7 @@ import types
 
 import numpy as np
 
-from .core import Policy, Trajectory, draw_examples
+from .core import Policy, draw_examples
 from .metrics import positive_weights, tree_walk
 
 _STEP_CACHE_LIMIT = 4096
@@ -36,6 +36,14 @@ class FeatureMap:
     def step_table(self, x):
         """(V, d) array with row v = phi(x, prefix + (v,)), if prefix-free."""
         return None
+
+    def candidates(self, x, prefix: tuple, V: int) -> np.ndarray:
+        """(V, d) matrix whose row v is phi(x, prefix + (v,)): the step
+        table when there is one, else V calls of phi."""
+        table = self.step_table(x)
+        if table is not None:
+            return table
+        return np.stack([self.phi(x, prefix + (v,)) for v in range(V)])
 
 
 class CallableFeatureMap(FeatureMap):
@@ -86,18 +94,10 @@ class LinearARModel(Policy):
     def with_theta(self, theta) -> "LinearARModel":
         return LinearARModel(theta, self.featmap, self.V, self.H)
 
-    def candidate_features(self, x, prefix) -> np.ndarray:
-        """(V, d) matrix of features for each candidate next token."""
-        table = self.featmap.step_table(x)
-        if table is not None:
-            return table
-        return np.stack([self.featmap.phi(x, prefix + (v,))
-                         for v in range(self.V)])
-
     def next_dist(self, x, prefix: tuple) -> np.ndarray:
         if len(prefix) >= self.H:
             raise ValueError("prefix length must be < H")
-        return _softmax(self.candidate_features(x, prefix) @ self.theta)
+        return _softmax(self.featmap.candidates(x, prefix, self.V) @ self.theta)
 
     def step_dist(self, x):
         # Cached per prompt: theta is never changed in place (with_theta
@@ -119,31 +119,39 @@ class LinearARModel(Policy):
         return np.broadcast_to(step, (len(prefixes), self.V))
 
 
-def grad_logprob(model: LinearARModel, traj: Trajectory) -> np.ndarray:
-    """Gradient of log pi_theta(y|x): sum_h phi(x,y_{1:h}) - conditional mean."""
-    if len(traj.y) != model.H:
-        raise ValueError("trajectory must have full length H")
-    table = model.featmap.step_table(traj.x)
+def grad_logprob(model: LinearARModel, x, y) -> np.ndarray:
+    """Gradient of log pi_theta(y|x) for one example (x, y), y a row of H
+    token ints: the sum over h of grad_logprob_token at y's prefixes, left
+    to right (one matrix op with a step table)."""
+    if len(y) != model.H:
+        raise ValueError("response must have full length H")
+    table = model.featmap.step_table(x)
     if table is not None:
         # Features depend only on the last token: one matrix op per sequence.
         p = _softmax(table @ model.theta)
-        counts = np.bincount(np.asarray(traj.y), minlength=model.V).astype(float)
+        counts = np.bincount(np.asarray(y), minlength=model.V).astype(float)
         return counts @ table - model.H * (p @ table)
     g = np.zeros(model.featmap.d)
     prefix = ()
-    for v in traj.y:
-        feats = model.candidate_features(traj.x, prefix)
-        p = _softmax(feats @ model.theta)
-        g += feats[v] - p @ feats
+    for v in y:
+        g += grad_logprob_token(model, x, prefix, v)
         prefix = prefix + (v,)
     return g
 
 
 def grad_logprob_token(model: LinearARModel, x, prefix: tuple, v: int) -> np.ndarray:
     """Gradient of a single token conditional log pi_theta(v | x, prefix)."""
-    feats = model.candidate_features(x, prefix)
+    feats = model.featmap.candidates(x, prefix, model.V)
     p = _softmax(feats @ model.theta)
     return feats[v] - p @ feats
+
+
+def token_step(model: LinearARModel, x, prefix: tuple, v: int,
+               eta: float) -> np.ndarray:
+    """theta after one projected token step from the model's theta:
+    Pi(theta + eta * grad log pi_theta(v | x, prefix))."""
+    return project_unit_ball(
+        model.theta + eta * grad_logprob_token(model, x, prefix, v))
 
 
 class TabularModel(Policy):
@@ -382,8 +390,7 @@ def sigma_star_sq(piD: Policy, featmap: FeatureMap, mu_items, mode="exact",
             prefix = ()
             for v in y:
                 p = piD.next_dist(x, prefix)
-                feats = np.stack([featmap.phi(x, prefix + (u,))
-                                  for u in range(piD.V)])
+                feats = featmap.candidates(x, prefix, piD.V)
                 mean = p @ feats
                 acc += float(np.sum((feats[v] - mean) ** 2))
                 prefix = prefix + (v,)
@@ -400,7 +407,6 @@ def _variance(p, feats):
 def _sigma_term(piD, featmap, x):
     """tree_walk term: the feature variance under piD at each prefix."""
     def term(prefixes, PD, _):
-        return [_variance(p, np.stack([featmap.phi(x, tuple(pre) + (v,))
-                                       for v in range(piD.V)]))
+        return [_variance(p, featmap.candidates(x, tuple(pre), piD.V))
                 for pre, p in zip(prefixes.tolist(), PD)]
     return term

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import logprob_matrix
-from .metrics import empirical_pairwise_cov, onpolicy_cov_estimate
+from .metrics import covers, onpolicy_cov_estimate
 
 
 @dataclass
@@ -66,15 +66,9 @@ def select_ce(candidates: CandidateClass, dataset, return_report=False):
 def _pairwise_matrix(candidates, dataset, N) -> np.ndarray:
     """M[i, j]: empirical coverage of candidate j by candidate i, from one
     (K, n) log-prob matrix, so a tournament scores each example K times."""
-    K = len(candidates)
     lp = logprob_matrix(candidates, dataset)
-    M = np.zeros((K, K))
-    for i in range(K):          # pi' (covering candidate)
-        for j in range(K):      # pi  (candidate under evaluation)
-            if i != j:
-                M[i, j] = empirical_pairwise_cov(
-                    candidates[i], candidates[j], dataset, N,
-                    logp_prime=lp[i], logp=lp[j])
+    M = np.array([covers(row, lp, math.log(N)).mean(axis=1) for row in lp])
+    np.fill_diagonal(M, 0.0)
     return M
 
 

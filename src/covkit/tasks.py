@@ -60,7 +60,7 @@ def bernoulli_mle(dataset) -> float:
     """Empirical frequency of token 1 (the exact MLE for the coin class)."""
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
-    return float(np.mean([t.y[0] for t in dataset]))
+    return float(np.mean(dataset.Y[:, 0]))
 
 
 def heterogeneous_kl_instance(n: int, H: int) -> TaskInstance:

@@ -2,25 +2,28 @@
 
 Five learners: full-batch MLE (projected gradient ascent on the concave
 log-likelihood), vanilla sequence-level SGD, normalized mini-batch SGD,
-token-level SGD, and truncated distillation SGD.  The four SGD learners are
-single-pass over an example stream and differ only in their step: each
-resolves its step sizes and hands a step function to one driver,
-`_sgd_loop`, which owns the theta init, the stream draws, the checkpoint
-cadence, the example count and the timing.
+token-level SGD, and truncated distillation SGD.  An example is a pair
+(x, y) of a prompt and a tuple of H token ints: `policy_stream` yields
+them, and `mle_fit` reads a `Dataset`'s arrays as such pairs.  The four
+SGD learners are single-pass over an example stream and differ only in
+their step: each resolves its step sizes and hands a step function to one
+driver, `_sgd_loop`, which owns the theta init, the stream draws, the
+checkpoint cadence, the example count and the timing.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Trajectory, draw_examples
+from .core import draw_examples
 from .metrics import step_kl
 from .models import (FeatureMap, LinearARModel, grad_logprob,
-                     grad_logprob_token, project_unit_ball)
+                     grad_logprob_token, project_unit_ball, token_step)
 
 
 @dataclass
@@ -69,13 +72,8 @@ def checkpoint_iters(T: int, every: int = 0):
     if every > 0:
         ts = set(range(every, T + 1, every))
     else:
-        ts = set()
-        t = 1
-        while t <= T:
-            ts.add(t)
-            t *= 2
-    ts.add(T)
-    return sorted(ts)
+        ts = {2 ** k for k in range(T.bit_length())}
+    return sorted(ts | {T})
 
 
 @dataclass
@@ -103,8 +101,8 @@ def mle_fit(dataset, featmap: FeatureMap, V: int, H: int,
     for it in range(1, max_iters + 1):
         model = LinearARModel(theta, featmap, V, H)
         g = np.zeros(featmap.d)
-        for traj in dataset:
-            g += grad_logprob(model, traj)
+        for x, y in zip(dataset.xs, dataset.Y.tolist()):
+            g += grad_logprob(model, x, y)
         g /= n
         theta_new = project_unit_ball(theta + step * g)
         gnorm = float(np.linalg.norm(theta_new - theta) / step)
@@ -115,22 +113,40 @@ def mle_fit(dataset, featmap: FeatureMap, V: int, H: int,
 
 
 def _take(stream, k):
-    out = []
-    for _ in range(k):
-        try:
-            out.append(next(stream))
-        except StopIteration:
-            raise RuntimeError("example stream exhausted before T steps")
+    out = list(itertools.islice(stream, k))
+    if len(out) < k:
+        raise RuntimeError("example stream exhausted before T steps")
     return out
 
 
-def _init_theta(config: TrainConfig, d: int) -> np.ndarray:
-    if config.theta0 is not None:
-        theta = np.asarray(config.theta0, dtype=float).copy()
-        if theta.shape != (d,):
-            raise ValueError("theta0 dimension mismatch")
-        return project_unit_ball(theta)
-    return np.zeros(d)
+def resolve_config(learner: str, config: TrainConfig, featmap: FeatureMap):
+    """(eta, lam) of the learner function `learner` on `config` and
+    `featmap`, default schedules filled in; ValueError for a theta0 not of
+    dimension featmap.d or missing step sizes.  Each learner calls this
+    first, and `harness.validate_config` at every task point."""
+    if config.theta0 is not None and \
+            np.asarray(config.theta0, dtype=float).shape != (featmap.d,):
+        raise ValueError("theta0 dimension mismatch")
+    eta, lam = config.eta, config.lam
+    if learner == "sgd_normalized" and None in (eta, lam):
+        if None in (config.N, config.sigma_star_sq):
+            raise ValueError("provide (eta, lam) or (N, sigma_star_sq) "
+                             "for the default schedule")
+        eta_s, lam_s = normalized_schedule(featmap.B, config.T, config.N,
+                                           config.sigma_star_sq)
+        eta = eta_s if eta is None else eta
+        lam = lam_s if lam is None else lam
+    if learner == "sgd_truncated_distill":
+        if config.A is None:
+            raise ValueError("truncated distillation requires A = log N")
+        if eta is None and config.sigma_star_sq is None:
+            raise ValueError("provide eta or sigma_star_sq for the schedule")
+        if eta is None:
+            eta = truncated_schedule(featmap.B, config.T, config.A,
+                                     config.sigma_star_sq)
+    if eta is None and learner != "mle_fit":
+        raise ValueError(f"{learner} requires an explicit eta")
+    return eta, lam
 
 
 def _sgd_loop(stream, featmap: FeatureMap, V: int, H: int,
@@ -143,7 +159,8 @@ def _sgd_loop(stream, featmap: FeatureMap, V: int, H: int,
     Snapshots theta at `checkpoint_iters` and counts examples and time.
     """
     t0 = time.perf_counter()
-    theta = _init_theta(config, featmap.d)
+    theta = np.zeros(featmap.d) if config.theta0 is None else \
+        project_unit_ball(np.asarray(config.theta0, dtype=float).copy())
     cps = set(checkpoint_iters(config.T, config.checkpoint_every))
     rec = RunRecord()
     for t in range(1, config.T + 1):
@@ -160,13 +177,11 @@ def _sgd_loop(stream, featmap: FeatureMap, V: int, H: int,
 def sgd_vanilla(stream, featmap: FeatureMap, V: int, H: int,
                 config: TrainConfig) -> RunRecord:
     """Projected sequence-level SGD: theta += eta * grad log pi(y|x)."""
-    if config.eta is None:
-        raise ValueError("vanilla SGD requires an explicit eta")
+    eta, _ = resolve_config("sgd_vanilla", config, featmap)
 
     def step(model, batch, rec):
-        (traj,) = batch
-        return project_unit_ball(
-            model.theta + config.eta * grad_logprob(model, traj))
+        ((x, y),) = batch
+        return project_unit_ball(model.theta + eta * grad_logprob(model, x, y))
     return _sgd_loop(stream, featmap, V, H, config, step)
 
 
@@ -187,20 +202,12 @@ def sgd_normalized(stream, featmap: FeatureMap, V: int, H: int,
     With lambda = 0 a batch whose mean gradient is exactly 0 takes no step
     and sets the "zero-gradient-zero-lambda" flag.
     """
-    eta, lam = config.eta, config.lam
-    if eta is None or lam is None:
-        if config.N is None or config.sigma_star_sq is None:
-            raise ValueError("provide (eta, lam) or (N, sigma_star_sq) "
-                             "for the default schedule")
-        eta_s, lam_s = normalized_schedule(featmap.B, config.T, config.N,
-                                           config.sigma_star_sq)
-        eta = eta_s if eta is None else eta
-        lam = lam_s if lam is None else lam
+    eta, lam = resolve_config("sgd_normalized", config, featmap)
 
     def step(model, batch, rec):
         g = np.zeros(featmap.d)
-        for traj in batch:                      # fixed summation order
-            g += grad_logprob(model, traj)
+        for x, y in batch:                      # fixed summation order
+            g += grad_logprob(model, x, y)
         g /= config.K
         gnorm = float(np.linalg.norm(g))
         if lam == 0.0 and gnorm == 0.0:
@@ -214,18 +221,13 @@ def sgd_normalized(stream, featmap: FeatureMap, V: int, H: int,
 def sgd_token(stream, featmap: FeatureMap, V: int, H: int,
               config: TrainConfig) -> RunRecord:
     """Token-level SGD: one projected step per token, H steps per example."""
-    if config.eta is None:
-        raise ValueError("token SGD requires an explicit eta")
+    eta, _ = resolve_config("sgd_token", config, featmap)
 
     def step(model, batch, rec):
-        (traj,) = batch
-        theta = model.theta
-        for h, v in enumerate(traj.y):
-            if h:       # the driver's model serves the first token
-                model = model.with_theta(theta)
-            g = grad_logprob_token(model, traj.x, traj.y[:h], v)
-            theta = project_unit_ball(theta + config.eta * g)
-        return theta
+        ((x, y),) = batch
+        for h, v in enumerate(y):
+            model = model.with_theta(token_step(model, x, tuple(y[:h]), v, eta))
+        return model.theta
     return _sgd_loop(stream, featmap, V, H, config, step)
 
 
@@ -268,31 +270,24 @@ def sgd_truncated_distill(stream, teacher, featmap: FeatureMap, V: int,
     identity sum_h alpha_h eps_h = min(A, sum_h eps_h) is asserted on every
     processed example.
     """
-    if config.A is None:
-        raise ValueError("truncated distillation requires A = log N")
-    A = config.A
-    eta = config.eta
-    if eta is None:
-        if config.sigma_star_sq is None:
-            raise ValueError("provide eta or sigma_star_sq for the schedule")
-        eta = truncated_schedule(featmap.B, config.T, A, config.sigma_star_sq)
+    eta, _ = resolve_config("sgd_truncated_distill", config, featmap)
 
     def step(model, batch, rec):
-        (traj,) = batch
+        ((x, y),) = batch
         eps = []
         grads = []
         prefix = ()
-        for v in traj.y:
-            p_teacher = teacher.next_dist(traj.x, prefix)
+        for v in y:
+            p_teacher = teacher.next_dist(x, prefix)
             if p_teacher[v] <= 0.0:
                 raise ValueError(
                     "teacher assigns zero mass to an observed token")
-            eps.append(step_kl(p_teacher, model.next_dist(traj.x, prefix)))
-            grads.append(grad_logprob_token(model, traj.x, prefix, v))
+            eps.append(step_kl(p_teacher, model.next_dist(x, prefix)))
+            grads.append(grad_logprob_token(model, x, prefix, v))
             prefix = prefix + (v,)
-        alpha, mass = truncation_weights(eps, A)
-        expected = min(A, sum(eps))
-        if not math.isclose(mass, expected, rel_tol=1e-9, abs_tol=1e-9):
+        alpha, mass = truncation_weights(eps, config.A)
+        if not math.isclose(mass, min(config.A, sum(eps)), rel_tol=1e-9,
+                            abs_tol=1e-9):
             raise AssertionError("truncation identity violated")
         g = np.zeros(featmap.d)
         for a, gh in zip(alpha, grads):
@@ -307,7 +302,8 @@ STREAM_BLOCK = 256
 
 
 def policy_stream(piD, mu, rng):
-    """Infinite stream of fresh (x, y) examples from mu x piD.
+    """Infinite stream of fresh (x, y) examples from mu x piD, y a tuple
+    of H token ints.
 
     The examples, in order, are those of drawing each prompt and then its
     response, example by example, from rng.  When mu has `from_uniforms`
@@ -320,4 +316,4 @@ def policy_stream(piD, mu, rng):
     b = STREAM_BLOCK if hasattr(mu, "from_uniforms") else 1
     while True:
         xs, Y = draw_examples(piD, mu, b, rng)
-        yield from map(Trajectory, xs, Y.tolist())
+        yield from zip(xs, map(tuple, Y.tolist()))

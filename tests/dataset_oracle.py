@@ -82,10 +82,11 @@ def sample_examples(policy, mu, n, rng):
 
 
 def policy_stream(piD, mu, rng):
-    """Infinite stream drawing each example when it is taken."""
+    """Infinite stream of (x, y) pairs drawing each example when it is
+    taken."""
     while True:
         x = prompt(mu, rng)
-        yield Trajectory(x, sample(piD, x, rng))
+        yield x, sample(piD, x, rng)
 
 
 def sample_dataset(policy, mu, n, rng, seed_info=None):

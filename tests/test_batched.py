@@ -8,7 +8,7 @@ import pytest
 from scipy import stats
 
 from conftest import all_prefixes, random_product, random_tabular
-from covkit.core import (FinitePromptDist, Policy, Trajectory,
+from covkit.core import (Dataset, FinitePromptDist, Policy, Trajectory,
                          enumerate_responses, logprob_matrix, sample_prompts)
 from covkit.decoding import TTTPolicy, adversarial_reward, bon_regret
 from covkit.graphs import GraphConfig, gen_graph_instance
@@ -186,10 +186,11 @@ def test_logprob_matrix_and_pairwise_match_per_row():
              for _ in range(3)]
     data = [Trajectory(int(rng.integers(2)), tuple(rng.integers(0, 3, 3)))
             for _ in range(60)]
-    lp = logprob_matrix(cands, data)
+    ds = Dataset(data, H=3, V=3)
+    lp = logprob_matrix(cands, ds)
     ref = np.array([[pi.logprob(t) for t in data] for pi in cands])
     assert np.array_equal(lp, ref)
-    M = _pairwise_matrix(cands, data, 4.0)
+    M = _pairwise_matrix(cands, ds, 4.0)
     for i in range(3):
         for j in range(3):
             hits = 0
@@ -201,7 +202,7 @@ def test_logprob_matrix_and_pairwise_match_per_row():
             want = 0.0 if i == j else hits / len(data)
             assert M[i, j] == want
             if i != j:
-                assert empirical_pairwise_cov(cands[i], cands[j], data,
+                assert empirical_pairwise_cov(cands[i], cands[j], ds,
                                               4.0) == want
 
 

@@ -117,7 +117,7 @@ def test_stream_and_dataset_equal_per_example_draws(kind, seed):
         oracle.policy_stream(pol, mu, SeedTree(seed).rng()), n))
     assert got == want
     zero = {x for x, w in mu.items() if w == 0.0}
-    assert zero and not zero & {t.x for t in got}
+    assert zero and not zero & {x for x, _ in got}
     # The stream draws a whole block ahead of its first example.
     a, b = SeedTree(seed).rng(), SeedTree(seed).rng()
     next(policy_stream(pol, mu, a))
@@ -126,7 +126,7 @@ def test_stream_and_dataset_equal_per_example_draws(kind, seed):
     for m in (1, 5, 300):
         a, b = SeedTree(seed).rng(), SeedTree(seed).rng()
         ds = sample_dataset(pol, mu, m, a)
-        assert ds.examples == oracle.sample_examples(pol, mu, m, b)
+        assert ds == oracle.sample_dataset(pol, mu, m, b)
         assert same_rng_state(a, b)
 
 
@@ -165,8 +165,8 @@ def test_plain_callable_mu_keeps_the_per_example_loop():
             oracle.policy_stream(pol, m, SeedTree(1).rng()), 40))
         assert got == want
         a, b = SeedTree(2).rng(), SeedTree(2).rng()
-        assert sample_dataset(pol, m, 30, a).examples == \
-            oracle.sample_examples(pol, m, 30, b)
+        assert sample_dataset(pol, m, 30, a) == \
+            oracle.sample_dataset(pol, m, 30, b)
     # Here each example is drawn only when it is taken.
     calls = []
 

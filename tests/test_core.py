@@ -23,14 +23,14 @@ def test_deterministic_policy_sampling():
     pol = TabularModel({(0, ()): [0, 1], (0, (1,)): [0, 1]}, V=2, H=2)
     rng = SeedTree(0).rng()
     ds = sample_dataset(pol, lambda r: 0, 10, rng)
-    assert all(t.y == (1, 1) for t in ds)
+    assert (ds.Y == [1, 1]).all()
 
 
 def test_fair_coin_frequency():
     pol = TabularModel({(0, ()): [0.5, 0.5]}, V=2, H=1)
     rng = SeedTree(1).rng()
     ds = sample_dataset(pol, lambda r: 0, 10_000, rng)
-    frac = np.mean([t.y[0] for t in ds])
+    frac = np.mean(ds.Y[:, 0])
     assert 0.48 <= frac <= 0.52
 
 
@@ -41,7 +41,7 @@ def test_all_zero_dataset_probability():
     hits = 0
     for _ in range(5000):
         ds = sample_dataset(pol, lambda r: 0, 25, rng)
-        hits += all(t.y[0] == 0 for t in ds)
+        hits += bool((ds.Y[:, 0] == 0).all())
     assert abs(hits / 5000 - 0.98 ** 25) < 0.02
 
 
@@ -102,7 +102,7 @@ def test_jsonl_round_trip(tmp_path):
     h = tmp_path / "d.head.json"
     save_jsonl(ds, p, header_path=h)
     back = load_jsonl(p, H=1, V=2, header_path=h)
-    assert [t.y for t in back] == [t.y for t in ds]
+    assert back.Y.tolist() == ds.Y.tolist()
     assert back.seed_info == {"root": 5}
     rec = json.loads(p.read_text().splitlines()[0])
     assert set(rec) == {"x", "y"}

@@ -52,8 +52,7 @@ def test_load_matches_per_line_reference(tmp_path, monkeypatch, chunk, seed):
     assert [type(x) for x in ds.xs] == [type(t.x) for t in ref]
     assert ds.Y.dtype == np.int64
     assert np.array_equal(ds.Y, np.array([t.y for t in ref]))
-    assert ds.examples == ref
-    assert list(ds) == ref
+    assert ds == Dataset(ref, H=H, V=V, seed_info=info)
     assert ds.seed_info == info == {"seed": seed, "n": n}
     assert len(ds) == n
 
@@ -62,7 +61,7 @@ def test_load_empty_file(tmp_path):
     path = tmp_path / "d.jsonl"
     path.write_text("")
     ds = load_jsonl(path, H=3, V=2)
-    assert len(ds) == 0 and ds.Y.shape == (0, 3) and ds.examples == []
+    assert len(ds) == 0 and ds.Y.shape == (0, 3) and ds.xs == []
 
 
 def mixed_prompt_sampler(rng):
@@ -77,7 +76,7 @@ def test_save_load_round_trip_and_bytes(tmp_path, seed):
                         SeedTree(seed).rng(), seed_info={"seed": seed})
     ref = oracle.sample_examples(pol, mixed_prompt_sampler, 80,
                                  SeedTree(seed).rng())
-    assert ds.examples == ref
+    assert ds == Dataset(ref, H=4, V=3, seed_info={"seed": seed})
     path, head = tmp_path / "d.jsonl", tmp_path / "d.head.json"
     save_jsonl(ds, path, header_path=head)
     oracle.save_examples(ref, tmp_path / "ref.jsonl")
@@ -141,8 +140,9 @@ def test_logprob_matrix_dataset_list_and_rows_agree(seed):
     Y = rng.integers(0, V, (120, H))
     ds = Dataset.from_arrays(xs, Y, H=H, V=V)
     on_ds = logprob_matrix(cands, ds)
-    on_list = logprob_matrix(cands, list(ds.examples))
-    rows = np.array([[pi.logprob(t) for t in ds.examples] for pi in cands])
+    examples = [Trajectory(x, y) for x, y in zip(xs, Y.tolist())]
+    on_list = logprob_matrix(cands, Dataset(examples, H=H, V=V))
+    rows = np.array([[pi.logprob(t) for t in examples] for pi in cands])
     assert np.isneginf(rows).any() and np.isfinite(rows).any()
     for got in (on_ds, on_list):
         assert np.array_equal(np.isneginf(got), np.isneginf(rows))
@@ -162,7 +162,6 @@ def test_dataset_from_examples_equals_from_arrays():
     b = Dataset.from_arrays(xs, Y, H=5, V=4, seed_info={"k": 1})
     assert a == b
     assert a.xs == b.xs and np.array_equal(a.Y, b.Y)
-    assert a.examples == b.examples == examples
     assert b != Dataset.from_arrays(xs, Y, H=5, V=5, seed_info={"k": 1})
     assert Dataset([], H=2, V=3) == Dataset.from_arrays([], np.zeros((0, 2)),
                                                         H=2, V=3)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from covkit.graphs import (GraphConfig, GraphPathPolicy, LayeredDag,
                            mixture_prompt_sampler, parity, parse_prompt,
                            passable_parity, serialize_prompt, HORIZON_MIX,
                            TEASER_MIX)
+from covkit.harness import gen_data
 from covkit.seeding import SeedTree
 
 
@@ -168,3 +170,26 @@ def test_policy_constructor_validation():
         GraphPathPolicy(m=128, horizon=10)
     with pytest.raises(ValueError):
         GraphPathPolicy(m=128, horizon=10, family="teaser", class_id="G1")
+
+
+def test_parity_pool_running_dry_is_a_named_error(tmp_path):
+    # GraphConfig accepts m = 16 for L = 3 (m >= 4 L + 2), but a parity
+    # class can use up the even or the odd ids; seed 2 does so.
+    with pytest.raises(ValueError, match=r"class G[12] ran out of node ids "
+                       r"of one parity: m=16, L=3, nodes_per_layer=4"):
+        gen_data("graph_teaser", {"L": 3, "m": 16}, 50, 2,
+                 str(tmp_path / "d.jsonl"))
+
+
+@pytest.mark.parametrize("task,params,seed,digest", [
+    ("graph_teaser", {"L": 4, "m": 32}, 0,
+     "2b6b6188aa30f1fc7b03542fcd019826b6bec2e49909a479a932da56c5484a63"),
+    ("graph_horizon", {"L": 6, "m": 64}, 1,
+     "7d7b3ef57f268af7ad3c9d913ac47eb16e1524c4d4bc4bba8d3bdda705f173ed"),
+    ("graph_teaser", {"L": 3, "m": 16}, 0,
+     "119186a68505d19172be99053876d00e2a78f68f952427116b14ef47209e095d"),
+])
+def test_seeded_graph_bytes_are_pinned(tmp_path, task, params, seed, digest):
+    path = tmp_path / "d.jsonl"
+    gen_data(task, params, 40, seed, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

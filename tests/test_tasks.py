@@ -35,7 +35,7 @@ def test_bernoulli_mle_is_empirical_frequency():
     rng = SeedTree(0).rng()
     ds = sample_dataset(task.piD, task.mu, 100, rng)
     phat = bernoulli_mle(ds)
-    assert phat == np.mean([t.y[0] for t in ds])
+    assert phat == np.mean([y[0] for y in ds.Y.tolist()])
 
 
 def test_bernoulli_missing_mass_coverage():

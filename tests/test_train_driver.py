@@ -21,7 +21,7 @@ T = 7
 TASKS = {
     # step_table features: the vectorized gradient path
     "hetero": lambda: heterogeneous_kl_instance(n=2, H=3),
-    # phi only: the per-token candidate_features path
+    # phi only: the per-token FeatureMap.candidates path
     "sigma_star": lambda: sigma_star_instance(
         H=3, B=1.0, N=2.0, n=2, theta_star=[0.6, -0.4, 0.2], c=1.0),
 }

@@ -108,7 +108,7 @@ def test_sgd_iterates_stay_in_ball_and_deterministic():
 
 def test_sgd_stream_exhaustion():
     fm = bernoulli_featmap(1.0)
-    short = iter([Trajectory(0, (1,))] * 3)
+    short = iter([(0, (1,))] * 3)
     with pytest.raises(RuntimeError, match="exhausted"):
         sgd_vanilla(short, fm, 2, 1, TrainConfig(eta=0.1, T=10))
 
@@ -141,7 +141,7 @@ def test_normalized_exact_zero_gradient_flag():
     # theta = 0 is uniform, and y = (0, 1) has features -B and +B, so
     # g = (-B + B) - 2 * (p @ table) = 0 exactly, with no underflow.
     fm = bernoulli_featmap(2.0)
-    stream = iter([Trajectory(0, (0, 1))] * 4)
+    stream = iter([(0, (0, 1))] * 4)
     cfg = TrainConfig(eta=0.1, lam=0.0, T=4)
     rec = sgd_normalized(stream, fm, 2, 2, cfg)
     assert rec.flags == ["zero-gradient-zero-lambda"]
@@ -224,7 +224,7 @@ def test_truncated_distill_runs_and_matches_vanilla_when_unclipped():
 def test_truncated_distill_teacher_zero_mass():
     fm = bernoulli_featmap(1.0)
     teacher = bernoulli_model(0.0)   # zero mass on y=1
-    stream = iter([Trajectory(0, (1,))] * 5)
+    stream = iter([(0, (1,))] * 5)
     cfg = TrainConfig(eta=0.1, T=5, A=1.0)
     with pytest.raises(ValueError, match="zero mass"):
         sgd_truncated_distill(stream, teacher, fm, 2, 1, cfg)

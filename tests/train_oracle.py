@@ -35,9 +35,9 @@ def sgd_vanilla(stream, featmap, V, H, config):
     cps = set(checkpoint_iters(config.T, config.checkpoint_every))
     rec = RunRecord()
     for t in range(1, config.T + 1):
-        (traj,) = _take(stream, 1)
+        ((x, y),) = _take(stream, 1)
         model = LinearARModel(theta, featmap, V, H)
-        theta = project_unit_ball(theta + config.eta * grad_logprob(model, traj))
+        theta = project_unit_ball(theta + config.eta * grad_logprob(model, x, y))
         rec.n_examples += 1
         if t in cps:
             rec.checkpoints.append((t, theta.copy()))
@@ -59,8 +59,8 @@ def sgd_normalized(stream, featmap, V, H, config):
         batch = _take(stream, config.K)
         model = LinearARModel(theta, featmap, V, H)
         g = np.zeros(featmap.d)
-        for traj in batch:
-            g += grad_logprob(model, traj)
+        for x, y in batch:
+            g += grad_logprob(model, x, y)
         g /= config.K
         gnorm = float(np.linalg.norm(g))
         if lam == 0.0 and gnorm == 0.0:
@@ -80,11 +80,11 @@ def sgd_token(stream, featmap, V, H, config):
     cps = set(checkpoint_iters(config.T, config.checkpoint_every))
     rec = RunRecord()
     for t in range(1, config.T + 1):
-        (traj,) = _take(stream, 1)
+        ((x, y),) = _take(stream, 1)
         prefix = ()
-        for v in traj.y:
+        for v in y:
             model = LinearARModel(theta, featmap, V, H)
-            g = grad_logprob_token(model, traj.x, prefix, v)
+            g = grad_logprob_token(model, x, prefix, v)
             theta = project_unit_ball(theta + config.eta * g)
             prefix = prefix + (v,)
         rec.n_examples += 1
@@ -103,16 +103,16 @@ def sgd_truncated_distill(stream, teacher, featmap, V, H, config):
     cps = set(checkpoint_iters(config.T, config.checkpoint_every))
     rec = RunRecord()
     for t in range(1, config.T + 1):
-        (traj,) = _take(stream, 1)
+        ((x, y),) = _take(stream, 1)
         model = LinearARModel(theta, featmap, V, H)
         eps = []
         grads = []
         prefix = ()
-        for v in traj.y:
-            p_teacher = teacher.next_dist(traj.x, prefix)
+        for v in y:
+            p_teacher = teacher.next_dist(x, prefix)
             assert p_teacher[v] > 0.0
-            eps.append(step_kl(p_teacher, model.next_dist(traj.x, prefix)))
-            grads.append(grad_logprob_token(model, traj.x, prefix, v))
+            eps.append(step_kl(p_teacher, model.next_dist(x, prefix)))
+            grads.append(grad_logprob_token(model, x, prefix, v))
             prefix = prefix + (v,)
         alpha, mass = truncation_weights(eps, A)
         assert math.isclose(mass, min(A, sum(eps)), rel_tol=1e-9,

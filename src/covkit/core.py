@@ -125,8 +125,8 @@ class Policy:
     A policy's conditionals are fixed for the object's lifetime: a changed
     model is a new object (as `LinearARModel.with_theta` builds one).
     Per-object caches rely on this: `LinearARModel._steps`,
-    `TabularModel._steps`, `TTTPolicy._cache`, `GraphPathPolicy._parse`,
-    and the exact metrics' memo of walked pair laws.
+    `TabularModel._steps`, `GraphPathPolicy._parse`, and the exact
+    metrics' memo of walked pair laws.
     """
 
     V: int

@@ -8,9 +8,7 @@ import numpy as np
 
 from .core import Policy, group_prompts, sample_prompts
 from .metrics import covers, hoeffding_half_width
-from .models import LinearARModel, token_step
-
-_TTT_CACHE_LIMIT = 200_000
+from .models import LinearARModel, candidate_dists, token_steps
 
 
 class TTTPolicy(Policy):
@@ -18,10 +16,10 @@ class TTTPolicy(Policy):
 
     The conditional at (x, prefix) is the base linear model evaluated at the
     parameter obtained by replaying token-gradient steps along the prefix,
-    starting from the base theta (reset per prompt).  Replays are memoized
-    per (x, prefix), so a rollout costs O(H) gradient steps total.  Like
-    every policy, it is scored and sampled from these conditionals by the
-    `Policy` level paths, one replay per distinct prefix of a batch.
+    starting from the base theta (reset per prompt).  `prefix_dists`
+    replays a level at once, h stacked `token_steps` and one softmax, with
+    no memo; `next_dist` is its one-row case.  Like every policy, it is
+    scored and sampled by the `Policy` level paths.
     """
 
     def __init__(self, base: LinearARModel, eta: float):
@@ -29,26 +27,18 @@ class TTTPolicy(Policy):
         self.eta = float(eta)
         self.V = base.V
         self.H = base.H
-        self._cache = {}
-
-    def _theta_at(self, x, prefix: tuple) -> np.ndarray:
-        if len(prefix) == 0 or self.eta == 0.0:
-            return self.base.theta
-        key = (x, prefix)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        model = self.base.with_theta(self._theta_at(x, prefix[:-1]))
-        theta = token_step(model, x, prefix[:-1], prefix[-1], self.eta)
-        if len(self._cache) >= _TTT_CACHE_LIMIT:
-            self._cache.clear()
-        self._cache[key] = theta
-        return theta
 
     def next_dist(self, x, prefix: tuple) -> np.ndarray:
         if len(prefix) >= self.H:
             raise ValueError("prefix length must be < H")
-        return self.base.with_theta(self._theta_at(x, prefix)).next_dist(x, prefix)
+        return self.prefix_dists(x, np.array([prefix], dtype=np.int64))[0]
+
+    def prefix_dists(self, x, prefixes) -> np.ndarray:
+        fm, theta = self.base.featmap, self.base.theta[None]
+        for j in range(prefixes.shape[1] if self.eta else 0):
+            feats = fm.candidates(x, prefixes[:, :j], self.V)
+            theta = token_steps(theta, feats, prefixes[:, j], self.eta)
+        return candidate_dists(fm.candidates(x, prefixes, self.V), theta)
 
 
 def best_of_n(policy: Policy, reward, x, N: int, rng) -> tuple:

@@ -131,13 +131,16 @@ def _family_of(class_id: str) -> str:
 
 def double_layer_count(class_id: str, L: int) -> int:
     """Layers with two passable nodes in a graph of class `class_id`;
-    ValueError if there are more than the L layers."""
+    ValueError if there are more than the L layers, or none for GH2
+    (L // 2 = 0 would make its graphs GH1)."""
     k = {"G1": 2, "G2": 2, "G3": 2, "GH1": 0, "GH2": L // 2,
          "GH3": 4}.get(class_id)
     if k is None:
         raise ValueError(f"unknown graph class {class_id!r}")
     if k > L:
         raise ValueError(f"class {class_id} needs {k} double layers, L={L}")
+    if class_id == "GH2" and k == 0:
+        raise ValueError(f"class GH2 needs L // 2 >= 1 double layers, L={L}")
     return k
 
 

@@ -20,8 +20,9 @@ import numpy as np
 
 from . import tasks as _tasks
 from . import training
-from .core import sample_dataset, save_jsonl
-from .metrics import MetricReport, coverage_mc, kl_and_coverage, seq_kl
+from .core import check_enum_budget, sample_dataset, save_jsonl
+from .metrics import (MetricReport, coverage_mc, kl_and_coverage,
+                      positive_weights, seq_kl, tree_walk)
 from .models import LinearARModel
 from .seeding import SeedTree
 from .training import RunRecord, TrainConfig, policy_stream
@@ -130,8 +131,9 @@ def _check_metrics(metrics: dict):
 def validate_config(cfg: dict) -> dict:
     """Fail-closed validation; returns a normalized copy.  It also checks
     the metrics block, builds the task at each point of the task axes
-    (`_check_task`), and builds the `TrainConfig` at each point of the
-    train axes and checks it against the learner at every task point
+    (`_check_task`) and sizes its exact metrics (`_check_exact_work`),
+    and builds the `TrainConfig` at each point of the train axes and
+    checks it against the learner at every task point
     (`training.resolve_config`), so a config that a job would refuse fails
     before `run` writes anything."""
     if not isinstance(cfg, dict):
@@ -179,8 +181,10 @@ def validate_config(cfg: dict) -> dict:
     featmaps = []
     for values in itertools.product(*(axes[a] for a in task_axes)):
         params = dict(task_params, **dict(zip(task_axes, values)))
-        featmaps.append(_check_task(_build_task(task["name"], params),
-                                    metrics))
+        point = _build_task(task["name"], params)
+        featmaps.append(_check_task(point, metrics))
+        if metrics.get("mode", "exact") == "exact":
+            _check_exact_work(point)
     train_axes = [a for a in axes if a in reads]
     for values in itertools.product(*(axes[a] for a in train_axes)):
         try:
@@ -224,6 +228,29 @@ def _check_task(task, metrics_spec: dict):
         raise ConfigError("exact metrics need an enumerable prompt "
                           "distribution; use metrics.mode = 'mc'")
     return task.featmap
+
+
+def _check_exact_work(task):
+    """Refuse a task point whose exact metrics would pass the enumeration
+    budget, sized as `kl_and_coverage` sizes one pair: a prompt where piD
+    and the feature map are products counts comb(H + k - 1, k - 1) atoms,
+    k the size of piD's step support (a bound on its distinct step
+    log-ratios), and is not walked; any other prompt is walked once under
+    piD alone, which gathers the levels the pair walk would."""
+    work, walked = 0, []
+    try:
+        for x, _ in positive_weights(task.mu.items()):
+            step = task.piD.step_dist(x)
+            if step is None or task.featmap.step_table(x) is None:
+                walked.append(x)
+                continue
+            k = int(np.count_nonzero(np.asarray(step) > 0))
+            work += math.comb(task.H + k - 1, k - 1)
+        check_enum_budget("leaves + atoms (bound)", work)
+        for x in walked:
+            work += len(tree_walk(task.piD, x, spent=work)[0])
+    except ValueError as e:
+        raise ConfigError(f"exact metrics: {e}")
 
 
 def run_learner(name: str, task, train: TrainConfig, rng) -> RunRecord:

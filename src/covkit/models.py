@@ -12,7 +12,7 @@ import types
 
 import numpy as np
 
-from .core import Policy, draw_examples
+from .core import Policy, draw_examples, group_prompts, prefix_levels
 from .metrics import positive_weights, tree_walk
 
 _STEP_CACHE_LIMIT = 4096
@@ -37,13 +37,20 @@ class FeatureMap:
         """(V, d) array with row v = phi(x, prefix + (v,)), if prefix-free."""
         return None
 
-    def candidates(self, x, prefix: tuple, V: int) -> np.ndarray:
-        """(V, d) matrix whose row v is phi(x, prefix + (v,)): the step
-        table when there is one, else V calls of phi."""
+    def candidates(self, x, prefixes, V: int) -> np.ndarray:
+        """(k, V, d) phi(x, prefixes[i] + (v,)) for k rows of h ints: the
+        step table as a zero-stride view (np.broadcast_to's, built at a
+        fifth of its cost), else k * V phi calls."""
         table = self.step_table(x)
         if table is not None:
-            return table
-        return np.stack([self.phi(x, prefix + (v,)) for v in range(V)])
+            t = np.ascontiguousarray(table, dtype=float)
+            return np.ndarray((len(prefixes),) + t.shape, float, t, 0,
+                              (0,) + t.strides)
+        rows = np.asarray(prefixes).tolist()
+        out = np.empty((len(rows), V, self.d))
+        for i, p in enumerate(rows):
+            out[i] = [self.phi(x, (*p, v)) for v in range(V)]
+        return out
 
 
 class CallableFeatureMap(FeatureMap):
@@ -76,6 +83,13 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
+def candidate_dists(feats, theta) -> np.ndarray:
+    """Row-wise softmax of (k, V, d) features times theta (d,) or (k, d)."""
+    logits = (feats @ theta[..., None])[..., 0]
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
 class LinearARModel(Policy):
     """Softmax policy with logits <theta, phi(x, y_{1:h-1} o v)>, ||theta|| <= 1."""
 
@@ -97,7 +111,7 @@ class LinearARModel(Policy):
     def next_dist(self, x, prefix: tuple) -> np.ndarray:
         if len(prefix) >= self.H:
             raise ValueError("prefix length must be < H")
-        return _softmax(self.featmap.candidates(x, prefix, self.V) @ self.theta)
+        return self.prefix_dists(x, np.array([prefix], dtype=np.int64))[0]
 
     def step_dist(self, x):
         # Cached per prompt: theta is never changed in place (with_theta
@@ -112,10 +126,11 @@ class LinearARModel(Policy):
 
     def prefix_dists(self, x, prefixes) -> np.ndarray:
         """A product prompt's level is its cached step row, broadcast to
-        (k, V) as a read-only view; other prompts loop over next_dist."""
+        (k, V) as a read-only view; another's is its candidates' softmax."""
         step = self.step_dist(x)
         if step is None:
-            return super().prefix_dists(x, prefixes)
+            feats = self.featmap.candidates(x, prefixes, self.V)
+            return candidate_dists(feats, self.theta)
         return np.broadcast_to(step, (len(prefixes), self.V))
 
 
@@ -141,7 +156,7 @@ def grad_logprob(model: LinearARModel, x, y) -> np.ndarray:
 
 def grad_logprob_token(model: LinearARModel, x, prefix: tuple, v: int) -> np.ndarray:
     """Gradient of a single token conditional log pi_theta(v | x, prefix)."""
-    feats = model.featmap.candidates(x, prefix, model.V)
+    feats = model.featmap.candidates(x, [prefix], model.V)[0]
     p = _softmax(feats @ model.theta)
     return feats[v] - p @ feats
 
@@ -152,6 +167,16 @@ def token_step(model: LinearARModel, x, prefix: tuple, v: int,
     Pi(theta + eta * grad log pi_theta(v | x, prefix))."""
     return project_unit_ball(
         model.theta + eta * grad_logprob_token(model, x, prefix, v))
+
+
+def token_steps(theta, feats, tokens, eta: float) -> np.ndarray:
+    """token_step of k theta rows (or one shared) toward tokens at feats,
+    bit for bit: a matmul per row, the norm as sqrt(theta . theta)."""
+    grad = feats[np.arange(len(feats)), tokens] - \
+        (candidate_dists(feats, theta)[:, None, :] @ feats)[:, 0]
+    theta = theta + eta * grad
+    return theta / np.maximum(
+        np.sqrt((theta[:, None, :] @ theta[:, :, None])[:, 0]), 1.0)
 
 
 class TabularModel(Policy):
@@ -348,12 +373,10 @@ def linear_to_tabular(model: LinearARModel, prompts) -> TabularModel:
     """Explicit conditional tables of a linear model on enumerable prompts."""
     tables = {}
     for x in prompts:
-        stack = [()]
-        while stack:
-            prefix = stack.pop()
-            tables[(x, prefix)] = model.next_dist(x, prefix)
-            if len(prefix) + 1 < model.H:
-                stack.extend(prefix + (v,) for v in range(model.V))
+        for h in range(model.H):
+            pre = np.indices((model.V,) * h).reshape(h, model.V ** h).T
+            tables.update(zip([(x, tuple(p)) for p in pre.tolist()],
+                              model.prefix_dists(x, pre)))
     return TabularModel(tables, V=model.V, H=model.H)
 
 
@@ -385,16 +408,13 @@ def sigma_star_sq(piD: Policy, featmap: FeatureMap, mu_items, mode="exact",
             raise ValueError("mc mode requires n >= 2")
         vals = np.empty(n)
         xs, Y = draw_examples(piD, mu_items, n, rng)
-        for i, (x, y) in enumerate(zip(xs, Y.tolist())):
-            acc = 0.0
-            prefix = ()
-            for v in y:
-                p = piD.next_dist(x, prefix)
-                feats = featmap.candidates(x, prefix, piD.V)
-                mean = p @ feats
-                acc += float(np.sum((feats[v] - mean) ** 2))
-                prefix = prefix + (v,)
-            vals[i] = acc
+        for x, idx in group_prompts(xs).items():
+            Yx, acc = Y[idx], np.zeros(len(idx))
+            for h, first, inv in prefix_levels(Yx, piD.V):
+                pre = Yx[first, :h]
+                sq = _sq_deviations(featmap, x, pre, piD.prefix_dists(x, pre))
+                acc += sq[inv, Yx[:, h]]
+            vals[idx] = acc
         return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n))
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -404,9 +424,15 @@ def _variance(p, feats):
     return float(p @ np.sum((feats - p @ feats) ** 2, axis=1))
 
 
+def _sq_deviations(featmap, x, prefixes, P):
+    """(k, V): ||feats[i, v] - P[i] @ feats[i]||^2 over a level's rows P."""
+    feats = featmap.candidates(x, prefixes, P.shape[1])
+    return np.sum((feats - P[:, None, :] @ feats) ** 2, axis=2)
+
+
 def _sigma_term(piD, featmap, x):
-    """tree_walk term: the feature variance under piD at each prefix."""
+    """tree_walk term: `_variance` under piD at each prefix of a level."""
     def term(prefixes, PD, _):
-        return [_variance(p, featmap.candidates(x, tuple(pre), piD.V))
-                for pre, p in zip(prefixes.tolist(), PD)]
+        sq = _sq_deviations(featmap, x, prefixes, PD)
+        return (PD[:, None, :] @ sq[:, :, None])[:, 0, 0]
     return term

@@ -49,6 +49,9 @@ class TrainConfig:
             raise ValueError("lambda must be >= 0")
         if self.A is not None and self.A <= 0:
             raise ValueError("A must be positive")
+        if self.N is not None and not self.N > 1:
+            raise ValueError(f"N must be > 1 (log N is the coverage "
+                             f"budget), got N = {self.N!r}")
 
 
 @dataclass

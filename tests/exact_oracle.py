@@ -1,14 +1,20 @@
-"""Brute-force exact references that enumerate every response.
+"""Brute-force exact references that enumerate every response, and
+per-token references for the linear class.
 
-Nothing here uses covkit.metrics: each function lists all V**H responses
-with numpy, reads every conditional row through `next_dist`, and reduces
-the per-response arrays directly.  Tests compare covkit's exact functionals
-with these on small random instances.
+Nothing here uses covkit.metrics: each exact function lists all V**H
+responses with numpy, reads every conditional row through `next_dist`,
+and reduces the per-response arrays directly.  Tests compare covkit's
+exact functionals with these on small random instances.  The linear
+references at the end compute one prefix at a time, as covkit did before
+its linear class answered a whole level per call.
 """
 
 import math
 
 import numpy as np
+
+from covkit.core import draw_examples
+from covkit.models import LinearARModel
 
 
 def responses(V, H):
@@ -108,3 +114,51 @@ def sigma_star_sq(piD, featmap, mu_items):
                 var[i] += q @ np.sum((feats - q @ feats) ** 2, axis=1)
         total += w * float(p @ var)
     return total
+
+
+def candidates(featmap, x, prefix, V):
+    """(V, d) features of one prefix's candidate tokens: the step table
+    when there is one, else V calls of phi."""
+    table = featmap.step_table(x)
+    if table is not None:
+        return table
+    return np.stack([featmap.phi(x, prefix + (v,)) for v in range(V)])
+
+
+def next_row(pol, x, prefix):
+    """pol's conditional at one prefix; a LinearARModel's as one softmax
+    of that prefix's candidate features times theta."""
+    if not isinstance(pol, LinearARModel):
+        return pol.next_dist(x, prefix)
+    logits = candidates(pol.featmap, x, prefix, pol.V) @ pol.theta
+    e = np.exp(logits - logits.max())
+    return e / e.sum()
+
+
+def linear_tables(model, prompts):
+    """{(x, prefix): row} of a linear model, prefixes in depth-first order."""
+    tables = {}
+    for x in prompts:
+        stack = [()]
+        while stack:
+            prefix = stack.pop()
+            tables[(x, prefix)] = next_row(model, x, prefix)
+            if len(prefix) + 1 < model.H:
+                stack.extend(prefix + (v,) for v in range(model.V))
+    return tables
+
+
+def sigma_star_sq_mc(piD, featmap, mu, n, rng):
+    """MC sigma_star_sq as a per-token loop over the examples that
+    `draw_examples` draws: (estimate, se)."""
+    xs, Y = draw_examples(piD, mu, n, rng)
+    vals = np.empty(n)
+    for i, (x, y) in enumerate(zip(xs, Y.tolist())):
+        acc, prefix = 0.0, ()
+        for v in y:
+            p = next_row(piD, x, prefix)
+            feats = candidates(featmap, x, prefix, piD.V)
+            acc += float(np.sum((feats[v] - p @ feats) ** 2))
+            prefix = prefix + (v,)
+        vals[i] = acc
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n))

@@ -1,7 +1,8 @@
 """`covkit run` refuses a config that a job would refuse before it writes
 anything: a bad metrics block, a learner without the settings it needs, a
-theta0 of the wrong dimension, or a graph class mix that L cannot hold.
-Each case exits 2 and leaves no out_dir/runs directory."""
+theta0 of the wrong dimension, a normalized schedule with N <= 1, a graph
+class mix that L cannot hold, or exact metrics over the enumeration
+budget.  Each case exits 2 and leaves no out_dir/runs directory."""
 
 import json
 import math
@@ -24,6 +25,10 @@ def config(tmp_path, metrics=None, learner="sgd_vanilla", train=None,
             "metrics": {"n_grid": [2, 8]} if metrics is None else metrics,
             "sweep": {"axes": axes or {}, "seeds": [1, 2]},
             "out_dir": str(tmp_path / "out"), "root_seed": 3}
+
+
+def must_not_run(*args, **kwargs):
+    raise AssertionError("a job started")
 
 
 def refused(tmp_path, capsys, cfg, match):
@@ -125,9 +130,6 @@ def test_learner_requirements_exit_2_before_output(tmp_path, capsys,
         # sigma_star features have dimension H: right at H = 2 only.
         task = {"name": "sigma_star",
                 "params": {"H": 2, "B": 1.0, "N": 2.0, "n": 2, "c": 1.0}}
-
-    def must_not_run(*args, **kwargs):
-        raise AssertionError("a job started")
     monkeypatch.setattr(harness, "run_learner", must_not_run)
     refused(tmp_path, capsys, config(tmp_path, learner=learner, train=train,
                                      task=task, axes=axes), match)
@@ -167,3 +169,60 @@ def test_graph_mix_exits_2_from_gen_data(tmp_path, capsys):
     assert "class G1 needs 2 double layers, L=1" in \
         json.loads(capsys.readouterr().err)["error"]
     assert not (tmp_path / "d.jsonl").exists()
+
+
+@pytest.mark.parametrize("N", [0.5, 1])
+def test_normalized_schedule_needs_N_above_1(tmp_path, capsys, N):
+    refused(tmp_path, capsys,
+            config(tmp_path, learner="sgd_normalized",
+                   train={"N": N, "sigma_star_sq": 0.5, "T": 4}),
+            f"N must be > 1 (log N is the coverage budget), got N = {N}")
+
+
+GH2_AT_L1 = {"L": 1, "m": 16, "mix": {"GH1": 0.5, "GH2": 0.5}}
+
+
+def test_gh2_needs_a_double_layer():
+    with pytest.raises(ConfigError, match=r"class GH2 needs L // 2 >= 1 "
+                                          r"double layers, L=1"):
+        build_task("graph_horizon", GH2_AT_L1)
+    build_task("graph_horizon", dict(GH2_AT_L1, L=2))
+
+
+def test_gh2_at_L1_exits_2_from_run_and_gen_data(tmp_path, capsys):
+    task = {"name": "graph_horizon", "params": GH2_AT_L1}
+    refused(tmp_path, capsys,
+            config(tmp_path, task=task, metrics={"mode": "mc"}), "GH2")
+    rc = main(["gen-data", "--task", "graph_horizon", "--params",
+               json.dumps(GH2_AT_L1), "--n", "40",
+               "--out", str(tmp_path / "d.jsonl")])
+    assert rc == 2
+    assert "class GH2 needs" in json.loads(capsys.readouterr().err)["error"]
+    assert not (tmp_path / "d.jsonl").exists()
+
+
+def test_over_budget_exact_walk_exits_2_before_output(tmp_path, capsys,
+                                                      monkeypatch):
+    # sigma_star features depend on the position, so the exact metrics
+    # walk a dense V = 2 tree: 2^19 prefixes at level 19 gather 2^20
+    # entries, over the 1e6 budget.
+    monkeypatch.setattr(harness, "run_learner", must_not_run)
+    task = {"name": "sigma_star", "params": {"H": 24, "B": 5.0, "N": 1.2,
+                                             "n": 10}}
+    refused(tmp_path, capsys, config(tmp_path, task=task,
+                                     metrics={"mode": "exact"}),
+            "gathered prefix entries = 1048576 > 1e6")
+
+
+def test_over_budget_product_atoms_exit_2_without_a_walk(tmp_path, capsys,
+                                                         monkeypatch):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("a product prompt was walked")
+    monkeypatch.setattr(harness, "tree_walk", no_walk)
+    monkeypatch.setattr(harness, "run_learner", must_not_run)
+    # Each prompt's step support has 2 tokens: H + 1 atoms per prompt.
+    harness.validate_config(config(tmp_path, task={
+        "name": "heterogeneous_kl", "params": {"n": 3, "H": 499_999}}))
+    refused(tmp_path, capsys, config(tmp_path, task={
+        "name": "heterogeneous_kl", "params": {"n": 3, "H": 500_000}}),
+        "leaves + atoms (bound) = 1000002 > 1e6")

@@ -135,3 +135,14 @@ def test_no_policy_overrides_derived_scoring_or_sampling():
         for klass in cls.__mro__[:cls.__mro__.index(Policy)]:
             overridden = set(DERIVED) & set(vars(klass))
             assert not overridden, (cls, klass, overridden)
+
+
+def test_policies_over_a_feature_map_answer_a_level_in_one_call():
+    # A policy built on a feature map (or on a model that has one) answers
+    # a level itself, never through the per-prefix next_dist loop.
+    over_features = {cls for cls in policy_classes()
+                     if {"featmap", "base"} &
+                     set(inspect.signature(cls.__init__).parameters)}
+    assert {LinearARModel, TTTPolicy} <= over_features
+    for cls in over_features:
+        assert "prefix_dists" in vars(cls), cls

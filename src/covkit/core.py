@@ -123,10 +123,13 @@ class Policy:
     construction.
 
     A policy's conditionals are fixed for the object's lifetime: a changed
-    model is a new object (as `LinearARModel.with_theta` builds one).
-    Per-object caches rely on this: `LinearARModel._steps`,
-    `TabularModel._steps`, `GraphPathPolicy._parse`, and the exact
-    metrics' memo of walked pair laws.
+    model is a new object (as `LinearARModel.with_theta` builds one), and
+    the learners and TTT replays step on theta arrays without building
+    any.  Per-object caches rely on this: `LinearARModel._steps` (the
+    step row of each product prompt), `TabularModel._steps` (which
+    prompts are prefix-independent), `GraphPathPolicy._parse` (each
+    prompt's parsed graph) and the exact metrics' memo of walked pair
+    laws.
     """
 
     V: int

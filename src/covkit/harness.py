@@ -313,11 +313,11 @@ def timeseries_csv(rec: RunRecord, n_grid) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _quantiles(vals):
-    vals = np.asarray(vals, dtype=float)
-    return (float(np.quantile(vals, 0.5)),
-            float(np.quantile(vals, 1.0 / 16.0)),
-            float(np.quantile(vals, 15.0 / 16.0)))
+def _quantiles(finals):
+    """(m, 3) median, 1/16 and 15/16 quantiles of each column of the
+    (seeds, m) array finals, as Python floats, from one np.quantile call."""
+    return np.quantile(np.asarray(finals, dtype=float),
+                       [0.5, 1.0 / 16.0, 15.0 / 16.0], axis=0).T.tolist()
 
 
 def run(cfg: dict) -> str:
@@ -383,11 +383,9 @@ def run(cfg: dict) -> str:
                 json.dump(summary, f, indent=1, sort_keys=True)
             rep = rec.metrics[-1]
             finals.append([rep.seq_kl] + list(rep.coverage.values))
-        finals = np.asarray(finals, dtype=float)
         row = [_fmt(v) for v in points[p_idx]]
-        for j in range(finals.shape[1]):
-            med, lo, hi = _quantiles(finals[:, j])
-            row += [_fmt(med), _fmt(lo), _fmt(hi)]
+        for column in _quantiles(finals):
+            row += [_fmt(q) for q in column]
         sweep_rows.append(",".join(row))
 
     metric_names = ["seq_kl"] + [f"pcov_{g:g}" for g in n_grid]

@@ -157,10 +157,11 @@ def _ratio_groups(pD, pH):
     return ratios, np.bincount(inv, weights=pD[sup])
 
 
-def _product_atoms(pD, pH, H):
-    """Log-ratio law of H i.i.d. steps: a multinomial over the k groups of
-    distinct step log-ratios, one atom per composition of H into k parts."""
-    ratios, mass = _ratio_groups(pD, pH)
+def _product_atoms(groups, H):
+    """Log-ratio law of H i.i.d. steps: a multinomial over the k groups
+    (ratios, mass) of distinct step log-ratios (`_ratio_groups`), one atom
+    per composition of H into k parts."""
+    ratios, mass = groups
     k = len(ratios)
     n = math.comb(H + k - 1, k - 1)
     # Stars and bars: the k - 1 bar positions among H + k - 1 slots.
@@ -227,9 +228,10 @@ def positive_weights(mu_items) -> list:
 
 def _pair_laws(piD, piHat, mu_items, atoms=False):
     """(w, steps, law) per prompt x of weight w > 0: steps = (pD, pH) if
-    both policies are products at x, else law = (lpD, lpH, sums, peaks),
-    the walked pair law of x with the step-KL and step-Hellinger terms,
-    read from the memo or walked and stored there.
+    both policies are products at x, and then law = their `_ratio_groups`
+    with `atoms` (else None); otherwise law = (lpD, lpH, sums, peaks), the
+    walked pair law of x with the step-KL and step-Hellinger terms, read
+    from the memo or walked and stored there.
 
     Weights must be finite and >= 0, at least one positive.  Product atoms
     and memoized leaves count against the budget before anything is
@@ -251,9 +253,10 @@ def _pair_laws(piD, piHat, mu_items, atoms=False):
         steps = None if pH is None else (np.asarray(pD, dtype=float),
                                          np.asarray(pH, dtype=float))
         if steps is not None and atoms:
-            k = len(_ratio_groups(*steps)[0])
+            law = _ratio_groups(*steps)
+            k = len(law[0])
             work += math.comb(piD.H + k - 1, k - 1)
-        items.append((x, w, steps, None))
+        items.append((x, w, steps, law))
     check_enum_budget("leaves + atoms", work)
     laws = []
     for x, w, steps, law in items:
@@ -295,7 +298,7 @@ def _atoms(laws, H):
     ratios, probs = [], []
     for w, steps, law in laws:
         if steps is not None:
-            r, p = _product_atoms(*steps, H)
+            r, p = _product_atoms(law, H)
         else:
             lpD, lpH, _, _ = law
             r, p = lpD - lpH, np.exp(lpD)     # +inf where lpH == -inf

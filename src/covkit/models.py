@@ -71,7 +71,7 @@ class CallableFeatureMap(FeatureMap):
 
 def project_unit_ball(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
-    nrm = np.linalg.norm(v)
+    nrm = math.sqrt(v.dot(v))       # np.linalg.norm's arithmetic, bit for bit
     if nrm <= 1.0:
         return v
     return v / nrm
@@ -98,7 +98,7 @@ class LinearARModel(Policy):
         if self.theta.shape != (featmap.d,):
             raise ValueError(
                 f"theta has dim {self.theta.shape}, feature map has d={featmap.d}")
-        if np.linalg.norm(self.theta) > 1.0 + 1e-9:
+        if not np.linalg.norm(self.theta) <= 1.0 + 1e-9:     # NaN too
             raise ValueError("||theta|| must be <= 1")
         self.featmap = featmap
         self.V = int(V)
@@ -134,39 +134,53 @@ class LinearARModel(Policy):
         return np.broadcast_to(step, (len(prefixes), self.V))
 
 
-def grad_logprob(model: LinearARModel, x, y) -> np.ndarray:
-    """Gradient of log pi_theta(y|x) for one example (x, y), y a row of H
-    token ints: the sum over h of grad_logprob_token at y's prefixes, left
-    to right (one matrix op with a step table)."""
-    if len(y) != model.H:
-        raise ValueError("response must have full length H")
-    table = model.featmap.step_table(x)
+def grad_logprob(theta, featmap: FeatureMap, V: int, x, Y) -> np.ndarray:
+    """(n, d) gradients of log pi_theta(y|x) at the rows y of an (n, H)
+    int array Y of prompt x's responses.
+
+    Row i is the sum over h of grad_logprob_token at Y[i]'s prefixes, left
+    to right, bit for bit.  With a step table the token counts C of all
+    rows come from one bincount and the rows from one stacked matmul (a
+    vector-matrix product per row; a plain C @ table is a gemm, whose
+    blocking changes the bits); otherwise level h is one softmax over the
+    candidates of the distinct prefixes Y[:, :h]."""
+    Y = np.asarray(Y, dtype=np.int64)
+    n, H = Y.shape
+    table = featmap.step_table(x)
     if table is not None:
-        # Features depend only on the last token: one matrix op per sequence.
-        p = _softmax(table @ model.theta)
-        counts = np.bincount(np.asarray(y), minlength=model.V).astype(float)
-        return counts @ table - model.H * (p @ table)
-    g = np.zeros(model.featmap.d)
-    prefix = ()
-    for v in y:
-        g += grad_logprob_token(model, x, prefix, v)
-        prefix = prefix + (v,)
-    return g
+        p = _softmax(table @ theta)
+        # Row i counts in bins i*V..i*V+V-1; one row (a streaming
+        # learner's call) needs no offsets.  A token outside [0, V) is
+        # refused by ravel_multi_index, or for one row by bincount
+        # (negative) and the reshape (too large).
+        codes = Y[0] if n == 1 else np.ravel_multi_index(
+            (np.arange(n)[:, None], Y), (n, V)).ravel()
+        C = np.bincount(codes, minlength=n * V).astype(float)
+        return (C.reshape(n, 1, V) @ table)[:, 0] - H * (p @ table)
+    if Y.size and not 0 <= Y.min() <= Y.max() < V:
+        raise ValueError(f"tokens must lie in [0, {V})")
+    G = np.zeros((n, featmap.d))
+    for h, first, inv in prefix_levels(Y, V):
+        feats = featmap.candidates(x, Y[first, :h], V)
+        mean = candidate_dists(feats, theta)[:, None, :] @ feats
+        G += (feats - mean)[inv, Y[:, h]]
+    return G
 
 
-def grad_logprob_token(model: LinearARModel, x, prefix: tuple, v: int) -> np.ndarray:
+def grad_logprob_token(theta, featmap: FeatureMap, V: int, x, prefix: tuple,
+                       v: int) -> np.ndarray:
     """Gradient of a single token conditional log pi_theta(v | x, prefix)."""
-    feats = model.featmap.candidates(x, [prefix], model.V)[0]
-    p = _softmax(feats @ model.theta)
+    feats = featmap.candidates(x, [prefix], V)[0]
+    p = _softmax(feats @ theta)
     return feats[v] - p @ feats
 
 
-def token_step(model: LinearARModel, x, prefix: tuple, v: int,
+def token_step(theta, featmap: FeatureMap, V: int, x, prefix: tuple, v: int,
                eta: float) -> np.ndarray:
-    """theta after one projected token step from the model's theta:
+    """theta after one projected token step:
     Pi(theta + eta * grad log pi_theta(v | x, prefix))."""
     return project_unit_ball(
-        model.theta + eta * grad_logprob_token(model, x, prefix, v))
+        theta + eta * grad_logprob_token(theta, featmap, V, x, prefix, v))
 
 
 def token_steps(theta, feats, tokens, eta: float) -> np.ndarray:

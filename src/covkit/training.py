@@ -4,17 +4,23 @@ Five learners: full-batch MLE (projected gradient ascent on the concave
 log-likelihood), vanilla sequence-level SGD, normalized mini-batch SGD,
 token-level SGD, and truncated distillation SGD.  An example is a pair
 (x, y) of a prompt and a tuple of H token ints: `policy_stream` yields
-them, and `mle_fit` reads a `Dataset`'s arrays as such pairs.  The four
-SGD learners are single-pass over an example stream and differ only in
-their step: each resolves its step sizes and hands a step function to one
-driver, `_sgd_loop`, which owns the theta init, the stream draws, the
-checkpoint cadence, the example count and the timing.
+them, and `mle_fit` reads a `Dataset`'s prompt groups as response blocks.
+The four SGD learners are single-pass over an example stream and differ
+only in their step: each resolves its step sizes and hands a step function
+to one driver, `_sgd_loop`, which owns the theta init, the stream draws,
+the checkpoint cadence, the example count and the timing.
+
+The learners step on theta arrays with the feature map and build no
+`LinearARModel`: every gradient is a `models.grad_logprob` (a block of
+one prompt's responses) or `grad_logprob_token` call at the current
+theta, and `TrainConfig` is the one check of theta's values.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -22,7 +28,7 @@ import numpy as np
 
 from .core import draw_examples
 from .metrics import step_kl
-from .models import (FeatureMap, LinearARModel, grad_logprob,
+from .models import (FeatureMap, candidate_dists, grad_logprob,
                      grad_logprob_token, project_unit_ball, token_step)
 
 
@@ -39,19 +45,37 @@ class TrainConfig:
     theta0: np.ndarray | None = None
 
     def __post_init__(self):
+        """Refuse what a learner would fail on or silently misuse."""
+        for name in ("T", "K", "checkpoint_every"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got "
+                                 f"{getattr(self, name)!r}")
         if self.T < 1:
             raise ValueError("T must be positive")
-        if self.eta is not None and self.eta <= 0:
-            raise ValueError("eta must be positive")
+        if self.eta is not None and not 0 < self.eta < math.inf:
+            raise ValueError("eta must be positive and finite")
         if self.K < 1:
             raise ValueError("K must be >= 1")
-        if self.lam is not None and self.lam < 0:
-            raise ValueError("lambda must be >= 0")
-        if self.A is not None and self.A <= 0:
-            raise ValueError("A must be positive")
+        if self.lam is not None and not 0 <= self.lam < math.inf:
+            raise ValueError("lambda must be >= 0 and finite")
+        if self.A is not None and not 0 < self.A < math.inf:
+            raise ValueError("A must be positive and finite")
         if self.N is not None and not self.N > 1:
             raise ValueError(f"N must be > 1 (log N is the coverage "
                              f"budget), got N = {self.N!r}")
+        if self.N == math.inf:
+            raise ValueError("N must be finite")
+        if self.sigma_star_sq is not None and \
+                not 0 <= self.sigma_star_sq < math.inf:
+            raise ValueError("sigma_star_sq must be >= 0 and finite")
+        if self.checkpoint_every < 0:
+            raise ValueError("checkpoint_every must be >= 0 (0 for the "
+                             "geometric cadence)")
+        # The one check of theta0's values: the learners step on theta
+        # arrays and build no model that would check its norm.
+        if self.theta0 is not None and \
+                not np.isfinite(np.asarray(self.theta0, dtype=float)).all():
+            raise ValueError("theta0 must be finite")
 
 
 @dataclass
@@ -92,20 +116,26 @@ def mle_fit(dataset, featmap: FeatureMap, V: int, H: int,
     """Full-batch projected gradient ascent on the average log-likelihood.
 
     Fixed step 1/(2 H B^2) (the objective is concave and H B^2-smooth).
+    Each iteration makes one `grad_logprob` block call per prompt group
+    and sums the rows in dataset order, as a per-example loop would.
     Terminates when the gradient-mapping norm drops below `tol`; on budget
     exhaustion the last iterate is returned with converged=False.
     """
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
+    if dataset.Y.shape[1] != H:
+        raise ValueError("response must have full length H")
     step = 1.0 / (2.0 * H * featmap.B ** 2)
     theta = np.zeros(featmap.d)
     n = len(dataset)
+    groups = dataset.groups
+    rows = np.empty((n, featmap.d))
     gnorm = math.inf
     for it in range(1, max_iters + 1):
-        model = LinearARModel(theta, featmap, V, H)
-        g = np.zeros(featmap.d)
-        for x, y in zip(dataset.xs, dataset.Y.tolist()):
-            g += grad_logprob(model, x, y)
+        for x, idx, Y in groups:
+            rows[idx] = grad_logprob(theta, featmap, V, x, Y)
+        # Summed in dataset order, as a running += over the examples.
+        g = np.cumsum(rows, axis=0)[-1]
         g /= n
         theta_new = project_unit_ball(theta + step * g)
         gnorm = float(np.linalg.norm(theta_new - theta) / step)
@@ -157,9 +187,10 @@ def _sgd_loop(stream, featmap: FeatureMap, V: int, H: int,
     """The single-pass driver shared by the four streaming learners.
 
     Runs T iterations from `config.theta0` (or 0).  Iteration t draws k
-    examples and sets theta = step(model, batch, rec), where model is the
-    LinearARModel at the current theta; a step may append to rec.flags.
-    Snapshots theta at `checkpoint_iters` and counts examples and time.
+    examples and sets theta = step(theta, batch, rec): a step reads the
+    theta array and returns a new one (builds no model), and may append to
+    rec.flags.  Snapshots theta at `checkpoint_iters` and counts examples
+    and time.
     """
     t0 = time.perf_counter()
     theta = np.zeros(featmap.d) if config.theta0 is None else \
@@ -168,7 +199,7 @@ def _sgd_loop(stream, featmap: FeatureMap, V: int, H: int,
     rec = RunRecord()
     for t in range(1, config.T + 1):
         batch = _take(stream, k)
-        theta = step(LinearARModel(theta, featmap, V, H), batch, rec)
+        theta = step(theta, batch, rec)
         rec.n_examples += k
         if t in cps:
             rec.checkpoints.append((t, theta.copy()))
@@ -182,9 +213,10 @@ def sgd_vanilla(stream, featmap: FeatureMap, V: int, H: int,
     """Projected sequence-level SGD: theta += eta * grad log pi(y|x)."""
     eta, _ = resolve_config("sgd_vanilla", config, featmap)
 
-    def step(model, batch, rec):
+    def step(theta, batch, rec):
         ((x, y),) = batch
-        return project_unit_ball(model.theta + eta * grad_logprob(model, x, y))
+        return project_unit_ball(
+            theta + eta * grad_logprob(theta, featmap, V, x, [y])[0])
     return _sgd_loop(stream, featmap, V, H, config, step)
 
 
@@ -207,17 +239,17 @@ def sgd_normalized(stream, featmap: FeatureMap, V: int, H: int,
     """
     eta, lam = resolve_config("sgd_normalized", config, featmap)
 
-    def step(model, batch, rec):
+    def step(theta, batch, rec):
         g = np.zeros(featmap.d)
         for x, y in batch:                      # fixed summation order
-            g += grad_logprob(model, x, y)
+            g += grad_logprob(theta, featmap, V, x, [y])[0]
         g /= config.K
         gnorm = float(np.linalg.norm(g))
         if lam == 0.0 and gnorm == 0.0:
             if "zero-gradient-zero-lambda" not in rec.flags:
                 rec.flags.append("zero-gradient-zero-lambda")
-            return model.theta
-        return project_unit_ball(model.theta + eta * g / (lam + gnorm))
+            return theta
+        return project_unit_ball(theta + eta * g / (lam + gnorm))
     return _sgd_loop(stream, featmap, V, H, config, step, k=config.K)
 
 
@@ -226,11 +258,11 @@ def sgd_token(stream, featmap: FeatureMap, V: int, H: int,
     """Token-level SGD: one projected step per token, H steps per example."""
     eta, _ = resolve_config("sgd_token", config, featmap)
 
-    def step(model, batch, rec):
+    def step(theta, batch, rec):
         ((x, y),) = batch
         for h, v in enumerate(y):
-            model = model.with_theta(token_step(model, x, tuple(y[:h]), v, eta))
-        return model.theta
+            theta = token_step(theta, featmap, V, x, tuple(y[:h]), v, eta)
+        return theta
     return _sgd_loop(stream, featmap, V, H, config, step)
 
 
@@ -275,7 +307,7 @@ def sgd_truncated_distill(stream, teacher, featmap: FeatureMap, V: int,
     """
     eta, _ = resolve_config("sgd_truncated_distill", config, featmap)
 
-    def step(model, batch, rec):
+    def step(theta, batch, rec):
         ((x, y),) = batch
         eps = []
         grads = []
@@ -285,8 +317,10 @@ def sgd_truncated_distill(stream, teacher, featmap: FeatureMap, V: int,
             if p_teacher[v] <= 0.0:
                 raise ValueError(
                     "teacher assigns zero mass to an observed token")
-            eps.append(step_kl(p_teacher, model.next_dist(x, prefix)))
-            grads.append(grad_logprob_token(model, x, prefix, v))
+            student = candidate_dists(
+                featmap.candidates(x, [prefix], V), theta)[0]
+            eps.append(step_kl(p_teacher, student))
+            grads.append(grad_logprob_token(theta, featmap, V, x, prefix, v))
             prefix = prefix + (v,)
         alpha, mass = truncation_weights(eps, config.A)
         if not math.isclose(mass, min(config.A, sum(eps)), rel_tol=1e-9,
@@ -296,7 +330,7 @@ def sgd_truncated_distill(stream, teacher, featmap: FeatureMap, V: int,
         for a, gh in zip(alpha, grads):
             if a > 0.0:
                 g += a * gh
-        return project_unit_ball(model.theta + eta * g)
+        return project_unit_ball(theta + eta * g)
     return _sgd_loop(stream, featmap, V, H, config, step)
 
 

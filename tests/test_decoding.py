@@ -48,7 +48,8 @@ def test_ttt_logprob_matches_explicit_replay():
             assert np.allclose(ttt.next_dist(0, prefix),
                                p, atol=1e-12)
             theta = project_unit_ball(
-                theta + eta * grad_logprob_token(m, 0, prefix, v))
+                theta + eta * grad_logprob_token(theta, base.featmap, base.V,
+                                                 0, prefix, v))
             prefix += (v,)
         assert math.isclose(ttt.logprob(Trajectory(0, y)), lp, abs_tol=1e-9)
 

@@ -1,8 +1,10 @@
 """`covkit run` refuses a config that a job would refuse before it writes
 anything: a bad metrics block, a learner without the settings it needs, a
-theta0 of the wrong dimension, a normalized schedule with N <= 1, a graph
-class mix that L cannot hold, or exact metrics over the enumeration
-budget.  Each case exits 2 and leaves no out_dir/runs directory."""
+theta0 of the wrong dimension or with a non-finite entry, a non-finite
+step size, N or sigma_star_sq, a T, K or checkpoint_every that is no
+integer, a negative checkpoint_every, a normalized schedule with N <= 1,
+a graph class mix that L cannot hold, or exact metrics over the
+enumeration budget.  Each case exits 2 and leaves no out_dir/runs directory."""
 
 import json
 import math
@@ -118,6 +120,39 @@ BAD_LEARNERS = {
     "theta0 wrong at one task point": (
         "sgd_vanilla", {"eta": 0.1, "T": 4, "theta0": [0.1, 0.2]},
         {"H": [2, 3]}, "theta0 dimension mismatch"),
+    "NaN theta0": ("sgd_vanilla", {"eta": 0.1, "T": 4, "theta0": [math.nan]},
+                   None, "theta0 must be finite"),
+    "infinite theta0 on an axis": (
+        "sgd_token", {"eta": 0.1, "T": 4},
+        {"theta0": [[0.1], [-math.inf]]}, "theta0 must be finite"),
+    "negative checkpoint_every": (
+        "sgd_vanilla", {"eta": 0.1, "T": 4, "checkpoint_every": -2}, None,
+        "checkpoint_every must be >= 0"),
+    "NaN eta": ("sgd_vanilla", {"eta": math.nan, "T": 4}, None,
+                "eta must be positive and finite"),
+    "infinite eta": ("sgd_token", {"eta": math.inf, "T": 4}, None,
+                     "eta must be positive and finite"),
+    "NaN lambda": ("sgd_normalized", {"eta": 0.1, "lam": math.nan, "T": 4},
+                   None, "lambda must be >= 0 and finite"),
+    "NaN A": ("sgd_truncated", {"eta": 0.1, "A": math.nan, "T": 4}, None,
+              "A must be positive and finite"),
+    "T not an integer": ("sgd_vanilla", {"eta": 0.1, "T": 2.5}, None,
+                         "T must be an integer"),
+    "K not an integer": ("sgd_normalized",
+                         {"eta": 0.1, "lam": 0.5, "T": 4, "K": 1.5}, None,
+                         "K must be an integer"),
+    "checkpoint_every not an integer": (
+        "sgd_token", {"eta": 0.1, "T": 4, "checkpoint_every": 1.5}, None,
+        "checkpoint_every must be an integer"),
+    "negative sigma_star_sq": (
+        "sgd_normalized", {"N": 8.0, "sigma_star_sq": -1.0, "T": 4}, None,
+        "sigma_star_sq must be >= 0 and finite"),
+    "NaN sigma_star_sq": (
+        "sgd_truncated", {"A": 1.0, "sigma_star_sq": math.nan, "T": 4}, None,
+        "sigma_star_sq must be >= 0 and finite"),
+    "infinite N": ("sgd_normalized",
+                   {"N": math.inf, "sigma_star_sq": 0.5, "T": 4}, None,
+                   "N must be finite"),
 }
 
 
@@ -133,6 +168,17 @@ def test_learner_requirements_exit_2_before_output(tmp_path, capsys,
     monkeypatch.setattr(harness, "run_learner", must_not_run)
     refused(tmp_path, capsys, config(tmp_path, learner=learner, train=train,
                                      task=task, axes=axes), match)
+
+
+def test_nan_theta0_on_sgd_lower_exits_2_before_output(tmp_path, capsys):
+    # Python's json reads the NaN literal; this config used to train and
+    # write seq_kl = nan rows and a nan sweep median.
+    task = {"name": "sgd_lower",
+            "params": {"variant": "large_eta", "H": 8, "B": 1.0, "eta": 1.0}}
+    cfg = config(tmp_path, task=task,
+                 train={"eta": 0.1, "T": 4, "theta0": [math.nan, 0.0]})
+    assert "NaN" in json.dumps(cfg)
+    refused(tmp_path, capsys, cfg, "theta0 must be finite")
 
 
 @pytest.mark.parametrize("learner,train", [

@@ -84,7 +84,8 @@ def test_token_steps_are_token_step_row_by_row(base, seed):
             tok = rng.integers(0, model.V, size=k)
             feats = model.featmap.candidates(x, pre, model.V)
             got = token_steps(theta, feats, tok, eta)
-            want = [token_step(model.with_theta(th), x, tuple(p), v, eta)
+            want = [token_step(th, model.featmap, model.V, x, tuple(p), v,
+                               eta)
                     for th, p, v in zip(theta, pre.tolist(), tok.tolist())]
             assert np.array_equal(got, np.array(want).reshape(k, d))
 

@@ -82,7 +82,7 @@ def test_grad_logprob_zero_for_deterministic_path():
     fm = CallableFeatureMap(lambda x, pre: table[pre[-1]], d=1, B=50.0,
                             step_tables=lambda x: table)
     model = LinearARModel(np.array([1.0]), fm, V=2, H=3)
-    g = grad_logprob(model, 0, (0, 0, 0))
+    g = grad_logprob(model.theta, fm, 2, 0, [(0, 0, 0)])[0]
     assert np.linalg.norm(g) <= 1e-10
 
 
@@ -96,7 +96,7 @@ def test_grad_logprob_finite_difference():
         theta = 0.5 * project_unit_ball(rng.normal(size=d))
         model = LinearARModel(theta, fm, V=V, H=H)
         y = tuple(rng.integers(0, V, H))
-        g = grad_logprob(model, 0, y)
+        g = grad_logprob(theta, fm, V, 0, [y])[0]
         eps = 1e-5
         num = np.empty(d)
         for j in range(d):
@@ -116,7 +116,8 @@ def test_grad_norm_bound():
     model = LinearARModel(theta, fm, V=3, H=H)
     for _ in range(20):
         y = tuple(rng.integers(0, 3, H))
-        assert np.linalg.norm(grad_logprob(model, 0, y)) <= 2 * B * H + 1e-9
+        assert np.linalg.norm(grad_logprob(theta, fm, 3, 0, [y])[0]) <= \
+            2 * B * H + 1e-9
 
 
 def test_step_table_fast_path_matches_generic():
@@ -129,8 +130,8 @@ def test_step_table_fast_path_matches_generic():
     fast = LinearARModel(theta, fm_fast, V=3, H=4)
     slow = LinearARModel(theta, fm_slow, V=3, H=4)
     y = (2, 0, 1, 1)
-    assert np.allclose(grad_logprob(fast, 0, y),
-                       grad_logprob(slow, 0, y), atol=1e-12)
+    assert np.allclose(grad_logprob(theta, fm_fast, 3, 0, [y])[0],
+                       grad_logprob(theta, fm_slow, 3, 0, [y])[0], atol=1e-12)
     assert np.allclose(fast.next_dist(0, (2,)), slow.next_dist(0, (2,)))
     assert np.allclose(fast.step_dist(0), slow.next_dist(0, ()))
 
@@ -144,9 +145,10 @@ def test_grad_logprob_token_matches_sum():
     total = np.zeros(3)
     prefix = ()
     for v in y:
-        total += grad_logprob_token(model, 0, prefix, v)
+        total += grad_logprob_token(theta, fm, 2, 0, prefix, v)
         prefix += (v,)
-    assert np.allclose(total, grad_logprob(model, 0, y), atol=1e-12)
+    assert np.allclose(total, grad_logprob(theta, fm, 2, 0, [y])[0],
+                       atol=1e-12)
 
 
 def test_tabular_row_validation_and_default():

@@ -1,10 +1,14 @@
-"""Reference SGD learners: one self-contained loop per learner.
+"""Reference learners: one self-contained loop per learner.
 
-Each function repeats the whole single-pass loop (theta init, stream draw,
-checkpoint cadence, example count) that `covkit.training._sgd_loop` now
-shares, with the step written inline in the same floating-point operation
-order.  `test_train_driver.py` requires the driver's iterates to equal these
-bit for bit.
+Each SGD function repeats the whole single-pass loop (theta init, stream
+draw, checkpoint cadence, example count) that `covkit.training._sgd_loop`
+now shares, with the step written inline in the same floating-point
+operation order, and `mle_fit` sums one gradient per example.  They build
+a `LinearARModel` at every step and take its gradients from this module's
+own per-example `grad_logprob`, `grad_logprob_token` and
+`project_unit_ball`, so they share no gradient arithmetic with covkit.
+`test_train_driver.py` requires the driver's iterates to equal these bit
+for bit.
 """
 
 from __future__ import annotations
@@ -14,10 +18,67 @@ import math
 import numpy as np
 
 from covkit.metrics import step_kl
-from covkit.models import (LinearARModel, grad_logprob, grad_logprob_token,
-                           project_unit_ball)
-from covkit.training import (RunRecord, checkpoint_iters, normalized_schedule,
-                             truncated_schedule, truncation_weights)
+from covkit.models import LinearARModel
+from covkit.training import (MLEResult, RunRecord, checkpoint_iters,
+                             normalized_schedule, truncated_schedule,
+                             truncation_weights)
+
+
+def project_unit_ball(v):
+    v = np.asarray(v, dtype=float)
+    nrm = np.linalg.norm(v)
+    if nrm <= 1.0:
+        return v
+    return v / nrm
+
+
+def _softmax(logits):
+    z = logits - logits.max()
+    e = np.exp(z)
+    return e / e.sum()
+
+
+def grad_logprob(model, x, y):
+    """Gradient of log pi_theta(y|x) of one example under a model."""
+    if len(y) != model.H:
+        raise ValueError("response must have full length H")
+    table = model.featmap.step_table(x)
+    if table is not None:
+        p = _softmax(table @ model.theta)
+        counts = np.bincount(np.asarray(y), minlength=model.V).astype(float)
+        return counts @ table - model.H * (p @ table)
+    g = np.zeros(model.featmap.d)
+    prefix = ()
+    for v in y:
+        g += grad_logprob_token(model, x, prefix, v)
+        prefix = prefix + (v,)
+    return g
+
+
+def grad_logprob_token(model, x, prefix, v):
+    """Gradient of log pi_theta(v | x, prefix) under a model."""
+    feats = model.featmap.candidates(x, [prefix], model.V)[0]
+    p = _softmax(feats @ model.theta)
+    return feats[v] - p @ feats
+
+
+def mle_fit(dataset, featmap, V, H, tol=1e-8, max_iters=10 ** 5):
+    step = 1.0 / (2.0 * H * featmap.B ** 2)
+    theta = np.zeros(featmap.d)
+    n = len(dataset)
+    gnorm = math.inf
+    for it in range(1, max_iters + 1):
+        model = LinearARModel(theta, featmap, V, H)
+        g = np.zeros(featmap.d)
+        for x, y in zip(dataset.xs, dataset.Y.tolist()):
+            g += grad_logprob(model, x, y)
+        g /= n
+        theta_new = project_unit_ball(theta + step * g)
+        gnorm = float(np.linalg.norm(theta_new - theta) / step)
+        theta = theta_new
+        if gnorm <= tol:
+            return MLEResult(theta, True, it, gnorm)
+    return MLEResult(theta, False, max_iters, gnorm)
 
 
 def _init_theta(config, d):

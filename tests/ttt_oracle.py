@@ -3,14 +3,15 @@
 These are the per-row scorer and sampler that `TTTPolicy` carried before
 it was scored and sampled through the `Policy` level paths: each replays
 the token-gradient steps along one response from the base theta, with no
-memo, building the model at each step.  `test_ttt_paths.py` checks the
-level paths against them.
+memo, building the model at each step.  The gradient and the projection
+are `train_oracle`'s per-model copies, not covkit's.  `test_ttt_paths.py`
+checks the level paths against them.
 """
 
 import math
 
 from covkit.core import NEG_INF
-from covkit.models import grad_logprob_token, project_unit_ball
+from train_oracle import grad_logprob_token, project_unit_ball
 
 
 def logprob(policy, x, y) -> float:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
 
 from .core import load_jsonl
@@ -49,6 +50,19 @@ def _load_task_file(path: str):
     return build_task(spec["name"], spec.get("params", {}))
 
 
+def _check_flag(ok: bool, flag: str, value, want: str):
+    """Refuse a flag value (exit 2) unless `ok`."""
+    if not ok:
+        raise ConfigError(f"--{flag} must be {want}, got {value!r}")
+
+
+def _check_shape(piD, piHat):
+    """Refuse a --pi-hat whose (V, H) is not the data policy's (exit 2)."""
+    if (piHat.V, piHat.H) != (piD.V, piD.H):
+        raise ConfigError(f"--pi-hat has (V, H) = ({piHat.V}, {piHat.H}), "
+                          f"the data policy ({piD.V}, {piD.H})")
+
+
 @contextlib.contextmanager
 def _reading_inputs():
     """Re-raise any error of the block as a ConfigError (exit 2)."""
@@ -71,6 +85,7 @@ def cmd_run(args) -> int:
 
 def cmd_gen_data(args) -> int:
     with _reading_inputs():
+        _check_flag(args.n >= 1, "n", args.n, ">= 1")
         params = json.loads(args.params)
     gen_data(args.task, params, args.n, args.seed, args.out,
              header_path=args.header)
@@ -80,9 +95,16 @@ def cmd_gen_data(args) -> int:
 
 def cmd_eval_coverage(args) -> int:
     with _reading_inputs():
+        if args.mode == "mc":
+            _check_flag(args.n_samples >= 2, "n-samples", args.n_samples,
+                        ">= 2")
         task = _load_task_file(args.task)
+        if args.mode == "exact" and not hasattr(task.mu, "items"):
+            raise ConfigError("exact metrics need an enumerable prompt "
+                              "distribution; use --mode mc")
         piD = load_policy(args.pi_d) if args.pi_d else task.piD
         piHat = load_policy(args.pi_hat)
+        _check_shape(piD, piHat)
         grid = check_n_grid(args.N_grid)
     if args.mode == "exact":
         curve = coverage_exact(piD, piHat, task.mu.items(), grid)
@@ -96,6 +118,10 @@ def cmd_eval_coverage(args) -> int:
 
 def cmd_tournament(args) -> int:
     with _reading_inputs():
+        _check_flag(math.isfinite(args.N) and args.N >= 1, "N", args.N,
+                    "a finite number >= 1")
+        _check_flag(math.isfinite(args.gamma) and args.gamma >= 0, "gamma",
+                    args.gamma, "a finite number >= 0")
         cands = CandidateClass([load_policy(p) for p in args.candidates])
         first = cands.candidates[0]
         dataset = load_jsonl(args.data, H=first.H, V=first.V)
@@ -113,8 +139,12 @@ def cmd_tournament(args) -> int:
 
 def cmd_bon(args) -> int:
     with _reading_inputs():
+        _check_flag(math.isfinite(args.reward_scale) and args.reward_scale > 0,
+                    "reward-scale", args.reward_scale, "a finite number > 0")
+        _check_flag(args.trials >= 100, "trials", args.trials, ">= 100")
         task = _load_task_file(args.task)
         piHat = load_policy(args.pi_hat)
+        _check_shape(task.piD, piHat)
         grid = check_n_grid(args.N_grid, integers=True)
     scale = args.reward_scale
     reward = adversarial_reward(task.piD, piHat, scale)

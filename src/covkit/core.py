@@ -341,7 +341,7 @@ def sample_dataset(policy: Policy, mu, n: int, rng: np.random.Generator,
     `from_uniforms` (a `FinitePromptDist`), the same examples that drawing
     each prompt and then its response, example by example, gives.
     """
-    if n < 1:
+    if not n >= 1:
         raise ValueError("n must be >= 1")
     xs, Y = draw_examples(policy, mu, n, rng)
     return Dataset.from_arrays(xs, Y, H=policy.H, V=policy.V,

@@ -43,7 +43,7 @@ class TTTPolicy(Policy):
 
 def best_of_n(policy: Policy, reward, x, N: int, rng) -> tuple:
     """Draw N i.i.d. responses; return the first attaining maximal reward."""
-    if N < 1:
+    if not N >= 1:
         raise ValueError("N must be >= 1")
     draws = policy.sample_many(x, N, rng)
     return tuple(draws[int(np.argmax(_rewards(reward, x, draws)))].tolist())
@@ -59,9 +59,9 @@ def bon_regret(policy: Policy, piT: Policy, reward, mu, N: int, trials: int,
     the response `best_of_n` would return.  The per-trial difference lies
     in [-1, 1], so the half-width carries a range factor of 2.
     """
-    if trials < 100:
+    if not trials >= 100:
         raise ValueError("trials must be >= 100")
-    if N < 1:
+    if not N >= 1:
         raise ValueError("N must be >= 1")
     total = 0.0
     for x, idx in group_prompts(sample_prompts(mu, trials, rng)).items():
@@ -91,6 +91,8 @@ class AdversarialReward:
     """
 
     def __init__(self, piT: Policy, piHat: Policy, N: float):
+        if not N > 0:
+            raise ValueError("N must be > 0")
         self.piT = piT
         self.piHat = piHat
         self.log_thresh = math.log(2.0 * N)

@@ -77,7 +77,11 @@ LEARNERS = {
 
 _TOP_KEYS = {"version", "task", "learner", "metrics", "sweep", "out_dir",
              "root_seed"}
-_METRIC_KEYS = {"n_grid", "mode", "n_samples", "kl_samples", "delta"}
+# What `validate_config` fills into a metrics block; kl_samples defaults
+# to n_samples.
+_METRIC_DEFAULTS = {"n_grid": [2.0, 8.0, 64.0], "mode": "exact",
+                   "n_samples": 2000, "delta": 0.05}
+_METRIC_KEYS = set(_METRIC_DEFAULTS) | {"kl_samples"}
 
 
 def _check_keys(d, allowed, where):
@@ -110,22 +114,26 @@ def check_n_grid(values, integers: bool = False) -> np.ndarray:
     return grid
 
 
-def _check_metrics(metrics: dict):
-    """Refuse a metrics block that the metric calls of a job would."""
+def _check_metrics(metrics: dict) -> dict:
+    """Refuse a metrics block that the metric calls of a job would; return
+    a copy with `_METRIC_DEFAULTS` filled in."""
     _check_keys(metrics, _METRIC_KEYS, "metrics")
-    if metrics.get("mode", "exact") not in ("exact", "mc"):
+    metrics = {**_METRIC_DEFAULTS, **metrics}
+    metrics.setdefault("kl_samples", metrics["n_samples"])
+    if metrics["mode"] not in ("exact", "mc"):
         raise ConfigError("metrics.mode must be 'exact' or 'mc'")
-    if "n_grid" in metrics:
-        check_n_grid(metrics["n_grid"])
-    if metrics.get("mode") == "mc":
+    check_n_grid(metrics["n_grid"])
+    metrics["n_grid"] = list(metrics["n_grid"])
+    if metrics["mode"] == "mc":
         for key, least in (("n_samples", 2), ("kl_samples", 1)):
-            v = metrics.get(key, least)
+            v = metrics[key]
             if not (type(v) is int and v >= least):
                 raise ConfigError(f"metrics.{key} must be an integer "
                                   f">= {least}, got {v!r}")
-    delta = metrics.get("delta", 0.05)
+    delta = metrics["delta"]
     if not (type(delta) in (int, float) and 0 < delta < 1):
         raise ConfigError(f"metrics.delta must lie in (0, 1), got {delta!r}")
+    return metrics
 
 
 def validate_config(cfg: dict) -> dict:
@@ -158,8 +166,7 @@ def validate_config(cfg: dict) -> dict:
     if ignored & set(train):
         raise ConfigError(f"learner {learner['name']!r} ignores train "
                           f"fields {sorted(ignored & set(train))}")
-    metrics = dict(cfg.get("metrics", {}))
-    _check_metrics(metrics)
+    metrics = _check_metrics(cfg.get("metrics", {}))
     sweep = dict(cfg.get("sweep", {}))
     _check_keys(sweep, {"axes", "seeds"}, "sweep")
     axes = dict(sweep.get("axes", {}))
@@ -183,7 +190,7 @@ def validate_config(cfg: dict) -> dict:
         params = dict(task_params, **dict(zip(task_axes, values)))
         point = _build_task(task["name"], params)
         featmaps.append(_check_task(point, metrics))
-        if metrics.get("mode", "exact") == "exact":
+        if metrics["mode"] == "exact":
             _check_exact_work(point)
     train_axes = [a for a in axes if a in reads]
     for values in itertools.product(*(axes[a] for a in train_axes)):
@@ -223,8 +230,7 @@ def _check_task(task, metrics_spec: dict):
     its feature map."""
     if task.featmap is None:
         raise ConfigError("task has no feature map; cannot train")
-    if (metrics_spec.get("mode", "exact") == "exact"
-            and not hasattr(task.mu, "items")):
+    if metrics_spec["mode"] == "exact" and not hasattr(task.mu, "items"):
         raise ConfigError("exact metrics need an enumerable prompt "
                           "distribution; use metrics.mode = 'mc'")
     return task.featmap
@@ -270,24 +276,23 @@ def run_learner(name: str, task, train: TrainConfig, rng) -> RunRecord:
 
 
 def checkpoint_metrics(task, rec: RunRecord, metrics_spec: dict, tree: SeedTree):
-    """MetricReport (seq KL + coverage curve) at every checkpoint."""
-    n_grid = np.asarray(metrics_spec.get("n_grid", [2.0, 8.0, 64.0]), float)
-    mode = metrics_spec.get("mode", "exact")
-    n_samples = int(metrics_spec.get("n_samples", 2000))
-    kl_samples = int(metrics_spec.get("kl_samples", n_samples))
-    delta = float(metrics_spec.get("delta", 0.05))
+    """MetricReport (seq KL + coverage curve) at every checkpoint, for the
+    metrics block of a validated config."""
+    n_grid = np.asarray(metrics_spec["n_grid"], float)
     reports = []
     for i, (t, theta) in enumerate(rec.checkpoints):
         model = LinearARModel(theta, task.featmap, task.V, task.H)
-        if mode == "exact":
+        if metrics_spec["mode"] == "exact":
             kl, curve = kl_and_coverage(task.piD, model, task.mu.items(),
                                         n_grid)
         else:
             rng = tree.child("metric", i).rng()
-            kl = seq_kl(task.piD, model, None, mode="mc", n=kl_samples,
-                        rng=rng, mu_sampler=task.mu)
+            kl = seq_kl(task.piD, model, None, mode="mc",
+                        n=metrics_spec["kl_samples"], rng=rng,
+                        mu_sampler=task.mu)
             curve = coverage_mc(task.piD, model, task.mu, n_grid,
-                                n_samples, rng, delta=delta)
+                                metrics_spec["n_samples"], rng,
+                                delta=metrics_spec["delta"])
         reports.append(MetricReport(seq_kl=kl, coverage=curve))
     rec.metrics = reports
     return reports
@@ -328,7 +333,7 @@ def run(cfg: dict) -> str:
     axis_names = sorted(axes)
     points = list(itertools.product(*(axes[a] for a in axis_names)))
     metrics_spec = cfg["metrics"]
-    n_grid = np.asarray(metrics_spec.get("n_grid", [2.0, 8.0, 64.0]), float)
+    n_grid = np.asarray(metrics_spec["n_grid"], float)
     out_dir = cfg["out_dir"]
     os.makedirs(os.path.join(out_dir, "runs"), exist_ok=True)
 

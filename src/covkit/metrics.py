@@ -4,7 +4,9 @@ All ratio events are evaluated in log domain and use the closed comparison
 log piD - log piHat >= log N.  Monte Carlo modes report Hoeffding (or
 Wilson) confidence half-widths; they draw all prompts first, then score
 each distinct prompt's responses with one sample_many and one logprob_many
-call per policy.  Exact modes use, per prompt x, either
+call per policy.  The MC modes of seq_kl, seq_ce and stopped_kl, and
+coverage_mc, reduce the per-draw values of one loop, `_mc_values`.  Exact
+modes use, per prompt x, either
 
 * product closed forms, when both policies return a `step_dist` at x:
   seq_kl = H KL_step, seq_ce = H CE_step, 1 - hellinger_sq = BC_step^H,
@@ -38,6 +40,7 @@ from __future__ import annotations
 import collections
 import itertools
 import math
+import statistics
 import weakref
 from dataclasses import dataclass
 
@@ -58,7 +61,7 @@ class CoverageCurve:
         self.thresholds = np.asarray(self.thresholds, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
         self.half_widths = np.asarray(self.half_widths, dtype=float)
-        if np.any(self.thresholds < 1):
+        if not np.all(self.thresholds >= 1):
             raise ValueError("thresholds must be >= 1")
         if np.any(np.diff(self.thresholds) < 0):
             raise ValueError("thresholds must be sorted")
@@ -347,65 +350,38 @@ def coverage_mc(piD: Policy, piHat: Policy, mu_sampler, Ns, n_samples: int,
     curve at once with probability >= 1 - delta.  A Wilson band holds at
     one N at a time.
     """
-    if n_samples < 2:
+    if not n_samples >= 2:
         raise ValueError("n_samples must be >= 2")
     Ns = np.atleast_1d(np.asarray(Ns, dtype=float))
-    lrs = _mc_log_ratios(piD, piHat, mu_sampler, n_samples, rng)
+    lrs = _mc_values(piD, mu_sampler, n_samples, rng,
+                     _log_ratio_values(piD, piHat))
     values = np.array([(lrs >= math.log(N) - 1e-12).mean() for N in Ns])
     if interval == "hoeffding":
         hw = np.full_like(Ns, hoeffding_half_width(n_samples, delta))
     elif interval == "wilson":
-        z = _norm_ppf(1 - delta / 2)
+        z = statistics.NormalDist().inv_cdf(1 - delta / 2)
         hw = np.array([_wilson_half_width(v, n_samples, z) for v in values])
     else:
         raise ValueError(f"unknown interval {interval!r}")
     return CoverageCurve(Ns, values, hw, n_samples=n_samples)
 
 
-def _mc_draws(piD, mu_sampler, n, rng):
-    """n draws from mu x piD: a list of (x, positions, Y), one per prompt.
-
-    All n prompts are drawn first; then each distinct prompt, in order of
-    first appearance, gets its responses Y from one sample_many call.
-    """
-    if n is None or n < 1:
+def _mc_values(piD, mu_sampler, n, rng, value):
+    """value(x, Y) of n draws from mu x piD, in the order the prompts were
+    drawn.  All n prompts are drawn first; then each distinct prompt, in
+    order of first appearance, gets its responses Y from one sample_many
+    call.  `value` must not draw from rng, whose draws it sits between."""
+    if n is None or not n >= 1:
         raise ValueError("mc mode requires n >= 1")
-    groups = group_prompts(sample_prompts(mu_sampler, n, rng))
-    return [(x, idx, piD.sample_many(x, len(idx), rng))
-            for x, idx in groups.items()]
-
-
-def _mc_log_ratios(piD, piHat, mu_sampler, n, rng):
-    """log piD - log piHat of n draws from mu x piD, +inf where piHat has
-    no mass, in the order the prompts were drawn."""
-    draws = _mc_draws(piD, mu_sampler, n, rng)
     out = np.empty(n)
-    for x, idx, Y in draws:
-        out[idx] = piD.logprob_many(x, Y) - piHat.logprob_many(x, Y)
+    for x, idx in group_prompts(sample_prompts(mu_sampler, n, rng)).items():
+        out[idx] = value(x, piD.sample_many(x, len(idx), rng))
     return out
 
 
-def _norm_ppf(q):
-    # Acklam rational approximation; avoids a scipy dependency for one number.
-    a = [-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-         1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00]
-    b = [-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-         6.680131188771972e+01, -1.328068155288572e+01]
-    c = [-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-         -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00]
-    d = [7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-         3.754408661907416e+00]
-    plow = 0.02425
-    if q < plow:
-        u = math.sqrt(-2 * math.log(q))
-        return (((((c[0]*u+c[1])*u+c[2])*u+c[3])*u+c[4])*u+c[5]) / \
-               ((((d[0]*u+d[1])*u+d[2])*u+d[3])*u+1)
-    if q > 1 - plow:
-        return -_norm_ppf(1 - q)
-    u = q - 0.5
-    t = u * u
-    return (((((a[0]*t+a[1])*t+a[2])*t+a[3])*t+a[4])*t+a[5])*u / \
-           (((((b[0]*t+b[1])*t+b[2])*t+b[3])*t+b[4])*t+1)
+def _log_ratio_values(piD, piHat):
+    """log piD - log piHat of each row of Y; +inf where piHat has no mass."""
+    return lambda x, Y: piD.logprob_many(x, Y) - piHat.logprob_many(x, Y)
 
 
 def _wilson_half_width(p, n, z):
@@ -421,7 +397,8 @@ def seq_kl(piD: Policy, piHat: Policy, mu_items, mode="exact",
         return _reduce(_pair_laws(piD, piHat, mu_items), piD.H,
                        _kl_closed, _kl_leaves)
     if mode == "mc":
-        return float(_mc_log_ratios(piD, piHat, mu_sampler, n, rng).mean())
+        return float(_mc_values(piD, mu_sampler, n, rng,
+                                _log_ratio_values(piD, piHat)).mean())
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -443,11 +420,8 @@ def seq_ce(piD: Policy, piHat: Policy, mu_items, mode="exact",
         return _reduce(_pair_laws(piD, piHat, mu_items), piD.H,
                        _ce_closed, _ce_leaves)
     if mode == "mc":
-        draws = _mc_draws(piD, mu_sampler, n, rng)
-        vals = np.empty(n)
-        for x, idx, Y in draws:
-            vals[idx] = -piHat.logprob_many(x, Y)
-        return float(vals.mean())
+        return float(_mc_values(piD, mu_sampler, n, rng,
+                                lambda x, Y: -piHat.logprob_many(x, Y)).mean())
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -468,7 +442,7 @@ def step_kl(pD: np.ndarray, pH: np.ndarray) -> float:
 def stopped_kl(piD: Policy, piHat: Policy, mu_items, N: float, mode="exact",
                n=None, rng=None, mu_sampler=None) -> float:
     """E_piD[min(log N, sum_h per-step conditional KL)]."""
-    if N <= 1:
+    if not N > 1:
         raise ValueError("N must be > 1")
     logN = math.log(N)
     if mode == "exact":
@@ -479,16 +453,14 @@ def stopped_kl(piD: Policy, piHat: Policy, mu_items, N: float, mode="exact",
                 np.exp(lpD) @ np.where(peaks[0] >= logN, logN, sums[0])))
     if mode == "mc":
         # Step KLs are >= 0, so clipping the full sum equals stopping early.
-        draws = _mc_draws(piD, mu_sampler, n, rng)
-        vals = np.empty(n)
-        for x, idx, Y in draws:
-            acc = np.zeros(len(idx))
+        def clipped_kl(x, Y):
+            acc = np.zeros(len(Y))
             for h, first, inv in prefix_levels(Y, piD.V):
                 pre = Y[first, :h]
                 acc += _kl_rows(piD.prefix_dists(x, pre),
                                 piHat.prefix_dists(x, pre))[inv]
-            vals[idx] = np.minimum(logN, acc)
-        return float(vals.mean())
+            return np.minimum(logN, acc)
+        return float(_mc_values(piD, mu_sampler, n, rng, clipped_kl).mean())
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -506,7 +478,7 @@ def stepwise_hellinger_tail(piD: Policy, piHat: Policy, mu_items, N: float,
 
 def kl_to_cov_bound(kl: float, N: float) -> float:
     """Upper bound on Pcov_N implied by KL: kl / (log N - 1 + 1/N)."""
-    if N <= math.e:
+    if not N > math.e:
         raise ValueError("N must exceed e for a positive denominator")
     return kl / (math.log(N) - 1.0 + 1.0 / N)
 
@@ -524,13 +496,22 @@ def coverage_sup_log(piD: Policy, piHat: Policy, mu_items):
     return C, ratios[-1]
 
 
+def pairwise_cov_matrix(policies, dataset, N: float) -> np.ndarray:
+    """M[i, j]: fraction of `dataset` points with log policies[i] -
+    log policies[j] >= log N, zero on the diagonal, from one (K, n)
+    log-prob matrix, so each example is scored K times."""
+    if len(dataset) == 0:
+        raise ValueError("dataset is empty")
+    lp = logprob_matrix(policies, dataset)
+    M = np.array([covers(row, lp, math.log(N)).mean(axis=1) for row in lp])
+    np.fill_diagonal(M, 0.0)
+    return M
+
+
 def empirical_pairwise_cov(piPrime: Policy, pi: Policy, dataset,
                            N: float) -> float:
     """Fraction of `dataset` points with log piPrime - log pi >= log N."""
-    if len(dataset) == 0:
-        raise ValueError("dataset is empty")
-    lp = logprob_matrix([piPrime, pi], dataset)
-    return float(covers(lp[0], lp[1], math.log(N)).mean())
+    return float(pairwise_cov_matrix([piPrime, pi], dataset, N)[0, 1])
 
 
 def covers(lp_prime, lp, log_thresh):
@@ -567,7 +548,7 @@ def onpolicy_cov_estimate(piBar: Policy, piPrime: Policy, pi: Policy,
             hit = covers(lpP, lpQ, logN)
             total += c * float(np.exp(lpBar)[hit].sum())
     elif mode == "mc":
-        if m is None or m < 1:
+        if m is None or not m >= 1:
             raise ValueError("mc mode requires m >= 1")
         for x, idx in group_prompts(prompts).items():
             Y = piBar.sample_many(x, len(idx) * m, rng)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import math
@@ -257,20 +256,10 @@ class TabularModel(Policy):
         return self._bounds[i], self._bounds[i + 1]
 
     def next_dist(self, x, prefix: tuple) -> np.ndarray:
-        p, h = self._prompts.get(x), len(prefix)
-        if p is None or h >= self.H:
+        if x not in self._prompts or len(prefix) >= self.H or not all(
+                0 <= v < self.V and v == int(v) for v in prefix):
             return self.default
-        code = 0
-        for v in prefix:
-            if not (0 <= v < self.V and v == int(v)):
-                return self.default
-            code = code * self.V + int(v)
-        lo, hi = self._block(p, h)
-        if hi - lo == self.V ** h:
-            return self._rows[lo + code]
-        j = bisect.bisect_left(self._codes, code, lo, hi)
-        return self._rows[j] if j < hi and self._codes[j] == code \
-            else self.default
+        return self.prefix_dists(x, [prefix])[0]
 
     def prefix_dists(self, x, prefixes) -> np.ndarray:
         pre = np.asarray(prefixes, dtype=np.int64)
@@ -418,7 +407,7 @@ def sigma_star_sq(piD: Policy, featmap: FeatureMap, mu_items, mode="exact",
             total += w * float(np.exp(lpD) @ sums[0])
         return total
     if mode == "mc":
-        if n is None or n < 2:
+        if n is None or not n >= 2:
             raise ValueError("mc mode requires n >= 2")
         vals = np.empty(n)
         xs, Y = draw_examples(piD, mu_items, n, rng)

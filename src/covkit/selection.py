@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import logprob_matrix
-from .metrics import covers, onpolicy_cov_estimate
+from .metrics import onpolicy_cov_estimate, pairwise_cov_matrix
 
 
 @dataclass
@@ -63,23 +63,12 @@ def select_ce(candidates: CandidateClass, dataset, return_report=False):
     return idx
 
 
-def _pairwise_matrix(candidates, dataset, N) -> np.ndarray:
-    """M[i, j]: empirical coverage of candidate j by candidate i, from one
-    (K, n) log-prob matrix, so a tournament scores each example K times."""
-    lp = logprob_matrix(candidates, dataset)
-    M = np.array([covers(row, lp, math.log(N)).mean(axis=1) for row in lp])
-    np.fill_diagonal(M, 0.0)
-    return M
-
-
 def simple_tournament(candidates: CandidateClass, dataset, N: float,
                       return_report=False):
     """argmin_pi max_pi' empirical coverage of pi' against pi."""
-    if len(dataset) == 0:
-        raise ValueError("dataset is empty")
-    if N < 1:
+    if not N >= 1:
         raise ValueError("N must be >= 1")
-    M = _pairwise_matrix(candidates.candidates, dataset, N)
+    M = pairwise_cov_matrix(candidates.candidates, dataset, N)
     worst = M.max(axis=0)
     idx = int(np.argmin(worst))
     if return_report:
@@ -95,8 +84,8 @@ def offset_tournament(candidates: CandidateClass, dataset, N: float,
     `mode` is "exact", "mc", or None (exact when V^H <= 1e4, else mc with m
     generations per prompt).
     """
-    if len(dataset) == 0:
-        raise ValueError("dataset is empty")
+    if not (N >= 1 and gamma >= 0):
+        raise ValueError(f"need N >= 1 and gamma >= 0, got {N}, {gamma}")
     K = len(candidates)
     cands = candidates.candidates
     if N < 8.0 * gamma ** 2:
@@ -104,7 +93,7 @@ def offset_tournament(candidates: CandidateClass, dataset, N: float,
                       "violated; proceeding anyway")
     if mode is None:
         mode = "exact" if cands[0].V ** cands[0].H <= 10 ** 4 else "mc"
-    M = _pairwise_matrix(cands, dataset, N)
+    M = pairwise_cov_matrix(cands, dataset, N)
     offsets = np.zeros((K, K))
     for j in range(K):
         for i in range(K):

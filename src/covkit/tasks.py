@@ -70,7 +70,7 @@ def heterogeneous_kl_instance(n: int, H: int) -> TaskInstance:
     theta* = 1, so the rare prompt emits +1 tokens with probability
     e / (e + 1/e) per step.
     """
-    if n < 1 or H < 1:
+    if not (n >= 1 and H >= 1):
         raise ValueError("n and H must be positive")
 
     def tables(x):
@@ -107,7 +107,7 @@ def sgd_lower_instance(variant: str, H: int, B: float, Bbar: float | None = None
     if variant == "large_eta":
         if eta is None:
             raise ValueError("variant 'large_eta' requires eta")
-        if eta * H * B < 8.0:
+        if not eta * H * B >= 8.0:
             raise ValueError(
                 f"constraint violated: eta*H*B >= 8 required, "
                 f"got {eta * H * B:.6g}")
@@ -134,7 +134,7 @@ def sgd_lower_instance(variant: str, H: int, B: float, Bbar: float | None = None
             raise ValueError(
                 f"constraint violated: B >= Bbar >= 1 required, "
                 f"got B={B}, Bbar={Bbar}")
-        if N <= 1:
+        if not N > 1:
             raise ValueError("N must be > 1")
         vals = np.array(SGD_TOKEN_VALUES, dtype=float)
         plus_table = np.stack([Bbar * vals, np.zeros(3)], axis=1)
@@ -165,7 +165,7 @@ def sigma_star_instance(H: int, B: float, N: float, n: int,
     so each step of the "+" prompt is an independent logistic coin.  The
     rare-prompt probability scales like H / (n log N).
     """
-    if math.log(N) > c * min(H, B * B):
+    if not math.log(N) <= c * min(H, B * B):
         raise ValueError(
             f"precondition violated: log N <= {c} * min(H, B^2) required, "
             f"got log N = {math.log(N):.6g}")
@@ -201,7 +201,7 @@ def misspec_instance(alpha: float, M: float):
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
-    if M <= math.exp(alpha):
+    if not M > math.exp(alpha):
         raise ValueError("M must exceed e^alpha")
     p = alpha / (32.0 * math.log(M))
     mu = FinitePromptDist(["+", "-"], [1.0 - p, p])

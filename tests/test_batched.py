@@ -7,16 +7,17 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import all_prefixes, random_product, random_tabular
+from conftest import (random_product, random_tabular,
+                      tabular_with_missing_mass)
 from covkit.core import (Dataset, FinitePromptDist, Policy, Trajectory,
                          enumerate_responses, logprob_matrix, sample_prompts)
 from covkit.decoding import TTTPolicy, adversarial_reward, bon_regret
 from covkit.graphs import GraphConfig, gen_graph_instance
-from covkit.metrics import (_norm_ppf, empirical_pairwise_cov,
-                            onpolicy_cov_estimate, seq_ce, seq_kl, stopped_kl)
+from covkit.metrics import (coverage_mc, empirical_pairwise_cov,
+                            onpolicy_cov_estimate, pairwise_cov_matrix, seq_ce,
+                            seq_kl, stopped_kl)
 from covkit.models import CallableFeatureMap, LinearARModel, TabularModel
 from covkit.seeding import SeedTree
-from covkit.selection import _pairwise_matrix
 
 
 def loop_logprob(pol, x, y):
@@ -29,21 +30,6 @@ def loop_logprob(pol, x, y):
         total += math.log(p)
         prefix += (v,)
     return total
-
-
-def tabular_with_missing_mass(rng, V, H, prompts):
-    """Prefix-dependent rows with some zero entries; unseen prompts fall
-    back to the default row, which also has a zero."""
-    tables = {}
-    for x in prompts:
-        for prefix in all_prefixes(V, H):
-            row = rng.dirichlet(np.ones(V))
-            row[rng.random(V) < 0.3] = 0.0
-            if row.sum() == 0.0:
-                row[rng.integers(V)] = 1.0
-            tables[(x, prefix)] = row / row.sum()
-    default = np.r_[0.0, np.full(V - 1, 1.0 / (V - 1))]
-    return TabularModel(tables, V=V, H=H, default=default)
 
 
 def random_theta(rng, d):
@@ -190,7 +176,7 @@ def test_logprob_matrix_and_pairwise_match_per_row():
     lp = logprob_matrix(cands, ds)
     ref = np.array([[pi.logprob(t) for t in data] for pi in cands])
     assert np.array_equal(lp, ref)
-    M = _pairwise_matrix(cands, ds, 4.0)
+    M = pairwise_cov_matrix(cands, ds, 4.0)
     for i in range(3):
         for j in range(3):
             hits = 0
@@ -306,8 +292,18 @@ def test_mc_modes_against_exact():
         assert abs(mc - mean) <= 5.0 * sd / math.sqrt(n), fn.__name__
 
 
-def test_norm_ppf_against_scipy():
-    tails = np.logspace(-4, -1, 200)
-    q = np.concatenate([np.linspace(1e-4, 1 - 1e-4, 2001), tails, 1 - tails])
-    got = np.array([_norm_ppf(v) for v in q])
-    assert np.max(np.abs(got - stats.norm.ppf(q))) <= 1e-8
+def test_wilson_half_widths_at_scipy_z():
+    rng = SeedTree(12).rng()
+    piD = random_tabular(rng, 3, 3, prompts=(0, 1))
+    piHat = random_tabular(rng, 3, 3, prompts=(0, 1))
+    mu = FinitePromptDist([0, 1], [0.6, 0.4])
+    n = 500
+    for delta in (0.2, 0.05, 0.01, 0.001):
+        curve = coverage_mc(piD, piHat, mu, [1.0, 2.0, 4.0, 16.0], n,
+                            SeedTree(13).rng(), delta=delta,
+                            interval="wilson")
+        z = stats.norm.ppf(1 - delta / 2)
+        p = curve.values
+        want = z / (1 + z * z / n) * np.sqrt(p * (1 - p) / n +
+                                             z * z / (4 * n * n))
+        assert np.allclose(curve.half_widths, want, rtol=1e-12, atol=0.0)

@@ -58,6 +58,30 @@ def error_of(capsys):
      "--n", "5", "--out", "{out}"],
     ["run", "{bad}"],
     ["run", "{missing}"],
+    ["tournament", "--candidates", "{pol}", "--data", "{data}", "--N", "nan"],
+    ["tournament", "--candidates", "{pol}", "--data", "{data}", "--N", "inf"],
+    ["tournament", "--candidates", "{pol}", "--data", "{data}", "--N", "0.5"],
+    ["tournament", "--candidates", "{pol}", "--data", "{data}", "--rule",
+     "offset", "--gamma", "nan"],
+    ["tournament", "--candidates", "{pol}", "--data", "{data}", "--rule",
+     "offset", "--gamma", "-1"],
+    ["bon", "--task", "{task}", "--pi-hat", "{pol}", "--N-grid", "2",
+     "--reward-scale", "nan"],
+    ["bon", "--task", "{task}", "--pi-hat", "{pol}", "--N-grid", "2",
+     "--reward-scale", "0"],
+    ["bon", "--task", "{task}", "--pi-hat", "{pol}", "--N-grid", "2",
+     "--trials", "50"],
+    ["eval-coverage", "--task", "{task}", "--pi-hat", "{pol}", "--N-grid",
+     "2", "--mode", "mc", "--n-samples", "1"],
+    ["eval-coverage", "--task", "{graph}", "--pi-hat", "{pol}", "--N-grid",
+     "2", "--mode", "exact"],
+    ["gen-data", "--task", "bernoulli", "--params", '{{"p_star": 0.3}}',
+     "--n", "0", "--out", "{out}"],
+    ["eval-coverage", "--task", "{task}", "--pi-hat", "{pol_h2}",
+     "--N-grid", "2"],
+    ["eval-coverage", "--task", "{task}", "--pi-hat", "{pol_v3}",
+     "--N-grid", "2", "--mode", "mc"],
+    ["bon", "--task", "{task}", "--pi-hat", "{pol_v3}", "--N-grid", "2"],
 ])
 def test_input_errors_exit_2(tmp_path, files, capsys, argv):
     task, pol, data = files
@@ -69,10 +93,16 @@ def test_input_errors_exit_2(tmp_path, files, capsys, argv):
         "notask": write(tmp_path / "notask.json", {"params": {}}),
         "pol_h2": write(tmp_path / "pol_h2.json",
                         {"type": "tabular", "V": 2, "H": 2, "tables": []}),
+        "pol_v3": write(tmp_path / "pol_v3.json",
+                        {"type": "tabular", "V": 3, "H": 1, "tables": []}),
+        "graph": write(tmp_path / "graph.json",
+                       {"name": "graph_teaser", "params": {}}),
         "out": str(tmp_path / "out.jsonl"),
     }
     assert main([a.format(**names) for a in argv]) == 2
-    assert error_of(capsys)["kind"] == "validation"
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err)["kind"] == "validation"
+    assert not (tmp_path / "out.jsonl").exists()
 
 
 def boom(*args, **kwargs):
@@ -134,3 +164,35 @@ def test_valid_grids_still_run(files, capsys, argv, labels):
     assert main(argv + ["--task", task, "--pi-hat", pol]) == 0
     rows = capsys.readouterr().out.splitlines()[1:]
     assert [r.split(",")[0] for r in rows] == labels
+
+
+def test_library_checks_refuse_nan():
+    """The library's own checks refuse NaN, as the CLI's flag checks do."""
+    from covkit.core import Dataset, FinitePromptDist, sample_dataset
+    from covkit.decoding import adversarial_reward, bon_regret
+    from covkit.metrics import CoverageCurve, coverage_mc, stopped_kl
+    from covkit.selection import (CandidateClass, offset_tournament,
+                                  simple_tournament)
+    from covkit.tasks import bernoulli_model
+    nan = float("nan")
+    pol = bernoulli_model(0.3)
+    mu = FinitePromptDist([0], [1.0])
+    cands = CandidateClass([pol, bernoulli_model(0.5)])
+    ds = Dataset.from_arrays([0, 0], [[1], [0]], H=1, V=2)
+    calls = [
+        lambda: simple_tournament(cands, ds, nan),
+        lambda: offset_tournament(cands, ds, nan, 1.0),
+        lambda: offset_tournament(cands, ds, 4.0, nan),
+        lambda: offset_tournament(cands, ds, 4.0, -1.0),
+        lambda: adversarial_reward(pol, pol, nan),
+        lambda: adversarial_reward(pol, pol, 0.0),
+        lambda: bon_regret(pol, pol, lambda x, y: 0, mu, 1, nan, None),
+        lambda: bon_regret(pol, pol, lambda x, y: 0, mu, nan, 100, None),
+        lambda: stopped_kl(pol, pol, [(0, 1.0)], nan),
+        lambda: coverage_mc(pol, pol, mu, [2.0], nan, None),
+        lambda: sample_dataset(pol, mu, nan, None),
+        lambda: CoverageCurve([nan], [0.0], [0.0]),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()

@@ -10,15 +10,14 @@ started.  Failures emit a one-line error JSON on stderr.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import math
 import sys
 
 from .core import load_jsonl
 from .decoding import adversarial_reward, bon_regret
-from .harness import (ConfigError, build_task, check_n_grid, gen_data, run,
-                      validate_config)
+from .harness import (ConfigError, build_task, check_n_grid, config_errors,
+                      gen_data, run)
 from .metrics import coverage_exact, coverage_mc
 from .models import TabularModel
 from .seeding import SeedTree
@@ -63,28 +62,17 @@ def _check_shape(piD, piHat):
                           f"the data policy ({piD.V}, {piD.H})")
 
 
-@contextlib.contextmanager
-def _reading_inputs():
-    """Re-raise any error of the block as a ConfigError (exit 2)."""
-    try:
-        yield
-    except ConfigError:
-        raise
-    except Exception as e:
-        raise ConfigError(str(e)) from e
-
-
 def cmd_run(args) -> int:
-    with _reading_inputs():
+    with config_errors():
         with open(args.config) as f:
-            cfg = validate_config(json.load(f))
-    out = run(cfg)
+            cfg = json.load(f)
+    out = run(cfg)      # validates cfg: a ConfigError for any refusal
     print(json.dumps({"out_dir": out}))
     return 0
 
 
 def cmd_gen_data(args) -> int:
-    with _reading_inputs():
+    with config_errors():
         _check_flag(args.n >= 1, "n", args.n, ">= 1")
         params = json.loads(args.params)
     gen_data(args.task, params, args.n, args.seed, args.out,
@@ -94,7 +82,7 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_eval_coverage(args) -> int:
-    with _reading_inputs():
+    with config_errors():
         if args.mode == "mc":
             _check_flag(args.n_samples >= 2, "n-samples", args.n_samples,
                         ">= 2")
@@ -117,7 +105,7 @@ def cmd_eval_coverage(args) -> int:
 
 
 def cmd_tournament(args) -> int:
-    with _reading_inputs():
+    with config_errors():
         _check_flag(math.isfinite(args.N) and args.N >= 1, "N", args.N,
                     "a finite number >= 1")
         _check_flag(math.isfinite(args.gamma) and args.gamma >= 0, "gamma",
@@ -138,7 +126,7 @@ def cmd_tournament(args) -> int:
 
 
 def cmd_bon(args) -> int:
-    with _reading_inputs():
+    with config_errors():
         _check_flag(math.isfinite(args.reward_scale) and args.reward_scale > 0,
                     "reward-scale", args.reward_scale, "a finite number > 0")
         _check_flag(args.trials >= 100, "trials", args.trials, ">= 100")

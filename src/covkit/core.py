@@ -6,27 +6,29 @@ Conventions used throughout the package:
 * probabilities are carried in natural-log domain; -inf means zero mass,
 * prompts are opaque JSON-serializable values (ints, strings, tuples).
 
-Batched paths: a policy is its token conditionals.  `Policy.logprob_many`
+Batched paths: a policy is its token conditionals, and it implements them
+once, as `prefix_dists`: the next-token rows of a whole level of
+prefixes.  `Policy.next_dist` is its one-row case.  `Policy.logprob_many`
 scores an (n, H) array of responses to one prompt; both it and the one
 sampler, `sample_from_uniforms`, take the product path when `step_dist`
-is not None, and otherwise visit each distinct prefix once per level
-(`prefix_levels`).  The sampler maps an (n, H) array of uniform doubles to
-responses by Generator.choice's inverse-CDF rule, and `Policy.sample` (one
-row) and `Policy.sample_many` feed it exactly the doubles that their
-per-token rng.choice draws would take.  A prompt distribution with
-`from_uniforms` (`FinitePromptDist`) applies the same rule to prompts, and
-`draw_examples` draws n examples from one (n, 1 + H) block: each row is a
-prompt double and then H token doubles, the per-example order.
-`sample_prompts` draws n prompts at once and `group_prompts` groups them,
-so Monte Carlo callers make one batched call per distinct prompt;
-`logprob_matrix` does the same for a `Dataset`.
+is not None, and otherwise make one `prefix_dists` call per level over
+its distinct prefixes (`prefix_levels`).  The sampler maps an (n, H) array
+of uniform doubles to responses by Generator.choice's inverse-CDF rule,
+and `Policy.sample` (one row) and `Policy.sample_many` feed it exactly the
+doubles that their per-token rng.choice draws would take.  A prompt
+distribution with `from_uniforms` (`FinitePromptDist`) applies the same
+rule to prompts, and `draw_examples` draws n examples from one (n, 1 + H)
+block: each row is a prompt double and then H token doubles, the
+per-example order.  `sample_prompts` draws n prompts at once and
+`group_prompts` groups them, so Monte Carlo callers make one batched call
+per distinct prompt; `logprob_matrix` does the same for a `Dataset`.
 
 Examples: inside covkit an example is a pair (x, y) of a prompt and a
-response row of H token ints, and a `Dataset` is its arrays: a list of
-prompts `xs` and an (n, H) int64 array `Y`.  `Trajectory` is only an
-input form: `Dataset(examples, H, V)` reads a list of them and
-`Policy.logprob` scores one.  `load_jsonl` and `sample_dataset` fill the
-arrays directly, and `save_jsonl` writes from them.  A JSONL data line is
+response row of H token ints, and a `Dataset` is built only from its
+arrays, `Dataset(xs, Y, H, V)`: a list of prompts `xs` and an (n, H) int
+array `Y`.  `Trajectory` is only an input form that `Policy.logprob`
+scores.  `load_jsonl` and `sample_dataset` build a `Dataset` from the
+arrays they fill, and `save_jsonl` writes from them.  A JSONL data line is
 one object {"x": prompt, "y": [tokens]} with H integer tokens in [0, V);
 anything else raises a ValueError that names the line.
 """
@@ -64,29 +66,19 @@ class Dataset:
     appearance, computed once.
     """
 
-    def __init__(self, examples, H: int, V: int,
-                 seed_info: dict | None = None):
-        """Dataset of a list of Trajectory objects."""
-        examples = list(examples)
+    def __init__(self, xs, Y, H: int, V: int, seed_info: dict | None = None):
+        """Dataset of prompts `xs` and the (n, H) int array `Y` (or a list
+        of n rows of H ints)."""
         try:
-            Y = np.array([t.y for t in examples],
-                         dtype=np.int64).reshape(len(examples), H)
-        except ValueError:
+            Y = np.asarray(Y)
+        except ValueError:                  # a ragged list of rows
             raise ValueError("inhomogeneous horizon in dataset") from None
-        self._init([t.x for t in examples], Y, H, V, seed_info)
-
-    @classmethod
-    def from_arrays(cls, xs, Y, H: int, V: int,
-                    seed_info: dict | None = None):
-        """Dataset of prompts `xs` and the (n, H) int array `Y`."""
-        Y = np.asarray(Y)
         if Y.size and Y.dtype.kind not in "iu":
             raise ValueError("token ids must be integers")
-        ds = cls.__new__(cls)
-        ds._init(list(xs), Y.astype(np.int64, copy=False), H, V, seed_info)
-        return ds
-
-    def _init(self, xs, Y, H, V, seed_info):
+        Y = Y.astype(np.int64, copy=False)
+        if Y.shape == (0,):                 # an empty list of rows
+            Y = Y.reshape(0, H)
+        xs = list(xs)
         if Y.shape != (len(xs), H):
             raise ValueError("inhomogeneous horizon in dataset")
         if Y.size and (Y.min() < 0 or Y.max() >= V):
@@ -115,11 +107,12 @@ class Policy:
     """Abstract conditional sequence distribution.
 
     A policy is its token conditionals: subclasses set `V` and `H` and
-    implement `next_dist`, and may implement `step_dist` and
-    `prefix_dists`, which must agree with it.  Scoring and sampling are
-    derived from these and never overridden (`draw_examples` calls
-    `sample_from_uniforms` directly, so an overriding `sample` would be
-    bypassed); the sampler law and logprob consistency hold by
+    implement `prefix_dists`, which answers a whole level of prefixes in
+    one call, and may implement `step_dist`, which must agree with it.
+    `next_dist` is the one-row case of `prefix_dists`.  Scoring and
+    sampling are derived from these and never overridden (`draw_examples`
+    calls `sample_from_uniforms` directly, so an overriding `sample` would
+    be bypassed); the sampler law and logprob consistency hold by
     construction.
 
     A policy's conditionals are fixed for the object's lifetime: a changed
@@ -135,9 +128,17 @@ class Policy:
     V: int
     H: int
 
-    def next_dist(self, x, prefix: tuple) -> np.ndarray:
-        """Probability vector over the V candidate next tokens."""
+    def prefix_dists(self, x, prefixes) -> np.ndarray:
+        """The (k, V) next-token distributions of the k rows of the (k, h)
+        int array `prefixes`.  Callers pass tokens in [0, V) and h < H."""
         raise NotImplementedError
+
+    def next_dist(self, x, prefix: tuple) -> np.ndarray:
+        """Probability vector over the V candidate next tokens: the one-row
+        case of `prefix_dists`."""
+        if len(prefix) >= self.H:
+            raise ValueError("prefix length must be < H")
+        return self.prefix_dists(x, np.array([prefix], dtype=np.int64))[0]
 
     def step_dist(self, x):
         """Per-step distribution if conditionals are prefix-independent.
@@ -155,9 +156,10 @@ class Policy:
         """log pi(y|x) of each row y of the (n, H) int array Y, -inf where
         pi has no mass.
 
-        Product policies gather log step[Y]; others call next_dist once per
-        distinct prefix, level by level.  Either way each row sums its H
-        token log-probs left to right, as a per-token loop would.
+        Product policies gather log step[Y]; others make one prefix_dists
+        call per level, over the level's distinct prefixes.  Either way
+        each row sums its H token log-probs left to right, as a per-token
+        loop would.
         """
         return self._logprob_rows(x, np.asarray(Y, dtype=np.int64), {})
 
@@ -179,17 +181,6 @@ class Policy:
                 P = self.prefix_dists(x, Y[first, :h])
                 total += np.log(P[inv, Y[:, h]])
         return total
-
-    def prefix_dists(self, x, prefixes) -> np.ndarray:
-        """next_dist of each row of the (k, h) int array `prefixes`, (k, V).
-
-        Subclasses may override this to answer a whole level at once; an
-        override must equal next_dist row for row.  Callers pass tokens in
-        [0, V) and h < H.
-        """
-        return np.array([self.next_dist(x, tuple(p))
-                         for p in prefixes.tolist()],
-                        dtype=float).reshape(len(prefixes), self.V)
 
     def sample(self, x, rng: np.random.Generator) -> tuple:
         """One response: the one-row case of `sample_from_uniforms`, fed
@@ -344,8 +335,8 @@ def sample_dataset(policy: Policy, mu, n: int, rng: np.random.Generator,
     if not n >= 1:
         raise ValueError("n must be >= 1")
     xs, Y = draw_examples(policy, mu, n, rng)
-    return Dataset.from_arrays(xs, Y, H=policy.H, V=policy.V,
-                               seed_info=dict(seed_info or {}))
+    return Dataset(xs, Y, H=policy.H, V=policy.V,
+                   seed_info=dict(seed_info or {}))
 
 
 class FinitePromptDist:
@@ -475,7 +466,7 @@ def load_jsonl(path, H: int, V: int, header_path=None) -> Dataset:
         with open(header_path) as f:
             seed_info = json.load(f).get("seed_info", {})
     Y = np.concatenate(blocks) if blocks else np.zeros((0, H), np.int64)
-    return Dataset.from_arrays(xs, Y, H=H, V=V, seed_info=seed_info)
+    return Dataset(xs, Y, H=H, V=V, seed_info=seed_info)
 
 
 def _parse_chunk(lines, H, V):

@@ -1,4 +1,10 @@
-"""Decoding strategies: test-time-training policies and Best-of-N."""
+"""Decoding strategies: test-time-training policies and Best-of-N.
+
+`TTTPolicy` implements only `prefix_dists`, as every policy does: a level's
+rows replay the token steps of all its prefixes at once.  Best-of-N draws
+with `sample_many` and scores rewards with `reward.many` when the reward
+has it, one batch per distinct prompt.
+"""
 
 from __future__ import annotations
 
@@ -18,8 +24,8 @@ class TTTPolicy(Policy):
     parameter obtained by replaying token-gradient steps along the prefix,
     starting from the base theta (reset per prompt).  `prefix_dists`
     replays a level at once, h stacked `token_steps` and one softmax, with
-    no memo; `next_dist` is its one-row case.  Like every policy, it is
-    scored and sampled by the `Policy` level paths.
+    no memo.  Like every policy, it answers `next_dist` as the one-row
+    case and is scored and sampled by the `Policy` level paths.
     """
 
     def __init__(self, base: LinearARModel, eta: float):
@@ -27,11 +33,6 @@ class TTTPolicy(Policy):
         self.eta = float(eta)
         self.V = base.V
         self.H = base.H
-
-    def next_dist(self, x, prefix: tuple) -> np.ndarray:
-        if len(prefix) >= self.H:
-            raise ValueError("prefix length must be < H")
-        return self.prefix_dists(x, np.array([prefix], dtype=np.int64))[0]
 
     def prefix_dists(self, x, prefixes) -> np.ndarray:
         fm, theta = self.base.featmap, self.base.theta[None]

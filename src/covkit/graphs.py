@@ -344,20 +344,23 @@ class GraphPathPolicy(Policy):
         cid = self.class_id or identify_class(dag, self.family)
         return dag, cid
 
-    def next_dist(self, x, prefix: tuple) -> np.ndarray:
+    def prefix_dists(self, x, prefixes) -> np.ndarray:
+        """The row of a level depends on its position only: computed once
+        per call and repeated to (k, V) as a read-only zero-stride view
+        (np.broadcast_to's, built at a third of its cost)."""
         dag, cid = self._parse(x)
-        pos = len(prefix)
-        if pos >= self.H:
-            raise ValueError("prefix length must be < H")
-        out = np.zeros(self.V)
+        pos = np.shape(prefixes)[1]
+        row = np.zeros(self.V)
         if pos == 0:
-            out[dag.source] = 1.0
+            row[dag.source] = 1.0
         elif pos == dag.L + 1:
-            out[dag.target] = 1.0
+            row[dag.target] = 1.0
         else:
             for v, p in _rule_choice(dag, cid, pos):
-                out[v] = p
-        return out
+                row[v] = p
+        row.flags.writeable = False
+        return np.ndarray((len(prefixes), self.V), float, row, 0,
+                          (0, row.itemsize))
 
     def selected_paths(self, x):
         """All piD-positive paths with their probabilities."""

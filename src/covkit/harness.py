@@ -9,6 +9,7 @@ artifacts: per-run ``timeseries.csv`` and ``summary.json`` plus an aggregate
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -33,6 +34,18 @@ CONFIG_VERSION = 1
 
 class ConfigError(ValueError):
     """Invalid experiment configuration (maps to exit code 2)."""
+
+
+@contextlib.contextmanager
+def config_errors():
+    """Re-raise any error of the block (or, as a decorator, of the
+    function) as a ConfigError."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except Exception as e:
+        raise ConfigError(str(e)) from e
 
 
 def _graph_task(family, **params):
@@ -136,6 +149,7 @@ def _check_metrics(metrics: dict) -> dict:
     return metrics
 
 
+@config_errors()
 def validate_config(cfg: dict) -> dict:
     """Fail-closed validation; returns a normalized copy.  It also checks
     the metrics block, builds the task at each point of the task axes
@@ -143,7 +157,8 @@ def validate_config(cfg: dict) -> dict:
     and builds the `TrainConfig` at each point of the train axes and
     checks it against the learner at every task point
     (`training.resolve_config`), so a config that a job would refuse fails
-    before `run` writes anything."""
+    before `run` writes anything.  Every error it meets is raised as a
+    ConfigError."""
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     _check_keys(cfg, _TOP_KEYS, "config")

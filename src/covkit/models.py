@@ -107,10 +107,8 @@ class LinearARModel(Policy):
     def with_theta(self, theta) -> "LinearARModel":
         return LinearARModel(theta, self.featmap, self.V, self.H)
 
-    def next_dist(self, x, prefix: tuple) -> np.ndarray:
-        if len(prefix) >= self.H:
-            raise ValueError("prefix length must be < H")
-        return self.prefix_dists(x, np.array([prefix], dtype=np.int64))[0]
+    # Kept in the class dict: perfbench/spans.py wraps it by this name.
+    next_dist = Policy.next_dist
 
     def step_dist(self, x):
         # Cached per prompt: theta is never changed in place (with_theta

@@ -92,9 +92,8 @@ def policy_stream(piD, mu, rng):
 def sample_dataset(policy, mu, n, rng, seed_info=None):
     """`covkit.core.sample_dataset` from `sample_examples`."""
     ex = sample_examples(policy, mu, n, rng)
-    return Dataset.from_arrays([t.x for t in ex], [t.y for t in ex],
-                               H=policy.H, V=policy.V,
-                               seed_info=dict(seed_info or {}))
+    return Dataset([t.x for t in ex], [t.y for t in ex], H=policy.H,
+                   V=policy.V, seed_info=dict(seed_info or {}))
 
 
 def group_prompts(prompts):

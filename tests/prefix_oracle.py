@@ -1,9 +1,10 @@
 """Tuple-prefix references for the integer prefix path.
 
-`DictTabular` looks its rows up by (x, prefix tuple) in a plain dict, and
-`tuple_tree_walk` walks the prefix tree with tuple prefixes and one
-`next_dist` call per prefix.  Neither uses `prefix_dists`, so tests can
-compare `TabularModel` and `metrics.tree_walk` with them exactly.
+`DictTabular` answers a level, and a single prefix, with one plain-dict
+lookup per row, keyed by (x, prefix tuple), and `tuple_tree_walk` walks
+the prefix tree with tuple prefixes and one `next_dist` call per prefix.
+Neither uses integer prefix codes or level gathers, so tests can compare
+`TabularModel` and `metrics.tree_walk` with them exactly.
 `CountingTabular` records the prefix length of each `prefix_dists` call.
 """
 
@@ -23,7 +24,13 @@ class DictTabular(Policy):
         self.default = (np.full(V, 1.0 / V) if default is None
                         else np.asarray(default, dtype=float))
 
+    def prefix_dists(self, x, prefixes):
+        return np.array([self.next_dist(x, p)
+                         for p in np.asarray(prefixes).tolist()],
+                        dtype=float).reshape(len(prefixes), self.V)
+
     def next_dist(self, x, prefix):
+        # Any query, as TabularModel.next_dist takes it: default if unseen.
         return self.tables.get((x, tuple(prefix)), self.default)
 
     def step_dist(self, x):

@@ -127,8 +127,8 @@ class OneStep(Policy):
         self.p = np.asarray(p, dtype=float)
         self.V, self.H = len(p), 1
 
-    def next_dist(self, x, prefix):
-        return self.p
+    def prefix_dists(self, x, prefixes):
+        return np.broadcast_to(self.p, (len(prefixes), self.V))
 
 
 def test_level_sampler_draws_like_generator_choice():
@@ -172,7 +172,7 @@ def test_logprob_matrix_and_pairwise_match_per_row():
              for _ in range(3)]
     data = [Trajectory(int(rng.integers(2)), tuple(rng.integers(0, 3, 3)))
             for _ in range(60)]
-    ds = Dataset(data, H=3, V=3)
+    ds = Dataset([t.x for t in data], [t.y for t in data], H=3, V=3)
     lp = logprob_matrix(cands, ds)
     ref = np.array([[pi.logprob(t) for t in data] for pi in cands])
     assert np.array_equal(lp, ref)

@@ -179,16 +179,17 @@ def test_plain_callable_mu_keeps_the_per_example_loop():
 
 
 class Rows(Policy):
-    """next_dist from a function of the prefix; product when asked."""
+    """Rows from a function of the prefix; product when asked."""
 
     def __init__(self, fn, V=3, H=3, product=False):
         self.fn, self.V, self.H, self.product = fn, V, H, product
 
-    def next_dist(self, x, prefix):
-        return np.asarray(self.fn(prefix), dtype=float)
+    def prefix_dists(self, x, prefixes):
+        return np.array([self.fn(tuple(p)) for p in prefixes.tolist()],
+                        dtype=float).reshape(len(prefixes), self.V)
 
     def step_dist(self, x):
-        return self.next_dist(x, ()) if self.product else None
+        return np.asarray(self.fn(()), dtype=float) if self.product else None
 
 
 BAD_ROWS = [[0.5, 0.6, -0.1], [0.5, float("nan"), 0.5], [0.3, 0.3, 0.3],

@@ -134,3 +134,46 @@ def test_policy_file_validation(tmp_path, capsys):
 
 def test_usage_error_exit_code(capsys):
     assert main(["eval-coverage"]) == 2
+
+
+@pytest.fixture
+def pi_d_files(tmp_path):
+    def tabular(name, V, p):
+        return write(tmp_path / name,
+                     {"type": "tabular", "V": V, "H": 1,
+                      "tables": [{"x": 0, "prefix": [], "p": p}]})
+    task = write(tmp_path / "task.json",
+                 {"name": "bernoulli", "params": {"p_star": 0.2}})
+    return (task, tabular("pi_d.json", 2, [0.8, 0.2]),
+            tabular("pi_hat.json", 2, [0.95, 0.05]),
+            tabular("pi_d_v3.json", 3, [0.7, 0.2, 0.1]))
+
+
+@pytest.mark.parametrize("mode", [[], ["--mode", "mc", "--n-samples", "500",
+                                       "--seed", "4"]])
+def test_eval_coverage_pi_d_of_the_task_law_changes_nothing(pi_d_files,
+                                                            capsys, mode):
+    # --pi-d holding the task's own piD (p* = 0.2) gives the same curve,
+    # byte for byte, as the task's piD.
+    task, pi_d, pi_hat, _ = pi_d_files
+    argv = ["eval-coverage", "--task", task, "--pi-hat", pi_hat,
+            "--N-grid", "2,4,8,16"] + mode
+    assert main(argv) == 0
+    without = capsys.readouterr().out
+    assert main(argv + ["--pi-d", pi_d]) == 0
+    assert capsys.readouterr().out == without
+    assert len(without.splitlines()) == 5
+    # The flag is read: another piD gives another curve.
+    assert main(argv + ["--pi-d", pi_hat]) == 0
+    assert capsys.readouterr().out != without
+
+
+def test_eval_coverage_pi_d_of_another_shape_exits_2(pi_d_files, capsys):
+    task, _, pi_hat, pi_d_v3 = pi_d_files
+    for mode in ("exact", "mc"):
+        assert main(["eval-coverage", "--task", task, "--pi-hat", pi_hat,
+                     "--pi-d", pi_d_v3, "--N-grid", "2", "--mode",
+                     mode]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "(V, H)" in json.loads(out.err)["error"]

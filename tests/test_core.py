@@ -14,9 +14,9 @@ from covkit.seeding import SeedTree
 
 def test_dataset_homogeneity():
     with pytest.raises(ValueError):
-        Dataset([Trajectory(0, (0,)), Trajectory(0, (0, 1))], H=1, V=2)
+        Dataset([0, 0], [(0,), (0, 1)], H=1, V=2)
     with pytest.raises(ValueError):
-        Dataset([Trajectory(0, (5,))], H=1, V=2)
+        Dataset([0], [(5,)], H=1, V=2)
 
 
 def test_deterministic_policy_sampling():

@@ -52,7 +52,8 @@ def test_load_matches_per_line_reference(tmp_path, monkeypatch, chunk, seed):
     assert [type(x) for x in ds.xs] == [type(t.x) for t in ref]
     assert ds.Y.dtype == np.int64
     assert np.array_equal(ds.Y, np.array([t.y for t in ref]))
-    assert ds == Dataset(ref, H=H, V=V, seed_info=info)
+    assert ds == Dataset([t.x for t in ref], [t.y for t in ref], H=H, V=V,
+                         seed_info=info)
     assert ds.seed_info == info == {"seed": seed, "n": n}
     assert len(ds) == n
 
@@ -76,7 +77,8 @@ def test_save_load_round_trip_and_bytes(tmp_path, seed):
                         SeedTree(seed).rng(), seed_info={"seed": seed})
     ref = oracle.sample_examples(pol, mixed_prompt_sampler, 80,
                                  SeedTree(seed).rng())
-    assert ds == Dataset(ref, H=4, V=3, seed_info={"seed": seed})
+    assert ds == Dataset([t.x for t in ref], [t.y for t in ref], H=4, V=3,
+                         seed_info={"seed": seed})
     path, head = tmp_path / "d.jsonl", tmp_path / "d.head.json"
     save_jsonl(ds, path, header_path=head)
     oracle.save_examples(ref, tmp_path / "ref.jsonl")
@@ -138,10 +140,10 @@ def test_logprob_matrix_dataset_list_and_rows_agree(seed):
     cands = [with_missing_mass(rng, V, H, prompts) for _ in range(3)]
     xs = [prompts[int(i)] for i in rng.integers(0, 3, 120)]
     Y = rng.integers(0, V, (120, H))
-    ds = Dataset.from_arrays(xs, Y, H=H, V=V)
+    ds = Dataset(xs, Y, H=H, V=V)
     on_ds = logprob_matrix(cands, ds)
     examples = [Trajectory(x, y) for x, y in zip(xs, Y.tolist())]
-    on_list = logprob_matrix(cands, Dataset(examples, H=H, V=V))
+    on_list = logprob_matrix(cands, Dataset(xs, Y.tolist(), H=H, V=V))
     rows = np.array([[pi.logprob(t) for t in examples] for pi in cands])
     assert np.isneginf(rows).any() and np.isfinite(rows).any()
     for got in (on_ds, on_list):
@@ -157,31 +159,34 @@ def test_dataset_from_examples_equals_from_arrays():
     rng = np.random.default_rng(3)
     xs = [random_prompt(rng) for _ in range(40)]
     Y = rng.integers(0, 4, (40, 5))
-    examples = [Trajectory(x, tuple(y)) for x, y in zip(xs, Y.tolist())]
-    a = Dataset(examples, H=5, V=4, seed_info={"k": 1})
-    b = Dataset.from_arrays(xs, Y, H=5, V=4, seed_info={"k": 1})
+    # The one constructor reads Y as an array or as a list of row tuples.
+    a = Dataset(xs, [tuple(y) for y in Y.tolist()], H=5, V=4,
+                seed_info={"k": 1})
+    b = Dataset(xs, Y, H=5, V=4, seed_info={"k": 1})
     assert a == b
     assert a.xs == b.xs and np.array_equal(a.Y, b.Y)
-    assert b != Dataset.from_arrays(xs, Y, H=5, V=5, seed_info={"k": 1})
-    assert Dataset([], H=2, V=3) == Dataset.from_arrays([], np.zeros((0, 2)),
-                                                        H=2, V=3)
+    assert a.Y.dtype == b.Y.dtype == np.int64
+    assert b != Dataset(xs, Y, H=5, V=5, seed_info={"k": 1})
+    assert Dataset([], [], H=2, V=3) == Dataset([], np.zeros((0, 2)),
+                                                H=2, V=3)
 
 
 def test_dataset_validation_messages():
-    for make in (lambda ys: Dataset([Trajectory(0, y) for y in ys], 2, 3),
-                 lambda ys: Dataset.from_arrays([0] * len(ys),
-                                                np.array(ys), 2, 3)):
+    for make in (lambda ys: Dataset([0] * len(ys), ys, 2, 3),
+                 lambda ys: Dataset([0] * len(ys), np.array(ys), 2, 3)):
         with pytest.raises(ValueError, match="token id out of range"):
             make([(0, 1), (3, 0)])
         with pytest.raises(ValueError, match="token id out of range"):
             make([(0, -1)])
     with pytest.raises(ValueError, match="inhomogeneous horizon"):
-        Dataset([Trajectory(0, (0, 1)), Trajectory(0, (0,))], 2, 3)
+        Dataset([0, 0], [(0, 1), (0,)], 2, 3)
     with pytest.raises(ValueError, match="inhomogeneous horizon"):
-        Dataset.from_arrays([0], np.zeros((1, 3), dtype=int), 2, 3)
+        Dataset([0], np.zeros((1, 3), dtype=int), 2, 3)
+    with pytest.raises(ValueError, match="inhomogeneous horizon"):
+        Dataset([0, 0], np.zeros((1, 2), dtype=int), 2, 3)
     for Y in (np.array([[0.0, 1.5]]), np.array([[True, False]])):
         with pytest.raises(ValueError, match="must be integers"):
-            Dataset.from_arrays([0], Y, 2, 3)
+            Dataset([0], Y, 2, 3)
 
 
 GOOD = '{"x": 0, "y": [0, 1]}'

@@ -178,7 +178,7 @@ def test_library_checks_refuse_nan():
     pol = bernoulli_model(0.3)
     mu = FinitePromptDist([0], [1.0])
     cands = CandidateClass([pol, bernoulli_model(0.5)])
-    ds = Dataset.from_arrays([0, 0], [[1], [0]], H=1, V=2)
+    ds = Dataset([0, 0], [[1], [0]], H=1, V=2)
     calls = [
         lambda: simple_tournament(cands, ds, nan),
         lambda: offset_tournament(cands, ds, nan, 1.0),

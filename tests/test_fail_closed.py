@@ -272,3 +272,46 @@ def test_over_budget_product_atoms_exit_2_without_a_walk(tmp_path, capsys,
     refused(tmp_path, capsys, config(tmp_path, task={
         "name": "heterogeneous_kl", "params": {"n": 3, "H": 500_000}}),
         "leaves + atoms (bound) = 1000002 > 1e6")
+
+
+WRONG_TYPES = {
+    "task a list": ({"task": []}, "'list' object has no attribute"),
+    "seeds an int": ({"sweep": {"seeds": 3}}, "not iterable"),
+    "metrics a list": ({"metrics": []}, "not a mapping"),
+    "root_seed a string": ({"root_seed": "x"}, "invalid literal"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_TYPES))
+def test_wrongly_typed_config_is_a_config_error(tmp_path, capsys,
+                                                monkeypatch, case):
+    # validate_config raises only ConfigError, so `run` is refused with
+    # exit 2 and nothing on stdout.
+    monkeypatch.setattr(harness, "run_learner", must_not_run)
+    cfg = dict(config(tmp_path), **WRONG_TYPES[case][0])
+    with pytest.raises(ConfigError, match=WRONG_TYPES[case][1]):
+        harness.validate_config(cfg)
+    with pytest.raises(ConfigError):
+        harness.run(cfg)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert json.loads(out.err)["kind"] == "validation"
+    assert not (tmp_path / "out" / "runs").exists()
+
+
+def test_run_sizes_the_exact_work_once_per_task_point(tmp_path, capsys,
+                                                      monkeypatch):
+    sized = []
+    check = harness._check_exact_work
+    monkeypatch.setattr(harness, "_check_exact_work",
+                        lambda task: sized.append(task.H) or check(task))
+    cfg = config(tmp_path, metrics={"n_grid": [2], "mode": "exact"},
+                 axes={"H": [2, 3]})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path)]) == 0
+    capsys.readouterr()
+    assert sorted(sized) == [2, 3]

@@ -11,7 +11,7 @@ import pytest
 
 import exact_oracle
 from conftest import random_tabular
-from covkit.core import FinitePromptDist, Policy
+from covkit.core import FinitePromptDist
 from covkit.models import (CallableFeatureMap, LinearARModel,
                            linear_to_tabular, sigma_star_sq, token_step,
                            token_steps)
@@ -66,7 +66,6 @@ def test_prefix_dists_is_the_per_row_softmax(seed):
             want = np.array([exact_oracle.next_row(model, x, tuple(p))
                              for p in pre.tolist()]).reshape(got.shape)
             assert np.array_equal(got, want)
-            assert np.array_equal(got, Policy.prefix_dists(model, x, pre))
             zeros += int((got == 0.0).sum())
     assert (zeros > 0) == bool(seed % 2)
 

@@ -239,9 +239,8 @@ def test_kl_to_cov_bound_on_random_bernoulli_pairs():
 
 def test_empirical_pairwise_cov():
     piD = ber(0.5)
-    data = [Trajectory(0, (1,))] * 1 + [Trajectory(0, (0,))] * 3
     from covkit.core import Dataset
-    ds = Dataset(data, H=1, V=2)
+    ds = Dataset([0] * 4, [[1], [0], [0], [0]], H=1, V=2)
     # ratio Ber(0.5)/Ber(0.05) at y=1 is 10 >= 4 -> exactly one of four points
     assert empirical_pairwise_cov(piD, ber(0.05), ds, 4.0) == 0.25
     assert empirical_pairwise_cov(piD, piD, ds, 2.0) == 0.0

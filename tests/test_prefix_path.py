@@ -200,8 +200,9 @@ def test_two_policy_walk_equals_tuple_walker():
 
 
 def test_tree_walk_default_prefix_dists_equals_tuple_walker():
-    # A linear model with prefix-dependent features answers a level
-    # through Policy.prefix_dists, one next_dist per row.
+    # A linear model with prefix-dependent features answers a level with
+    # one stacked softmax over its candidates; the tuple walker asks
+    # next_dist once per prefix.
     fm = prefix_featmap(3, d=4)
     theta = np.array([0.5, -0.3, 0.4, 0.2])
     model = LinearARModel(theta, fm, V=3, H=4)
@@ -263,7 +264,7 @@ def test_logprob_matrix_shares_levels_and_matches_logprob_many(monkeypatch):
     prod = TabularModel(product_tables(rng, V, H), V=V, H=H)
     pols = cands + [wide, prod]
     xs = [PROMPTS[i] for i in rng.integers(0, 3, 400)]
-    ds = Dataset.from_arrays(xs, rng.integers(0, V, (400, H)), H=H, V=V)
+    ds = Dataset(xs, rng.integers(0, V, (400, H)), H=H, V=V)
     calls = []
     real = core.prefix_levels
 

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from covkit.core import Dataset, Trajectory, sample_dataset
+from covkit.core import Dataset, sample_dataset
 from covkit.seeding import SeedTree
 from covkit.selection import (CandidateClass, offset_tournament,
                               offset_tournament_power, select_ce,
@@ -39,7 +39,7 @@ def test_singleton_selects_zero():
 
 def test_select_ce_excludes_infinite_likelihood():
     cands = CandidateClass([bernoulli_model(0.0), bernoulli_model(0.3)])
-    ds = Dataset([Trajectory(0, (1,)), Trajectory(0, (0,))], H=1, V=2)
+    ds = Dataset([0, 0], [[1], [0]], H=1, V=2)
     assert select_ce(cands, ds) == 1
     rep = select_ce(cands, ds, return_report=True)
     assert rep.extra["loglik"][0] is None
@@ -57,7 +57,7 @@ def test_simple_tournament_prefers_data_policy():
     # failures against piD, piD suffers none -> picks piD.
     piD = bernoulli_model(0.3)
     cands = CandidateClass([bernoulli_model(0.0), piD])
-    ds = Dataset([Trajectory(0, (1,)), Trajectory(0, (0,))], H=1, V=2)
+    ds = Dataset([0, 0], [[1], [0]], H=1, V=2)
     rep = simple_tournament(cands, ds, 2.0, return_report=True)
     assert rep.selected == 1
     assert rep.pairwise[1, 0] > 0      # piD covers against Ber(0)
@@ -66,7 +66,7 @@ def test_simple_tournament_prefers_data_policy():
 
 def test_empty_dataset_rejected():
     cands = CandidateClass([bernoulli_model(0.3)])
-    empty = Dataset([], H=1, V=2)
+    empty = Dataset([], [], H=1, V=2)
     for fn in (lambda: select_ce(cands, empty),
                lambda: simple_tournament(cands, empty, 2.0),
                lambda: offset_tournament(cands, empty, 64.0, 1.0)):

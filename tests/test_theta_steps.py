@@ -122,7 +122,7 @@ def test_mle_fit_equals_the_per_example_loop_on_interleaved_prompts(kind):
     xs = [int(rng.integers(2)) for _ in range(n)]
     assert xs != sorted(xs)
     Y = rng.integers(0, model.V, size=(n, model.H))
-    ds = Dataset.from_arrays(xs, Y, model.H, model.V)
+    ds = Dataset(xs, Y, model.H, model.V)
     args = (ds, model.featmap, model.V, model.H)
     got = mle_fit(*args, tol=1e-6, max_iters=40)
     want = train_oracle.mle_fit(*args, tol=1e-6, max_iters=40)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covkit.core import Dataset, FinitePromptDist, Trajectory, sample_dataset
+from covkit.core import Dataset, FinitePromptDist, sample_dataset
 from covkit.models import LinearARModel
 from covkit.seeding import SeedTree
 from covkit.tasks import bernoulli_featmap, bernoulli_model
@@ -44,7 +44,7 @@ def test_mle_saturated_boundary():
     # All-ones coin dataset: theta* at boundary +1; p = e^B/(e^B + e^-B).
     B = 1.5
     fm = bernoulli_featmap(B)
-    ds = Dataset([Trajectory(0, (1,))] * 30, H=1, V=2)
+    ds = Dataset([0] * 30, [[1]] * 30, H=1, V=2)
     res = mle_fit(ds, fm, V=2, H=1, tol=1e-10)
     # independent 1-d grid-search oracle over theta in [-1, 1]
     grid = np.linspace(-1, 1, 20001)
@@ -68,15 +68,15 @@ def test_mle_consistency_near_zero_theta():
 
 def test_mle_duplication_invariance():
     fm = bernoulli_featmap(1.0)
-    exs = [Trajectory(0, (1,)), Trajectory(0, (0,)), Trajectory(0, (1,))]
-    r1 = mle_fit(Dataset(exs, H=1, V=2), fm, V=2, H=1)
-    r2 = mle_fit(Dataset(exs * 2, H=1, V=2), fm, V=2, H=1)
+    xs, ys = [0, 0, 0], [[1], [0], [1]]
+    r1 = mle_fit(Dataset(xs, ys, H=1, V=2), fm, V=2, H=1)
+    r2 = mle_fit(Dataset(xs * 2, ys * 2, H=1, V=2), fm, V=2, H=1)
     assert np.array_equal(r1.theta, r2.theta)
 
 
 def test_mle_empty_dataset():
     with pytest.raises(ValueError):
-        mle_fit(Dataset([], H=1, V=2), bernoulli_featmap(1.0), V=2, H=1)
+        mle_fit(Dataset([], [], H=1, V=2), bernoulli_featmap(1.0), V=2, H=1)
 
 
 # ------------------------------------------------------------------- SGD

@@ -1,7 +1,8 @@
 """TTT decoding through the `Policy` level paths, compared with the per-row
 replays of `ttt_oracle` and the per-draw loops of `dataset_oracle` on
-random instances; and the contract that no policy overrides the derived
-scoring and sampling methods."""
+random instances; and the contract that every policy implements only
+`prefix_dists` and overrides none of the derived scoring and sampling
+methods."""
 
 import importlib
 import inspect
@@ -137,12 +138,27 @@ def test_no_policy_overrides_derived_scoring_or_sampling():
             assert not overridden, (cls, klass, overridden)
 
 
-def test_policies_over_a_feature_map_answer_a_level_in_one_call():
-    # A policy built on a feature map (or on a model that has one) answers
-    # a level itself, never through the per-prefix next_dist loop.
-    over_features = {cls for cls in policy_classes()
-                     if {"featmap", "base"} &
-                     set(inspect.signature(cls.__init__).parameters)}
-    assert {LinearARModel, TTTPolicy} <= over_features
-    for cls in over_features:
+def test_every_policy_answers_a_level_in_one_call():
+    # Every covkit policy defines prefix_dists itself: the base class has
+    # no per-prefix next_dist loop to fall back on.
+    classes = policy_classes()
+    assert {LinearARModel, TTTPolicy} <= set(classes)
+    for cls in classes:
         assert "prefix_dists" in vars(cls), cls
+
+
+class OnlyNextDist(Policy):
+    """Defines next_dist but not the one conditional a policy implements."""
+
+    V, H = 2, 3
+
+    def next_dist(self, x, prefix):
+        return np.array([0.5, 0.5])
+
+
+def test_a_policy_with_only_next_dist_is_refused():
+    pol, rng = OnlyNextDist(), np.random.default_rng(0)
+    with pytest.raises(NotImplementedError):
+        pol.logprob_many(0, np.zeros((2, 3), dtype=np.int64))
+    with pytest.raises(NotImplementedError):
+        pol.sample_many(0, 2, rng)

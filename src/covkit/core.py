@@ -12,7 +12,9 @@ prefixes.  `Policy.next_dist` is its one-row case.  `Policy.logprob_many`
 scores an (n, H) array of responses to one prompt; both it and the one
 sampler, `sample_from_uniforms`, take the product path when `step_dist`
 is not None, and otherwise make one `prefix_dists` call per level over
-its distinct prefixes (`prefix_levels`).  The sampler maps an (n, H) array
+its distinct prefixes (`prefix_levels`, which numbers them in sorted code
+order by a table of flags and a cumsum, sorting only levels whose table
+would outgrow 16 slots per row).  The sampler maps an (n, H) array
 of uniform doubles to responses by Generator.choice's inverse-CDF rule,
 and `Policy.sample` (one row) and `Policy.sample_many` feed it exactly the
 doubles that their per-token rng.choice draws would take.  A prompt
@@ -167,6 +169,8 @@ class Policy:
         """logprob_many of the int64 array Y; the prefix levels of Y are
         read from, or added to, `levels` (keyed by V), so callers scoring
         the same Y under several policies compute them once."""
+        if Y.size and not 0 <= Y.min() <= Y.max() < self.V:
+            raise ValueError(f"tokens must lie in [0, {self.V})")
         total = np.zeros(len(Y))
         step = self.step_dist(x)
         with np.errstate(divide="ignore"):
@@ -280,22 +284,52 @@ def sample_from_uniforms(policy: Policy, x, U) -> np.ndarray:
 def prefix_levels(Y: np.ndarray, V: int):
     """For h = 0..H-1 yield (h, first, inv) over the prefixes Y[:, :h].
 
-    Row first[j] holds the j-th distinct prefix and row i's prefix is the
-    inv[i]-th.  Prefixes are integer codes (parent index * V + token), so
-    codes stay below n * V.  Column h is read only after the yield, so a
-    sampler may fill it in place.
+    The distinct prefixes of a level are numbered in sorted order of their
+    integer codes (parent index * V + token): row i's prefix is the
+    inv[i]-th, and row first[j] is some row whose prefix is the j-th.
+    Tokens must lie in [0, V); the codes of a level then lie below k * V,
+    k the previous level's count of distinct prefixes.  A level is ranked
+    by marking its codes in a table of k * V flags and one cumsum, unless
+    k * V > 16 * n (n = len(Y)): there the table costs more than a sort,
+    and np.unique ranks it.  Either way inv is np.unique's inverse.
+    Column h is read only after the yield, so a sampler may fill it in
+    place.
     """
-    if len(Y) <= 1:         # at most one prefix per level: nothing to sort
-        idx = np.zeros(len(Y), dtype=np.int64)
+    n = len(Y)
+    if n <= 1:              # at most one prefix per level: nothing to rank
+        idx = np.zeros(n, dtype=np.int64)
         for h in range(Y.shape[1]):
             yield h, idx, idx
         return
-    code = np.zeros(len(Y), dtype=np.int64)
+    rows = np.arange(n)
+    first, inv = np.zeros(1, dtype=np.int64), np.zeros(n, dtype=np.int64)
     for h in range(Y.shape[1]):
+        if h:
+            first, inv = _rank_codes(inv * V + Y[:, h - 1], len(first) * V,
+                                     rows)
+        yield h, first, inv
+
+
+# Past this many table slots per row, a level's codes are ranked by sort.
+_SLOTS_PER_ROW = 16
+
+
+def _rank_codes(code, size: int, rows):
+    """(first, inv) of the codes in [0, size): inv[i] is the rank of
+    code[i] among the distinct codes and first[j] a row holding the j-th."""
+    if size > _SLOTS_PER_ROW * len(code):
         _, first, inv = np.unique(code, return_index=True,
                                   return_inverse=True)
-        yield h, first, inv
-        code = inv * V + Y[:, h]
+        return first, inv
+    seen = np.zeros(size, dtype=bool)
+    seen[code] = True
+    # int32 halves the table that the gather below reads at random.
+    rank = np.cumsum(seen, dtype=np.int32)
+    rank -= 1
+    inv = rank[code].astype(np.int64)
+    first = np.empty(rank[-1] + 1, dtype=np.int64)
+    first[inv] = rows
+    return first, inv
 
 
 def draw_examples(policy: Policy, mu, n: int, rng: np.random.Generator):

@@ -341,6 +341,9 @@ class GraphPathPolicy(Policy):
 
     def _parse_impl(self, x):
         dag = parse_prompt(x, self.m)
+        if dag.horizon != self.H:
+            raise ValueError(f"the prompt's graph has L + 2 = {dag.horizon} "
+                             f"layers, but the policy's horizon is {self.H}")
         cid = self.class_id or identify_class(dag, self.family)
         return dag, cid
 

@@ -12,7 +12,8 @@ import json
 
 import numpy as np
 
-from covkit.core import Dataset, FinitePromptDist, Trajectory, prefix_levels
+from covkit.core import Dataset, FinitePromptDist, Trajectory
+from prefix_oracle import prefix_levels_ref
 
 
 def load_examples(path, header_path=None):
@@ -64,7 +65,7 @@ def sample_many(policy, x, n, rng):
     if step is not None:
         return rng.choice(policy.V, size=(n, policy.H), p=step)
     Y = np.zeros((n, policy.H), dtype=np.int64)
-    for h, first, inv in prefix_levels(Y, policy.V):
+    for h, first, inv in prefix_levels_ref(Y, policy.V):
         cdf = np.cumsum(policy.prefix_dists(x, Y[first, :h]), axis=1)
         cdf /= cdf[:, -1:]
         u = rng.random(n)

@@ -15,9 +15,9 @@ import math
 
 import numpy as np
 
-from covkit.core import (group_prompts, logprob_matrix, prefix_levels,
-                         sample_prompts)
+from covkit.core import group_prompts, logprob_matrix, sample_prompts
 from covkit.metrics import covers, hoeffding_half_width
+from prefix_oracle import prefix_levels_ref
 
 
 def _kl_rows(PD, PH):
@@ -58,7 +58,7 @@ def stopped_kl(piD, piHat, mu_sampler, N, n, rng):
     vals = np.empty(n)
     for x, idx, Y in draws:
         acc = np.zeros(len(idx))
-        for h, first, inv in prefix_levels(Y, piD.V):
+        for h, first, inv in prefix_levels_ref(Y, piD.V):
             pre = Y[first, :h]
             acc += _kl_rows(piD.prefix_dists(x, pre),
                             piHat.prefix_dists(x, pre))[inv]

@@ -6,12 +6,31 @@ the prefix tree with tuple prefixes and one `next_dist` call per prefix.
 Neither uses integer prefix codes or level gathers, so tests can compare
 `TabularModel` and `metrics.tree_walk` with them exactly.
 `CountingTabular` records the prefix length of each `prefix_dists` call.
+`prefix_levels_ref` groups the rows of a level by sorting their prefix
+codes with `np.unique`, the reference for `core.prefix_levels`.
 """
 
 import numpy as np
 
 from covkit.core import Policy
 from covkit.models import TabularModel
+
+
+def prefix_levels_ref(Y, V):
+    """For h = 0..H-1 yield (h, first, inv) over the prefixes Y[:, :h]:
+    np.unique of the codes (parent index * V + token), so first[j] is the
+    first row holding the j-th distinct prefix in sorted code order."""
+    if len(Y) <= 1:
+        idx = np.zeros(len(Y), dtype=np.int64)
+        for h in range(Y.shape[1]):
+            yield h, idx, idx
+        return
+    code = np.zeros(len(Y), dtype=np.int64)
+    for h in range(Y.shape[1]):
+        _, first, inv = np.unique(code, return_index=True,
+                                  return_inverse=True)
+        yield h, first, inv
+        code = inv * V + Y[:, h]
 
 
 class DictTabular(Policy):

@@ -123,8 +123,9 @@ class Policy:
     any.  Per-object caches rely on this: `LinearARModel._steps` (the
     step row of each product prompt), `TabularModel._steps` (which
     prompts are prefix-independent), `GraphPathPolicy._parse` (each
-    prompt's parsed graph) and the exact metrics' memo of walked pair
-    laws.
+    prompt's parsed graph), every `metrics.PairLaw` (which keeps the
+    pair's step rows or walked leaves, not the policies) and the exact
+    metrics' one-entry cache of the last such law.
     """
 
     V: int

@@ -64,14 +64,14 @@ def bon_regret(policy: Policy, piT: Policy, reward, mu, N: int, trials: int,
         raise ValueError("trials must be >= 100")
     if not N >= 1:
         raise ValueError("N must be >= 1")
+    hw = 2.0 * hoeffding_half_width(trials, delta)    # refuses a bad delta
     total = 0.0
     for x, idx in group_prompts(sample_prompts(mu, trials, rng)).items():
         c = len(idx)
         r_t = _rewards(reward, x, piT.sample_many(x, c, rng))
         r_b = _rewards(reward, x, policy.sample_many(x, c * N, rng))
         total += float(r_t.sum() - r_b.reshape(c, N).max(axis=1).sum())
-    est = total / trials
-    return est, 2.0 * hoeffding_half_width(trials, delta)
+    return total / trials, hw
 
 
 def _rewards(reward, x, Y) -> np.ndarray:

@@ -22,8 +22,8 @@ import numpy as np
 from . import tasks as _tasks
 from . import training
 from .core import check_enum_budget, sample_dataset, save_jsonl
-from .metrics import (MetricReport, coverage_mc, kl_and_coverage,
-                      positive_weights, seq_kl, tree_walk)
+from .metrics import (MetricReport, PairLaw, coverage_mc, positive_weights,
+                      seq_kl, tree_walk)
 from .models import LinearARModel
 from .seeding import SeedTree
 from .training import RunRecord, TrainConfig, policy_stream
@@ -253,11 +253,13 @@ def _check_task(task, metrics_spec: dict):
 
 def _check_exact_work(task):
     """Refuse a task point whose exact metrics would pass the enumeration
-    budget, sized as `kl_and_coverage` sizes one pair: a prompt where piD
-    and the feature map are products counts comb(H + k - 1, k - 1) atoms,
-    k the size of piD's step support (a bound on its distinct step
-    log-ratios), and is not walked; any other prompt is walked once under
-    piD alone, which gathers the levels the pair walk would."""
+    budget.  A prompt where piD and the feature map are products counts
+    comb(H + k - 1, k - 1) atoms, k the size of piD's step support (a bound
+    on its distinct step log-ratios), and is not walked; any other prompt
+    is then walked once under piD alone, which gathers the levels the pair
+    walk would, on top of those atoms.  A checkpoint's `PairLaw` counts
+    its walks first and its atoms after, within this bound, so it is not
+    refused at a point that passes here."""
     work, walked = 0, []
     try:
         for x, _ in positive_weights(task.mu.items()):
@@ -298,8 +300,8 @@ def checkpoint_metrics(task, rec: RunRecord, metrics_spec: dict, tree: SeedTree)
     for i, (t, theta) in enumerate(rec.checkpoints):
         model = LinearARModel(theta, task.featmap, task.V, task.H)
         if metrics_spec["mode"] == "exact":
-            kl, curve = kl_and_coverage(task.piD, model, task.mu.items(),
-                                        n_grid)
+            law = PairLaw(task.piD, model, task.mu.items())
+            kl, curve = law.seq_kl(), law.coverage(n_grid)
         else:
             rng = tree.child("metric", i).rng()
             kl = seq_kl(task.piD, model, None, mode="mc",

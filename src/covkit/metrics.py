@@ -6,33 +6,32 @@ Wilson) confidence half-widths; they draw all prompts first, then score
 each distinct prompt's responses with one sample_many and one logprob_many
 call per policy.  The MC modes of seq_kl, seq_ce and stopped_kl, and
 coverage_mc, reduce the per-draw values of one loop, `_mc_values`.  Exact
-modes use, per prompt x, either
+modes reduce a `PairLaw`, the law of one (piD, piHat) pair under mu.  Per
+prompt x it keeps either
 
-* product closed forms, when both policies return a `step_dist` at x:
-  seq_kl = H KL_step, seq_ce = H CE_step, 1 - hellinger_sq = BC_step^H,
-  stopped_kl = min(log N, H KL_step), a 0/1 stepwise_hellinger_tail, and
-  log-ratio atoms (coverage_exact, coverage_sup_log) from a multinomial over
-  the k <= V groups of distinct step log-ratios; or
-* the walked pair law of x: one `tree_walk` of the piD-positive prefix
-  tree gives, per leaf, log piD, log piHat and the sum and peak of the
-  step-KL and step-Hellinger (1 - BC) terms, and all seven functionals
-  reduce it.  The walk carries each level's prefixes as one (k, h) int
-  array and makes one `prefix_dists` call per policy per level.
+* the step rows, when both policies return a `step_dist` at x, for the
+  product closed forms: seq_kl = H KL_step, seq_ce = H CE_step, 1 -
+  hellinger_sq = BC_step^H, stopped_kl = min(log N, H KL_step), a 0/1
+  stepwise_hellinger_tail, and log-ratio atoms (coverage_exact,
+  coverage_sup_log) from a multinomial over the k <= V groups of distinct
+  step log-ratios; or
+* the walked law of x: one `tree_walk` of the piD-positive prefix tree
+  gives, per leaf, log piD, log piHat and the sum and peak of the step-KL
+  and step-Hellinger (1 - BC) terms.  The walk carries each level's
+  prefixes as one (k, h) int array and makes one `prefix_dists` call per
+  policy per level.
 
-The walked laws of the most recent (piD, piHat) pair are kept, per prompt,
-in a module memo that holds its two policies only by weak reference and
-at most 1e6 leaves, so several functionals of one pair walk each prompt
-once.  The memo is dropped as soon as either policy is collected.  This
-relies on a policy's conditionals being fixed for its lifetime.
-onpolicy_cov_estimate and non-product models.sigma_star_sq always walk,
-without the memo.
+A caller that wants several functionals of a pair holds one PairLaw.  The
+free functions share `_law`, a one-entry cache of the last (piD, piHat, mu
+list) law that holds its policies by weak reference and is dropped when
+either is collected.  onpolicy_cov_estimate and non-product
+models.sigma_star_sq walk on their own.
 
-Work is bounded at 1e6: product atoms, comb(H + k - 1, k - 1) per prompt,
-are estimated before anything is walked, and each walk counts the k * V
-entries a level of k prefixes gathers per policy (a bound on the level's
-piD-positive children) on top of what the call has already spent; a
-ValueError asking for a Monte Carlo mode is raised before a level over
-the budget is built or gathered.
+Work is bounded at 1e6: each walk counts the k * V entries a level of k
+prefixes gathers per policy (a bound on its piD-positive children) on top
+of the law's earlier leaves, and the atoms count comb(H + k - 1, k - 1)
+per product prompt plus the walked leaves; a ValueError asking for a Monte
+Carlo mode is raised before a level or atom table over the budget is built.
 """
 
 from __future__ import annotations
@@ -46,8 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ENUM_BUDGET, Policy, check_enum_budget, group_prompts,
-                   logprob_matrix, prefix_levels, sample_prompts)
+from .core import (Policy, check_enum_budget, group_prompts, logprob_matrix,
+                   prefix_levels, sample_prompts)
 
 
 @dataclass
@@ -180,40 +179,6 @@ def _product_atoms(groups, H):
     return r, np.exp(logp)
 
 
-class _PairMemo:
-    """Walked laws of one (piD, piHat) pair, keyed by prompt.
-
-    The policies are held by weak reference and matched with `is`, so the
-    memo keeps neither alive and a new object at a recycled address is
-    never taken for the old one.  It holds at most 1e6 leaves, and is
-    dropped, laws and all, as soon as either policy is collected.
-    """
-
-    def __init__(self, piD, piHat):
-        self.refs = (weakref.ref(piD, _forget), weakref.ref(piHat, _forget))
-        self.laws, self.leaves = {}, 0
-
-    def holds(self, piD, piHat):
-        return self.refs[0]() is piD and self.refs[1]() is piHat
-
-    def add(self, x, law):
-        if self.leaves + len(law[0]) > ENUM_BUDGET:
-            self.laws, self.leaves = {}, 0
-        self.laws[x] = law
-        self.leaves += len(law[0])
-
-
-_memo = None       # the _PairMemo of the most recently walked pair
-
-
-def _forget(ref):
-    """Weakref callback: drop the memo whose policy `ref` was collected."""
-    global _memo
-    memo = _memo
-    if memo is not None and any(r is ref for r in memo.refs):
-        _memo = None
-
-
 def positive_weights(mu_items) -> list:
     """The (prompt, weight) items of positive weight.  Raises ValueError
     unless every weight is finite and >= 0 and at least one is positive."""
@@ -229,66 +194,130 @@ def positive_weights(mu_items) -> list:
     return out
 
 
-def _pair_laws(piD, piHat, mu_items, atoms=False):
-    """(w, steps, law) per prompt x of weight w > 0: steps = (pD, pH) if
-    both policies are products at x, and then law = their `_ratio_groups`
-    with `atoms` (else None); otherwise law = (lpD, lpH, sums, peaks), the
-    walked pair law of x with the step-KL and step-Hellinger terms, read
-    from the memo or walked and stored there.
+class PairLaw:
+    """The exact law of one (piD, piHat) pair under mu, held by the caller:
+    per prompt x of weight w > 0, (w, steps, law) with steps = (pD, pH) on
+    a product prompt, else law = (lpD, lpH, sums, peaks) from one
+    `tree_walk` with the pair terms.  It keeps neither policy."""
 
-    Weights must be finite and >= 0, at least one positive.  Product atoms
-    and memoized leaves count against the budget before anything is
-    walked; each walk then counts its own prefixes.
-    """
-    global _memo
-    memo = _memo      # read once: another thread may replace it
-    if memo is not None and not memo.holds(piD, piHat):
-        memo = None
-    items, work = [], 0
-    for x, w in positive_weights(mu_items):
-        law = None if memo is None else memo.laws.get(x)
-        if law is not None:
-            work += len(law[0])
-            items.append((x, w, None, law))
-            continue
-        pD = piD.step_dist(x)
-        pH = None if pD is None else piHat.step_dist(x)
-        steps = None if pH is None else (np.asarray(pD, dtype=float),
-                                         np.asarray(pH, dtype=float))
-        if steps is not None and atoms:
-            law = _ratio_groups(*steps)
-            k = len(law[0])
-            work += math.comb(piD.H + k - 1, k - 1)
-        items.append((x, w, steps, law))
-    check_enum_budget("leaves + atoms", work)
-    laws = []
-    for x, w, steps, law in items:
-        if steps is None and law is None:
+    def __init__(self, piD: Policy, piHat: Policy, mu_items):
+        self.H = piD.H
+        self.items, spent = [], 0
+        for x, w in positive_weights(mu_items):
+            pD = piD.step_dist(x)
+            pH = None if pD is None else piHat.step_dist(x)
+            if pH is not None:
+                self.items.append((w, (np.asarray(pD, dtype=float),
+                                       np.asarray(pH, dtype=float)), None))
+                continue
             lpD, (lpH,), sums, peaks = tree_walk(piD, x, [piHat],
-                                                 pair_terms=True, spent=work)
-            law = lpD, lpH, sums, peaks
-            work += len(lpD)
-            if memo is None:
-                memo = _memo = _PairMemo(piD, piHat)
-            memo.add(x, law)
-        laws.append((w, steps, law))
-    return laws
+                                                 pair_terms=True, spent=spent)
+            spent += len(lpD)
+            self.items.append((w, None, (lpD, lpH, sums, peaks)))
+        self._atoms = None
+
+    def _reduce(self, closed_form, leaf_value):
+        """sum_x w(x) * value(x): closed_form(pD, pH, H) on product prompts,
+        leaf_value(lpD, lpH, sums, peaks) on walked ones."""
+        total = 0.0
+        for w, steps, law in self.items:
+            if steps is not None:
+                total += w * closed_form(*steps, self.H)
+            else:
+                total += w * leaf_value(*law)
+        return total
+
+    def seq_kl(self) -> float:
+        return self._reduce(lambda pD, pH, H: H * step_kl(pD, pH), _kl_leaves)
+
+    def seq_ce(self) -> float:
+        return self._reduce(_ce_closed, _ce_leaves)
+
+    def hellinger_sq(self) -> float:
+        return self._reduce(
+            lambda pD, pH, H: 1.0 - float(_bc_rows(pD, pH)) ** H,
+            lambda lpD, lpH, sums, peaks:
+                1.0 - float(np.exp(0.5 * (lpD + lpH)).sum()))
+
+    def stopped_kl(self, N: float) -> float:
+        logN = _log_cap(N)
+        return self._reduce(
+            lambda pD, pH, H: min(logN, H * step_kl(pD, pH)),
+            lambda lpD, lpH, sums, peaks: float(
+                np.exp(lpD) @ np.where(peaks[0] >= logN, logN, sums[0])))
+
+    def hellinger_tail(self, N: float, delta: float) -> float:
+        if not (N >= 1 and 0.0 < delta <= 1.0):
+            raise ValueError(f"the Hellinger tail needs N >= 1 and delta in "
+                             f"(0, 1], got N = {N!r}, delta = {delta!r}")
+        thr = math.log(N / delta)
+        return self._reduce(
+            lambda pD, pH, H: float(
+                max(0.0, H * (1.0 - float(_bc_rows(pD, pH)))) >= thr),
+            lambda lpD, lpH, sums, peaks:
+                float(np.exp(lpD)[peaks[1] >= thr].sum()))
+
+    def atoms(self):
+        """`log_ratio_atoms` of the pair, built once and read-only."""
+        if self._atoms is None:
+            groups = [None if steps is None else _ratio_groups(*steps)
+                      for _, steps, _ in self.items]
+            check_enum_budget("leaves + atoms", sum(
+                len(law[0]) if g is None else
+                math.comb(self.H + len(g[0]) - 1, len(g[0]) - 1)
+                for g, (_, _, law) in zip(groups, self.items)))
+            ratios, probs = [], []
+            for g, (w, _, law) in zip(groups, self.items):
+                # +inf where lpH == -inf.
+                r, p = ((law[0] - law[1], np.exp(law[0])) if g is None
+                        else _product_atoms(g, self.H))
+                ratios.append(r)
+                probs.append(w * p)
+            ratios, inv = np.unique(np.concatenate(ratios),
+                                    return_inverse=True)
+            probs = np.bincount(inv, weights=np.concatenate(probs))
+            ratios.flags.writeable = probs.flags.writeable = False
+            self._atoms = ratios, probs
+        return self._atoms
+
+    def coverage(self, Ns) -> CoverageCurve:
+        ratios, probs = self.atoms()
+        Ns = np.atleast_1d(np.asarray(Ns, dtype=float))
+        values = np.array([probs[ratios >= math.log(N) - 1e-12].sum()
+                           for N in Ns])
+        return CoverageCurve(Ns, np.clip(values, 0.0, 1.0), np.zeros_like(Ns))
+
+    def sup_log(self):
+        ratios, probs = self.atoms()
+        tails = np.cumsum(probs[::-1])[::-1]
+        ok = (ratios > 0) & np.isfinite(ratios)
+        C = float(np.max(tails[ok] * ratios[ok], initial=0.0))
+        return C, ratios[-1]
 
 
-def _reduce(laws, H, closed_form, leaf_value):
-    """sum_x w(x) * value(x): closed_form(pD, pH, H) on product prompts,
-    leaf_value(lpD, lpH, sums, peaks) on walked ones."""
-    total = 0.0
-    for w, steps, law in laws:
-        if steps is not None:
-            total += w * closed_form(*steps, H)
-        else:
-            total += w * leaf_value(*law)
-    return total
+_last = None    # (piD ref, piHat ref, mu list, PairLaw) of the last _law
 
 
-def _kl_closed(pD, pH, H):
-    return H * step_kl(pD, pH)
+def _drop(ref):
+    """Weakref callback: drop the cached law whose policy was collected."""
+    global _last
+    last = _last
+    if last is not None and (last[0] is ref or last[1] is ref):
+        _last = None
+
+
+def _law(piD, piHat, mu_items) -> PairLaw:
+    """The last call's law if it had these two policies (matched with `is`)
+    and an equal mu list, else a new law, which replaces it."""
+    global _last
+    mu = list(mu_items)
+    last = _last        # read once: another thread may replace it
+    if (last is not None and last[0]() is piD and last[1]() is piHat
+            and last[2] == mu):
+        return last[3]
+    law = PairLaw(piD, piHat, mu)
+    _last = (weakref.ref(piD, _drop), weakref.ref(piHat, _drop), mu, law)
+    return law
 
 
 def _kl_leaves(lpD, lpH, sums, peaks):
@@ -297,46 +326,18 @@ def _kl_leaves(lpD, lpH, sums, peaks):
     return float(np.exp(lpD) @ (lpD - lpH))
 
 
-def _atoms(laws, H):
-    ratios, probs = [], []
-    for w, steps, law in laws:
-        if steps is not None:
-            r, p = _product_atoms(law, H)
-        else:
-            lpD, lpH, _, _ = law
-            r, p = lpD - lpH, np.exp(lpD)     # +inf where lpH == -inf
-        ratios.append(r)
-        probs.append(w * p)
-    ratios, inv = np.unique(np.concatenate(ratios), return_inverse=True)
-    return ratios, np.bincount(inv, weights=np.concatenate(probs))
-
-
 def log_ratio_atoms(piD: Policy, piHat: Policy, mu_items):
     """Exact distribution of log(piD/piHat) under mu x piD.
 
     Returns (ratios, probs) with distinct ratios in increasing order; +inf
     ratios appear when piHat assigns zero mass to a piD-positive response.
     """
-    return _atoms(_pair_laws(piD, piHat, mu_items, atoms=True), piD.H)
-
-
-def _curve(atoms, Ns) -> CoverageCurve:
-    ratios, probs = atoms
-    Ns = np.atleast_1d(np.asarray(Ns, dtype=float))
-    values = np.array([probs[ratios >= math.log(N) - 1e-12].sum() for N in Ns])
-    return CoverageCurve(Ns, np.clip(values, 0.0, 1.0), np.zeros_like(Ns))
+    return _law(piD, piHat, mu_items).atoms()
 
 
 def coverage_exact(piD: Policy, piHat: Policy, mu_items, Ns) -> CoverageCurve:
     """Exact coverage profile over thresholds Ns."""
-    return _curve(log_ratio_atoms(piD, piHat, mu_items), Ns)
-
-
-def kl_and_coverage(piD: Policy, piHat: Policy, mu_items, Ns):
-    """(seq_kl, coverage_exact) of one pair from one pass over the prompts."""
-    laws = _pair_laws(piD, piHat, mu_items, atoms=True)
-    return (_reduce(laws, piD.H, _kl_closed, _kl_leaves),
-            _curve(_atoms(laws, piD.H), Ns))
+    return _law(piD, piHat, mu_items).coverage(Ns)
 
 
 def coverage_mc(piD: Policy, piHat: Policy, mu_sampler, Ns, n_samples: int,
@@ -352,6 +353,7 @@ def coverage_mc(piD: Policy, piHat: Policy, mu_sampler, Ns, n_samples: int,
     """
     if not n_samples >= 2:
         raise ValueError("n_samples must be >= 2")
+    _check_delta(delta)
     Ns = np.atleast_1d(np.asarray(Ns, dtype=float))
     lrs = _mc_values(piD, mu_sampler, n_samples, rng,
                      _log_ratio_values(piD, piHat))
@@ -394,8 +396,7 @@ def seq_kl(piD: Policy, piHat: Policy, mu_items, mode="exact",
            n=None, rng=None, mu_sampler=None) -> float:
     """E_piD[log piD - log piHat]; +inf if piHat misses piD mass."""
     if mode == "exact":
-        return _reduce(_pair_laws(piD, piHat, mu_items), piD.H,
-                       _kl_closed, _kl_leaves)
+        return _law(piD, piHat, mu_items).seq_kl()
     if mode == "mc":
         return float(_mc_values(piD, mu_sampler, n, rng,
                                 _log_ratio_values(piD, piHat)).mean())
@@ -417,8 +418,7 @@ def seq_ce(piD: Policy, piHat: Policy, mu_items, mode="exact",
            n=None, rng=None, mu_sampler=None) -> float:
     """E_piD[-log piHat]."""
     if mode == "exact":
-        return _reduce(_pair_laws(piD, piHat, mu_items), piD.H,
-                       _ce_closed, _ce_leaves)
+        return _law(piD, piHat, mu_items).seq_ce()
     if mode == "mc":
         return float(_mc_values(piD, mu_sampler, n, rng,
                                 lambda x, Y: -piHat.logprob_many(x, Y)).mean())
@@ -427,11 +427,7 @@ def seq_ce(piD: Policy, piHat: Policy, mu_items, mode="exact",
 
 def hellinger_sq(piD: Policy, piHat: Policy, mu_items) -> float:
     """Squared Hellinger distance (1/2) E_x sum_y (sqrt piD - sqrt piHat)^2."""
-    return _reduce(
-        _pair_laws(piD, piHat, mu_items), piD.H,
-        lambda pD, pH, H: 1.0 - float(_bc_rows(pD, pH)) ** H,
-        lambda lpD, lpH, sums, peaks:
-            1.0 - float(np.exp(0.5 * (lpD + lpH)).sum()))
+    return _law(piD, piHat, mu_items).hellinger_sq()
 
 
 def step_kl(pD: np.ndarray, pH: np.ndarray) -> float:
@@ -439,18 +435,18 @@ def step_kl(pD: np.ndarray, pH: np.ndarray) -> float:
                           np.asarray(pH, dtype=float)))
 
 
+def _log_cap(N):
+    if not N > 1:
+        raise ValueError("N must be > 1")
+    return math.log(N)
+
+
 def stopped_kl(piD: Policy, piHat: Policy, mu_items, N: float, mode="exact",
                n=None, rng=None, mu_sampler=None) -> float:
     """E_piD[min(log N, sum_h per-step conditional KL)]."""
-    if not N > 1:
-        raise ValueError("N must be > 1")
-    logN = math.log(N)
+    logN = _log_cap(N)
     if mode == "exact":
-        return _reduce(
-            _pair_laws(piD, piHat, mu_items), piD.H,
-            lambda pD, pH, H: min(logN, H * step_kl(pD, pH)),
-            lambda lpD, lpH, sums, peaks: float(
-                np.exp(lpD) @ np.where(peaks[0] >= logN, logN, sums[0])))
+        return _law(piD, piHat, mu_items).stopped_kl(N)
     if mode == "mc":
         # Step KLs are >= 0, so clipping the full sum equals stopping early.
         def clipped_kl(x, Y):
@@ -466,14 +462,9 @@ def stopped_kl(piD: Policy, piHat: Policy, mu_items, N: float, mode="exact",
 
 def stepwise_hellinger_tail(piD: Policy, piHat: Policy, mu_items, N: float,
                             delta: float) -> float:
-    """P_piD(a partial sum of per-step squared Hellinger >= log(N/delta))."""
-    thr = math.log(N / delta)
-    return _reduce(
-        _pair_laws(piD, piHat, mu_items), piD.H,
-        lambda pD, pH, H: float(
-            max(0.0, H * (1.0 - float(_bc_rows(pD, pH)))) >= thr),
-        lambda lpD, lpH, sums, peaks:
-            float(np.exp(lpD)[peaks[1] >= thr].sum()))
+    """P_piD(a partial sum of per-step squared Hellinger >= log(N/delta)),
+    for N >= 1 and delta in (0, 1]."""
+    return _law(piD, piHat, mu_items).hellinger_tail(N, delta)
 
 
 def kl_to_cov_bound(kl: float, N: float) -> float:
@@ -489,17 +480,14 @@ def coverage_sup_log(piD: Policy, piHat: Policy, mu_items):
     The exact curve is piecewise constant with breakpoints at the log-ratio
     atoms, so the sup over N >= 1 is attained at an atom; this is exact.
     """
-    ratios, probs = log_ratio_atoms(piD, piHat, mu_items)
-    tails = np.cumsum(probs[::-1])[::-1]
-    ok = (ratios > 0) & np.isfinite(ratios)
-    C = float(np.max(tails[ok] * ratios[ok], initial=0.0))
-    return C, ratios[-1]
+    return _law(piD, piHat, mu_items).sup_log()
 
 
 def pairwise_cov_matrix(policies, dataset, N: float) -> np.ndarray:
     """M[i, j]: fraction of `dataset` points with log policies[i] -
     log policies[j] >= log N, zero on the diagonal, from one (K, n)
     log-prob matrix, so each example is scored K times."""
+    _check_N(N)
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
     lp = logprob_matrix(policies, dataset)
@@ -534,6 +522,7 @@ def onpolicy_cov_estimate(piBar: Policy, piPrime: Policy, pi: Policy,
     walks sharing one budget; mc mode draws m responses per listed prompt,
     those of each distinct prompt in one sample_many call.
     """
+    _check_N(N)
     if len(prompts) == 0:
         raise ValueError("prompts is empty")
     logN = math.log(N)
@@ -560,5 +549,19 @@ def onpolicy_cov_estimate(piBar: Policy, piPrime: Policy, pi: Policy,
     return total / len(prompts)
 
 
+def _check_N(N):
+    if not N >= 1:
+        raise ValueError(f"N must be >= 1, got {N!r}")
+
+
+def _check_delta(delta):
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
+
+
 def hoeffding_half_width(n: int, delta: float = 0.05) -> float:
+    """sqrt(log(2/delta) / 2n), for n >= 1 and delta in (0, 1)."""
+    if not n >= 1:
+        raise ValueError(f"n must be >= 1, got {n!r}")
+    _check_delta(delta)
     return math.sqrt(math.log(2.0 / delta) / (2 * n))

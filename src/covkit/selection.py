@@ -66,8 +66,6 @@ def select_ce(candidates: CandidateClass, dataset, return_report=False):
 def simple_tournament(candidates: CandidateClass, dataset, N: float,
                       return_report=False):
     """argmin_pi max_pi' empirical coverage of pi' against pi."""
-    if not N >= 1:
-        raise ValueError("N must be >= 1")
     M = pairwise_cov_matrix(candidates.candidates, dataset, N)
     worst = M.max(axis=0)
     idx = int(np.argmin(worst))

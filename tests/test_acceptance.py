@@ -17,8 +17,8 @@ import numpy as np
 from covkit.cli import main as cli_main
 from covkit.core import FinitePromptDist, Trajectory, sample_dataset
 from covkit.decoding import TTTPolicy, adversarial_reward, bon_regret
-from covkit.metrics import (coverage_exact, coverage_sup_log, hellinger_sq,
-                            kl_to_cov_bound, log_ratio_atoms, seq_kl,
+from covkit.metrics import (PairLaw, coverage_exact, coverage_sup_log,
+                            hellinger_sq, kl_to_cov_bound, seq_kl,
                             stepwise_hellinger_tail, stopped_kl)
 from covkit.models import (CallableFeatureMap, LinearARModel, TabularModel,
                            sigma_star_sq)
@@ -72,9 +72,10 @@ def _rand_pair(tree, k, allow_zeros=True, triple=False):
     return piT, piD, piHat
 
 
-def _tail(piD, piHat, t):
-    """P[log(piD/piHat) >= log t] for arbitrary t > 0 (t < 1 allowed)."""
-    ratios, probs = log_ratio_atoms(piD, piHat, MU1)
+def _tail(law, t):
+    """P[log(piD/piHat) >= log t] under a held PairLaw, for arbitrary t > 0
+    (t < 1 allowed)."""
+    ratios, probs = law.atoms()
     return float(probs[ratios >= math.log(t) - 1e-12].sum())
 
 
@@ -102,11 +103,12 @@ def test_A1_conversion_inequalities():
     tree = SeedTree(101).child("chain")
     for k in range(n_inst):
         piT, piD, piHat = _rand_pair(tree, k, triple=True)
+        TH, DH, TD = (PairLaw(a, b, MU1) for a, b in
+                      ((piT, piHat), (piD, piHat), (piT, piD)))
         for M1 in (2.0, 4.0, 8.0):
             for M2 in (2.0, 4.0, 8.0):
-                lhs = _tail(piT, piHat, M1)
-                rhs = (M2 * _tail(piD, piHat, M1 / M2)
-                       + _tail(piT, piD, M2))
+                lhs = _tail(TH, M1)
+                rhs = M2 * _tail(DH, M1 / M2) + _tail(TD, M2)
                 assert lhs <= rhs + tol
 
     tree = SeedTree(101).child("stopped")

@@ -119,6 +119,17 @@ def test_bon_regret_identical_policies():
         bon_regret(pol, pol, lambda x, y: 1, mu, 1, 50, rng)
 
 
+@pytest.mark.parametrize("delta", [2.0, 0.0, math.nan])
+def test_bon_regret_refuses_delta_outside_unit_interval_before_drawing(delta):
+    pol = bernoulli_model(0.5)
+    rng = SeedTree(3).rng()
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="delta must lie"):
+        bon_regret(pol, pol, lambda x, y: 1, FinitePromptDist([0], [1.0]), 1,
+                   200, rng, delta=delta)
+    assert rng.bit_generator.state == state
+
+
 def test_bon_lower_bound_with_adversarial_reward():
     # piHat starves the rewarded event: regret >= 0.5*Pcov_{2N} - 3*hw.
     N = 4

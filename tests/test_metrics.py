@@ -5,13 +5,13 @@ import pytest
 
 from conftest import random_product, random_tabular
 from covkit.core import FinitePromptDist, Trajectory
-from covkit.metrics import (CoverageCurve, coverage_exact, coverage_mc,
-                            coverage_sup_log, default_n_grid,
+from covkit.metrics import (CoverageCurve, PairLaw, coverage_exact,
+                            coverage_mc, coverage_sup_log, default_n_grid,
                             empirical_pairwise_cov, hellinger_sq,
                             hoeffding_half_width, kl_to_cov_bound,
-                            log_ratio_atoms, onpolicy_cov_estimate, seq_ce,
-                            seq_kl, step_kl, stepwise_hellinger_tail,
-                            stopped_kl)
+                            log_ratio_atoms, onpolicy_cov_estimate,
+                            pairwise_cov_matrix, seq_ce, seq_kl, step_kl,
+                            stepwise_hellinger_tail, stopped_kl)
 from covkit.models import TabularModel
 from covkit.seeding import SeedTree
 from covkit.tasks import bernoulli_model
@@ -281,3 +281,57 @@ def test_coverage_sup_log_identical():
     piD = ber(0.3)
     C, log_wmax = coverage_sup_log(piD, piD, ONE)
     assert C == 0.0 and abs(log_wmax) < 1e-12
+
+
+# ------------------------------------------------ N and delta out of range
+
+@pytest.mark.parametrize("N, delta", [(math.nan, 0.5), (2.0, math.nan),
+                                      (2.0, 0.0), (0.5, 0.5), (2.0, 1.5)])
+def test_hellinger_tail_refuses_bad_N_or_delta(N, delta):
+    piD, piHat = ber(0.3, H=2), ber(0.6, H=2)
+    for tail in (lambda: stepwise_hellinger_tail(piD, piHat, ONE, N, delta),
+                 lambda: PairLaw(piD, piHat, ONE).hellinger_tail(N, delta)):
+        with pytest.raises(ValueError, match="Hellinger tail needs N >= 1"):
+            tail()
+
+
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+@pytest.mark.parametrize("N", [math.nan, 0.5])
+def test_onpolicy_estimate_refuses_N_below_one(mode, N):
+    piD, piHat = ber(0.5), ber(0.05)
+    with pytest.raises(ValueError, match="N must be >= 1"):
+        onpolicy_cov_estimate(piD, piD, piHat, [0], N, mode=mode, m=4,
+                              rng=SeedTree(1).rng())
+
+
+@pytest.mark.parametrize("N", [math.nan, 0.5])
+def test_pairwise_coverage_refuses_N_below_one(N):
+    from covkit.core import Dataset
+    ds = Dataset([0] * 4, [[1], [0], [0], [0]], H=1, V=2)
+    pols = [ber(0.5), ber(0.05)]
+    with pytest.raises(ValueError, match="N must be >= 1"):
+        pairwise_cov_matrix(pols, ds, N)
+    with pytest.raises(ValueError, match="N must be >= 1"):
+        empirical_pairwise_cov(*pols, ds, N)
+
+
+@pytest.mark.parametrize("interval, delta", [
+    ("hoeffding", 2.0), ("hoeffding", math.nan), ("hoeffding", 0.0),
+    ("hoeffding", 1.0), ("wilson", 1.5), ("wilson", -0.1)])
+def test_coverage_mc_refuses_delta_outside_unit_interval_before_drawing(
+        interval, delta):
+    rng = SeedTree(2).rng()
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=r"delta must lie in \(0, 1\)"):
+        coverage_mc(ber(0.3), ber(0.6), lambda r: 0, [2.0], 100, rng,
+                    delta=delta, interval=interval)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("n, delta, match", [
+    (0, 0.05, "n must be >= 1"), (0.5, 0.05, "n must be >= 1"),
+    (100, 2.0, "delta must lie"), (100, 0.0, "delta must lie"),
+    (100, math.nan, "delta must lie")])
+def test_hoeffding_half_width_refuses_bad_n_or_delta(n, delta, match):
+    with pytest.raises(ValueError, match=match):
+        hoeffding_half_width(n, delta)

@@ -1,5 +1,6 @@
-"""One walk per (pair, prompt): the exact functionals share a memoized
-pair law, the walk budget counts the entries each level gathers, and mu
+"""One walk per (pair, prompt): a held `PairLaw` serves every exact
+functional of its pair, the free functions share a one-entry cache of the
+last law, the walk budget counts the entries each level gathers, and mu
 or prompts without mass are refused."""
 
 import gc
@@ -17,8 +18,10 @@ from prefix_oracle import CountingTabular, tuple_tree_walk
 
 NS = [2.0, 8.0, 64.0]
 TERM_FREE = ["seq_kl", "seq_ce", "hellinger_sq", "log_ratio_atoms",
-             "coverage_exact", "coverage_sup_log", "kl_and_coverage"]
+             "coverage_exact", "coverage_sup_log", "held_kl_and_coverage"]
 WITH_TERMS = ["stopped_kl", "stepwise_hellinger_tail"]
+FREE = [name for name in TERM_FREE + WITH_TERMS
+        if name != "held_kl_and_coverage"]
 
 
 def random_rows(rng, V, H, prompts, missing):
@@ -114,7 +117,7 @@ def reference(D, Hm, mu, name, *args):
         ok = (ratios > 0) & np.isfinite(ratios)
         return (float(np.max(tails[ok] * ratios[ok], initial=0.0)),
                 ratios[-1])
-    if name == "kl_and_coverage":
+    if name == "held_kl_and_coverage":
         return total(kl), curve(args[0])
     if name == "stopped_kl":
         logN = math.log(args[0])
@@ -127,18 +130,25 @@ def reference(D, Hm, mu, name, *args):
     raise KeyError(name)
 
 
+def held_kl_and_coverage(D, Hm, mu, Ns):
+    """seq_kl and the coverage curve of one held PairLaw, as the harness
+    computes them at a checkpoint."""
+    law = metrics.PairLaw(D, Hm, mu)
+    return law.seq_kl(), law.coverage(Ns)
+
+
 def call(D, Hm, mu, name, *args):
     """The functional from covkit, as plain numbers for comparison."""
     if name == "coverage_exact":
         return metrics.coverage_exact(D, Hm, mu, *args).values
-    if name == "kl_and_coverage":
-        kl, curve = metrics.kl_and_coverage(D, Hm, mu, *args)
+    if name == "held_kl_and_coverage":
+        kl, curve = held_kl_and_coverage(D, Hm, mu, *args)
         return kl, curve.values
     return getattr(metrics, name)(D, Hm, mu, *args)
 
 
 def args_for(name, rng):
-    if name in ("coverage_exact", "kl_and_coverage"):
+    if name in ("coverage_exact", "held_kl_and_coverage"):
         return (NS,)
     if name == "stopped_kl":
         return (float(rng.choice([1.5, 4.0, 16.0])),)
@@ -159,7 +169,7 @@ def test_functionals_in_any_order_equal_per_call_tuple_walks():
     calls = [(k, name) for k in range(len(pairs))
              for name in TERM_FREE + WITH_TERMS]
     # Shuffled: the functionals of one pair are interleaved with other
-    # pairs' calls, so the memo is replaced and refilled many times.
+    # pairs' calls, so the cached law is replaced many times.
     for i in rng.permutation(len(calls)).tolist():
         k, name = calls[i]
         D, Hm, mu = pairs[k]
@@ -177,7 +187,8 @@ def test_functionals_in_any_order_equal_per_call_tuple_walks():
 def test_one_prefix_dists_call_per_level_across_all_seven():
     D, Hm, mu = make_pair(1, cls=CountingTabular)
     rng = np.random.default_rng(5)
-    for name in TERM_FREE + WITH_TERMS:
+    # The free functions only: a held law walks on its own (tested below).
+    for name in FREE:
         call(D, Hm, mu, name, *args_for(name, rng))
     # Every prompt of mu is walked once, one call per level and policy.
     assert D.levels == Hm.levels == list(range(D.H)) * len(mu)
@@ -250,16 +261,20 @@ def test_rebuilt_policies_are_walked_afresh_and_not_kept_alive():
 
 @pytest.mark.parametrize("collect", ["piD", "piHat"])
 def test_memo_releases_its_laws_when_a_policy_is_collected(collect):
+    # The one-entry cache behind the free functions drops its law, and
+    # with it every walked array, when either policy is collected.
     D, Hm, mu = make_pair(4)
     metrics.seq_kl(D, Hm, mu)
-    laws = [weakref.ref(a) for law in metrics._memo.laws.values()
-            for a in law]
-    assert len(laws) == 4 * len(mu)
+    law = metrics._last[3]
+    arrays = [weakref.ref(a) for _, _, walked in law.items
+              for a in walked]
+    assert len(arrays) == 4 * len(mu)
+    law = weakref.ref(law)
     kept = Hm if collect == "piD" else D
     del D, Hm
     gc.collect()
-    assert metrics._memo is None
-    assert all(r() is None for r in laws)
+    assert metrics._last is None
+    assert law() is None and all(r() is None for r in arrays)
     assert kept.V > 0
 
 
@@ -331,19 +346,148 @@ def test_walk_budget_is_summed_over_the_walked_prompts():
     kl = float(row @ np.log(row / row[::-1]))
     assert math.isclose(metrics.seq_kl(D, Hm, [(0, 1.0)]), kl,
                         rel_tol=1e-9)
-    # Two prompts exceed 1e6 leaves, with prompt 0 already memoized too.
+    # Two prompts exceed 1e6 leaves, with prompt 0's law already cached too.
     for mu in ([(0, 0.5), (1, 0.5)], [(1, 0.5), (0, 0.5)]):
         with pytest.raises(ValueError, match="Monte Carlo"):
             metrics.seq_kl(D, Hm, mu)
     with pytest.raises(ValueError, match="Monte Carlo"):
         metrics.onpolicy_cov_estimate(D, Hm, D, [0, 1], 4.0)
-    # The memo keeps at most 1e6 leaves: storing prompt 1 drops prompt 0,
-    # which is then walked again.
+    # The cache holds one law: caching prompt 1's drops prompt 0's, which
+    # is then walked again.
     for x in (1, 0):
         D.levels.clear()
         assert math.isclose(metrics.seq_kl(D, Hm, [(x, 1.0)]), kl,
                             rel_tol=1e-9)
         assert D.levels == list(range(H))
+
+
+# --- held laws ----------------------------------------------------------
+
+def make_mixed_pair(seed):
+    """A pair on prompts 0 and "a", walked (prefix-dependent rows in piD,
+    and for 0 in piHat too), and 3 and "bc", where both policies answer
+    every prefix with their default row, so the pair is a product there.
+    For odd seeds piHat's rows and default miss some piD mass."""
+    rng = np.random.default_rng([seed, 78])
+    V, H = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+    dD, dH = rng.dirichlet(np.ones(V)), rng.dirichlet(np.ones(V))
+    if seed % 2:
+        dH[rng.integers(V)] = 0.0
+        dH /= dH.sum()
+    D = TabularModel(random_rows(rng, V, H, [0, "a"], missing=False),
+                     V=V, H=H, default=dD)
+    Hm = TabularModel(random_rows(rng, V, H, [0], missing=seed % 2 == 1),
+                      V=V, H=H, default=dH)
+    w = rng.dirichlet(np.ones(4))
+    return D, Hm, list(zip([0, "a", 3, "bc"], w.tolist()))
+
+
+def held_cases():
+    """(kind, D, Hm, mu): walked (every kind of make_pair), mixed, and
+    product (the mixed pair's product prompts alone)."""
+    for seed in range(6):
+        yield ("walked",) + make_pair(seed)
+    for seed in range(6):
+        D, Hm, mu = make_mixed_pair(seed)
+        assert D.step_dist(3) is not None and D.step_dist(0) is None
+        yield "mixed", D, Hm, mu
+        yield "product", D, Hm, mu[2:]
+
+
+def held(law, name, *args):
+    """The functional from a held PairLaw, as `call` returns it."""
+    if name == "coverage_exact":
+        return law.coverage(*args).values
+    method = {"log_ratio_atoms": "atoms", "coverage_sup_log": "sup_log",
+              "stepwise_hellinger_tail": "hellinger_tail"}.get(name, name)
+    return getattr(law, method)(*args)
+
+
+def merged(ratios, probs, tol=1e-9):
+    """Atoms within tol of the one before folded into it: a product
+    prompt's closed-form atoms against the walked reference's."""
+    new = np.r_[True, np.diff(ratios) > tol]
+    return ratios[new], np.bincount(np.cumsum(new) - 1, weights=probs)
+
+
+def test_held_law_equals_free_functions_and_tuple_walks():
+    rng = np.random.default_rng(8)
+    for k, (kind, D, Hm, mu) in enumerate(held_cases()):
+        law = metrics.PairLaw(D, Hm, mu)
+        for name in FREE:
+            args = args_for(name, rng)
+            got = held(law, name, *args)
+            assert np.array_equal(flat(got), flat(call(D, Hm, mu, name,
+                                                        *args))), (k, name)
+            want = reference(D, Hm, mu, name, *args)
+            if kind == "walked" and name in TERM_FREE:
+                assert np.array_equal(flat(got), flat(want)), (k, name)
+                continue
+            if name == "log_ratio_atoms" and kind != "walked":
+                got, want = merged(*got), merged(*want)
+            assert flat(got).shape == flat(want).shape, (k, name)
+            assert np.allclose(flat(got), flat(want), rtol=1e-12,
+                               atol=1e-12), (k, name, got, want)
+
+
+@pytest.mark.parametrize("make", [lambda: make_pair(1, cls=CountingTabular),
+                                  lambda: make_mixed_pair(3)])
+def test_held_law_walks_each_prompt_once_for_all_methods(make):
+    D, Hm, mu = make()
+    if not isinstance(D, CountingTabular):
+        D = CountingTabular(dict(D.tables), V=D.V, H=D.H, default=D.default)
+        Hm = CountingTabular(dict(Hm.tables), V=Hm.V, H=Hm.H,
+                             default=Hm.default)
+    walked = [x for x, _ in mu if D.step_dist(x) is None or
+              Hm.step_dist(x) is None]
+    law = metrics.PairLaw(D, Hm, mu)
+    rng = np.random.default_rng(5)
+    for name in FREE:
+        held(law, name, *args_for(name, rng))
+        held(law, name, *args_for(name, rng))
+    assert D.levels == Hm.levels == list(range(D.H)) * len(walked)
+    assert 0 < len(walked) <= len(mu)
+
+
+def test_one_entry_cache_hits_on_an_equal_mu_of_the_same_pair():
+    D, Hm, mu = make_pair(2, cls=CountingTabular)
+    walk = list(range(D.H)) * len(mu)
+
+    def walked(fn, *args):
+        D.levels.clear()
+        fn(*args)
+        return D.levels
+    assert walked(metrics.seq_kl, D, Hm, mu) == walk
+    law = metrics._last[3]
+    # An equal mu, as a new list or as dict items, hits.
+    assert walked(metrics.coverage_exact, D, Hm, list(mu), NS) == []
+    assert walked(metrics.seq_ce, D, Hm, dict(mu).items()) == []
+    assert metrics._last[3] is law
+    # Other weights, fewer prompts or another pair miss, and replace it.
+    other = [(x, 0.5 * w) for x, w in mu]
+    assert walked(metrics.seq_kl, D, Hm, other) == walk
+    assert walked(metrics.seq_kl, D, Hm, mu[:2]) == walk[:2 * D.H]
+    assert walked(metrics.seq_kl, Hm, D, mu) == walk
+    assert walked(metrics.seq_kl, D, Hm, mu) == walk
+    assert metrics._last[3] is not law
+    # A held law neither reads nor replaces the cache.
+    last = metrics._last
+    held_law = metrics.PairLaw(D, Hm, mu)
+    assert held_law is not last[3] and D.levels == walk * 2
+    held_law.seq_kl(), held_law.coverage(NS), held_law.sup_log()
+    assert metrics._last is last
+
+
+def test_atoms_of_a_law_are_built_once_and_read_only():
+    D, Hm, mu = make_mixed_pair(1)
+    law = metrics.PairLaw(D, Hm, mu)
+    ratios, probs = law.atoms()
+    assert law.atoms()[0] is ratios and metrics.log_ratio_atoms(
+        D, Hm, mu)[0] is not ratios
+    with pytest.raises(ValueError, match="read-only"):
+        ratios[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        probs[0] = 0.0
 
 
 # --- mu and prompts without mass ----------------------------------------
@@ -353,7 +497,7 @@ EXACT = [
     lambda D, Hm, mu: metrics.coverage_sup_log(D, Hm, mu),
     lambda D, Hm, mu: metrics.log_ratio_atoms(D, Hm, mu),
     lambda D, Hm, mu: metrics.seq_kl(D, Hm, mu),
-    lambda D, Hm, mu: metrics.kl_and_coverage(D, Hm, mu, NS),
+    lambda D, Hm, mu: held_kl_and_coverage(D, Hm, mu, NS),
 ]
 
 

@@ -22,8 +22,8 @@ import numpy as np
 from . import tasks as _tasks
 from . import training
 from .core import check_enum_budget, sample_dataset, save_jsonl
-from .metrics import (MetricReport, PairLaw, coverage_mc, positive_weights,
-                      seq_kl, tree_walk)
+from .metrics import (MetricReport, PairLaw, StackLaw, coverage_mc,
+                      positive_weights, seq_kl, tree_walk)
 from .models import LinearARModel
 from .seeding import SeedTree
 from .training import RunRecord, TrainConfig, policy_stream
@@ -251,6 +251,12 @@ def _check_task(task, metrics_spec: dict):
     return task.featmap
 
 
+def _walked(task, x) -> bool:
+    """Whether the exact metrics walk prompt x: piD or the feature map is
+    not a product there."""
+    return task.piD.step_dist(x) is None or task.featmap.step_table(x) is None
+
+
 def _check_exact_work(task):
     """Refuse a task point whose exact metrics would pass the enumeration
     budget.  A prompt where piD and the feature map are products counts
@@ -258,16 +264,17 @@ def _check_exact_work(task):
     on its distinct step log-ratios), and is not walked; any other prompt
     is then walked once under piD alone, which gathers the levels the pair
     walk would, on top of those atoms.  A checkpoint's `PairLaw` counts
-    its walks first and its atoms after, within this bound, so it is not
-    refused at a point that passes here."""
+    its walks first and its atoms after, within this bound, and a
+    `StackLaw` counts the atoms of one checkpoint and takes its stack in
+    chunks of at most the budget, so neither is refused at a point that
+    passes here."""
     work, walked = 0, []
     try:
         for x, _ in positive_weights(task.mu.items()):
-            step = task.piD.step_dist(x)
-            if step is None or task.featmap.step_table(x) is None:
+            if _walked(task, x):
                 walked.append(x)
                 continue
-            k = int(np.count_nonzero(np.asarray(step) > 0))
+            k = int(np.count_nonzero(np.asarray(task.piD.step_dist(x)) > 0))
             work += math.comb(task.H + k - 1, k - 1)
         check_enum_budget("leaves + atoms (bound)", work)
         for x in walked:
@@ -294,8 +301,22 @@ def run_learner(name: str, task, train: TrainConfig, rng) -> RunRecord:
 
 def checkpoint_metrics(task, rec: RunRecord, metrics_spec: dict, tree: SeedTree):
     """MetricReport (seq KL + coverage curve) at every checkpoint, for the
-    metrics block of a validated config."""
+    metrics block of a validated config.
+
+    Exact metrics of a task whose prompts of positive weight are all
+    product prompts come from one `StackLaw` of the job's checkpoint
+    stack, which computes piD's step rows and the composition table once;
+    a task with a walked prompt holds a `PairLaw` per checkpoint.  Both
+    give the same bits."""
     n_grid = np.asarray(metrics_spec["n_grid"], float)
+    if metrics_spec["mode"] == "exact" and not any(
+            _walked(task, x) for x, _ in positive_weights(task.mu.items())):
+        law = StackLaw(task.piD, [theta for _, theta in rec.checkpoints],
+                       task.featmap, task.mu.items())
+        rec.metrics = [MetricReport(seq_kl=float(kl), coverage=curve)
+                       for kl, curve in zip(law.seq_kl(),
+                                            law.coverage(n_grid))]
+        return rec.metrics
     reports = []
     for i, (t, theta) in enumerate(rec.checkpoints):
         model = LinearARModel(theta, task.featmap, task.V, task.H)

@@ -27,11 +27,25 @@ list) law that holds its policies by weak reference and is dropped when
 either is collected.  onpolicy_cov_estimate and non-product
 models.sigma_star_sq walk on their own.
 
+A `StackLaw` gives seq_kl and the coverage curve of piD against each row
+of a (C, d) stack of linear-softmax theta on one feature map (a job's
+checkpoints), when every prompt is a product prompt.  piD's step row and
+the composition table of the atoms do not depend on theta, so it builds
+them once; the C step rows are one stacked softmax, KL is H KL_step per
+row, and each row's atom log-probs and ratios are one stacked
+vector-matrix product.  Each value is bit for bit the PairLaw's of that
+row: a row with an infinite step ratio, or with atoms that the pair law
+would merge (equal ratios, which tied step ratios always give), takes the
+pair law's own atoms.
+
 Work is bounded at 1e6: each walk counts the k * V entries a level of k
 prefixes gathers per policy (a bound on its piD-positive children) on top
 of the law's earlier leaves, and the atoms count comb(H + k - 1, k - 1)
 per product prompt plus the walked leaves; a ValueError asking for a Monte
 Carlo mode is raised before a level or atom table over the budget is built.
+A StackLaw counts one row's atoms and takes its rows in chunks of at most
+1e6 atoms in all.  Coverage thresholds are checked (N >= 1, sorted) before
+any law is built or sample drawn.
 """
 
 from __future__ import annotations
@@ -45,8 +59,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Policy, check_enum_budget, group_prompts, logprob_matrix,
-                   prefix_levels, sample_prompts)
+from .core import (ENUM_BUDGET, Policy, check_enum_budget, group_prompts,
+                   logprob_matrix, prefix_levels, sample_prompts)
 
 
 @dataclass
@@ -57,19 +71,33 @@ class CoverageCurve:
     n_samples: int = 0
 
     def __post_init__(self):
-        self.thresholds = np.asarray(self.thresholds, dtype=float)
+        self.thresholds = _thresholds(self.thresholds)
         self.values = np.asarray(self.values, dtype=float)
         self.half_widths = np.asarray(self.half_widths, dtype=float)
-        if not np.all(self.thresholds >= 1):
-            raise ValueError("thresholds must be >= 1")
-        if np.any(np.diff(self.thresholds) < 0):
-            raise ValueError("thresholds must be sorted")
 
     def to_csv(self) -> str:
         return "N,log2N,pcov,half_width,n_samples\n" + "".join(
             f"{N:g},{math.log2(N):.10g},{v:.12g},{hw:.12g},{self.n_samples}\n"
             for N, v, hw in zip(self.thresholds, self.values,
                                 self.half_widths))
+
+
+def _thresholds(Ns) -> np.ndarray:
+    """Coverage thresholds Ns as a 1-d float array; ValueError unless they
+    are sorted and each N >= 1 (NaN is refused)."""
+    Ns = np.atleast_1d(np.asarray(Ns, dtype=float))
+    if not (Ns >= 1).all():
+        raise ValueError("thresholds must be >= 1")
+    if (Ns[1:] < Ns[:-1]).any():
+        raise ValueError("thresholds must be sorted")
+    return Ns
+
+
+def _suffix_sums(ratios, probs, Ns) -> np.ndarray:
+    """Coverage at each N from atoms with sorted distinct ratios: the
+    .sum() of the contiguous suffix of probs at ratios >= log N - 1e-12."""
+    cuts = [math.log(N) - 1e-12 for N in Ns]
+    return np.array([probs[i:].sum() for i in np.searchsorted(ratios, cuts)])
 
 
 @dataclass
@@ -159,24 +187,55 @@ def _ratio_groups(pD, pH):
     return ratios, np.bincount(inv, weights=pD[sup])
 
 
+def _compositions(H, k):
+    """The part of `_product_atoms` that no step row enters: the (n, k)
+    counts of the n = comb(H + k - 1, k - 1) compositions of H into k parts
+    and the log multinomial coefficient of each."""
+    n = math.comb(H + k - 1, k - 1)
+    # Stars and bars: the k - 1 bar positions among H + k - 1 slots,
+    # between a bar before the first slot and one after the last.
+    bars = np.empty((n, k + 1), dtype=np.int64)
+    bars[:, 0], bars[:, -1] = -1, H + k - 1
+    bars[:, 1:-1] = np.fromiter(itertools.chain.from_iterable(
+        itertools.combinations(range(H + k - 1), k - 1)),
+        dtype=np.int64, count=n * (k - 1)).reshape(n, k - 1)
+    counts = bars[:, 1:] - bars[:, :-1] - 1
+    lgam = np.array([math.lgamma(c + 1) for c in range(H + 1)])
+    return counts, lgam[H] - lgam[counts].sum(axis=1)
+
+
 def _product_atoms(groups, H):
     """Log-ratio law of H i.i.d. steps: a multinomial over the k groups
     (ratios, mass) of distinct step log-ratios (`_ratio_groups`), one atom
     per composition of H into k parts."""
     ratios, mass = groups
-    k = len(ratios)
-    n = math.comb(H + k - 1, k - 1)
-    # Stars and bars: the k - 1 bar positions among H + k - 1 slots.
-    bars = np.fromiter(itertools.chain.from_iterable(
-        itertools.combinations(range(H + k - 1), k - 1)),
-        dtype=np.int64, count=n * (k - 1)).reshape(n, k - 1)
-    counts = np.diff(bars, axis=1, prepend=-1, append=H + k - 1) - 1
-    lgam = np.array([math.lgamma(c + 1) for c in range(H + 1)])
-    logp = lgam[H] - lgam[counts].sum(axis=1) + counts @ np.log(mass)
+    counts, logc = _compositions(H, len(ratios))
+    logp = logc + counts @ np.log(mass)
     fin = np.isfinite(ratios)
     r = np.where(counts[:, ~fin].any(axis=1), math.inf,
                  counts[:, fin] @ ratios[fin])
     return r, np.exp(logp)
+
+
+def _law_atoms(items, H):
+    """`log_ratio_atoms` of a law's items (w, steps, walked law): the
+    product atoms of each product prompt and the leaves of each walked one,
+    merged by distinct ratio in item order, after the budget check."""
+    groups = [None if steps is None else _ratio_groups(*steps)
+              for _, steps, _ in items]
+    check_enum_budget("leaves + atoms", sum(
+        len(law[0]) if g is None else math.comb(H + len(g[0]) - 1,
+                                                len(g[0]) - 1)
+        for g, (_, _, law) in zip(groups, items)))
+    ratios, probs = [], []
+    for g, (w, _, law) in zip(groups, items):
+        # +inf where lpH == -inf.
+        r, p = ((law[0] - law[1], np.exp(law[0])) if g is None
+                else _product_atoms(g, H))
+        ratios.append(r)
+        probs.append(w * p)
+    ratios, inv = np.unique(np.concatenate(ratios), return_inverse=True)
+    return ratios, np.bincount(inv, weights=np.concatenate(probs))
 
 
 def positive_weights(mu_items) -> list:
@@ -260,31 +319,14 @@ class PairLaw:
     def atoms(self):
         """`log_ratio_atoms` of the pair, built once and read-only."""
         if self._atoms is None:
-            groups = [None if steps is None else _ratio_groups(*steps)
-                      for _, steps, _ in self.items]
-            check_enum_budget("leaves + atoms", sum(
-                len(law[0]) if g is None else
-                math.comb(self.H + len(g[0]) - 1, len(g[0]) - 1)
-                for g, (_, _, law) in zip(groups, self.items)))
-            ratios, probs = [], []
-            for g, (w, _, law) in zip(groups, self.items):
-                # +inf where lpH == -inf.
-                r, p = ((law[0] - law[1], np.exp(law[0])) if g is None
-                        else _product_atoms(g, self.H))
-                ratios.append(r)
-                probs.append(w * p)
-            ratios, inv = np.unique(np.concatenate(ratios),
-                                    return_inverse=True)
-            probs = np.bincount(inv, weights=np.concatenate(probs))
+            ratios, probs = _law_atoms(self.items, self.H)
             ratios.flags.writeable = probs.flags.writeable = False
             self._atoms = ratios, probs
         return self._atoms
 
     def coverage(self, Ns) -> CoverageCurve:
-        ratios, probs = self.atoms()
-        Ns = np.atleast_1d(np.asarray(Ns, dtype=float))
-        values = np.array([probs[ratios >= math.log(N) - 1e-12].sum()
-                           for N in Ns])
+        Ns = _thresholds(Ns)
+        values = _suffix_sums(*self.atoms(), Ns)
         return CoverageCurve(Ns, np.clip(values, 0.0, 1.0), np.zeros_like(Ns))
 
     def sup_log(self):
@@ -293,6 +335,106 @@ class PairLaw:
         ok = (ratios > 0) & np.isfinite(ratios)
         C = float(np.max(tails[ok] * ratios[ok], initial=0.0))
         return C, ratios[-1]
+
+
+class StackLaw:
+    """The exact laws of piD against a stack of C linear softmax policies
+    under mu, held by the caller.  Row c of the (C, d) array `thetas` is
+    the policy with logits <theta_c, phi(x, v)> on `featmap` (a
+    `LinearARModel` at theta_c), and every prompt of positive weight must
+    be a product prompt of piD and the feature map.  Per prompt it keeps
+    (w, pD, PH) with the C step rows PH from one stacked softmax.
+
+    Every value equals, bit for bit, the one a `PairLaw` of piD and the
+    model at theta_c gives: each row keeps that law's operation order (a
+    vector-matrix product per row, not a gemm)."""
+
+    def __init__(self, piD: Policy, thetas, featmap, mu_items):
+        thetas = np.asarray(thetas, dtype=float)
+        if thetas.ndim != 2 or thetas.shape[1] != featmap.d:
+            raise ValueError(f"thetas must be a (C, {featmap.d}) array, got "
+                             f"shape {thetas.shape}")
+        if not np.all(np.linalg.norm(thetas, axis=1) <= 1.0 + 1e-9):
+            raise ValueError("||theta|| must be <= 1")
+        self.H, self.C = piD.H, len(thetas)
+        self.items = []
+        for x, w in positive_weights(mu_items):
+            pD, table = piD.step_dist(x), featmap.step_table(x)
+            if pD is None or table is None:
+                raise ValueError(f"prompt {x!r} is not a product prompt; "
+                                 "hold a PairLaw per policy instead")
+            logits = (np.asarray(table) @ thetas[:, :, None])[:, :, 0]
+            e = np.exp(logits - logits.max(axis=1, keepdims=True))
+            self.items.append((w, np.asarray(pD, dtype=float),
+                               e / e.sum(axis=1, keepdims=True)))
+
+    def seq_kl(self) -> np.ndarray:
+        """(C,) sequence KL of each row: H KL_step per prompt."""
+        total = 0.0
+        for w, pD, PH in self.items:
+            total = total + w * (self.H * _kl_rows(pD, PH))
+        return total
+
+    def coverage(self, Ns) -> list:
+        """The exact CoverageCurve of each row.
+
+        A row with finite step log-ratios takes k = |supp pD| groups on
+        each prompt, in its own ratio order, so its atoms come from the
+        composition table of (H, k), built once per call: their log-probs
+        and ratios are one stacked vector-matrix product per row.  The
+        rows are taken in chunks of at most 1e6 atoms in all.  A row with
+        an infinite step ratio or two equal atoms, which the pair law
+        merges in its own summation order, takes the pair law's
+        `_law_atoms` on its own step rows; tied step ratios (fewer groups)
+        always give two equal atoms, H r_i = H r_j."""
+        Ns = _thresholds(Ns)
+        groups, fast = [], np.ones(self.C, dtype=bool)
+        with np.errstate(divide="ignore"):
+            for _, pD, PH in self.items:
+                sup = pD > 0.0
+                R = np.log(pD[sup]) - np.log(PH[:, sup])
+                order = R.argsort(axis=1)
+                R = R[np.arange(self.C)[:, None], order]
+                fast &= np.isfinite(R).all(axis=1)
+                groups.append((np.log(pD[sup])[order], R))
+        values = np.empty((self.C, len(Ns)))
+        slow = np.flatnonzero(~fast).tolist()
+        if fast.any():
+            slow += self._distinct_rows(np.flatnonzero(fast), groups, Ns,
+                                        values)
+        for c in slow:
+            items = [(w, (pD, PH[c]), None) for w, pD, PH in self.items]
+            values[c] = _suffix_sums(*_law_atoms(items, self.H), Ns)
+        return [CoverageCurve(Ns, v, np.zeros(len(Ns)))
+                for v in np.clip(values, 0.0, 1.0)]
+
+    def _distinct_rows(self, rows, groups, Ns, values):
+        """Coverage at Ns of the given rows, whose finite step ratios are
+        sorted in `groups`, into `values`; returns the rows with two equal
+        atoms, which it leaves."""
+        k = [R.shape[1] for _, R in groups]
+        n_atoms = sum(math.comb(self.H + j - 1, j - 1) for j in k)
+        check_enum_budget("leaves + atoms", n_atoms)
+        tables = [_compositions(self.H, j) for j in k]
+        chunk, tied = max(1, ENUM_BUDGET // n_atoms), []
+        for lo in range(0, len(rows), chunk):
+            part = rows[lo:lo + chunk]
+            ratios, probs = [], []
+            for (w, _, _), (logm, R), (counts, logc) in zip(
+                    self.items, groups, tables):
+                logp = logc + (counts @ logm[part, :, None])[:, :, 0]
+                ratios.append((counts @ R[part, :, None])[:, :, 0])
+                probs.append(w * np.exp(logp))
+            ratios = np.concatenate(ratios, axis=1)
+            at = np.arange(len(part))[:, None], ratios.argsort(axis=1)
+            ratios, probs = ratios[at], np.concatenate(probs, axis=1)[at]
+            distinct = (ratios[:, 1:] > ratios[:, :-1]).all(axis=1)
+            for i, c in enumerate(part.tolist()):
+                if distinct[i]:
+                    values[c] = _suffix_sums(ratios[i], probs[i], Ns)
+                else:
+                    tied.append(c)
+        return tied
 
 
 _last = None    # (piD ref, piHat ref, mu list, PairLaw) of the last _law
@@ -336,8 +478,9 @@ def log_ratio_atoms(piD: Policy, piHat: Policy, mu_items):
 
 
 def coverage_exact(piD: Policy, piHat: Policy, mu_items, Ns) -> CoverageCurve:
-    """Exact coverage profile over thresholds Ns."""
-    return _law(piD, piHat, mu_items).coverage(Ns)
+    """Exact coverage profile over thresholds Ns, checked before the law
+    is built."""
+    return _law(piD, piHat, mu_items).coverage(_thresholds(Ns))
 
 
 def coverage_mc(piD: Policy, piHat: Policy, mu_sampler, Ns, n_samples: int,
@@ -354,17 +497,17 @@ def coverage_mc(piD: Policy, piHat: Policy, mu_sampler, Ns, n_samples: int,
     if not n_samples >= 2:
         raise ValueError("n_samples must be >= 2")
     _check_delta(delta)
-    Ns = np.atleast_1d(np.asarray(Ns, dtype=float))
+    if interval not in ("hoeffding", "wilson"):
+        raise ValueError(f"unknown interval {interval!r}")
+    Ns = _thresholds(Ns)
     lrs = _mc_values(piD, mu_sampler, n_samples, rng,
                      _log_ratio_values(piD, piHat))
     values = np.array([(lrs >= math.log(N) - 1e-12).mean() for N in Ns])
     if interval == "hoeffding":
         hw = np.full_like(Ns, hoeffding_half_width(n_samples, delta))
-    elif interval == "wilson":
+    else:
         z = statistics.NormalDist().inv_cdf(1 - delta / 2)
         hw = np.array([_wilson_half_width(v, n_samples, z) for v in values])
-    else:
-        raise ValueError(f"unknown interval {interval!r}")
     return CoverageCurve(Ns, values, hw, n_samples=n_samples)
 
 

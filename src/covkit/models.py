@@ -131,29 +131,41 @@ class LinearARModel(Policy):
         return np.broadcast_to(step, (len(prefixes), self.V))
 
 
-def grad_logprob(theta, featmap: FeatureMap, V: int, x, Y) -> np.ndarray:
+def count_rows(table, V: int, Y) -> np.ndarray:
+    """(n, d) sum over h of table[Y[i, h]] for the rows of an (n, H) int
+    array Y: the token counts C of all rows from one bincount, times the
+    (V, d) step table in one stacked matmul (a vector-matrix product per
+    row; a plain C @ table is a gemm, whose blocking changes the bits)."""
+    n = len(Y)
+    # Row i counts in bins i*V..i*V+V-1; one row (a streaming learner's
+    # call) needs no offsets.  A token outside [0, V) is refused by
+    # ravel_multi_index, or for one row by bincount (negative) and the
+    # reshape (too large).
+    codes = Y[0] if n == 1 else np.ravel_multi_index(
+        (np.arange(n)[:, None], Y), (n, V)).ravel()
+    C = np.bincount(codes, minlength=n * V).astype(float)
+    return (C.reshape(n, 1, V) @ table)[:, 0]
+
+
+def grad_logprob(theta, featmap: FeatureMap, V: int, x, Y,
+                 counts=None) -> np.ndarray:
     """(n, d) gradients of log pi_theta(y|x) at the rows y of an (n, H)
     int array Y of prompt x's responses.
 
     Row i is the sum over h of grad_logprob_token at Y[i]'s prefixes, left
-    to right, bit for bit.  With a step table the token counts C of all
-    rows come from one bincount and the rows from one stacked matmul (a
-    vector-matrix product per row; a plain C @ table is a gemm, whose
-    blocking changes the bits); otherwise level h is one softmax over the
-    candidates of the distinct prefixes Y[:, :h]."""
+    to right, bit for bit.  With a step table the rows are `count_rows`
+    minus H (p @ table); a caller that asks at many theta may pass the
+    block's `count_rows` as `counts`, since no theta enters it.
+    Otherwise level h is one softmax over the candidates of the distinct
+    prefixes Y[:, :h]."""
     Y = np.asarray(Y, dtype=np.int64)
     n, H = Y.shape
     table = featmap.step_table(x)
     if table is not None:
         p = _softmax(table @ theta)
-        # Row i counts in bins i*V..i*V+V-1; one row (a streaming
-        # learner's call) needs no offsets.  A token outside [0, V) is
-        # refused by ravel_multi_index, or for one row by bincount
-        # (negative) and the reshape (too large).
-        codes = Y[0] if n == 1 else np.ravel_multi_index(
-            (np.arange(n)[:, None], Y), (n, V)).ravel()
-        C = np.bincount(codes, minlength=n * V).astype(float)
-        return (C.reshape(n, 1, V) @ table)[:, 0] - H * (p @ table)
+        if counts is None:
+            counts = count_rows(table, V, Y)
+        return counts - H * (p @ table)
     if Y.size and not 0 <= Y.min() <= Y.max() < V:
         raise ValueError(f"tokens must lie in [0, {V})")
     G = np.zeros((n, featmap.d))

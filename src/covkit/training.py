@@ -28,7 +28,7 @@ import numpy as np
 
 from .core import draw_examples
 from .metrics import step_kl
-from .models import (FeatureMap, candidate_dists, grad_logprob,
+from .models import (FeatureMap, candidate_dists, count_rows, grad_logprob,
                      grad_logprob_token, project_unit_ball, token_step)
 
 
@@ -117,7 +117,8 @@ def mle_fit(dataset, featmap: FeatureMap, V: int, H: int,
 
     Fixed step 1/(2 H B^2) (the objective is concave and H B^2-smooth).
     Each iteration makes one `grad_logprob` block call per prompt group
-    and sums the rows in dataset order, as a per-example loop would.
+    and sums the rows in dataset order, as a per-example loop would.  A
+    group with a step table passes its `count_rows`, computed once.
     Terminates when the gradient-mapping norm drops below `tol`; on budget
     exhaustion the last iterate is returned with converged=False.
     """
@@ -128,12 +129,16 @@ def mle_fit(dataset, featmap: FeatureMap, V: int, H: int,
     step = 1.0 / (2.0 * H * featmap.B ** 2)
     theta = np.zeros(featmap.d)
     n = len(dataset)
-    groups = dataset.groups
+    groups = []
+    for x, idx, Y in dataset.groups:
+        table = featmap.step_table(x)
+        groups.append((x, idx, Y, None if table is None
+                       else count_rows(table, V, Y)))
     rows = np.empty((n, featmap.d))
     gnorm = math.inf
     for it in range(1, max_iters + 1):
-        for x, idx, Y in groups:
-            rows[idx] = grad_logprob(theta, featmap, V, x, Y)
+        for x, idx, Y, counts in groups:
+            rows[idx] = grad_logprob(theta, featmap, V, x, Y, counts)
         # Summed in dataset order, as a running += over the examples.
         g = np.cumsum(rows, axis=0)[-1]
         g /= n

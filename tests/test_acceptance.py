@@ -17,9 +17,9 @@ import numpy as np
 from covkit.cli import main as cli_main
 from covkit.core import FinitePromptDist, Trajectory, sample_dataset
 from covkit.decoding import TTTPolicy, adversarial_reward, bon_regret
-from covkit.metrics import (PairLaw, coverage_exact, coverage_sup_log,
-                            hellinger_sq, kl_to_cov_bound, seq_kl,
-                            stepwise_hellinger_tail, stopped_kl)
+from covkit.metrics import (PairLaw, StackLaw, coverage_exact,
+                            coverage_sup_log, hellinger_sq, kl_to_cov_bound,
+                            seq_kl, stepwise_hellinger_tail, stopped_kl)
 from covkit.models import (CallableFeatureMap, LinearARModel, TabularModel,
                            sigma_star_sq)
 from covkit.seeding import SeedTree
@@ -238,8 +238,10 @@ def test_A5_vanilla_sgd_upper_bound():
             rng = SeedTree(1105 + seed).child("inst", inst).rng()
             rec = sgd_vanilla(policy_stream(piD, mu, rng), fm, V, H,
                               TrainConfig(eta=eta, T=T, checkpoint_every=1))
-            vals = [seq_kl(piD, piD.with_theta(th), mu.items())
-                    for _, th in rec.checkpoints]
+            # One stacked law per seed: bit for bit the per-checkpoint
+            # seq_kl (tests/test_stack_law.py).
+            vals = StackLaw(piD, [th for _, th in rec.checkpoints], fm,
+                            mu.items()).seq_kl()
             avg_kls.append(float(np.mean(vals)))
         avg_kls = np.asarray(avg_kls)
         se = avg_kls.std(ddof=1) / math.sqrt(n_seeds)

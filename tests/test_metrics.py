@@ -335,3 +335,32 @@ def test_coverage_mc_refuses_delta_outside_unit_interval_before_drawing(
 def test_hoeffding_half_width_refuses_bad_n_or_delta(n, delta, match):
     with pytest.raises(ValueError, match=match):
         hoeffding_half_width(n, delta)
+
+
+BAD_THRESHOLDS = {"zero": [0.0], "below one": [2.0, 0.5], "nan": [math.nan],
+                  "unsorted": [8.0, 2.0]}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_THRESHOLDS))
+def test_exact_coverage_checks_thresholds_first(case):
+    Ns = BAD_THRESHOLDS[case]
+    match = "sorted" if case == "unsorted" else "thresholds must be >= 1"
+    with pytest.raises(ValueError, match=match):
+        coverage_exact(bernoulli_model(0.3), bernoulli_model(0.6), ONE, Ns)
+    with pytest.raises(ValueError, match=match):
+        PairLaw(ber(0.3), ber(0.6), ONE).coverage(Ns)
+
+
+@pytest.mark.parametrize("case", sorted(BAD_THRESHOLDS) + ["interval"])
+def test_coverage_mc_checks_thresholds_and_interval_before_drawing(case):
+    rng = SeedTree(3).rng()
+    state = rng.bit_generator.state
+    Ns, interval = BAD_THRESHOLDS.get(case, [2.0]), "hoeffding"
+    match = {"unsorted": "sorted", "interval": "unknown interval"}.get(
+        case, "thresholds must be >= 1")
+    if case == "interval":
+        interval = "wald"
+    with pytest.raises(ValueError, match=match):
+        coverage_mc(ber(0.3), ber(0.6), lambda r: 0, Ns, 100, rng,
+                    interval=interval)
+    assert rng.bit_generator.state == state

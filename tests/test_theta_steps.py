@@ -15,10 +15,11 @@ import pytest
 
 import train_oracle
 from covkit import harness, training
-from covkit.core import Dataset
+from covkit.core import Dataset, sample_dataset
 from covkit.models import (CallableFeatureMap, LinearARModel, grad_logprob,
                            grad_logprob_token, project_unit_ball, token_step)
 from covkit.seeding import SeedTree
+from covkit.tasks import bernoulli_featmap
 from covkit.training import mle_fit
 
 PROMPTS = (0, 1)
@@ -129,6 +130,46 @@ def test_mle_fit_equals_the_per_example_loop_on_interleaved_prompts(kind):
     assert same_bits(got.theta, want.theta)
     assert (got.converged, got.iters) == (want.converged, want.iters)
     assert got.grad_map_norm == want.grad_map_norm
+
+
+def block_mle_fit(dataset, featmap, V, H, tol=1e-8, max_iters=10 ** 5):
+    """`mle_fit` with a full `grad_logprob` block call per group at every
+    iteration, no count rows computed ahead."""
+    step = 1.0 / (2.0 * H * featmap.B ** 2)
+    theta, n = np.zeros(featmap.d), len(dataset)
+    rows = np.empty((n, featmap.d))
+    gnorm = math.inf
+    for it in range(1, max_iters + 1):
+        for x, idx, Y in dataset.groups:
+            rows[idx] = grad_logprob(theta, featmap, V, x, Y)
+        g = np.cumsum(rows, axis=0)[-1]
+        g /= n
+        theta_new = project_unit_ball(theta + step * g)
+        gnorm = float(np.linalg.norm(theta_new - theta) / step)
+        theta = theta_new
+        if gnorm <= tol:
+            return theta, True, it, gnorm
+    return theta, False, max_iters, gnorm
+
+
+def test_mle_fit_count_rows_are_the_per_iteration_block_calls():
+    # The 10,000-row product group of the near-zero-theta MLE test, and
+    # interleaved product and prefix-dependent instances.
+    fm = bernoulli_featmap(1.0)
+    piD = LinearARModel(np.zeros(1), fm, V=2, H=2)
+    cases = [(sample_dataset(piD, lambda r: 0, 10 ** 4, SeedTree(0).rng()),
+              fm, 2, 2)]
+    for kind in ("product", "prefix", "steep product"):
+        model, rng = instance(kind, 2)
+        xs = [int(rng.integers(2)) for _ in range(60)]
+        Y = rng.integers(0, model.V, size=(60, model.H))
+        cases.append((Dataset(xs, Y, model.H, model.V), model.featmap,
+                      model.V, model.H))
+    for args in cases:
+        got = mle_fit(*args, max_iters=60)
+        want = block_mle_fit(*args, max_iters=60)
+        assert same_bits(got.theta, want[0])
+        assert (got.converged, got.iters, got.grad_map_norm) == want[1:]
 
 
 @pytest.mark.parametrize("seeds", [1, 2, 5, 16])

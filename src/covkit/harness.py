@@ -2,8 +2,9 @@
 
 A config describes one task x learner pair plus sweep axes (parameter lists
 and a seed list).  Every (sweep point, seed) job owns a derived seed subtree
-so outputs are byte-identical regardless of worker-thread count.  Emitted
-artifacts: per-run ``timeseries.csv`` and ``summary.json`` plus an aggregate
+so outputs are byte-identical regardless of worker-thread count.  In mc
+mode a checkpoint's seq KL and coverage share one draw.  Emitted artifacts:
+per-run ``timeseries.csv`` and ``summary.json`` plus an aggregate
 ``sweep.csv`` with medians and 1/16-15/16 quantile bands.
 """
 
@@ -22,8 +23,8 @@ import numpy as np
 from . import tasks as _tasks
 from . import training
 from .core import check_enum_budget, sample_dataset, save_jsonl
-from .metrics import (MetricReport, PairLaw, StackLaw, coverage_mc,
-                      positive_weights, seq_kl, tree_walk)
+from .metrics import (MetricReport, PairLaw, StackLaw, mc_report,
+                      positive_weights, tree_walk)
 from .models import LinearARModel
 from .seeding import SeedTree
 from .training import RunRecord, TrainConfig, policy_stream
@@ -90,11 +91,16 @@ LEARNERS = {
 
 _TOP_KEYS = {"version", "task", "learner", "metrics", "sweep", "out_dir",
              "root_seed"}
-# What `validate_config` fills into a metrics block; kl_samples defaults
-# to n_samples.
+# What `validate_config` fills into a metrics block.
 _METRIC_DEFAULTS = {"n_grid": [2.0, 8.0, 64.0], "mode": "exact",
                    "n_samples": 2000, "delta": 0.05}
-_METRIC_KEYS = set(_METRIC_DEFAULTS) | {"kl_samples"}
+
+
+def _object(d, where) -> dict:
+    """A copy of the JSON object d; ConfigError for any other value."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be an object, got {d!r}")
+    return dict(d)
 
 
 def _check_keys(d, allowed, where):
@@ -107,7 +113,7 @@ def check_n_grid(values, integers: bool = False) -> np.ndarray:
     """The N grid `values` (a config's metrics.n_grid, or the CLI's
     comma-separated --N-grid text) as a float array: a nonempty list of
     numbers >= 1 (no NaN), whole numbers for `integers` (Best-of-N sizes),
-    else in sorted order."""
+    else strictly increasing."""
     if isinstance(values, str):
         try:
             values = [float(v) for v in values.split(",")]
@@ -122,27 +128,25 @@ def check_n_grid(values, integers: bool = False) -> np.ndarray:
         raise ConfigError(f"N grid values must be >= 1: {values!r}")
     if integers and not (np.isfinite(grid) & (grid == np.floor(grid))).all():
         raise ConfigError(f"N grid values must be integers: {values!r}")
-    if not integers and (np.diff(grid) < 0).any():
-        raise ConfigError(f"N grid must be sorted: {values!r}")
+    if not integers and (np.diff(grid) <= 0).any():
+        raise ConfigError(f"N grid must be sorted with no value repeated: "
+                          f"{values!r}")
     return grid
 
 
 def _check_metrics(metrics: dict) -> dict:
     """Refuse a metrics block that the metric calls of a job would; return
     a copy with `_METRIC_DEFAULTS` filled in."""
-    _check_keys(metrics, _METRIC_KEYS, "metrics")
+    _check_keys(metrics, set(_METRIC_DEFAULTS), "metrics")
     metrics = {**_METRIC_DEFAULTS, **metrics}
-    metrics.setdefault("kl_samples", metrics["n_samples"])
     if metrics["mode"] not in ("exact", "mc"):
         raise ConfigError("metrics.mode must be 'exact' or 'mc'")
     check_n_grid(metrics["n_grid"])
     metrics["n_grid"] = list(metrics["n_grid"])
-    if metrics["mode"] == "mc":
-        for key, least in (("n_samples", 2), ("kl_samples", 1)):
-            v = metrics[key]
-            if not (type(v) is int and v >= least):
-                raise ConfigError(f"metrics.{key} must be an integer "
-                                  f">= {least}, got {v!r}")
+    v = metrics["n_samples"]
+    if metrics["mode"] == "mc" and not (type(v) is int and v >= 2):
+        raise ConfigError(f"metrics.n_samples must be an integer >= 2, "
+                          f"got {v!r}")
     delta = metrics["delta"]
     if not (type(delta) in (int, float) and 0 < delta < 1):
         raise ConfigError(f"metrics.delta must lie in (0, 1), got {delta!r}")
@@ -162,11 +166,15 @@ def validate_config(cfg: dict) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     _check_keys(cfg, _TOP_KEYS, "config")
-    if cfg.get("version") != CONFIG_VERSION:
+    version = cfg.get("version")
+    if type(version) is not int or version != CONFIG_VERSION:
         raise ConfigError(f"config version must be {CONFIG_VERSION}")
     for key in ("task", "learner", "out_dir", "root_seed"):
         if key not in cfg:
             raise ConfigError(f"missing config key {key!r}")
+    if type(cfg["root_seed"]) is not int:
+        raise ConfigError(f"root_seed must be an integer, got "
+                          f"{cfg['root_seed']!r}")
     task = cfg["task"]
     _check_keys(task, {"name", "params"}, "task")
     if task.get("name") not in TASKS:
@@ -175,20 +183,23 @@ def validate_config(cfg: dict) -> dict:
     _check_keys(learner, {"name", "train"}, "learner")
     if learner.get("name") not in LEARNERS:
         raise ConfigError(f"unknown learner {learner.get('name')!r}")
-    train = dict(learner.get("train", {}))
+    train = _object(learner.get("train", {}), "learner.train")
     _check_keys(train, _TRAIN_FIELDS, "learner.train")
     ignored = _TRAIN_FIELDS - LEARNERS[learner["name"]][1]
     if ignored & set(train):
         raise ConfigError(f"learner {learner['name']!r} ignores train "
                           f"fields {sorted(ignored & set(train))}")
     metrics = _check_metrics(cfg.get("metrics", {}))
-    sweep = dict(cfg.get("sweep", {}))
+    sweep = _object(cfg.get("sweep", {}), "sweep")
     _check_keys(sweep, {"axes", "seeds"}, "sweep")
-    axes = dict(sweep.get("axes", {}))
-    seeds = list(sweep.get("seeds", [0]))
-    if not seeds:
-        raise ConfigError("sweep.seeds must be nonempty")
-    task_params = dict(task.get("params", {}))
+    axes = _object(sweep.get("axes", {}), "sweep.axes")
+    seeds = sweep.get("seeds", [0])
+    # A seed names a run directory and a seed subtree: distinct ints only.
+    if not (isinstance(seeds, list) and seeds and all(
+            type(v) is int for v in seeds) and len(set(seeds)) == len(seeds)):
+        raise ConfigError(f"sweep.seeds must be a nonempty list of distinct "
+                          f"integers, got {seeds!r}")
+    task_params = _object(task.get("params", {}), "task.params")
     for name, values in axes.items():
         if not isinstance(values, list) or not values:
             raise ConfigError(f"sweep axis {name!r} must be a nonempty list")
@@ -221,9 +232,9 @@ def validate_config(cfg: dict) -> dict:
         "task": {"name": task["name"], "params": task_params},
         "learner": {"name": learner["name"], "train": train},
         "metrics": metrics,
-        "sweep": {"axes": axes, "seeds": seeds},
+        "sweep": {"axes": axes, "seeds": list(seeds)},
         "out_dir": cfg["out_dir"],
-        "root_seed": int(cfg["root_seed"]),
+        "root_seed": cfg["root_seed"],
     }
 
 
@@ -307,31 +318,26 @@ def checkpoint_metrics(task, rec: RunRecord, metrics_spec: dict, tree: SeedTree)
     product prompts come from one `StackLaw` of the job's checkpoint
     stack, which computes piD's step rows and the composition table once;
     a task with a walked prompt holds a `PairLaw` per checkpoint.  Both
-    give the same bits."""
+    give the same bits.  In mc mode checkpoint i makes one `mc_report`
+    call on tree.child("metric", i)'s rng."""
     n_grid = np.asarray(metrics_spec["n_grid"], float)
     if metrics_spec["mode"] == "exact" and not any(
             _walked(task, x) for x, _ in positive_weights(task.mu.items())):
         law = StackLaw(task.piD, [theta for _, theta in rec.checkpoints],
                        task.featmap, task.mu.items())
-        rec.metrics = [MetricReport(seq_kl=float(kl), coverage=curve)
-                       for kl, curve in zip(law.seq_kl(),
-                                            law.coverage(n_grid))]
+        rec.metrics = [MetricReport(float(kl), curve) for kl, curve in
+                       zip(law.seq_kl(), law.coverage(n_grid))]
         return rec.metrics
     reports = []
     for i, (t, theta) in enumerate(rec.checkpoints):
         model = LinearARModel(theta, task.featmap, task.V, task.H)
         if metrics_spec["mode"] == "exact":
             law = PairLaw(task.piD, model, task.mu.items())
-            kl, curve = law.seq_kl(), law.coverage(n_grid)
+            reports.append(MetricReport(law.seq_kl(), law.coverage(n_grid)))
         else:
-            rng = tree.child("metric", i).rng()
-            kl = seq_kl(task.piD, model, None, mode="mc",
-                        n=metrics_spec["kl_samples"], rng=rng,
-                        mu_sampler=task.mu)
-            curve = coverage_mc(task.piD, model, task.mu, n_grid,
-                                metrics_spec["n_samples"], rng,
-                                delta=metrics_spec["delta"])
-        reports.append(MetricReport(seq_kl=kl, coverage=curve))
+            reports.append(mc_report(
+                task.piD, model, task.mu, n_grid, metrics_spec["n_samples"],
+                tree.child("metric", i).rng(), delta=metrics_spec["delta"]))
     rec.metrics = reports
     return reports
 

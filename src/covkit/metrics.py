@@ -5,9 +5,9 @@ log piD - log piHat >= log N.  Monte Carlo modes report Hoeffding (or
 Wilson) confidence half-widths; they draw all prompts first, then score
 each distinct prompt's responses with one sample_many and one logprob_many
 call per policy.  The MC modes of seq_kl, seq_ce and stopped_kl, and
-coverage_mc, reduce the per-draw values of one loop, `_mc_values`.  Exact
-modes reduce a `PairLaw`, the law of one (piD, piHat) pair under mu.  Per
-prompt x it keeps either
+mc_report (seq_kl and coverage_mc of one draw), reduce the per-draw values
+of one loop, `_mc_values`.  Exact modes reduce a `PairLaw`, the law of one
+(piD, piHat) pair under mu.  Per prompt x it keeps either
 
 * the step rows, when both policies return a `step_dist` at x, for the
   product closed forms: seq_kl = H KL_step, seq_ce = H CE_step, 1 -
@@ -486,7 +486,7 @@ def coverage_exact(piD: Policy, piHat: Policy, mu_items, Ns) -> CoverageCurve:
 def coverage_mc(piD: Policy, piHat: Policy, mu_sampler, Ns, n_samples: int,
                 rng, delta: float = 0.05, interval: str = "hoeffding"
                 ) -> CoverageCurve:
-    """MC coverage from one shared sample set (so the curve is monotone).
+    """The curve of `mc_report`: one shared sample set, so it is monotone.
 
     The Hoeffding half-width sqrt(log(2/delta) / 2n) equals the
     Dvoretzky-Kiefer-Wolfowitz width with Massart's (1990) constant, so
@@ -494,6 +494,16 @@ def coverage_mc(piD: Policy, piHat: Policy, mu_sampler, Ns, n_samples: int,
     curve at once with probability >= 1 - delta.  A Wilson band holds at
     one N at a time.
     """
+    return mc_report(piD, piHat, mu_sampler, Ns, n_samples, rng, delta,
+                     interval).coverage
+
+
+def mc_report(piD: Policy, piHat: Policy, mu_sampler, Ns, n_samples: int,
+              rng, delta: float = 0.05, interval: str = "hoeffding"
+              ) -> MetricReport:
+    """seq_kl (the mean of log piD - log piHat, as its mc mode takes it)
+    and the coverage curve of one draw of n_samples from mu x piD.  Every
+    argument is checked before the draw."""
     if not n_samples >= 2:
         raise ValueError("n_samples must be >= 2")
     _check_delta(delta)
@@ -508,7 +518,8 @@ def coverage_mc(piD: Policy, piHat: Policy, mu_sampler, Ns, n_samples: int,
     else:
         z = statistics.NormalDist().inv_cdf(1 - delta / 2)
         hw = np.array([_wilson_half_width(v, n_samples, z) for v in values])
-    return CoverageCurve(Ns, values, hw, n_samples=n_samples)
+    return MetricReport(float(lrs.mean()),
+                        CoverageCurve(Ns, values, hw, n_samples=n_samples))
 
 
 def _mc_values(piD, mu_sampler, n, rng, value):

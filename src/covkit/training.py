@@ -32,6 +32,10 @@ from .models import (FeatureMap, candidate_dists, count_rows, grad_logprob,
                      grad_logprob_token, project_unit_ball, token_step)
 
 
+def _is_bool(v) -> bool:
+    return isinstance(v, (bool, np.bool_))
+
+
 @dataclass
 class TrainConfig:
     eta: float | None = None
@@ -45,11 +49,18 @@ class TrainConfig:
     theta0: np.ndarray | None = None
 
     def __post_init__(self):
-        """Refuse what a learner would fail on or silently misuse."""
+        """Refuse what a learner would fail on or silently misuse.  No
+        setting, nor an entry of theta0, may be a bool."""
         for name in ("T", "K", "checkpoint_every"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got "
-                                 f"{getattr(self, name)!r}")
+            v = getattr(self, name)
+            if not isinstance(v, numbers.Integral) or _is_bool(v):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
+        for name in ("eta", "lam", "A", "N", "sigma_star_sq"):
+            if _is_bool(getattr(self, name)):
+                raise ValueError(f"{name} must be a number, not a bool")
+        if self.theta0 is not None and any(map(_is_bool, np.ravel(
+                np.asarray(self.theta0, dtype=object)))):
+            raise ValueError("theta0 entries must be numbers, not bools")
         if self.T < 1:
             raise ValueError("T must be positive")
         if self.eta is not None and not 0 < self.eta < math.inf:

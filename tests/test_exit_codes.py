@@ -82,6 +82,11 @@ def error_of(capsys):
     ["eval-coverage", "--task", "{task}", "--pi-hat", "{pol_v3}",
      "--N-grid", "2", "--mode", "mc"],
     ["bon", "--task", "{task}", "--pi-hat", "{pol_v3}", "--N-grid", "2"],
+    # A repeated threshold made two equal columns.
+    ["eval-coverage", "--task", "{task}", "--pi-hat", "{pol}", "--N-grid",
+     "1,2,2,8"],
+    ["eval-coverage", "--task", "{task}", "--pi-hat", "{pol}", "--N-grid",
+     "2,2", "--mode", "mc"],
 ])
 def test_input_errors_exit_2(tmp_path, files, capsys, argv):
     task, pol, data = files
@@ -156,8 +161,10 @@ def test_config_error_inside_a_job_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv,labels", [
-    (["eval-coverage", "--N-grid", "1,2,2,8"], ["1", "2", "2", "8"]),
+    (["eval-coverage", "--N-grid", "1,2,8"], ["1", "2", "8"]),
     (["bon", "--N-grid", "4,1,2.0", "--trials", "100"], ["4", "1", "2"]),
+    # Best-of-N sizes are not thresholds: they may repeat.
+    (["bon", "--N-grid", "2,2", "--trials", "100"], ["2", "2"]),
 ])
 def test_valid_grids_still_run(files, capsys, argv, labels):
     task, pol, _ = files

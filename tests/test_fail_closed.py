@@ -2,9 +2,11 @@
 anything: a bad metrics block, a learner without the settings it needs, a
 theta0 of the wrong dimension or with a non-finite entry, a non-finite
 step size, N or sigma_star_sq, a T, K or checkpoint_every that is no
-integer, a negative checkpoint_every, a normalized schedule with N <= 1,
-a graph class mix that L cannot hold, or exact metrics over the
-enumeration budget.  Each case exits 2 and leaves no out_dir/runs directory."""
+integer, a train setting that is a bool, a negative checkpoint_every, a
+normalized schedule with N <= 1, a graph class mix that L cannot hold,
+exact metrics over the enumeration budget, or seeds, a root seed, axes or
+a version of the wrong type.  Each case exits 2 and leaves no
+out_dir/runs directory."""
 
 import json
 import math
@@ -51,6 +53,7 @@ BAD_METRICS = {
     "NaN in n_grid": ({"n_grid": [2, math.nan]}, ">= 1"),
     "n_grid below 1": ({"n_grid": [0.5]}, ">= 1"),
     "unsorted n_grid": ({"n_grid": [8, 2]}, "sorted"),
+    "repeated n_grid value": ({"n_grid": [2, 2]}, "no value repeated"),
     "mc n_samples 1": ({"mode": "mc", "n_samples": 1}, "n_samples"),
     "mc n_samples not integer": ({"mode": "mc", "n_samples": 20.5},
                                  "n_samples"),
@@ -59,6 +62,11 @@ BAD_METRICS = {
     "mc kl_samples 0": ({"mode": "mc", "kl_samples": 0}, "kl_samples"),
     "mc kl_samples not integer": ({"mode": "mc", "kl_samples": 1.5},
                                   "kl_samples"),
+    "kl_samples equal to n_samples": (
+        {"mode": "mc", "n_samples": 20, "kl_samples": 20},
+        "unknown keys ['kl_samples'] in metrics"),
+    "exact kl_samples": ({"kl_samples": 2000},
+                         "unknown keys ['kl_samples'] in metrics"),
     "delta 0": ({"delta": 0}, "delta"),
     "delta 1": ({"delta": 1.0}, "delta"),
     "delta negative": ({"mode": "mc", "delta": -0.1}, "delta"),
@@ -75,9 +83,8 @@ def test_bad_metrics_block_exits_2_before_output(tmp_path, capsys, case):
 
 def test_good_metrics_blocks_still_run(tmp_path, capsys):
     for i, metrics in enumerate([
-            {"n_grid": [1, 2, 2, 8.5], "delta": 0.5},
-            {"mode": "mc", "n_samples": 2, "kl_samples": 1, "delta": 0.2,
-             "n_grid": [2]}]):
+            {"n_grid": [1, 2, 8.5], "delta": 0.5},
+            {"mode": "mc", "n_samples": 2, "delta": 0.2, "n_grid": [2]}]):
         cfg = config(tmp_path, metrics=metrics)
         cfg["out_dir"] = str(tmp_path / f"ok{i}")
         path = tmp_path / "ok.json"
@@ -87,10 +94,12 @@ def test_good_metrics_blocks_still_run(tmp_path, capsys):
 
 
 def test_cli_and_config_share_the_grid_rule():
-    assert check_n_grid("1,2,2,8").tolist() == [1, 2, 2, 8]
-    assert check_n_grid([1, 2, 2, 8]).tolist() == [1, 2, 2, 8]
-    assert check_n_grid("4,1,2.0", integers=True).tolist() == [4, 1, 2]
-    for bad in ("", "2,x", "0.5", "8,2", "nan", [], [0.5], [8, 2]):
+    assert check_n_grid("1,2,8").tolist() == [1, 2, 8]
+    assert check_n_grid([1, 2, 8]).tolist() == [1, 2, 8]
+    # Best-of-N sizes may repeat and come in any order.
+    assert check_n_grid("4,1,2.0,4", integers=True).tolist() == [4, 1, 2, 4]
+    for bad in ("", "2,x", "0.5", "8,2", "nan", [], [0.5], [8, 2],
+                "1,2,2,8", [2, 2], [2.0, 2]):
         with pytest.raises(ConfigError):
             check_n_grid(bad)
     for bad in ("2.7", "4,inf", [2.5]):
@@ -153,6 +162,30 @@ BAD_LEARNERS = {
     "infinite N": ("sgd_normalized",
                    {"N": math.inf, "sigma_star_sq": 0.5, "T": 4}, None,
                    "N must be finite"),
+    # JSON true is no number: it trained with T = 1 or eta = 1.
+    "T true": ("sgd_vanilla", {"eta": 0.1, "T": True}, None,
+               "T must be an integer, got True"),
+    "T true on an axis": ("sgd_token", {"eta": 0.1, "T": 4},
+                          {"T": [4, True]}, "T must be an integer, got True"),
+    "K true": ("sgd_normalized", {"eta": 0.1, "lam": 0.5, "T": 4, "K": True},
+               None, "K must be an integer, got True"),
+    "checkpoint_every false": (
+        "sgd_vanilla", {"eta": 0.1, "T": 4, "checkpoint_every": False}, None,
+        "checkpoint_every must be an integer, got False"),
+    "eta true": ("sgd_vanilla", {"eta": True, "T": 4}, None,
+                 "eta must be a number, not a bool"),
+    "lam true": ("sgd_normalized", {"eta": 0.1, "lam": True, "T": 4}, None,
+                 "lam must be a number, not a bool"),
+    "A true": ("sgd_truncated", {"eta": 0.1, "A": True, "T": 4}, None,
+               "A must be a number, not a bool"),
+    "sigma_star_sq true": (
+        "sgd_truncated", {"A": 1.0, "sigma_star_sq": True, "T": 4}, None,
+        "sigma_star_sq must be a number, not a bool"),
+    "N true": ("sgd_normalized", {"N": True, "sigma_star_sq": 0.5, "T": 4},
+               None, "N must be a number, not a bool"),
+    "theta0 entry true": ("sgd_vanilla",
+                          {"eta": 0.1, "T": 4, "theta0": [True]}, None,
+                          "theta0 entries must be numbers, not bools"),
 }
 
 
@@ -274,11 +307,36 @@ def test_over_budget_product_atoms_exit_2_without_a_walk(tmp_path, capsys,
         "leaves + atoms (bound) = 1000002 > 1e6")
 
 
+SEEDS = "sweep.seeds must be a nonempty list of distinct integers"
+ROOT_SEED = "root_seed must be an integer"
 WRONG_TYPES = {
     "task a list": ({"task": []}, "'list' object has no attribute"),
-    "seeds an int": ({"sweep": {"seeds": 3}}, "not iterable"),
+    "seeds an int": ({"sweep": {"seeds": 3}}, SEEDS),
     "metrics a list": ({"metrics": []}, "not a mapping"),
-    "root_seed a string": ({"root_seed": "x"}, "invalid literal"),
+    "root_seed a string": ({"root_seed": "x"}, ROOT_SEED),
+    # At the parent of these checks: exit 3 after writing out_dir/runs.
+    "seed a string": ({"sweep": {"seeds": ["a"]}}, SEEDS),
+    # Two run dirs, p000_s1 and p000_s1.5, from one seed stream.
+    "seed a float": ({"sweep": {"seeds": [1, 1.5]}}, SEEDS),
+    # One run dir written twice and counted twice in sweep.csv.
+    "seeds repeated": ({"sweep": {"seeds": [1, 1]}}, SEEDS),
+    # Ran seeds "1" and "2".
+    "seeds a string": ({"sweep": {"seeds": "12"}}, SEEDS),
+    # Wrote p000_sTrue.
+    "seed a bool": ({"sweep": {"seeds": [True]}}, SEEDS),
+    "root_seed a float": ({"root_seed": 1.7}, ROOT_SEED),
+    "root_seed a bool": ({"root_seed": False}, ROOT_SEED),
+    "axes a list of pairs": (
+        {"sweep": {"axes": [["eta", [0.1, 0.2]]], "seeds": [1]}},
+        "sweep.axes must be an object"),
+    "sweep a list of pairs": ({"sweep": [["seeds", [1]]]},
+                              "sweep must be an object"),
+    "train a list of pairs": (
+        {"learner": {"name": "sgd_vanilla",
+                     "train": [["eta", 0.1], ["T", 4]]}},
+        "learner.train must be an object"),
+    "version true": ({"version": True}, "config version must be 1"),
+    "version 1.0": ({"version": 1.0}, "config version must be 1"),
 }
 
 

@@ -96,8 +96,10 @@ def test_offset_power_wrapper():
     cands = CandidateClass([bernoulli_model(0.2), bernoulli_model(0.5)])
     ds = coin_dataset(0.5, 30, 5)
     N = 64.0
-    assert offset_tournament_power(cands, ds, N, a=0.25) == \
-        offset_tournament(cands, ds, N, gamma=N ** 0.25)
+    # 8 gamma^2 = 8 N^0.5 rounds to just above N = 64.
+    with pytest.warns(UserWarning, match="8 gamma"):
+        assert offset_tournament_power(cands, ds, N, a=0.25) == \
+            offset_tournament(cands, ds, N, gamma=N ** 0.25)
 
 
 def test_permutation_covariance():

@@ -114,13 +114,13 @@ def cmd_tournament(args) -> int:
         first = cands.candidates[0]
         dataset = load_jsonl(args.data, H=first.H, V=first.V)
     if args.rule == "ce":
-        report = select_ce(cands, dataset, return_report=True)
+        report = select_ce(cands, dataset)
     elif args.rule == "simple":
-        report = simple_tournament(cands, dataset, args.N, return_report=True)
+        report = simple_tournament(cands, dataset, args.N)
     else:
         rng = SeedTree(args.seed).child("tournament").rng()
         report = offset_tournament(cands, dataset, args.N, gamma=args.gamma,
-                                   rng=rng, return_report=True)
+                                   rng=rng)
     print(report.to_json())
     return 0
 

@@ -40,6 +40,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -157,7 +158,7 @@ class Policy:
 
     def logprob_many(self, x, Y) -> np.ndarray:
         """log pi(y|x) of each row y of the (n, H) int array Y, -inf where
-        pi has no mass.
+        pi has no mass; a ValueError for any other shape.
 
         Product policies gather log step[Y]; others make one prefix_dists
         call per level, over the level's distinct prefixes.  Either way
@@ -169,7 +170,11 @@ class Policy:
     def _logprob_rows(self, x, Y, levels: dict) -> np.ndarray:
         """logprob_many of the int64 array Y; the prefix levels of Y are
         read from, or added to, `levels` (keyed by V), so callers scoring
-        the same Y under several policies compute them once."""
+        the same Y under several policies compute them once.  Y must be
+        (n, H) with tokens in [0, V)."""
+        if Y.ndim != 2 or Y.shape[1] != self.H:
+            raise ValueError(f"responses must be an (n, {self.H}) array, "
+                             f"got shape {Y.shape}")
         if Y.size and not 0 <= Y.min() <= Y.max() < self.V:
             raise ValueError(f"tokens must lie in [0, {self.V})")
         total = np.zeros(len(Y))
@@ -437,6 +442,13 @@ def logprob_matrix(policies, dataset: Dataset) -> np.ndarray:
         for k, pi in enumerate(policies):
             lp[k, idx] = pi._logprob_rows(x, Y, levels)
     return lp
+
+
+def check_integer(name: str, v):
+    """Raise a ValueError naming `name` unless v is an integer and not a
+    bool (a JSON true would otherwise pass as 1)."""
+    if not isinstance(v, numbers.Integral) or isinstance(v, bool):
+        raise ValueError(f"{name} must be an integer, got {v!r}")
 
 
 ENUM_BUDGET = 10 ** 6

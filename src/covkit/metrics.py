@@ -24,8 +24,9 @@ of one loop, `_mc_values`.  Exact modes reduce a `PairLaw`, the law of one
 A caller that wants several functionals of a pair holds one PairLaw.  The
 free functions share `_law`, a one-entry cache of the last (piD, piHat, mu
 list) law that holds its policies by weak reference and is dropped when
-either is collected.  onpolicy_cov_estimate and non-product
-models.sigma_star_sq walk on their own.
+either is collected.  onpolicy_cov (one walk of piBar over all its
+policies per distinct prompt) and non-product models.sigma_star_sq walk
+on their own.
 
 A `StackLaw` gives seq_kl and the coverage curve of piD against each row
 of a (C, d) stack of linear-softmax theta on one feature map (a job's
@@ -59,8 +60,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ENUM_BUDGET, Policy, check_enum_budget, group_prompts,
-                   logprob_matrix, prefix_levels, sample_prompts)
+from .core import (ENUM_BUDGET, Policy, check_enum_budget, check_integer,
+                   group_prompts, logprob_matrix, prefix_levels,
+                   sample_prompts)
 
 
 @dataclass
@@ -667,40 +669,53 @@ def covers(lp_prime, lp, log_thresh):
         return np.asarray(lp_prime) - lp >= log_thresh - 1e-12
 
 
-def onpolicy_cov_estimate(piBar: Policy, piPrime: Policy, pi: Policy,
-                          prompts, N: float, mode="exact", m=None, rng=None
-                          ) -> float:
-    """Average over prompts of P_{y~piBar}(log piPrime - log pi >= log N).
+def onpolicy_cov(piBar: Policy, policies, pi: Policy, prompts, N: float,
+                 mode="exact", m=None, rng=None) -> np.ndarray:
+    """Entry k: the average over prompts of P_{y~piBar}(log policies[k] -
+    log pi >= log N).
 
-    Exact mode walks each distinct prompt once, weighted by its count, the
-    walks sharing one budget; mc mode draws m responses per listed prompt,
-    those of each distinct prompt in one sample_many call.
+    Exact mode makes one `tree_walk(piBar, x, [*policies, pi])` per
+    distinct prompt x, weighted by its count, the walks sharing one
+    budget.  Mc mode draws count * m responses per distinct prompt in one
+    sample_many call and scores pi and every policy on them, sharing the
+    prefix levels; m must be an integer >= 1.
     """
     _check_N(N)
     if len(prompts) == 0:
         raise ValueError("prompts is empty")
     logN = math.log(N)
-    total = 0.0
+    total = np.zeros(len(policies))
     if mode == "exact":
-        counts = collections.Counter(prompts)
         spent = 0
-        for x, c in counts.items():
-            lpBar, (lpP, lpQ), _, _ = tree_walk(piBar, x, [piPrime, pi],
-                                                spent=spent)
+        for x, c in collections.Counter(prompts).items():
+            lpBar, lps, _, _ = tree_walk(piBar, x, [*policies, pi],
+                                         spent=spent)
             spent += len(lpBar)
-            hit = covers(lpP, lpQ, logN)
-            total += c * float(np.exp(lpBar)[hit].sum())
+            p = np.exp(lpBar)
+            for k, hit in enumerate(covers(lps[:-1], lps[-1], logN)):
+                total[k] += c * float(p[hit].sum())
     elif mode == "mc":
-        if m is None or not m >= 1:
-            raise ValueError("mc mode requires m >= 1")
+        check_integer("m", m)
+        if m < 1:
+            raise ValueError(f"mc mode requires m >= 1, got {m!r}")
         for x, idx in group_prompts(prompts).items():
-            Y = piBar.sample_many(x, len(idx) * m, rng)
-            hits = covers(piPrime.logprob_many(x, Y), pi.logprob_many(x, Y),
-                          logN)
-            total += int(hits.sum()) / m
+            Y, levels = piBar.sample_many(x, len(idx) * m, rng), {}
+            lp = pi._logprob_rows(x, Y, levels)
+            for k, q in enumerate(policies):
+                hits = covers(q._logprob_rows(x, Y, levels), lp, logN)
+                total[k] += int(hits.sum()) / m
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return total / len(prompts)
+
+
+def onpolicy_cov_estimate(piBar: Policy, piPrime: Policy, pi: Policy,
+                          prompts, N: float, mode="exact", m=None, rng=None
+                          ) -> float:
+    """Average over prompts of P_{y~piBar}(log piPrime - log pi >= log N):
+    the one entry of `onpolicy_cov`."""
+    return float(onpolicy_cov(piBar, [piPrime], pi, prompts, N, mode, m,
+                              rng)[0])
 
 
 def _check_N(N):

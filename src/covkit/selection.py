@@ -1,4 +1,8 @@
-"""Finite-class model selection: cross-entropy and coverage tournaments."""
+"""Finite-class model selection: cross-entropy and coverage tournaments.
+
+Each rule returns its `SelectionReport`: the selected index and what it
+was ranked by (log-likelihoods, the K x K `pairwise_cov_matrix`, and for
+the offset tournament the on-policy offsets from `onpolicy_cov`)."""
 
 from __future__ import annotations
 
@@ -10,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import logprob_matrix
-from .metrics import onpolicy_cov_estimate, pairwise_cov_matrix
+from .metrics import onpolicy_cov, pairwise_cov_matrix
 
 
 @dataclass
@@ -50,41 +54,37 @@ class SelectionReport:
         return json.dumps(d)
 
 
-def select_ce(candidates: CandidateClass, dataset, return_report=False):
+def select_ce(candidates: CandidateClass, dataset) -> SelectionReport:
     """Argmax of total log-likelihood; ties break to the lowest index."""
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
     lp = logprob_matrix(candidates.candidates, dataset)
     totals = np.where(np.isneginf(lp).any(axis=1), -math.inf, lp.sum(axis=1))
-    idx = int(np.argmax(totals))
-    if return_report:
-        return SelectionReport(idx, extra={"loglik": [
-            None if t == -math.inf else t for t in totals.tolist()]})
-    return idx
+    return SelectionReport(int(np.argmax(totals)), extra={"loglik": [
+        None if t == -math.inf else t for t in totals.tolist()]})
 
 
-def simple_tournament(candidates: CandidateClass, dataset, N: float,
-                      return_report=False):
+def simple_tournament(candidates: CandidateClass, dataset,
+                      N: float) -> SelectionReport:
     """argmin_pi max_pi' empirical coverage of pi' against pi."""
     M = pairwise_cov_matrix(candidates.candidates, dataset, N)
-    worst = M.max(axis=0)
-    idx = int(np.argmin(worst))
-    if return_report:
-        return SelectionReport(idx, pairwise=M)
-    return idx
+    return SelectionReport(int(np.argmin(M.max(axis=0))), pairwise=M)
 
 
 def offset_tournament(candidates: CandidateClass, dataset, N: float,
-                      gamma: float, mode=None, m: int = 1000, rng=None,
-                      return_report=False):
+                      gamma: float, mode=None, m: int = 1000,
+                      rng=None) -> SelectionReport:
     """Tournament with on-policy offset: max_pi' { Cov - 2 gamma Cov^pi }.
 
-    `mode` is "exact", "mc", or None (exact when V^H <= 1e4, else mc with m
-    generations per prompt).
+    Column j of the offsets is `onpolicy_cov` of every candidate against
+    candidate j under candidate j's own responses to the dataset's
+    prompts, so each candidate is walked (or sampled) once per distinct
+    prompt; the diagonal is zero.  `mode` is "exact", "mc", or None (exact
+    when V^H <= 1e4, else mc with m generations per prompt).
     """
-    if not (N >= 1 and gamma >= 0):
-        raise ValueError(f"need N >= 1 and gamma >= 0, got {N}, {gamma}")
-    K = len(candidates)
+    if not (N >= 1 and 0 <= gamma < math.inf):
+        raise ValueError(f"need N >= 1 and finite gamma >= 0, got {N}, "
+                         f"{gamma}")
     cands = candidates.candidates
     if N < 8.0 * gamma ** 2:
         warnings.warn("offset tournament precondition N >= 8 gamma^2 "
@@ -92,22 +92,10 @@ def offset_tournament(candidates: CandidateClass, dataset, N: float,
     if mode is None:
         mode = "exact" if cands[0].V ** cands[0].H <= 10 ** 4 else "mc"
     M = pairwise_cov_matrix(cands, dataset, N)
-    offsets = np.zeros((K, K))
-    for j in range(K):
-        for i in range(K):
-            if i == j:
-                continue
-            offsets[i, j] = onpolicy_cov_estimate(
-                cands[j], cands[i], cands[j], dataset.xs, N, mode=mode,
-                m=m, rng=rng)
-    objective = M - 2.0 * gamma * offsets
-    worst = objective.max(axis=0)
-    idx = int(np.argmin(worst))
-    if return_report:
-        return SelectionReport(idx, pairwise=M, offsets=offsets)
-    return idx
-
-
-def offset_tournament_power(candidates, dataset, N, a, **kwargs):
-    """Convenience wrapper with gamma parameterized as N**a."""
-    return offset_tournament(candidates, dataset, N, gamma=N ** a, **kwargs)
+    offsets = np.column_stack([
+        onpolicy_cov(c, cands, c, dataset.xs, N, mode, m, rng)
+        for c in cands])
+    np.fill_diagonal(offsets, 0.0)
+    worst = (M - 2.0 * gamma * offsets).max(axis=0)
+    return SelectionReport(int(np.argmin(worst)), pairwise=M,
+                           offsets=offsets)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FinitePromptDist, Policy
+from .core import FinitePromptDist, Policy, check_integer
 from .models import CallableFeatureMap, FeatureMap, LinearARModel, TabularModel
 
 
@@ -70,6 +70,8 @@ def heterogeneous_kl_instance(n: int, H: int) -> TaskInstance:
     theta* = 1, so the rare prompt emits +1 tokens with probability
     e / (e + 1/e) per step.
     """
+    check_integer("n", n)
+    check_integer("H", H)
     if not (n >= 1 and H >= 1):
         raise ValueError("n and H must be positive")
 
@@ -104,6 +106,9 @@ def sgd_lower_instance(variant: str, H: int, B: float, Bbar: float | None = None
     two orthogonal scalar problems so that small steps cannot cover the
     rare prompt.
     """
+    check_integer("H", H)
+    if n is not None:
+        check_integer("n", n)
     if variant == "large_eta":
         if eta is None:
             raise ValueError("variant 'large_eta' requires eta")
@@ -165,6 +170,8 @@ def sigma_star_instance(H: int, B: float, N: float, n: int,
     so each step of the "+" prompt is an independent logistic coin.  The
     rare-prompt probability scales like H / (n log N).
     """
+    check_integer("H", H)
+    check_integer("n", n)
     if not math.log(N) <= c * min(H, B * B):
         raise ValueError(
             f"precondition violated: log N <= {c} * min(H, B^2) required, "

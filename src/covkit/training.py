@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import draw_examples
+from .core import check_integer, draw_examples
 from .metrics import step_kl
 from .models import (FeatureMap, candidate_dists, count_rows, grad_logprob,
                      grad_logprob_token, project_unit_ball, token_step)
@@ -52,9 +51,7 @@ class TrainConfig:
         """Refuse what a learner would fail on or silently misuse.  No
         setting, nor an entry of theta0, may be a bool."""
         for name in ("T", "K", "checkpoint_every"):
-            v = getattr(self, name)
-            if not isinstance(v, numbers.Integral) or _is_bool(v):
-                raise ValueError(f"{name} must be an integer, got {v!r}")
+            check_integer(name, getattr(self, name))
         for name in ("eta", "lam", "A", "N", "sigma_star_sq"):
             if _is_bool(getattr(self, name)):
                 raise ValueError(f"{name} must be a number, not a bool")

@@ -4,8 +4,9 @@ Each function repeats the draw-and-scatter loop that `covkit.metrics` now
 shares (`_mc_values`): draw all n prompts, give each distinct prompt its
 responses in one `sample_many` call, and write the per-draw value back in
 draw order, with the value written inline in the same floating-point
-operation order.  `pairwise_matrix` is the tournaments' K x K coverage
-matrix as `covkit.selection` once computed it.  `test_mc_estimators.py`
+operation order.  `onpolicy_column_mc` is one column of the offset
+tournament's on-policy offsets, and `pairwise_matrix` the tournaments'
+K x K coverage matrix as `covkit.selection` once computed it.  `test_mc_estimators.py`
 requires covkit's estimators to equal these bit for bit.
 """
 
@@ -82,6 +83,19 @@ def onpolicy_cov_mc(piBar, piPrime, pi, prompts, N, m, rng):
         hits = covers(piPrime.logprob_many(x, Y), pi.logprob_many(x, Y),
                       logN)
         total += int(hits.sum()) / m
+    return total / len(prompts)
+
+
+def onpolicy_column_mc(piBar, policies, pi, prompts, N, m, rng):
+    """Entry k: the on-policy coverage of policies[k] against pi, every
+    entry from the same len(idx) * m draws per distinct prompt."""
+    logN = math.log(N)
+    total = np.zeros(len(policies))
+    for x, idx in group_prompts(prompts).items():
+        Y = piBar.sample_many(x, len(idx) * m, rng)
+        lp = pi.logprob_many(x, Y)
+        for k, q in enumerate(policies):
+            total[k] += int(covers(q.logprob_many(x, Y), lp, logN).sum()) / m
     return total / len(prompts)
 
 

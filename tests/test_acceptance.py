@@ -367,12 +367,13 @@ def test_A9_selection_separation():
     picks = {"ce": [], "simple": [], "offset": []}
     for _ in range(trials):
         ds = sample_dataset(task.piD, task.mu, n, rng)
-        picks["ce"].append(select_ce(cands, ds))
-        picks["simple"].append(simple_tournament(cands, ds, N_simple))
+        picks["ce"].append(select_ce(cands, ds).selected)
+        picks["simple"].append(simple_tournament(cands, ds,
+                                                 N_simple).selected)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            picks["offset"].append(offset_tournament(cands, ds, N_offset,
-                                                     gamma=gamma))
+            picks["offset"].append(offset_tournament(
+                cands, ds, N_offset, gamma=gamma).selected)
     freq_ce_pi2 = np.mean(np.asarray(picks["ce"]) == 1)
     assert freq_ce_pi2 >= 0.2, f"CE picked pi2 with freq {freq_ce_pi2}"
     for rule in ("simple", "offset"):

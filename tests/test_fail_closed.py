@@ -2,7 +2,8 @@
 anything: a bad metrics block, a learner without the settings it needs, a
 theta0 of the wrong dimension or with a non-finite entry, a non-finite
 step size, N or sigma_star_sq, a T, K or checkpoint_every that is no
-integer, a train setting that is a bool, a negative checkpoint_every, a
+integer, a train setting that is a bool, a task's H, n, m, L or
+nodes_per_layer that is a bool or no integer, a negative checkpoint_every, a
 normalized schedule with N <= 1, a graph class mix that L cannot hold,
 exact metrics over the enumeration budget, or seeds, a root seed, axes or
 a version of the wrong type.  Each case exits 2 and leaves no
@@ -212,6 +213,51 @@ def test_nan_theta0_on_sgd_lower_exits_2_before_output(tmp_path, capsys):
                  train={"eta": 0.1, "T": 4, "theta0": [math.nan, 0.0]})
     assert "NaN" in json.dumps(cfg)
     refused(tmp_path, capsys, cfg, "theta0 must be finite")
+
+
+# A bool or a non-integer number where a task takes an integer: each of
+# these used to build (heterogeneous_kl with H: true trained at H = 1).
+BAD_TASK_INTEGERS = {
+    "heterogeneous_kl H true": ("heterogeneous_kl", {"n": 3, "H": True},
+                                "H must be an integer, got True"),
+    "heterogeneous_kl H 2.0": ("heterogeneous_kl", {"n": 3, "H": 2.0},
+                               "H must be an integer, got 2.0"),
+    "heterogeneous_kl n 1.5": ("heterogeneous_kl", {"n": 1.5, "H": 2},
+                               "n must be an integer, got 1.5"),
+    "heterogeneous_kl n true": ("heterogeneous_kl", {"n": True, "H": 2},
+                                "n must be an integer, got True"),
+    "sgd_lower H 8.0": ("sgd_lower", {"variant": "large_eta", "H": 8.0,
+                                      "B": 1.0, "eta": 1.0},
+                        "H must be an integer, got 8.0"),
+    "small_eta n 2.5": ("sgd_lower", {"variant": "small_eta", "H": 4,
+                                      "B": 2.0, "Bbar": 1.0, "N": 4.0,
+                                      "n": 2.5},
+                        "n must be an integer, got 2.5"),
+    "sigma_star n true": ("sigma_star", {"H": 2, "B": 1.0, "N": 2.0,
+                                         "n": True, "c": 1.0},
+                          "n must be an integer, got True"),
+    "graph_teaser m 128.0": ("graph_teaser", {"m": 128.0},
+                             "m must be an integer, got 128.0"),
+    "graph_horizon L true": ("graph_horizon", {"L": True, "m": 16},
+                             "L must be an integer, got True"),
+    "graph_teaser nodes_per_layer 4.0": (
+        "graph_teaser", {"nodes_per_layer": 4.0},
+        "nodes_per_layer must be an integer, got 4.0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TASK_INTEGERS))
+def test_task_integer_parameters_exit_2_before_output(tmp_path, capsys,
+                                                      monkeypatch, case):
+    name, params, match = BAD_TASK_INTEGERS[case]
+    monkeypatch.setattr(harness, "run_learner", must_not_run)
+    refused(tmp_path, capsys,
+            config(tmp_path, task={"name": name, "params": params}), match)
+    rc = main(["gen-data", "--task", name, "--params", json.dumps(params),
+               "--n", "5", "--out", str(tmp_path / "d.jsonl")])
+    assert rc == 2
+    assert match in json.loads(capsys.readouterr().err)["error"]
+    assert not (tmp_path / "d.jsonl").exists()
 
 
 @pytest.mark.parametrize("learner,train", [

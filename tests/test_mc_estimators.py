@@ -76,17 +76,16 @@ def test_tournament_matrix_equals_per_pair_coverage():
                 per_pair = 0.0 if i == j else \
                     empirical_pairwise_cov(cands[i], cands[j], ds, N)
                 assert per_pair == want[i, j]
-        simple = simple_tournament(CandidateClass(cands), ds, N,
-                                   return_report=True)
+        simple = simple_tournament(CandidateClass(cands), ds, N)
         assert same(simple.pairwise, want)
         offset = offset_tournament(CandidateClass(cands), ds, N, gamma=0.25,
-                                   mode="mc", m=20, rng=SeedTree(41).rng(),
-                                   return_report=True)
+                                   mode="mc", m=20, rng=SeedTree(41).rng())
         assert same(offset.pairwise, want)
-        # The offsets draw from one rng in (j, i) order.
+        # Column j draws once per distinct prompt from candidate j, the
+        # columns in order from one rng, and scores every candidate.
         rng = SeedTree(41).rng()
         for j in range(len(cands)):
-            for i in range(len(cands)):
-                if i != j:
-                    assert offset.offsets[i, j] == mc_oracle.onpolicy_cov_mc(
-                        cands[j], cands[i], cands[j], ds.xs, N, 20, rng)
+            col = mc_oracle.onpolicy_column_mc(cands[j], cands, cands[j],
+                                               ds.xs, N, 20, rng)
+            col[j] = 0.0
+            assert same(offset.offsets[:, j], col)

@@ -10,6 +10,7 @@ started.  Failures emit a one-line error JSON on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -150,7 +151,9 @@ def cmd_bon(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by `main`."""
     p = argparse.ArgumentParser(prog="covkit",
                                 description="coverage-profile experiments")
     sub = p.add_subparsers(dest="command", required=True)

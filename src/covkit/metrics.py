@@ -24,9 +24,8 @@ of one loop, `_mc_values`.  Exact modes reduce a `PairLaw`, the law of one
 A caller that wants several functionals of a pair holds one PairLaw.  The
 free functions share `_law`, a one-entry cache of the last (piD, piHat, mu
 list) law that holds its policies by weak reference and is dropped when
-either is collected.  onpolicy_cov (one walk of piBar over all its
-policies per distinct prompt) and non-product models.sigma_star_sq walk
-on their own.
+either is collected.  onpolicy_cov (one walk of pi per distinct prompt)
+and non-product models.sigma_star_sq walk on their own.
 
 A `StackLaw` gives seq_kl and the coverage curve of piD against each row
 of a (C, d) stack of linear-softmax theta on one feature map (a job's
@@ -669,16 +668,16 @@ def covers(lp_prime, lp, log_thresh):
         return np.asarray(lp_prime) - lp >= log_thresh - 1e-12
 
 
-def onpolicy_cov(piBar: Policy, policies, pi: Policy, prompts, N: float,
-                 mode="exact", m=None, rng=None) -> np.ndarray:
-    """Entry k: the average over prompts of P_{y~piBar}(log policies[k] -
+def onpolicy_cov(policies, pi: Policy, prompts, N: float, mode="exact",
+                 m=None, rng=None) -> np.ndarray:
+    """Entry k: the average over prompts of P_{y~pi}(log policies[k] -
     log pi >= log N).
 
-    Exact mode makes one `tree_walk(piBar, x, [*policies, pi])` per
-    distinct prompt x, weighted by its count, the walks sharing one
-    budget.  Mc mode draws count * m responses per distinct prompt in one
-    sample_many call and scores pi and every policy on them, sharing the
-    prefix levels; m must be an integer >= 1.
+    Exact mode makes one `tree_walk(pi, x, policies)` per distinct prompt
+    x, weighted by its count, the walks sharing one budget; pi's log-probs
+    are the walk's own.  Mc mode draws count * m responses per distinct
+    prompt in one pi.sample_many call and scores pi once and every policy
+    on them, sharing the prefix levels; m must be an integer >= 1.
     """
     _check_N(N)
     if len(prompts) == 0:
@@ -688,18 +687,17 @@ def onpolicy_cov(piBar: Policy, policies, pi: Policy, prompts, N: float,
     if mode == "exact":
         spent = 0
         for x, c in collections.Counter(prompts).items():
-            lpBar, lps, _, _ = tree_walk(piBar, x, [*policies, pi],
-                                         spent=spent)
-            spent += len(lpBar)
-            p = np.exp(lpBar)
-            for k, hit in enumerate(covers(lps[:-1], lps[-1], logN)):
+            lp, lps, _, _ = tree_walk(pi, x, policies, spent=spent)
+            spent += len(lp)
+            p = np.exp(lp)
+            for k, hit in enumerate(covers(lps, lp, logN)):
                 total[k] += c * float(p[hit].sum())
     elif mode == "mc":
         check_integer("m", m)
         if m < 1:
             raise ValueError(f"mc mode requires m >= 1, got {m!r}")
         for x, idx in group_prompts(prompts).items():
-            Y, levels = piBar.sample_many(x, len(idx) * m, rng), {}
+            Y, levels = pi.sample_many(x, len(idx) * m, rng), {}
             lp = pi._logprob_rows(x, Y, levels)
             for k, q in enumerate(policies):
                 hits = covers(q._logprob_rows(x, Y, levels), lp, logN)
@@ -709,13 +707,11 @@ def onpolicy_cov(piBar: Policy, policies, pi: Policy, prompts, N: float,
     return total / len(prompts)
 
 
-def onpolicy_cov_estimate(piBar: Policy, piPrime: Policy, pi: Policy,
-                          prompts, N: float, mode="exact", m=None, rng=None
-                          ) -> float:
-    """Average over prompts of P_{y~piBar}(log piPrime - log pi >= log N):
+def onpolicy_cov_estimate(piPrime: Policy, pi: Policy, prompts, N: float,
+                          mode="exact", m=None, rng=None) -> float:
+    """Average over prompts of P_{y~pi}(log piPrime - log pi >= log N):
     the one entry of `onpolicy_cov`."""
-    return float(onpolicy_cov(piBar, [piPrime], pi, prompts, N, mode, m,
-                              rng)[0])
+    return float(onpolicy_cov([piPrime], pi, prompts, N, mode, m, rng)[0])
 
 
 def _check_N(N):

@@ -33,9 +33,6 @@ class CandidateClass:
     def __len__(self):
         return len(self.candidates)
 
-    def __iter__(self):
-        return iter(self.candidates)
-
 
 @dataclass
 class SelectionReport:
@@ -76,11 +73,11 @@ def offset_tournament(candidates: CandidateClass, dataset, N: float,
                       rng=None) -> SelectionReport:
     """Tournament with on-policy offset: max_pi' { Cov - 2 gamma Cov^pi }.
 
-    Column j of the offsets is `onpolicy_cov` of every candidate against
-    candidate j under candidate j's own responses to the dataset's
-    prompts, so each candidate is walked (or sampled) once per distinct
-    prompt; the diagonal is zero.  `mode` is "exact", "mc", or None (exact
-    when V^H <= 1e4, else mc with m generations per prompt).
+    Column j of the offsets is `onpolicy_cov` of the other K - 1
+    candidates against candidate j on its own responses to the dataset's
+    prompts, zero at j: a column walks (or samples) candidate j once per
+    distinct prompt and asks each candidate once per level.  `mode` is
+    "exact", "mc" (m responses per prompt) or None (mc if V^H > 1e4).
     """
     if not (N >= 1 and 0 <= gamma < math.inf):
         raise ValueError(f"need N >= 1 and finite gamma >= 0, got {N}, "
@@ -92,10 +89,10 @@ def offset_tournament(candidates: CandidateClass, dataset, N: float,
     if mode is None:
         mode = "exact" if cands[0].V ** cands[0].H <= 10 ** 4 else "mc"
     M = pairwise_cov_matrix(cands, dataset, N)
-    offsets = np.column_stack([
-        onpolicy_cov(c, cands, c, dataset.xs, N, mode, m, rng)
-        for c in cands])
-    np.fill_diagonal(offsets, 0.0)
+    offsets = np.zeros((len(cands), len(cands)))
+    for j, c in enumerate(cands):
+        offsets[np.arange(len(cands)) != j, j] = onpolicy_cov(
+            cands[:j] + cands[j + 1:], c, dataset.xs, N, mode, m, rng)
     worst = (M - 2.0 * gamma * offsets).max(axis=0)
     return SelectionReport(int(np.argmin(worst)), pairwise=M,
                            offsets=offsets)

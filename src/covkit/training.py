@@ -119,16 +119,18 @@ class MLEResult:
     grad_map_norm: float
 
 
-def mle_fit(dataset, featmap: FeatureMap, V: int, H: int,
-            tol: float = 1e-8, max_iters: int = 10 ** 5) -> MLEResult:
+MLE_TOL, MLE_MAX_ITERS = 1e-8, 10 ** 5      # mle_fit's stopping rule
+
+
+def mle_fit(dataset, featmap: FeatureMap, V: int, H: int) -> MLEResult:
     """Full-batch projected gradient ascent on the average log-likelihood.
 
     Fixed step 1/(2 H B^2) (the objective is concave and H B^2-smooth).
     Each iteration makes one `grad_logprob` block call per prompt group
     and sums the rows in dataset order, as a per-example loop would.  A
     group with a step table passes its `count_rows`, computed once.
-    Terminates when the gradient-mapping norm drops below `tol`; on budget
-    exhaustion the last iterate is returned with converged=False.
+    Terminates when the gradient-mapping norm drops below `MLE_TOL`; after
+    `MLE_MAX_ITERS` iterations it returns the last one, converged=False.
     """
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
@@ -144,7 +146,7 @@ def mle_fit(dataset, featmap: FeatureMap, V: int, H: int,
                        else count_rows(table, V, Y)))
     rows = np.empty((n, featmap.d))
     gnorm = math.inf
-    for it in range(1, max_iters + 1):
+    for it in range(1, MLE_MAX_ITERS + 1):
         for x, idx, Y, counts in groups:
             rows[idx] = grad_logprob(theta, featmap, V, x, Y, counts)
         # Summed in dataset order, as a running += over the examples.
@@ -153,9 +155,9 @@ def mle_fit(dataset, featmap: FeatureMap, V: int, H: int,
         theta_new = project_unit_ball(theta + step * g)
         gnorm = float(np.linalg.norm(theta_new - theta) / step)
         theta = theta_new
-        if gnorm <= tol:
+        if gnorm <= MLE_TOL:
             return MLEResult(theta, True, it, gnorm)
-    return MLEResult(theta, False, max_iters, gnorm)
+    return MLEResult(theta, False, MLE_MAX_ITERS, gnorm)
 
 
 def _take(stream, k):

@@ -231,12 +231,11 @@ def test_bon_regret_against_exact():
 
 def test_onpolicy_mc_with_repeated_prompts():
     rng = SeedTree(14).rng()
-    piBar = tabular_with_missing_mass(rng, 2, 3, prompts=(0, 1))
-    piP = random_tabular(rng, 2, 3, prompts=(0, 1))
     pi = tabular_with_missing_mass(rng, 2, 3, prompts=(0, 1))
+    piP = random_tabular(rng, 2, 3, prompts=(0, 1))
     prompts, m = [1, 0, 1, 1], 5000
-    exact = onpolicy_cov_estimate(piBar, piP, pi, prompts, 2.0)
-    mc = onpolicy_cov_estimate(piBar, piP, pi, prompts, 2.0, mode="mc", m=m,
+    exact = onpolicy_cov_estimate(piP, pi, prompts, 2.0)
+    mc = onpolicy_cov_estimate(piP, pi, prompts, 2.0, mode="mc", m=m,
                                rng=rng)
     # Each prompt's frequency is within 1e-4-Hoeffding of its probability.
     assert abs(mc - exact) <= math.sqrt(math.log(2e4) / (2 * m))

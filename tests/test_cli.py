@@ -1,11 +1,22 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import covkit
+import exact_oracle
+from conftest import random_tabular, tabular_with_missing_mass
+from covkit import cli
 from covkit.cli import main
+from covkit.core import FinitePromptDist, load_jsonl, sample_dataset, \
+    save_jsonl
 from covkit.metrics import hoeffding_half_width
+from covkit.seeding import SeedTree
+from covkit.selection import CandidateClass, offset_tournament
 
 
 def write(path, obj):
@@ -177,3 +188,86 @@ def test_eval_coverage_pi_d_of_another_shape_exits_2(pi_d_files, capsys):
         out = capsys.readouterr()
         assert out.out == ""
         assert "(V, H)" in json.loads(out.err)["error"]
+
+
+def tabular_file(path, pol):
+    """`pol`'s stored rows as a tabular policy file (uniform default)."""
+    return write(path, {"type": "tabular", "V": pol.V, "H": pol.H,
+                        "tables": [{"x": x, "prefix": list(pre),
+                                    "p": list(map(float, row))}
+                                   for (x, pre), row in pol.tables.items()]})
+
+
+@pytest.fixture
+def tabular_files(tmp_path):
+    """Three V = 2, H = 3 candidates on prompts 0 and 1 (one with missing
+    mass) and 40 examples from the second, with repeated prompts."""
+    rng = SeedTree(820).rng()
+    pols = [random_tabular(rng, 2, 3, prompts=(0, 1)),
+            tabular_with_missing_mass(rng, 2, 3, prompts=(0, 1)),
+            random_tabular(rng, 2, 3, prompts=(0, 1), alpha=0.5)]
+    cands = [tabular_file(tmp_path / f"cand{k}.json", p)
+             for k, p in enumerate(pols)]
+    ds = sample_dataset(pols[1], FinitePromptDist([0, 1], [0.6, 0.4]), 40,
+                        SeedTree(821).rng())
+    save_jsonl(ds, tmp_path / "ds.jsonl")
+    return cands, str(tmp_path / "ds.jsonl")
+
+
+def test_tournament_offset_rule_end_to_end(tabular_files, capsys):
+    cands, data = tabular_files
+    N, gamma = 2.0, 0.25
+    assert main(["tournament", "--candidates", *cands, "--data", data,
+                 "--N", "2", "--rule", "offset", "--gamma", "0.25",
+                 "--seed", "6"]) == 0
+    got = json.loads(capsys.readouterr().out)
+    assert set(got) == {"selected", "pairwise", "offsets"}
+    loaded = [cli.load_policy(p) for p in cands]
+    ds = load_jsonl(data, H=3, V=2)
+    want = offset_tournament(CandidateClass(loaded), ds, N, gamma,
+                             rng=SeedTree(6).child("tournament").rng())
+    assert got["selected"] == want.selected
+    assert np.array_equal(got["pairwise"], want.pairwise)
+    assert np.array_equal(got["offsets"], want.offsets)
+    # V^H = 8, so the offsets are exact: P_{y~c_j}(c_i / c_j >= N).
+    for j, c in enumerate(loaded):
+        for i, q in enumerate(loaded):
+            ref = 0.0 if i == j else exact_oracle.onpolicy_cov(c, q, c,
+                                                               ds.xs, N)
+            assert abs(got["offsets"][i][j] - ref) <= 1e-12, (i, j)
+    assert max(max(row) for row in got["offsets"]) > 0.0
+
+
+def test_main_reuses_its_parser_across_calls(coin_files, tabular_files,
+                                             capsys):
+    # A usage error, then valid commands, through one process's `main`
+    # give the exit codes and output of a fresh process per command.
+    task, _, pol_bad = coin_files
+    cands, data = tabular_files
+    argvs = [
+        ["eval-coverage", "--task", task],
+        ["eval-coverage", "--task", task, "--pi-hat", pol_bad,
+         "--N-grid", "2,4", "--mode", "mc", "--n-samples", "300",
+         "--seed", "1"],
+        ["tournament", "--candidates", *cands, "--data", data, "--N", "2",
+         "--rule", "offset", "--gamma", "0.25", "--seed", "2"],
+        ["bon", "--task", task, "--pi-hat", pol_bad, "--N-grid", "1,4",
+         "--trials", "200", "--seed", "3"],
+    ]
+    in_process = []
+    for argv in argvs:
+        code = main(argv)
+        out = capsys.readouterr()
+        in_process.append((code, out.out, out.err))
+    assert cli.build_parser() is cli.build_parser()
+    src = os.path.dirname(os.path.dirname(covkit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    separate = []
+    for argv in argvs:
+        run = subprocess.run([sys.executable, "-m", "covkit.cli", *argv],
+                             capture_output=True, text=True, env=env,
+                             timeout=120)
+        separate.append((run.returncode, run.stdout, run.stderr))
+    assert [r[0] for r in in_process] == [2, 0, 0, 0]
+    assert "required" in in_process[0][2]
+    assert in_process == separate

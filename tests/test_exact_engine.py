@@ -87,11 +87,11 @@ def test_exact_functionals_match_brute_force(kind, missing):
 def test_onpolicy_and_sigma_match_brute_force(kind):
     prompts = [0, 1, 1, 0, 0]   # duplicates are walked once, by count
     for rng, piD, piHat, mu in _instances(kind, missing=True, n=8):
-        piBar = _model(rng, piD.V, piD.H, product=kind == "product",
-                       missing=False)
-        for a, b in [(piBar, piHat), (piHat, piD)]:
-            got = onpolicy_cov_estimate(piBar, a, b, prompts, 4.0)
-            want = exact_oracle.onpolicy_cov(piBar, a, b, prompts, 4.0)
+        piP = _model(rng, piD.V, piD.H, product=kind == "product",
+                     missing=False)
+        for a, b in [(piP, piHat), (piHat, piD), (piD, piHat), (piP, piD)]:
+            got = onpolicy_cov_estimate(a, b, prompts, 4.0)
+            want = exact_oracle.onpolicy_cov(b, a, b, prompts, 4.0)
             assert close(got, want)
         table = rng.normal(size=(piD.V, 2))
         # Prefix-free features take the closed form on product policies;
@@ -132,4 +132,4 @@ def test_exact_work_over_budget_raises():
     with pytest.raises(ValueError, match="Monte Carlo"):
         hellinger_sq(piD, tree, [(0, 1.0)])
     with pytest.raises(ValueError, match="Monte Carlo"):
-        onpolicy_cov_estimate(tree, piD, piHat, [0], 4.0)
+        onpolicy_cov_estimate(piD, tree, [0], 4.0)

@@ -47,6 +47,8 @@ def refused(tmp_path, capsys, cfg, match):
 
 
 BAD_METRICS = {
+    "unknown mode": ({"mode": "sampled"}, "metrics.mode must be"),
+    "mode None": ({"mode": None}, "metrics.mode must be"),
     "empty n_grid": ({"n_grid": []}, "nonempty list of numbers"),
     "n_grid not a list": ({"n_grid": 2}, "nonempty list of numbers"),
     "string in n_grid": ({"n_grid": [2, "8"]}, "nonempty list of numbers"),
@@ -404,6 +406,48 @@ def test_wrongly_typed_config_is_a_config_error(tmp_path, capsys,
     assert out.out == ""
     assert json.loads(out.err)["kind"] == "validation"
     assert not (tmp_path / "out" / "runs").exists()
+
+
+@pytest.mark.parametrize("case", ["list", "string", "task", "learner",
+                                  "out_dir", "root_seed"])
+def test_config_that_is_no_object_or_lacks_a_key_is_refused(
+        tmp_path, capsys, monkeypatch, case):
+    monkeypatch.setattr(harness, "run_learner", must_not_run)
+    if case in ("list", "string"):
+        cfg = [config(tmp_path)] if case == "list" else "config"
+        match = "config must be a JSON object"
+    else:
+        cfg = config(tmp_path)
+        del cfg[case]
+        match = f"missing config key {case!r}"
+    with pytest.raises(ConfigError, match=match):
+        harness.validate_config(cfg)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert match in json.loads(out.err)["error"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["eval-coverage", "bon"])
+def test_task_file_with_another_key_exits_2_before_output(tmp_path, capsys,
+                                                          command):
+    task = tmp_path / "task.json"
+    task.write_text(json.dumps({"name": "bernoulli",
+                                "params": {"p_star": 0.3}, "seed": 1}))
+    pi_hat = tmp_path / "pi_hat.json"
+    pi_hat.write_text(json.dumps(
+        {"type": "tabular", "V": 2, "H": 1,
+         "tables": [{"x": 0, "prefix": [], "p": [0.9, 0.1]}]}))
+    assert main([command, "--task", str(task), "--pi-hat", str(pi_hat),
+                 "--N-grid", "2"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    err = json.loads(out.err)
+    assert err == {"error": "task file must have only 'name' and 'params'",
+                   "kind": "validation"}
 
 
 def test_run_sizes_the_exact_work_once_per_task_point(tmp_path, capsys,

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from covkit import harness
+from covkit import harness, training
 from covkit.harness import (CSV_VERSION, ConfigError, build_task, gen_data,
                             run, validate_config)
 
@@ -178,6 +178,21 @@ def test_mle_learner_path(tmp_path):
     cfg["sweep"] = {"axes": {}, "seeds": [1]}
     run(cfg)
     assert (tmp_path / "sweep.csv").exists()
+    summary = json.loads((tmp_path / "runs" / "p000_s1" /
+                          "summary.json").read_text())
+    assert summary["flags"] == []
+
+
+def test_mle_out_of_iterations_is_flagged(tmp_path, monkeypatch):
+    monkeypatch.setattr(training, "MLE_MAX_ITERS", 1)
+    cfg = base_config(tmp_path)
+    cfg["learner"] = {"name": "mle", "train": {"T": 200}}
+    cfg["sweep"] = {"axes": {}, "seeds": [1, 2]}
+    run(cfg)
+    for seed in (1, 2):
+        summary = json.loads((tmp_path / "runs" / f"p000_s{seed}" /
+                              "summary.json").read_text())
+        assert summary["flags"] == ["mle-not-converged"]
 
 
 def test_task_checks_run_before_any_sampling(tmp_path, monkeypatch):

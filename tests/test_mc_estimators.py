@@ -59,11 +59,11 @@ def test_mc_estimators_equal_oracle(name, piD, piHat, mu):
                                        delta=0.1)
     assert same(curve.values, values) and same(curve.half_widths, hw)
     prompts = [0, 1, 1, 2, 0, 1]
-    for args in ((piD, piD, piHat), (piHat, piHat, piD)):
-        got = onpolicy_cov_estimate(*args, prompts, 2.0, mode="mc", m=40,
-                                    rng=rng(4))
-        assert same(got, mc_oracle.onpolicy_cov_mc(*args, prompts, 2.0, 40,
-                                                   rng(4)))
+    for piPrime, pi in ((piD, piHat), (piHat, piD)):
+        got = onpolicy_cov_estimate(piPrime, pi, prompts, 2.0, mode="mc",
+                                    m=40, rng=rng(4))
+        assert same(got, mc_oracle.onpolicy_cov_mc(pi, piPrime, pi, prompts,
+                                                   2.0, 40, rng(4)))
 
 
 def test_tournament_matrix_equals_per_pair_coverage():

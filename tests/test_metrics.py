@@ -257,16 +257,19 @@ def test_empirical_pairwise_cov_consistency():
 
 def test_onpolicy_cov_estimate():
     piD, piHat = ber(0.5), ber(0.05)
-    assert onpolicy_cov_estimate(piD, piD, piD, [0], 2.0) == 0.0
+    assert onpolicy_cov_estimate(piD, piD, [0], 2.0) == 0.0
+    # Markov: P_pi(piPrime / pi >= N) <= 1/N, attained by a point mass
+    # on a response of pi-probability 1/N.
     det = ber(1.0)
-    assert onpolicy_cov_estimate(det, piD, piHat, [0], 4.0) == 1.0
+    assert onpolicy_cov_estimate(det, ber(0.25), [0], 4.0) == 0.25
     rng = SeedTree(10).rng()
-    exact = onpolicy_cov_estimate(piD, piD, piHat, [0], 4.0)
-    mc = onpolicy_cov_estimate(piD, piD, piHat, [0], 4.0, mode="mc",
+    exact = onpolicy_cov_estimate(piD, piHat, [0], 4.0)
+    assert math.isclose(exact, 0.05, rel_tol=1e-12)
+    mc = onpolicy_cov_estimate(piD, piHat, [0], 4.0, mode="mc",
                                m=10 ** 4, rng=rng)
     assert abs(mc - exact) <= 3 * math.sqrt(0.25 / 10 ** 4)
     with pytest.raises(ValueError):
-        onpolicy_cov_estimate(piD, piD, piHat, [0], 4.0, mode="mc", m=0)
+        onpolicy_cov_estimate(piD, piHat, [0], 4.0, mode="mc", m=0)
 
 
 def test_log_ratio_atoms_sum_to_one():
@@ -300,7 +303,7 @@ def test_hellinger_tail_refuses_bad_N_or_delta(N, delta):
 def test_onpolicy_estimate_refuses_N_below_one(mode, N):
     piD, piHat = ber(0.5), ber(0.05)
     with pytest.raises(ValueError, match="N must be >= 1"):
-        onpolicy_cov_estimate(piD, piD, piHat, [0], N, mode=mode, m=4,
+        onpolicy_cov_estimate(piD, piHat, [0], N, mode=mode, m=4,
                               rng=SeedTree(1).rng())
 
 

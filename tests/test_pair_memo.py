@@ -327,10 +327,11 @@ def test_sparse_pid_beyond_v_to_the_h_is_walked_exactly():
     ratios, probs = metrics.log_ratio_atoms(D, Hm, mu)
     assert len(ratios) == 1 and probs.tolist() == [1.0]
     assert math.isclose(ratios[0], -sum(log_h), rel_tol=1e-12)
-    # The same path under a uniform piHat: log ratio H log V.
+    # On piD's own path, a uniform policy has log ratio -H log V < 0, so
+    # only piD covers it at N = 1.
     U = TabularModel({(0, ()): np.full(V, 1.0 / V)}, V=V, H=H)
-    got = metrics.onpolicy_cov_estimate(D, D, U, [0, 0], V ** H / 2.0)
-    assert got == 1.0
+    assert metrics.onpolicy_cov_estimate(D, D, [0, 0], 1.0) == 1.0
+    assert metrics.onpolicy_cov_estimate(U, D, [0, 0], 1.0) == 0.0
     fm = CallableFeatureMap(lambda x, pre: np.array([len(pre), pre[-1]]),
                             d=2, B=99.0)
     assert sigma_star_sq(D, fm, mu) == 0.0     # piD is deterministic
@@ -351,7 +352,7 @@ def test_walk_budget_is_summed_over_the_walked_prompts():
         with pytest.raises(ValueError, match="Monte Carlo"):
             metrics.seq_kl(D, Hm, mu)
     with pytest.raises(ValueError, match="Monte Carlo"):
-        metrics.onpolicy_cov_estimate(D, Hm, D, [0, 1], 4.0)
+        metrics.onpolicy_cov_estimate(Hm, D, [0, 1], 4.0)
     # The cache holds one law: caching prompt 1's drops prompt 0's, which
     # is then walked again.
     for x in (1, 0):
@@ -521,5 +522,5 @@ def test_negative_or_non_finite_weight_is_refused(fn, bad):
 def test_onpolicy_estimate_refuses_empty_prompts(mode):
     D, Hm, _ = make_pair(0)
     with pytest.raises(ValueError, match="prompts is empty"):
-        metrics.onpolicy_cov_estimate(D, Hm, D, [], 2.0, mode=mode, m=4,
+        metrics.onpolicy_cov_estimate(Hm, D, [], 2.0, mode=mode, m=4,
                                       rng=np.random.default_rng(0))

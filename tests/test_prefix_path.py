@@ -191,12 +191,13 @@ def test_two_policy_walk_equals_tuple_walker():
         for x in PROMPTS:
             assert_walks_equal(tree_walk(bar, x, [A, B]),
                                tuple_tree_walk(ref_bar, x, [refA, refB]))
-        # onpolicy_cov_estimate reduces the same two-policy walk.
+        # onpolicy_cov_estimate reduces a walk of bar against one policy.
         for N in (1.5, 4.0):
-            got = metrics.onpolicy_cov_estimate(bar, A, B, PROMPTS * 2, N)
-            want = metrics.onpolicy_cov_estimate(ref_bar, refA, refB,
-                                                 PROMPTS * 2, N)
-            assert got == want
+            for q, ref_q in ((A, refA), (B, refB)):
+                got = metrics.onpolicy_cov_estimate(q, bar, PROMPTS * 2, N)
+                want = metrics.onpolicy_cov_estimate(ref_q, ref_bar,
+                                                     PROMPTS * 2, N)
+                assert got == want
 
 
 def test_tree_walk_default_prefix_dists_equals_tuple_walker():

@@ -117,7 +117,8 @@ def test_block_grad_refuses_tokens_outside_the_vocabulary(kind, bad):
 
 
 @pytest.mark.parametrize("kind", ["product", "prefix"])
-def test_mle_fit_equals_the_per_example_loop_on_interleaved_prompts(kind):
+def test_mle_fit_equals_the_per_example_loop_on_interleaved_prompts(
+        kind, monkeypatch):
     model, rng = instance(kind, 1)
     n = 40
     xs = [int(rng.integers(2)) for _ in range(n)]
@@ -125,7 +126,9 @@ def test_mle_fit_equals_the_per_example_loop_on_interleaved_prompts(kind):
     Y = rng.integers(0, model.V, size=(n, model.H))
     ds = Dataset(xs, Y, model.H, model.V)
     args = (ds, model.featmap, model.V, model.H)
-    got = mle_fit(*args, tol=1e-6, max_iters=40)
+    monkeypatch.setattr(training, "MLE_TOL", 1e-6)
+    monkeypatch.setattr(training, "MLE_MAX_ITERS", 40)
+    got = mle_fit(*args)
     want = train_oracle.mle_fit(*args, tol=1e-6, max_iters=40)
     assert same_bits(got.theta, want.theta)
     assert (got.converged, got.iters) == (want.converged, want.iters)
@@ -152,7 +155,7 @@ def block_mle_fit(dataset, featmap, V, H, tol=1e-8, max_iters=10 ** 5):
     return theta, False, max_iters, gnorm
 
 
-def test_mle_fit_count_rows_are_the_per_iteration_block_calls():
+def test_mle_fit_count_rows_are_the_per_iteration_block_calls(monkeypatch):
     # The 10,000-row product group of the near-zero-theta MLE test, and
     # interleaved product and prefix-dependent instances.
     fm = bernoulli_featmap(1.0)
@@ -165,8 +168,9 @@ def test_mle_fit_count_rows_are_the_per_iteration_block_calls():
         Y = rng.integers(0, model.V, size=(60, model.H))
         cases.append((Dataset(xs, Y, model.H, model.V), model.featmap,
                       model.V, model.H))
+    monkeypatch.setattr(training, "MLE_MAX_ITERS", 60)
     for args in cases:
-        got = mle_fit(*args, max_iters=60)
+        got = mle_fit(*args)
         want = block_mle_fit(*args, max_iters=60)
         assert same_bits(got.theta, want[0])
         assert (got.converged, got.iters, got.grad_map_norm) == want[1:]

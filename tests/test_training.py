@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from covkit import training
 from covkit.core import Dataset, FinitePromptDist, sample_dataset
 from covkit.models import LinearARModel
 from covkit.seeding import SeedTree
@@ -40,12 +41,13 @@ def test_checkpoint_iters():
 
 # ------------------------------------------------------------------- MLE
 
-def test_mle_saturated_boundary():
+def test_mle_saturated_boundary(monkeypatch):
     # All-ones coin dataset: theta* at boundary +1; p = e^B/(e^B + e^-B).
+    monkeypatch.setattr(training, "MLE_TOL", 1e-10)
     B = 1.5
     fm = bernoulli_featmap(B)
     ds = Dataset([0] * 30, [[1]] * 30, H=1, V=2)
-    res = mle_fit(ds, fm, V=2, H=1, tol=1e-10)
+    res = mle_fit(ds, fm, V=2, H=1)
     # independent 1-d grid-search oracle over theta in [-1, 1]
     grid = np.linspace(-1, 1, 20001)
     lik = grid * B - np.logaddexp(grid * B, -grid * B)
@@ -77,6 +79,13 @@ def test_mle_duplication_invariance():
 def test_mle_empty_dataset():
     with pytest.raises(ValueError):
         mle_fit(Dataset([], [], H=1, V=2), bernoulli_featmap(1.0), V=2, H=1)
+
+
+@pytest.mark.parametrize("H", [1, 3])
+def test_mle_refuses_a_dataset_of_another_horizon(H):
+    ds = Dataset([0, 0], [[1, 0], [0, 1]], H=2, V=2)
+    with pytest.raises(ValueError, match="full length H"):
+        mle_fit(ds, bernoulli_featmap(1.0), V=2, H=H)
 
 
 # ------------------------------------------------------------------- SGD

@@ -12,10 +12,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 
-from .core import load_jsonl
+from .core import check_number, load_jsonl
 from .decoding import adversarial_reward, bon_regret
 from .harness import (ConfigError, build_task, check_n_grid, config_errors,
                       gen_data, run)
@@ -38,7 +37,7 @@ def load_policy(path: str) -> TabularModel:
         if isinstance(x, list):
             x = tuple(x)
         tables[(x, tuple(row["prefix"]))] = row["p"]
-    return TabularModel(tables, V=int(spec["V"]), H=int(spec["H"]),
+    return TabularModel(tables, V=spec["V"], H=spec["H"],
                         default=spec.get("default"))
 
 
@@ -48,12 +47,6 @@ def _load_task_file(path: str):
     if set(spec) - {"name", "params"}:
         raise ConfigError("task file must have only 'name' and 'params'")
     return build_task(spec["name"], spec.get("params", {}))
-
-
-def _check_flag(ok: bool, flag: str, value, want: str):
-    """Refuse a flag value (exit 2) unless `ok`."""
-    if not ok:
-        raise ConfigError(f"--{flag} must be {want}, got {value!r}")
 
 
 def _check_shape(piD, piHat):
@@ -74,7 +67,7 @@ def cmd_run(args) -> int:
 
 def cmd_gen_data(args) -> int:
     with config_errors():
-        _check_flag(args.n >= 1, "n", args.n, ">= 1")
+        check_number("--n", args.n, 1, integer=True)
         params = json.loads(args.params)
     gen_data(args.task, params, args.n, args.seed, args.out,
              header_path=args.header)
@@ -85,8 +78,7 @@ def cmd_gen_data(args) -> int:
 def cmd_eval_coverage(args) -> int:
     with config_errors():
         if args.mode == "mc":
-            _check_flag(args.n_samples >= 2, "n-samples", args.n_samples,
-                        ">= 2")
+            check_number("--n-samples", args.n_samples, 2, integer=True)
         task = _load_task_file(args.task)
         if args.mode == "exact" and not hasattr(task.mu, "items"):
             raise ConfigError("exact metrics need an enumerable prompt "
@@ -107,10 +99,8 @@ def cmd_eval_coverage(args) -> int:
 
 def cmd_tournament(args) -> int:
     with config_errors():
-        _check_flag(math.isfinite(args.N) and args.N >= 1, "N", args.N,
-                    "a finite number >= 1")
-        _check_flag(math.isfinite(args.gamma) and args.gamma >= 0, "gamma",
-                    args.gamma, "a finite number >= 0")
+        check_number("--N", args.N, 1)
+        check_number("--gamma", args.gamma, 0)
         cands = CandidateClass([load_policy(p) for p in args.candidates])
         first = cands.candidates[0]
         dataset = load_jsonl(args.data, H=first.H, V=first.V)
@@ -128,9 +118,8 @@ def cmd_tournament(args) -> int:
 
 def cmd_bon(args) -> int:
     with config_errors():
-        _check_flag(math.isfinite(args.reward_scale) and args.reward_scale > 0,
-                    "reward-scale", args.reward_scale, "a finite number > 0")
-        _check_flag(args.trials >= 100, "trials", args.trials, ">= 100")
+        check_number("--reward-scale", args.reward_scale, 0, lo_open=True)
+        check_number("--trials", args.trials, 100, integer=True)
         task = _load_task_file(args.task)
         piHat = load_policy(args.pi_hat)
         _check_shape(task.piD, piHat)

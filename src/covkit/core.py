@@ -40,6 +40,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import numbers
 import operator
 from dataclasses import dataclass
@@ -372,8 +373,7 @@ def sample_dataset(policy: Policy, mu, n: int, rng: np.random.Generator,
     `from_uniforms` (a `FinitePromptDist`), the same examples that drawing
     each prompt and then its response, example by example, gives.
     """
-    if not n >= 1:
-        raise ValueError("n must be >= 1")
+    check_number("n", n, 1, integer=True)
     xs, Y = draw_examples(policy, mu, n, rng)
     return Dataset(xs, Y, H=policy.H, V=policy.V,
                    seed_info=dict(seed_info or {}))
@@ -444,11 +444,38 @@ def logprob_matrix(policies, dataset: Dataset) -> np.ndarray:
     return lp
 
 
-def check_integer(name: str, v):
-    """Raise a ValueError naming `name` unless v is an integer and not a
-    bool (a JSON true would otherwise pass as 1)."""
-    if not isinstance(v, numbers.Integral) or isinstance(v, bool):
-        raise ValueError(f"{name} must be an integer, got {v!r}")
+def check_number(name: str, v, lo=None, hi=None, *, lo_open=False,
+                 hi_open=False, integer=False):
+    """Raise a ValueError naming `name` and its range unless v is a real
+    number (numpy scalars included, bools not: a JSON true would pass as
+    1) with lo <= v <= hi, each bound strict if its `*_open` is set and
+    absent if None, and an integer if `integer`.  NaN is refused, and so
+    is +-inf unless a closed bound of +-inf admits it."""
+    if isinstance(v, numbers.Integral):
+        ok = not isinstance(v, bool)
+    else:
+        ok = isinstance(v, numbers.Real) and not integer and (
+            math.isfinite(v) or v in (lo, hi))
+    if ok and (lo is None or (v > lo if lo_open else v >= lo)) and \
+            (hi is None or (v < hi if hi_open else v <= hi)):
+        return
+    # The message reads a closed bound of +-inf as no bound, inf admitted.
+    finite = not integer
+    if hi == math.inf and not hi_open:
+        hi, finite = None, False
+    if lo == -math.inf and not lo_open:
+        lo, finite = None, False
+    tail = " and an integer" if integer else " and finite" if finite else ""
+    if lo is not None and hi is not None:
+        where = f"lie in {'(['[not lo_open]}{float(lo):g}, " \
+                f"{float(hi):g}{')]'[not hi_open]}" + tail * integer
+    elif lo is not None:
+        where = f"be {'>' if lo_open else '>='} {float(lo):g}{tail}"
+    elif hi is not None:
+        where = f"be {'<' if hi_open else '<='} {float(hi):g}{tail}"
+    else:
+        where = "be an integer" if integer else "be a finite number"
+    raise ValueError(f"{name} must {where}, got {v!r}")
 
 
 ENUM_BUDGET = 10 ** 6

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .core import Policy, group_prompts, sample_prompts
+from .core import Policy, check_number, group_prompts, sample_prompts
 from .metrics import covers, hoeffding_half_width
 from .models import LinearARModel, candidate_dists, token_steps
 
@@ -44,8 +44,7 @@ class TTTPolicy(Policy):
 
 def best_of_n(policy: Policy, reward, x, N: int, rng) -> tuple:
     """Draw N i.i.d. responses; return the first attaining maximal reward."""
-    if not N >= 1:
-        raise ValueError("N must be >= 1")
+    check_number("N", N, 1, integer=True)
     draws = policy.sample_many(x, N, rng)
     return tuple(draws[int(np.argmax(_rewards(reward, x, draws)))].tolist())
 
@@ -60,10 +59,8 @@ def bon_regret(policy: Policy, piT: Policy, reward, mu, N: int, trials: int,
     the response `best_of_n` would return.  The per-trial difference lies
     in [-1, 1], so the half-width carries a range factor of 2.
     """
-    if not trials >= 100:
-        raise ValueError("trials must be >= 100")
-    if not N >= 1:
-        raise ValueError("N must be >= 1")
+    check_number("trials", trials, 100, integer=True)
+    check_number("N", N, 1, integer=True)
     hw = 2.0 * hoeffding_half_width(trials, delta)    # refuses a bad delta
     total = 0.0
     for x, idx in group_prompts(sample_prompts(mu, trials, rng)).items():
@@ -92,8 +89,7 @@ class AdversarialReward:
     """
 
     def __init__(self, piT: Policy, piHat: Policy, N: float):
-        if not N > 0:
-            raise ValueError("N must be > 0")
+        check_number("N", N, 0, lo_open=True)
         self.piT = piT
         self.piHat = piHat
         self.log_thresh = math.log(2.0 * N)

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import Policy, check_integer
+from .core import Policy, check_number
 
 TEASER_CLASSES = ("G1", "G2", "G3")
 HORIZON_CLASSES = ("GH1", "GH2", "GH3")
@@ -33,8 +33,10 @@ class GraphConfig:
     nodes_per_layer: int = 4
 
     def __post_init__(self):
-        for name in ("m", "L", "nodes_per_layer"):
-            check_integer(name, getattr(self, name))
+        check_number("m", self.m, integer=True)
+        check_number("L", self.L, 0, integer=True)
+        check_number("nodes_per_layer", self.nodes_per_layer, 1,
+                     integer=True)
         if self.m < self.L * self.nodes_per_layer + 2:
             raise ValueError("node universe too small for disjoint layers")
         if self.m % 2 != 0:

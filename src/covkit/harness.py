@@ -22,7 +22,8 @@ import numpy as np
 
 from . import tasks as _tasks
 from . import training
-from .core import check_enum_budget, sample_dataset, save_jsonl
+from .core import (check_enum_budget, check_number, sample_dataset,
+                   save_jsonl)
 from .metrics import (MetricReport, PairLaw, StackLaw, mc_report,
                       positive_weights, tree_walk)
 from .models import LinearARModel
@@ -143,13 +144,11 @@ def _check_metrics(metrics: dict) -> dict:
         raise ConfigError("metrics.mode must be 'exact' or 'mc'")
     check_n_grid(metrics["n_grid"])
     metrics["n_grid"] = list(metrics["n_grid"])
-    v = metrics["n_samples"]
-    if metrics["mode"] == "mc" and not (type(v) is int and v >= 2):
-        raise ConfigError(f"metrics.n_samples must be an integer >= 2, "
-                          f"got {v!r}")
-    delta = metrics["delta"]
-    if not (type(delta) in (int, float) and 0 < delta < 1):
-        raise ConfigError(f"metrics.delta must lie in (0, 1), got {delta!r}")
+    if metrics["mode"] == "mc":
+        check_number("metrics.n_samples", metrics["n_samples"], 2,
+                     integer=True)
+    check_number("metrics.delta", metrics["delta"], 0, 1, lo_open=True,
+                 hi_open=True)
     return metrics
 
 
@@ -172,9 +171,7 @@ def validate_config(cfg: dict) -> dict:
     for key in ("task", "learner", "out_dir", "root_seed"):
         if key not in cfg:
             raise ConfigError(f"missing config key {key!r}")
-    if type(cfg["root_seed"]) is not int:
-        raise ConfigError(f"root_seed must be an integer, got "
-                          f"{cfg['root_seed']!r}")
+    check_number("root_seed", cfg["root_seed"], integer=True)
     task = cfg["task"]
     _check_keys(task, {"name", "params"}, "task")
     if task.get("name") not in TASKS:
@@ -195,8 +192,10 @@ def validate_config(cfg: dict) -> dict:
     axes = _object(sweep.get("axes", {}), "sweep.axes")
     seeds = sweep.get("seeds", [0])
     # A seed names a run directory and a seed subtree: distinct ints only.
-    if not (isinstance(seeds, list) and seeds and all(
-            type(v) is int for v in seeds) and len(set(seeds)) == len(seeds)):
+    for i, v in enumerate(seeds if isinstance(seeds, list) else ()):
+        check_number(f"sweep.seeds[{i}]", v, integer=True)
+    if not (isinstance(seeds, list) and seeds and
+            len(set(seeds)) == len(seeds)):
         raise ConfigError(f"sweep.seeds must be a nonempty list of distinct "
                           f"integers, got {seeds!r}")
     task_params = _object(task.get("params", {}), "task.params")

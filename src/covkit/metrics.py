@@ -59,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ENUM_BUDGET, Policy, check_enum_budget, check_integer,
+from .core import (ENUM_BUDGET, Policy, check_enum_budget, check_number,
                    group_prompts, logprob_matrix, prefix_levels,
                    sample_prompts)
 
@@ -307,9 +307,8 @@ class PairLaw:
                 np.exp(lpD) @ np.where(peaks[0] >= logN, logN, sums[0])))
 
     def hellinger_tail(self, N: float, delta: float) -> float:
-        if not (N >= 1 and 0.0 < delta <= 1.0):
-            raise ValueError(f"the Hellinger tail needs N >= 1 and delta in "
-                             f"(0, 1], got N = {N!r}, delta = {delta!r}")
+        check_number("N", N, 1, math.inf)
+        check_number("delta", delta, 0, 1, lo_open=True)
         thr = math.log(N / delta)
         return self._reduce(
             lambda pD, pH, H: float(
@@ -505,9 +504,8 @@ def mc_report(piD: Policy, piHat: Policy, mu_sampler, Ns, n_samples: int,
     """seq_kl (the mean of log piD - log piHat, as its mc mode takes it)
     and the coverage curve of one draw of n_samples from mu x piD.  Every
     argument is checked before the draw."""
-    if not n_samples >= 2:
-        raise ValueError("n_samples must be >= 2")
-    _check_delta(delta)
+    check_number("n_samples", n_samples, 2, integer=True)
+    check_number("delta", delta, 0, 1, lo_open=True, hi_open=True)
     if interval not in ("hoeffding", "wilson"):
         raise ValueError(f"unknown interval {interval!r}")
     Ns = _thresholds(Ns)
@@ -528,8 +526,7 @@ def _mc_values(piD, mu_sampler, n, rng, value):
     drawn.  All n prompts are drawn first; then each distinct prompt, in
     order of first appearance, gets its responses Y from one sample_many
     call.  `value` must not draw from rng, whose draws it sits between."""
-    if n is None or not n >= 1:
-        raise ValueError("mc mode requires n >= 1")
+    check_number("n", n, 1, integer=True)
     out = np.empty(n)
     for x, idx in group_prompts(sample_prompts(mu_sampler, n, rng)).items():
         out[idx] = value(x, piD.sample_many(x, len(idx), rng))
@@ -591,8 +588,7 @@ def step_kl(pD: np.ndarray, pH: np.ndarray) -> float:
 
 
 def _log_cap(N):
-    if not N > 1:
-        raise ValueError("N must be > 1")
+    check_number("N", N, 1, math.inf, lo_open=True)
     return math.log(N)
 
 
@@ -624,8 +620,7 @@ def stepwise_hellinger_tail(piD: Policy, piHat: Policy, mu_items, N: float,
 
 def kl_to_cov_bound(kl: float, N: float) -> float:
     """Upper bound on Pcov_N implied by KL: kl / (log N - 1 + 1/N)."""
-    if not N > math.e:
-        raise ValueError("N must exceed e for a positive denominator")
+    check_number("N", N, math.e, math.inf, lo_open=True)
     return kl / (math.log(N) - 1.0 + 1.0 / N)
 
 
@@ -642,7 +637,7 @@ def pairwise_cov_matrix(policies, dataset, N: float) -> np.ndarray:
     """M[i, j]: fraction of `dataset` points with log policies[i] -
     log policies[j] >= log N, zero on the diagonal, from one (K, n)
     log-prob matrix, so each example is scored K times."""
-    _check_N(N)
+    check_number("N", N, 1, math.inf)
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
     lp = logprob_matrix(policies, dataset)
@@ -679,7 +674,7 @@ def onpolicy_cov(policies, pi: Policy, prompts, N: float, mode="exact",
     prompt in one pi.sample_many call and scores pi once and every policy
     on them, sharing the prefix levels; m must be an integer >= 1.
     """
-    _check_N(N)
+    check_number("N", N, 1, math.inf)
     if len(prompts) == 0:
         raise ValueError("prompts is empty")
     logN = math.log(N)
@@ -693,9 +688,7 @@ def onpolicy_cov(policies, pi: Policy, prompts, N: float, mode="exact",
             for k, hit in enumerate(covers(lps, lp, logN)):
                 total[k] += c * float(p[hit].sum())
     elif mode == "mc":
-        check_integer("m", m)
-        if m < 1:
-            raise ValueError(f"mc mode requires m >= 1, got {m!r}")
+        check_number("m", m, 1, integer=True)
         for x, idx in group_prompts(prompts).items():
             Y, levels = pi.sample_many(x, len(idx) * m, rng), {}
             lp = pi._logprob_rows(x, Y, levels)
@@ -714,19 +707,8 @@ def onpolicy_cov_estimate(piPrime: Policy, pi: Policy, prompts, N: float,
     return float(onpolicy_cov([piPrime], pi, prompts, N, mode, m, rng)[0])
 
 
-def _check_N(N):
-    if not N >= 1:
-        raise ValueError(f"N must be >= 1, got {N!r}")
-
-
-def _check_delta(delta):
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
-
-
 def hoeffding_half_width(n: int, delta: float = 0.05) -> float:
     """sqrt(log(2/delta) / 2n), for n >= 1 and delta in (0, 1)."""
-    if not n >= 1:
-        raise ValueError(f"n must be >= 1, got {n!r}")
-    _check_delta(delta)
+    check_number("n", n, 1, integer=True)
+    check_number("delta", delta, 0, 1, lo_open=True, hi_open=True)
     return math.sqrt(math.log(2.0 / delta) / (2 * n))

@@ -11,7 +11,8 @@ import types
 
 import numpy as np
 
-from .core import Policy, draw_examples, group_prompts, prefix_levels
+from .core import (Policy, check_number, draw_examples, group_prompts,
+                   prefix_levels)
 from .metrics import positive_weights, tree_walk
 
 _STEP_CACHE_LIMIT = 4096
@@ -220,6 +221,8 @@ class TabularModel(Policy):
     """
 
     def __init__(self, tables: dict, V: int, H: int, default=None):
+        check_number("V", V, 1, integer=True)
+        check_number("H", H, 1, integer=True)
         V, H = int(V), int(H)
         self.V, self.H = V, H
         if V ** max(H - 1, 0) > _INT64_MAX:
@@ -417,8 +420,7 @@ def sigma_star_sq(piD: Policy, featmap: FeatureMap, mu_items, mode="exact",
             total += w * float(np.exp(lpD) @ sums[0])
         return total
     if mode == "mc":
-        if n is None or not n >= 2:
-            raise ValueError("mc mode requires n >= 2")
+        check_number("n", n, 2, integer=True)
         vals = np.empty(n)
         xs, Y = draw_examples(piD, mu_items, n, rng)
         for x, idx in group_prompts(xs).items():

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import logprob_matrix
+from .core import check_number, logprob_matrix
 from .metrics import onpolicy_cov, pairwise_cov_matrix
 
 
@@ -79,9 +79,8 @@ def offset_tournament(candidates: CandidateClass, dataset, N: float,
     distinct prompt and asks each candidate once per level.  `mode` is
     "exact", "mc" (m responses per prompt) or None (mc if V^H > 1e4).
     """
-    if not (N >= 1 and 0 <= gamma < math.inf):
-        raise ValueError(f"need N >= 1 and finite gamma >= 0, got {N}, "
-                         f"{gamma}")
+    check_number("N", N, 1, math.inf)
+    check_number("gamma", gamma, 0)
     cands = candidates.candidates
     if N < 8.0 * gamma ** 2:
         warnings.warn("offset tournament precondition N >= 8 gamma^2 "

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FinitePromptDist, Policy, check_integer
+from .core import FinitePromptDist, Policy, check_number
 from .models import CallableFeatureMap, FeatureMap, LinearARModel, TabularModel
 
 
@@ -35,15 +35,13 @@ class TaskInstance:
 
 def bernoulli_model(p: float, prompt=0) -> TabularModel:
     """Single-step coin: token 1 with probability p."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
+    check_number("p", p, 0, 1)
     return TabularModel({(prompt, ()): np.array([1.0 - p, p])}, V=2, H=1)
 
 
 def bernoulli_task(p_star: float) -> TaskInstance:
     """Coin-flip data distribution with bias p_star in (0, 1/2)."""
-    if not 0.0 < p_star < 0.5:
-        raise ValueError("p_star must lie in (0, 1/2)")
+    check_number("p_star", p_star, 0, 0.5, lo_open=True, hi_open=True)
     mu = FinitePromptDist([0], [1.0])
     return TaskInstance(mu=mu, piD=bernoulli_model(p_star),
                         metadata={"p_star": p_star})
@@ -70,10 +68,8 @@ def heterogeneous_kl_instance(n: int, H: int) -> TaskInstance:
     theta* = 1, so the rare prompt emits +1 tokens with probability
     e / (e + 1/e) per step.
     """
-    check_integer("n", n)
-    check_integer("H", H)
-    if not (n >= 1 and H >= 1):
-        raise ValueError("n and H must be positive")
+    check_number("n", n, 1, integer=True)
+    check_number("H", H, 1, integer=True)
 
     def tables(x):
         if x == 0:
@@ -106,12 +102,14 @@ def sgd_lower_instance(variant: str, H: int, B: float, Bbar: float | None = None
     two orthogonal scalar problems so that small steps cannot cover the
     rare prompt.
     """
-    check_integer("H", H)
+    check_number("H", H, 1, integer=True)
+    check_number("B", B, 0, lo_open=True)
     if n is not None:
-        check_integer("n", n)
+        check_number("n", n, 1, integer=True)
     if variant == "large_eta":
         if eta is None:
             raise ValueError("variant 'large_eta' requires eta")
+        check_number("eta", eta, 0, lo_open=True)
         if not eta * H * B >= 8.0:
             raise ValueError(
                 f"constraint violated: eta*H*B >= 8 required, "
@@ -135,12 +133,8 @@ def sgd_lower_instance(variant: str, H: int, B: float, Bbar: float | None = None
     elif variant == "small_eta":
         if Bbar is None or N is None or n is None:
             raise ValueError("variant 'small_eta' requires (Bbar, N, n)")
-        if not 1.0 <= Bbar <= B:
-            raise ValueError(
-                f"constraint violated: B >= Bbar >= 1 required, "
-                f"got B={B}, Bbar={Bbar}")
-        if not N > 1:
-            raise ValueError("N must be > 1")
+        check_number("Bbar", Bbar, 1, B)
+        check_number("N", N, 1, lo_open=True)
         vals = np.array(SGD_TOKEN_VALUES, dtype=float)
         plus_table = np.stack([Bbar * vals, np.zeros(3)], axis=1)
         minus_table = np.stack([np.zeros(3), Bbar * vals], axis=1)
@@ -170,8 +164,11 @@ def sigma_star_instance(H: int, B: float, N: float, n: int,
     so each step of the "+" prompt is an independent logistic coin.  The
     rare-prompt probability scales like H / (n log N).
     """
-    check_integer("H", H)
-    check_integer("n", n)
+    check_number("H", H, 1, integer=True)
+    check_number("B", B, 0, lo_open=True)
+    check_number("N", N, 1, lo_open=True)
+    check_number("n", n, 1, integer=True)
+    check_number("c", c, 0, lo_open=True)
     if not math.log(N) <= c * min(H, B * B):
         raise ValueError(
             f"precondition violated: log N <= {c} * min(H, B^2) required, "
@@ -206,10 +203,8 @@ def misspec_instance(alpha: float, M: float):
     Likelihood-based selection therefore favors candidate 1 while
     coverage tournaments favor candidate 0.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must lie in (0, 1]")
-    if not M > math.exp(alpha):
-        raise ValueError("M must exceed e^alpha")
+    check_number("alpha", alpha, 0, 1, lo_open=True)
+    check_number("M", M, math.exp(alpha), lo_open=True)
     p = alpha / (32.0 * math.log(M))
     mu = FinitePromptDist(["+", "-"], [1.0 - p, p])
 

@@ -25,14 +25,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import check_integer, draw_examples
+from .core import check_number, draw_examples
 from .metrics import step_kl
 from .models import (FeatureMap, candidate_dists, count_rows, grad_logprob,
                      grad_logprob_token, project_unit_ball, token_step)
-
-
-def _is_bool(v) -> bool:
-    return isinstance(v, (bool, np.bool_))
 
 
 @dataclass
@@ -48,42 +44,29 @@ class TrainConfig:
     theta0: np.ndarray | None = None
 
     def __post_init__(self):
-        """Refuse what a learner would fail on or silently misuse.  No
-        setting, nor an entry of theta0, may be a bool."""
-        for name in ("T", "K", "checkpoint_every"):
-            check_integer(name, getattr(self, name))
-        for name in ("eta", "lam", "A", "N", "sigma_star_sq"):
-            if _is_bool(getattr(self, name)):
-                raise ValueError(f"{name} must be a number, not a bool")
-        if self.theta0 is not None and any(map(_is_bool, np.ravel(
-                np.asarray(self.theta0, dtype=object)))):
-            raise ValueError("theta0 entries must be numbers, not bools")
-        if self.T < 1:
-            raise ValueError("T must be positive")
-        if self.eta is not None and not 0 < self.eta < math.inf:
-            raise ValueError("eta must be positive and finite")
-        if self.K < 1:
-            raise ValueError("K must be >= 1")
-        if self.lam is not None and not 0 <= self.lam < math.inf:
-            raise ValueError("lambda must be >= 0 and finite")
-        if self.A is not None and not 0 < self.A < math.inf:
-            raise ValueError("A must be positive and finite")
-        if self.N is not None and not self.N > 1:
-            raise ValueError(f"N must be > 1 (log N is the coverage "
-                             f"budget), got N = {self.N!r}")
-        if self.N == math.inf:
-            raise ValueError("N must be finite")
-        if self.sigma_star_sq is not None and \
-                not 0 <= self.sigma_star_sq < math.inf:
-            raise ValueError("sigma_star_sq must be >= 0 and finite")
-        if self.checkpoint_every < 0:
-            raise ValueError("checkpoint_every must be >= 0 (0 for the "
-                             "geometric cadence)")
+        """Refuse what a learner would fail on or silently misuse: each
+        setting is a number in its range (`core.check_number`, so no bool
+        and no NaN or inf), and theta0 a finite array without bools."""
+        check_number("T", self.T, 1, integer=True)
+        check_number("K", self.K, 1, integer=True)
+        check_number("checkpoint_every", self.checkpoint_every, 0,
+                     integer=True)          # 0: the geometric cadence
+        # Step sizes and the truncation budget are positive; lam and
+        # sigma_star_sq may be 0; N > 1, as log N is the coverage budget.
+        for name, lo, lo_open in (("eta", 0, True), ("A", 0, True),
+                                  ("lam", 0, False),
+                                  ("sigma_star_sq", 0, False),
+                                  ("N", 1, True)):
+            if getattr(self, name) is not None:
+                check_number(name, getattr(self, name), lo, lo_open=lo_open)
         # The one check of theta0's values: the learners step on theta
         # arrays and build no model that would check its norm.
-        if self.theta0 is not None and \
-                not np.isfinite(np.asarray(self.theta0, dtype=float)).all():
-            raise ValueError("theta0 must be finite")
+        if self.theta0 is not None:
+            theta0 = np.asarray(self.theta0, dtype=object)
+            if any(isinstance(v, (bool, np.bool_)) for v in theta0.flat):
+                raise ValueError("theta0 entries must be numbers, not bools")
+            if not np.isfinite(theta0.astype(float)).all():
+                raise ValueError("theta0 must be finite")
 
 
 @dataclass

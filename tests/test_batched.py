@@ -251,7 +251,7 @@ def test_mc_modes_need_samples(n):
                                 mu_sampler=mu),
                  lambda: stopped_kl(pol, pol, None, 4.0, mode="mc", n=n,
                                     rng=None, mu_sampler=mu)):
-        with pytest.raises(ValueError, match=r"mc mode requires n >= 1"):
+        with pytest.raises(ValueError, match="n must be >= 1 and an integer"):
             call()
 
 

@@ -3,7 +3,8 @@ anything: a bad metrics block, a learner without the settings it needs, a
 theta0 of the wrong dimension or with a non-finite entry, a non-finite
 step size, N or sigma_star_sq, a T, K or checkpoint_every that is no
 integer, a train setting that is a bool, a task's H, n, m, L or
-nodes_per_layer that is a bool or no integer, a negative checkpoint_every, a
+nodes_per_layer that is a bool or no integer, a task's B or N that is a
+bool, inf or out of range, a negative checkpoint_every, a
 normalized schedule with N <= 1, a graph class mix that L cannot hold,
 exact metrics over the enumeration budget, or seeds, a root seed, axes or
 a version of the wrong type.  Each case exits 2 and leaves no
@@ -141,21 +142,21 @@ BAD_LEARNERS = {
         "sgd_vanilla", {"eta": 0.1, "T": 4, "checkpoint_every": -2}, None,
         "checkpoint_every must be >= 0"),
     "NaN eta": ("sgd_vanilla", {"eta": math.nan, "T": 4}, None,
-                "eta must be positive and finite"),
+                "eta must be > 0 and finite"),
     "infinite eta": ("sgd_token", {"eta": math.inf, "T": 4}, None,
-                     "eta must be positive and finite"),
+                     "eta must be > 0 and finite"),
     "NaN lambda": ("sgd_normalized", {"eta": 0.1, "lam": math.nan, "T": 4},
-                   None, "lambda must be >= 0 and finite"),
+                   None, "lam must be >= 0 and finite"),
     "NaN A": ("sgd_truncated", {"eta": 0.1, "A": math.nan, "T": 4}, None,
-              "A must be positive and finite"),
+              "A must be > 0 and finite"),
     "T not an integer": ("sgd_vanilla", {"eta": 0.1, "T": 2.5}, None,
-                         "T must be an integer"),
+                         "T must be >= 1 and an integer"),
     "K not an integer": ("sgd_normalized",
                          {"eta": 0.1, "lam": 0.5, "T": 4, "K": 1.5}, None,
-                         "K must be an integer"),
+                         "K must be >= 1 and an integer"),
     "checkpoint_every not an integer": (
         "sgd_token", {"eta": 0.1, "T": 4, "checkpoint_every": 1.5}, None,
-        "checkpoint_every must be an integer"),
+        "checkpoint_every must be >= 0 and an integer"),
     "negative sigma_star_sq": (
         "sgd_normalized", {"N": 8.0, "sigma_star_sq": -1.0, "T": 4}, None,
         "sigma_star_sq must be >= 0 and finite"),
@@ -164,28 +165,29 @@ BAD_LEARNERS = {
         "sigma_star_sq must be >= 0 and finite"),
     "infinite N": ("sgd_normalized",
                    {"N": math.inf, "sigma_star_sq": 0.5, "T": 4}, None,
-                   "N must be finite"),
+                   "N must be > 1 and finite"),
     # JSON true is no number: it trained with T = 1 or eta = 1.
     "T true": ("sgd_vanilla", {"eta": 0.1, "T": True}, None,
-               "T must be an integer, got True"),
+               "T must be >= 1 and an integer, got True"),
     "T true on an axis": ("sgd_token", {"eta": 0.1, "T": 4},
-                          {"T": [4, True]}, "T must be an integer, got True"),
+                          {"T": [4, True]},
+                          "T must be >= 1 and an integer, got True"),
     "K true": ("sgd_normalized", {"eta": 0.1, "lam": 0.5, "T": 4, "K": True},
-               None, "K must be an integer, got True"),
+               None, "K must be >= 1 and an integer, got True"),
     "checkpoint_every false": (
         "sgd_vanilla", {"eta": 0.1, "T": 4, "checkpoint_every": False}, None,
-        "checkpoint_every must be an integer, got False"),
+        "checkpoint_every must be >= 0 and an integer, got False"),
     "eta true": ("sgd_vanilla", {"eta": True, "T": 4}, None,
-                 "eta must be a number, not a bool"),
+                 "eta must be > 0 and finite, got True"),
     "lam true": ("sgd_normalized", {"eta": 0.1, "lam": True, "T": 4}, None,
-                 "lam must be a number, not a bool"),
+                 "lam must be >= 0 and finite, got True"),
     "A true": ("sgd_truncated", {"eta": 0.1, "A": True, "T": 4}, None,
-               "A must be a number, not a bool"),
+               "A must be > 0 and finite, got True"),
     "sigma_star_sq true": (
         "sgd_truncated", {"A": 1.0, "sigma_star_sq": True, "T": 4}, None,
-        "sigma_star_sq must be a number, not a bool"),
+        "sigma_star_sq must be >= 0 and finite, got True"),
     "N true": ("sgd_normalized", {"N": True, "sigma_star_sq": 0.5, "T": 4},
-               None, "N must be a number, not a bool"),
+               None, "N must be > 1 and finite, got True"),
     "theta0 entry true": ("sgd_vanilla",
                           {"eta": 0.1, "T": 4, "theta0": [True]}, None,
                           "theta0 entries must be numbers, not bools"),
@@ -221,45 +223,85 @@ def test_nan_theta0_on_sgd_lower_exits_2_before_output(tmp_path, capsys):
 # these used to build (heterogeneous_kl with H: true trained at H = 1).
 BAD_TASK_INTEGERS = {
     "heterogeneous_kl H true": ("heterogeneous_kl", {"n": 3, "H": True},
-                                "H must be an integer, got True"),
+                                "H must be >= 1 and an integer, got True"),
     "heterogeneous_kl H 2.0": ("heterogeneous_kl", {"n": 3, "H": 2.0},
-                               "H must be an integer, got 2.0"),
+                               "H must be >= 1 and an integer, got 2.0"),
     "heterogeneous_kl n 1.5": ("heterogeneous_kl", {"n": 1.5, "H": 2},
-                               "n must be an integer, got 1.5"),
+                               "n must be >= 1 and an integer, got 1.5"),
     "heterogeneous_kl n true": ("heterogeneous_kl", {"n": True, "H": 2},
-                                "n must be an integer, got True"),
+                                "n must be >= 1 and an integer, got True"),
     "sgd_lower H 8.0": ("sgd_lower", {"variant": "large_eta", "H": 8.0,
                                       "B": 1.0, "eta": 1.0},
-                        "H must be an integer, got 8.0"),
+                        "H must be >= 1 and an integer, got 8.0"),
     "small_eta n 2.5": ("sgd_lower", {"variant": "small_eta", "H": 4,
                                       "B": 2.0, "Bbar": 1.0, "N": 4.0,
                                       "n": 2.5},
-                        "n must be an integer, got 2.5"),
+                        "n must be >= 1 and an integer, got 2.5"),
     "sigma_star n true": ("sigma_star", {"H": 2, "B": 1.0, "N": 2.0,
                                          "n": True, "c": 1.0},
-                          "n must be an integer, got True"),
+                          "n must be >= 1 and an integer, got True"),
     "graph_teaser m 128.0": ("graph_teaser", {"m": 128.0},
                              "m must be an integer, got 128.0"),
     "graph_horizon L true": ("graph_horizon", {"L": True, "m": 16},
-                             "L must be an integer, got True"),
+                             "L must be >= 0 and an integer, got True"),
     "graph_teaser nodes_per_layer 4.0": (
         "graph_teaser", {"nodes_per_layer": 4.0},
-        "nodes_per_layer must be an integer, got 4.0"),
+        "nodes_per_layer must be >= 1 and an integer, got 4.0"),
 }
 
 
-@pytest.mark.parametrize("case", sorted(BAD_TASK_INTEGERS))
-def test_task_integer_parameters_exit_2_before_output(tmp_path, capsys,
-                                                      monkeypatch, case):
-    name, params, match = BAD_TASK_INTEGERS[case]
-    monkeypatch.setattr(harness, "run_learner", must_not_run)
+def task_refused(tmp_path, capsys, name, params, match, mode="exact"):
+    """`run` (metrics in `mode`) and `gen-data` on task `name` at `params`
+    exit 2 with `match` in the error and write nothing."""
     refused(tmp_path, capsys,
-            config(tmp_path, task={"name": name, "params": params}), match)
+            config(tmp_path, task={"name": name, "params": params},
+                   metrics={"n_grid": [2, 8], "mode": mode}), match)
     rc = main(["gen-data", "--task", name, "--params", json.dumps(params),
                "--n", "5", "--out", str(tmp_path / "d.jsonl")])
     assert rc == 2
     assert match in json.loads(capsys.readouterr().err)["error"]
     assert not (tmp_path / "d.jsonl").exists()
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TASK_INTEGERS))
+def test_task_integer_parameters_exit_2_before_output(tmp_path, capsys,
+                                                      monkeypatch, case):
+    monkeypatch.setattr(harness, "run_learner", must_not_run)
+    task_refused(tmp_path, capsys, *BAD_TASK_INTEGERS[case])
+
+
+LARGE_ETA = {"variant": "large_eta", "H": 8, "B": 1.0, "eta": 1.0}
+SMALL_ETA = {"variant": "small_eta", "H": 4, "B": 2.0, "Bbar": 1.0,
+             "N": 4.0, "n": 2}
+SIGMA_STAR = {"H": 2, "B": 1.0, "N": 2.0, "n": 2, "c": 1.0}
+# A bool, an inf or a number out of range where a task takes a real number
+# or a count.  Before `core.check_number`, B: true trained at B = 1 and N:
+# Infinity trained with a rare prompt of weight 0 (both exited 0); B:
+# Infinity failed in the exact metrics (exit 2) or the MC draw (exit 3);
+# and the n or N that set a prompt weight exited 2 with a bare "float
+# division by zero".
+BAD_TASK_NUMBERS = {
+    "large_eta B true": ("sgd_lower", dict(LARGE_ETA, B=True),
+                         "B must be > 0 and finite, got True"),
+    "small_eta N inf": ("sgd_lower", dict(SMALL_ETA, N=math.inf),
+                        "N must be > 1 and finite, got inf"),
+    "large_eta B inf": ("sgd_lower", dict(LARGE_ETA, B=math.inf),
+                        "B must be > 0 and finite, got inf"),
+    "small_eta n 0": ("sgd_lower", dict(SMALL_ETA, n=0),
+                      "n must be >= 1 and an integer, got 0"),
+    "sigma_star N 1": ("sigma_star", dict(SIGMA_STAR, N=1),
+                       "N must be > 1 and finite, got 1"),
+    "sigma_star n 0": ("sigma_star", dict(SIGMA_STAR, n=0),
+                       "n must be >= 1 and an integer, got 0"),
+}
+
+
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+@pytest.mark.parametrize("case", sorted(BAD_TASK_NUMBERS))
+def test_task_number_parameters_exit_2_before_output(tmp_path, capsys,
+                                                     monkeypatch, case, mode):
+    monkeypatch.setattr(harness, "run_learner", must_not_run)
+    task_refused(tmp_path, capsys, *BAD_TASK_NUMBERS[case], mode=mode)
 
 
 @pytest.mark.parametrize("learner,train", [
@@ -303,7 +345,7 @@ def test_normalized_schedule_needs_N_above_1(tmp_path, capsys, N):
     refused(tmp_path, capsys,
             config(tmp_path, learner="sgd_normalized",
                    train={"N": N, "sigma_star_sq": 0.5, "T": 4}),
-            f"N must be > 1 (log N is the coverage budget), got N = {N}")
+            f"N must be > 1 and finite, got {N}")
 
 
 GH2_AT_L1 = {"L": 1, "m": 16, "mix": {"GH1": 0.5, "GH2": 0.5}}
@@ -363,15 +405,18 @@ WRONG_TYPES = {
     "metrics a list": ({"metrics": []}, "not a mapping"),
     "root_seed a string": ({"root_seed": "x"}, ROOT_SEED),
     # At the parent of these checks: exit 3 after writing out_dir/runs.
-    "seed a string": ({"sweep": {"seeds": ["a"]}}, SEEDS),
+    "seed a string": ({"sweep": {"seeds": ["a"]}},
+                      r"sweep.seeds\[0\] must be an integer, got 'a'"),
     # Two run dirs, p000_s1 and p000_s1.5, from one seed stream.
-    "seed a float": ({"sweep": {"seeds": [1, 1.5]}}, SEEDS),
+    "seed a float": ({"sweep": {"seeds": [1, 1.5]}},
+                     r"sweep.seeds\[1\] must be an integer, got 1.5"),
     # One run dir written twice and counted twice in sweep.csv.
     "seeds repeated": ({"sweep": {"seeds": [1, 1]}}, SEEDS),
     # Ran seeds "1" and "2".
     "seeds a string": ({"sweep": {"seeds": "12"}}, SEEDS),
     # Wrote p000_sTrue.
-    "seed a bool": ({"sweep": {"seeds": [True]}}, SEEDS),
+    "seed a bool": ({"sweep": {"seeds": [True]}},
+                    r"sweep.seeds\[0\] must be an integer, got True"),
     "root_seed a float": ({"root_seed": 1.7}, ROOT_SEED),
     "root_seed a bool": ({"root_seed": False}, ROOT_SEED),
     "axes a list of pairs": (

@@ -306,9 +306,10 @@ LATE_FAILURES = {
                                          "B": 1.0, "eta": 4.0}},
         "mle", {"T": 4}, {"eta": [4.0, 1.0]}, "eta\\*H\\*B >= 8"),
     "invalid train value": (HK, "sgd_vanilla", {"eta": 0.1, "T": 0}, {},
-                            "T must be positive"),
+                            "T must be >= 1 and an integer"),
     "invalid train axis value": (HK, "sgd_vanilla", {"T": 4},
-                                 {"eta": [0.1, -1.0]}, "eta must be positive"),
+                                 {"eta": [0.1, -1.0]},
+                                 "eta must be > 0 and finite"),
     "train value of the wrong type": (HK, "sgd_normalized",
                                       {"eta": 0.1, "lam": 1.0, "T": 4},
                                       {"K": [1, "2"]}, "bad train values"),

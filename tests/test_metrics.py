@@ -294,7 +294,8 @@ def test_hellinger_tail_refuses_bad_N_or_delta(N, delta):
     piD, piHat = ber(0.3, H=2), ber(0.6, H=2)
     for tail in (lambda: stepwise_hellinger_tail(piD, piHat, ONE, N, delta),
                  lambda: PairLaw(piD, piHat, ONE).hellinger_tail(N, delta)):
-        with pytest.raises(ValueError, match="Hellinger tail needs N >= 1"):
+        with pytest.raises(ValueError, match=r"N must be >= 1|delta must lie "
+                                             r"in \(0, 1\]"):
             tail()
 
 

@@ -172,7 +172,7 @@ def test_mc_refuses_m_that_is_no_integer_before_drawing(m):
     rng = SeedTree(741).rng()
     state = rng.bit_generator.state
     for call in (onpolicy_cov_estimate, onpolicy_cov):
-        with pytest.raises(ValueError, match="m must be an integer|m >= 1"):
+        with pytest.raises(ValueError, match="m must be >= 1 and an integer"):
             call(q if call is onpolicy_cov_estimate else [q], pi,
                  [0, 1], 2.0, mode="mc", m=m, rng=rng)
         assert rng.bit_generator.state == state
@@ -184,7 +184,7 @@ def test_mc_refuses_m_that_is_no_integer_before_drawing(m):
 def test_offset_tournament_refuses_non_finite_gamma(gamma):
     cands = CandidateClass(candidates(750)[:2])
     ds = sample_dataset(cands.candidates[0], MU, 10, SeedTree(751).rng())
-    with pytest.raises(ValueError, match="finite gamma"):
+    with pytest.raises(ValueError, match="gamma must be >= 0 and finite"):
         offset_tournament(cands, ds, 4.0, gamma=gamma)
 
 

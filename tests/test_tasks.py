@@ -115,7 +115,8 @@ def test_sgd_lower_large_eta_sigma_star_bounded():
 
 
 def test_sgd_lower_small_eta():
-    with pytest.raises(ValueError, match="B >= Bbar >= 1"):
+    with pytest.raises(ValueError,
+                       match=r"Bbar must lie in \[1, 1\], got 2.0"):
         sgd_lower_instance("small_eta", H=4, B=1.0, Bbar=2.0, N=8.0, n=10)
     t = sgd_lower_instance("small_eta", H=16, B=16.0, Bbar=8.0,
                            N=math.e ** 4, n=1000)

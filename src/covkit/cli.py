@@ -15,7 +15,7 @@ import json
 import sys
 
 from .core import check_number, load_jsonl
-from .decoding import adversarial_reward, bon_regret
+from .decoding import AdversarialReward, bon_regret
 from .harness import (ConfigError, build_task, check_n_grid, config_errors,
                       gen_data, run)
 from .metrics import coverage_exact, coverage_mc
@@ -125,7 +125,7 @@ def cmd_bon(args) -> int:
         _check_shape(task.piD, piHat)
         grid = check_n_grid(args.N_grid, integers=True)
     scale = args.reward_scale
-    reward = adversarial_reward(task.piD, piHat, scale)
+    reward = AdversarialReward(task.piD, piHat, scale)
     rng = SeedTree(args.seed).child("bon").rng()
     pcov_ref = ""
     if hasattr(task.mu, "items"):
@@ -202,6 +202,8 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
+        with config_errors():       # each command's --seed, before its work
+            check_number("--seed", getattr(args, "seed", 0), 0, integer=True)
         return args.fn(args)
     except ConfigError as e:
         sys.stderr.write(json.dumps(

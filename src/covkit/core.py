@@ -70,7 +70,7 @@ class Dataset:
     appearance, computed once.
     """
 
-    def __init__(self, xs, Y, H: int, V: int, seed_info: dict | None = None):
+    def __init__(self, xs, Y, H: int, V: int):
         """Dataset of prompts `xs` and the (n, H) int array `Y` (or a list
         of n rows of H ints)."""
         try:
@@ -88,7 +88,6 @@ class Dataset:
         if Y.size and (Y.min() < 0 or Y.max() >= V):
             raise ValueError("token id out of range")
         self.xs, self.Y, self.H, self.V = xs, Y, H, V
-        self.seed_info = {} if seed_info is None else seed_info
 
     @functools.cached_property
     def groups(self) -> list:
@@ -102,8 +101,7 @@ class Dataset:
     def __eq__(self, other):
         if not isinstance(other, Dataset):
             return NotImplemented
-        return ((self.H, self.V, self.seed_info, self.xs)
-                == (other.H, other.V, other.seed_info, other.xs)
+        return ((self.H, self.V, self.xs) == (other.H, other.V, other.xs)
                 and np.array_equal(self.Y, other.Y))
 
 
@@ -113,16 +111,15 @@ class Policy:
     A policy is its token conditionals: subclasses set `V` and `H` and
     implement `prefix_dists`, which answers a whole level of prefixes in
     one call, and may implement `step_dist`, which must agree with it.
-    `next_dist` is the one-row case of `prefix_dists`.  Scoring and
-    sampling are derived from these and never overridden (`draw_examples`
-    calls `sample_from_uniforms` directly, so an overriding `sample` would
-    be bypassed); the sampler law and logprob consistency hold by
-    construction.
+    `next_dist`, scoring and sampling are derived from these and never
+    overridden (`draw_examples` calls `sample_from_uniforms` directly, so
+    an overriding `sample` would be bypassed); the sampler law and logprob
+    consistency hold by construction.
 
     A policy's conditionals are fixed for the object's lifetime: a changed
-    model is a new object (as `LinearARModel.with_theta` builds one), and
-    the learners and TTT replays step on theta arrays without building
-    any.  Per-object caches rely on this: `LinearARModel._steps` (the
+    model is a new object (a new theta, a new `LinearARModel`), and the
+    learners and TTT replays step on theta arrays without building any.
+    Per-object caches rely on this: `LinearARModel._steps` (the
     step row of each product prompt), `TabularModel._steps` (which
     prompts are prefix-independent), `GraphPathPolicy._parse` (each
     prompt's parsed graph), every `metrics.PairLaw` (which keeps the
@@ -139,11 +136,15 @@ class Policy:
         raise NotImplementedError
 
     def next_dist(self, x, prefix: tuple) -> np.ndarray:
-        """Probability vector over the V candidate next tokens: the one-row
-        case of `prefix_dists`."""
+        """The V next-token probabilities: the one-row case of `prefix_dists`,
+        for fewer than H tokens that a `Dataset` takes (ints in [0, V))."""
         if len(prefix) >= self.H:
             raise ValueError("prefix length must be < H")
-        return self.prefix_dists(x, np.array([prefix], dtype=np.int64))[0]
+        row = np.array([prefix])
+        if row.size and (row.dtype.kind not in "iu" or min(prefix) < 0
+                         or max(prefix) >= self.V):
+            raise ValueError(f"tokens must be integers in [0, {self.V})")
+        return self.prefix_dists(x, row)[0]
 
     def step_dist(self, x):
         """Per-step distribution if conditionals are prefix-independent.
@@ -364,8 +365,8 @@ def draw_examples(policy: Policy, mu, n: int, rng: np.random.Generator):
     return xs, Y
 
 
-def sample_dataset(policy: Policy, mu, n: int, rng: np.random.Generator,
-                   seed_info: dict | None = None) -> Dataset:
+def sample_dataset(policy: Policy, mu, n: int,
+                   rng: np.random.Generator) -> Dataset:
     """Draw n i.i.d. examples with x ~ mu and y ~ policy(.|x).
 
     `mu` is a callable rng -> prompt.  The n examples come from one
@@ -375,8 +376,7 @@ def sample_dataset(policy: Policy, mu, n: int, rng: np.random.Generator,
     """
     check_number("n", n, 1, integer=True)
     xs, Y = draw_examples(policy, mu, n, rng)
-    return Dataset(xs, Y, H=policy.H, V=policy.V,
-                   seed_info=dict(seed_info or {}))
+    return Dataset(xs, Y, H=policy.H, V=policy.V)
 
 
 class FinitePromptDist:
@@ -495,16 +495,12 @@ def enumerate_responses(V: int, H: int):
     return [tuple(int(v) for v in row) for row in idx]
 
 
-def save_jsonl(dataset: Dataset, path, header_path=None):
-    """One example per line: {"x": ..., "y": [...]}; seed info sidecar."""
+def save_jsonl(dataset: Dataset, path):
+    """One example per line: {"x": ..., "y": [...]}."""
     with open(path, "w") as f:
         for x, y in zip(dataset.xs, dataset.Y.tolist()):
             x = list(x) if isinstance(x, tuple) else x
             f.write(json.dumps({"x": x, "y": y}) + "\n")
-    if header_path is not None:
-        with open(header_path, "w") as f:
-            json.dump({"H": dataset.H, "V": dataset.V,
-                       "n": len(dataset), "seed_info": dataset.seed_info}, f)
 
 
 # Lines parsed per json.loads call: one call per chunk, not per line, but
@@ -512,7 +508,7 @@ def save_jsonl(dataset: Dataset, path, header_path=None):
 LOAD_CHUNK = 4096
 
 
-def load_jsonl(path, H: int, V: int, header_path=None) -> Dataset:
+def load_jsonl(path, H: int, V: int) -> Dataset:
     """Dataset from a JSONL file of one {"x": ..., "y": [...]} per line.
 
     Each y must be a list of H integer tokens in [0, V); a list x becomes
@@ -535,12 +531,8 @@ def load_jsonl(path, H: int, V: int, header_path=None) -> Dataset:
                 _raise_bad_line(path, start, lines, H, V)
             xs += chunk[0]
             blocks.append(chunk[1])
-    seed_info = {}
-    if header_path is not None:
-        with open(header_path) as f:
-            seed_info = json.load(f).get("seed_info", {})
     Y = np.concatenate(blocks) if blocks else np.zeros((0, H), np.int64)
-    return Dataset(xs, Y, H=H, V=V, seed_info=seed_info)
+    return Dataset(xs, Y, H=H, V=V)
 
 
 def _parse_chunk(lines, H, V):

@@ -103,6 +103,3 @@ class AdversarialReward:
                       self.piHat.logprob_many(x, Y),
                       self.log_thresh).astype(np.int64)
 
-
-def adversarial_reward(piT: Policy, piHat: Policy, N: float) -> AdversarialReward:
-    return AdversarialReward(piT, piHat, N)

@@ -203,19 +203,14 @@ def _gen_once(class_id: str, config: GraphConfig, rng) -> LayeredDag:
 
 
 def gen_graph_instance(class_id: str, config: GraphConfig, rng):
-    """Generate one graph of the given class.
-
-    Returns (dag, prompt tokens, piD handle).  Teaser classes G1/G2 are
-    rejection-sampled until the half-set parity invariant identifies the
-    class correctly.
-    """
+    """One graph of the given class as (dag, prompt tokens), rejection-
+    sampled until `identify_class` names the class, so that a
+    `GraphPathPolicy` of the class's family follows the class's rule."""
     family = _family_of(class_id)
     for _ in range(1000):
         dag = _gen_once(class_id, config, rng)
         if identify_class(dag, family) == class_id:
-            piD = GraphPathPolicy(m=config.m, horizon=dag.horizon,
-                                  class_id=class_id)
-            return dag, serialize_prompt(dag), piD
+            return dag, serialize_prompt(dag)
     raise RuntimeError(f"could not generate class {class_id} in 1000 tries")
 
 
@@ -328,19 +323,15 @@ def _rule_choice(dag: LayeredDag, class_id: str, layer_offset: int):
 class GraphPathPolicy(Policy):
     """Data policy over paths; density re-derived from the parsed prompt.
 
-    `family` ("teaser" or "horizon") selects the class-identification rule;
-    a fixed `class_id` may be given instead when the class is known.
+    `family` ("teaser" or "horizon") selects the class-identification rule
+    that names each prompt's class.
     """
 
-    def __init__(self, m: int, horizon: int, family: str | None = None,
-                 class_id: str | None = None):
-        if (family is None) == (class_id is None):
-            raise ValueError("give exactly one of family / class_id")
+    def __init__(self, m: int, horizon: int, family: str):
         self.m = m
         self.V = m + 4
         self.H = horizon
         self.family = family
-        self.class_id = class_id
         self._parse = lru_cache(maxsize=4096)(self._parse_impl)
 
     def _parse_impl(self, x):
@@ -348,8 +339,7 @@ class GraphPathPolicy(Policy):
         if dag.horizon != self.H:
             raise ValueError(f"the prompt's graph has L + 2 = {dag.horizon} "
                              f"layers, but the policy's horizon is {self.H}")
-        cid = self.class_id or identify_class(dag, self.family)
-        return dag, cid
+        return dag, identify_class(dag, self.family)
 
     def prefix_dists(self, x, prefixes) -> np.ndarray:
         """The row of a level depends on its position only: computed once
@@ -391,8 +381,7 @@ def mixture_prompt_sampler(mix: dict, config: GraphConfig):
 
     def sample(rng):
         cid = classes[int(rng.choice(len(classes), p=weights))]
-        _, prompt, _ = gen_graph_instance(cid, config, rng)
-        return prompt
+        return gen_graph_instance(cid, config, rng)[1]
 
     return sample
 

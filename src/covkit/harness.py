@@ -16,6 +16,7 @@ import itertools
 import json
 import math
 import os
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -171,7 +172,7 @@ def validate_config(cfg: dict) -> dict:
     for key in ("task", "learner", "out_dir", "root_seed"):
         if key not in cfg:
             raise ConfigError(f"missing config key {key!r}")
-    check_number("root_seed", cfg["root_seed"], integer=True)
+    check_number("root_seed", cfg["root_seed"], 0, integer=True)
     task = cfg["task"]
     _check_keys(task, {"name", "params"}, "task")
     if task.get("name") not in TASKS:
@@ -191,9 +192,9 @@ def validate_config(cfg: dict) -> dict:
     _check_keys(sweep, {"axes", "seeds"}, "sweep")
     axes = _object(sweep.get("axes", {}), "sweep.axes")
     seeds = sweep.get("seeds", [0])
-    # A seed names a run directory and a seed subtree: distinct ints only.
+    # A seed names a run directory and a seed subtree: distinct ints >= 0.
     for i, v in enumerate(seeds if isinstance(seeds, list) else ()):
-        check_number(f"sweep.seeds[{i}]", v, integer=True)
+        check_number(f"sweep.seeds[{i}]", v, 0, integer=True)
     if not (isinstance(seeds, list) and seeds and
             len(set(seeds)) == len(seeds)):
         raise ConfigError(f"sweep.seeds must be a nonempty list of distinct "
@@ -297,10 +298,12 @@ def run_learner(name: str, task, train: TrainConfig, rng) -> RunRecord:
     """Train learner `name` on a task that passed `_check_task`."""
     fit = getattr(training, LEARNERS[name][0])
     if name == "mle":
+        t0 = time.perf_counter()
         dataset = sample_dataset(task.piD, task.mu, train.T, rng)
         res = fit(dataset, task.featmap, task.V, task.H)
         rec = RunRecord(checkpoints=[(train.T, res.theta.copy())],
-                        final_theta=res.theta, n_examples=train.T)
+                        final_theta=res.theta, n_examples=train.T,
+                        wall_clock=time.perf_counter() - t0)
         if not res.converged:
             rec.flags.append("mle-not-converged")
         return rec
@@ -369,8 +372,13 @@ def _quantiles(finals):
 
 
 def run(cfg: dict) -> str:
-    """Execute a validated config; returns the output directory."""
+    """Execute a validated config on COVKIT_THREADS threads; return out_dir."""
     cfg = validate_config(cfg)
+    threads = os.environ.get("COVKIT_THREADS", "1")
+    with contextlib.suppress(ValueError):
+        threads = int(threads)
+    with config_errors():
+        check_number("COVKIT_THREADS", threads, 1, integer=True)
     axes = cfg["sweep"]["axes"]
     seeds = cfg["sweep"]["seeds"]
     axis_names = sorted(axes)
@@ -404,7 +412,6 @@ def run(cfg: dict) -> str:
         checkpoint_metrics(task, rec, metrics_spec, tree)
         return rec
 
-    threads = max(1, int(os.environ.get("COVKIT_THREADS", "1")))
     jobs = [(p, s) for p in range(len(points)) for s in range(len(seeds))]
     if threads == 1:
         results = {ps: job(*ps) for ps in jobs}
@@ -448,10 +455,13 @@ def run(cfg: dict) -> str:
 
 def gen_data(task_name: str, params: dict, n: int, seed: int, out_path: str,
              header_path=None):
-    """Sample a dataset from a task's data policy and write JSONL."""
+    """Sample a task's dataset to JSONL, and its header JSON if asked."""
     task = build_task(task_name, params)
-    tree = SeedTree(seed).child("gen-data")
-    info = {"task": task_name, "params": params, "seed": seed}
-    ds = sample_dataset(task.piD, task.mu, n, tree.rng(), seed_info=info)
-    save_jsonl(ds, out_path, header_path=header_path)
+    ds = sample_dataset(task.piD, task.mu, n,
+                        SeedTree(seed).child("gen-data").rng())
+    save_jsonl(ds, out_path)
+    if header_path is not None:
+        with open(header_path, "w") as f:
+            json.dump({"H": ds.H, "V": ds.V, "n": n, "seed_info": {
+                "task": task_name, "params": params, "seed": seed}}, f)
     return ds

@@ -109,10 +109,6 @@ class MetricReport:
     coverage: CoverageCurve | None = None
 
 
-def default_n_grid(max_pow: int = 16) -> np.ndarray:
-    return np.array([2.0 ** k for k in range(1, max_pow + 1)])
-
-
 def tree_walk(piD: Policy, x, policies=(), terms=(), pair_terms=False,
               spent=0):
     """Level-order walk of the piD-positive prefix tree of prompt x.
@@ -219,7 +215,7 @@ def _product_atoms(groups, H):
 
 
 def _law_atoms(items, H):
-    """`log_ratio_atoms` of a law's items (w, steps, walked law): the
+    """`PairLaw.atoms` of a law's items (w, steps, walked law): the
     product atoms of each product prompt and the leaves of each walked one,
     merged by distinct ratio in item order, after the budget check."""
     groups = [None if steps is None else _ratio_groups(*steps)
@@ -317,7 +313,8 @@ class PairLaw:
                 float(np.exp(lpD)[peaks[1] >= thr].sum()))
 
     def atoms(self):
-        """`log_ratio_atoms` of the pair, built once and read-only."""
+        """(ratios, probs): the law of log(piD/piHat) under mu x piD, distinct
+        ratios ascending, +inf where piHat misses; built once, read-only."""
         if self._atoms is None:
             ratios, probs = _law_atoms(self.items, self.H)
             ratios.flags.writeable = probs.flags.writeable = False
@@ -466,15 +463,6 @@ def _kl_leaves(lpD, lpH, sums, peaks):
     if np.isneginf(lpH).any():
         return math.inf
     return float(np.exp(lpD) @ (lpD - lpH))
-
-
-def log_ratio_atoms(piD: Policy, piHat: Policy, mu_items):
-    """Exact distribution of log(piD/piHat) under mu x piD.
-
-    Returns (ratios, probs) with distinct ratios in increasing order; +inf
-    ratios appear when piHat assigns zero mass to a piD-positive response.
-    """
-    return _law(piD, piHat, mu_items).atoms()
 
 
 def coverage_exact(piD: Policy, piHat: Policy, mu_items, Ns) -> CoverageCurve:
@@ -644,12 +632,6 @@ def pairwise_cov_matrix(policies, dataset, N: float) -> np.ndarray:
     M = np.array([covers(row, lp, math.log(N)).mean(axis=1) for row in lp])
     np.fill_diagonal(M, 0.0)
     return M
-
-
-def empirical_pairwise_cov(piPrime: Policy, pi: Policy, dataset,
-                           N: float) -> float:
-    """Fraction of `dataset` points with log piPrime - log pi >= log N."""
-    return float(pairwise_cov_matrix([piPrime, pi], dataset, N)[0, 1])
 
 
 def covers(lp_prime, lp, log_thresh):

@@ -105,15 +105,12 @@ class LinearARModel(Policy):
         self.H = int(H)
         self._steps = {}
 
-    def with_theta(self, theta) -> "LinearARModel":
-        return LinearARModel(theta, self.featmap, self.V, self.H)
-
     # Kept in the class dict: perfbench/spans.py wraps it by this name.
     next_dist = Policy.next_dist
 
     def step_dist(self, x):
-        # Cached per prompt: theta is never changed in place (with_theta
-        # builds a new model).
+        # Cached per prompt: theta is never changed in place (a new theta
+        # is a new model).
         if x not in self._steps:
             if len(self._steps) >= _STEP_CACHE_LIMIT:
                 self._steps.clear()
@@ -268,11 +265,8 @@ class TabularModel(Policy):
         i = p * self.H + h
         return self._bounds[i], self._bounds[i + 1]
 
-    def next_dist(self, x, prefix: tuple) -> np.ndarray:
-        if x not in self._prompts or len(prefix) >= self.H or not all(
-                0 <= v < self.V and v == int(v) for v in prefix):
-            return self.default
-        return self.prefix_dists(x, [prefix])[0]
+    # Kept in the class dict: perfbench/spans.py wraps it by this name.
+    next_dist = Policy.next_dist
 
     def prefix_dists(self, x, prefixes) -> np.ndarray:
         pre = np.asarray(prefixes, dtype=np.int64)

@@ -1,7 +1,7 @@
 """Deterministic seed derivation.
 
 A SeedTree names random streams by a path of (label, index) pairs under a
-single 64-bit root seed.  Deriving the same path twice yields the same
+root seed, an integer >= 0.  Deriving the same path twice yields the same
 stream; sibling paths yield independent streams.  Parallel work should hand
 each worker its own derived subtree so results do not depend on scheduling.
 """
@@ -30,16 +30,11 @@ class SeedTree:
         return SeedTree(self.root, self.path + ((label, int(index)),))
 
     def entropy(self) -> list:
-        out = [int(self.root) & 0xFFFFFFFFFFFFFFFF]
+        out = [int(self.root)]
         for label, index in self.path:
-            out.append(_label_digest(label))
-            out.append(int(index) & 0xFFFFFFFFFFFFFFFF)
+            out += [_label_digest(label), index]
         return out
 
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(np.random.SeedSequence(self.entropy()))
 
-
-def derive_rng(tree: SeedTree, label: str, index: int = 0) -> np.random.Generator:
-    """Random stream for the child path (label, index) of `tree`."""
-    return tree.child(label, index).rng()

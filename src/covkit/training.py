@@ -180,8 +180,8 @@ def resolve_config(learner: str, config: TrainConfig, featmap: FeatureMap):
     return eta, lam
 
 
-def _sgd_loop(stream, featmap: FeatureMap, V: int, H: int,
-              config: TrainConfig, step, k: int = 1) -> RunRecord:
+def _sgd_loop(stream, featmap: FeatureMap, config: TrainConfig, step,
+              k: int = 1) -> RunRecord:
     """The single-pass driver shared by the four streaming learners.
 
     Runs T iterations from `config.theta0` (or 0).  Iteration t draws k
@@ -215,7 +215,7 @@ def sgd_vanilla(stream, featmap: FeatureMap, V: int, H: int,
         ((x, y),) = batch
         return project_unit_ball(
             theta + eta * grad_logprob(theta, featmap, V, x, [y])[0])
-    return _sgd_loop(stream, featmap, V, H, config, step)
+    return _sgd_loop(stream, featmap, config, step)
 
 
 def normalized_schedule(B: float, T: int, N: float, sigma_star_sq: float):
@@ -248,7 +248,7 @@ def sgd_normalized(stream, featmap: FeatureMap, V: int, H: int,
                 rec.flags.append("zero-gradient-zero-lambda")
             return theta
         return project_unit_ball(theta + eta * g / (lam + gnorm))
-    return _sgd_loop(stream, featmap, V, H, config, step, k=config.K)
+    return _sgd_loop(stream, featmap, config, step, k=config.K)
 
 
 def sgd_token(stream, featmap: FeatureMap, V: int, H: int,
@@ -261,7 +261,7 @@ def sgd_token(stream, featmap: FeatureMap, V: int, H: int,
         for h, v in enumerate(y):
             theta = token_step(theta, featmap, V, x, tuple(y[:h]), v, eta)
         return theta
-    return _sgd_loop(stream, featmap, V, H, config, step)
+    return _sgd_loop(stream, featmap, config, step)
 
 
 def truncation_weights(eps: list, A: float):
@@ -329,7 +329,7 @@ def sgd_truncated_distill(stream, teacher, featmap: FeatureMap, V: int,
             if a > 0.0:
                 g += a * gh
         return project_unit_ball(theta + eta * g)
-    return _sgd_loop(stream, featmap, V, H, config, step)
+    return _sgd_loop(stream, featmap, config, step)
 
 
 # Examples a stream draws at a time when mu has `from_uniforms`.

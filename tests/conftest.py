@@ -1,6 +1,15 @@
 import numpy as np
 
+from covkit.graphs import TEASER_CLASSES, GraphPathPolicy, gen_graph_instance
 from covkit.models import TabularModel
+
+
+def graph_instance(class_id, config, rng):
+    """gen_graph_instance's (dag, prompt) and the data policy of the
+    class's family, which follows the class's rule on that prompt."""
+    dag, prompt = gen_graph_instance(class_id, config, rng)
+    family = "teaser" if class_id in TEASER_CLASSES else "horizon"
+    return dag, prompt, GraphPathPolicy(config.m, dag.horizon, family)
 
 
 def all_prefixes(V, H):

@@ -16,19 +16,15 @@ from covkit.core import Dataset, FinitePromptDist, Trajectory
 from prefix_oracle import prefix_levels_ref
 
 
-def load_examples(path, header_path=None):
-    """(list of Trajectory, seed_info): one json.loads per line."""
+def load_examples(path):
+    """A list of Trajectory: one json.loads per line."""
     examples = []
     with open(path) as f:
         for line in f:
             rec = json.loads(line)
             x = tuple(rec["x"]) if isinstance(rec["x"], list) else rec["x"]
             examples.append(Trajectory(x, tuple(rec["y"])))
-    seed_info = {}
-    if header_path is not None:
-        with open(header_path) as f:
-            seed_info = json.load(f).get("seed_info", {})
-    return examples, seed_info
+    return examples
 
 
 def save_examples(examples, path):
@@ -90,11 +86,11 @@ def policy_stream(piD, mu, rng):
         yield x, sample(piD, x, rng)
 
 
-def sample_dataset(policy, mu, n, rng, seed_info=None):
+def sample_dataset(policy, mu, n, rng):
     """`covkit.core.sample_dataset` from `sample_examples`."""
     ex = sample_examples(policy, mu, n, rng)
     return Dataset([t.x for t in ex], [t.y for t in ex], H=policy.H,
-                   V=policy.V, seed_info=dict(seed_info or {}))
+                   V=policy.V)
 
 
 def group_prompts(prompts):

@@ -49,7 +49,7 @@ class DictTabular(Policy):
                         dtype=float).reshape(len(prefixes), self.V)
 
     def next_dist(self, x, prefix):
-        # Any query, as TabularModel.next_dist takes it: default if unseen.
+        # Any query: default if unseen.
         return self.tables.get((x, tuple(prefix)), self.default)
 
     def step_dist(self, x):

@@ -14,9 +14,10 @@ import warnings
 
 import numpy as np
 
+from conftest import graph_instance
 from covkit.cli import main as cli_main
 from covkit.core import FinitePromptDist, Trajectory, sample_dataset
-from covkit.decoding import TTTPolicy, adversarial_reward, bon_regret
+from covkit.decoding import AdversarialReward, TTTPolicy, bon_regret
 from covkit.metrics import (PairLaw, StackLaw, coverage_exact,
                             coverage_sup_log, hellinger_sq, kl_to_cov_bound,
                             seq_kl, stepwise_hellinger_tail, stopped_kl)
@@ -197,7 +198,7 @@ def test_A4_bon_bounds():
     est, hw = bon_regret(piHat, piT, reward, mu, N, trials, rng)
     assert est <= 0.15 + 3.0 * hw
 
-    adv = adversarial_reward(piT, piHat, float(N))
+    adv = AdversarialReward(piT, piHat, float(N))
     pcov_2n = coverage_exact(piT, piHat, MU1, [2.0 * N]).values[0]
     est, hw = bon_regret(piHat, piT, adv, mu, N, trials, rng)
     assert est >= 0.5 * pcov_2n - 3.0 * hw
@@ -294,8 +295,8 @@ def _a7_final_pcov8(method, H, eta, seed, T=512):
                              TrainConfig(eta=eta, T=T, N=8.0,
                                          sigma_star_sq=s2,
                                          checkpoint_every=10 ** 9))
-    return coverage_exact(piD, piD.with_theta(rec.final_theta),
-                          mu.items(), [8.0]).values[0]
+    piHat = LinearARModel(rec.final_theta, piD.featmap, piD.V, piD.H)
+    return coverage_exact(piD, piHat, mu.items(), [8.0]).values[0]
 
 
 def test_A7_horizon_separation():
@@ -337,7 +338,7 @@ def _a8_avg_seq_kl(method, seed, H=32, T=512, eta=0.00625):
     rec = fn(stream, fm, 3, H, TrainConfig(eta=eta, T=T))
     vals = []
     for i, (_, th) in enumerate(rec.checkpoints):
-        base = piD.with_theta(th)
+        base = LinearARModel(th, piD.featmap, piD.V, piD.H)
         pol = base if method == "vanilla" else TTTPolicy(base, eta)
         mrng = tree.child("metric", i).rng()
         vals.append(seq_kl(piD, pol, None, mode="mc", n=48, rng=mrng,
@@ -388,8 +389,7 @@ def test_A9_selection_separation():
 # -------------------------------------------------------------------- A10
 
 def test_A10_graph_generator():
-    from covkit.graphs import (GraphConfig, gen_graph_instance,
-                               identify_class, parse_prompt)
+    from covkit.graphs import GraphConfig, identify_class, parse_prompt
     t0 = time.time()
     n_inst = 1000
     rng = SeedTree(110).rng()
@@ -399,7 +399,7 @@ def test_A10_graph_generator():
         for cid in classes:
             cfg = GraphConfig(L=8)
             for k in range(n_inst):
-                dag, prompt, piD = gen_graph_instance(cid, cfg, rng)
+                dag, prompt, piD = graph_instance(cid, cfg, rng)
                 assert parse_prompt(prompt, dag.m) == dag
                 # path count = product of passable-set sizes per layer
                 want = expected_counts.get(cid)
@@ -414,13 +414,12 @@ def test_A10_graph_generator():
 
 def test_A10b_teaser_rules_rederived():
     # Parity-rule re-derivation for G1/G2 on freshly parsed prompts.
-    from covkit.graphs import (GraphConfig, gen_graph_instance,
-                               parse_prompt, parity)
+    from covkit.graphs import GraphConfig, parse_prompt, parity
     t0 = time.time()
     rng = SeedTree(1101).rng()
     for cid in ("G1", "G2"):
         for _ in range(200):
-            dag, prompt, piD = gen_graph_instance(cid, GraphConfig(), rng)
+            dag, prompt, piD = graph_instance(cid, GraphConfig(), rng)
             reparsed = parse_prompt(prompt, dag.m)
             [(path, prob)] = piD.selected_paths(prompt)
             assert prob == 1.0

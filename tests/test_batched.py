@@ -7,15 +7,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import (random_product, random_tabular,
+from conftest import (graph_instance, random_product, random_tabular,
                       tabular_with_missing_mass)
 from covkit.core import (Dataset, FinitePromptDist, Policy, Trajectory,
                          enumerate_responses, logprob_matrix, sample_prompts)
-from covkit.decoding import TTTPolicy, adversarial_reward, bon_regret
-from covkit.graphs import GraphConfig, gen_graph_instance
-from covkit.metrics import (coverage_mc, empirical_pairwise_cov,
-                            onpolicy_cov_estimate, pairwise_cov_matrix, seq_ce,
-                            seq_kl, stopped_kl)
+from covkit.decoding import AdversarialReward, TTTPolicy, bon_regret
+from covkit.graphs import GraphConfig
+from covkit.metrics import (coverage_mc, onpolicy_cov_estimate,
+                            pairwise_cov_matrix, seq_ce, seq_kl, stopped_kl)
 from covkit.models import CallableFeatureMap, LinearARModel, TabularModel
 from covkit.seeding import SeedTree
 
@@ -97,7 +96,7 @@ def test_logprob_many_matches_per_row(build):
 def test_logprob_many_graph_policy():
     rng = SeedTree(11).rng()
     for cid in ("G1", "GH3"):
-        _, prompt, pol = gen_graph_instance(cid, GraphConfig(m=40, L=6), rng)
+        _, prompt, pol = graph_instance(cid, GraphConfig(m=40, L=6), rng)
         paths = np.array([y for y, _ in pol.selected_paths(prompt)])
         Y = np.vstack([paths, rng.integers(0, pol.V, size=(20, pol.H)),
                        pol.sample_many(prompt, 5, rng)])
@@ -188,15 +187,15 @@ def test_logprob_matrix_and_pairwise_match_per_row():
             want = 0.0 if i == j else hits / len(data)
             assert M[i, j] == want
             if i != j:
-                assert empirical_pairwise_cov(cands[i], cands[j], ds,
-                                              4.0) == want
+                assert pairwise_cov_matrix([cands[i], cands[j]], ds,
+                                           4.0)[0, 1] == want
 
 
 def test_adversarial_reward_many_matches_call_and_bon_fallback():
     rng = SeedTree(6).rng()
     piT = tabular_with_missing_mass(rng, 3, 2, prompts=(0, 1))
     piHat = tabular_with_missing_mass(rng, 3, 2, prompts=(0, 1))
-    adv = adversarial_reward(piT, piHat, 2.0)
+    adv = AdversarialReward(piT, piHat, 2.0)
     Y = np.array(enumerate_responses(3, 2))
     for x in (0, 1):
         assert adv.many(x, Y).tolist() == [adv(x, tuple(y)) for y in Y]
@@ -215,7 +214,7 @@ def test_bon_regret_against_exact():
     rng = SeedTree(13).rng()
     piT = tabular_with_missing_mass(rng, 2, 3, prompts=(0, 1))
     piHat = random_tabular(rng, 2, 3, prompts=(0, 1))
-    reward = adversarial_reward(piT, piHat, 1.0)
+    reward = AdversarialReward(piT, piHat, 1.0)
     mu = FinitePromptDist([0, 1], [0.3, 0.7])
     N, trials = 3, 20_000
     Y = np.array(enumerate_responses(2, 3))

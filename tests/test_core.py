@@ -97,12 +97,10 @@ def test_finite_prompt_dist_validation():
 def test_jsonl_round_trip(tmp_path):
     pol = TabularModel({(0, ()): [0.5, 0.5]}, V=2, H=1)
     rng = SeedTree(5).rng()
-    ds = sample_dataset(pol, lambda r: 0, 20, rng, seed_info={"root": 5})
+    ds = sample_dataset(pol, lambda r: 0, 20, rng)
     p = tmp_path / "d.jsonl"
-    h = tmp_path / "d.head.json"
-    save_jsonl(ds, p, header_path=h)
-    back = load_jsonl(p, H=1, V=2, header_path=h)
+    save_jsonl(ds, p)
+    back = load_jsonl(p, H=1, V=2)
     assert back.Y.tolist() == ds.Y.tolist()
-    assert back.seed_info == {"root": 5}
     rec = json.loads(p.read_text().splitlines()[0])
     assert set(rec) == {"x", "y"}

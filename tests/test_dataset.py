@@ -43,18 +43,15 @@ def test_load_matches_per_line_reference(tmp_path, monkeypatch, chunk, seed):
     rng = np.random.default_rng([seed, 11])
     n, H, V = int(rng.integers(1, 60)), int(rng.integers(1, 5)), \
         int(rng.integers(2, 6))
-    path, head = tmp_path / "d.jsonl", tmp_path / "d.head.json"
+    path = tmp_path / "d.jsonl"
     write_random_file(path, rng, n, H, V)
-    head.write_text(json.dumps({"seed_info": {"seed": seed, "n": n}}))
-    ds = load_jsonl(path, H=H, V=V, header_path=head)
-    ref, info = oracle.load_examples(path, header_path=head)
+    ds = load_jsonl(path, H=H, V=V)
+    ref = oracle.load_examples(path)
     assert ds.xs == [t.x for t in ref]
     assert [type(x) for x in ds.xs] == [type(t.x) for t in ref]
     assert ds.Y.dtype == np.int64
     assert np.array_equal(ds.Y, np.array([t.y for t in ref]))
-    assert ds == Dataset([t.x for t in ref], [t.y for t in ref], H=H, V=V,
-                         seed_info=info)
-    assert ds.seed_info == info == {"seed": seed, "n": n}
+    assert ds == Dataset([t.x for t in ref], [t.y for t in ref], H=H, V=V)
     assert len(ds) == n
 
 
@@ -73,17 +70,15 @@ def mixed_prompt_sampler(rng):
 def test_save_load_round_trip_and_bytes(tmp_path, seed):
     rng = np.random.default_rng(seed)
     pol = random_tabular(rng, 3, 4, prompts=PROMPTS)
-    ds = sample_dataset(pol, mixed_prompt_sampler, 80,
-                        SeedTree(seed).rng(), seed_info={"seed": seed})
+    ds = sample_dataset(pol, mixed_prompt_sampler, 80, SeedTree(seed).rng())
     ref = oracle.sample_examples(pol, mixed_prompt_sampler, 80,
                                  SeedTree(seed).rng())
-    assert ds == Dataset([t.x for t in ref], [t.y for t in ref], H=4, V=3,
-                         seed_info={"seed": seed})
-    path, head = tmp_path / "d.jsonl", tmp_path / "d.head.json"
-    save_jsonl(ds, path, header_path=head)
+    assert ds == Dataset([t.x for t in ref], [t.y for t in ref], H=4, V=3)
+    path = tmp_path / "d.jsonl"
+    save_jsonl(ds, path)
     oracle.save_examples(ref, tmp_path / "ref.jsonl")
     assert path.read_bytes() == (tmp_path / "ref.jsonl").read_bytes()
-    assert load_jsonl(path, H=4, V=3, header_path=head) == ds
+    assert load_jsonl(path, H=4, V=3) == ds
 
 
 @pytest.mark.parametrize("task,params", [
@@ -160,13 +155,12 @@ def test_dataset_from_examples_equals_from_arrays():
     xs = [random_prompt(rng) for _ in range(40)]
     Y = rng.integers(0, 4, (40, 5))
     # The one constructor reads Y as an array or as a list of row tuples.
-    a = Dataset(xs, [tuple(y) for y in Y.tolist()], H=5, V=4,
-                seed_info={"k": 1})
-    b = Dataset(xs, Y, H=5, V=4, seed_info={"k": 1})
+    a = Dataset(xs, [tuple(y) for y in Y.tolist()], H=5, V=4)
+    b = Dataset(xs, Y, H=5, V=4)
     assert a == b
     assert a.xs == b.xs and np.array_equal(a.Y, b.Y)
     assert a.Y.dtype == b.Y.dtype == np.int64
-    assert b != Dataset(xs, Y, H=5, V=5, seed_info={"k": 1})
+    assert b != Dataset(xs, Y, H=5, V=5)
     assert Dataset([], [], H=2, V=3) == Dataset([], np.zeros((0, 2)),
                                                 H=2, V=3)
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from covkit.core import FinitePromptDist, Trajectory
-from covkit.decoding import (AdversarialReward, TTTPolicy, adversarial_reward,
-                             best_of_n, bon_regret)
+from covkit.decoding import (AdversarialReward, TTTPolicy, best_of_n,
+                             bon_regret)
 from covkit.metrics import coverage_exact, hoeffding_half_width
 from covkit.models import (CallableFeatureMap, LinearARModel,
                            grad_logprob_token, linear_to_tabular,
@@ -42,7 +42,7 @@ def test_ttt_logprob_matches_explicit_replay():
         lp = 0.0
         prefix = ()
         for v in y:
-            m = base.with_theta(theta)
+            m = LinearARModel(theta, base.featmap, base.V, base.H)
             p = m.next_dist(0, prefix)
             lp += math.log(p[v])
             assert np.allclose(ttt.next_dist(0, prefix),
@@ -90,17 +90,17 @@ def test_best_of_n_success_probability():
 
 def test_adversarial_reward_threshold():
     # Ber(0.5) vs Ber(0.05), N=2: ratio at y=1 is 10 >= 4.
-    r = adversarial_reward(bernoulli_model(0.5), bernoulli_model(0.05), 2.0)
+    r = AdversarialReward(bernoulli_model(0.5), bernoulli_model(0.05), 2.0)
     assert r(0, (1,)) == 1
     assert r(0, (0,)) == 0
-    same = adversarial_reward(bernoulli_model(0.3), bernoulli_model(0.3), 1.0)
+    same = AdversarialReward(bernoulli_model(0.3), bernoulli_model(0.3), 1.0)
     assert same(0, (0,)) == 0 and same(0, (1,)) == 0
 
 
 def test_adversarial_reward_expectation_is_coverage():
     piT, piHat = bernoulli_model(0.4), bernoulli_model(0.04)
     N = 4.0
-    r = adversarial_reward(piT, piHat, N)
+    r = AdversarialReward(piT, piHat, N)
     expect = sum(math.exp(piT.logprob(Trajectory(0, (y,)))) * r(0, (y,))
                  for y in (0, 1))
     cov = coverage_exact(piT, piHat, [(0, 1.0)], [2 * N]).values[0]
@@ -135,7 +135,7 @@ def test_bon_lower_bound_with_adversarial_reward():
     N = 4
     piT = bernoulli_model(0.3)
     piHat = bernoulli_model(0.3 / (2 * N))
-    reward = adversarial_reward(piT, piHat, N)
+    reward = AdversarialReward(piT, piHat, N)
     mu = FinitePromptDist([0], [1.0])
     rng = SeedTree(4).rng()
     trials = 20000

@@ -8,8 +8,8 @@ import pytest
 
 import exact_oracle
 from conftest import all_prefixes
-from covkit.metrics import (coverage_exact, coverage_sup_log, hellinger_sq,
-                            log_ratio_atoms, onpolicy_cov_estimate, seq_ce,
+from covkit.metrics import (PairLaw, coverage_exact, coverage_sup_log,
+                            hellinger_sq, onpolicy_cov_estimate, seq_ce,
                             seq_kl, stepwise_hellinger_tail, stopped_kl)
 from covkit.models import CallableFeatureMap, TabularModel, sigma_star_sq
 from covkit.seeding import SeedTree
@@ -110,7 +110,7 @@ def test_identical_wide_product_is_one_atom():
     pol = TabularModel({}, V=40, H=6)
     t0 = time.perf_counter()
     curve = coverage_exact(pol, pol, [(0, 1.0)], NS)
-    ratios, probs = log_ratio_atoms(pol, pol, [(0, 1.0)])
+    ratios, probs = PairLaw(pol, pol, [(0, 1.0)]).atoms()
     assert time.perf_counter() - t0 < 1.0
     assert np.array_equal(curve.values, np.zeros(3))
     assert ratios.tolist() == [0.0] and math.isclose(probs[0], 1.0)

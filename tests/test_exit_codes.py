@@ -176,7 +176,7 @@ def test_valid_grids_still_run(files, capsys, argv, labels):
 def test_library_checks_refuse_nan():
     """The library's own checks refuse NaN, as the CLI's flag checks do."""
     from covkit.core import Dataset, FinitePromptDist, sample_dataset
-    from covkit.decoding import adversarial_reward, bon_regret
+    from covkit.decoding import AdversarialReward, bon_regret
     from covkit.metrics import CoverageCurve, coverage_mc, stopped_kl
     from covkit.selection import (CandidateClass, offset_tournament,
                                   simple_tournament)
@@ -191,8 +191,8 @@ def test_library_checks_refuse_nan():
         lambda: offset_tournament(cands, ds, nan, 1.0),
         lambda: offset_tournament(cands, ds, 4.0, nan),
         lambda: offset_tournament(cands, ds, 4.0, -1.0),
-        lambda: adversarial_reward(pol, pol, nan),
-        lambda: adversarial_reward(pol, pol, 0.0),
+        lambda: AdversarialReward(pol, pol, nan),
+        lambda: AdversarialReward(pol, pol, 0.0),
         lambda: bon_regret(pol, pol, lambda x, y: 0, mu, 1, nan, None),
         lambda: bon_regret(pol, pol, lambda x, y: 0, mu, nan, 100, None),
         lambda: stopped_kl(pol, pol, [(0, 1.0)], nan),

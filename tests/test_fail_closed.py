@@ -6,9 +6,9 @@ integer, a train setting that is a bool, a task's H, n, m, L or
 nodes_per_layer that is a bool or no integer, a task's B or N that is a
 bool, inf or out of range, a negative checkpoint_every, a
 normalized schedule with N <= 1, a graph class mix that L cannot hold,
-exact metrics over the enumeration budget, or seeds, a root seed, axes or
-a version of the wrong type.  Each case exits 2 and leaves no
-out_dir/runs directory."""
+exact metrics over the enumeration budget, seeds, a root seed, axes or a
+version of the wrong type, a negative seed, or a COVKIT_THREADS that is no
+integer >= 1.  Each case exits 2 and leaves no out_dir/runs directory."""
 
 import json
 import math
@@ -398,7 +398,7 @@ def test_over_budget_product_atoms_exit_2_without_a_walk(tmp_path, capsys,
 
 
 SEEDS = "sweep.seeds must be a nonempty list of distinct integers"
-ROOT_SEED = "root_seed must be an integer"
+ROOT_SEED = "root_seed must be >= 0 and an integer"
 WRONG_TYPES = {
     "task a list": ({"task": []}, "'list' object has no attribute"),
     "seeds an int": ({"sweep": {"seeds": 3}}, SEEDS),
@@ -406,17 +406,25 @@ WRONG_TYPES = {
     "root_seed a string": ({"root_seed": "x"}, ROOT_SEED),
     # At the parent of these checks: exit 3 after writing out_dir/runs.
     "seed a string": ({"sweep": {"seeds": ["a"]}},
-                      r"sweep.seeds\[0\] must be an integer, got 'a'"),
+                      r"sweep.seeds\[0\] must be >= 0 and an integer, "
+                      r"got 'a'"),
     # Two run dirs, p000_s1 and p000_s1.5, from one seed stream.
     "seed a float": ({"sweep": {"seeds": [1, 1.5]}},
-                     r"sweep.seeds\[1\] must be an integer, got 1.5"),
+                     r"sweep.seeds\[1\] must be >= 0 and an integer, "
+                     r"got 1.5"),
+    # Two runs, p000_s-1 and p000_s18446744073709551615, of one stream.
+    "seed negative": ({"sweep": {"seeds": [-1, 2 ** 64 - 1]}},
+                      r"sweep.seeds\[0\] must be >= 0 and an integer, "
+                      r"got -1"),
+    "root_seed negative": ({"root_seed": -1}, ROOT_SEED),
     # One run dir written twice and counted twice in sweep.csv.
     "seeds repeated": ({"sweep": {"seeds": [1, 1]}}, SEEDS),
     # Ran seeds "1" and "2".
     "seeds a string": ({"sweep": {"seeds": "12"}}, SEEDS),
     # Wrote p000_sTrue.
     "seed a bool": ({"sweep": {"seeds": [True]}},
-                    r"sweep.seeds\[0\] must be an integer, got True"),
+                    r"sweep.seeds\[0\] must be >= 0 and an integer, "
+                    r"got True"),
     "root_seed a float": ({"root_seed": 1.7}, ROOT_SEED),
     "root_seed a bool": ({"root_seed": False}, ROOT_SEED),
     "axes a list of pairs": (
@@ -451,6 +459,51 @@ def test_wrongly_typed_config_is_a_config_error(tmp_path, capsys,
     assert out.out == ""
     assert json.loads(out.err)["kind"] == "validation"
     assert not (tmp_path / "out" / "runs").exists()
+
+
+# At the parent of this check, "two" exited 3 after writing out_dir/runs,
+# and 0 and -4 ran on one thread.
+@pytest.mark.parametrize("threads, got", [("two", "'two'"), ("0", "0"),
+                                          ("-4", "-4")])
+def test_bad_thread_count_exits_2_before_output(tmp_path, capsys,
+                                                monkeypatch, threads, got):
+    monkeypatch.setenv("COVKIT_THREADS", threads)
+    monkeypatch.setattr(harness, "run_learner", must_not_run)
+    refused(tmp_path, capsys, config(tmp_path),
+            f"COVKIT_THREADS must be >= 1 and an integer, got {got}")
+
+
+@pytest.mark.parametrize("command", ["gen-data", "eval-coverage",
+                                     "tournament", "bon"])
+def test_negative_cli_seed_exits_2_before_output(tmp_path, capsys, command):
+    task = tmp_path / "task.json"
+    task.write_text(json.dumps({"name": "bernoulli",
+                                "params": {"p_star": 0.3}}))
+    pi = tmp_path / "pi.json"
+    pi.write_text(json.dumps(
+        {"type": "tabular", "V": 2, "H": 1,
+         "tables": [{"x": 0, "prefix": [], "p": [0.9, 0.1]}]}))
+    data = tmp_path / "d.jsonl"
+    data.write_text('{"x": 0, "y": [1]}\n')
+    out = tmp_path / "out.jsonl"
+    argv = [command] + {
+        "gen-data": ["--task", "bernoulli", "--params", '{"p_star": 0.3}',
+                     "--n", "5", "--out", str(out)],
+        "eval-coverage": ["--task", str(task), "--pi-hat", str(pi),
+                          "--N-grid", "2"],
+        "tournament": ["--candidates", str(pi), str(pi), "--data",
+                       str(data)],
+        "bon": ["--task", str(task), "--pi-hat", str(pi), "--N-grid", "2",
+                "--trials", "100"]}[command]
+    # At the parent, -1 ran on the stream of 2^64 - 1.
+    assert main(argv + ["--seed", "-1"]) == 2
+    io = capsys.readouterr()
+    assert io.out == "" and not out.exists()
+    assert json.loads(io.err) == {
+        "error": "--seed must be >= 0 and an integer, got -1",
+        "kind": "validation"}
+    assert main(argv + ["--seed", str(2 ** 64 - 1)]) == 0
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("case", ["list", "string", "task", "learner",

@@ -9,9 +9,10 @@ import math
 import numpy as np
 import pytest
 
+from conftest import graph_instance
 from covkit.cli import main
 from covkit.graphs import (HORIZON_CLASSES, TEASER_CLASSES, GraphConfig,
-                           GraphPathPolicy, _rule_choice, gen_graph_instance)
+                           _rule_choice, parse_prompt)
 from covkit.metrics import tree_walk
 from covkit.seeding import SeedTree
 
@@ -20,10 +21,10 @@ CONFIGS = [GraphConfig(m=32, L=4), GraphConfig(m=64, L=6),
            GraphConfig(m=128, L=8)]
 
 
-def per_prefix_row(pol, x, prefix):
-    """The conditional at one prefix, computed as GraphPathPolicy did it
-    prefix by prefix: a fresh length-V row."""
-    dag, cid = pol._parse(x)
+def per_prefix_row(pol, x, prefix, cid):
+    """The conditional at one prefix under the rule of class cid, computed
+    as GraphPathPolicy did it prefix by prefix: a fresh length-V row."""
+    dag = parse_prompt(x, pol.m)
     pos = len(prefix)
     if pos >= pol.H:
         raise ValueError("prefix length must be < H")
@@ -39,58 +40,51 @@ def per_prefix_row(pol, x, prefix):
 
 
 def instances(seed):
-    """(prompt, the class's policy, the family's policy) on random graphs of
-    every class at each config."""
+    """(prompt, its class, the family's policy) on random graphs of every
+    class at each config."""
     rng = SeedTree(seed).rng()
     for cid in CLASSES:
-        family = "teaser" if cid in TEASER_CLASSES else "horizon"
         for cfg in CONFIGS:
             for _ in range(3):
-                dag, x, pol = gen_graph_instance(cid, cfg, rng)
-                fam = GraphPathPolicy(m=cfg.m, horizon=dag.horizon,
-                                      family=family)
-                yield x, pol, fam
+                _, x, pol = graph_instance(cid, cfg, rng)
+                yield x, cid, pol
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_prefix_dists_is_the_per_prefix_row_bit_for_bit(seed):
     rng = np.random.default_rng([seed, 21])
-    for x, pol, fam in instances(seed):
+    for x, cid, pol in instances(seed):
         paths = np.array([y for y, _ in pol.selected_paths(x)])
         for h in range(pol.H):
             pre = np.concatenate(
                 (paths[:, :h], rng.integers(0, pol.V, (5, h))))
-            want = np.array([per_prefix_row(pol, x, p)
+            want = np.array([per_prefix_row(pol, x, p, cid)
                              for p in pre.tolist()])
-            for q in (pol, fam):
-                got = q.prefix_dists(x, pre)
-                assert got.shape == (len(pre), pol.V)
-                assert got.dtype == want.dtype
-                assert np.array_equal(got, want)
-                assert not got.flags.writeable
-                for p, row in zip(pre.tolist(), want):
-                    assert np.array_equal(q.next_dist(x, tuple(p)), row)
+            got = pol.prefix_dists(x, pre)
+            assert got.shape == (len(pre), pol.V)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            assert not got.flags.writeable
+            for p, row in zip(pre.tolist(), want):
+                assert np.array_equal(pol.next_dist(x, tuple(p)), row)
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_walk_and_logprob_many_agree_with_selected_paths(seed):
-    for x, pol, fam in instances(seed):
+    for x, _, pol in instances(seed):
         paths = sorted(pol.selected_paths(x))
         Y = np.array([y for y, _ in paths])
         want = np.log([q for _, q in paths])
         assert math.isclose(sum(q for _, q in paths), 1.0, abs_tol=1e-12)
-        for q in (pol, fam):
-            lpD, lps, _, _ = tree_walk(q, x, [pol])
-            # The walk's leaves are the selected paths in lexicographic
-            # order; each is scored alike by the other policy.
-            assert np.allclose(lpD, want, rtol=0, atol=1e-12)
-            assert np.array_equal(lps[0], lpD)
-            assert np.allclose(q.logprob_many(x, Y), want, rtol=0,
-                               atol=1e-12)
+        lpD, lps, _, _ = tree_walk(pol, x, [pol])
+        # The walk's leaves are the selected paths in lexicographic order.
+        assert np.allclose(lpD, want, rtol=0, atol=1e-12)
+        assert np.array_equal(lps[0], lpD)
+        assert np.allclose(pol.logprob_many(x, Y), want, rtol=0, atol=1e-12)
 
 
 def test_next_dist_at_h_at_least_H_raises():
-    _, x, pol = gen_graph_instance("G1", GraphConfig(), SeedTree(4).rng())
+    _, x, pol = graph_instance("G1", GraphConfig(), SeedTree(4).rng())
     for h in (pol.H, pol.H + 1):
         with pytest.raises(ValueError, match="prefix length"):
             pol.next_dist(x, (0,) * h)

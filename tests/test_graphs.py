@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import graph_instance
 from covkit.core import Trajectory
 from covkit.graphs import (GraphConfig, GraphPathPolicy, LayeredDag,
                            gen_graph_instance, global_parity_half,
@@ -26,7 +27,7 @@ def test_round_trip_and_structure():
     rng = SeedTree(0).rng()
     for cid in ("G1", "G2", "G3"):
         for _ in range(30):
-            dag, prompt, piD = gen_graph_instance(cid, GraphConfig(), rng)
+            dag, prompt = gen_graph_instance(cid, GraphConfig(), rng)
             assert parse_prompt(prompt, dag.m) == dag
             nodes = dag.all_nodes()
             assert len(nodes) == len(set(nodes)) == 4 * 8 + 2
@@ -37,7 +38,7 @@ def test_teaser_parity_invariant_and_identification():
     rng = SeedTree(1).rng()
     for cid, want in (("G1", 1), ("G2", 0)):
         for _ in range(20):
-            dag, _, _ = gen_graph_instance(cid, GraphConfig(), rng)
+            dag, _ = gen_graph_instance(cid, GraphConfig(), rng)
             assert global_parity_half(dag) == want
             assert identify_class(dag, "teaser") == cid
 
@@ -48,7 +49,7 @@ def test_g1_g2_selection_rules_rederived():
     rng = SeedTree(2).rng()
     for cid in ("G1", "G2"):
         for _ in range(25):
-            dag, prompt, piD = gen_graph_instance(cid, GraphConfig(), rng)
+            dag, prompt, piD = graph_instance(cid, GraphConfig(), rng)
             reparsed = parse_prompt(prompt, dag.m)
             [(path, prob)] = piD.selected_paths(prompt)
             assert prob == 1.0
@@ -65,13 +66,13 @@ def test_g1_g2_selection_rules_rederived():
 
 def test_uniform_class_logprob():
     rng = SeedTree(3).rng()
-    dag, prompt, piD = gen_graph_instance("G3", GraphConfig(), rng)
+    dag, prompt, piD = graph_instance("G3", GraphConfig(), rng)
     paths = piD.selected_paths(prompt)
     assert len(paths) == 4
     for y, q in paths:
         assert math.isclose(piD.logprob(Trajectory(prompt, y)),
                             log_uniform_paths(2), abs_tol=1e-12)
-    dag, prompt, piD = gen_graph_instance("GH3", GraphConfig(L=16), rng)
+    dag, prompt, piD = graph_instance("GH3", GraphConfig(L=16), rng)
     paths = piD.selected_paths(prompt)
     assert len(paths) == 16
     assert math.isclose(piD.logprob(Trajectory(prompt, paths[0][0])),
@@ -82,9 +83,9 @@ def test_horizon_classes():
     rng = SeedTree(4).rng()
     for L in (8, 16, 24):
         cfg = GraphConfig(L=L)
-        dag, _, piD = gen_graph_instance("GH1", cfg, rng)
+        dag, _ = gen_graph_instance("GH1", cfg, rng)
         assert dag.valid_path_count() == 1
-        dag, prompt, piD = gen_graph_instance("GH2", cfg, rng)
+        dag, prompt, piD = graph_instance("GH2", cfg, rng)
         doubles = sum(1 for i in range(1, L + 1) if len(dag.passable[i]) == 2)
         assert doubles == L // 2
         assert len(piD.selected_paths(prompt)) == 1
@@ -93,7 +94,7 @@ def test_horizon_classes():
 
 def test_gh2_xor_rule_rederived():
     rng = SeedTree(5).rng()
-    dag, prompt, piD = gen_graph_instance("GH2", GraphConfig(L=8), rng)
+    dag, prompt, piD = graph_instance("GH2", GraphConfig(L=8), rng)
     [(path, _)] = piD.selected_paths(prompt)
     g = passable_parity(dag)
     for i in range(1, dag.L + 1):
@@ -105,7 +106,7 @@ def test_gh2_xor_rule_rederived():
 
 def test_invalid_path_logprob_neg_inf():
     rng = SeedTree(6).rng()
-    dag, prompt, piD = gen_graph_instance("G1", GraphConfig(), rng)
+    dag, prompt, piD = graph_instance("G1", GraphConfig(), rng)
     [(path, _)] = piD.selected_paths(prompt)
     bad = (path[0],) + (path[2],) + path[2:]   # wrong node at layer 2
     assert piD.logprob(Trajectory(prompt, bad)) == -math.inf
@@ -116,7 +117,7 @@ def test_sampling_produces_valid_paths():
     rng = SeedTree(7).rng()
     for cid in ("G1", "G3", "GH2"):
         cfg = GraphConfig(L=8)
-        dag, prompt, piD = gen_graph_instance(cid, cfg, rng)
+        dag, prompt, piD = graph_instance(cid, cfg, rng)
         for _ in range(20):
             y = piD.sample(prompt, rng)
             assert dag.is_valid_path(y)
@@ -124,7 +125,7 @@ def test_sampling_produces_valid_paths():
 
 def test_parse_rejects_malformed():
     rng = SeedTree(8).rng()
-    dag, prompt, _ = gen_graph_instance("G1", GraphConfig(), rng)
+    dag, prompt = gen_graph_instance("G1", GraphConfig(), rng)
     m = dag.m
     with pytest.raises(ValueError, match="position 0"):
         parse_prompt((), m)
@@ -144,7 +145,7 @@ def test_parse_rejects_malformed():
 
 def test_special_token_ids():
     rng = SeedTree(9).rng()
-    dag, prompt, _ = gen_graph_instance("G1", GraphConfig(), rng)
+    dag, prompt = gen_graph_instance("G1", GraphConfig(), rng)
     m = dag.m
     assert prompt[-1] == m + 3           # '='
     assert m + 2 in prompt               # '/'
@@ -166,9 +167,10 @@ def test_mixture_sampler_and_policy_identification():
 
 
 def test_policy_constructor_validation():
-    with pytest.raises(ValueError):
+    # A family is required, and there is no fixed-class mode.
+    with pytest.raises(TypeError):
         GraphPathPolicy(m=128, horizon=10)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         GraphPathPolicy(m=128, horizon=10, family="teaser", class_id="G1")
 
 

@@ -181,6 +181,7 @@ def test_mle_learner_path(tmp_path):
     summary = json.loads((tmp_path / "runs" / "p000_s1" /
                           "summary.json").read_text())
     assert summary["flags"] == []
+    assert summary["wall_clock"] > 0        # the draw and the fit, timed
 
 
 def test_mle_out_of_iterations_is_flagged(tmp_path, monkeypatch):

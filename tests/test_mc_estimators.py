@@ -7,8 +7,8 @@ import pytest
 import mc_oracle
 from conftest import random_product, random_tabular, tabular_with_missing_mass
 from covkit.core import FinitePromptDist, sample_dataset
-from covkit.metrics import (coverage_mc, empirical_pairwise_cov,
-                            onpolicy_cov_estimate, seq_ce, seq_kl, stopped_kl)
+from covkit.metrics import (coverage_mc, onpolicy_cov_estimate,
+                            pairwise_cov_matrix, seq_ce, seq_kl, stopped_kl)
 from covkit.seeding import SeedTree
 from covkit.selection import (CandidateClass, offset_tournament,
                               simple_tournament)
@@ -74,7 +74,7 @@ def test_tournament_matrix_equals_per_pair_coverage():
         for i in range(len(cands)):
             for j in range(len(cands)):
                 per_pair = 0.0 if i == j else \
-                    empirical_pairwise_cov(cands[i], cands[j], ds, N)
+                    pairwise_cov_matrix([cands[i], cands[j]], ds, N)[0, 1]
                 assert per_pair == want[i, j]
         simple = simple_tournament(CandidateClass(cands), ds, N)
         assert same(simple.pairwise, want)

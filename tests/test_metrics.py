@@ -6,12 +6,11 @@ import pytest
 from conftest import random_product, random_tabular
 from covkit.core import FinitePromptDist, Trajectory
 from covkit.metrics import (CoverageCurve, PairLaw, coverage_exact,
-                            coverage_mc, coverage_sup_log, default_n_grid,
-                            empirical_pairwise_cov, hellinger_sq,
+                            coverage_mc, coverage_sup_log, hellinger_sq,
                             hoeffding_half_width, kl_to_cov_bound,
-                            log_ratio_atoms, onpolicy_cov_estimate,
-                            pairwise_cov_matrix, seq_ce, seq_kl, step_kl,
-                            stepwise_hellinger_tail, stopped_kl)
+                            onpolicy_cov_estimate, pairwise_cov_matrix,
+                            seq_ce, seq_kl, step_kl, stepwise_hellinger_tail,
+                            stopped_kl)
 from covkit.models import TabularModel
 from covkit.seeding import SeedTree
 from covkit.tasks import bernoulli_model
@@ -63,7 +62,7 @@ def test_coverage_monotone_and_range():
     rng = SeedTree(0).rng()
     piD = random_tabular(rng, 3, 3)
     piHat = random_tabular(rng, 3, 3)
-    curve = coverage_exact(piD, piHat, ONE, default_n_grid())
+    curve = coverage_exact(piD, piHat, ONE, 2.0 ** np.arange(1, 17))
     assert np.all(np.diff(curve.values) <= 1e-15)
     assert np.all((curve.values >= 0) & (curve.values <= 1))
 
@@ -103,7 +102,7 @@ def test_coverage_mc_monotone_shared_samples():
     piD = random_tabular(rng, 3, 2)
     piHat = random_tabular(rng, 3, 2)
     mu = FinitePromptDist([0], [1.0])
-    curve = coverage_mc(piD, piHat, mu, default_n_grid(8), 500, rng)
+    curve = coverage_mc(piD, piHat, mu, 2.0 ** np.arange(1, 9), 500, rng)
     assert np.all(np.diff(curve.values) <= 0)
 
 
@@ -242,8 +241,8 @@ def test_empirical_pairwise_cov():
     from covkit.core import Dataset
     ds = Dataset([0] * 4, [[1], [0], [0], [0]], H=1, V=2)
     # ratio Ber(0.5)/Ber(0.05) at y=1 is 10 >= 4 -> exactly one of four points
-    assert empirical_pairwise_cov(piD, ber(0.05), ds, 4.0) == 0.25
-    assert empirical_pairwise_cov(piD, piD, ds, 2.0) == 0.0
+    assert pairwise_cov_matrix([piD, ber(0.05)], ds, 4.0)[0, 1] == 0.25
+    assert pairwise_cov_matrix([piD, piD], ds, 2.0)[0, 1] == 0.0
 
 
 def test_empirical_pairwise_cov_consistency():
@@ -251,7 +250,7 @@ def test_empirical_pairwise_cov_consistency():
     piD, piHat = ber(0.1), ber(0.025)
     from covkit.core import sample_dataset
     ds = sample_dataset(piD, lambda r: 0, 10 ** 5, rng)
-    est = empirical_pairwise_cov(piD, piHat, ds, 4.0)
+    est = pairwise_cov_matrix([piD, piHat], ds, 4.0)[0, 1]
     assert abs(est - 0.1) <= hoeffding_half_width(10 ** 5) + 1e-12
 
 
@@ -276,7 +275,7 @@ def test_log_ratio_atoms_sum_to_one():
     rng = SeedTree(11).rng()
     piD = random_tabular(rng, 3, 2)
     piHat = random_tabular(rng, 3, 2)
-    _, probs = log_ratio_atoms(piD, piHat, ONE)
+    _, probs = PairLaw(piD, piHat, ONE).atoms()
     assert math.isclose(probs.sum(), 1.0, abs_tol=1e-9)
 
 
@@ -315,8 +314,6 @@ def test_pairwise_coverage_refuses_N_below_one(N):
     pols = [ber(0.5), ber(0.05)]
     with pytest.raises(ValueError, match="N must be >= 1"):
         pairwise_cov_matrix(pols, ds, N)
-    with pytest.raises(ValueError, match="N must be >= 1"):
-        empirical_pairwise_cov(*pols, ds, N)
 
 
 @pytest.mark.parametrize("interval, delta", [

@@ -102,8 +102,8 @@ def test_grad_logprob_finite_difference():
         for j in range(d):
             e = np.zeros(d)
             e[j] = eps
-            up = model.with_theta(theta + e).logprob(Trajectory(0, y))
-            dn = model.with_theta(theta - e).logprob(Trajectory(0, y))
+            up = LinearARModel(theta + e, fm, V, H).logprob(Trajectory(0, y))
+            dn = LinearARModel(theta - e, fm, V, H).logprob(Trajectory(0, y))
             num[j] = (up - dn) / (2 * eps)
         assert np.allclose(g, num, atol=1e-6)
 

@@ -147,10 +147,9 @@ SITES = {
         set(), [20]),
     "metrics.delta": ("delta", lambda v: config(metrics={"delta": v}), set(),
                       [0.05]),
-    "root_seed": ("root_seed", lambda v: config(root_seed=v), {"0", "-1"},
-                  [3]),
+    "root_seed": ("root_seed", lambda v: config(root_seed=v), {"0"}, [3]),
     "sweep.seeds": ("sweep.seeds", lambda v: config(sweep={"seeds": [v]}),
-                    {"0", "-1"}, [5]),
+                    {"0"}, [5]),
     # CLI flags
     "gen-data --n": ("--n", lambda v: cli("gen-data", "--n", v), {"'3'"},
                      [5]),
@@ -167,6 +166,9 @@ SITES = {
         {"1.5", "'3'"}, [2.0]),
     "bon --trials": ("--trials", lambda v: cli("bon", "--trials", v), set(),
                      [100]),
+    **{f"{c} --seed": ("--seed", lambda v, c=c: cli(c, "--seed", v),
+                       {"0", "'3'"}, [2 ** 64 - 1])
+       for c in ("gen-data", "eval-coverage", "tournament", "bon")},
     "policy file V": ("V", lambda v: policy_file(V=v), set(), [2]),
     "policy file H": ("H", lambda v: policy_file(H=v), set(), [1]),
     # task builders

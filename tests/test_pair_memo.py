@@ -17,11 +17,13 @@ from covkit.models import CallableFeatureMap, TabularModel, sigma_star_sq
 from prefix_oracle import CountingTabular, tuple_tree_walk
 
 NS = [2.0, 8.0, 64.0]
-TERM_FREE = ["seq_kl", "seq_ce", "hellinger_sq", "log_ratio_atoms",
-             "coverage_exact", "coverage_sup_log", "held_kl_and_coverage"]
+TERM_FREE = ["seq_kl", "seq_ce", "hellinger_sq", "atoms", "coverage_exact",
+             "coverage_sup_log", "held_kl_and_coverage"]
 WITH_TERMS = ["stopped_kl", "stepwise_hellinger_tail"]
+# The seven free functions, and with them the methods of a held PairLaw.
 FREE = [name for name in TERM_FREE + WITH_TERMS
-        if name != "held_kl_and_coverage"]
+        if name not in ("atoms", "held_kl_and_coverage")]
+METHODS = FREE + ["atoms"]
 
 
 def random_rows(rng, V, H, prompts, missing):
@@ -107,7 +109,7 @@ def reference(D, Hm, mu, name, *args):
     if name == "hellinger_sq":
         return total(lambda lpD, lpH, s, p:
                      1.0 - float(np.exp(0.5 * (lpD + lpH)).sum()))
-    if name == "log_ratio_atoms":
+    if name == "atoms":
         return atoms()
     if name == "coverage_exact":
         return curve(args[0])
@@ -144,6 +146,8 @@ def call(D, Hm, mu, name, *args):
     if name == "held_kl_and_coverage":
         kl, curve = held_kl_and_coverage(D, Hm, mu, *args)
         return kl, curve.values
+    if name == "atoms":
+        return metrics.PairLaw(D, Hm, mu).atoms()
     return getattr(metrics, name)(D, Hm, mu, *args)
 
 
@@ -324,7 +328,7 @@ def test_sparse_pid_beyond_v_to_the_h_is_walked_exactly():
                         rel_tol=1e-12)
     assert math.isclose(metrics.seq_ce(D, Hm, mu), -sum(log_h),
                         rel_tol=1e-12)
-    ratios, probs = metrics.log_ratio_atoms(D, Hm, mu)
+    ratios, probs = metrics.PairLaw(D, Hm, mu).atoms()
     assert len(ratios) == 1 and probs.tolist() == [1.0]
     assert math.isclose(ratios[0], -sum(log_h), rel_tol=1e-12)
     # On piD's own path, a uniform policy has log ratio -H log V < 0, so
@@ -399,7 +403,7 @@ def held(law, name, *args):
     """The functional from a held PairLaw, as `call` returns it."""
     if name == "coverage_exact":
         return law.coverage(*args).values
-    method = {"log_ratio_atoms": "atoms", "coverage_sup_log": "sup_log",
+    method = {"coverage_sup_log": "sup_log",
               "stepwise_hellinger_tail": "hellinger_tail"}.get(name, name)
     return getattr(law, method)(*args)
 
@@ -415,7 +419,7 @@ def test_held_law_equals_free_functions_and_tuple_walks():
     rng = np.random.default_rng(8)
     for k, (kind, D, Hm, mu) in enumerate(held_cases()):
         law = metrics.PairLaw(D, Hm, mu)
-        for name in FREE:
+        for name in METHODS:
             args = args_for(name, rng)
             got = held(law, name, *args)
             assert np.array_equal(flat(got), flat(call(D, Hm, mu, name,
@@ -424,7 +428,7 @@ def test_held_law_equals_free_functions_and_tuple_walks():
             if kind == "walked" and name in TERM_FREE:
                 assert np.array_equal(flat(got), flat(want)), (k, name)
                 continue
-            if name == "log_ratio_atoms" and kind != "walked":
+            if name == "atoms" and kind != "walked":
                 got, want = merged(*got), merged(*want)
             assert flat(got).shape == flat(want).shape, (k, name)
             assert np.allclose(flat(got), flat(want), rtol=1e-12,
@@ -443,7 +447,7 @@ def test_held_law_walks_each_prompt_once_for_all_methods(make):
               Hm.step_dist(x) is None]
     law = metrics.PairLaw(D, Hm, mu)
     rng = np.random.default_rng(5)
-    for name in FREE:
+    for name in METHODS:
         held(law, name, *args_for(name, rng))
         held(law, name, *args_for(name, rng))
     assert D.levels == Hm.levels == list(range(D.H)) * len(walked)
@@ -483,8 +487,8 @@ def test_atoms_of_a_law_are_built_once_and_read_only():
     D, Hm, mu = make_mixed_pair(1)
     law = metrics.PairLaw(D, Hm, mu)
     ratios, probs = law.atoms()
-    assert law.atoms()[0] is ratios and metrics.log_ratio_atoms(
-        D, Hm, mu)[0] is not ratios
+    assert law.atoms()[0] is ratios and metrics.PairLaw(
+        D, Hm, mu).atoms()[0] is not ratios
     with pytest.raises(ValueError, match="read-only"):
         ratios[0] = 0.0
     with pytest.raises(ValueError, match="read-only"):
@@ -496,7 +500,7 @@ def test_atoms_of_a_law_are_built_once_and_read_only():
 EXACT = [
     lambda D, Hm, mu: metrics.coverage_exact(D, Hm, mu, NS),
     lambda D, Hm, mu: metrics.coverage_sup_log(D, Hm, mu),
-    lambda D, Hm, mu: metrics.log_ratio_atoms(D, Hm, mu),
+    lambda D, Hm, mu: metrics.PairLaw(D, Hm, mu).atoms(),
     lambda D, Hm, mu: metrics.seq_kl(D, Hm, mu),
     lambda D, Hm, mu: held_kl_and_coverage(D, Hm, mu, NS),
 ]

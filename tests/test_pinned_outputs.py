@@ -10,6 +10,9 @@ Each pin is the digest of one output group:
   coverage in full precision (the CSVs round them to 12 digits);
 * `<command>:<variant>` - the stdout of `eval-coverage`, `tournament` and
   `bon`, each at two seeds;
+* `gen-data:<task>:<seed>` - the JSONL and `--header` sidecar bytes that
+  `gen-data` writes for `heterogeneous_kl` and for `graph_teaser` (whose
+  prompt sampler is a plain callable), each at two seeds;
 * `fit:mle_chain` - the bits of `mle_fit`'s theta on a one-feature chain
   whose step table is not integral, where a count-times-table product
   summed in another order changes the last bit.
@@ -17,7 +20,8 @@ Each pin is the digest of one output group:
 The pins hold for the numpy this suite runs on (2.4.6).  A change that
 alters a pinned output on purpose re-pins in the same change:
 `python tests/test_pinned_outputs.py` prints the fresh digests as the
-literal to paste over `PINS`.
+literal to paste over `PINS`, and names on stderr the pins whose
+digests differ from it.
 """
 
 import contextlib
@@ -90,6 +94,14 @@ PINS = {
         'e03e845c2aff88e65bc75b277f26997d75a9dbdf659206d887b558e078d76c73',
     'fit:mle_chain':
         'f590198c549a11bed8f6fbe836cba42d7a12ccb3a3b4360b7a03d451197dedc6',
+    'gen-data:graph_teaser:0':
+        'f3ea59af5d21df8f2839c5bd6a108a28f182b44f0578f7a426cc19ed5c0fd0cf',
+    'gen-data:graph_teaser:1':
+        '22346271419149a66f890bcbc18d806bcc857e95f9f6e4286746a69388f588a7',
+    'gen-data:heterogeneous_kl:0':
+        '4cb69dcc29e3af886c3d3e6dd3ec30a2f800d8c85ff14bd5c3c98d9c72cbb961',
+    'gen-data:heterogeneous_kl:1':
+        'a74dec5fd42b0866142cd985cf85e2ab3a673ac89d11bed325df8836f521f70b',
     'run:mle_product':
         '090015dae905bd5776239d9f346a370c5edb9fa1f693e1144041901adc5c3f89',
     'run:normalized_mc':
@@ -175,6 +187,17 @@ def _stdout(argv):
     return buf.getvalue()
 
 
+def _gen_data(tmp, task, params, n, seed):
+    """`gen-data`'s JSONL and --header sidecar bytes, and the data path."""
+    data = os.path.join(tmp, f"{task}{seed}.jsonl")
+    header = data + ".header.json"
+    _stdout(["gen-data", "--task", task, "--params", json.dumps(params),
+             "--n", str(n), "--seed", str(seed), "--out", data,
+             "--header", header])
+    with open(data, "rb") as f, open(header, "rb") as g:
+        return f.read() + b"\0" + g.read(), data
+
+
 def _command_outputs(tmp):
     task = os.path.join(tmp, "task.json")
     with open(task, "w") as f:
@@ -183,10 +206,11 @@ def _command_outputs(tmp):
     cands = [_tabular(os.path.join(tmp, f"pi{k}.json"), k) for k in range(3)]
     outs = {}
     for seed in (0, 1):
-        data = os.path.join(tmp, f"data{seed}.jsonl")
-        _stdout(["gen-data", "--task", "heterogeneous_kl", "--params",
-                 json.dumps({"n": 3, "H": 3}), "--n", "60",
-                 "--seed", str(seed), "--out", data])
+        outs[f"gen-data:graph_teaser:{seed}"], _ = _gen_data(
+            tmp, "graph_teaser", {"m": 16, "L": 3, "nodes_per_layer": 3}, 8,
+            seed)
+        outs[f"gen-data:heterogeneous_kl:{seed}"], data = _gen_data(
+            tmp, "heterogeneous_kl", {"n": 3, "H": 3}, 60, seed)
         s = ["--seed", str(seed)]
         cov = ["eval-coverage", "--task", task, "--pi-hat", cands[seed],
                "--N-grid", "1.5,2,4,8"] + s
@@ -202,7 +226,8 @@ def _command_outputs(tmp):
         outs[f"bon:{seed}"] = _stdout(
             ["bon", "--task", task, "--pi-hat", cands[2], "--N-grid",
              "1,2,4", "--trials", "200", "--reward-scale", "2"] + s)
-    return {k: hashlib.sha256(v.encode()).hexdigest() for k, v in outs.items()}
+    return {k: hashlib.sha256(v if isinstance(v, bytes) else v.encode())
+            .hexdigest() for k, v in outs.items()}
 
 
 def _mle_chain_digest():
@@ -236,6 +261,8 @@ def test_pinned_output(name):
 
 
 if __name__ == "__main__":
+    moved = sorted(k for k, v in digests().items() if PINS.get(k) != v)
+    sys.stderr.write(f"moved: {', '.join(moved) or 'none'}\n")
     sys.stdout.write("PINS = {\n" + "".join(
         f"    {k!r}:\n        {v!r},\n" for k, v in sorted(digests().items()))
         + "}\n")

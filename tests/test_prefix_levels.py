@@ -6,9 +6,10 @@ same prefixes Y[first, :h] at every level."""
 import numpy as np
 import pytest
 
+from conftest import graph_instance
 from covkit import core
 from covkit.core import Dataset, logprob_matrix, prefix_levels
-from covkit.graphs import GraphConfig, GraphPathPolicy, gen_graph_instance
+from covkit.graphs import GraphConfig, GraphPathPolicy
 from covkit.models import TabularModel
 from covkit.seeding import SeedTree
 from prefix_oracle import prefix_levels_ref
@@ -145,7 +146,7 @@ def test_an_empty_block_needs_no_range_check():
 
 def teaser_instance():
     rng = SeedTree(4).rng()
-    dag, x, pol = gen_graph_instance("G1", GraphConfig(m=32, L=4), rng)
+    dag, x, pol = graph_instance("G1", GraphConfig(m=32, L=4), rng)
     assert dag.horizon == 6 == pol.H
     return dag, x, pol
 

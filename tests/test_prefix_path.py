@@ -89,23 +89,35 @@ def test_prefix_dists_equals_dict_lookup():
 def test_next_dist_equals_dict_lookup():
     for rng, V, H, tables, default in cases():
         model, ref = pair(tables, V, H, default)
-        queries = all_prefixes(V, H) + [
-            (V,), (-1,), (0,) * (H - 1) + (V + 3,), (0,) * H, (1,) * (H + 1)]
+        refused = [(V,), (-1,), (0,) * (H - 1) + (V + 3,), (0,) * H,
+                   (1,) * (H + 1)]
         for x in PROMPTS + ABSENT:
-            for prefix in queries:
+            for prefix in all_prefixes(V, H):
                 assert np.array_equal(model.next_dist(x, prefix),
                                       ref.next_dist(x, prefix)), (x, prefix)
+            for prefix in refused:
+                with pytest.raises(ValueError):
+                    model.next_dist(x, prefix)
         assert np.array_equal(model.next_dist(0, [0] * (H - 1)),
                               ref.next_dist(0, [0] * (H - 1)))
 
 
 def test_out_of_range_queries_take_default():
+    # Only an unseen prompt takes the default row; a prefix of H or more
+    # tokens, or with a token a Dataset would refuse, raises.
     model = TabularModel({(0, ()): [0.5, 0.5], (0, (0,)): [1.0, 0.0],
                           (0, (1,)): [0.0, 1.0]}, V=2, H=2,
                          default=[0.25, 0.75])
-    for prefix in [(2,), (-1,), (0, 0), (0, 1, 1), (0.5,)]:
-        assert model.next_dist(0, prefix).tolist() == [0.25, 0.75]
-    assert model.next_dist(0, (1.0,)).tolist() == [0.0, 1.0]
+    assert model.next_dist(5, (1,)).tolist() == [0.25, 0.75]
+    for prefix, match in [((2,), r"integers in \[0, 2\)"),
+                          ((-1,), r"integers in \[0, 2\)"),
+                          ((0, 0), "prefix length"),
+                          ((0, 1, 1), "prefix length"),
+                          ((0.5,), "integers"), ((1.0,), "integers"),
+                          ((True,), "integers")]:
+        with pytest.raises(ValueError, match=match):
+            model.next_dist(0, prefix)
+    assert model.next_dist(0, (np.int64(1),)).tolist() == [0.0, 1.0]
 
 
 def test_step_dist_equals_dict_reference():

@@ -1,25 +1,26 @@
 import math
 
 import numpy as np
+import pytest
 
-from covkit.seeding import SeedTree, derive_rng
+from covkit.seeding import SeedTree
 
 
 def test_same_path_identical_draws():
-    a = derive_rng(SeedTree(1), "mc", 0).random(100)
-    b = derive_rng(SeedTree(1), "mc", 0).random(100)
+    a = SeedTree(1).child("mc", 0).rng().random(100)
+    b = SeedTree(1).child("mc", 0).rng().random(100)
     assert np.array_equal(a, b)
 
 
 def test_sibling_paths_differ():
-    a = derive_rng(SeedTree(1), "mc", 0).random(10)
-    b = derive_rng(SeedTree(1), "mc", 1).random(10)
+    a = SeedTree(1).child("mc", 0).rng().random(10)
+    b = SeedTree(1).child("mc", 1).rng().random(10)
     assert not np.array_equal(a, b)
 
 
 def test_label_separation():
-    a = derive_rng(SeedTree(1), "train", 0).random(10)
-    b = derive_rng(SeedTree(1), "eval", 0).random(10)
+    a = SeedTree(1).child("train", 0).rng().random(10)
+    b = SeedTree(1).child("eval", 0).rng().random(10)
     assert not np.array_equal(a, b)
 
 
@@ -30,7 +31,7 @@ def test_nested_paths_deterministic():
 
 def test_pooled_uniformity_chi_square():
     # 1000 sibling streams pooled; chi-square gof against uniform at alpha=0.01.
-    draws = np.concatenate([derive_rng(SeedTree(1), "mc", k).random(10)
+    draws = np.concatenate([SeedTree(1).child("mc", k).rng().random(10)
                             for k in range(1000)])
     k_bins = 20
     counts, _ = np.histogram(draws, bins=k_bins, range=(0.0, 1.0))
@@ -48,3 +49,12 @@ def test_cross_process_stability_golden():
         0, 2 ** 16, 4).tolist()
     assert SeedTree(123).child("golden", 4).entropy() == \
         SeedTree(123).child("golden", 4).entropy()
+
+
+def test_root_seed_is_used_as_given():
+    # The stream of a root in [0, 2^64) is the one a 64-bit mask gave; a
+    # negative root, which that mask sent to root + 2^64, is refused.
+    assert SeedTree(2 ** 64 - 1).rng().random() == 0.6800266789616931
+    assert SeedTree(2 ** 64).entropy() == [2 ** 64]
+    with pytest.raises(ValueError, match="non-negative"):
+        SeedTree(-1).rng()

@@ -94,7 +94,7 @@ def test_a_model_refuses_a_non_finite_theta():
         theta = model.theta.copy()
         theta[0] = bad
         with pytest.raises(ValueError, match="theta"):
-            model.with_theta(theta)
+            LinearARModel(theta, model.featmap, model.V, model.H)
 
 
 def test_projection_is_the_norm_based_one():

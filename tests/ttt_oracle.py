@@ -11,16 +11,18 @@ checks the level paths against them.
 import math
 
 from covkit.core import NEG_INF
+from covkit.models import LinearARModel
 from train_oracle import grad_logprob_token, project_unit_ball
 
 
 def logprob(policy, x, y) -> float:
     """log pi(y|x) of a TTTPolicy by a fresh incremental replay."""
-    theta = policy.base.theta
+    base = policy.base
+    theta = base.theta
     total = 0.0
     prefix = ()
     for v in y:
-        model = policy.base.with_theta(theta)
+        model = LinearARModel(theta, base.featmap, base.V, base.H)
         p = model.next_dist(x, prefix)
         if p[v] <= 0.0:
             return NEG_INF
@@ -35,10 +37,11 @@ def logprob(policy, x, y) -> float:
 def sample(policy, x, rng) -> tuple:
     """One response of a TTTPolicy: one rng.choice per token, replaying
     the gradient step after each drawn token."""
-    theta = policy.base.theta
+    base = policy.base
+    theta = base.theta
     y = ()
     for _ in range(policy.H):
-        model = policy.base.with_theta(theta)
+        model = LinearARModel(theta, base.featmap, base.V, base.H)
         p = model.next_dist(x, y)
         v = int(rng.choice(policy.V, p=p))
         if policy.eta != 0.0:

@@ -5,9 +5,9 @@ from .core import (Dataset, FinitePromptDist, Policy, Trajectory,
                    save_jsonl)
 from .metrics import (CoverageCurve, MetricReport, coverage_exact,
                       coverage_mc, hellinger_sq, kl_to_cov_bound, seq_ce,
-                      seq_kl, stopped_kl)
+                      seq_kl, sigma_star_sq, stopped_kl)
 from .models import (CallableFeatureMap, FeatureMap, LinearARModel,
-                     TabularModel, project_unit_ball, sigma_star_sq)
+                     TabularModel, project_unit_ball)
 from .seeding import SeedTree
 from .training import (MLEResult, RunRecord, TrainConfig, mle_fit,
                        policy_stream, sgd_normalized, sgd_token,

@@ -328,6 +328,8 @@ class GraphPathPolicy(Policy):
     """
 
     def __init__(self, m: int, horizon: int, family: str):
+        if family not in ("teaser", "horizon"):
+            raise ValueError(f"unknown family {family!r}")
         self.m = m
         self.V = m + 4
         self.H = horizon
@@ -369,13 +371,22 @@ class GraphPathPolicy(Policy):
         return [(y + (dag.target,), q) for y, q in paths]
 
 
-def mixture_prompt_sampler(mix: dict, config: GraphConfig):
-    """Sampler rng -> prompt tokens for a class mixture.  A class of
-    positive weight that needs more double layers than L is refused."""
+def mixture_prompt_sampler(mix: dict, config: GraphConfig, family: str):
+    """Sampler rng -> prompt tokens for a mixture of `family`'s classes.
+    A ValueError refuses first a class of positive weight that is unknown
+    or needs more double layers than L, then a class that is unknown or of
+    another family, a weight that is not finite and >= 0, and a mix with
+    no positive weight."""
     classes = sorted(mix)
     for c in classes:
         if mix[c] > 0:
             double_layer_count(c, config.L)
+    for c in classes:
+        if _family_of(c) != family:
+            raise ValueError(f"mix class {c!r} is not a {family} class")
+        check_number(f"mix[{c!r}]", mix[c], 0)
+    if not any(mix[c] > 0 for c in classes):
+        raise ValueError(f"mix must give a class a positive weight: {mix!r}")
     weights = np.array([mix[c] for c in classes])
     weights = weights / weights.sum()
 

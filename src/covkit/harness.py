@@ -3,9 +3,11 @@
 A config describes one task x learner pair plus sweep axes (parameter lists
 and a seed list).  Every (sweep point, seed) job owns a derived seed subtree
 so outputs are byte-identical regardless of worker-thread count.  In mc
-mode a checkpoint's seq KL and coverage share one draw.  Emitted artifacts:
-per-run ``timeseries.csv`` and ``summary.json`` plus an aggregate
-``sweep.csv`` with medians and 1/16-15/16 quantile bands.
+mode a checkpoint's seq KL and coverage share one draw; in exact mode the
+preflight (`check_exact_work`) and the product-prompt test
+(`product_steps`) are those of `metrics`.  Emitted artifacts: per-run
+``timeseries.csv`` and ``summary.json`` plus an aggregate ``sweep.csv``
+with medians and 1/16-15/16 quantile bands.
 """
 
 from __future__ import annotations
@@ -23,10 +25,9 @@ import numpy as np
 
 from . import tasks as _tasks
 from . import training
-from .core import (check_enum_budget, check_number, sample_dataset,
-                   save_jsonl)
-from .metrics import (MetricReport, PairLaw, StackLaw, mc_report,
-                      positive_weights, tree_walk)
+from .core import check_number, sample_dataset, save_jsonl
+from .metrics import (MetricReport, PairLaw, StackLaw, check_exact_work,
+                      mc_report, product_steps)
 from .models import LinearARModel
 from .seeding import SeedTree
 from .training import RunRecord, TrainConfig, policy_stream
@@ -60,7 +61,7 @@ def _graph_task(family, **params):
     if mix is None:
         mix = TEASER_MIX if family == "teaser" else HORIZON_MIX
     piD = GraphPathPolicy(m=cfg.m, horizon=cfg.L + 2, family=family)
-    mu = mixture_prompt_sampler(mix, cfg)
+    mu = mixture_prompt_sampler(mix, cfg, family)
     return _tasks.TaskInstance(mu=mu, piD=piD,
                                metadata={"family": family, "mix": mix})
 
@@ -157,9 +158,9 @@ def _check_metrics(metrics: dict) -> dict:
 def validate_config(cfg: dict) -> dict:
     """Fail-closed validation; returns a normalized copy.  It also checks
     the metrics block, builds the task at each point of the task axes
-    (`_check_task`) and sizes its exact metrics (`_check_exact_work`),
-    and builds the `TrainConfig` at each point of the train axes and
-    checks it against the learner at every task point
+    (`_check_task`) and sizes its exact metrics (`check_exact_work`), and
+    builds the `TrainConfig` at each point of the train axes and checks
+    it against the learner at every task point
     (`training.resolve_config`), so a config that a job would refuse fails
     before `run` writes anything.  Every error it meets is raised as a
     ConfigError."""
@@ -217,7 +218,10 @@ def validate_config(cfg: dict) -> dict:
         point = _build_task(task["name"], params)
         featmaps.append(_check_task(point, metrics))
         if metrics["mode"] == "exact":
-            _check_exact_work(point)
+            try:
+                check_exact_work(point.piD, point.featmap, point.mu.items())
+            except ValueError as e:
+                raise ConfigError(f"exact metrics: {e}")
     train_axes = [a for a in axes if a in reads]
     for values in itertools.product(*(axes[a] for a in train_axes)):
         try:
@@ -262,38 +266,6 @@ def _check_task(task, metrics_spec: dict):
     return task.featmap
 
 
-def _walked(task, x) -> bool:
-    """Whether the exact metrics walk prompt x: piD or the feature map is
-    not a product there."""
-    return task.piD.step_dist(x) is None or task.featmap.step_table(x) is None
-
-
-def _check_exact_work(task):
-    """Refuse a task point whose exact metrics would pass the enumeration
-    budget.  A prompt where piD and the feature map are products counts
-    comb(H + k - 1, k - 1) atoms, k the size of piD's step support (a bound
-    on its distinct step log-ratios), and is not walked; any other prompt
-    is then walked once under piD alone, which gathers the levels the pair
-    walk would, on top of those atoms.  A checkpoint's `PairLaw` counts
-    its walks first and its atoms after, within this bound, and a
-    `StackLaw` counts the atoms of one checkpoint and takes its stack in
-    chunks of at most the budget, so neither is refused at a point that
-    passes here."""
-    work, walked = 0, []
-    try:
-        for x, _ in positive_weights(task.mu.items()):
-            if _walked(task, x):
-                walked.append(x)
-                continue
-            k = int(np.count_nonzero(np.asarray(task.piD.step_dist(x)) > 0))
-            work += math.comb(task.H + k - 1, k - 1)
-        check_enum_budget("leaves + atoms (bound)", work)
-        for x in walked:
-            work += len(tree_walk(task.piD, x, spent=work)[0])
-    except ValueError as e:
-        raise ConfigError(f"exact metrics: {e}")
-
-
 def run_learner(name: str, task, train: TrainConfig, rng) -> RunRecord:
     """Train learner `name` on a task that passed `_check_task`."""
     fit = getattr(training, LEARNERS[name][0])
@@ -323,8 +295,9 @@ def checkpoint_metrics(task, rec: RunRecord, metrics_spec: dict, tree: SeedTree)
     give the same bits.  In mc mode checkpoint i makes one `mc_report`
     call on tree.child("metric", i)'s rng."""
     n_grid = np.asarray(metrics_spec["n_grid"], float)
-    if metrics_spec["mode"] == "exact" and not any(
-            _walked(task, x) for x, _ in positive_weights(task.mu.items())):
+    if metrics_spec["mode"] == "exact" and all(
+            w == 0.0 or product_steps(task.piD, task.featmap, x) is not None
+            for x, w in task.mu.items()):
         law = StackLaw(task.piD, [theta for _, theta in rec.checkpoints],
                        task.featmap, task.mu.items())
         rec.metrics = [MetricReport(float(kl), curve) for kl, curve in

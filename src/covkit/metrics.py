@@ -25,13 +25,16 @@ A caller that wants several functionals of a pair holds one PairLaw.  The
 free functions share `_law`, a one-entry cache of the last (piD, piHat, mu
 list) law that holds its policies by weak reference and is dropped when
 either is collected.  onpolicy_cov (one walk of pi per distinct prompt)
-and non-product models.sigma_star_sq walk on their own.
+and the walked part of sigma_star_sq (the inherent variance sigma*^2)
+walk on their own.
 
 A `StackLaw` gives seq_kl and the coverage curve of piD against each row
 of a (C, d) stack of linear-softmax theta on one feature map (a job's
-checkpoints), when every prompt is a product prompt.  piD's step row and
-the composition table of the atoms do not depend on theta, so it builds
-them once; the C step rows are one stacked softmax, KL is H KL_step per
+checkpoints), when every prompt is a product prompt (`product_steps`, the
+one test of the StackLaw, sigma*^2, the preflight and the harness).  piD's
+step row and the composition table of the atoms do not depend on theta,
+so it builds them once; the C step rows are one `models.candidate_dists`
+call, KL is H KL_step per
 row, and each row's atom log-probs and ratios are one stacked
 vector-matrix product.  Each value is bit for bit the PairLaw's of that
 row: a row with an infinite step ratio, or with atoms that the pair law
@@ -40,16 +43,20 @@ pair law's own atoms.
 
 Work is bounded at 1e6: each walk counts the k * V entries a level of k
 prefixes gathers per policy (a bound on its piD-positive children) on top
-of the law's earlier leaves, and the atoms count comb(H + k - 1, k - 1)
-per product prompt plus the walked leaves; a ValueError asking for a Monte
-Carlo mode is raised before a level or atom table over the budget is built.
-A StackLaw counts one row's atoms and takes its rows in chunks of at most
-1e6 atoms in all.  Coverage thresholds are checked (N >= 1, sorted) before
-any law is built or sample drawn.
+of the law's earlier leaves, and the atoms count `_n_atoms` of the product
+prompts plus the walked leaves; a ValueError asking for a Monte Carlo mode
+is raised before a level or atom table over the budget is built.  A
+StackLaw counts one row's atoms and takes its rows in chunks of at most
+1e6 atoms in all.  `check_exact_work` is the preflight of a task: it
+bounds what any of its laws would count.  mu weights must be finite and
+>= 0, one positive, and sum to at most 1 (`positive_weights`).  Coverage
+thresholds are checked (N >= 1, sorted) before any law is built or sample
+drawn.
 """
 
 from __future__ import annotations
 
+import bisect
 import collections
 import itertools
 import math
@@ -60,8 +67,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (ENUM_BUDGET, Policy, check_enum_budget, check_number,
-                   group_prompts, logprob_matrix, prefix_levels,
-                   sample_prompts)
+                   draw_examples, group_prompts, logprob_matrix,
+                   prefix_levels, sample_prompts)
+from .models import FeatureMap, candidate_dists
 
 
 @dataclass
@@ -188,7 +196,7 @@ def _compositions(H, k):
     """The part of `_product_atoms` that no step row enters: the (n, k)
     counts of the n = comb(H + k - 1, k - 1) compositions of H into k parts
     and the log multinomial coefficient of each."""
-    n = math.comb(H + k - 1, k - 1)
+    n = _n_atoms(H, [k])
     # Stars and bars: the k - 1 bar positions among H + k - 1 slots,
     # between a bar before the first slot and one after the last.
     bars = np.empty((n, k + 1), dtype=np.int64)
@@ -214,16 +222,21 @@ def _product_atoms(groups, H):
     return r, np.exp(logp)
 
 
+def _n_atoms(H, ks) -> int:
+    """Atoms of the product prompts whose step laws have k in ks groups:
+    comb(H + k - 1, k - 1) each, the compositions of H into k parts."""
+    return sum(math.comb(H + k - 1, k - 1) for k in ks)
+
+
 def _law_atoms(items, H):
     """`PairLaw.atoms` of a law's items (w, steps, walked law): the
     product atoms of each product prompt and the leaves of each walked one,
     merged by distinct ratio in item order, after the budget check."""
     groups = [None if steps is None else _ratio_groups(*steps)
               for _, steps, _ in items]
-    check_enum_budget("leaves + atoms", sum(
-        len(law[0]) if g is None else math.comb(H + len(g[0]) - 1,
-                                                len(g[0]) - 1)
-        for g, (_, _, law) in zip(groups, items)))
+    check_enum_budget("leaves + atoms", _n_atoms(
+        H, [len(g[0]) for g in groups if g is not None]) + sum(
+        len(law[0]) for _, _, law in items if law is not None))
     ratios, probs = [], []
     for g, (w, _, law) in zip(groups, items):
         # +inf where lpH == -inf.
@@ -237,7 +250,8 @@ def _law_atoms(items, H):
 
 def positive_weights(mu_items) -> list:
     """The (prompt, weight) items of positive weight.  Raises ValueError
-    unless every weight is finite and >= 0 and at least one is positive."""
+    unless every weight is finite and >= 0, at least one is positive, and
+    they sum (math.fsum) to at most 1 + 1e-9: mu or a restriction of it."""
     out = []
     for x, w in mu_items:
         if not (w >= 0.0 and math.isfinite(w)):
@@ -247,7 +261,40 @@ def positive_weights(mu_items) -> list:
             out.append((x, w))
     if not out:
         raise ValueError("mu weights must include a positive one")
+    ws = [w for _, w in out]
+    if math.fsum(ws) > 1.0 + 1e-9:
+        # Name the first prompt whose prefix sum passes the bound (the
+        # prefix sums of positive weights increase).
+        i = bisect.bisect(range(len(ws)), 1.0 + 1e-9,
+                          key=lambda i: math.fsum(ws[:i + 1]))
+        raise ValueError(f"mu weights must sum to at most 1: prompt "
+                         f"{out[i][0]!r} has weight {ws[i]!r}, which brings "
+                         f"the sum to {math.fsum(ws[:i + 1])!r}")
     return out
+
+
+def product_steps(piD: Policy, featmap: FeatureMap, x):
+    """(piD's step row, the feature map's step table) at a product prompt
+    x; None where either is missing, and the exact paths walk x."""
+    step = piD.step_dist(x)
+    table = None if step is None else featmap.step_table(x)
+    return None if table is None else (step, table)
+
+
+def check_exact_work(piD: Policy, featmap: FeatureMap, mu_items):
+    """ValueError if the exact metrics of piD against linear models on
+    `featmap` could pass the enumeration budget: the `_n_atoms` of the
+    product prompts, k the size of piD's step support, then one walk of
+    piD at each other prompt.  No `PairLaw` or `StackLaw` (which chunks
+    its rows) of such a model counts more."""
+    steps = [(x, product_steps(piD, featmap, x))
+             for x, _ in positive_weights(mu_items)]
+    work = _n_atoms(piD.H, [np.count_nonzero(np.asarray(s[0]) > 0)
+                            for _, s in steps if s is not None])
+    check_enum_budget("leaves + atoms (bound)", work)
+    for x, s in steps:
+        if s is None:
+            work += len(tree_walk(piD, x, spent=work)[0])
 
 
 class PairLaw:
@@ -356,14 +403,14 @@ class StackLaw:
         self.H, self.C = piD.H, len(thetas)
         self.items = []
         for x, w in positive_weights(mu_items):
-            pD, table = piD.step_dist(x), featmap.step_table(x)
-            if pD is None or table is None:
+            steps = product_steps(piD, featmap, x)
+            if steps is None:
                 raise ValueError(f"prompt {x!r} is not a product prompt; "
                                  "hold a PairLaw per policy instead")
-            logits = (np.asarray(table) @ thetas[:, :, None])[:, :, 0]
-            e = np.exp(logits - logits.max(axis=1, keepdims=True))
+            pD, table = steps
             self.items.append((w, np.asarray(pD, dtype=float),
-                               e / e.sum(axis=1, keepdims=True)))
+                               candidate_dists(np.asarray(table)[None],
+                                               thetas)))
 
     def seq_kl(self) -> np.ndarray:
         """(C,) sequence KL of each row: H KL_step per prompt."""
@@ -410,7 +457,7 @@ class StackLaw:
         sorted in `groups`, into `values`; returns the rows with two equal
         atoms, which it leaves."""
         k = [R.shape[1] for _, R in groups]
-        n_atoms = sum(math.comb(self.H + j - 1, j - 1) for j in k)
+        n_atoms = _n_atoms(self.H, k)
         check_enum_budget("leaves + atoms", n_atoms)
         tables = [_compositions(self.H, j) for j in k]
         chunk, tied = max(1, ENUM_BUDGET // n_atoms), []
@@ -694,3 +741,59 @@ def hoeffding_half_width(n: int, delta: float = 0.05) -> float:
     check_number("n", n, 1, integer=True)
     check_number("delta", delta, 0, 1, lo_open=True, hi_open=True)
     return math.sqrt(math.log(2.0 / delta) / (2 * n))
+
+
+def sigma_star_sq(piD: Policy, featmap: FeatureMap, mu_items, mode="exact",
+                  n=None, rng=None):
+    """Inherent variance: E_piD[ sum_h ||phi(x,y_{1:h}) - phibar(x,y_{1:h-1})||^2 ].
+
+    `mu_items` is a list of (prompt, weight) pairs for exact mode, or a
+    prompt sampler callable for mc mode.  Exact mode refuses the weights
+    that the exact metrics refuse (`positive_weights`) and takes the closed
+    form on each `product_steps` prompt.  mc mode draws its n examples with
+    one `draw_examples` call and returns (estimate, se).
+    """
+    if mode == "exact":
+        total, spent = 0.0, 0
+        for x, w in positive_weights(mu_items):
+            steps = product_steps(piD, featmap, x)
+            if steps is not None:
+                total += w * piD.H * _variance(*steps)
+                continue
+            lpD, _, sums, _ = tree_walk(piD, x, spent=spent,
+                                        terms=[_sigma_term(piD, featmap, x)])
+            spent += len(lpD)
+            total += w * float(np.exp(lpD) @ sums[0])
+        return total
+    if mode == "mc":
+        check_number("n", n, 2, integer=True)
+        vals = np.empty(n)
+        xs, Y = draw_examples(piD, mu_items, n, rng)
+        for x, idx in group_prompts(xs).items():
+            Yx, acc = Y[idx], np.zeros(len(idx))
+            for h, first, inv in prefix_levels(Yx, piD.V):
+                pre = Yx[first, :h]
+                sq = _sq_deviations(featmap, x, pre, piD.prefix_dists(x, pre))
+                acc += sq[inv, Yx[:, h]]
+            vals[idx] = acc
+        return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n))
+    raise ValueError(f"unknown mode {mode!r}")
+
+
+def _variance(p, feats):
+    """E_{v ~ p} ||feats[v] - p @ feats||^2."""
+    return float(p @ np.sum((feats - p @ feats) ** 2, axis=1))
+
+
+def _sq_deviations(featmap, x, prefixes, P):
+    """(k, V): ||feats[i, v] - P[i] @ feats[i]||^2 over a level's rows P."""
+    feats = featmap.candidates(x, prefixes, P.shape[1])
+    return np.sum((feats - P[:, None, :] @ feats) ** 2, axis=2)
+
+
+def _sigma_term(piD, featmap, x):
+    """tree_walk term: `_variance` under piD at each prefix of a level."""
+    def term(prefixes, PD, _):
+        sq = _sq_deviations(featmap, x, prefixes, PD)
+        return (PD[:, None, :] @ sq[:, :, None])[:, 0, 0]
+    return term

@@ -11,9 +11,7 @@ import types
 
 import numpy as np
 
-from .core import (Policy, check_number, draw_examples, group_prompts,
-                   prefix_levels)
-from .metrics import positive_weights, tree_walk
+from .core import Policy, check_number, prefix_levels
 
 _STEP_CACHE_LIMIT = 4096
 
@@ -389,59 +387,3 @@ def linear_to_tabular(model: LinearARModel, prompts) -> TabularModel:
                               model.prefix_dists(x, pre)))
     return TabularModel(tables, V=model.V, H=model.H)
 
-
-def sigma_star_sq(piD: Policy, featmap: FeatureMap, mu_items, mode="exact",
-                  n=None, rng=None):
-    """Inherent variance: E_piD[ sum_h ||phi(x,y_{1:h}) - phibar(x,y_{1:h-1})||^2 ].
-
-    `mu_items` is a list of (prompt, weight) pairs for exact mode, or a
-    prompt sampler callable for mc mode.  Exact mode refuses weights that
-    are not finite and >= 0 with one positive, as the exact metrics do.
-    mc mode draws its n examples with one `draw_examples` call and returns
-    (estimate, se).
-    """
-    if mode == "exact":
-        items = [(x, w, piD.step_dist(x), featmap.step_table(x))
-                 for x, w in positive_weights(mu_items)]
-        total, spent = 0.0, 0
-        for x, w, step, table in items:
-            if step is not None and table is not None:
-                total += w * piD.H * _variance(step, table)
-                continue
-            lpD, _, sums, _ = tree_walk(piD, x, spent=spent,
-                                        terms=[_sigma_term(piD, featmap, x)])
-            spent += len(lpD)
-            total += w * float(np.exp(lpD) @ sums[0])
-        return total
-    if mode == "mc":
-        check_number("n", n, 2, integer=True)
-        vals = np.empty(n)
-        xs, Y = draw_examples(piD, mu_items, n, rng)
-        for x, idx in group_prompts(xs).items():
-            Yx, acc = Y[idx], np.zeros(len(idx))
-            for h, first, inv in prefix_levels(Yx, piD.V):
-                pre = Yx[first, :h]
-                sq = _sq_deviations(featmap, x, pre, piD.prefix_dists(x, pre))
-                acc += sq[inv, Yx[:, h]]
-            vals[idx] = acc
-        return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n))
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def _variance(p, feats):
-    """E_{v ~ p} ||feats[v] - p @ feats||^2."""
-    return float(p @ np.sum((feats - p @ feats) ** 2, axis=1))
-
-
-def _sq_deviations(featmap, x, prefixes, P):
-    """(k, V): ||feats[i, v] - P[i] @ feats[i]||^2 over a level's rows P."""
-    feats = featmap.candidates(x, prefixes, P.shape[1])
-    return np.sum((feats - P[:, None, :] @ feats) ** 2, axis=2)
-
-
-def _sigma_term(piD, featmap, x):
-    """tree_walk term: `_variance` under piD at each prefix of a level."""
-    def term(prefixes, PD, _):
-        sq = _sq_deviations(featmap, x, prefixes, PD)
-        return (PD[:, None, :] @ sq[:, :, None])[:, 0, 0]
-    return term

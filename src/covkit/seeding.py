@@ -1,9 +1,10 @@
 """Deterministic seed derivation.
 
 A SeedTree names random streams by a path of (label, index) pairs under a
-root seed, an integer >= 0.  Deriving the same path twice yields the same
-stream; sibling paths yield independent streams.  Parallel work should hand
-each worker its own derived subtree so results do not depend on scheduling.
+root seed, an integer >= 0 (any other root is refused).  Deriving the same
+path twice yields the same stream; sibling paths yield independent streams.
+Parallel work should hand each worker its own derived subtree so results
+do not depend on scheduling.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .core import check_number
 
 
 def _label_digest(label: str) -> int:
@@ -25,6 +28,9 @@ class SeedTree:
 
     root: int
     path: tuple = field(default_factory=tuple)
+
+    def __post_init__(self):
+        check_number("seed", self.root, 0, integer=True)
 
     def child(self, label: str, index: int = 0) -> "SeedTree":
         return SeedTree(self.root, self.path + ((label, int(index)),))

@@ -20,9 +20,9 @@ from covkit.core import FinitePromptDist, Trajectory, sample_dataset
 from covkit.decoding import AdversarialReward, TTTPolicy, bon_regret
 from covkit.metrics import (PairLaw, StackLaw, coverage_exact,
                             coverage_sup_log, hellinger_sq, kl_to_cov_bound,
-                            seq_kl, stepwise_hellinger_tail, stopped_kl)
-from covkit.models import (CallableFeatureMap, LinearARModel, TabularModel,
-                           sigma_star_sq)
+                            seq_kl, sigma_star_sq, stepwise_hellinger_tail,
+                            stopped_kl)
+from covkit.models import CallableFeatureMap, LinearARModel, TabularModel
 from covkit.seeding import SeedTree
 from covkit.selection import offset_tournament, select_ce, simple_tournament
 from covkit.tasks import (bernoulli_mle, bernoulli_model, bernoulli_task,

@@ -10,8 +10,9 @@ import exact_oracle
 from conftest import all_prefixes
 from covkit.metrics import (PairLaw, coverage_exact, coverage_sup_log,
                             hellinger_sq, onpolicy_cov_estimate, seq_ce,
-                            seq_kl, stepwise_hellinger_tail, stopped_kl)
-from covkit.models import CallableFeatureMap, TabularModel, sigma_star_sq
+                            seq_kl, sigma_star_sq, stepwise_hellinger_tail,
+                            stopped_kl)
+from covkit.models import CallableFeatureMap, TabularModel
 from covkit.seeding import SeedTree
 
 NS = [2.0, 8.0, 64.0]

@@ -12,7 +12,8 @@ import pytest
 
 import exact_oracle
 from conftest import random_tabular
-from covkit.models import CallableFeatureMap, sigma_star_sq
+from covkit.metrics import sigma_star_sq
+from covkit.models import CallableFeatureMap
 from covkit.seeding import SeedTree
 from covkit.tasks import heterogeneous_kl_instance, sigma_star_instance
 from covkit.training import (TrainConfig, policy_stream, sgd_normalized,

@@ -5,17 +5,18 @@ step size, N or sigma_star_sq, a T, K or checkpoint_every that is no
 integer, a train setting that is a bool, a task's H, n, m, L or
 nodes_per_layer that is a bool or no integer, a task's B or N that is a
 bool, inf or out of range, a negative checkpoint_every, a
-normalized schedule with N <= 1, a graph class mix that L cannot hold,
-exact metrics over the enumeration budget, seeds, a root seed, axes or a
-version of the wrong type, a negative seed, or a COVKIT_THREADS that is no
-integer >= 1.  Each case exits 2 and leaves no out_dir/runs directory."""
+normalized schedule with N <= 1, a graph class mix that L cannot hold or
+with a bad class or weight, exact metrics over the enumeration budget,
+seeds, a root seed, axes or a version of the wrong type, a negative seed,
+or a COVKIT_THREADS that is no integer >= 1.  Each case exits 2 and
+leaves no out_dir/runs directory."""
 
 import json
 import math
 
 import pytest
 
-from covkit import harness
+from covkit import harness, metrics
 from covkit.cli import main
 from covkit.harness import ConfigError, build_task, check_n_grid
 
@@ -340,6 +341,62 @@ def test_graph_mix_exits_2_from_gen_data(tmp_path, capsys):
     assert not (tmp_path / "d.jsonl").exists()
 
 
+# Unchecked, a negative weight fails in numpy's sampler ("Probabilities
+# are not non-negative", exit 3), an all-zero mix divides by zero, and a
+# class of the other family (or an unknown one of weight 0) runs, its
+# horizon graphs taken as G1 by the teaser policy.
+BAD_MIXES = {
+    "negative": ("graph_teaser", {"G1": -0.5, "G2": 1.5},
+                 "mix['G1'] must be >= 0 and finite, got -0.5"),
+    "nan": ("graph_horizon", {"GH1": math.nan, "GH2": 1.0},
+            "mix['GH1'] must be >= 0 and finite, got nan"),
+    "inf": ("graph_teaser", {"G1": math.inf},
+            "mix['G1'] must be >= 0 and finite, got inf"),
+    "all zero": ("graph_teaser", {"G1": 0.0, "G2": 0.0},
+                 "mix must give a class a positive weight"),
+    "other family": ("graph_teaser", {"GH1": 1.0},
+                     "mix class 'GH1' is not a teaser class"),
+    "other family of weight 0": ("graph_horizon", {"GH1": 1.0, "G3": 0.0},
+                                 "mix class 'G3' is not a horizon class"),
+    "unknown of weight 0": ("graph_teaser", {"G1": 1.0, "G9": 0.0},
+                            "unknown graph class 'G9'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MIXES))
+@pytest.mark.parametrize("command", ["gen-data", "eval-coverage"])
+def test_bad_graph_mix_exits_2_before_output(tmp_path, capsys, case,
+                                             command):
+    name, mix, match = BAD_MIXES[case]
+    params = {"m": 16, "L": 2, "mix": mix}
+    out = tmp_path / "d.jsonl"
+    if command == "gen-data":
+        argv = ["gen-data", "--task", name, "--params", json.dumps(params),
+                "--n", "5", "--out", str(out)]
+    else:
+        task = tmp_path / "task.json"
+        task.write_text(json.dumps({"name": name, "params": params}))
+        argv = ["eval-coverage", "--task", str(task), "--pi-hat",
+                str(tmp_path / "pi.json"), "--N-grid", "2", "--mode", "mc"]
+    assert main(argv) == 2
+    io = capsys.readouterr()
+    assert io.out == "" and not out.exists()
+    err = json.loads(io.err)
+    assert err["kind"] == "validation" and match in err["error"], err
+
+
+# Unchecked, 1.5 and True write seed 1's bytes under a header naming the
+# seed given, and -1 fails in numpy with no setting named.
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
+def test_gen_data_refuses_a_bad_seed_before_writing(tmp_path, seed):
+    out, header = tmp_path / "d.jsonl", tmp_path / "h.json"
+    with pytest.raises(ValueError, match=r"seed must be >= 0 and an "
+                                         rf"integer, got {seed!r}"):
+        harness.gen_data("bernoulli", {"p_star": 0.3}, 5, seed, str(out),
+                         header_path=str(header))
+    assert not out.exists() and not header.exists()
+
+
 @pytest.mark.parametrize("N", [0.5, 1])
 def test_normalized_schedule_needs_N_above_1(tmp_path, capsys, N):
     refused(tmp_path, capsys,
@@ -387,7 +444,7 @@ def test_over_budget_product_atoms_exit_2_without_a_walk(tmp_path, capsys,
                                                          monkeypatch):
     def no_walk(*args, **kwargs):
         raise AssertionError("a product prompt was walked")
-    monkeypatch.setattr(harness, "tree_walk", no_walk)
+    monkeypatch.setattr(metrics, "tree_walk", no_walk)
     monkeypatch.setattr(harness, "run_learner", must_not_run)
     # Each prompt's step support has 2 tokens: H + 1 atoms per prompt.
     harness.validate_config(config(tmp_path, task={
@@ -551,9 +608,10 @@ def test_task_file_with_another_key_exits_2_before_output(tmp_path, capsys,
 def test_run_sizes_the_exact_work_once_per_task_point(tmp_path, capsys,
                                                       monkeypatch):
     sized = []
-    check = harness._check_exact_work
-    monkeypatch.setattr(harness, "_check_exact_work",
-                        lambda task: sized.append(task.H) or check(task))
+    check = harness.check_exact_work
+    monkeypatch.setattr(harness, "check_exact_work",
+                        lambda piD, *args: sized.append(piD.H) or
+                        check(piD, *args))
     cfg = config(tmp_path, metrics={"n_grid": [2], "mode": "exact"},
                  axes={"H": [2, 3]})
     path = tmp_path / "cfg.json"

@@ -158,7 +158,7 @@ def test_special_token_ids():
 def test_mixture_sampler_and_policy_identification():
     rng = SeedTree(10).rng()
     cfg = GraphConfig(L=8)
-    sampler = mixture_prompt_sampler(TEASER_MIX, cfg)
+    sampler = mixture_prompt_sampler(TEASER_MIX, cfg, "teaser")
     pol = GraphPathPolicy(m=cfg.m, horizon=cfg.L + 2, family="teaser")
     for _ in range(10):
         x = sampler(rng)
@@ -172,6 +172,9 @@ def test_policy_constructor_validation():
         GraphPathPolicy(m=128, horizon=10)
     with pytest.raises(TypeError):
         GraphPathPolicy(m=128, horizon=10, family="teaser", class_id="G1")
+    # Refused when built, not at the first next_dist.
+    with pytest.raises(ValueError, match="unknown family 'bogus'"):
+        GraphPathPolicy(m=16, horizon=5, family="bogus")
 
 
 def test_parity_pool_running_dry_is_a_named_error(tmp_path):

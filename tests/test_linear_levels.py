@@ -12,9 +12,9 @@ import pytest
 import exact_oracle
 from conftest import random_tabular
 from covkit.core import FinitePromptDist
+from covkit.metrics import sigma_star_sq
 from covkit.models import (CallableFeatureMap, LinearARModel,
-                           linear_to_tabular, sigma_star_sq, token_step,
-                           token_steps)
+                           linear_to_tabular, token_step, token_steps)
 from covkit.seeding import SeedTree
 
 PROMPTS = (0, 1)

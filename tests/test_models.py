@@ -5,9 +5,10 @@ import pytest
 
 from conftest import random_product, random_tabular
 from covkit.core import FinitePromptDist, Trajectory, enumerate_responses
+from covkit.metrics import sigma_star_sq
 from covkit.models import (CallableFeatureMap, LinearARModel, TabularModel,
                            grad_logprob, grad_logprob_token, linear_to_tabular,
-                           project_unit_ball, sigma_star_sq)
+                           project_unit_ball)
 from covkit.seeding import SeedTree
 
 

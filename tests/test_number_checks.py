@@ -26,8 +26,8 @@ from covkit.decoding import AdversarialReward, best_of_n, bon_regret
 from covkit.graphs import GraphConfig
 from covkit.metrics import (PairLaw, hoeffding_half_width, kl_to_cov_bound,
                             mc_report, onpolicy_cov, pairwise_cov_matrix,
-                            seq_kl, stopped_kl, stepwise_hellinger_tail)
-from covkit.models import sigma_star_sq
+                            seq_kl, sigma_star_sq, stopped_kl,
+                            stepwise_hellinger_tail)
 from covkit.seeding import SeedTree
 from covkit.selection import (CandidateClass, offset_tournament,
                               simple_tournament)

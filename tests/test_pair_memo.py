@@ -13,7 +13,8 @@ import pytest
 
 from conftest import all_prefixes
 from covkit import metrics
-from covkit.models import CallableFeatureMap, TabularModel, sigma_star_sq
+from covkit.metrics import sigma_star_sq
+from covkit.models import CallableFeatureMap, TabularModel
 from prefix_oracle import CountingTabular, tuple_tree_walk
 
 NS = [2.0, 8.0, 64.0]
@@ -515,11 +516,34 @@ def test_mu_without_positive_weight_is_refused(fn, mu):
 
 
 @pytest.mark.parametrize("fn", EXACT)
-@pytest.mark.parametrize("bad", [-0.25, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bad", [-0.25, math.nan, math.inf, -math.inf, 2.0])
 def test_negative_or_non_finite_weight_is_refused(fn, bad):
+    # 2.0 brings the weights' sum to 3.0, over the 1 + 1e-9 of mu.
     D, Hm, _ = make_pair(0)
     with pytest.raises(ValueError, match="prompt 'a' has weight"):
         fn(D, Hm, [(0, 1.0), ("a", bad)])
+
+
+def test_weights_may_sum_to_at_most_1():
+    from covkit.tasks import bernoulli_model
+    D, Hm = bernoulli_model(0.5), bernoulli_model(0.1)
+    # Unchecked, this law gives seq_kl 1.0217 (twice the true 0.5108)
+    # and a coverage curve clipped to 1.0 where the truth is 0.5.
+    with pytest.raises(ValueError, match=r"sum to at most 1: prompt 0 has "
+                                         r"weight 2.0, which brings the sum "
+                                         r"to 2.0"):
+        metrics.PairLaw(D, Hm, [(0, 2.0)])
+    # The first prompt whose prefix sum passes the bound is named.
+    with pytest.raises(ValueError, match=r"prompt 3 has weight 0.3, which "
+                                         r"brings the sum to 1.2"):
+        metrics.positive_weights([(0, 0.6), (1, 0.0), (2, 0.3), (3, 0.3)])
+    # A restriction of mu, a sum within 1e-9 of 1 and ten tenths (a plain
+    # sum of 0.9999999999999999, math.fsum's 1.0) are all accepted.
+    for mu in ([(0, 0.5)], [(0, 1.0 + 1e-9)], [(0, 0.1)] * 10):
+        assert metrics.PairLaw(D, Hm, mu).seq_kl() == \
+            pytest.approx(math.fsum(w for _, w in mu) * 0.5108256237659907)
+    with pytest.raises(ValueError, match="sum to at most 1"):
+        metrics.positive_weights([(0, 1.0 + 2e-9)])
 
 
 @pytest.mark.parametrize("mode", ["exact", "mc"])

@@ -13,9 +13,8 @@ from conftest import all_prefixes
 from covkit import core, metrics
 from covkit.cli import main
 from covkit.core import Dataset, logprob_matrix
-from covkit.metrics import tree_walk
-from covkit.models import (CallableFeatureMap, LinearARModel, TabularModel,
-                           _sigma_term, _variance)
+from covkit.metrics import _sigma_term, _variance, tree_walk
+from covkit.models import CallableFeatureMap, LinearARModel, TabularModel
 from prefix_oracle import CountingTabular, DictTabular, tuple_tree_walk
 
 PROMPTS = [0, "a", (1, 2)]

@@ -56,5 +56,5 @@ def test_root_seed_is_used_as_given():
     # negative root, which that mask sent to root + 2^64, is refused.
     assert SeedTree(2 ** 64 - 1).rng().random() == 0.6800266789616931
     assert SeedTree(2 ** 64).entropy() == [2 ** 64]
-    with pytest.raises(ValueError, match="non-negative"):
+    with pytest.raises(ValueError, match="seed must be >= 0"):
         SeedTree(-1).rng()

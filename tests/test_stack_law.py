@@ -89,6 +89,20 @@ def test_tied_step_ratios_take_the_pair_atoms(monkeypatch):
                                   thetas)
 
 
+def test_weights_summing_above_1_are_refused_before_any_work():
+    # The stack, the exact-work preflight and exact sigma*^2 on product
+    # prompts all take their items from metrics.positive_weights.
+    task = heterogeneous_kl_instance(n=4, H=3)
+    mu = [(0, 0.5), (1, 0.75)]
+    thetas = unit_rows(SeedTree(5).child("stack-weights").rng(), 3,
+                       task.featmap.d)
+    for fn in (lambda: StackLaw(task.piD, thetas, task.featmap, mu),
+               lambda: metrics.check_exact_work(task.piD, task.featmap, mu),
+               lambda: metrics.sigma_star_sq(task.piD, task.featmap, mu)):
+        with pytest.raises(ValueError, match="prompt 1 has weight 0.75"):
+            fn()
+
+
 def a5_shaped(rng, zero_weight, high=(6, 5, 6), same_tables=False):
     """Two prompts with random (V, d) step tables of row norm <= 1 and a
     random theta*, as test_acceptance's A5 builds them; d, V and H below
@@ -166,10 +180,10 @@ def traced_peak(fn):
 
 
 def test_a_point_at_the_budget_is_not_refused():
-    # comb(1414, 2) = 999,091 atoms: the point passes the harness's work
-    # check, and the stack takes one row per chunk.
+    # comb(1414, 2) = 999,091 atoms: the point passes the exact-work
+    # preflight, and the stack takes one row per chunk.
     task = sgd_lower_instance("large_eta", H=1412, B=1.0, eta=1.0)
-    harness._check_exact_work(task)
+    metrics.check_exact_work(task.piD, task.featmap, task.mu.items())
     thetas = unit_rows(SeedTree(41).child("stack-edge").rng(), 2, 2)
     assert_stack_is_the_pair_loop(task.piD, task.featmap, task.mu.items(),
                                   thetas, Ns=[2.0, 64.0])

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from covkit.core import sample_dataset
-from covkit.metrics import coverage_exact, seq_kl
-from covkit.models import LinearARModel, sigma_star_sq
+from covkit.metrics import coverage_exact, seq_kl, sigma_star_sq
+from covkit.models import LinearARModel
 from covkit.seeding import SeedTree
 from covkit.tasks import (SGD_TOKEN_VALUES, bernoulli_mle, bernoulli_model,
                           bernoulli_task, heterogeneous_kl_instance,

@@ -10,8 +10,8 @@ from .models import (CallableFeatureMap, FeatureMap, LinearARModel,
                      TabularModel, project_unit_ball)
 from .seeding import SeedTree
 from .training import (MLEResult, RunRecord, TrainConfig, mle_fit,
-                       policy_stream, sgd_normalized, sgd_token,
-                       sgd_truncated_distill, sgd_vanilla)
+                       sgd_normalized, sgd_token, sgd_truncated_distill,
+                       sgd_vanilla)
 
 __version__ = "0.1.0"
 
@@ -22,6 +22,6 @@ __all__ = [
     "hellinger_sq", "kl_to_cov_bound", "seq_ce", "seq_kl", "stopped_kl",
     "CallableFeatureMap", "FeatureMap", "LinearARModel", "TabularModel",
     "project_unit_ball", "sigma_star_sq", "SeedTree", "MLEResult",
-    "RunRecord", "TrainConfig", "mle_fit", "policy_stream", "sgd_normalized",
-    "sgd_token", "sgd_truncated_distill", "sgd_vanilla", "__version__",
+    "RunRecord", "TrainConfig", "mle_fit", "sgd_normalized", "sgd_token",
+    "sgd_truncated_distill", "sgd_vanilla", "__version__",
 ]

@@ -17,7 +17,7 @@ import sys
 from .core import check_number, load_jsonl
 from .decoding import AdversarialReward, bon_regret
 from .harness import (ConfigError, build_task, check_n_grid, config_errors,
-                      gen_data, run)
+                      gen_data, json_object, run)
 from .metrics import coverage_exact, coverage_mc
 from .models import TabularModel
 from .seeding import SeedTree
@@ -27,26 +27,36 @@ from .selection import (CandidateClass, offset_tournament, select_ce,
 
 def load_policy(path: str) -> TabularModel:
     """Tabular policy JSON: {"type","V","H","tables":[{"x","prefix","p"}]}."""
+    where = f"policy file {path}"
     with open(path) as f:
-        spec = json.load(f)
+        spec = json_object(json.load(f), where)
     if spec.get("type") != "tabular":
         raise ConfigError(f"unsupported policy type {spec.get('type')!r}")
+    json_object(spec, where, ("V", "H"))
+    rows = spec.get("tables", [])
+    if not isinstance(rows, list):
+        raise ConfigError(f"{where}: tables must be a list")
     tables = {}
-    for row in spec.get("tables", []):
-        x = row["x"]
-        if isinstance(x, list):
-            x = tuple(x)
+    for i, row in enumerate(rows):
+        json_object(row, f"{where}: tables[{i}]", ("x", "prefix", "p"))
+        if not isinstance(row["prefix"], list):
+            raise ConfigError(f"{where}: tables[{i}].prefix must be a list "
+                              f"of tokens, got {row['prefix']!r}")
+        x = tuple(row["x"]) if isinstance(row["x"], list) else row["x"]
         tables[(x, tuple(row["prefix"]))] = row["p"]
     return TabularModel(tables, V=spec["V"], H=spec["H"],
                         default=spec.get("default"))
 
 
 def _load_task_file(path: str):
+    where = f"task file {path}"
     with open(path) as f:
-        spec = json.load(f)
+        spec = json_object(json.load(f), where)
     if set(spec) - {"name", "params"}:
         raise ConfigError("task file must have only 'name' and 'params'")
-    return build_task(spec["name"], spec.get("params", {}))
+    json_object(spec, where, ("name",))
+    return build_task(spec["name"],
+                      json_object(spec.get("params", {}), f"{where}: params"))
 
 
 def _check_shape(piD, piHat):
@@ -68,7 +78,7 @@ def cmd_run(args) -> int:
 def cmd_gen_data(args) -> int:
     with config_errors():
         check_number("--n", args.n, 1, integer=True)
-        params = json.loads(args.params)
+        params = json_object(json.loads(args.params), "--params")
     gen_data(args.task, params, args.n, args.seed, args.out,
              header_path=args.header)
     print(json.dumps({"out": args.out, "n": args.n}))

@@ -19,9 +19,9 @@ of uniform doubles to responses by Generator.choice's inverse-CDF rule,
 and `Policy.sample` (one row) and `Policy.sample_many` feed it exactly the
 doubles that their per-token rng.choice draws would take.  A prompt
 distribution with `from_uniforms` (`FinitePromptDist`) applies the same
-rule to prompts, and `draw_examples` draws n examples from one (n, 1 + H)
-block: each row is a prompt double and then H token doubles, the
-per-example order.  `sample_prompts` draws n prompts at once and
+rule to prompts, and `sample_dataset` draws n examples from one
+(n, 1 + H) block: each row is a prompt double and then H token doubles,
+the per-example order.  `sample_prompts` draws n prompts at once and
 `group_prompts` groups them, so Monte Carlo callers make one batched call
 per distinct prompt; `logprob_matrix` does the same for a `Dataset`.
 
@@ -30,9 +30,10 @@ response row of H token ints, and a `Dataset` is built only from its
 arrays, `Dataset(xs, Y, H, V)`: a list of prompts `xs` and an (n, H) int
 array `Y`.  `Trajectory` is only an input form that `Policy.logprob`
 scores.  `load_jsonl` and `sample_dataset` build a `Dataset` from the
-arrays they fill, and `save_jsonl` writes from them.  A JSONL data line is
-one object {"x": prompt, "y": [tokens]} with H integer tokens in [0, V);
-anything else raises a ValueError that names the line.
+arrays they fill, `save_jsonl` writes from them, and every learner trains
+on one (a harness job draws T * K examples with `sample_dataset`).  A
+JSONL data line is one object {"x": prompt, "y": [tokens]} with H integer
+tokens in [0, V); anything else raises a ValueError that names the line.
 """
 
 from __future__ import annotations
@@ -112,7 +113,7 @@ class Policy:
     implement `prefix_dists`, which answers a whole level of prefixes in
     one call, and may implement `step_dist`, which must agree with it.
     `next_dist`, scoring and sampling are derived from these and never
-    overridden (`draw_examples` calls `sample_from_uniforms` directly, so
+    overridden (`sample_dataset` calls `sample_from_uniforms` directly, so
     an overriding `sample` would be bypassed); the sampler law and logprob
     consistency hold by construction.
 
@@ -340,42 +341,31 @@ def _rank_codes(code, size: int, rows):
     return first, inv
 
 
-def draw_examples(policy: Policy, mu, n: int, rng: np.random.Generator):
-    """n examples x ~ mu, y ~ policy(.|x) as (prompts, (n, H) int64 Y).
+def sample_dataset(policy: Policy, mu, n: int,
+                   rng: np.random.Generator) -> Dataset:
+    """Draw n i.i.d. examples with x ~ mu and y ~ policy(.|x).
 
-    The result, and the doubles taken from rng, are those of n
+    The examples, and the doubles taken from rng, are those of n
     per-example draws (x = mu(rng), then policy.sample(x, rng)): one
-    double per prompt and per token.  When mu has `from_uniforms`, row i
-    of U = rng.random((n, 1 + H)) holds example i's prompt double and then
-    its token doubles; the prompts are mu.from_uniforms(U[:, 0]) and each
-    distinct prompt's rows of U[:, 1:] go to one `sample_from_uniforms`
-    call.  A plain callable mu is drawn in a per-example loop.
+    double per prompt and per token.  When mu has `from_uniforms` (a
+    `FinitePromptDist`), row i of U = rng.random((n, 1 + H)) holds example
+    i's prompt double and then its token doubles; the prompts are
+    mu.from_uniforms(U[:, 0]) and each distinct prompt's rows of U[:, 1:]
+    go to one `sample_from_uniforms` call.  A plain callable mu
+    (rng -> prompt) is drawn in a per-example loop.
     """
+    check_number("n", n, 1, integer=True)
     Y = np.empty((n, policy.H), dtype=np.int64)
     if not hasattr(mu, "from_uniforms"):
         xs = []
         for i in range(n):
             xs.append(mu(rng))
             Y[i] = policy.sample(xs[i], rng)
-        return xs, Y
-    U = rng.random((n, 1 + policy.H))
-    xs = mu.from_uniforms(U[:, 0])
-    for x, idx in group_prompts(xs).items():
-        Y[idx] = sample_from_uniforms(policy, x, U[idx, 1:])
-    return xs, Y
-
-
-def sample_dataset(policy: Policy, mu, n: int,
-                   rng: np.random.Generator) -> Dataset:
-    """Draw n i.i.d. examples with x ~ mu and y ~ policy(.|x).
-
-    `mu` is a callable rng -> prompt.  The n examples come from one
-    `draw_examples` call: one block of uniforms when mu has
-    `from_uniforms` (a `FinitePromptDist`), the same examples that drawing
-    each prompt and then its response, example by example, gives.
-    """
-    check_number("n", n, 1, integer=True)
-    xs, Y = draw_examples(policy, mu, n, rng)
+    else:
+        U = rng.random((n, 1 + policy.H))
+        xs = mu.from_uniforms(U[:, 0])
+        for x, idx in group_prompts(xs).items():
+            Y[idx] = sample_from_uniforms(policy, x, U[idx, 1:])
     return Dataset(xs, Y, H=policy.H, V=policy.V)
 
 

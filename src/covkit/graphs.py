@@ -11,6 +11,7 @@ to themselves and '|', '/', '=' map to m+1, m+2, m+3.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -373,10 +374,15 @@ class GraphPathPolicy(Policy):
 
 def mixture_prompt_sampler(mix: dict, config: GraphConfig, family: str):
     """Sampler rng -> prompt tokens for a mixture of `family`'s classes.
-    A ValueError refuses first a class of positive weight that is unknown
-    or needs more double layers than L, then a class that is unknown or of
-    another family, a weight that is not finite and >= 0, and a mix with
-    no positive weight."""
+    A ValueError refuses first a mix that is not a mapping of classes to
+    numbers, then a class of positive weight that is unknown or needs more
+    double layers than L, then a class that is unknown or of another
+    family, a weight that is not finite and >= 0, and a mix with no
+    positive weight."""
+    if not isinstance(mix, dict) or not all(
+            isinstance(w, numbers.Real) for w in mix.values()):
+        raise ValueError(f"mix must be a JSON object of class weights, got "
+                         f"{mix!r}")
     classes = sorted(mix)
     for c in classes:
         if mix[c] > 0:

@@ -30,7 +30,7 @@ from .metrics import (MetricReport, PairLaw, StackLaw, check_exact_work,
                       mc_report, product_steps)
 from .models import LinearARModel
 from .seeding import SeedTree
-from .training import RunRecord, TrainConfig, policy_stream
+from .training import RunRecord, TrainConfig
 
 CSV_VERSION = "covkit-csv-v1"
 CONFIG_VERSION = 1
@@ -99,10 +99,15 @@ _METRIC_DEFAULTS = {"n_grid": [2.0, 8.0, 64.0], "mode": "exact",
                    "n_samples": 2000, "delta": 0.05}
 
 
-def _object(d, where) -> dict:
-    """A copy of the JSON object d; ConfigError for any other value."""
+def json_object(d, where: str, required=()) -> dict:
+    """A copy of the JSON object d; a ConfigError naming `where` for any
+    other value, or for an object without one of the keys `required`."""
     if not isinstance(d, dict):
-        raise ConfigError(f"{where} must be an object, got {d!r}")
+        raise ConfigError(f"{where} must be an object, got "
+                          f"{type(d).__name__}")
+    for key in required:
+        if key not in d:
+            raise ConfigError(f"{where} has no {key!r}")
     return dict(d)
 
 
@@ -182,16 +187,16 @@ def validate_config(cfg: dict) -> dict:
     _check_keys(learner, {"name", "train"}, "learner")
     if learner.get("name") not in LEARNERS:
         raise ConfigError(f"unknown learner {learner.get('name')!r}")
-    train = _object(learner.get("train", {}), "learner.train")
+    train = json_object(learner.get("train", {}), "learner.train")
     _check_keys(train, _TRAIN_FIELDS, "learner.train")
     ignored = _TRAIN_FIELDS - LEARNERS[learner["name"]][1]
     if ignored & set(train):
         raise ConfigError(f"learner {learner['name']!r} ignores train "
                           f"fields {sorted(ignored & set(train))}")
     metrics = _check_metrics(cfg.get("metrics", {}))
-    sweep = _object(cfg.get("sweep", {}), "sweep")
+    sweep = json_object(cfg.get("sweep", {}), "sweep")
     _check_keys(sweep, {"axes", "seeds"}, "sweep")
-    axes = _object(sweep.get("axes", {}), "sweep.axes")
+    axes = json_object(sweep.get("axes", {}), "sweep.axes")
     seeds = sweep.get("seeds", [0])
     # A seed names a run directory and a seed subtree: distinct ints >= 0.
     for i, v in enumerate(seeds if isinstance(seeds, list) else ()):
@@ -200,7 +205,7 @@ def validate_config(cfg: dict) -> dict:
             len(set(seeds)) == len(seeds)):
         raise ConfigError(f"sweep.seeds must be a nonempty list of distinct "
                           f"integers, got {seeds!r}")
-    task_params = _object(task.get("params", {}), "task.params")
+    task_params = json_object(task.get("params", {}), "task.params")
     for name, values in axes.items():
         if not isinstance(values, list) or not values:
             raise ConfigError(f"sweep axis {name!r} must be a nonempty list")
@@ -249,6 +254,8 @@ def build_task(name: str, params: dict):
 
 
 def _build_task(name: str, params: dict):
+    if not isinstance(name, str) or name not in TASKS:
+        raise ConfigError(f"unknown task {name!r}")
     try:
         return TASKS[name](**params)
     except (TypeError, ValueError) as e:
@@ -267,21 +274,23 @@ def _check_task(task, metrics_spec: dict):
 
 
 def run_learner(name: str, task, train: TrainConfig, rng) -> RunRecord:
-    """Train learner `name` on a task that passed `_check_task`."""
+    """Train learner `name` on a task that passed `_check_task`, on one
+    `sample_dataset` of T * K examples from rng; the record's wall_clock
+    covers the draw and the training."""
     fit = getattr(training, LEARNERS[name][0])
+    t0 = time.perf_counter()
+    dataset = sample_dataset(task.piD, task.mu, train.T * train.K, rng)
     if name == "mle":
-        t0 = time.perf_counter()
-        dataset = sample_dataset(task.piD, task.mu, train.T, rng)
-        res = fit(dataset, task.featmap, task.V, task.H)
+        res = fit(dataset, task.featmap)
         rec = RunRecord(checkpoints=[(train.T, res.theta.copy())],
-                        final_theta=res.theta, n_examples=train.T,
-                        wall_clock=time.perf_counter() - t0)
+                        final_theta=res.theta, n_examples=len(dataset))
         if not res.converged:
             rec.flags.append("mle-not-converged")
-        return rec
-    teacher = (task.piD,) if name == "sgd_truncated" else ()
-    return fit(policy_stream(task.piD, task.mu, rng), *teacher,
-               task.featmap, task.V, task.H, train)
+    else:
+        teacher = (task.piD,) if name == "sgd_truncated" else ()
+        rec = fit(dataset, *teacher, task.featmap, train)
+    rec.wall_clock = time.perf_counter() - t0
+    return rec
 
 
 def checkpoint_metrics(task, rec: RunRecord, metrics_spec: dict, tree: SeedTree):

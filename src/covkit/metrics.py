@@ -67,8 +67,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (ENUM_BUDGET, Policy, check_enum_budget, check_number,
-                   draw_examples, group_prompts, logprob_matrix,
-                   prefix_levels, sample_prompts)
+                   group_prompts, logprob_matrix, prefix_levels,
+                   sample_dataset, sample_prompts)
 from .models import FeatureMap, candidate_dists
 
 
@@ -751,7 +751,7 @@ def sigma_star_sq(piD: Policy, featmap: FeatureMap, mu_items, mode="exact",
     prompt sampler callable for mc mode.  Exact mode refuses the weights
     that the exact metrics refuse (`positive_weights`) and takes the closed
     form on each `product_steps` prompt.  mc mode draws its n examples with
-    one `draw_examples` call and returns (estimate, se).
+    one `sample_dataset` call and returns (estimate, se).
     """
     if mode == "exact":
         total, spent = 0.0, 0
@@ -768,9 +768,8 @@ def sigma_star_sq(piD: Policy, featmap: FeatureMap, mu_items, mode="exact",
     if mode == "mc":
         check_number("n", n, 2, integer=True)
         vals = np.empty(n)
-        xs, Y = draw_examples(piD, mu_items, n, rng)
-        for x, idx in group_prompts(xs).items():
-            Yx, acc = Y[idx], np.zeros(len(idx))
+        for x, idx, Yx in sample_dataset(piD, mu_items, n, rng).groups:
+            acc = np.zeros(len(idx))
             for h, first, inv in prefix_levels(Yx, piD.V):
                 pre = Yx[first, :h]
                 sq = _sq_deviations(featmap, x, pre, piD.prefix_dists(x, pre))

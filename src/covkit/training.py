@@ -2,13 +2,13 @@
 
 Five learners: full-batch MLE (projected gradient ascent on the concave
 log-likelihood), vanilla sequence-level SGD, normalized mini-batch SGD,
-token-level SGD, and truncated distillation SGD.  An example is a pair
-(x, y) of a prompt and a tuple of H token ints: `policy_stream` yields
-them, and `mle_fit` reads a `Dataset`'s prompt groups as response blocks.
-The four SGD learners are single-pass over an example stream and differ
-only in their step: each resolves its step sizes and hands a step function
-to one driver, `_sgd_loop`, which owns the theta init, the stream draws,
-the checkpoint cadence, the example count and the timing.
+token-level SGD, and truncated distillation SGD.  Each trains on one
+`Dataset` and reads V and H from it: `mle_fit` reads its prompt groups as
+response blocks, and the four SGD learners make one pass over its
+examples, pairs (x, y) of a prompt and a tuple of H token ints.  They
+differ only in their step: each resolves its step sizes and hands a step
+function to one driver, `_sgd_loop`, which owns the theta init, the
+batches, the checkpoint cadence, the example count and the timing.
 
 The learners step on theta arrays with the feature map and build no
 `LinearARModel`: every gradient is a `models.grad_logprob` (a block of
@@ -18,14 +18,13 @@ theta, and `TrainConfig` is the one check of theta's values.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import check_number, draw_examples
+from .core import check_number
 from .metrics import step_kl
 from .models import (FeatureMap, candidate_dists, count_rows, grad_logprob,
                      grad_logprob_token, project_unit_ball, token_step)
@@ -105,7 +104,7 @@ class MLEResult:
 MLE_TOL, MLE_MAX_ITERS = 1e-8, 10 ** 5      # mle_fit's stopping rule
 
 
-def mle_fit(dataset, featmap: FeatureMap, V: int, H: int) -> MLEResult:
+def mle_fit(dataset, featmap: FeatureMap) -> MLEResult:
     """Full-batch projected gradient ascent on the average log-likelihood.
 
     Fixed step 1/(2 H B^2) (the objective is concave and H B^2-smooth).
@@ -117,8 +116,7 @@ def mle_fit(dataset, featmap: FeatureMap, V: int, H: int) -> MLEResult:
     """
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
-    if dataset.Y.shape[1] != H:
-        raise ValueError("response must have full length H")
+    V, H = dataset.V, dataset.H
     step = 1.0 / (2.0 * H * featmap.B ** 2)
     theta = np.zeros(featmap.d)
     n = len(dataset)
@@ -141,13 +139,6 @@ def mle_fit(dataset, featmap: FeatureMap, V: int, H: int) -> MLEResult:
         if gnorm <= MLE_TOL:
             return MLEResult(theta, True, it, gnorm)
     return MLEResult(theta, False, MLE_MAX_ITERS, gnorm)
-
-
-def _take(stream, k):
-    out = list(itertools.islice(stream, k))
-    if len(out) < k:
-        raise RuntimeError("example stream exhausted before T steps")
-    return out
 
 
 def resolve_config(learner: str, config: TrainConfig, featmap: FeatureMap):
@@ -180,23 +171,29 @@ def resolve_config(learner: str, config: TrainConfig, featmap: FeatureMap):
     return eta, lam
 
 
-def _sgd_loop(stream, featmap: FeatureMap, config: TrainConfig, step,
+def _sgd_loop(dataset, featmap: FeatureMap, config: TrainConfig, step,
               k: int = 1) -> RunRecord:
-    """The single-pass driver shared by the four streaming learners.
+    """The single-pass driver shared by the four SGD learners.
 
-    Runs T iterations from `config.theta0` (or 0).  Iteration t draws k
-    examples and sets theta = step(theta, batch, rec): a step reads the
-    theta array and returns a new one (builds no model), and may append to
-    rec.flags.  Snapshots theta at `checkpoint_iters` and counts examples
-    and time.
+    Runs T iterations from `config.theta0` (or 0) over a dataset of
+    exactly T * k examples; any other size is a ValueError before the
+    first step.  Iteration t takes rows (t - 1) * k to t * k as (x, y)
+    pairs, y a tuple of H ints, and sets theta = step(theta, batch, rec):
+    a step reads the theta array and returns a new one (builds no model),
+    and may append to rec.flags.  Snapshots theta at `checkpoint_iters`
+    and counts examples and time.
     """
     t0 = time.perf_counter()
+    if len(dataset) != config.T * k:
+        raise ValueError(f"the dataset must hold T*K = {config.T * k} "
+                         f"examples, got {len(dataset)}")
     theta = np.zeros(featmap.d) if config.theta0 is None else \
         project_unit_ball(np.asarray(config.theta0, dtype=float).copy())
     cps = set(checkpoint_iters(config.T, config.checkpoint_every))
+    examples = list(zip(dataset.xs, map(tuple, dataset.Y.tolist())))
     rec = RunRecord()
     for t in range(1, config.T + 1):
-        batch = _take(stream, k)
+        batch = examples[(t - 1) * k:t * k]
         theta = step(theta, batch, rec)
         rec.n_examples += k
         if t in cps:
@@ -206,16 +203,17 @@ def _sgd_loop(stream, featmap: FeatureMap, config: TrainConfig, step,
     return rec
 
 
-def sgd_vanilla(stream, featmap: FeatureMap, V: int, H: int,
+def sgd_vanilla(dataset, featmap: FeatureMap,
                 config: TrainConfig) -> RunRecord:
     """Projected sequence-level SGD: theta += eta * grad log pi(y|x)."""
     eta, _ = resolve_config("sgd_vanilla", config, featmap)
+    V = dataset.V
 
     def step(theta, batch, rec):
         ((x, y),) = batch
         return project_unit_ball(
             theta + eta * grad_logprob(theta, featmap, V, x, [y])[0])
-    return _sgd_loop(stream, featmap, config, step)
+    return _sgd_loop(dataset, featmap, config, step)
 
 
 def normalized_schedule(B: float, T: int, N: float, sigma_star_sq: float):
@@ -228,7 +226,7 @@ def normalized_schedule(B: float, T: int, N: float, sigma_star_sq: float):
     return eta, lam
 
 
-def sgd_normalized(stream, featmap: FeatureMap, V: int, H: int,
+def sgd_normalized(dataset, featmap: FeatureMap,
                    config: TrainConfig) -> RunRecord:
     """Mini-batch SGD with globally normalized steps g/(lambda + ||g||).
 
@@ -236,6 +234,7 @@ def sgd_normalized(stream, featmap: FeatureMap, V: int, H: int,
     and sets the "zero-gradient-zero-lambda" flag.
     """
     eta, lam = resolve_config("sgd_normalized", config, featmap)
+    V = dataset.V
 
     def step(theta, batch, rec):
         g = np.zeros(featmap.d)
@@ -248,20 +247,20 @@ def sgd_normalized(stream, featmap: FeatureMap, V: int, H: int,
                 rec.flags.append("zero-gradient-zero-lambda")
             return theta
         return project_unit_ball(theta + eta * g / (lam + gnorm))
-    return _sgd_loop(stream, featmap, config, step, k=config.K)
+    return _sgd_loop(dataset, featmap, config, step, k=config.K)
 
 
-def sgd_token(stream, featmap: FeatureMap, V: int, H: int,
-              config: TrainConfig) -> RunRecord:
+def sgd_token(dataset, featmap: FeatureMap, config: TrainConfig) -> RunRecord:
     """Token-level SGD: one projected step per token, H steps per example."""
     eta, _ = resolve_config("sgd_token", config, featmap)
+    V = dataset.V
 
     def step(theta, batch, rec):
         ((x, y),) = batch
         for h, v in enumerate(y):
             theta = token_step(theta, featmap, V, x, tuple(y[:h]), v, eta)
         return theta
-    return _sgd_loop(stream, featmap, config, step)
+    return _sgd_loop(dataset, featmap, config, step)
 
 
 def truncation_weights(eps: list, A: float):
@@ -295,8 +294,8 @@ def truncated_schedule(B: float, T: int, A: float, sigma_star_sq: float):
     return eta
 
 
-def sgd_truncated_distill(stream, teacher, featmap: FeatureMap, V: int,
-                          H: int, config: TrainConfig) -> RunRecord:
+def sgd_truncated_distill(dataset, teacher, featmap: FeatureMap,
+                          config: TrainConfig) -> RunRecord:
     """Distillation SGD with token gradients truncated at KL budget A = log N.
 
     The teacher must expose exact token conditionals.  The truncation
@@ -304,6 +303,7 @@ def sgd_truncated_distill(stream, teacher, featmap: FeatureMap, V: int,
     processed example.
     """
     eta, _ = resolve_config("sgd_truncated_distill", config, featmap)
+    V = dataset.V
 
     def step(theta, batch, rec):
         ((x, y),) = batch
@@ -329,26 +329,4 @@ def sgd_truncated_distill(stream, teacher, featmap: FeatureMap, V: int,
             if a > 0.0:
                 g += a * gh
         return project_unit_ball(theta + eta * g)
-    return _sgd_loop(stream, featmap, config, step)
-
-
-# Examples a stream draws at a time when mu has `from_uniforms`.
-STREAM_BLOCK = 256
-
-
-def policy_stream(piD, mu, rng):
-    """Infinite stream of fresh (x, y) examples from mu x piD, y a tuple
-    of H token ints.
-
-    The examples, in order, are those of drawing each prompt and then its
-    response, example by example, from rng.  When mu has `from_uniforms`
-    (a `FinitePromptDist`), they are drawn STREAM_BLOCK at a time by
-    `draw_examples`, ahead of what the consumer has taken: the stream owns
-    rng, and a caller that draws from rng while the stream is live gets
-    different numbers than with one example drawn at a time.  For a plain
-    callable mu each example is drawn when it is taken.
-    """
-    b = STREAM_BLOCK if hasattr(mu, "from_uniforms") else 1
-    while True:
-        xs, Y = draw_examples(piD, mu, b, rng)
-        yield from zip(xs, map(tuple, Y.tolist()))
+    return _sgd_loop(dataset, featmap, config, step)

@@ -78,14 +78,6 @@ def sample_examples(policy, mu, n, rng):
     return out
 
 
-def policy_stream(piD, mu, rng):
-    """Infinite stream of (x, y) pairs drawing each example when it is
-    taken."""
-    while True:
-        x = prompt(mu, rng)
-        yield x, sample(piD, x, rng)
-
-
 def sample_dataset(policy, mu, n, rng):
     """`covkit.core.sample_dataset` from `sample_examples`."""
     ex = sample_examples(policy, mu, n, rng)

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from covkit.core import draw_examples
+from covkit.core import sample_dataset
 from covkit.models import LinearARModel
 
 
@@ -150,8 +150,9 @@ def linear_tables(model, prompts):
 
 def sigma_star_sq_mc(piD, featmap, mu, n, rng):
     """MC sigma_star_sq as a per-token loop over the examples that
-    `draw_examples` draws: (estimate, se)."""
-    xs, Y = draw_examples(piD, mu, n, rng)
+    `sample_dataset` draws: (estimate, se)."""
+    ds = sample_dataset(piD, mu, n, rng)
+    xs, Y = ds.xs, ds.Y
     vals = np.empty(n)
     for i, (x, y) in enumerate(zip(xs, Y.tolist())):
         acc, prefix = 0.0, ()

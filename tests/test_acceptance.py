@@ -27,8 +27,8 @@ from covkit.seeding import SeedTree
 from covkit.selection import offset_tournament, select_ce, simple_tournament
 from covkit.tasks import (bernoulli_mle, bernoulli_model, bernoulli_task,
                           heterogeneous_kl_instance, misspec_instance)
-from covkit.training import (TrainConfig, policy_stream, sgd_normalized,
-                             sgd_token, sgd_truncated_distill, sgd_vanilla)
+from covkit.training import (TrainConfig, sgd_normalized, sgd_token,
+                             sgd_truncated_distill, sgd_vanilla)
 
 MU1 = [(0, 1.0)]
 
@@ -237,7 +237,7 @@ def test_A5_vanilla_sgd_upper_bound():
         avg_kls = []
         for seed in range(n_seeds):
             rng = SeedTree(1105 + seed).child("inst", inst).rng()
-            rec = sgd_vanilla(policy_stream(piD, mu, rng), fm, V, H,
+            rec = sgd_vanilla(sample_dataset(piD, mu, T, rng), fm,
                               TrainConfig(eta=eta, T=T, checkpoint_every=1))
             # One stacked law per seed: bit for bit the per-checkpoint
             # seq_kl (tests/test_stack_law.py).
@@ -257,11 +257,10 @@ def test_A6_truncation_identity():
     t0 = time.time()
     task = heterogeneous_kl_instance(n=5, H=4)
     rng = SeedTree(106).rng()
-    stream = policy_stream(task.piD, task.mu, rng)
+    data = sample_dataset(task.piD, task.mu, 10_000, rng)
     # The per-example identity sum_h alpha_h eps_h = min(A, sum_h eps_h) is
     # asserted inside the learner on every processed example.
-    rec = sgd_truncated_distill(stream, task.piD, task.featmap,
-                                task.V, task.H,
+    rec = sgd_truncated_distill(data, task.piD, task.featmap,
                                 TrainConfig(eta=0.01, T=10_000, A=math.log(8.0)))
     assert rec.n_examples == 10_000
     _done("A6 truncation identity (10^4 examples)", t0, 120)
@@ -285,13 +284,13 @@ def _hetero_instance(H, b, mu_plus):
 def _a7_final_pcov8(method, H, eta, seed, T=512):
     piD, fm, mu = _hetero_instance(H, b=4.0, mu_plus=0.5)
     rng = SeedTree(seed).child("a7", H).rng()
-    stream = policy_stream(piD, mu, rng)
+    data = sample_dataset(piD, mu, T, rng)
     if method == "vanilla":
-        rec = sgd_vanilla(stream, fm, 3, H,
+        rec = sgd_vanilla(data, fm,
                           TrainConfig(eta=eta, T=T, checkpoint_every=10 ** 9))
     else:
         s2 = sigma_star_sq(piD, fm, mu.items())
-        rec = sgd_normalized(stream, fm, 3, H,
+        rec = sgd_normalized(data, fm,
                              TrainConfig(eta=eta, T=T, N=8.0,
                                          sigma_star_sq=s2,
                                          checkpoint_every=10 ** 9))
@@ -333,9 +332,9 @@ def _a8_avg_seq_kl(method, seed, H=32, T=512, eta=0.00625):
     piD, fm, mu = _hetero_instance(H, b=4.0, mu_plus=0.5)
     tree = SeedTree(seed).child("a8", 0)
     rng = tree.rng()
-    stream = policy_stream(piD, mu, rng)
+    data = sample_dataset(piD, mu, T, rng)
     fn = sgd_vanilla if method == "vanilla" else sgd_token
-    rec = fn(stream, fm, 3, H, TrainConfig(eta=eta, T=T))
+    rec = fn(data, fm, TrainConfig(eta=eta, T=T))
     vals = []
     for i, (_, th) in enumerate(rec.checkpoints):
         base = LinearARModel(th, piD.featmap, piD.V, piD.H)

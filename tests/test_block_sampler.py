@@ -1,6 +1,6 @@
-"""The uniform-driven sampler and the block-drawn example streams, compared
-bit for bit with the per-draw loops of `dataset_oracle` on random
-instances, plus the byte identity of every seeded harness output."""
+"""The uniform-driven sampler and the block-drawn datasets, compared bit
+for bit with the per-draw loops of `dataset_oracle` on random instances,
+plus the byte identity of every seeded harness output."""
 
 import itertools
 import json
@@ -18,9 +18,10 @@ from covkit.core import (FinitePromptDist, Policy, choice_cdf,
 from covkit.decoding import TTTPolicy
 from covkit.models import CallableFeatureMap, LinearARModel, TabularModel
 from covkit.seeding import SeedTree
-from covkit.training import STREAM_BLOCK, policy_stream
 
 PROMPTS = [0, "a", (1, 2), 3]
+# Hundreds of examples, many of each prompt, and no round number.
+N_LONG = 2 * 256 + 17
 
 
 def random_mu(rng):
@@ -110,19 +111,11 @@ def test_one_row_of_the_sampler_is_sample(kind, seed):
 @pytest.mark.parametrize("kind,seed", CASES)
 def test_stream_and_dataset_equal_per_example_draws(kind, seed):
     pol, mu = instance(kind, seed)
-    n = 2 * STREAM_BLOCK + 17
-    got = list(itertools.islice(policy_stream(pol, mu, SeedTree(seed).rng()),
-                                n))
-    want = list(itertools.islice(
-        oracle.policy_stream(pol, mu, SeedTree(seed).rng()), n))
-    assert got == want
+    # The learners' training data: one dataset of T * K examples.
+    got = sample_dataset(pol, mu, N_LONG, SeedTree(seed).rng())
+    assert got == oracle.sample_dataset(pol, mu, N_LONG, SeedTree(seed).rng())
     zero = {x for x, w in mu.items() if w == 0.0}
-    assert zero and not zero & {x for x, _ in got}
-    # The stream draws a whole block ahead of its first example.
-    a, b = SeedTree(seed).rng(), SeedTree(seed).rng()
-    next(policy_stream(pol, mu, a))
-    b.random((STREAM_BLOCK, 1 + pol.H))
-    assert same_rng_state(a, b)
+    assert zero and not zero & set(got.xs)
     for m in (1, 5, 300):
         a, b = SeedTree(seed).rng(), SeedTree(seed).rng()
         ds = sample_dataset(pol, mu, m, a)
@@ -159,23 +152,11 @@ def test_plain_callable_mu_keeps_the_per_example_loop():
     base = linear_model(rng, 3, 3, product=True)
     m = lambda r: PROMPTS[int(r.integers(4))]
     for pol in (base, TTTPolicy(base, 0.5)):
-        got = list(itertools.islice(policy_stream(pol, m, SeedTree(1).rng()),
-                                    40))
-        want = list(itertools.islice(
-            oracle.policy_stream(pol, m, SeedTree(1).rng()), 40))
-        assert got == want
-        a, b = SeedTree(2).rng(), SeedTree(2).rng()
-        assert sample_dataset(pol, m, 30, a) == \
-            oracle.sample_dataset(pol, m, 30, b)
-    # Here each example is drawn only when it is taken.
-    calls = []
-
-    def counting_mu(r):
-        calls.append(r)
-        return 0
-    stream = policy_stream(base, counting_mu, SeedTree(3).rng())
-    list(itertools.islice(stream, 3))
-    assert len(calls) == 3
+        for n in (30, N_LONG):
+            a, b = SeedTree(2).rng(), SeedTree(2).rng()
+            assert sample_dataset(pol, m, n, a) == \
+                oracle.sample_dataset(pol, m, n, b)
+            assert same_rng_state(a, b)
 
 
 class Rows(Policy):
@@ -207,7 +188,6 @@ def test_invalid_conditional_raises_like_choice(row, product):
     mu = FinitePromptDist([0], [1.0])
     calls = [lambda r: pol.sample(0, r), lambda r: pol.sample_many(0, 9, r),
              lambda r: sample_from_uniforms(pol, 0, r.random((9, 3))),
-             lambda r: next(policy_stream(pol, mu, r)),
              lambda r: sample_dataset(pol, mu, 9, r)]
     for call in calls:
         with pytest.raises(ValueError, match="probabilities"):
@@ -255,8 +235,8 @@ TASKS = [("heterogeneous_kl", {"n": 4, "H": 3}),
 def run_outputs(tmp_path, tag):
     """{relative path: bytes} of every file the harness and gen_data
     write, with summary.json's wall_clock dropped.  All five learners run
-    on the product task; the four streaming ones also on the prefix-
-    dependent task, where full-batch MLE is slow."""
+    on the product task; the four SGD ones also on the prefix-dependent
+    task, where full-batch MLE is slow."""
     out = {}
     for (task, params), (learner, train) in itertools.product(TASKS,
                                                              LEARNERS.items()):
@@ -287,7 +267,6 @@ def run_outputs(tmp_path, tag):
 def test_harness_outputs_are_byte_identical_to_per_example_draws(
         tmp_path, monkeypatch):
     new = run_outputs(tmp_path, "block")
-    monkeypatch.setattr(harness, "policy_stream", oracle.policy_stream)
     monkeypatch.setattr(harness, "sample_dataset", oracle.sample_dataset)
     ref = run_outputs(tmp_path, "oracle")
     assert sorted(new) == sorted(ref)

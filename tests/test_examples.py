@@ -1,9 +1,8 @@
 """An example is a pair (x, y): no module but `core` names Trajectory, the
-learners take plain pair streams, and every per-token feature comes from
-`FeatureMap.candidates`."""
+learners take a `Dataset` built from plain lists as well as a drawn one,
+and every per-token feature comes from `FeatureMap.candidates`."""
 
 import ast
-import itertools
 import math
 from pathlib import Path
 
@@ -12,12 +11,13 @@ import pytest
 
 import exact_oracle
 from conftest import random_tabular
+from covkit.core import Dataset, sample_dataset
 from covkit.metrics import sigma_star_sq
 from covkit.models import CallableFeatureMap
 from covkit.seeding import SeedTree
 from covkit.tasks import heterogeneous_kl_instance, sigma_star_instance
-from covkit.training import (TrainConfig, policy_stream, sgd_normalized,
-                             sgd_token, sgd_truncated_distill, sgd_vanilla)
+from covkit.training import (TrainConfig, sgd_normalized, sgd_token,
+                             sgd_truncated_distill, sgd_vanilla)
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "covkit"
 
@@ -54,14 +54,14 @@ LEARNERS = [
 def test_learners_take_a_plain_pair_stream(learner, cfg, task_name):
     task = TASKS[task_name]()
     teacher = (task.piD,) if learner is sgd_truncated_distill else ()
-    drawn = list(itertools.islice(
-        policy_stream(task.piD, task.mu, SeedTree(6).rng()), 40))
-    assert all(type(y) is tuple and len(y) == task.H for _, y in drawn)
-    # Rows given as lists work as well as the stream's tuples.
-    plain = iter([(x, list(y)) for x, y in drawn])
-    got = learner(plain, *teacher, task.featmap, task.V, task.H, cfg)
-    want = learner(policy_stream(task.piD, task.mu, SeedTree(6).rng()),
-                   *teacher, task.featmap, task.V, task.H, cfg)
+    n = cfg.T * cfg.K
+    drawn = sample_dataset(task.piD, task.mu, n, SeedTree(6).rng())
+    assert drawn.Y.shape == (n, task.H)
+    # A dataset of plain lists trains as the drawn one does.
+    plain = Dataset(list(drawn.xs), drawn.Y.tolist(), task.H, task.V)
+    got = learner(plain, *teacher, task.featmap, cfg)
+    want = learner(sample_dataset(task.piD, task.mu, n, SeedTree(6).rng()),
+                   *teacher, task.featmap, cfg)
     assert [t for t, _ in got.checkpoints] == [t for t, _ in want.checkpoints]
     for (_, a), (_, b) in zip(got.checkpoints, want.checkpoints):
         assert np.array_equal(a, b)

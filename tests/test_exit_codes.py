@@ -56,6 +56,8 @@ def error_of(capsys):
      "--out", "{out}"],
     ["gen-data", "--task", "bernoulli", "--params", '{{"p_star": 0.9}}',
      "--n", "5", "--out", "{out}"],
+    # An unknown task name once exited 3 with the bare KeyError "'bogus'".
+    ["gen-data", "--task", "bogus", "--n", "5", "--out", "{out}"],
     ["run", "{bad}"],
     ["run", "{missing}"],
     ["tournament", "--candidates", "{pol}", "--data", "{data}", "--N", "nan"],
@@ -108,6 +110,49 @@ def test_input_errors_exit_2(tmp_path, files, capsys, argv):
     out, err = capsys.readouterr()
     assert out == "" and json.loads(err)["kind"] == "validation"
     assert not (tmp_path / "out.jsonl").exists()
+
+
+# Each of these once exited 2 with a bare Python message that named
+# neither the file nor the field ("'V'", "'int' object is not iterable").
+MALFORMED = {
+    "policy without V": ("policy", {"type": "tabular", "H": 1, "tables": []},
+                         ["policy file", "has no 'V'"]),
+    "policy list": ("policy", [1, 2],
+                    ["policy file", "must be an object, got list"]),
+    "row prefix 5": ("policy", {"type": "tabular", "V": 2, "H": 1, "tables": [
+        {"x": 0, "prefix": 5, "p": [0.5, 0.5]}]},
+        ["tables[0].prefix must be a list of tokens, got 5"]),
+    "row without x": ("policy", {"type": "tabular", "V": 2, "H": 1,
+                                 "tables": [{"prefix": [], "p": [0.5, 0.5]}]},
+                      ["tables[0] has no 'x'"]),
+    "task list": ("task", ["name"],
+                  ["task file", "must be an object, got list"]),
+    "task without name": ("task", {"params": {}}, ["task file", "has no 'name'"]),
+    "params list": ("params", [1], ["--params must be an object, got list"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_inputs_are_refused_by_name(tmp_path, files, capsys,
+                                              case):
+    task, pol, _ = files
+    kind, spec, wanted = MALFORMED[case]
+    path = write(tmp_path / "bad.json", spec)
+    out = tmp_path / "out.jsonl"
+    if kind == "params":
+        argv = ["gen-data", "--task", "bernoulli", "--params",
+                json.dumps(spec), "--n", "5", "--out", str(out)]
+    else:
+        argv = ["eval-coverage", "--task", path if kind == "task" else task,
+                "--pi-hat", path if kind == "policy" else pol,
+                "--N-grid", "2"]
+        wanted = [path, *wanted]
+    assert main(argv) == 2
+    err = error_of(capsys)
+    assert err["kind"] == "validation"
+    for text in wanted:
+        assert text in err["error"], err
+    assert not out.exists()
 
 
 def boom(*args, **kwargs):

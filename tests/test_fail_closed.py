@@ -360,6 +360,11 @@ BAD_MIXES = {
                                  "mix class 'G3' is not a horizon class"),
     "unknown of weight 0": ("graph_teaser", {"G1": 1.0, "G9": 0.0},
                             "unknown graph class 'G9'"),
+    # These two raised bare TypeErrors naming no setting.
+    "not an object": ("graph_teaser", ["G1"],
+                      "mix must be a JSON object of class weights"),
+    "string weight": ("graph_teaser", {"G1": "0.5"},
+                      "mix must be a JSON object of class weights"),
 }
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ import pytest
 from covkit import harness, training
 from covkit.harness import (CSV_VERSION, ConfigError, build_task, gen_data,
                             run, validate_config)
+from covkit.seeding import SeedTree
+from covkit.training import TrainConfig
 
 
 def base_config(out_dir):
@@ -184,6 +187,29 @@ def test_mle_learner_path(tmp_path):
     assert summary["wall_clock"] > 0        # the draw and the fit, timed
 
 
+TRAIN = {"mle": {"T": 10}, "sgd_vanilla": {"eta": 0.1, "T": 4},
+         "sgd_normalized": {"eta": 0.1, "lam": 0.5, "K": 2, "T": 4},
+         "sgd_token": {"eta": 0.1, "T": 4},
+         "sgd_truncated": {"eta": 0.1, "A": 1.0, "T": 4}}
+
+
+@pytest.mark.parametrize("learner", sorted(TRAIN))
+def test_wall_clock_covers_the_draw_and_the_training(learner, monkeypatch):
+    # The draw happens in run_learner, before the learner's own clock.
+    fit_name = harness.LEARNERS[learner][0]
+    for module, name in ((harness, "sample_dataset"), (training, fit_name)):
+        def slow(*args, _fn=getattr(module, name)):
+            time.sleep(0.05)
+            return _fn(*args)
+        monkeypatch.setattr(module, name, slow)
+    task = build_task("heterogeneous_kl", {"n": 3, "H": 2})
+    rec = harness.run_learner(learner, task, TrainConfig(**TRAIN[learner]),
+                              SeedTree(0).rng())
+    assert rec.wall_clock >= 0.1
+    assert rec.n_examples == TRAIN[learner]["T"] * \
+        TRAIN[learner].get("K", 1)
+
+
 def test_mle_out_of_iterations_is_flagged(tmp_path, monkeypatch):
     monkeypatch.setattr(training, "MLE_MAX_ITERS", 1)
     cfg = base_config(tmp_path)
@@ -200,7 +226,6 @@ def test_task_checks_run_before_any_sampling(tmp_path, monkeypatch):
     def must_not_run(*args, **kwargs):
         raise AssertionError("sampled before the task was checked")
     monkeypatch.setattr(harness, "sample_dataset", must_not_run)
-    monkeypatch.setattr(harness, "policy_stream", must_not_run)
     cfg = base_config(tmp_path)
     cfg["task"] = {"name": "bernoulli", "params": {"p_star": 0.3}}
     cfg["learner"] = {"name": "mle", "train": {"T": 20}}

@@ -237,7 +237,7 @@ def _mle_chain_digest():
     piD = LinearARModel(np.array([0.5]), featmap, V=2, H=30)
     data = sample_dataset(piD, FinitePromptDist([0, 1], [0.5, 0.5]), 300,
                           SeedTree(3).rng())
-    theta = mle_fit(data, featmap, 2, 30).theta
+    theta = mle_fit(data, featmap).theta
     return hashlib.sha256(_hex(theta).encode()).hexdigest()
 
 

@@ -125,7 +125,7 @@ def test_mle_fit_equals_the_per_example_loop_on_interleaved_prompts(
     assert xs != sorted(xs)
     Y = rng.integers(0, model.V, size=(n, model.H))
     ds = Dataset(xs, Y, model.H, model.V)
-    args = (ds, model.featmap, model.V, model.H)
+    args = (ds, model.featmap)
     monkeypatch.setattr(training, "MLE_TOL", 1e-6)
     monkeypatch.setattr(training, "MLE_MAX_ITERS", 40)
     got = mle_fit(*args)
@@ -135,9 +135,10 @@ def test_mle_fit_equals_the_per_example_loop_on_interleaved_prompts(
     assert got.grad_map_norm == want.grad_map_norm
 
 
-def block_mle_fit(dataset, featmap, V, H, tol=1e-8, max_iters=10 ** 5):
+def block_mle_fit(dataset, featmap, tol=1e-8, max_iters=10 ** 5):
     """`mle_fit` with a full `grad_logprob` block call per group at every
     iteration, no count rows computed ahead."""
+    V, H = dataset.V, dataset.H
     step = 1.0 / (2.0 * H * featmap.B ** 2)
     theta, n = np.zeros(featmap.d), len(dataset)
     rows = np.empty((n, featmap.d))
@@ -161,13 +162,12 @@ def test_mle_fit_count_rows_are_the_per_iteration_block_calls(monkeypatch):
     fm = bernoulli_featmap(1.0)
     piD = LinearARModel(np.zeros(1), fm, V=2, H=2)
     cases = [(sample_dataset(piD, lambda r: 0, 10 ** 4, SeedTree(0).rng()),
-              fm, 2, 2)]
+              fm)]
     for kind in ("product", "prefix", "steep product"):
         model, rng = instance(kind, 2)
         xs = [int(rng.integers(2)) for _ in range(60)]
         Y = rng.integers(0, model.V, size=(60, model.H))
-        cases.append((Dataset(xs, Y, model.H, model.V), model.featmap,
-                      model.V, model.H))
+        cases.append((Dataset(xs, Y, model.H, model.V), model.featmap))
     monkeypatch.setattr(training, "MLE_MAX_ITERS", 60)
     for args in cases:
         got = mle_fit(*args)

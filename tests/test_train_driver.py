@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 import train_oracle
+from covkit.core import sample_dataset
 from covkit.seeding import SeedTree
 from covkit.tasks import heterogeneous_kl_instance, sigma_star_instance
-from covkit.training import (TrainConfig, policy_stream, sgd_normalized,
-                             sgd_token, sgd_truncated_distill, sgd_vanilla)
+from covkit.training import (TrainConfig, sgd_normalized, sgd_token,
+                             sgd_truncated_distill, sgd_vanilla)
 
 T = 7
 
@@ -33,9 +34,10 @@ def _run_both(learner, oracle, task_name, cfg, seed, teacher=False):
     assert no_table == (task_name == "sigma_star")
     recs = []
     for fn in (learner, oracle):
-        stream = policy_stream(task.piD, task.mu, SeedTree(seed).rng())
+        data = sample_dataset(task.piD, task.mu, cfg.T * cfg.K,
+                              SeedTree(seed).rng())
         args = (task.piD,) if teacher else ()
-        recs.append(fn(stream, *args, task.featmap, task.V, task.H, cfg))
+        recs.append(fn(data, *args, task.featmap, cfg))
     new, ref = recs
     assert [t for t, _ in new.checkpoints] == [t for t, _ in ref.checkpoints]
     for (_, a), (_, b) in zip(new.checkpoints, ref.checkpoints):

@@ -7,18 +7,17 @@ from hypothesis import strategies as st
 
 from covkit import training
 from covkit.core import Dataset, FinitePromptDist, sample_dataset
-from covkit.models import LinearARModel
+from covkit.models import CallableFeatureMap, LinearARModel
 from covkit.seeding import SeedTree
 from covkit.tasks import bernoulli_featmap, bernoulli_model
 from covkit.training import (TrainConfig, checkpoint_iters, mle_fit,
-                             normalized_schedule, policy_stream, sgd_normalized,
-                             sgd_token, sgd_truncated_distill, sgd_vanilla,
+                             normalized_schedule, sgd_normalized, sgd_token,
+                             sgd_truncated_distill, sgd_vanilla,
                              truncated_schedule, truncation_weights)
 
 
-def coin_stream(p, rng):
-    pol = bernoulli_model(p)
-    return policy_stream(pol, lambda r: 0, rng)
+def coin_data(p, n, rng):
+    return sample_dataset(bernoulli_model(p), lambda r: 0, n, rng)
 
 
 def test_train_config_validation():
@@ -47,7 +46,7 @@ def test_mle_saturated_boundary(monkeypatch):
     B = 1.5
     fm = bernoulli_featmap(B)
     ds = Dataset([0] * 30, [[1]] * 30, H=1, V=2)
-    res = mle_fit(ds, fm, V=2, H=1)
+    res = mle_fit(ds, fm)
     # independent 1-d grid-search oracle over theta in [-1, 1]
     grid = np.linspace(-1, 1, 20001)
     lik = grid * B - np.logaddexp(grid * B, -grid * B)
@@ -63,7 +62,7 @@ def test_mle_consistency_near_zero_theta():
     fm = bernoulli_featmap(1.0)
     piD = LinearARModel(np.zeros(1), fm, V=2, H=2)
     ds = sample_dataset(piD, lambda r: 0, 10 ** 4, rng)
-    res = mle_fit(ds, fm, V=2, H=2)
+    res = mle_fit(ds, fm)
     assert res.converged
     assert abs(res.theta[0]) < 0.1
 
@@ -71,21 +70,14 @@ def test_mle_consistency_near_zero_theta():
 def test_mle_duplication_invariance():
     fm = bernoulli_featmap(1.0)
     xs, ys = [0, 0, 0], [[1], [0], [1]]
-    r1 = mle_fit(Dataset(xs, ys, H=1, V=2), fm, V=2, H=1)
-    r2 = mle_fit(Dataset(xs * 2, ys * 2, H=1, V=2), fm, V=2, H=1)
+    r1 = mle_fit(Dataset(xs, ys, H=1, V=2), fm)
+    r2 = mle_fit(Dataset(xs * 2, ys * 2, H=1, V=2), fm)
     assert np.array_equal(r1.theta, r2.theta)
 
 
 def test_mle_empty_dataset():
     with pytest.raises(ValueError):
-        mle_fit(Dataset([], [], H=1, V=2), bernoulli_featmap(1.0), V=2, H=1)
-
-
-@pytest.mark.parametrize("H", [1, 3])
-def test_mle_refuses_a_dataset_of_another_horizon(H):
-    ds = Dataset([0, 0], [[1, 0], [0, 1]], H=2, V=2)
-    with pytest.raises(ValueError, match="full length H"):
-        mle_fit(ds, bernoulli_featmap(1.0), V=2, H=H)
+        mle_fit(Dataset([], [], H=1, V=2), bernoulli_featmap(1.0))
 
 
 # ------------------------------------------------------------------- SGD
@@ -96,9 +88,9 @@ def test_sgd_vanilla_constant_on_zero_gradient():
     fm = bernoulli_featmap(B)
     piD = LinearARModel(np.array([1.0]), fm, V=2, H=2)
     rng = SeedTree(1).rng()
-    stream = policy_stream(piD, lambda r: 0, rng)
+    data = sample_dataset(piD, lambda r: 0, 50, rng)
     cfg = TrainConfig(eta=0.1, T=50, theta0=np.array([1.0]))
-    rec = sgd_vanilla(stream, fm, V=2, H=2, config=cfg)
+    rec = sgd_vanilla(data, fm, config=cfg)
     assert abs(rec.final_theta[0] - 1.0) < 1e-6
 
 
@@ -108,18 +100,36 @@ def test_sgd_iterates_stay_in_ball_and_deterministic():
     recs = []
     for _ in range(2):
         rng = SeedTree(2).rng()
-        recs.append(sgd_vanilla(coin_stream(0.8, rng), fm, 2, 1, cfg))
+        recs.append(sgd_vanilla(coin_data(0.8, 100, rng), fm, cfg))
     for _, th in recs[0].checkpoints:
         assert np.linalg.norm(th) <= 1 + 1e-12
     assert all(np.array_equal(a[1], b[1]) for a, b in
                zip(recs[0].checkpoints, recs[1].checkpoints))
 
 
-def test_sgd_stream_exhaustion():
-    fm = bernoulli_featmap(1.0)
-    short = iter([(0, (1,))] * 3)
-    with pytest.raises(RuntimeError, match="exhausted"):
-        sgd_vanilla(short, fm, 2, 1, TrainConfig(eta=0.1, T=10))
+SGD_LEARNERS = {
+    "vanilla": (sgd_vanilla, TrainConfig(eta=0.1, T=5)),
+    "normalized-K1": (sgd_normalized, TrainConfig(eta=0.1, lam=0.5, T=5)),
+    "normalized-K3": (sgd_normalized,
+                      TrainConfig(eta=0.1, lam=0.5, K=3, T=5)),
+    "token": (sgd_token, TrainConfig(eta=0.1, T=5)),
+    "truncated": (sgd_truncated_distill, TrainConfig(eta=0.1, A=1.0, T=5)),
+}
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+@pytest.mark.parametrize("name", SGD_LEARNERS)
+def test_sgd_learners_refuse_a_dataset_not_of_T_K_rows(name, extra):
+    learner, cfg = SGD_LEARNERS[name]
+    # Any step asks the feature map for features and fails the test.
+    fm = CallableFeatureMap(lambda x, pre: pytest.fail("a step was taken"),
+                            d=1, B=1.0)
+    n = cfg.T * cfg.K + extra
+    data = Dataset([0] * n, [[1]] * n, H=1, V=2)
+    teacher = (bernoulli_model(0.5),) if name == "truncated" else ()
+    with pytest.raises(ValueError, match=rf"T\*K = {cfg.T * cfg.K} "
+                                         rf"examples, got {n}$"):
+        learner(data, *teacher, fm, cfg)
 
 
 def test_normalized_step_norm():
@@ -127,7 +137,7 @@ def test_normalized_step_norm():
     fm = bernoulli_featmap(1.0)
     rng = SeedTree(3).rng()
     cfg = TrainConfig(eta=0.25, lam=0.0, T=1, checkpoint_every=1)
-    rec = sgd_normalized(coin_stream(1.0, rng), fm, 2, 1, cfg)
+    rec = sgd_normalized(coin_data(1.0, 1, rng), fm, cfg)
     assert math.isclose(abs(rec.final_theta[0]), 0.25, rel_tol=1e-9)
 
 
@@ -136,9 +146,9 @@ def test_normalized_zero_gradient_zero_lambda_flag():
     fm = bernoulli_featmap(B)
     piD = LinearARModel(np.array([1.0]), fm, V=2, H=1)
     rng = SeedTree(4).rng()
-    stream = policy_stream(piD, lambda r: 0, rng)
+    data = sample_dataset(piD, lambda r: 0, 5, rng)
     cfg = TrainConfig(eta=0.1, lam=0.0, T=5, theta0=np.array([1.0]))
-    rec = sgd_normalized(stream, fm, 2, 1, cfg)
+    rec = sgd_normalized(data, fm, cfg)
     # The model puts all but about e^-120 of its mass on token 1, so the
     # conditional mean feature rounds to B and every gradient is exactly 0:
     # no step is taken and the flag is set once.
@@ -150,9 +160,9 @@ def test_normalized_exact_zero_gradient_flag():
     # theta = 0 is uniform, and y = (0, 1) has features -B and +B, so
     # g = (-B + B) - 2 * (p @ table) = 0 exactly, with no underflow.
     fm = bernoulli_featmap(2.0)
-    stream = iter([(0, (0, 1))] * 4)
+    data = Dataset([0] * 4, [[0, 1]] * 4, H=2, V=2)
     cfg = TrainConfig(eta=0.1, lam=0.0, T=4)
-    rec = sgd_normalized(stream, fm, 2, 2, cfg)
+    rec = sgd_normalized(data, fm, cfg)
     assert rec.flags == ["zero-gradient-zero-lambda"]
     assert np.array_equal(rec.final_theta, np.zeros(1))
     assert rec.n_examples == 4
@@ -175,8 +185,8 @@ def test_token_sgd_h1_equals_vanilla():
     cfg = TrainConfig(eta=0.3, T=50, checkpoint_every=1)
     rng1 = SeedTree(5).rng()
     rng2 = SeedTree(5).rng()
-    r_tok = sgd_token(coin_stream(0.7, rng1), fm, 2, 1, cfg)
-    r_van = sgd_vanilla(coin_stream(0.7, rng2), fm, 2, 1, cfg)
+    r_tok = sgd_token(coin_data(0.7, 50, rng1), fm, cfg)
+    r_van = sgd_vanilla(coin_data(0.7, 50, rng2), fm, cfg)
     for (t1, a), (t2, b) in zip(r_tok.checkpoints, r_van.checkpoints):
         assert t1 == t2 and np.allclose(a, b, atol=1e-12)
 
@@ -186,9 +196,9 @@ def test_token_step_norm_bound():
     fm = bernoulli_featmap(B)
     rng = SeedTree(6).rng()
     piD = bernoulli_model(0.5)
-    pol_stream = policy_stream(piD, lambda r: 0, rng)
+    data = sample_dataset(piD, lambda r: 0, 20, rng)
     cfg = TrainConfig(eta=0.1, T=20, checkpoint_every=1)
-    rec = sgd_token(pol_stream, fm, 2, 1, cfg)
+    rec = sgd_token(data, fm, cfg)
     prev = np.zeros(1)
     for _, th in rec.checkpoints:
         assert np.linalg.norm(th - prev) <= 2 * 0.1 * B + 1e-9
@@ -224,16 +234,16 @@ def test_truncated_distill_runs_and_matches_vanilla_when_unclipped():
     teacher = bernoulli_model(0.7)
     cfg_t = TrainConfig(eta=0.3, T=40, A=100.0, checkpoint_every=1)
     cfg_v = TrainConfig(eta=0.3, T=40, checkpoint_every=1)
-    r1 = sgd_truncated_distill(coin_stream(0.7, SeedTree(7).rng()), teacher,
-                               fm, 2, 1, cfg_t)
-    r2 = sgd_vanilla(coin_stream(0.7, SeedTree(7).rng()), fm, 2, 1, cfg_v)
+    r1 = sgd_truncated_distill(coin_data(0.7, 40, SeedTree(7).rng()),
+                               teacher, fm, cfg_t)
+    r2 = sgd_vanilla(coin_data(0.7, 40, SeedTree(7).rng()), fm, cfg_v)
     assert np.allclose(r1.final_theta, r2.final_theta, atol=1e-12)
 
 
 def test_truncated_distill_teacher_zero_mass():
     fm = bernoulli_featmap(1.0)
     teacher = bernoulli_model(0.0)   # zero mass on y=1
-    stream = iter([(0, (1,))] * 5)
+    data = Dataset([0] * 5, [[1]] * 5, H=1, V=2)
     cfg = TrainConfig(eta=0.1, T=5, A=1.0)
     with pytest.raises(ValueError, match="zero mass"):
-        sgd_truncated_distill(stream, teacher, fm, 2, 1, cfg)
+        sgd_truncated_distill(data, teacher, fm, cfg)

@@ -1,8 +1,8 @@
 """Reference learners: one self-contained loop per learner.
 
-Each SGD function repeats the whole single-pass loop (theta init, stream
-draw, checkpoint cadence, example count) that `covkit.training._sgd_loop`
-now shares, with the step written inline in the same floating-point
+Each SGD function repeats the whole single-pass loop (theta init, the
+dataset's examples taken in order, checkpoint cadence, example count)
+that `covkit.training._sgd_loop` now shares, with the step written inline in the same floating-point
 operation order, and `mle_fit` sums one gradient per example.  They build
 a `LinearARModel` at every step and take its gradients from this module's
 own per-example `grad_logprob`, `grad_logprob_token` and
@@ -62,7 +62,8 @@ def grad_logprob_token(model, x, prefix, v):
     return feats[v] - p @ feats
 
 
-def mle_fit(dataset, featmap, V, H, tol=1e-8, max_iters=10 ** 5):
+def mle_fit(dataset, featmap, tol=1e-8, max_iters=10 ** 5):
+    V, H = dataset.V, dataset.H
     step = 1.0 / (2.0 * H * featmap.B ** 2)
     theta = np.zeros(featmap.d)
     n = len(dataset)
@@ -87,11 +88,19 @@ def _init_theta(config, d):
     return np.zeros(d)
 
 
+def _pairs(dataset):
+    """The dataset's examples as an iterator of (x, y) pairs, y a tuple."""
+    return iter([(x, tuple(y)) for x, y in zip(dataset.xs,
+                                               dataset.Y.tolist())])
+
+
 def _take(stream, k):
     return [next(stream) for _ in range(k)]
 
 
-def sgd_vanilla(stream, featmap, V, H, config):
+def sgd_vanilla(dataset, featmap, config):
+    V, H = dataset.V, dataset.H
+    stream = _pairs(dataset)
     theta = _init_theta(config, featmap.d)
     cps = set(checkpoint_iters(config.T, config.checkpoint_every))
     rec = RunRecord()
@@ -106,7 +115,9 @@ def sgd_vanilla(stream, featmap, V, H, config):
     return rec
 
 
-def sgd_normalized(stream, featmap, V, H, config):
+def sgd_normalized(dataset, featmap, config):
+    V, H = dataset.V, dataset.H
+    stream = _pairs(dataset)
     eta, lam = config.eta, config.lam
     if eta is None or lam is None:
         eta_s, lam_s = normalized_schedule(featmap.B, config.T, config.N,
@@ -136,7 +147,9 @@ def sgd_normalized(stream, featmap, V, H, config):
     return rec
 
 
-def sgd_token(stream, featmap, V, H, config):
+def sgd_token(dataset, featmap, config):
+    V, H = dataset.V, dataset.H
+    stream = _pairs(dataset)
     theta = _init_theta(config, featmap.d)
     cps = set(checkpoint_iters(config.T, config.checkpoint_every))
     rec = RunRecord()
@@ -155,7 +168,9 @@ def sgd_token(stream, featmap, V, H, config):
     return rec
 
 
-def sgd_truncated_distill(stream, teacher, featmap, V, H, config):
+def sgd_truncated_distill(dataset, teacher, featmap, config):
+    V, H = dataset.V, dataset.H
+    stream = _pairs(dataset)
     A = config.A
     eta = config.eta
     if eta is None:

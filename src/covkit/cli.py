@@ -43,6 +43,11 @@ def load_policy(path: str) -> TabularModel:
             raise ConfigError(f"{where}: tables[{i}].prefix must be a list "
                               f"of tokens, got {row['prefix']!r}")
         x = tuple(row["x"]) if isinstance(row["x"], list) else row["x"]
+        try:
+            hash(x)
+        except TypeError:
+            raise ConfigError(f"{where}: tables[{i}].x must be a number, a "
+                              f"string or a list of them, got {row['x']!r}")
         tables[(x, tuple(row["prefix"]))] = row["p"]
     return TabularModel(tables, V=spec["V"], H=spec["H"],
                         default=spec.get("default"))

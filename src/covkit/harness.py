@@ -2,8 +2,13 @@
 
 A config describes one task x learner pair plus sweep axes (parameter lists
 and a seed list).  Every (sweep point, seed) job owns a derived seed subtree
-so outputs are byte-identical regardless of worker-thread count.  In mc
-mode a checkpoint's seq KL and coverage share one draw; in exact mode the
+so outputs are byte-identical regardless of worker-thread count.  Under
+a learner with a stacked step (`STACKED`), the jobs of one task point that
+share T, K and checkpoint_every train as theta stacks of up to
+`STACK_ROWS` jobs (`training.train_stack`), each job on its own dataset
+draw; mle and sgd_truncated train job by job.  On a product task a
+stack's exact metrics come from one `StackLaw`.  In mc mode a
+checkpoint's seq KL and coverage share one draw; in exact mode the
 preflight (`check_exact_work`) and the product-prompt test
 (`product_steps`) are those of `metrics`.  Emitted artifacts: per-run
 ``timeseries.csv`` and ``summary.json`` plus an aggregate ``sweep.csv``
@@ -78,10 +83,13 @@ TASKS = {
 
 _TRAIN_FIELDS = {f.name for f in dataclasses.fields(TrainConfig)}
 _SGD_FIELDS = frozenset({"eta", "T", "checkpoint_every", "theta0"})
+# The train fields that the jobs of one theta stack share.
+_STACK_FIELDS = frozenset({"T", "K", "checkpoint_every"})
 
 # Learner name -> (function in covkit.training, TrainConfig fields it reads).
-# The function is looked up by name on each call, so a wrapper installed on
-# the module attribute (perfbench's traced run) sees every call.
+# A learner without a stacked step trains through its function, looked up
+# by name on each call, so a wrapper installed on the module attribute
+# (perfbench's traced run) sees every call.
 LEARNERS = {
     "mle": ("mle_fit", frozenset({"T"})),
     "sgd_vanilla": ("sgd_vanilla", _SGD_FIELDS),
@@ -91,6 +99,18 @@ LEARNERS = {
     "sgd_truncated": ("sgd_truncated_distill",
                       _SGD_FIELDS | {"A", "sigma_star_sq"}),
 }
+
+# Learner name -> the step builder that `training.train_stack` steps a
+# theta stack with, for the learners with a stacked step.  A stack holds
+# all its jobs' datasets at once (T * K * H token ints each, and token SGD
+# a stacked copy), so STACK_ROWS caps it.  Per job, stacks of 16 trained
+# `sweep_exact`'s task (T = 128) 8-9 times as fast as one job alone, and
+# stacks of 32 only 1.5-1.7 times as fast again (one core of an Intel
+# Xeon).
+STACKED = {"sgd_vanilla": training.sgd_vanilla_steps,
+           "sgd_normalized": training.sgd_normalized_steps,
+           "sgd_token": training.sgd_token_steps}
+STACK_ROWS = 16
 
 _TOP_KEYS = {"version", "task", "learner", "metrics", "sweep", "out_dir",
              "root_seed"}
@@ -181,11 +201,14 @@ def validate_config(cfg: dict) -> dict:
     check_number("root_seed", cfg["root_seed"], 0, integer=True)
     task = cfg["task"]
     _check_keys(task, {"name", "params"}, "task")
-    if task.get("name") not in TASKS:
+    # A name is looked up only once it is a string: a list or an object
+    # is unhashable and would fail the lookup with a bare TypeError.
+    if not isinstance(task.get("name"), str) or task["name"] not in TASKS:
         raise ConfigError(f"unknown task {task.get('name')!r}")
     learner = cfg["learner"]
     _check_keys(learner, {"name", "train"}, "learner")
-    if learner.get("name") not in LEARNERS:
+    if not isinstance(learner.get("name"), str) or \
+            learner["name"] not in LEARNERS:
         raise ConfigError(f"unknown learner {learner.get('name')!r}")
     train = json_object(learner.get("train", {}), "learner.train")
     _check_keys(train, _TRAIN_FIELDS, "learner.train")
@@ -273,55 +296,95 @@ def _check_task(task, metrics_spec: dict):
     return task.featmap
 
 
-def run_learner(name: str, task, train: TrainConfig, rng) -> RunRecord:
-    """Train learner `name` on a task that passed `_check_task`, on one
-    `sample_dataset` of T * K examples from rng; the record's wall_clock
-    covers the draw and the training."""
-    fit = getattr(training, LEARNERS[name][0])
+def run_learner(name: str, tasks, trains, rngs) -> list:
+    """Train learner `name` on jobs at one task point: job j draws one
+    `sample_dataset` of T * K examples from rngs[j] on tasks[j] (which
+    passed `_check_task`) and trains with trains[j].  A learner in
+    `STACKED` trains all the jobs as one theta stack (`training.
+    train_stack`); any other trains each job through its function.
+    Returns one RunRecord per job; its wall_clock is the job's own draw
+    plus an equal share of the call's training: its own training when the
+    call has one job, as `run` makes it for a learner outside `STACKED`."""
+    datasets, draws = [], []
+    for task, train, rng in zip(tasks, trains, rngs):
+        t0 = time.perf_counter()
+        datasets.append(sample_dataset(task.piD, task.mu, train.T * train.K,
+                                       rng))
+        draws.append(time.perf_counter() - t0)
     t0 = time.perf_counter()
-    dataset = sample_dataset(task.piD, task.mu, train.T * train.K, rng)
+    if name in STACKED:
+        recs = training.train_stack(STACKED[name], datasets, tasks[0].featmap,
+                                    trains)
+    else:
+        recs = [_fit(name, task, dataset, train)
+                for task, dataset, train in zip(tasks, datasets, trains)]
+    share = (time.perf_counter() - t0) / len(recs)
+    for rec, draw in zip(recs, draws):
+        rec.wall_clock = draw + share
+    return recs
+
+
+def _fit(name: str, task, dataset, train: TrainConfig) -> RunRecord:
+    """One job of learner `name` (mle or sgd_truncated) on its dataset."""
+    fit = getattr(training, LEARNERS[name][0])
     if name == "mle":
         res = fit(dataset, task.featmap)
         rec = RunRecord(checkpoints=[(train.T, res.theta.copy())],
                         final_theta=res.theta, n_examples=len(dataset))
         if not res.converged:
             rec.flags.append("mle-not-converged")
-    else:
-        teacher = (task.piD,) if name == "sgd_truncated" else ()
-        rec = fit(dataset, *teacher, task.featmap, train)
-    rec.wall_clock = time.perf_counter() - t0
-    return rec
+        return rec
+    return fit(dataset, task.piD, task.featmap, train)
 
 
-def checkpoint_metrics(task, rec: RunRecord, metrics_spec: dict, tree: SeedTree):
+def _stack_reports(task, recs, metrics_spec: dict):
+    """Exact MetricReports of each record of a stack at one task point,
+    from one `StackLaw` of all their checkpoints, when the metrics are
+    exact and every prompt of positive weight is a product prompt; else
+    None.  StackLaw rows are independent, so each record's reports are
+    those of a law of its own checkpoints, bit for bit."""
+    if metrics_spec["mode"] != "exact" or not all(
+            w == 0.0 or product_steps(task.piD, task.featmap, x) is not None
+            for x, w in task.mu.items()):
+        return None
+    law = StackLaw(task.piD, [theta for rec in recs
+                              for _, theta in rec.checkpoints],
+                   task.featmap, task.mu.items())
+    reports = [MetricReport(float(kl), curve) for kl, curve in zip(
+        law.seq_kl(), law.coverage(np.asarray(metrics_spec["n_grid"],
+                                              float)))]
+    out, lo = [], 0
+    for rec in recs:
+        out.append(reports[lo:lo + len(rec.checkpoints)])
+        lo += len(rec.checkpoints)
+    return out
+
+
+def checkpoint_metrics(task, rec: RunRecord, metrics_spec: dict,
+                       tree: SeedTree, reports=None):
     """MetricReport (seq KL + coverage curve) at every checkpoint, for the
     metrics block of a validated config.
 
-    Exact metrics of a task whose prompts of positive weight are all
-    product prompts come from one `StackLaw` of the job's checkpoint
-    stack, which computes piD's step rows and the composition table once;
-    a task with a walked prompt holds a `PairLaw` per checkpoint.  Both
-    give the same bits.  In mc mode checkpoint i makes one `mc_report`
-    call on tree.child("metric", i)'s rng."""
-    n_grid = np.asarray(metrics_spec["n_grid"], float)
-    if metrics_spec["mode"] == "exact" and all(
-            w == 0.0 or product_steps(task.piD, task.featmap, x) is not None
-            for x, w in task.mu.items()):
-        law = StackLaw(task.piD, [theta for _, theta in rec.checkpoints],
-                       task.featmap, task.mu.items())
-        rec.metrics = [MetricReport(float(kl), curve) for kl, curve in
-                       zip(law.seq_kl(), law.coverage(n_grid))]
-        return rec.metrics
-    reports = []
-    for i, (t, theta) in enumerate(rec.checkpoints):
-        model = LinearARModel(theta, task.featmap, task.V, task.H)
-        if metrics_spec["mode"] == "exact":
-            law = PairLaw(task.piD, model, task.mu.items())
-            reports.append(MetricReport(law.seq_kl(), law.coverage(n_grid)))
-        else:
-            reports.append(mc_report(
-                task.piD, model, task.mu, n_grid, metrics_spec["n_samples"],
-                tree.child("metric", i).rng(), delta=metrics_spec["delta"]))
+    `reports` are the job's rows of its stack's `_stack_reports`, which the
+    harness passes for exact metrics on a task whose prompts of positive
+    weight are all product prompts.  Without them, exact metrics hold a
+    `PairLaw` per checkpoint, which gives the same bits, and in mc mode
+    checkpoint i makes one `mc_report` call on tree.child("metric", i)'s
+    rng."""
+    if reports is None:
+        n_grid = np.asarray(metrics_spec["n_grid"], float)
+        reports = []
+        for i, (t, theta) in enumerate(rec.checkpoints):
+            model = LinearARModel(theta, task.featmap, task.V, task.H)
+            if metrics_spec["mode"] == "exact":
+                law = PairLaw(task.piD, model, task.mu.items())
+                reports.append(MetricReport(law.seq_kl(),
+                                            law.coverage(n_grid)))
+            else:
+                reports.append(mc_report(
+                    task.piD, model, task.mu, n_grid,
+                    metrics_spec["n_samples"], tree.child("metric", i).rng(),
+                    delta=metrics_spec["delta"]))
     rec.metrics = reports
     return reports
 
@@ -370,37 +433,65 @@ def run(cfg: dict) -> str:
     out_dir = cfg["out_dir"]
     os.makedirs(os.path.join(out_dir, "runs"), exist_ok=True)
 
-    reads = LEARNERS[cfg["learner"]["name"]][1]
+    learner = cfg["learner"]["name"]
+    reads = LEARNERS[learner][1]
 
-    def job(p_idx, s_idx):
-        point = points[p_idx]
-        seed = seeds[s_idx]
+    def inputs(p_idx):
+        """(task params, train kwargs) of sweep point p_idx: an axis goes
+        to the learner when it reads that train field, else to the task
+        parameter of that name."""
         task_params = dict(cfg["task"]["params"])
         train_kwargs = dict(cfg["learner"]["train"])
-        # An axis goes to the learner when it reads that train field, else
-        # to the task parameter of that name.
-        for name, value in zip(axis_names, point):
+        for name, value in zip(axis_names, points[p_idx]):
             if name in reads:
                 train_kwargs[name] = value
             else:
                 task_params[name] = value
-        task = build_task(cfg["task"]["name"], task_params)
-        _check_task(task, metrics_spec)
-        train = TrainConfig(**train_kwargs)
-        tree = SeedTree(cfg["root_seed"]).child("sweep", p_idx).child(
-            "seed", seed)
-        rec = run_learner(cfg["learner"]["name"], task, train,
-                          tree.child("train").rng())
-        checkpoint_metrics(task, rec, metrics_spec, tree)
-        return rec
+        return task_params, train_kwargs
 
-    jobs = [(p, s) for p in range(len(points)) for s in range(len(seeds))]
+    def run_stack(members):
+        """Train and measure the jobs (p_idx, s_idx) of one stack."""
+        tasks, trains, trees = [], [], []
+        for p_idx, s_idx in members:
+            task_params, train_kwargs = inputs(p_idx)
+            tasks.append(build_task(cfg["task"]["name"], task_params))
+            _check_task(tasks[-1], metrics_spec)
+            trains.append(TrainConfig(**train_kwargs))
+            trees.append(SeedTree(cfg["root_seed"]).child(
+                "sweep", p_idx).child("seed", seeds[s_idx]))
+        recs = run_learner(learner, tasks, trains,
+                           [tree.child("train").rng() for tree in trees])
+        stacked = _stack_reports(tasks[0], recs, metrics_spec)
+        for j, (task, rec, tree) in enumerate(zip(tasks, recs, trees)):
+            checkpoint_metrics(task, rec, metrics_spec, tree,
+                               None if stacked is None else stacked[j])
+        return dict(zip(members, recs))
+
+    # Under a learner in STACKED, the jobs of one task point that share T,
+    # K and checkpoint_every (the axes those come from, by value index)
+    # train as theta stacks of up to STACK_ROWS jobs; any other learner
+    # trains job by job.
+    rows = STACK_ROWS if learner in STACKED else 1
+    shared = [i for i, name in enumerate(axis_names)
+              if name not in reads or name in _STACK_FIELDS]
+    index = list(itertools.product(*(range(len(axes[a]))
+                                     for a in axis_names)))
+    groups = {}
+    for p_idx in range(len(points)):
+        key = tuple(index[p_idx][i] for i in shared)
+        groups.setdefault(key, []).extend(
+            (p_idx, s_idx) for s_idx in range(len(seeds)))
+    stacks = [members[i:i + rows] for members in groups.values()
+              for i in range(0, len(members), rows)]
+    results = {}
     if threads == 1:
-        results = {ps: job(*ps) for ps in jobs}
+        for members in stacks:
+            results.update(run_stack(members))
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            futs = {ps: pool.submit(job, *ps) for ps in jobs}
-        results = {ps: f.result() for ps, f in futs.items()}
+            futs = [pool.submit(run_stack, members) for members in stacks]
+        for f in futs:
+            results.update(f.result())
 
     # Emission in fixed (sweep index, seed) order regardless of scheduling.
     sweep_rows = []

@@ -82,10 +82,12 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def candidate_dists(feats, theta) -> np.ndarray:
-    """Row-wise softmax of (k, V, d) features times theta (d,) or (k, d)."""
+    """Row-wise softmax of (k, V, d) features times theta (d,) or (k, d).
+    The row max and sum are the ufunc reductions that ndarray.max and .sum
+    call, without their Python wrappers."""
     logits = (feats @ theta[..., None])[..., 0]
-    e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    e = np.exp(logits - np.maximum.reduce(logits, axis=1, keepdims=True))
+    return e / np.add.reduce(e, axis=1, keepdims=True)
 
 
 class LinearARModel(Policy):
@@ -193,7 +195,13 @@ def token_steps(theta, feats, tokens, eta: float) -> np.ndarray:
     bit for bit: a matmul per row, the norm as sqrt(theta . theta)."""
     grad = feats[np.arange(len(feats)), tokens] - \
         (candidate_dists(feats, theta)[:, None, :] @ feats)[:, 0]
-    theta = theta + eta * grad
+    return project_rows(theta + eta * grad)
+
+
+def project_rows(theta) -> np.ndarray:
+    """`project_unit_ball` of each row of a (k, d) array, bit for bit: the
+    norm as sqrt(theta . theta) by a matmul per row, and a row inside the
+    ball divided by 1.0, so no division by a zero norm."""
     return theta / np.maximum(
         np.sqrt((theta[:, None, :] @ theta[:, :, None])[:, 0]), 1.0)
 

@@ -27,8 +27,9 @@ from covkit.seeding import SeedTree
 from covkit.selection import offset_tournament, select_ce, simple_tournament
 from covkit.tasks import (bernoulli_mle, bernoulli_model, bernoulli_task,
                           heterogeneous_kl_instance, misspec_instance)
-from covkit.training import (TrainConfig, sgd_normalized, sgd_token,
-                             sgd_truncated_distill, sgd_vanilla)
+from covkit.training import (TrainConfig, sgd_normalized_steps,
+                             sgd_token_steps, sgd_truncated_distill,
+                             sgd_vanilla, sgd_vanilla_steps, train_stack)
 
 MU1 = [(0, 1.0)]
 
@@ -281,21 +282,24 @@ def _hetero_instance(H, b, mu_plus):
     return piD, fm, mu
 
 
-def _a7_final_pcov8(method, H, eta, seed, T=512):
+def _a7_final_pcov8(method, H, eta, seeds, T=512):
+    """Final Pcov_8 of each seed's run; the seeds train as one theta stack,
+    each row bit for bit the seed's own run."""
     piD, fm, mu = _hetero_instance(H, b=4.0, mu_plus=0.5)
-    rng = SeedTree(seed).child("a7", H).rng()
-    data = sample_dataset(piD, mu, T, rng)
+    data = [sample_dataset(piD, mu, T, SeedTree(seed).child("a7", H).rng())
+            for seed in seeds]
     if method == "vanilla":
-        rec = sgd_vanilla(data, fm,
-                          TrainConfig(eta=eta, T=T, checkpoint_every=10 ** 9))
+        steps = sgd_vanilla_steps
+        cfg = TrainConfig(eta=eta, T=T, checkpoint_every=10 ** 9)
     else:
+        steps = sgd_normalized_steps
         s2 = sigma_star_sq(piD, fm, mu.items())
-        rec = sgd_normalized(data, fm,
-                             TrainConfig(eta=eta, T=T, N=8.0,
-                                         sigma_star_sq=s2,
-                                         checkpoint_every=10 ** 9))
-    piHat = LinearARModel(rec.final_theta, piD.featmap, piD.V, piD.H)
-    return coverage_exact(piD, piHat, mu.items(), [8.0]).values[0]
+        cfg = TrainConfig(eta=eta, T=T, N=8.0, sigma_star_sq=s2,
+                          checkpoint_every=10 ** 9)
+    recs = train_stack(steps, data, fm, [cfg] * len(seeds))
+    return [coverage_exact(piD, LinearARModel(rec.final_theta, piD.featmap,
+                                              piD.V, piD.H),
+                           mu.items(), [8.0]).values[0] for rec in recs]
 
 
 def test_A7_horizon_separation():
@@ -305,8 +309,8 @@ def test_A7_horizon_separation():
     floor = 0.005
 
     def median_pcov(method, H, eta):
-        return float(np.median([_a7_final_pcov8(method, H, eta, s)
-                                for s in range(n_seeds)]))
+        return float(np.median(_a7_final_pcov8(method, H, eta,
+                                               range(n_seeds))))
 
     results = {}
     for method in ("vanilla", "normalized"):
@@ -328,27 +332,32 @@ def test_A7_horizon_separation():
 
 # --------------------------------------------------------------------- A8
 
-def _a8_avg_seq_kl(method, seed, H=32, T=512, eta=0.00625):
+def _a8_avg_seq_kl(method, seeds, H=32, T=512, eta=0.00625):
+    """Each seed's mean MC seq KL over its checkpoints; the seeds train as
+    one theta stack, each row bit for bit the seed's own run."""
     piD, fm, mu = _hetero_instance(H, b=4.0, mu_plus=0.5)
-    tree = SeedTree(seed).child("a8", 0)
-    rng = tree.rng()
-    data = sample_dataset(piD, mu, T, rng)
-    fn = sgd_vanilla if method == "vanilla" else sgd_token
-    rec = fn(data, fm, TrainConfig(eta=eta, T=T))
-    vals = []
-    for i, (_, th) in enumerate(rec.checkpoints):
-        base = LinearARModel(th, piD.featmap, piD.V, piD.H)
-        pol = base if method == "vanilla" else TTTPolicy(base, eta)
-        mrng = tree.child("metric", i).rng()
-        vals.append(seq_kl(piD, pol, None, mode="mc", n=48, rng=mrng,
-                           mu_sampler=mu))
-    return float(np.mean(vals))
+    trees = [SeedTree(seed).child("a8", 0) for seed in seeds]
+    data = [sample_dataset(piD, mu, T, tree.rng()) for tree in trees]
+    steps = sgd_vanilla_steps if method == "vanilla" else sgd_token_steps
+    recs = train_stack(steps, data, fm,
+                       [TrainConfig(eta=eta, T=T)] * len(seeds))
+    out = []
+    for tree, rec in zip(trees, recs):
+        vals = []
+        for i, (_, th) in enumerate(rec.checkpoints):
+            base = LinearARModel(th, piD.featmap, piD.V, piD.H)
+            pol = base if method == "vanilla" else TTTPolicy(base, eta)
+            mrng = tree.child("metric", i).rng()
+            vals.append(seq_kl(piD, pol, None, mode="mc", n=48, rng=mrng,
+                               mu_sampler=mu))
+        out.append(float(np.mean(vals)))
+    return out
 
 
 def test_A8_ttt_improvement():
     t0 = time.time()
-    vanilla = np.median([_a8_avg_seq_kl("vanilla", s) for s in range(10)])
-    ttt = np.median([_a8_avg_seq_kl("ttt", s) for s in range(10)])
+    vanilla = np.median(_a8_avg_seq_kl("vanilla", range(10)))
+    ttt = np.median(_a8_avg_seq_kl("ttt", range(10)))
     assert ttt <= vanilla, f"ttt median {ttt} > vanilla median {vanilla}"
     _done("A8 TTT improvement", t0, 300)
 

@@ -125,6 +125,17 @@ MALFORMED = {
     "row without x": ("policy", {"type": "tabular", "V": 2, "H": 1,
                                  "tables": [{"prefix": [], "p": [0.5, 0.5]}]},
                       ["tables[0] has no 'x'"]),
+    # These two once exited 2 with "unhashable type: 'dict'" (or 'list').
+    "row x an object": ("policy", {"type": "tabular", "V": 2, "H": 1,
+                                   "tables": [{"x": {"a": 1}, "prefix": [],
+                                               "p": [0.5, 0.5]}]},
+                        ["tables[0].x must be a number, a string or a list "
+                         "of them, got {'a': 1}"]),
+    "row x a list of lists": ("policy", {"type": "tabular", "V": 2, "H": 1,
+                                         "tables": [{"x": [[0], [1]],
+                                                     "prefix": [],
+                                                     "p": [0.5, 0.5]}]},
+                              ["tables[0].x must be", "got [[0], [1]]"]),
     "task list": ("task", ["name"],
                   ["task file", "must be an object, got list"]),
     "task without name": ("task", {"params": {}}, ["task file", "has no 'name'"]),
@@ -203,6 +214,16 @@ def test_config_error_inside_a_job_exits_2(tmp_path, capsys):
     cfg["task"] = {"name": "bernoulli", "params": {"p_star": 0.3}}
     assert main(["run", write(tmp_path / "cfg.json", cfg)]) == 2
     assert "feature map" in error_of(capsys)["error"]
+
+
+def test_run_with_a_list_for_the_task_name_exits_2(tmp_path, capsys):
+    # It once exited 2 with the bare message "unhashable type: 'list'".
+    cfg = run_config(tmp_path)
+    cfg["task"]["name"] = ["x"]
+    assert main(["run", write(tmp_path / "cfg.json", cfg)]) == 2
+    assert error_of(capsys) == {"error": "unknown task ['x']",
+                                "kind": "validation"}
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv,labels", [

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import time
 
 import numpy as np
@@ -61,6 +62,21 @@ def test_validation_version_and_names(tmp_path):
     cfg = base_config(tmp_path)
     cfg["learner"]["name"] = "adam"
     with pytest.raises(ConfigError, match="unknown learner"):
+        validate_config(cfg)
+
+
+@pytest.mark.parametrize("name", [["x"], {"a": 1}, 3, None])
+def test_validation_refuses_a_name_that_is_not_a_string(tmp_path, name):
+    # An unhashable name once failed the lookup with the bare message
+    # "unhashable type: 'list'".
+    cfg = base_config(tmp_path)
+    cfg["task"]["name"] = name
+    with pytest.raises(ConfigError, match=re.escape(f"unknown task {name!r}")):
+        validate_config(cfg)
+    cfg = base_config(tmp_path)
+    cfg["learner"]["name"] = name
+    with pytest.raises(ConfigError,
+                       match=re.escape(f"unknown learner {name!r}")):
         validate_config(cfg)
 
 
@@ -159,6 +175,42 @@ def test_run_deterministic_across_threads(tmp_path, monkeypatch):
     assert digests[0] == digests[1] == digests[2]
 
 
+@pytest.mark.parametrize("learner,train", [
+    ("sgd_vanilla", {"eta": 0.1, "T": 16}),
+    ("sgd_truncated", {"eta": 0.1, "A": 1.0, "T": 4}),
+    ("mle", {"T": 8})])
+def test_stacks_are_capped_and_only_stacked_learners_stack(
+        tmp_path, monkeypatch, learner, train):
+    # Five seeds at each of two T values: two groups of five jobs, as jobs
+    # of different T never share a stack.  A learner in STACKED trains a
+    # group in stacks of at most STACK_ROWS jobs, any other one job at a
+    # time; the outputs do not depend on the stack size.
+    sizes = []
+    real_learn = harness.run_learner
+
+    def learn(name, tasks, trains, rngs):
+        sizes.append(len(tasks))
+        return real_learn(name, tasks, trains, rngs)
+    monkeypatch.setattr(harness, "run_learner", learn)
+    digests = []
+    for rows in (harness.STACK_ROWS, 3):
+        monkeypatch.setattr(harness, "STACK_ROWS", rows)
+        out = tmp_path / f"r{rows}"
+        cfg = base_config(out)
+        cfg["learner"] = {"name": learner, "train": train}
+        cfg["sweep"] = {"axes": {"T": [train["T"], 2 * train["T"]]},
+                        "seeds": [1, 2, 3, 4, 5]}
+        run(cfg)
+        digests.append(csv_digest(out))
+        if learner in harness.STACKED:
+            assert sorted(sizes) == sorted([5, 5] if rows > 5
+                                           else [3, 2, 3, 2])
+        else:
+            assert sizes == [1] * 10
+        sizes.clear()
+    assert digests[0] == digests[1]
+
+
 def test_gen_data_round_trip(tmp_path):
     out = tmp_path / "d.jsonl"
     head = tmp_path / "d.head.json"
@@ -195,19 +247,42 @@ TRAIN = {"mle": {"T": 10}, "sgd_vanilla": {"eta": 0.1, "T": 4},
 
 @pytest.mark.parametrize("learner", sorted(TRAIN))
 def test_wall_clock_covers_the_draw_and_the_training(learner, monkeypatch):
-    # The draw happens in run_learner, before the learner's own clock.
-    fit_name = harness.LEARNERS[learner][0]
+    # The draw happens in run_learner, before the learner's own clock; a
+    # learner with a stacked step trains through train_stack, any other
+    # through its own function.
+    fit_name = "train_stack" if learner in harness.STACKED \
+        else harness.LEARNERS[learner][0]
     for module, name in ((harness, "sample_dataset"), (training, fit_name)):
         def slow(*args, _fn=getattr(module, name)):
             time.sleep(0.05)
             return _fn(*args)
         monkeypatch.setattr(module, name, slow)
     task = build_task("heterogeneous_kl", {"n": 3, "H": 2})
-    rec = harness.run_learner(learner, task, TrainConfig(**TRAIN[learner]),
-                              SeedTree(0).rng())
+    (rec,) = harness.run_learner(learner, [task],
+                                 [TrainConfig(**TRAIN[learner])],
+                                 [SeedTree(0).rng()])
     assert rec.wall_clock >= 0.1
     assert rec.n_examples == TRAIN[learner]["T"] * \
         TRAIN[learner].get("K", 1)
+
+
+def test_stacked_wall_clock_is_the_draw_plus_a_share(monkeypatch):
+    # Two jobs of one stack: each pays its own draw and half the training.
+    def slow_draw(*args, _fn=harness.sample_dataset):
+        time.sleep(0.05)
+        return _fn(*args)
+
+    def slow_fit(*args, _fn=training.train_stack):
+        time.sleep(0.2)
+        return _fn(*args)
+    monkeypatch.setattr(harness, "sample_dataset", slow_draw)
+    monkeypatch.setattr(training, "train_stack", slow_fit)
+    task = build_task("heterogeneous_kl", {"n": 3, "H": 2})
+    recs = harness.run_learner("sgd_vanilla", [task, task],
+                               [TrainConfig(eta=0.1, T=4)] * 2,
+                               [SeedTree(0).rng(), SeedTree(1).rng()])
+    for rec in recs:
+        assert 0.05 + 0.1 <= rec.wall_clock < 0.05 + 0.2
 
 
 def test_mle_out_of_iterations_is_flagged(tmp_path, monkeypatch):
@@ -268,9 +343,9 @@ def record_routing(monkeypatch):
         task_etas.append(params["eta"])
         return real_build(name, params)
 
-    def learn(name, task, train, rng):
-        train_etas.append(train.eta)
-        return real_learn(name, task, train, rng)
+    def learn(name, tasks, trains, rngs):
+        train_etas.extend(train.eta for train in trains)
+        return real_learn(name, tasks, trains, rngs)
     monkeypatch.setattr(harness, "build_task", build)
     monkeypatch.setattr(harness, "run_learner", learn)
     return task_etas, train_etas

@@ -72,9 +72,10 @@ def test_mc_run_rows_equal_seq_kl_and_coverage_mc_of_each_checkpoint(
     jobs = []
     real = harness.checkpoint_metrics
 
-    def record(task, rec, spec, tree):
+    def record(task, rec, spec, tree, stacked):
+        assert stacked is None          # mc metrics have no stack law
         jobs.append((task, list(rec.checkpoints), tree))
-        return real(task, rec, spec, tree)
+        return real(task, rec, spec, tree, stacked)
     monkeypatch.setattr(harness, "checkpoint_metrics", record)
     cfg = mc_config(tmp_path)
     harness.run(cfg)

@@ -243,8 +243,9 @@ def test_stack_refusals():
                  .items())
 
 
-def pair_loop_metrics(task, rec, metrics_spec, tree):
-    """The per-checkpoint exact metrics: one PairLaw per checkpoint."""
+def pair_loop_metrics(task, rec, metrics_spec, tree, stacked=None):
+    """The per-checkpoint exact metrics: one PairLaw per checkpoint, in
+    place of the rows of the job's stack law."""
     rec.metrics = []
     for _, theta in rec.checkpoints:
         law = PairLaw(task.piD, LinearARModel(theta, task.featmap, task.V,

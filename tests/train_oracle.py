@@ -2,13 +2,13 @@
 
 Each SGD function repeats the whole single-pass loop (theta init, the
 dataset's examples taken in order, checkpoint cadence, example count)
-that `covkit.training._sgd_loop` now shares, with the step written inline in the same floating-point
-operation order, and `mle_fit` sums one gradient per example.  They build
-a `LinearARModel` at every step and take its gradients from this module's
-own per-example `grad_logprob`, `grad_logprob_token` and
-`project_unit_ball`, so they share no gradient arithmetic with covkit.
-`test_train_driver.py` requires the driver's iterates to equal these bit
-for bit.
+that `covkit.training.train_stack` now shares, with the step written
+inline in the same floating-point operation order, and `mle_fit` sums
+one gradient per example.  They build a `LinearARModel` at every step
+and take its gradients from this module's own per-example
+`grad_logprob`, `grad_logprob_token` and `project_unit_ball`, so they
+share no gradient arithmetic with covkit.  `test_train_driver.py`
+requires the driver's iterates to equal these bit for bit.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 A config describes one task x learner pair plus sweep axes (parameter lists
 and a seed list).  Every (sweep point, seed) job owns a derived seed subtree
-so outputs are byte-identical regardless of worker-thread count.  Under
+so outputs are byte-identical whatever stack a job trains in.  Under
 a learner with a stacked step (`STACKED`), the jobs of one task point that
 share T, K and checkpoint_every train as theta stacks of up to
 `STACK_ROWS` jobs (`training.train_stack`), each job on its own dataset
@@ -24,7 +24,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -199,13 +198,16 @@ def validate_config(cfg: dict) -> dict:
         if key not in cfg:
             raise ConfigError(f"missing config key {key!r}")
     check_number("root_seed", cfg["root_seed"], 0, integer=True)
-    task = cfg["task"]
+    if not isinstance(cfg["out_dir"], str) or not cfg["out_dir"]:
+        raise ConfigError(f"out_dir must be a nonempty string, got "
+                          f"{cfg['out_dir']!r}")
+    task = json_object(cfg["task"], "task")
     _check_keys(task, {"name", "params"}, "task")
     # A name is looked up only once it is a string: a list or an object
     # is unhashable and would fail the lookup with a bare TypeError.
     if not isinstance(task.get("name"), str) or task["name"] not in TASKS:
         raise ConfigError(f"unknown task {task.get('name')!r}")
-    learner = cfg["learner"]
+    learner = json_object(cfg["learner"], "learner")
     _check_keys(learner, {"name", "train"}, "learner")
     if not isinstance(learner.get("name"), str) or \
             learner["name"] not in LEARNERS:
@@ -216,7 +218,7 @@ def validate_config(cfg: dict) -> dict:
     if ignored & set(train):
         raise ConfigError(f"learner {learner['name']!r} ignores train "
                           f"fields {sorted(ignored & set(train))}")
-    metrics = _check_metrics(cfg.get("metrics", {}))
+    metrics = _check_metrics(json_object(cfg.get("metrics", {}), "metrics"))
     sweep = json_object(cfg.get("sweep", {}), "sweep")
     _check_keys(sweep, {"axes", "seeds"}, "sweep")
     axes = json_object(sweep.get("axes", {}), "sweep.axes")
@@ -417,13 +419,9 @@ def _quantiles(finals):
 
 
 def run(cfg: dict) -> str:
-    """Execute a validated config on COVKIT_THREADS threads; return out_dir."""
+    """Execute a validated config, one stack after another; return
+    out_dir."""
     cfg = validate_config(cfg)
-    threads = os.environ.get("COVKIT_THREADS", "1")
-    with contextlib.suppress(ValueError):
-        threads = int(threads)
-    with config_errors():
-        check_number("COVKIT_THREADS", threads, 1, integer=True)
     axes = cfg["sweep"]["axes"]
     seeds = cfg["sweep"]["seeds"]
     axis_names = sorted(axes)
@@ -449,24 +447,6 @@ def run(cfg: dict) -> str:
                 task_params[name] = value
         return task_params, train_kwargs
 
-    def run_stack(members):
-        """Train and measure the jobs (p_idx, s_idx) of one stack."""
-        tasks, trains, trees = [], [], []
-        for p_idx, s_idx in members:
-            task_params, train_kwargs = inputs(p_idx)
-            tasks.append(build_task(cfg["task"]["name"], task_params))
-            _check_task(tasks[-1], metrics_spec)
-            trains.append(TrainConfig(**train_kwargs))
-            trees.append(SeedTree(cfg["root_seed"]).child(
-                "sweep", p_idx).child("seed", seeds[s_idx]))
-        recs = run_learner(learner, tasks, trains,
-                           [tree.child("train").rng() for tree in trees])
-        stacked = _stack_reports(tasks[0], recs, metrics_spec)
-        for j, (task, rec, tree) in enumerate(zip(tasks, recs, trees)):
-            checkpoint_metrics(task, rec, metrics_spec, tree,
-                               None if stacked is None else stacked[j])
-        return dict(zip(members, recs))
-
     # Under a learner in STACKED, the jobs of one task point that share T,
     # K and checkpoint_every (the axes those come from, by value index)
     # train as theta stacks of up to STACK_ROWS jobs; any other learner
@@ -484,16 +464,24 @@ def run(cfg: dict) -> str:
     stacks = [members[i:i + rows] for members in groups.values()
               for i in range(0, len(members), rows)]
     results = {}
-    if threads == 1:
-        for members in stacks:
-            results.update(run_stack(members))
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futs = [pool.submit(run_stack, members) for members in stacks]
-        for f in futs:
-            results.update(f.result())
+    for members in stacks:
+        tasks, trains, trees = [], [], []
+        for p_idx, s_idx in members:
+            task_params, train_kwargs = inputs(p_idx)
+            tasks.append(build_task(cfg["task"]["name"], task_params))
+            _check_task(tasks[-1], metrics_spec)
+            trains.append(TrainConfig(**train_kwargs))
+            trees.append(SeedTree(cfg["root_seed"]).child(
+                "sweep", p_idx).child("seed", seeds[s_idx]))
+        recs = run_learner(learner, tasks, trains,
+                           [tree.child("train").rng() for tree in trees])
+        stacked = _stack_reports(tasks[0], recs, metrics_spec)
+        for j, (task, rec, tree) in enumerate(zip(tasks, recs, trees)):
+            checkpoint_metrics(task, rec, metrics_spec, tree,
+                               None if stacked is None else stacked[j])
+        results.update(zip(members, recs))
 
-    # Emission in fixed (sweep index, seed) order regardless of scheduling.
+    # Emission in fixed (sweep index, seed) order, after all stacks.
     sweep_rows = []
     for p_idx in range(len(points)):
         finals = []

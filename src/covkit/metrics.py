@@ -487,8 +487,7 @@ _last = None    # (piD ref, piHat ref, mu list, PairLaw) of the last _law
 def _drop(ref):
     """Weakref callback: drop the cached law whose policy was collected."""
     global _last
-    last = _last
-    if last is not None and (last[0] is ref or last[1] is ref):
+    if _last is not None and (_last[0] is ref or _last[1] is ref):
         _last = None
 
 
@@ -497,10 +496,9 @@ def _law(piD, piHat, mu_items) -> PairLaw:
     and an equal mu list, else a new law, which replaces it."""
     global _last
     mu = list(mu_items)
-    last = _last        # read once: another thread may replace it
-    if (last is not None and last[0]() is piD and last[1]() is piHat
-            and last[2] == mu):
-        return last[3]
+    if (_last is not None and _last[0]() is piD and _last[1]() is piHat
+            and _last[2] == mu):
+        return _last[3]
     law = PairLaw(piD, piHat, mu)
     _last = (weakref.ref(piD, _drop), weakref.ref(piHat, _drop), mu, law)
     return law

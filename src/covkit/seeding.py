@@ -3,8 +3,8 @@
 A SeedTree names random streams by a path of (label, index) pairs under a
 root seed, an integer >= 0 (any other root is refused).  Deriving the same
 path twice yields the same stream; sibling paths yield independent streams.
-Parallel work should hand each worker its own derived subtree so results
-do not depend on scheduling.
+Each job of a sweep draws from its own derived subtree, so its results do
+not depend on the order in which jobs run.
 """
 
 from __future__ import annotations

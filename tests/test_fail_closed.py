@@ -8,8 +8,9 @@ bool, inf or out of range, a negative checkpoint_every, a
 normalized schedule with N <= 1, a graph class mix that L cannot hold or
 with a bad class or weight, exact metrics over the enumeration budget,
 seeds, a root seed, axes or a version of the wrong type, a negative seed,
-or a COVKIT_THREADS that is no integer >= 1.  Each case exits 2 and
-leaves no out_dir/runs directory."""
+a task, learner or metrics block that is no object, or an out_dir that is
+no nonempty string.  Each case exits 2 and leaves no out_dir/runs
+directory."""
 
 import json
 import math
@@ -462,9 +463,9 @@ def test_over_budget_product_atoms_exit_2_without_a_walk(tmp_path, capsys,
 SEEDS = "sweep.seeds must be a nonempty list of distinct integers"
 ROOT_SEED = "root_seed must be >= 0 and an integer"
 WRONG_TYPES = {
-    "task a list": ({"task": []}, "'list' object has no attribute"),
+    "task a list": ({"task": []}, "task must be an object, got list"),
     "seeds an int": ({"sweep": {"seeds": 3}}, SEEDS),
-    "metrics a list": ({"metrics": []}, "not a mapping"),
+    "metrics a list": ({"metrics": []}, "metrics must be an object, got list"),
     "root_seed a string": ({"root_seed": "x"}, ROOT_SEED),
     # At the parent of these checks: exit 3 after writing out_dir/runs.
     "seed a string": ({"sweep": {"seeds": ["a"]}},
@@ -498,6 +499,27 @@ WRONG_TYPES = {
         {"learner": {"name": "sgd_vanilla",
                      "train": [["eta", 0.1], ["T", 4]]}},
         "learner.train must be an object"),
+    # At the parent of these five, `run` exited 2 with a bare Python
+    # message ("'int' object is not iterable", "unknown keys ['b', 'e',
+    # ...] in task").
+    "task an int": ({"task": 5}, "task must be an object, got int"),
+    "task a name": ({"task": "bernoulli"}, "task must be an object, got str"),
+    "learner an int": ({"learner": 5}, "learner must be an object, got int"),
+    "learner a list": ({"learner": []},
+                       "learner must be an object, got list"),
+    "learner a name": ({"learner": "mle"},
+                       "learner must be an object, got str"),
+    # At the parent, 5, null and ["a"] exited 3 ("expected str, bytes or
+    # os.PathLike object"), and "" exited 0 after writing runs/ and
+    # sweep.csv into the working directory.
+    "out_dir an int": ({"out_dir": 5},
+                       "out_dir must be a nonempty string, got 5"),
+    "out_dir null": ({"out_dir": None},
+                     "out_dir must be a nonempty string, got None"),
+    "out_dir a list": ({"out_dir": ["a"]},
+                       r"out_dir must be a nonempty string, got \['a'\]"),
+    "out_dir empty": ({"out_dir": ""},
+                      "out_dir must be a nonempty string, got ''"),
     "version true": ({"version": True}, "config version must be 1"),
     "version 1.0": ({"version": 1.0}, "config version must be 1"),
 }
@@ -508,6 +530,7 @@ def test_wrongly_typed_config_is_a_config_error(tmp_path, capsys,
                                                 monkeypatch, case):
     # validate_config raises only ConfigError, so `run` is refused with
     # exit 2 and nothing on stdout.
+    monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(harness, "run_learner", must_not_run)
     cfg = dict(config(tmp_path), **WRONG_TYPES[case][0])
     with pytest.raises(ConfigError, match=WRONG_TYPES[case][1]):
@@ -521,18 +544,7 @@ def test_wrongly_typed_config_is_a_config_error(tmp_path, capsys,
     assert out.out == ""
     assert json.loads(out.err)["kind"] == "validation"
     assert not (tmp_path / "out" / "runs").exists()
-
-
-# At the parent of this check, "two" exited 3 after writing out_dir/runs,
-# and 0 and -4 ran on one thread.
-@pytest.mark.parametrize("threads, got", [("two", "'two'"), ("0", "0"),
-                                          ("-4", "-4")])
-def test_bad_thread_count_exits_2_before_output(tmp_path, capsys,
-                                                monkeypatch, threads, got):
-    monkeypatch.setenv("COVKIT_THREADS", threads)
-    monkeypatch.setattr(harness, "run_learner", must_not_run)
-    refused(tmp_path, capsys, config(tmp_path),
-            f"COVKIT_THREADS must be >= 1 and an integer, got {got}")
+    assert not (tmp_path / "runs").exists()
 
 
 @pytest.mark.parametrize("command", ["gen-data", "eval-coverage",

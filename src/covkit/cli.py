@@ -28,7 +28,7 @@ from .selection import (CandidateClass, offset_tournament, select_ce,
 def load_policy(path: str) -> TabularModel:
     """Tabular policy JSON: {"type","V","H","tables":[{"x","prefix","p"}]}."""
     where = f"policy file {path}"
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         spec = json_object(json.load(f), where)
     if spec.get("type") != "tabular":
         raise ConfigError(f"unsupported policy type {spec.get('type')!r}")
@@ -55,7 +55,7 @@ def load_policy(path: str) -> TabularModel:
 
 def _load_task_file(path: str):
     where = f"task file {path}"
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         spec = json_object(json.load(f), where)
     if set(spec) - {"name", "params"}:
         raise ConfigError("task file must have only 'name' and 'params'")
@@ -73,7 +73,7 @@ def _check_shape(piD, piHat):
 
 def cmd_run(args) -> int:
     with config_errors():
-        with open(args.config) as f:
+        with open(args.config, encoding="utf-8") as f:
             cfg = json.load(f)
     out = run(cfg)      # validates cfg: a ConfigError for any refusal
     print(json.dumps({"out_dir": out}))

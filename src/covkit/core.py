@@ -34,6 +34,11 @@ arrays they fill, `save_jsonl` writes from them, and every learner trains
 on one (a harness job draws T * K examples with `sample_dataset`).  A
 JSONL data line is one object {"x": prompt, "y": [tokens]} with H integer
 tokens in [0, V); anything else raises a ValueError that names the line.
+Files are read as UTF-8, JSON's encoding.  `load_jsonl` reads a chunk of
+lines in the layout `save_jsonl` writes for integer prompts,
+{"x": 3, "y": [0, 1]}, without the JSON decoder (one regex check and one
+numpy integer parse); every other valid file goes through `json`, with the
+same results and errors.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ import json
 import math
 import numbers
 import operator
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -493,36 +499,73 @@ def save_jsonl(dataset: Dataset, path):
             f.write(json.dumps({"x": x, "y": y}) + "\n")
 
 
-# Lines parsed per json.loads call: one call per chunk, not per line, but
-# never the whole file's records at once.
+# Lines read per chunk: one regex check or json.loads call per chunk, not
+# per line, but never the whole file's records at once.
 LOAD_CHUNK = 4096
 
 
 def load_jsonl(path, H: int, V: int) -> Dataset:
-    """Dataset from a JSONL file of one {"x": ..., "y": [...]} per line.
+    """Dataset from a UTF-8 JSONL file of one {"x": ..., "y": [...]} per line.
 
     Each y must be a list of H integer tokens in [0, V); a list x becomes
-    a tuple.  Lines are parsed LOAD_CHUNK at a time as one JSON array, and
-    a chunk is accepted only if it holds one record per line.  Otherwise,
-    or if any record breaks a rule, the chunk is parsed line by line to
-    raise a ValueError naming the first bad line.  A string cannot span
-    lines (JSON forbids a raw newline in one) but an array or object can,
-    so a file that continues one record over two lines and also puts two
-    values on one line is read as its records, not refused.
+    a tuple.  Lines are read LOAD_CHUNK at a time.  A chunk whose every
+    line is exactly the layout `save_jsonl` writes for an integer prompt,
+    {"x": <int>, "y": [<int>, ...]} with ", " and ": " separators and
+    integers of at most 18 digits, is parsed by `_parse_canonical`.  Any
+    other chunk is parsed as one JSON array, and accepted only if it holds
+    one record per line.  Otherwise, or if any record breaks a rule, the
+    chunk is parsed line by line to raise a ValueError naming the first bad
+    line.  A string cannot span lines (JSON forbids a raw newline in one)
+    but an array or object can, so a file that continues one record over
+    two lines and also puts two values on one line is read as its records,
+    not refused.
     """
     xs, blocks = [], []
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         for start in itertools.count(1, LOAD_CHUNK):
             lines = list(itertools.islice(f, LOAD_CHUNK))
             if not lines:
                 break
-            chunk = _parse_chunk(lines, H, V)
+            chunk = (_parse_canonical(lines, H, V)
+                     or _parse_chunk(lines, H, V))
             if chunk is None:
                 _raise_bad_line(path, start, lines, H, V)
             xs += chunk[0]
             blocks.append(chunk[1])
     Y = np.concatenate(blocks) if blocks else np.zeros((0, H), np.int64)
     return Dataset(xs, Y, H=H, V=V)
+
+
+# A JSON integer of at most 18 digits, which int64 holds.
+_INT = "(?:0|[1-9][0-9]{0,17})"
+# The punctuation and key letters of a canonical line, each made a space.
+_CANONICAL_PUNCT = str.maketrans('{}[],:"xy', " " * 9)
+
+
+@functools.cache
+def _canonical_lines(H):
+    """Regex of lines {"x": <int>, "y": [<H ints>]}, each ending in a
+    newline.  Compiled on first use for each H, not at import."""
+    tokens = ", ".join([_INT] * H)
+    return re.compile(rf'(?:\{{"x": -?{_INT}, "y": \[{tokens}\]\}}\n)*')
+
+
+def _parse_canonical(lines, H, V):
+    """(int prompts, (k, H) responses) of k lines in `save_jsonl`'s layout
+    for integer prompts, or None to leave the lines to `_parse_chunk`.
+    What it accepts, `json` reads the same: -0 is the int 0."""
+    text = "".join(lines)
+    if not _canonical_lines(H).fullmatch(text):
+        return None
+    ints = np.fromstring(text.translate(_CANONICAL_PUNCT), dtype=np.int64,
+                         sep=" ")
+    if ints.size != len(lines) * (H + 1):
+        return None
+    rows = ints.reshape(len(lines), H + 1)
+    Y = rows[:, 1:]
+    if Y.size and Y.max() >= V:
+        return None
+    return rows[:, 0].tolist(), Y
 
 
 def _parse_chunk(lines, H, V):

@@ -2,12 +2,19 @@
 dataset_oracle.py: loading, writing, sampling, grouping and scoring."""
 
 import json
+import os
+import subprocess
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import strategies as st
 
 import dataset_oracle as oracle
 from conftest import random_tabular
+import covkit
 from covkit import core
 from covkit.cli import main
 from covkit.core import (Dataset, Trajectory, group_prompts, load_jsonl,
@@ -60,6 +67,154 @@ def test_load_empty_file(tmp_path):
     path.write_text("")
     ds = load_jsonl(path, H=3, V=2)
     assert len(ds) == 0 and ds.Y.shape == (0, 3) and ds.xs == []
+
+
+def json_only_load(path, H, V):
+    """`load_jsonl` with the canonical fast path off: every chunk is read
+    by `json`."""
+    with mock.patch.object(core, "_parse_canonical", lambda *a: None):
+        return load_jsonl(path, H=H, V=V)
+
+
+def load_or_error(load, path, H, V):
+    try:
+        return load(path, H=H, V=V)
+    except ValueError as e:
+        return str(e)
+
+
+# JSON integer texts near the canonical form: leading zeros, -0, and 18-
+# and 19-digit values (int64 holds 18 digits, not every 19).
+ODD_INTS = ["01", "-0", "-1", "1.0", "999999999999999999",
+            "-999999999999999999", "9223372036854775808",
+            "-9223372036854775809"]
+
+
+CHANGES = [None, "compact", "y first", "dup x", "trailing space", "odd prompt",
+           "odd token", "big token", "string", "list", "horizon", "cut",
+           "blank"]
+
+
+@st.composite
+def near_canonical_line(draw, H, V, change=None):
+    """One data line in `save_jsonl`'s layout for an int prompt, with one
+    part changed or one non-digit cut if `change` names it."""
+    if change == "blank":
+        return ""
+    x = str(draw(st.integers(-5, 5)))
+    ys = [str(draw(st.integers(0, V - 1))) for _ in range(H)]
+    if change == "odd prompt":
+        x = draw(st.sampled_from(ODD_INTS))
+    elif change == "odd token" and H:
+        ys[draw(st.integers(0, H - 1))] = draw(st.sampled_from(ODD_INTS))
+    elif change == "big token" and H:
+        ys[draw(st.integers(0, H - 1))] = str(V)
+    elif change == "string":
+        x = json.dumps(draw(st.sampled_from(["a", "+", "é", "7"])))
+    elif change == "list":
+        x = json.dumps(draw(st.lists(st.integers(-2, 2), max_size=2)))
+    elif change == "horizon":
+        ys = ys[1:] if H and draw(st.booleans()) else ys + ["0"]
+    comma, colon = (",", ":") if change == "compact" else (", ", ": ")
+    fields = [f'"x"{colon}{x}', f'"y"{colon}[{comma.join(ys)}]']
+    if change == "y first":
+        fields.reverse()
+    elif change == "dup x":
+        fields.insert(0, f'"x"{colon}{draw(st.integers(0, 3))}')
+    line = "{" + comma.join(fields) + "}"
+    if change == "cut":             # a separator, quote, key or bracket
+        at = draw(st.sampled_from([i for i, c in enumerate(line)
+                                   if not c.isdigit()]))
+        return line[:at] + line[at + 1:]
+    return line + " " if change == "trailing space" else line
+
+
+@st.composite
+def near_canonical_file(draw):
+    """(H, V, text): up to 12 canonical lines, one or two of them changed
+    (so that a change is often the first bad line), and sometimes no final
+    newline."""
+    H, V = draw(st.integers(0, 3)), draw(st.integers(2, 4))
+    n = draw(st.integers(0, 12))
+    changes = dict(draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                           st.sampled_from(CHANGES)),
+                                 min_size=1, max_size=2))) if n else {}
+    lines = [draw(near_canonical_line(H, V, changes.get(i)))
+             for i in range(n)]
+    end = "\n" if draw(st.booleans()) or not lines else ""
+    return H, V, "\n".join(lines) + end
+
+
+@pytest.mark.parametrize("chunk", [1, 5, core.LOAD_CHUNK])
+@seed(27)
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=near_canonical_file())
+def test_load_equals_json_only_load(tmp_path, monkeypatch, chunk, case):
+    monkeypatch.setattr(core, "LOAD_CHUNK", chunk)
+    H, V, text = case
+    path = tmp_path / "d.jsonl"
+    path.write_text(text, encoding="utf-8")
+    want = load_or_error(json_only_load, path, H, V)
+    got = load_or_error(load_jsonl, path, H, V)
+    assert got == want
+    if isinstance(want, Dataset):
+        assert [type(x) for x in got.xs] == [type(x) for x in want.xs]
+
+
+def test_canonical_files_never_call_json(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(core, "LOAD_CHUNK", 64)
+    calls = []
+    loads = json.loads
+    monkeypatch.setattr(core.json, "loads",
+                        lambda *a, **k: calls.append(1) or loads(*a, **k))
+    rng = np.random.default_rng(5)
+    pol = random_tabular(rng, 3, 4, prompts=[0, 1, 7, -3])
+    ds = sample_dataset(pol, lambda r: [0, 1, 7, -3][int(r.integers(4))],
+                        300, SeedTree(5).rng())
+    save_jsonl(ds, tmp_path / "saved.jsonl")
+    assert load_jsonl(tmp_path / "saved.jsonl", H=4, V=3) == ds
+    assert calls == []
+    for task, params, H, V in [
+            ("heterogeneous_kl", {"n": 3, "H": 4}, 4, 2),
+            ("sigma_star", {"H": 24, "B": 5, "N": 1.2, "n": 2}, 24, 2)]:
+        data = tmp_path / f"{task}.jsonl"
+        assert main(["gen-data", "--task", task, "--params",
+                     json.dumps(params), "--n", "300", "--seed", "3",
+                     "--out", str(data)]) == 0
+        capsys.readouterr()
+        calls.clear()           # gen-data parses --params
+        ds = load_jsonl(data, H=H, V=V)
+        # heterogeneous_kl has int prompts; sigma_star's "+" and "-" need
+        # the JSON path.
+        assert bool(calls) == (task == "sigma_star")
+        ref = oracle.load_examples(data)
+        assert ds == Dataset([t.x for t in ref], [t.y for t in ref], H=H,
+                             V=V)
+
+
+def test_inputs_read_as_utf8_under_an_ascii_locale(tmp_path):
+    data, pol = tmp_path / "d.jsonl", tmp_path / "pol.json"
+    data.write_text('{"x": "é", "y": [0, 1]}\n', encoding="utf-8")
+    pol.write_text(json.dumps({"type": "tabular", "V": 2, "H": 2, "tables": [
+        {"x": "é", "prefix": p, "p": [0.5, 0.5]} for p in ([], [0], [1])]},
+        ensure_ascii=False), encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(covkit.__file__))
+    env = dict(os.environ, PYTHONPATH=src, LC_ALL="C", PYTHONUTF8="0",
+               PYTHONCOERCECLOCALE="0")
+    run = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from covkit.core import load_jsonl; "
+         "print(ascii(load_jsonl(sys.argv[1], H=2, V=2).xs))", str(data)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == ascii(["é"]) + "\n"
+    run = subprocess.run(
+        [sys.executable, "-m", "covkit.cli", "tournament", "--candidates",
+         str(pol), "--data", str(data), "--rule", "ce"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout)["selected"] == 0
 
 
 def mixed_prompt_sampler(rng):
@@ -203,6 +358,9 @@ BAD_LINES = [
     ('{"x": 0, "y": [0, 2]}', "out of range"),
     ('{"x": 0, "y": [-1, 0]}', "out of range"),
     ('{"x": 0, "y": [0, 123456789012345678901234567890]}', "out of range"),
+    ('{"x": 0, "y": [0, 1000000000000000000]}', "out of range"),
+    ('{"x": 0, "y": [0, 01]}', "not one JSON value"),
+    ('{"x": 00, "y": [0, 1]}', "not one JSON value"),
     (GOOD + " " + GOOD, "not one JSON value"),
     (GOOD + ", " + GOOD, "not one JSON value"),
     ('{"x": 0, "y": [0, 1]', "not one JSON value"),
@@ -220,6 +378,35 @@ def test_bad_line_is_named(tmp_path, monkeypatch, line, why, where):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=f"line {where}: .*{why}"):
         load_jsonl(path, H=2, V=2)
+
+
+# Lines that are not `save_jsonl`'s layout but are valid: each loads as
+# `json` reads it.
+ACCEPTED_LINES = [
+    '{"x": 0, "y": [0, 1]} ',
+    '{"x": -0, "y": [1, 0]}',
+    '{"x": 0, "y": [-0, 1]}',
+    '{"x": 0, "x": 1, "y": [1, 1]}',
+    '{"x": 1000000000000000000, "y": [0, 1]}',
+    '{"x": -9223372036854775809, "y": [1, 0]}',
+    '{"x": 999999999999999999, "y": [1, 1]}',
+]
+
+
+@pytest.mark.parametrize("line", ACCEPTED_LINES)
+@pytest.mark.parametrize("where", [1, 4, 10])
+def test_near_canonical_line_loads_as_json_reads_it(tmp_path, monkeypatch,
+                                                    line, where):
+    monkeypatch.setattr(core, "LOAD_CHUNK", 4)
+    lines = [GOOD] * 12
+    lines[where - 1] = line
+    path = tmp_path / "d.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    recs = [json.loads(s) for s in lines]
+    ds = load_jsonl(path, H=2, V=2)
+    assert ds == Dataset([r["x"] for r in recs], [r["y"] for r in recs],
+                         H=2, V=2)
+    assert [type(x) for x in ds.xs] == [int] * 12
 
 
 def test_tournament_bad_data_line_exits_2(tmp_path, capsys):

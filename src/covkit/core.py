@@ -198,7 +198,7 @@ class Policy:
                 levels[self.V] = list(prefix_levels(Y, self.V))
             for h, first, inv in levels[self.V]:
                 P = self.prefix_dists(x, Y[first, :h])
-                total += np.log(P[inv, Y[:, h]])
+                total += np.log(P.ravel().take(inv * self.V + Y[:, h]))
         return total
 
     def sample(self, x, rng: np.random.Generator) -> tuple:
@@ -292,7 +292,7 @@ def sample_from_uniforms(policy: Policy, x, U) -> np.ndarray:
     for h, first, inv in prefix_levels(Y, policy.V):
         cdf = choice_cdf(policy.prefix_dists(x, Y[first, :h]))
         # Filled before prefix_levels resumes and reads column h.
-        Y[:, h] = np.add.reduce(cdf[inv] <= U[:, h, None], axis=1)
+        Y[:, h] = np.add.reduce(cdf.T.take(inv, axis=1) <= U[:, h], axis=0)
     return Y
 
 

@@ -15,18 +15,20 @@ of one loop, `_mc_values`.  Exact modes reduce a `PairLaw`, the law of one
   stepwise_hellinger_tail, and log-ratio atoms (coverage_exact,
   coverage_sup_log) from a multinomial over the k <= V groups of distinct
   step log-ratios; or
-* the walked law of x: one `tree_walk` of the piD-positive prefix tree
-  gives, per leaf, log piD, log piHat and the sum and peak of the step-KL
-  and step-Hellinger (1 - BC) terms.  The walk carries each level's
-  prefixes as one (k, h) int array and makes one `prefix_dists` call per
-  policy per level.
+* the walked law of x: x's slice of the law's one `tree_walk`, which
+  walks the piD-positive prefix trees of all the law's walked prompts
+  together, gives per leaf log piD, log piHat and the sum and peak of the
+  step-KL and step-Hellinger (1 - BC) terms.  The walk carries each
+  level's prefixes, every prompt's a contiguous slice, as one (k, h) int
+  array; it makes one `prefix_dists` call per policy per prompt per
+  level, and the rest of a level's work once for all prompts.
 
 A caller that wants several functionals of a pair holds one PairLaw.  The
 free functions share `_law`, a one-entry cache of the last (piD, piHat, mu
 list) law that holds its policies by weak reference and is dropped when
-either is collected.  onpolicy_cov (one walk of pi per distinct prompt)
-and the walked part of sigma_star_sq (the inherent variance sigma*^2)
-walk on their own.
+either is collected.  onpolicy_cov (one walk of pi over its distinct
+prompts), the walked part of sigma_star_sq (the inherent variance
+sigma*^2) and `check_exact_work` each make one walk of their own.
 
 A `StackLaw` gives seq_kl and the coverage curve of piD against each row
 of a (C, d) stack of linear-softmax theta on one feature map (a job's
@@ -41,23 +43,25 @@ row: a row with an infinite step ratio, or with atoms that the pair law
 would merge (equal ratios, which tied step ratios always give), takes the
 pair law's own atoms.
 
-Work is bounded at 1e6: each walk counts the k * V entries a level of k
-prefixes gathers per policy (a bound on its piD-positive children) on top
-of the law's earlier leaves, and the atoms count `_n_atoms` of the product
-prompts plus the walked leaves; a ValueError asking for a Monte Carlo mode
-is raised before a level or atom table over the budget is built.  A
-StackLaw counts one row's atoms and takes its rows in chunks of at most
-1e6 atoms in all.  `check_exact_work` is the preflight of a task: it
-bounds what any of its laws would count.  mu weights must be finite and
->= 0, one positive, and sum to at most 1 (`positive_weights`).  Coverage
-thresholds are checked (N >= 1, sorted) before any law is built or sample
-drawn.
+Work is bounded at 1e6: a walk counts the k * V entries that a level of
+k prefixes, over all its prompts, gathers per policy (a bound on their
+piD-positive children), so memory stays bounded by 1e6 entries a level;
+the atoms count `_n_atoms` of the product prompts plus the walked leaves.
+A ValueError asking for a Monte Carlo mode is raised before a level or
+atom table over the budget is built.  A StackLaw counts one row's atoms
+and takes its rows in chunks of at most 1e6 atoms in all.
+`check_exact_work` is the preflight of a task: it bounds what any of its
+laws would count, with one walk of piD whose `spent` is the product
+atoms.  mu weights must be finite and >= 0, one positive, and sum to at
+most 1 (`positive_weights`).  Coverage thresholds are checked (N >= 1,
+sorted) before any law is built or sample drawn.
 """
 
 from __future__ import annotations
 
 import bisect
 import collections
+import functools
 import itertools
 import math
 import statistics
@@ -117,58 +121,80 @@ class MetricReport:
     coverage: CoverageCurve | None = None
 
 
-def tree_walk(piD: Policy, x, policies=(), terms=(), pair_terms=False,
-              spent=0):
-    """Level-order walk of the piD-positive prefix tree of prompt x.
+def tree_walk(piD: Policy, xs, policies=(), terms=(), pair_terms=False,
+              spent=0) -> list:
+    """Level-order walk of the piD-positive prefix trees of the prompts xs,
+    all prompts at once.
 
-    Each level's k prefixes are one (k, h) int64 array, and each of piD
-    and `policies` answers the level with one `prefix_dists` call.  Over
-    the n piD-positive responses y (lexicographic) it returns lpD (n,) =
-    log piD(y|x); lps (len(policies), n), -inf where a policy has no mass;
-    and each term's sum over the H prefixes of y and peak (largest partial
-    sum, the empty one included), each (n_terms, n).  A term maps one
-    level's (prefixes (k, h), PD (k, V), [policy rows]) to a value per
-    prefix.  With `pair_terms` (one policy q) the first two terms are the
-    step KL(piD || q) and step Hellinger 1 - BC(piD, q), summed from the
-    gathered piD-positive entries.
+    Level h holds every prompt's prefixes as one (k, h) int64 array: each
+    prompt's rows are a contiguous slice, the prompts in the order of xs
+    (a repeated prompt is walked again) and each one's prefixes in
+    lexicographic order.  The slice bounds are carried down with one
+    searchsorted of the parent rows per level.  Each of piD and `policies`
+    answers each prompt's slice with one `prefix_dists(x, slice)` call;
+    the positives, logs, log-prob sums, pair terms and term sums and peaks
+    are computed once per level for all prompts.
 
-    A level of k prefixes gathers k * V entries per policy, which bound
-    its piD-positive children.  Before it builds and gathers a level the
-    walk checks that `spent` plus k * V stays within the 1e6 enumeration
-    budget, so a refused walk has done no more work than an allowed one.
+    Returns one (lpD, lps, sums, peaks) per prompt of xs, over its n
+    piD-positive responses y (lexicographic): lpD (n,) = log piD(y|x);
+    lps (len(policies), n), -inf where a policy has no mass; and each
+    term's sum over the H prefixes of y and peak (largest partial sum,
+    the empty one included), each (n_terms, n).  A term maps one prompt's
+    slice of a level, (x, prefixes (k, h), PD (k, V), [policy rows]), to a
+    value per prefix.  With `pair_terms` (one policy q) the first two
+    terms are the step KL(piD || q) and step Hellinger 1 - BC(piD, q),
+    summed from the gathered piD-positive entries.
+
+    A level of k prefixes over all prompts gathers k * V entries per
+    policy, which bound its piD-positive children.  Before it builds and
+    gathers a level the walk checks that `spent` plus k * V stays within
+    the 1e6 enumeration budget, so a refused walk has done no more work
+    than an allowed one.
     """
-    pre = np.zeros((1, 0), dtype=np.int64)
-    lp = np.zeros((1 + len(policies), 1))     # log piD, then each policy
+    pols = [piD, *policies]
+    pre = np.zeros((len(xs), 0), dtype=np.int64)
+    bounds = list(range(len(xs) + 1))
+    lp = np.zeros((len(pols), len(xs)))     # log piD, then each policy
     n_terms = len(terms) + 2 * bool(pair_terms)
-    sums = peaks = np.zeros((n_terms, 1))
+    sums = peaks = np.zeros((n_terms, len(xs)))
     with np.errstate(divide="ignore"):
         for h in range(piD.H):
-            check_enum_budget("gathered prefix entries",
-                              spent + lp.shape[1] * piD.V)
+            k = lp.shape[1]
+            check_enum_budget("gathered prefix entries", spent + k * piD.V)
             if h:
                 pre = np.concatenate((pre.take(parent, axis=0),
                                       tok[:, None]), axis=1)
-            P = np.array([piD.prefix_dists(x, pre)] +
-                         [q.prefix_dists(x, pre) for q in policies])
+            cuts = list(zip(xs, bounds[:-1], bounds[1:]))
+            P = np.empty((len(pols), k, piD.V))
+            for x, lo, hi in cuts:
+                for P_q, q in zip(P, pols):
+                    P_q[lo:hi] = q.prefix_dists(x, pre[lo:hi])
             # piD-positive entries in row-major order: parent * V + token.
             pos = (P[0] > 0.0).ravel().nonzero()[0]
             parent, tok = np.divmod(pos, piD.V)
+            bounds = parent.searchsorted(bounds).tolist()
             rows = P.reshape(len(P), -1).take(pos, axis=1)
             logs = np.log(rows)
             lp = lp.take(parent, axis=1) + logs
             if n_terms:
-                t = [term(pre, P[0], list(P[1:])) for term in terms]
+                t = np.empty((n_terms, k))
                 if pair_terms:
-                    k = len(pre)
-                    kl = np.bincount(parent, rows[0] * (logs[0] - logs[1]), k)
-                    bc = np.bincount(parent, np.sqrt(rows[0] * rows[1]), k)
-                    t = [kl, 1.0 - bc] + t
-                sums = sums + np.array(t)
+                    t[0] = np.bincount(parent, rows[0] * (logs[0] - logs[1]),
+                                       k)
+                    t[1] = 1.0 - np.bincount(parent,
+                                             np.sqrt(rows[0] * rows[1]), k)
+                for i, term in enumerate(terms, n_terms - len(terms)):
+                    for x, lo, hi in cuts:
+                        t[i, lo:hi] = term(x, pre[lo:hi], P[0, lo:hi],
+                                           list(P[1:, lo:hi]))
+                sums = sums + t
                 peaks = np.maximum(peaks, sums)
-                sums, peaks = sums[:, parent], peaks[:, parent]
+                sums = sums.take(parent, axis=1)
+                peaks = peaks.take(parent, axis=1)
     if not n_terms:
         sums = peaks = np.zeros((0, lp.shape[1]))
-    return lp[0], lp[1:], sums, peaks
+    return [(lp[0, lo:hi], lp[1:, lo:hi], sums[:, lo:hi], peaks[:, lo:hi])
+            for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def _kl_rows(PD, PH):
@@ -285,38 +311,47 @@ def check_exact_work(piD: Policy, featmap: FeatureMap, mu_items):
     """ValueError if the exact metrics of piD against linear models on
     `featmap` could pass the enumeration budget: the `_n_atoms` of the
     product prompts, k the size of piD's step support, then one walk of
-    piD at each other prompt.  No `PairLaw` or `StackLaw` (which chunks
-    its rows) of such a model counts more."""
-    steps = [(x, product_steps(piD, featmap, x))
-             for x, _ in positive_weights(mu_items)]
+    piD over the other prompts on top of them.  No `PairLaw` or `StackLaw`
+    (which chunks its rows) of such a model counts more."""
+    mu = positive_weights(mu_items)
+    steps = [product_steps(piD, featmap, x) for x, _ in mu]
     work = _n_atoms(piD.H, [np.count_nonzero(np.asarray(s[0]) > 0)
-                            for _, s in steps if s is not None])
+                            for s in steps if s is not None])
     check_enum_budget("leaves + atoms (bound)", work)
-    for x, s in steps:
-        if s is None:
-            work += len(tree_walk(piD, x, spent=work)[0])
+    _walk_others(piD, mu, steps, spent=work)
+
+
+def _walk_others(piD, mu, steps, **walk_args):
+    """Iterator over the per-prompt results of one `tree_walk` of the
+    prompts of mu whose steps are None, in mu's order; no walk if none."""
+    walked = [x for (x, _), s in zip(mu, steps) if s is None]
+    return iter(tree_walk(piD, walked, **walk_args) if walked else ())
 
 
 class PairLaw:
     """The exact law of one (piD, piHat) pair under mu, held by the caller:
     per prompt x of weight w > 0, (w, steps, law) with steps = (pD, pH) on
-    a product prompt, else law = (lpD, lpH, sums, peaks) from one
-    `tree_walk` with the pair terms.  It keeps neither policy."""
+    a product prompt, else law = (lpD, lpH, sums, peaks), x's slice of one
+    `tree_walk` of all such prompts with the pair terms.  It keeps neither
+    policy."""
 
     def __init__(self, piD: Policy, piHat: Policy, mu_items):
         self.H = piD.H
-        self.items, spent = [], 0
-        for x, w in positive_weights(mu_items):
+        mu, steps = positive_weights(mu_items), []
+        for x, _ in mu:
             pD = piD.step_dist(x)
             pH = None if pD is None else piHat.step_dist(x)
-            if pH is not None:
-                self.items.append((w, (np.asarray(pD, dtype=float),
-                                       np.asarray(pH, dtype=float)), None))
-                continue
-            lpD, (lpH,), sums, peaks = tree_walk(piD, x, [piHat],
-                                                 pair_terms=True, spent=spent)
-            spent += len(lpD)
-            self.items.append((w, None, (lpD, lpH, sums, peaks)))
+            steps.append(None if pH is None else (
+                np.asarray(pD, dtype=float), np.asarray(pH, dtype=float)))
+        laws = _walk_others(piD, mu, steps, policies=[piHat],
+                            pair_terms=True)
+        self.items = []
+        for (_, w), s in zip(mu, steps):
+            if s is None:
+                lpD, (lpH,), sums, peaks = next(laws)
+                self.items.append((w, None, (lpD, lpH, sums, peaks)))
+            else:
+                self.items.append((w, s, None))
         self._atoms = None
 
     def _reduce(self, closed_form, leaf_value):
@@ -589,7 +624,8 @@ def seq_kl(piD: Policy, piHat: Policy, mu_items, mode="exact",
 
 
 def _ce_closed(pD, pH, H):
-    with np.errstate(divide="ignore"):
+    # -0 * log 0 is NaN where neither policy has mass; np.where drops it.
+    with np.errstate(divide="ignore", invalid="ignore"):
         return H * float(np.where(pD > 0.0, -pD * np.log(pH), 0.0).sum())
 
 
@@ -695,9 +731,9 @@ def onpolicy_cov(policies, pi: Policy, prompts, N: float, mode="exact",
     """Entry k: the average over prompts of P_{y~pi}(log policies[k] -
     log pi >= log N).
 
-    Exact mode makes one `tree_walk(pi, x, policies)` per distinct prompt
-    x, weighted by its count, the walks sharing one budget; pi's log-probs
-    are the walk's own.  Mc mode draws count * m responses per distinct
+    Exact mode makes one `tree_walk(pi, distinct prompts, policies)` and
+    weights each prompt's slice by its count; pi's log-probs are the
+    walk's own.  Mc mode draws count * m responses per distinct
     prompt in one pi.sample_many call and scores pi once and every policy
     on them, sharing the prefix levels; m must be an integer >= 1.
     """
@@ -707,10 +743,9 @@ def onpolicy_cov(policies, pi: Policy, prompts, N: float, mode="exact",
     logN = math.log(N)
     total = np.zeros(len(policies))
     if mode == "exact":
-        spent = 0
-        for x, c in collections.Counter(prompts).items():
-            lp, lps, _, _ = tree_walk(pi, x, policies, spent=spent)
-            spent += len(lp)
+        counts = collections.Counter(prompts)
+        for c, (lp, lps, _, _) in zip(counts.values(),
+                                      tree_walk(pi, list(counts), policies)):
             p = np.exp(lp)
             for k, hit in enumerate(covers(lps, lp, logN)):
                 total[k] += c * float(p[hit].sum())
@@ -752,16 +787,17 @@ def sigma_star_sq(piD: Policy, featmap: FeatureMap, mu_items, mode="exact",
     one `sample_dataset` call and returns (estimate, se).
     """
     if mode == "exact":
-        total, spent = 0.0, 0
-        for x, w in positive_weights(mu_items):
-            steps = product_steps(piD, featmap, x)
-            if steps is not None:
-                total += w * piD.H * _variance(*steps)
-                continue
-            lpD, _, sums, _ = tree_walk(piD, x, spent=spent,
-                                        terms=[_sigma_term(piD, featmap, x)])
-            spent += len(lpD)
-            total += w * float(np.exp(lpD) @ sums[0])
+        mu = positive_weights(mu_items)
+        steps = [product_steps(piD, featmap, x) for x, _ in mu]
+        laws = _walk_others(piD, mu, steps, terms=[
+            functools.partial(_sigma_term, featmap)])
+        total = 0.0
+        for (_, w), s in zip(mu, steps):
+            if s is not None:
+                total += w * piD.H * _variance(*s)
+            else:
+                lpD, _, sums, _ = next(laws)
+                total += w * float(np.exp(lpD) @ sums[0])
         return total
     if mode == "mc":
         check_number("n", n, 2, integer=True)
@@ -788,9 +824,8 @@ def _sq_deviations(featmap, x, prefixes, P):
     return np.sum((feats - P[:, None, :] @ feats) ** 2, axis=2)
 
 
-def _sigma_term(piD, featmap, x):
-    """tree_walk term: `_variance` under piD at each prefix of a level."""
-    def term(prefixes, PD, _):
-        sq = _sq_deviations(featmap, x, prefixes, PD)
-        return (PD[:, None, :] @ sq[:, :, None])[:, 0, 0]
-    return term
+def _sigma_term(featmap, x, prefixes, PD, _):
+    """tree_walk term, bound to a feature map: `_variance` under piD at
+    each prefix of a prompt's slice of a level."""
+    sq = _sq_deviations(featmap, x, prefixes, PD)
+    return (PD[:, None, :] @ sq[:, :, None])[:, 0, 0]

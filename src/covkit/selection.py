@@ -75,8 +75,9 @@ def offset_tournament(candidates: CandidateClass, dataset, N: float,
 
     Column j of the offsets is `onpolicy_cov` of the other K - 1
     candidates against candidate j on its own responses to the dataset's
-    prompts, zero at j: a column walks (or samples) candidate j once per
-    distinct prompt and asks each candidate once per level.  `mode` is
+    prompts, zero at j: a column walks candidate j once over the distinct
+    prompts (or samples it once per distinct prompt) and asks each
+    candidate once per level and prompt.  `mode` is
     "exact", "mc" (m responses per prompt) or None (mc if V^H > 1e4).
     """
     check_number("N", N, 1, math.inf)

@@ -2,10 +2,12 @@
 
 `DictTabular` answers a level, and a single prefix, with one plain-dict
 lookup per row, keyed by (x, prefix tuple), and `tuple_tree_walk` walks
-the prefix tree with tuple prefixes and one `next_dist` call per prefix.
+one prompt's prefix tree with tuple prefixes and one `next_dist` call per
+prefix.
 Neither uses integer prefix codes or level gathers, so tests can compare
 `TabularModel` and `metrics.tree_walk` with them exactly.
-`CountingTabular` records the prefix length of each `prefix_dists` call.
+`CountingTabular` records the prefix length, and the prompt, of each
+`prefix_dists` call.
 `prefix_levels_ref` groups the rows of a level by sorting their prefix
 codes with `np.unique`, the reference for `core.prefix_levels`.
 """
@@ -67,8 +69,9 @@ class DictTabular(Policy):
 
 
 def tuple_tree_walk(piD, x, policies=(), terms=()):
-    """Level-order walk with tuple prefixes and one next_dist per prefix;
-    a term gets the level's list of prefix tuples."""
+    """Level-order walk of prompt x with tuple prefixes and one next_dist
+    per prefix; a term gets (x, the level's list of prefix tuples, PD,
+    policy rows)."""
     prefixes = [()]
     lpD = np.zeros(1)
     lps = np.zeros((len(policies), 1))
@@ -82,7 +85,7 @@ def tuple_tree_walk(piD, x, policies=(), terms=()):
         Ps = [np.array([q.next_dist(x, p) for p in prefixes], dtype=float)
               for q in policies]
         if terms:
-            sums = sums + np.array([t(prefixes, PD, Ps) for t in terms])
+            sums = sums + np.array([t(x, prefixes, PD, Ps) for t in terms])
             peaks = np.maximum(peaks, sums)
         parent, tok = np.nonzero(PD > 0.0)
         lpD = lpD[parent] + np.log(PD[parent, tok])
@@ -94,14 +97,16 @@ def tuple_tree_walk(piD, x, policies=(), terms=()):
 
 
 class CountingTabular(TabularModel):
-    """Counts prefix_dists calls; any next_dist call fails."""
+    """Counts prefix_dists calls, by prefix length in `levels` and by
+    (prompt, prefix length) in `calls`; any next_dist call fails."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.levels = []
+        self.levels, self.calls = [], []
 
     def prefix_dists(self, x, prefixes):
         self.levels.append(prefixes.shape[1])
+        self.calls.append((x, prefixes.shape[1]))
         return super().prefix_dists(x, prefixes)
 
     def next_dist(self, x, prefix):

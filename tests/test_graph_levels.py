@@ -76,7 +76,7 @@ def test_walk_and_logprob_many_agree_with_selected_paths(seed):
         Y = np.array([y for y, _ in paths])
         want = np.log([q for _, q in paths])
         assert math.isclose(sum(q for _, q in paths), 1.0, abs_tol=1e-12)
-        lpD, lps, _, _ = tree_walk(pol, x, [pol])
+        (lpD, lps, _, _), = tree_walk(pol, [x], [pol])
         # The walk's leaves are the selected paths in lexicographic order.
         assert np.allclose(lpD, want, rtol=0, atol=1e-12)
         assert np.array_equal(lps[0], lpD)

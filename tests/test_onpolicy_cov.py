@@ -1,8 +1,9 @@
 """On-policy coverage by columns: `metrics.onpolicy_cov` and the offset
 tournament built on it.  Exact columns equal the per-entry two-policy
-walks bit for bit, each candidate is walked once per distinct prompt and
-asked once per level of a column, and a bad m, a non-finite gamma or
-responses of the wrong horizon are refused before any work."""
+walks bit for bit, each candidate is walked once, over the distinct
+prompts, and asked once per level and prompt of a column, and a bad m, a
+non-finite gamma or responses of the wrong horizon are refused before any
+work."""
 
 import collections
 import math
@@ -40,11 +41,10 @@ def per_entry(piBar, piPrime, pi, prompts, N):
     """One (piPrime, pi) entry from its own two-policy walk per distinct
     prompt, as the offset tournament once made for each of its K (K - 1)
     entries."""
-    total, spent = 0.0, 0
+    total = 0.0
     for x, c in collections.Counter(prompts).items():
-        lpBar, (lpP, lpQ), _, _ = metrics.tree_walk(piBar, x, [piPrime, pi],
-                                                    spent=spent)
-        spent += len(lpBar)
+        (lpBar, (lpP, lpQ), _, _), = metrics.tree_walk(piBar, [x],
+                                                       [piPrime, pi])
         hit = covers(lpP, lpQ, math.log(N))
         total += c * float(np.exp(lpBar)[hit].sum())
     return total / len(prompts)
@@ -72,17 +72,17 @@ def test_offset_tournament_walks_each_candidate_once_per_prompt(monkeypatch):
     walks = []
     walk = metrics.tree_walk
 
-    def counted(piD, x, policies=(), **kw):
-        walks.append((id(piD), x, len(policies)))
-        return walk(piD, x, policies, **kw)
+    def counted(piD, xs, policies=(), **kw):
+        walks.append((id(piD), tuple(xs), len(policies)))
+        return walk(piD, xs, policies, **kw)
 
     monkeypatch.setattr(metrics, "tree_walk", counted)
     offset_tournament(CandidateClass(cands), ds, 2.0, gamma=0.1,
                       mode="exact")
     K = len(cands)
-    assert len(walks) == K * 2                  # K walks per distinct prompt
+    assert len(walks) == K              # one walk of each candidate ...
     assert collections.Counter(w[:2] for w in walks) == {
-        (id(c), x): 1 for c in cands for x in (0, 2)}
+        (id(c), (0, 2)): 1 for c in cands}     # ... over each distinct prompt
     assert {w[2] for w in walks} == {K - 1}
 
 

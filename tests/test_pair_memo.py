@@ -1,7 +1,7 @@
-"""One walk per (pair, prompt): a held `PairLaw` serves every exact
-functional of its pair, the free functions share a one-entry cache of the
-last law, the walk budget counts the entries each level gathers, and mu
-or prompts without mass are refused."""
+"""One walk per pair, over all its walked prompts: a held `PairLaw`
+serves every exact functional of its pair, the free functions share a
+one-entry cache of the last law, the walk budget counts the entries each
+level gathers, and mu or prompts without mass are refused."""
 
 import gc
 import math
@@ -66,6 +66,12 @@ def np_hellinger_rows(PD, PH):
     return 1.0 - np.sqrt(PD * PH).sum(axis=1)
 
 
+def level_major(H, xs):
+    """The (prompt, prefix length) of each prefix_dists call one walk of
+    the prompts xs makes per policy: level by level, the prompts in order."""
+    return [(x, h) for h in range(H) for x in xs]
+
+
 def plain(pol):
     """A TabularModel copy of pol (whose next_dist may refuse to work)."""
     return TabularModel(dict(pol.tables), V=pol.V, H=pol.H)
@@ -76,8 +82,8 @@ def reference(D, Hm, mu, name, *args):
     walks = []
     for x, w in mu:
         lpD, (lpH,), sums, peaks = tuple_tree_walk(
-            D, x, [Hm], [lambda pre, PD, Ps: np_kl_rows(PD, Ps[0]),
-                         lambda pre, PD, Ps: np_hellinger_rows(PD, Ps[0])])
+            D, x, [Hm], [lambda x, pre, PD, Ps: np_kl_rows(PD, Ps[0]),
+                         lambda x, pre, PD, Ps: np_hellinger_rows(PD, Ps[0])])
         walks.append((w, lpD, lpH, sums, peaks))
 
     def total(value):
@@ -195,8 +201,9 @@ def test_one_prefix_dists_call_per_level_across_all_seven():
     # The free functions only: a held law walks on its own (tested below).
     for name in FREE:
         call(D, Hm, mu, name, *args_for(name, rng))
-    # Every prompt of mu is walked once, one call per level and policy.
-    assert D.levels == Hm.levels == list(range(D.H)) * len(mu)
+    # One walk of every prompt of mu: one call per level, prompt and
+    # policy, level by level.
+    assert D.calls == Hm.calls == level_major(D.H, [x for x, _ in mu])
 
 
 def test_exact_tabular_round_walks_each_pair_and_prompt_once(monkeypatch):
@@ -205,7 +212,8 @@ def test_exact_tabular_round_walks_each_pair_and_prompt_once(monkeypatch):
     walks = []
     real = metrics.tree_walk
     monkeypatch.setattr(metrics, "tree_walk",
-                        lambda *a, **k: walks.append(a[1]) or real(*a, **k))
+                        lambda *a, **k: walks.append(list(a[1])) or
+                        real(*a, **k))
     rng = np.random.default_rng(6)
     n_pre = len(all_prefixes(3, 5))
 
@@ -226,8 +234,8 @@ def test_exact_tabular_round_walks_each_pair_and_prompt_once(monkeypatch):
         metrics.stepwise_hellinger_tail(D, Hm, mu, 2.0, 0.5)
         metrics.coverage_exact(D, Hm, mu, NS)
         metrics.coverage_sup_log(D, Hm, mu)
-    assert len(walks) == 600
-    assert walks[:4] == [0, 1, 0, 1]
+    # One walk per pair, of both prompts.
+    assert walks == [[0, 1]] * 300
 
 
 def test_pair_sharing_one_policy_is_walked_afresh():
@@ -236,19 +244,19 @@ def test_pair_sharing_one_policy_is_walked_afresh():
                        missing=True)
     H2 = CountingTabular(rows, V=D.V, H=D.H)
     D2 = CountingTabular(dict(D.tables), V=D.V, H=D.H)   # equal rows
-    walk = list(range(D.H)) * len(mu)
+    walk = level_major(D.H, [x for x, _ in mu])
     for a, b in [(D, H1), (D, H2), (D2, H1), (H1, D), (D, H1)]:
         for pol in (D, D2, H1, H2):
-            pol.levels.clear()
+            pol.calls.clear()
         want = reference(plain(a), plain(b), mu, "seq_kl")
         assert metrics.seq_kl(a, b, mu) == want
-        assert a.levels == b.levels == walk
+        assert a.calls == b.calls == walk
     # A second call on the same pair walks nothing.
-    D.levels.clear()
-    H1.levels.clear()
+    D.calls.clear()
+    H1.calls.clear()
     assert metrics.hellinger_sq(D, H1, mu) == \
         reference(plain(D), plain(H1), mu, "hellinger_sq")
-    assert D.levels == H1.levels == []
+    assert D.calls == H1.calls == []
 
 
 def test_rebuilt_policies_are_walked_afresh_and_not_kept_alive():
@@ -256,7 +264,7 @@ def test_rebuilt_policies_are_walked_afresh_and_not_kept_alive():
         D, Hm, mu = make_pair(seed, cls=CountingTabular)
         want = reference(plain(D), plain(Hm), mu, "seq_kl")
         assert metrics.seq_kl(D, Hm, mu) == want
-        assert D.levels == list(range(D.H)) * len(mu)
+        assert D.calls == level_major(D.H, [x for x, _ in mu])
         refs = weakref.ref(D), weakref.ref(Hm)
         # The deleted objects may leave their addresses to the next pair.
         del D, Hm
@@ -451,18 +459,18 @@ def test_held_law_walks_each_prompt_once_for_all_methods(make):
     for name in METHODS:
         held(law, name, *args_for(name, rng))
         held(law, name, *args_for(name, rng))
-    assert D.levels == Hm.levels == list(range(D.H)) * len(walked)
+    assert D.calls == Hm.calls == level_major(D.H, walked)
     assert 0 < len(walked) <= len(mu)
 
 
 def test_one_entry_cache_hits_on_an_equal_mu_of_the_same_pair():
     D, Hm, mu = make_pair(2, cls=CountingTabular)
-    walk = list(range(D.H)) * len(mu)
+    walk = level_major(D.H, [x for x, _ in mu])
 
     def walked(fn, *args):
-        D.levels.clear()
+        D.calls.clear()
         fn(*args)
-        return D.levels
+        return D.calls
     assert walked(metrics.seq_kl, D, Hm, mu) == walk
     law = metrics._last[3]
     # An equal mu, as a new list or as dict items, hits.
@@ -472,14 +480,15 @@ def test_one_entry_cache_hits_on_an_equal_mu_of_the_same_pair():
     # Other weights, fewer prompts or another pair miss, and replace it.
     other = [(x, 0.5 * w) for x, w in mu]
     assert walked(metrics.seq_kl, D, Hm, other) == walk
-    assert walked(metrics.seq_kl, D, Hm, mu[:2]) == walk[:2 * D.H]
+    assert walked(metrics.seq_kl, D, Hm, mu[:2]) == level_major(
+        D.H, [x for x, _ in mu[:2]])
     assert walked(metrics.seq_kl, Hm, D, mu) == walk
     assert walked(metrics.seq_kl, D, Hm, mu) == walk
     assert metrics._last[3] is not law
     # A held law neither reads nor replaces the cache.
     last = metrics._last
     held_law = metrics.PairLaw(D, Hm, mu)
-    assert held_law is not last[3] and D.levels == walk * 2
+    assert held_law is not last[3] and D.calls == walk * 2
     held_law.seq_kl(), held_law.coverage(NS), held_law.sup_log()
     assert metrics._last is last
 

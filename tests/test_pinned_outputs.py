@@ -37,6 +37,12 @@ from unittest import mock
 import numpy as np
 import pytest
 
+if __name__ == "__main__":
+    # Run as a script: import covkit from this checkout's src/, as pytest
+    # does through pyproject.toml.
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src"))
+
 from covkit import harness
 from covkit.cli import main
 from covkit.core import FinitePromptDist, sample_dataset

@@ -1,6 +1,7 @@
 """The integer prefix path: TabularModel's array lookups and the
 level-batched tree walk, compared exactly with tuple-prefix references."""
 
+import functools
 import itertools
 import json
 import math
@@ -158,19 +159,19 @@ def prefix_featmap(V, d=3):
     return CallableFeatureMap(phi, d=d, B=1.0)
 
 
-def tuple_sigma_term(V, fm, x):
-    def term(prefixes, PD, _):
+def tuple_sigma_term(V, fm):
+    def term(x, prefixes, PD, _):
         return [_variance(p, np.stack([fm.phi(x, pre + (v,))
                                        for v in range(V)]))
                 for pre, p in zip(prefixes, PD)]
     return term
 
 
-def kl_term(pre, PD, Ps):
+def kl_term(x, pre, PD, Ps):
     return metrics._kl_rows(PD, Ps[0])
 
 
-def hellinger_term(pre, PD, Ps):
+def hellinger_term(x, pre, PD, Ps):
     return 1.0 - metrics._bc_rows(PD, Ps[0])
 
 
@@ -185,10 +186,12 @@ def test_tree_walk_equals_tuple_walker_with_terms():
         D, refD = pair(tables, V, H, default)
         Hm, refH = pair(random_tables(rng, V, H, 0.7, zeros=0.3), V, H)
         fm = prefix_featmap(V)
-        for x in PROMPTS + ABSENT[:1]:
-            got = tree_walk(D, x, [Hm], terms=[
-                kl_term, hellinger_term, _sigma_term(D, fm, x)])
-            old_terms = [kl_term, hellinger_term, tuple_sigma_term(V, fm, x)]
+        xs = PROMPTS + ABSENT[:1]
+        walks = tree_walk(D, xs, [Hm], terms=[
+            kl_term, hellinger_term, functools.partial(_sigma_term, fm)])
+        old_terms = [kl_term, hellinger_term, tuple_sigma_term(V, fm)]
+        assert len(walks) == len(xs)
+        for x, got in zip(xs, walks):
             assert_walks_equal(got, tuple_tree_walk(D, x, [Hm], old_terms))
             assert_walks_equal(got, tuple_tree_walk(refD, x, [refH],
                                                     old_terms))
@@ -199,9 +202,8 @@ def test_two_policy_walk_equals_tuple_walker():
         bar, ref_bar = pair(tables, V, H, default)
         A, refA = pair(random_tables(rng, V, H, 0.8), V, H)
         B, refB = pair(random_tables(rng, V, H, 0.4, zeros=0.4), V, H)
-        for x in PROMPTS:
-            assert_walks_equal(tree_walk(bar, x, [A, B]),
-                               tuple_tree_walk(ref_bar, x, [refA, refB]))
+        for x, got in zip(PROMPTS, tree_walk(bar, PROMPTS, [A, B])):
+            assert_walks_equal(got, tuple_tree_walk(ref_bar, x, [refA, refB]))
         # onpolicy_cov_estimate reduces a walk of bar against one policy.
         for N in (1.5, 4.0):
             for q, ref_q in ((A, refA), (B, refB)):
@@ -219,19 +221,20 @@ def test_tree_walk_default_prefix_dists_equals_tuple_walker():
     theta = np.array([0.5, -0.3, 0.4, 0.2])
     model = LinearARModel(theta, fm, V=3, H=4)
     other = LinearARModel(-theta, fm, V=3, H=4)
-    for x in (0, "ab"):
+    for x, got in zip((0, "ab"), tree_walk(model, (0, "ab"), [other],
+                                           [hellinger_term])):
         assert_walks_equal(
-            tree_walk(model, x, [other], [hellinger_term]),
-            tuple_tree_walk(model, x, [other], [hellinger_term]))
+            got, tuple_tree_walk(model, x, [other], [hellinger_term]))
 
 
 class CountingDict(DictTabular):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.levels = []
+        self.levels, self.calls = [], []
 
     def prefix_dists(self, x, prefixes):
         self.levels.append(prefixes.shape[1])
+        self.calls.append((x, prefixes.shape[1]))
         return super().prefix_dists(x, prefixes)
 
 
@@ -241,13 +244,22 @@ def test_tree_walk_makes_one_prefix_dists_call_per_policy_per_level(cls):
     V, H = 3, 4
     pols = [cls(random_tables(rng, V, H, 1.0, zeros=0.0), V=V, H=H)
             for _ in range(3)]
-    tree_walk(pols[0], 0, pols[1:], terms=[kl_term])
+    tree_walk(pols[0], [0], pols[1:], terms=[kl_term])
     for pol in pols:
-        assert pol.levels == list(range(H))
+        assert pol.calls == [(0, h) for h in range(H)]
+    # Several prompts: level-major, each prompt's slice in the order given
+    # (a repeated prompt is walked again).
+    xs = [0, "a", 0]
     for pol in pols:
-        pol.levels.clear()
+        pol.calls.clear()
+    tree_walk(pols[0], xs, pols[1:], terms=[kl_term])
+    for pol in pols:
+        assert pol.calls == [(x, h) for h in range(H) for x in xs]
+    for pol in pols:
+        pol.calls.clear()
     metrics.stopped_kl(pols[0], pols[1], [(0, 0.5), ("a", 0.5)], 8.0)
-    assert pols[0].levels == pols[1].levels == list(range(H)) * 2
+    assert pols[0].calls == pols[1].calls == [
+        (x, h) for h in range(H) for x in (0, "a")]
 
 
 # --- sampling and scoring -----------------------------------------------

@@ -48,9 +48,25 @@ def load_policy(path: str) -> TabularModel:
         except TypeError:
             raise ConfigError(f"{where}: tables[{i}].x must be a number, a "
                               f"string or a list of them, got {row['x']!r}")
-        tables[(x, tuple(row["prefix"]))] = row["p"]
-    return TabularModel(tables, V=spec["V"], H=spec["H"],
-                        default=spec.get("default"))
+        key = (x, tuple(row["prefix"]))
+        try:
+            seen = key in tables
+        except TypeError:       # a list or an object among the tokens
+            raise ConfigError(f"{where}: tables[{i}].prefix must be a list "
+                              f"of tokens, got {row['prefix']!r}")
+        # Python equates the prompts 1, 1.0 and true, so such rows would
+        # silently overwrite one another.  No key repeats before row i, so
+        # the earlier row's index is its key's position in `tables`.
+        if seen:
+            raise ConfigError(f"{where}: tables[{list(tables).index(key)}] "
+                              f"and tables[{i}] have the same (x, prefix) "
+                              f"key {key!r}")
+        tables[key] = row["p"]
+    try:
+        return TabularModel(tables, V=spec["V"], H=spec["H"],
+                            default=spec.get("default"))
+    except ValueError as e:
+        raise ConfigError(f"{where}: {e}") from e
 
 
 def _load_task_file(path: str):
@@ -147,10 +163,10 @@ def cmd_bon(args) -> int:
         curve = coverage_exact(task.piD, piHat, task.mu.items(),
                                [2.0 * scale])
         pcov_ref = f"{curve.values[0]:.12g}"
+    ests, hw = bon_regret(piHat, task.piD, reward, task.mu,
+                          [int(N) for N in grid], args.trials, rng)
     print("N,regret,half_width,pcov_ref")
-    for N in grid:
-        est, hw = bon_regret(piHat, task.piD, reward, task.mu, int(N),
-                             args.trials, rng)
+    for N, est in zip(grid, ests):
         print(f"{N:g},{est:.12g},{hw:.12g},{pcov_ref}")
     return 0
 

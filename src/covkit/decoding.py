@@ -3,7 +3,8 @@
 `TTTPolicy` implements only `prefix_dists`, as every policy does: a level's
 rows replay the token steps of all its prefixes at once.  Best-of-N draws
 with `sample_many` and scores rewards with `reward.many` when the reward
-has it, one batch per distinct prompt.
+has it, one batch per distinct prompt; `bon_regret` reads a whole grid of
+N off one draw set, max N policy responses per trial.
 """
 
 from __future__ import annotations
@@ -49,25 +50,39 @@ def best_of_n(policy: Policy, reward, x, N: int, rng) -> tuple:
     return tuple(draws[int(np.argmax(_rewards(reward, x, draws)))].tolist())
 
 
-def bon_regret(policy: Policy, piT: Policy, reward, mu, N: int, trials: int,
+def bon_regret(policy: Policy, piT: Policy, reward, mu, Ns, trials: int,
                rng, delta: float = 0.05):
-    """MC estimate of E_x[r(x, piT(x)) - r(x, BoN(x))] with Hoeffding band.
+    """MC estimates of E_x[r(x, piT(x)) - r(x, BoN_N(x))] for each N of the
+    grid `Ns`, with a Hoeffding band; returns (estimates in the order of
+    `Ns`, half-width).
 
-    The trials' prompts are drawn first.  Each prompt drawn c times then
-    gets c responses from piT and c * N from `policy` in one batch each;
-    BoN's reward in a trial is the largest of its N rewards, the reward of
-    the response `best_of_n` would return.  The per-trial difference lies
-    in [-1, 1], so the half-width carries a range factor of 2.
+    One draw set serves the grid.  The trials' prompts are drawn first.
+    Each prompt drawn c times then gets c responses from piT and
+    c * max(Ns) from `policy`, one batch each; BoN_N's reward in a trial is
+    the largest of its first N rewards, the reward of the response
+    `best_of_n` would return, so the estimates cannot increase with N.  A
+    one-element grid [N] draws what N alone always drew.  The per-trial
+    difference lies in [-1, 1], so the half-width carries a range factor
+    of 2; it is a band for each N alone, not a joint band over the grid.
     """
     check_number("trials", trials, 100, integer=True)
-    check_number("N", N, 1, integer=True)
+    if not np.iterable(Ns) or not len(Ns):
+        raise ValueError(f"Ns must be a nonempty list of Best-of-N sizes, "
+                         f"got {Ns!r}")
+    for N in Ns:
+        check_number("N", N, 1, integer=True)
     hw = 2.0 * hoeffding_half_width(trials, delta)    # refuses a bad delta
-    total = 0.0
+    cols = np.array(Ns, dtype=np.int64) - 1
+    n_max = int(cols.max()) + 1
+    total = np.zeros(len(cols))
     for x, idx in group_prompts(sample_prompts(mu, trials, rng)).items():
         c = len(idx)
         r_t = _rewards(reward, x, piT.sample_many(x, c, rng))
-        r_b = _rewards(reward, x, policy.sample_many(x, c * N, rng))
-        total += float(r_t.sum() - r_b.reshape(c, N).max(axis=1).sum())
+        r_b = _rewards(reward, x, policy.sample_many(x, c * n_max, rng))
+        # Row k of `best` is trial-by-trial BoN at N = cols[k] + 1; its sum
+        # is a contiguous 1-D sum, as a lone N's was.
+        best = np.maximum.accumulate(r_b.reshape(c, n_max), axis=1).T[cols]
+        total += r_t.sum() - best.sum(axis=1)
     return total / trials, hw
 
 

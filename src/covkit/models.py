@@ -212,8 +212,9 @@ class TabularModel(Policy):
     Unseen prompts, levels and prefixes fall back to `default` (uniform
     unless configured), keeping densities defined for arbitrary (x, y) as
     pairwise coverage requires.  A key is a pair (prompt, prefix tuple) of
-    integer tokens in [0, V) with length < H; a row and `default` are
-    length-V distributions; anything else raises a ValueError naming it.
+    integer tokens in [0, V) (a bool is not one) with length < H; a row
+    and `default` are length-V distributions; anything else raises a
+    ValueError naming it.
 
     The rows are stored once, in one read-only (n + 1, V) array sorted by
     (prompt, prefix length, base-V code of the prefix) with `default`
@@ -336,7 +337,8 @@ def _parsed_keys(keys, V, H):
     if not set(map(type, prefixes)) <= {tuple}:
         return None
     flat = list(itertools.chain.from_iterable(prefixes))
-    if not all(issubclass(t, numbers.Integral) for t in set(map(type, flat))):
+    if not all(issubclass(t, numbers.Integral) and t is not bool
+               for t in set(map(type, flat))):
         return None
     try:
         tok = np.fromiter(flat, np.int64, len(flat))
@@ -359,7 +361,8 @@ def _entry_problem(key, row, V, H):
     if len(prefix) >= H:
         return f"prefix length {len(prefix)} is not < H = {H}"
     for v in prefix:
-        if not isinstance(v, numbers.Integral) or not 0 <= v < V:
+        if not isinstance(v, numbers.Integral) or isinstance(v, bool) or \
+                not 0 <= v < V:
             return f"token {v!r} is not in [0, {V})"
     problem = _row_problem(row, V)
     return problem and "row " + problem

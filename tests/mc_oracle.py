@@ -7,7 +7,10 @@ draw order, with the value written inline in the same floating-point
 operation order.  `onpolicy_column_mc` is one column of the offset
 tournament's on-policy offsets, and `pairwise_matrix` the tournaments'
 K x K coverage matrix as `covkit.selection` once computed it.  `test_mc_estimators.py`
-requires covkit's estimators to equal these bit for bit.
+requires covkit's estimators to equal these bit for bit.  `bon_regret` is
+Best-of-N regret at one N, as covkit computed it with one draw set per N,
+and `bon_regret_grid` reads a grid off one draw set with a loop per trial;
+`test_bon_grid.py` compares covkit's grid estimator with both.
 """
 
 from __future__ import annotations
@@ -104,3 +107,39 @@ def pairwise_matrix(candidates, dataset, N):
     M = np.array([covers(row, lp, math.log(N)).mean(axis=1) for row in lp])
     np.fill_diagonal(M, 0.0)
     return M
+
+
+def _reward_rows(reward, x, Y):
+    if hasattr(reward, "many"):
+        return np.asarray(reward.many(x, Y), dtype=float)
+    return np.array([reward(x, tuple(y)) for y in Y.tolist()], dtype=float)
+
+
+def bon_regret(policy, piT, reward, mu_sampler, N, trials, rng, delta=0.05):
+    """(estimate, half-width) at one N: each prompt drawn c times gets c
+    piT responses and c * N policy responses, one `sample_many` each."""
+    total = 0.0
+    for x, idx in group_prompts(sample_prompts(mu_sampler, trials,
+                                               rng)).items():
+        c = len(idx)
+        r_t = _reward_rows(reward, x, piT.sample_many(x, c, rng))
+        r_b = _reward_rows(reward, x, policy.sample_many(x, c * N, rng))
+        total += float(r_t.sum() - r_b.reshape(c, N).max(axis=1).sum())
+    return total / trials, 2.0 * hoeffding_half_width(trials, delta)
+
+
+def bon_regret_grid(policy, piT, reward, mu_sampler, Ns, trials, rng):
+    """The estimate at each N of Ns from the draws of one call at
+    max(Ns): a trial's BoN_N reward is the max of its first N rewards."""
+    n_max = max(Ns)
+    total = np.zeros(len(Ns))
+    for x, idx in group_prompts(sample_prompts(mu_sampler, trials,
+                                               rng)).items():
+        c = len(idx)
+        r_t = _reward_rows(reward, x, piT.sample_many(x, c, rng))
+        R = _reward_rows(reward, x, policy.sample_many(x, c * n_max, rng))
+        for k, N in enumerate(Ns):
+            best = np.array([max(row[:N]) for row in
+                             R.reshape(c, n_max).tolist()])
+            total[k] += float(r_t.sum() - best.sum())
+    return total / trials

@@ -196,12 +196,12 @@ def test_A4_bon_bounds():
     rng = SeedTree(104).rng()
 
     reward = lambda x, y: int(y[0] == 1)
-    est, hw = bon_regret(piHat, piT, reward, mu, N, trials, rng)
+    (est,), hw = bon_regret(piHat, piT, reward, mu, [N], trials, rng)
     assert est <= 0.15 + 3.0 * hw
 
     adv = AdversarialReward(piT, piHat, float(N))
     pcov_2n = coverage_exact(piT, piHat, MU1, [2.0 * N]).values[0]
-    est, hw = bon_regret(piHat, piT, adv, mu, N, trials, rng)
+    (est,), hw = bon_regret(piHat, piT, adv, mu, [N], trials, rng)
     assert est >= 0.5 * pcov_2n - 3.0 * hw
     _done("A4 BoN bounds", t0, 120)
 

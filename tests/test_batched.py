@@ -202,30 +202,50 @@ def test_adversarial_reward_many_matches_call_and_bon_fallback():
     mu = FinitePromptDist([0, 1], [0.3, 0.7])
     # Without `many`, bon_regret calls the reward row by row; the rewards
     # draw nothing from the rng, so the estimate is the same.
-    a = bon_regret(piHat, piT, adv, mu, 4, 300, SeedTree(8).rng())
-    b = bon_regret(piHat, piT, lambda x, y: adv(x, y), mu, 4, 300,
-                   SeedTree(8).rng())
+    (a,), _ = bon_regret(piHat, piT, adv, mu, [4], 300, SeedTree(8).rng())
+    (b,), _ = bon_regret(piHat, piT, lambda x, y: adv(x, y), mu, [4], 300,
+                         SeedTree(8).rng())
     assert a == b
 
 
-def test_bon_regret_against_exact():
-    # For a 0/1 reward, BoN fails at x with probability (1 - q(x))^N, where
-    # q(x) is the chance of one draw from piHat scoring 1.
+def bon_exact_case():
+    """(piT, piHat, reward, mu, rng, exact), exact(N) the true BoN regret.
+
+    For a 0/1 reward, BoN fails at x with probability (1 - q(x))^N, where
+    q(x) is the chance of one draw from piHat scoring 1."""
     rng = SeedTree(13).rng()
     piT = tabular_with_missing_mass(rng, 2, 3, prompts=(0, 1))
     piHat = random_tabular(rng, 2, 3, prompts=(0, 1))
     reward = AdversarialReward(piT, piHat, 1.0)
     mu = FinitePromptDist([0, 1], [0.3, 0.7])
-    N, trials = 3, 20_000
     Y = np.array(enumerate_responses(2, 3))
-    exact = 0.0
-    for x, w in mu.items():
-        r = reward.many(x, Y)
-        pT = np.exp([loop_logprob(piT, x, y) for y in Y.tolist()])
-        pH = np.exp([loop_logprob(piHat, x, y) for y in Y.tolist()])
-        exact += w * (pT @ r - (1.0 - (1.0 - pH @ r) ** N))
-    est, hw = bon_regret(piHat, piT, reward, mu, N, trials, rng)
-    assert abs(est - exact) <= hw
+
+    def exact(N):
+        total = 0.0
+        for x, w in mu.items():
+            r = reward.many(x, Y)
+            pT = np.exp([loop_logprob(piT, x, y) for y in Y.tolist()])
+            pH = np.exp([loop_logprob(piHat, x, y) for y in Y.tolist()])
+            total += w * (pT @ r - (1.0 - (1.0 - pH @ r) ** N))
+        return total
+
+    return piT, piHat, reward, mu, rng, exact
+
+
+def test_bon_regret_against_exact():
+    piT, piHat, reward, mu, rng, exact = bon_exact_case()
+    N, trials = 3, 20_000
+    (est,), hw = bon_regret(piHat, piT, reward, mu, [N], trials, rng)
+    assert abs(est - exact(N)) <= hw
+
+
+def test_bon_regret_grid_against_exact():
+    # One draw set serves the grid; each N is within its own band.
+    piT, piHat, reward, mu, rng, exact = bon_exact_case()
+    Ns, trials = [1, 3, 8], 20_000
+    ests, hw = bon_regret(piHat, piT, reward, mu, Ns, trials, rng)
+    for N, est in zip(Ns, ests):
+        assert abs(est - exact(N)) <= hw, (N, est, exact(N), hw)
 
 
 def test_onpolicy_mc_with_repeated_prompts():

@@ -111,12 +111,13 @@ def test_bon_regret_identical_policies():
     pol = bernoulli_model(0.5)
     mu = FinitePromptDist([0], [1.0])
     rng = SeedTree(3).rng()
-    est, hw = bon_regret(pol, pol, lambda x, y: int(y[0]), mu, 1, 2000, rng)
+    (est,), hw = bon_regret(pol, pol, lambda x, y: int(y[0]), mu, [1], 2000,
+                            rng)
     assert abs(est) <= 2 * hw
-    est, _ = bon_regret(pol, pol, lambda x, y: 1, mu, 4, 200, rng)
+    (est,), _ = bon_regret(pol, pol, lambda x, y: 1, mu, [4], 200, rng)
     assert est == 0.0
     with pytest.raises(ValueError):
-        bon_regret(pol, pol, lambda x, y: 1, mu, 1, 50, rng)
+        bon_regret(pol, pol, lambda x, y: 1, mu, [1], 50, rng)
 
 
 @pytest.mark.parametrize("delta", [2.0, 0.0, math.nan])
@@ -125,8 +126,8 @@ def test_bon_regret_refuses_delta_outside_unit_interval_before_drawing(delta):
     rng = SeedTree(3).rng()
     state = rng.bit_generator.state
     with pytest.raises(ValueError, match="delta must lie"):
-        bon_regret(pol, pol, lambda x, y: 1, FinitePromptDist([0], [1.0]), 1,
-                   200, rng, delta=delta)
+        bon_regret(pol, pol, lambda x, y: 1, FinitePromptDist([0], [1.0]),
+                   [1], 200, rng, delta=delta)
     assert rng.bit_generator.state == state
 
 
@@ -139,6 +140,6 @@ def test_bon_lower_bound_with_adversarial_reward():
     mu = FinitePromptDist([0], [1.0])
     rng = SeedTree(4).rng()
     trials = 20000
-    est, hw = bon_regret(piHat, piT, reward, mu, N, trials, rng)
+    (est,), hw = bon_regret(piHat, piT, reward, mu, [N], trials, rng)
     pcov = coverage_exact(piT, piHat, mu.items(), [2.0 * N]).values[0]
     assert est >= 0.5 * pcov - 3 * hw

@@ -122,6 +122,12 @@ MALFORMED = {
     "row prefix 5": ("policy", {"type": "tabular", "V": 2, "H": 1, "tables": [
         {"x": 0, "prefix": 5, "p": [0.5, 0.5]}]},
         ["tables[0].prefix must be a list of tokens, got 5"]),
+    # This once exited 2 with the bare "unhashable type: 'list'".
+    "row prefix of lists": ("policy", {"type": "tabular", "V": 2, "H": 2,
+                                       "tables": [{"x": 0, "prefix": [[0]],
+                                                   "p": [0.5, 0.5]}]},
+                            ["tables[0].prefix must be a list of tokens, "
+                             "got [[0]]"]),
     "row without x": ("policy", {"type": "tabular", "V": 2, "H": 1,
                                  "tables": [{"prefix": [], "p": [0.5, 0.5]}]},
                       ["tables[0] has no 'x'"]),
@@ -136,6 +142,32 @@ MALFORMED = {
                                                      "prefix": [],
                                                      "p": [0.5, 0.5]}]},
                               ["tables[0].x must be", "got [[0], [1]]"]),
+    # A bool token was once stored as token 1.
+    "row token true": ("policy", {"type": "tabular", "V": 2, "H": 2,
+                                  "tables": [{"x": 0, "prefix": [True],
+                                              "p": [0.5, 0.5]}]},
+                       ["table key (0, (True,)): token True is not in "
+                        "[0, 2)"]),
+    # Python equates the prompts 1, 1.0 and true: the second row once
+    # silently replaced the first.
+    "rows x 1 and x true": ("policy", {"type": "tabular", "V": 2, "H": 1,
+                                       "tables": [
+                                           {"x": 1, "prefix": [],
+                                            "p": [0.5, 0.5]},
+                                           {"x": True, "prefix": [],
+                                            "p": [0.5, 0.5]}]},
+                            ["tables[0] and tables[1] have the same "
+                             "(x, prefix) key"]),
+    "rows x 1 and x 1.0": ("policy", {"type": "tabular", "V": 2, "H": 1,
+                                      "tables": [
+                                          {"x": 0, "prefix": [],
+                                           "p": [0.5, 0.5]},
+                                          {"x": 1, "prefix": [],
+                                           "p": [0.5, 0.5]},
+                                          {"x": 1.0, "prefix": [],
+                                           "p": [0.9, 0.1]}]},
+                           ["tables[1] and tables[2] have the same "
+                            "(x, prefix) key"]),
     "task list": ("task", ["name"],
                   ["task file", "must be an object, got list"]),
     "task without name": ("task", {"params": {}}, ["task file", "has no 'name'"]),
@@ -259,8 +291,8 @@ def test_library_checks_refuse_nan():
         lambda: offset_tournament(cands, ds, 4.0, -1.0),
         lambda: AdversarialReward(pol, pol, nan),
         lambda: AdversarialReward(pol, pol, 0.0),
-        lambda: bon_regret(pol, pol, lambda x, y: 0, mu, 1, nan, None),
-        lambda: bon_regret(pol, pol, lambda x, y: 0, mu, nan, 100, None),
+        lambda: bon_regret(pol, pol, lambda x, y: 0, mu, [1], nan, None),
+        lambda: bon_regret(pol, pol, lambda x, y: 0, mu, [nan], 100, None),
         lambda: stopped_kl(pol, pol, [(0, 1.0)], nan),
         lambda: coverage_mc(pol, pol, mu, [2.0], nan, None),
         lambda: sample_dataset(pol, mu, nan, None),

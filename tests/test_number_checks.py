@@ -258,13 +258,14 @@ SITES = {
                                              rng()), set(),
                     [2, np.int64(2)]),
     "bon_regret N": ("N", lambda v: bon_regret(
-        PI_HAT, PI_D, lambda x, y: y[0], MU, v, 100, rng()), set(),
+        PI_HAT, PI_D, lambda x, y: y[0], MU, [v], 100, rng()), set(),
         [2, np.int64(2)]),
     "bon_regret trials": ("trials", lambda v: bon_regret(
-        PI_HAT, PI_D, lambda x, y: y[0], MU, 2, v, rng()), set(),
+        PI_HAT, PI_D, lambda x, y: y[0], MU, [2], v, rng()), set(),
         [100, np.int64(100)]),
     "bon_regret delta": ("delta", lambda v: bon_regret(
-        PI_HAT, PI_D, lambda x, y: y[0], MU, 2, 100, rng(), delta=v), set(),
+        PI_HAT, PI_D, lambda x, y: y[0], MU, [2], 100, rng(), delta=v),
+        set(),
         [0.05, np.float64(0.05)]),
     "AdversarialReward N": ("N", lambda v: AdversarialReward(PI_D, PI_HAT, v),
                             {"1.5"}, [2.0, np.float64(2.0)]),

@@ -83,9 +83,9 @@ RUNS = {
 
 PINS = {
     'bon:0':
-        'b278952fc6b2ff4fad36092f50570b72bbd9d081bbc1f865dbf604b443e17059',
+        '8e64cbcb07953dd6183263a4ed7e22c32f88011d90708083a7a1a6b142b137c9',
     'bon:1':
-        '413107ad9b65647d757aac778f46c3ce03e021cb72b5830d5ca477017556d337',
+        '9dedfcda05d78bade0097f7c221fb5252ad95be3fd9d78357b3bcf90b4425461',
     'eval-coverage:exact:0':
         'a3979bffbf4941c853fa88bd8760caa34b146f1378a68df0ae8c92dd33115735',
     'eval-coverage:exact:1':

@@ -317,6 +317,9 @@ BAD_TABLES = [
     ("aliasing token", {(0, (1, 1)): [0.5, 0.5], (0, (0, 3)): [0.5, 0.5]},
      (0, (0, 3))),
     ("prefix too long", {(0, (0, 0, 0)): [0.5, 0.5]}, (0, (0, 0, 0))),
+    # A bool token was once stored as token 1.
+    ("bool token", {(0, ()): [0.5, 0.5], (0, (True,)): [0.5, 0.5]},
+     (0, (True,))),
     ("float token", {(0, (1.0,)): [0.5, 0.5]}, (0, (1.0,))),
     ("not a pair", {(0, (), 1): [0.5, 0.5]}, (0, (), 1)),
 ]

@@ -14,7 +14,7 @@ import functools
 import json
 import sys
 
-from .core import check_number, load_jsonl
+from .core import EnumBudgetError, check_number, load_jsonl
 from .decoding import AdversarialReward, bon_regret
 from .harness import (ConfigError, build_task, check_n_grid, config_errors,
                       gen_data, json_object, run)
@@ -158,11 +158,16 @@ def cmd_bon(args) -> int:
     scale = args.reward_scale
     reward = AdversarialReward(task.piD, piHat, scale)
     rng = SeedTree(args.seed).child("bon").rng()
+    # The exact reference column is empty for a mu without `items` or
+    # one whose exact coverage is over the enumeration budget.
     pcov_ref = ""
     if hasattr(task.mu, "items"):
-        curve = coverage_exact(task.piD, piHat, task.mu.items(),
-                               [2.0 * scale])
-        pcov_ref = f"{curve.values[0]:.12g}"
+        try:
+            curve = coverage_exact(task.piD, piHat, task.mu.items(),
+                                   [2.0 * scale])
+            pcov_ref = f"{curve.values[0]:.12g}"
+        except EnumBudgetError:
+            pass
     ests, hw = bon_regret(piHat, task.piD, reward, task.mu,
                           [int(N) for N in grid], args.trials, rng)
     print("N,regret,half_width,pcov_ref")

@@ -477,11 +477,16 @@ def check_number(name: str, v, lo=None, hi=None, *, lo_open=False,
 ENUM_BUDGET = 10 ** 6
 
 
+class EnumBudgetError(ValueError):
+    """An exact computation refused for enumerating more than 1e6 items."""
+
+
 def check_enum_budget(what: str, n: int):
-    """Raise before an exact computation would enumerate n > 1e6 items."""
+    """Raise EnumBudgetError before an exact computation would enumerate
+    n > 1e6 items."""
     if n > ENUM_BUDGET:
-        raise ValueError(f"enumeration budget exceeded: {what} = {n} > 1e6; "
-                         "use a Monte Carlo mode instead")
+        raise EnumBudgetError(f"enumeration budget exceeded: {what} = {n} "
+                              "> 1e6; use a Monte Carlo mode instead")
 
 
 def enumerate_responses(V: int, H: int):

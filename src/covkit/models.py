@@ -182,17 +182,12 @@ def grad_logprob_token(theta, featmap: FeatureMap, V: int, x, prefix: tuple,
     return feats[v] - p @ feats
 
 
-def token_step(theta, featmap: FeatureMap, V: int, x, prefix: tuple, v: int,
-               eta: float) -> np.ndarray:
-    """theta after one projected token step:
-    Pi(theta + eta * grad log pi_theta(v | x, prefix))."""
-    return project_unit_ball(
-        theta + eta * grad_logprob_token(theta, featmap, V, x, prefix, v))
-
-
 def token_steps(theta, feats, tokens, eta: float) -> np.ndarray:
-    """token_step of k theta rows (or one shared) toward tokens at feats,
-    bit for bit: a matmul per row, the norm as sqrt(theta . theta)."""
+    """k theta rows (or one shared) after one projected token step each,
+    Pi(theta + eta * grad log pi_theta(v | x, prefix)), toward tokens at
+    the (k, V, d) candidate features feats: a matmul per row, the norm as
+    sqrt(theta . theta), so each row equals `project_unit_ball` of its
+    `grad_logprob_token` step bit for bit."""
     grad = feats[np.arange(len(feats)), tokens] - \
         (candidate_dists(feats, theta)[:, None, :] @ feats)[:, 0]
     return project_rows(theta + eta * grad)

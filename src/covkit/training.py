@@ -12,18 +12,18 @@ stack of S jobs (each on its own dataset, with its own step sizes and
 theta0) as one (S, d) theta array, and owns the theta init, the batches,
 the checkpoint cadence, the example count and the timing.  Each public
 SGD learner is its S = 1 case, and hands it its step builder
-(`sgd_vanilla_steps`, ...), which gives the learner's steps for every row
-at once and for one row.  On an iteration of two examples or more (S rows
-times the batch size), all with product prompts, the stack takes one
-stacked step: vanilla and normalized SGD gather each row's step table by
-its prompt, subtract H times one stacked softmax mean from the row's
-token counts (computed once per dataset) and project all rows at once;
-token SGD takes H stacked `models.token_steps`.  Otherwise (one example,
-a walked prompt, or truncated distillation, which reads a teacher token
-by token) each row takes its own step, a `models.grad_logprob` call with
-the example's counts or a `grad_logprob_token` call on theta[s].  Every
-row keeps the operation order of the one-job step, so its iterates are
-the same bits.
+(`sgd_vanilla_steps`, ...), which gives the learner's one step, taken by
+every row at every iteration.  Vanilla and normalized SGD read the
+rows' sequence gradients from `_Stack.grads`: on product prompts it
+gathers each row's step table by its prompt and subtracts H times one
+stacked softmax mean from the row's token counts (computed once per
+dataset); an iteration with a walked prompt makes one
+`models.grad_logprob` call per example and row.  Token SGD takes H
+stacked `models.token_steps` on the candidate features `_Stack.feats`
+gives.  Truncated distillation, which reads a teacher token by token,
+loops over the rows inside its step.
+Every row keeps the operation order of the per-example loop, so a job's
+iterates are the same bits in a stack of any size.
 
 The learners step on theta arrays with the feature map and build no
 `LinearARModel`; `TrainConfig` is the one check of theta's values.
@@ -42,7 +42,7 @@ from .core import check_number, group_prompts
 from .metrics import step_kl
 from .models import (FeatureMap, candidate_dists, count_rows, grad_logprob,
                      grad_logprob_token, project_rows, project_unit_ball,
-                     token_step, token_steps)
+                     token_steps)
 
 
 @dataclass
@@ -60,7 +60,8 @@ class TrainConfig:
     def __post_init__(self):
         """Refuse what a learner would fail on or silently misuse: each
         setting is a number in its range (`core.check_number`, so no bool
-        and no NaN or inf), and theta0 a finite array without bools."""
+        and no NaN or inf), and theta0 a finite array without bools whose
+        squared norm is finite."""
         check_number("T", self.T, 1, integer=True)
         check_number("K", self.K, 1, integer=True)
         check_number("checkpoint_every", self.checkpoint_every, 0,
@@ -79,8 +80,14 @@ class TrainConfig:
             theta0 = np.asarray(self.theta0, dtype=object)
             if any(isinstance(v, (bool, np.bool_)) for v in theta0.flat):
                 raise ValueError("theta0 entries must be numbers, not bools")
-            if not np.isfinite(theta0.astype(float)).all():
+            theta0 = theta0.astype(float).ravel()
+            if not np.isfinite(theta0).all():
                 raise ValueError("theta0 must be finite")
+            # The projection divides by sqrt(theta0 . theta0): where that
+            # overflows, training would start at theta = 0.
+            with np.errstate(over="ignore"):
+                if not math.isfinite(theta0.dot(theta0)):
+                    raise ValueError("theta0 . theta0 must be finite")
 
 
 @dataclass
@@ -198,9 +205,10 @@ class _Stack:
 
     `tables` is the (P, V, d) array of the distinct step tables of their
     prompts, and ids[i, s] the table of example i of row s, or -1 for a
-    walked prompt.  Everything else is built on first use, by the steps
-    that read it, so a stack holds no second copy of its datasets' tokens
-    that its learner does not read.
+    walked prompt; `walked` says whether any example has one.  Everything
+    else is built on first use, by the steps that read it, so a stack
+    holds no second copy of its datasets' tokens that its learner does
+    not read.
     """
 
     def __init__(self, datasets, featmap: FeatureMap):
@@ -219,6 +227,7 @@ class _Stack:
         self.ids = np.ascontiguousarray(np.array(
             [[self.index[x] for x in dataset.xs] for dataset in datasets],
             dtype=np.int64).T)
+        self.walked = bool((self.ids < 0).any())
 
     @functools.cached_property
     def C(self) -> np.ndarray:
@@ -239,11 +248,9 @@ class _Stack:
         """Y[i, h, s], token h of example i of row s."""
         return np.stack([dataset.Y for dataset in self.datasets], axis=2)
 
-    @functools.cached_property
-    def pairs(self) -> list:
-        """Row s's examples as (x, y) pairs, y a tuple of H ints."""
-        return [list(zip(dataset.xs, map(tuple, dataset.Y.tolist())))
-                for dataset in self.datasets]
+    def product(self, lo: int, hi: int) -> bool:
+        """Whether examples lo to hi - 1 of every row have step tables."""
+        return not self.walked or bool((self.ids[lo:hi] >= 0).all())
 
     def grad(self, theta, s: int, i: int) -> np.ndarray:
         """The `grad_logprob` of example i of row s at the row's theta,
@@ -254,14 +261,28 @@ class _Stack:
 
     def grads(self, theta, lo: int, hi: int) -> np.ndarray:
         """(hi - lo, S, d) sequence gradients of examples lo to hi - 1 of
-        every row, all on product prompts, at the row's theta: one gather
-        of their step tables, one stacked softmax and one stacked
-        vector-matrix product, each row bit-equal to its `grad_logprob`."""
+        every row at the row's theta.  On product prompts: one gather of
+        their step tables, one stacked softmax and one stacked
+        vector-matrix product, each row bit-equal to its `grad_logprob`;
+        otherwise one `grad` per example and row."""
         k, (S, d) = hi - lo, theta.shape
+        if not self.product(lo, hi):
+            return np.array([[self.grad(theta[s], s, i) for s in range(S)]
+                             for i in range(lo, hi)])
         tab = self.tables[self.ids[lo] if k == 1 else self.ids[lo:hi].ravel()]
         rows = theta if k == 1 else np.tile(theta, (k, 1))
         mean = (candidate_dists(tab, rows)[:, None, :] @ tab)[:, 0]
         return self.C[lo:hi] - self.H * mean.reshape(k, S, d)
+
+    def feats(self, i: int, h: int) -> np.ndarray:
+        """(S, V, d) candidate features at the h-token prefix of example i
+        of every row: their step tables, gathered, or on a walked prompt
+        one `featmap.candidates` per row."""
+        if self.product(i, i + 1):
+            return self.tables[self.ids[i]]
+        return np.array([self.featmap.candidates(
+            dataset.xs[i], dataset.Y[i:i + 1, :h], self.V)[0]
+            for dataset in self.datasets])
 
 
 def train_stack(steps, datasets, featmap: FeatureMap, configs) -> list:
@@ -271,21 +292,16 @@ def train_stack(steps, datasets, featmap: FeatureMap, configs) -> list:
     on datasets[s] and configs[s], which is the learner's own call.
 
     `steps` is the learner's step builder (`sgd_vanilla_steps`, ...),
-    called as steps(V, featmap, configs) -> (row_step, stack_step, k); it
-    resolves each config's step sizes (`resolve_config`).  The configs may
-    differ in eta, lam, A, N, sigma_star_sq and theta0, but must share T,
-    K and checkpoint_every, and every dataset must hold exactly T * k
-    examples; anything else is a ValueError before the first step.  Row s
-    starts from configs[s].theta0 (or 0).  Iteration t takes examples
-    lo = (t - 1) * k to hi = t * k of every dataset.  When an iteration
-    takes two examples or more (S * k >= 2), all of them have product
-    prompts and the learner has a stacked step, theta = stack_step(theta,
-    data, lo, hi, recs), `data` the datasets' `_Stack`; otherwise each row
-    takes the learner's own step on its row, row_step(theta[s], data, s,
-    lo, hi, recs[s]).  One example steps alone: a numpy call on a (1, d)
-    stack costs more than on a vector, so stacking pays from two examples
-    on.  A step reads theta and returns a new array (it builds no model),
-    and may append to a record's flags.  Snapshots every row at
+    called as steps(V, featmap, configs) -> (step, k); it resolves each
+    config's step sizes (`resolve_config`).  The configs may differ in
+    eta, lam, A, N, sigma_star_sq and theta0, but must share T, K and
+    checkpoint_every, and every dataset must hold exactly T * k examples;
+    anything else is a ValueError before the first step.  Row s starts
+    from configs[s].theta0 (or 0).  Iteration t takes examples
+    lo = (t - 1) * k to hi = t * k of every dataset, as theta =
+    step(theta, data, lo, hi, recs), `data` the datasets' `_Stack`.  A
+    step reads theta and returns a new array (it builds no model), and
+    may append to a record's flags.  Snapshots every row at
     `checkpoint_iters` and counts examples; each record's wall_clock is an
     equal share of the stack's time.
     """
@@ -298,7 +314,7 @@ def train_stack(steps, datasets, featmap: FeatureMap, configs) -> list:
                          "checkpoint_every")
     if len({(dataset.V, dataset.H) for dataset in datasets}) > 1:
         raise ValueError("the datasets of a stack must share V and H")
-    row_step, stack_step, k = steps(datasets[0].V, featmap, configs)
+    step, k = steps(datasets[0].V, featmap, configs)
     for dataset in datasets:
         if len(dataset) != T * k:
             raise ValueError(f"the dataset must hold T*K = {T * k} "
@@ -307,19 +323,10 @@ def train_stack(steps, datasets, featmap: FeatureMap, configs) -> list:
                       project_unit_ball(np.asarray(c.theta0, dtype=float))
                       for c in configs])
     data = _Stack(datasets, featmap)
-    fast = [False] * T
-    if stack_step is not None and len(configs) * k > 1:
-        fast = (data.ids >= 0).reshape(T, -1).all(axis=1).tolist()
     cps = set(checkpoint_iters(T, every))
     recs = [RunRecord() for _ in configs]
     for t in range(1, T + 1):
-        lo, hi = (t - 1) * k, t * k
-        if fast[t - 1]:
-            theta = stack_step(theta, data, lo, hi, recs)
-        else:
-            theta = np.array([row_step(row, data, s, lo, hi, rec)
-                              for s, (row, rec) in enumerate(zip(theta,
-                                                                 recs))])
+        theta = step(theta, data, (t - 1) * k, t * k, recs)
         if t in cps:
             for rec, row in zip(recs, theta):
                 rec.checkpoints.append((t, row.copy()))
@@ -344,15 +351,12 @@ def sgd_vanilla(dataset, featmap: FeatureMap,
 
 def sgd_vanilla_steps(V, featmap, configs):
     """`sgd_vanilla`'s step builder, for `train_stack`."""
-    etas = [resolve_config("sgd_vanilla", c, featmap)[0] for c in configs]
-    eta = _column(etas)
+    eta = _column([resolve_config("sgd_vanilla", c, featmap)[0]
+                   for c in configs])
 
-    def row_step(theta, data, s, lo, hi, rec):
-        return project_unit_ball(theta + etas[s] * data.grad(theta, s, lo))
-
-    def stack_step(theta, data, lo, hi, recs):
+    def step(theta, data, lo, hi, recs):
         return project_rows(theta + eta * data.grads(theta, lo, hi)[0])
-    return row_step, stack_step, 1
+    return step, 1
 
 
 def normalized_schedule(B: float, T: int, N: float, sigma_star_sq: float):
@@ -385,21 +389,10 @@ def sgd_normalized_steps(V, featmap, configs):
     """`sgd_normalized`'s step builder, for `train_stack`."""
     K = configs[0].K
     rates = [resolve_config("sgd_normalized", c, featmap) for c in configs]
-    etas, lams = [eta for eta, _ in rates], [lam for _, lam in rates]
-    eta, lam = _column(etas), np.array(lams, dtype=float)
+    eta = _column([eta for eta, _ in rates])
+    lam = np.array([lam for _, lam in rates], dtype=float)
 
-    def row_step(theta, data, s, lo, hi, rec):
-        g = np.zeros(featmap.d)
-        for i in range(lo, hi):                 # fixed summation order
-            g += data.grad(theta, s, i)
-        g /= K
-        gnorm = float(np.linalg.norm(g))
-        if lams[s] == 0.0 and gnorm == 0.0:
-            _flag(rec)
-            return theta
-        return project_unit_ball(theta + etas[s] * g / (lams[s] + gnorm))
-
-    def stack_step(theta, data, lo, hi, recs):
+    def step(theta, data, lo, hi, recs):
         G = data.grads(theta, lo, hi)
         g = np.zeros_like(theta)
         for j in range(K):                      # fixed summation order
@@ -413,10 +406,10 @@ def sgd_normalized_steps(V, featmap, configs):
             return project_rows(theta + eta * g / denom[:, None])
         for s in np.flatnonzero(stop).tolist():
             _flag(recs[s])
-        step = project_rows(
+        moved = project_rows(
             theta + eta * g / np.where(stop, 1.0, denom)[:, None])
-        return np.where(stop[:, None], theta, step)
-    return row_step, stack_step, K
+        return np.where(stop[:, None], theta, moved)
+    return step, K
 
 
 def sgd_token(dataset, featmap: FeatureMap, config: TrainConfig) -> RunRecord:
@@ -426,21 +419,14 @@ def sgd_token(dataset, featmap: FeatureMap, config: TrainConfig) -> RunRecord:
 
 def sgd_token_steps(V, featmap, configs):
     """`sgd_token`'s step builder, for `train_stack`."""
-    etas = [resolve_config("sgd_token", c, featmap)[0] for c in configs]
-    eta = _column(etas)
+    eta = _column([resolve_config("sgd_token", c, featmap)[0]
+                   for c in configs])
 
-    def row_step(theta, data, s, lo, hi, rec):
-        ((x, y),) = data.pairs[s][lo:hi]
-        for h, v in enumerate(y):
-            theta = token_step(theta, featmap, V, x, y[:h], v, etas[s])
+    def step(theta, data, lo, hi, recs):
+        for h, tokens in enumerate(data.Y[lo]):
+            theta = token_steps(theta, data.feats(lo, h), tokens, eta)
         return theta
-
-    def stack_step(theta, data, lo, hi, recs):
-        feats = data.tables[data.ids[lo]]
-        for tokens in data.Y[lo]:
-            theta = token_steps(theta, feats, tokens, eta)
-        return theta
-    return row_step, stack_step, 1
+    return step, 1
 
 
 def truncation_weights(eps: list, A: float):
@@ -488,35 +474,39 @@ def sgd_truncated_distill(dataset, teacher, featmap: FeatureMap,
 
 def sgd_truncated_steps(teacher, V, featmap, configs):
     """`sgd_truncated_distill`'s step builder for `train_stack`, bound to
-    a teacher with `functools.partial`.  It has the per-row step only:
-    each token reads the teacher's conditional."""
+    a teacher with `functools.partial`.  Its step takes each row's
+    example token by token, as each token reads the teacher's
+    conditional."""
     etas = [resolve_config("sgd_truncated_distill", c, featmap)[0]
             for c in configs]
 
-    def row_step(theta, data, s, lo, hi, rec):
-        ((x, y),) = data.pairs[s][lo:hi]
-        A = configs[s].A
-        eps = []
-        grads = []
-        prefix = ()
-        for v in y:
-            p_teacher = teacher.next_dist(x, prefix)
-            if p_teacher[v] <= 0.0:
-                raise ValueError(
-                    "teacher assigns zero mass to an observed token")
-            student = candidate_dists(
-                featmap.candidates(x, [prefix], V), theta)[0]
-            eps.append(step_kl(p_teacher, student))
-            grads.append(grad_logprob_token(theta, featmap, V, x, prefix, v))
-            prefix = prefix + (v,)
-        alpha, mass = truncation_weights(eps, A)
-        if not math.isclose(mass, min(A, sum(eps)), rel_tol=1e-9,
-                            abs_tol=1e-9):
-            raise AssertionError("truncation identity violated")
-        g = np.zeros(featmap.d)
-        for a, gh in zip(alpha, grads):
-            if a > 0.0:
-                g += a * gh
-        return project_unit_ball(theta + etas[s] * g)
-    return row_step, None, 1
-
+    def step(theta, data, lo, hi, recs):
+        rows = []
+        for row, dataset, config, eta in zip(theta, data.datasets, configs,
+                                             etas):
+            x, y = dataset.xs[lo], dataset.Y[lo].tolist()
+            eps = []
+            grads = []
+            prefix = ()
+            for v in y:
+                p_teacher = teacher.next_dist(x, prefix)
+                if p_teacher[v] <= 0.0:
+                    raise ValueError(
+                        "teacher assigns zero mass to an observed token")
+                student = candidate_dists(
+                    featmap.candidates(x, [prefix], V), row)[0]
+                eps.append(step_kl(p_teacher, student))
+                grads.append(grad_logprob_token(row, featmap, V, x, prefix,
+                                                v))
+                prefix = prefix + (v,)
+            alpha, mass = truncation_weights(eps, config.A)
+            if not math.isclose(mass, min(config.A, sum(eps)), rel_tol=1e-9,
+                                abs_tol=1e-9):
+                raise AssertionError("truncation identity violated")
+            g = np.zeros(featmap.d)
+            for a, gh in zip(alpha, grads):
+                if a > 0.0:
+                    g += a * gh
+            rows.append(project_unit_ball(row + eta * g))
+        return np.array(rows)
+    return step, 1

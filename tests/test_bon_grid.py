@@ -6,15 +6,18 @@ replaced (`mc_oracle.bon_regret`) bit for bit, and every N of a grid must
 equal a per-trial loop over the same draws (`mc_oracle.bon_regret_grid`).
 """
 
+import json
+
 import numpy as np
 import pytest
 
 import mc_oracle
 from conftest import random_tabular, tabular_with_missing_mass
 from covkit import core
-from covkit.cli import main
+from covkit.cli import load_policy, main
 from covkit.core import FinitePromptDist
 from covkit.decoding import AdversarialReward, bon_regret
+from covkit.harness import build_task
 from covkit.models import TabularModel
 from covkit.seeding import SeedTree
 
@@ -159,3 +162,27 @@ def test_bon_rows_follow_the_grid_order(two_prompt_files, capsys):
     assert [r.split(",")[0] for r in rows] == ["4", "1", "4"]
     assert rows[0] == rows[2] and rows[0] != rows[1]
     assert float(rows[0].split(",")[1]) <= float(rows[1].split(",")[1])
+
+
+def test_bon_leaves_pcov_ref_empty_over_the_enumeration_budget(tmp_path,
+                                                               capsys):
+    # The exact coverage of this pair gathers 2^20 prefix entries, over the
+    # budget; the command's estimates are Monte Carlo ones and still print.
+    params = {"n": 4, "H": 24}
+    task = tmp_path / "task.json"
+    task.write_text(json.dumps({"name": "heterogeneous_kl",
+                                "params": params}))
+    pol = tmp_path / "pol.json"
+    pol.write_text(json.dumps({"type": "tabular", "V": 2, "H": 24, "tables": [
+        {"x": x, "prefix": [1], "p": [0.3, 0.7]} for x in (0, 1)]}))
+    assert main(["bon", "--task", str(task), "--pi-hat", str(pol),
+                 "--N-grid", "1,4", "--trials", "200", "--reward-scale", "2",
+                 "--seed", "5"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    inst, piHat = build_task("heterogeneous_kl", params), \
+        load_policy(str(pol))
+    ests, hw = bon_regret(piHat, inst.piD,
+                          AdversarialReward(inst.piD, piHat, 2.0), inst.mu,
+                          [1, 4], 200, SeedTree(5).child("bon").rng())
+    assert rows == ["N,regret,half_width,pcov_ref"] + [
+        f"{N},{est:.12g},{hw:.12g}," for N, est in zip((1, 4), ests)]

@@ -1,8 +1,9 @@
 """`covkit run` refuses a config that a job would refuse before it writes
 anything: a bad metrics block, a learner without the settings it needs, a
-theta0 of the wrong dimension or with a non-finite entry, a non-finite
-step size, N or sigma_star_sq, a T, K or checkpoint_every that is no
-integer, a train setting that is a bool, a task's H, n, m, L or
+theta0 of the wrong dimension, with a non-finite entry or a squared norm
+that overflows, a non-finite step size, N or sigma_star_sq, a T, K or
+checkpoint_every that is no integer, a train setting that is a bool, a
+task's H, n, m, L or
 nodes_per_layer that is a bool or no integer, a task's B or N that is a
 bool, inf or out of range, a negative checkpoint_every, a
 normalized schedule with N <= 1, a graph class mix that L cannot hold or
@@ -140,6 +141,9 @@ BAD_LEARNERS = {
     "infinite theta0 on an axis": (
         "sgd_token", {"eta": 0.1, "T": 4},
         {"theta0": [[0.1], [-math.inf]]}, "theta0 must be finite"),
+    # theta0 . theta0 overflows to inf, and the projection made it 0.
+    "huge theta0": ("sgd_vanilla", {"eta": 0.1, "T": 4, "theta0": [1e200]},
+                    None, "theta0 . theta0 must be finite"),
     "negative checkpoint_every": (
         "sgd_vanilla", {"eta": 0.1, "T": 4, "checkpoint_every": -2}, None,
         "checkpoint_every must be >= 0"),

@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 
 import exact_oracle
+import train_oracle
 from conftest import random_tabular
 from covkit.core import FinitePromptDist
 from covkit.metrics import sigma_star_sq
 from covkit.models import (CallableFeatureMap, LinearARModel,
-                           linear_to_tabular, token_step, token_steps)
+                           linear_to_tabular, token_steps)
 from covkit.seeding import SeedTree
 
 PROMPTS = (0, 1)
@@ -83,9 +84,10 @@ def test_token_steps_are_token_step_row_by_row(base, seed):
             tok = rng.integers(0, model.V, size=k)
             feats = model.featmap.candidates(x, pre, model.V)
             got = token_steps(theta, feats, tok, eta)
-            want = [token_step(th, model.featmap, model.V, x, tuple(p), v,
-                               eta)
-                    for th, p, v in zip(theta, pre.tolist(), tok.tolist())]
+            want = [train_oracle.token_step(
+                LinearARModel(th, model.featmap, model.V, model.H), x,
+                tuple(p), v, eta)
+                for th, p, v in zip(theta, pre.tolist(), tok.tolist())]
             assert np.array_equal(got, np.array(want).reshape(k, d))
 
 

@@ -79,6 +79,11 @@ RUNS = {
                      MC, {"A": [0.5, 1.0]}),
     "vanilla_walked_mc": (SIGMA, "sgd_vanilla", {"eta": 0.5, "T": 16},
                           WALKED_MC, {"T": [8, 16]}),
+    "token_walked": (SIGMA, "sgd_token", {"eta": 0.5, "T": 16}, WALKED,
+                     {"eta": [0.5, 1.0]}),
+    "normalized_walked": (SIGMA, "sgd_normalized",
+                          {"eta": 0.5, "lam": 0.5, "T": 8, "K": 2}, WALKED,
+                          {"lam": [0.0, 0.5]}),
 }
 
 PINS = {
@@ -112,8 +117,12 @@ PINS = {
         '090015dae905bd5776239d9f346a370c5edb9fa1f693e1144041901adc5c3f89',
     'run:normalized_mc':
         '80566f4f8c65330bf299ccadbb7abb59504327252e07ca36ec46517420765221',
+    'run:normalized_walked':
+        'c9e50398986cbaa35b97f6a0755df2bcb69ebeaa4c435b3308e6f62b88e8b1be',
     'run:token_product':
         '4c84c9da4b5bc8c8a946f5e17fdbbc99ec0c2c95b9706f5cac3116ff25c195a1',
+    'run:token_walked':
+        '0b6dea8defb68fe244308a48ca5bd24fc4566143ce5d0015e0735a3b3bf15781',
     'run:truncated_mc':
         'b274ca16fdd6a2e1ae36674f03d0694bdbe36b15937a6c519769eb01e7679629',
     'run:vanilla_walked':

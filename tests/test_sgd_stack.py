@@ -1,9 +1,9 @@
 """A stack of SGD jobs against each job trained alone.
 
 `training.train_stack` steps S jobs as one (S, d) theta array.  Every
-row must equal, with ==, the same job run as a stack of one (which takes
-the per-row step) and the self-contained per-example loop of
-`train_oracle`: final theta, every checkpoint, flags and example count.
+row must equal, with ==, the same job run as a stack of one and the
+self-contained per-example loop of `train_oracle`: final theta, every
+checkpoint, flags and example count.
 The instances cover mixed step sizes, two step tables, a prompt without
 a step table (walked), a task with both kinds, a normalized row with
 lambda = 0 and a zero gradient beside rows that step, and random step
@@ -30,7 +30,7 @@ from covkit.training import TrainConfig, train_stack
 def table_task(tables, H, theta_star, walked=()):
     """A linear task on the (V, d) step tables of prompts 0, 1, ...; a
     prompt in `walked` has the same features but no step table, so its
-    examples take the per-row step."""
+    examples take per-row gradients."""
     def phi(x, prefix):
         return tables[x][prefix[-1]]
 
@@ -187,7 +187,7 @@ def test_stack_jobs_must_share_the_schedule():
 
 
 def counted(monkeypatch, names):
-    """Count calls of training's per-row gradient and step functions."""
+    """Count calls of training's per-row gradient functions."""
     calls = {name: 0 for name in names}
     for name in names:
         def wrapper(*args, _fn=getattr(training, name), _name=name):
@@ -200,30 +200,40 @@ def counted(monkeypatch, names):
 @pytest.mark.parametrize("learner", ["sgd_vanilla", "sgd_normalized",
                                      "sgd_token"])
 def test_product_stacks_take_no_per_row_step(learner, monkeypatch):
-    # The stacked step is the only path of an iteration of two examples or
-    # more on product prompts: a fall back to the per-row step would still
-    # give the same bits, so only a count of the per-row calls can show it.
-    calls = counted(monkeypatch, ["grad_logprob", "grad_logprob_token",
-                                  "token_step"])
+    # Every iteration takes the learner's one step.  On product prompts it
+    # gathers step tables at every S and K, one row and one example
+    # included: a per-row gradient would still give the same bits, so only
+    # a count of the per-row calls can show it.
+    calls = counted(monkeypatch, ["grad_logprob", "grad_logprob_token"])
+    T = 6
 
-    def run(task_name, S, K=2):
+    def run(task_name, S, K):
         task = TASKS[task_name]()
-        configs = [TrainConfig(eta=eta, lam=0.5, K=K, T=6)
+        configs = [TrainConfig(eta=eta, lam=0.5, K=K, T=T)
                    if learner == "sgd_normalized" else
-                   TrainConfig(eta=eta, T=6) for eta in ETAS[:S]]
-        data = [sample_dataset(task.piD, task.mu, 6 * configs[0].K,
+                   TrainConfig(eta=eta, T=T) for eta in ETAS[:S]]
+        data = [sample_dataset(task.piD, task.mu, T * configs[0].K,
                                SeedTree(s).rng()) for s in range(S)]
-        train_stack(steps(learner, task), data, task.featmap, configs)
+        taken = []
+
+        def builder(*args):
+            step, k = steps(learner, task)(*args)
+
+            def counted_step(*step_args):
+                taken.append(1)
+                return step(*step_args)
+            return counted_step, k
+        train_stack(builder, data, task.featmap, configs)
+        assert len(taken) == T
+    Ks = (1, 2) if learner == "sgd_normalized" else (1,)
     for name in ("hetero", "sgd_lower"):
-        for S in (2, 5):
-            run(name, S)
-    if learner == "sgd_normalized":
-        run("hetero", 1)        # one row, two examples per iteration
+        for S in (1, 2, 5):
+            for K in Ks:
+                run(name, S, K)
     assert calls == {name: 0 for name in calls}
-    # The same counters see the per-row step: on a walked prompt, and on
-    # one example per iteration, which steps alone.
-    run("sigma_star", 2)
-    walked = sum(calls.values())
-    assert walked > 0
-    run("hetero", 1, K=1)
-    assert sum(calls.values()) > walked
+    # On walked prompts the sequence gradients are one `grad_logprob` per
+    # example and row; token SGD reads their candidate features instead.
+    S, K = 2, Ks[-1]
+    run("sigma_star", S, K)
+    assert calls == {"grad_logprob": 0 if learner == "sgd_token" else
+                     S * T * K, "grad_logprob_token": 0}

@@ -17,7 +17,7 @@ import train_oracle
 from covkit import harness, training
 from covkit.core import Dataset, sample_dataset
 from covkit.models import (CallableFeatureMap, LinearARModel, grad_logprob,
-                           grad_logprob_token, project_unit_ball, token_step)
+                           grad_logprob_token, project_unit_ball, token_steps)
 from covkit.seeding import SeedTree
 from covkit.tasks import bernoulli_featmap
 from covkit.training import mle_fit
@@ -84,8 +84,9 @@ def test_token_gradient_and_step_are_the_per_model_ones(kind, seed):
         assert same_bits(got, want)
         for eta in (0.3, 5.0):
             assert same_bits(
-                token_step(model.theta, fm, V, x, prefix, v, eta),
-                train_oracle.project_unit_ball(model.theta + eta * want))
+                token_steps(model.theta[None], fm.candidates(x, [prefix], V),
+                            [v], eta)[0],
+                train_oracle.token_step(model, x, prefix, v, eta))
 
 
 def test_a_model_refuses_a_non_finite_theta():

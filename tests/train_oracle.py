@@ -6,7 +6,8 @@ that `covkit.training.train_stack` now shares, with the step written
 inline in the same floating-point operation order, and `mle_fit` sums
 one gradient per example.  They build a `LinearARModel` at every step
 and take its gradients from this module's own per-example
-`grad_logprob`, `grad_logprob_token` and `project_unit_ball`, so they
+`grad_logprob`, `grad_logprob_token`, `token_step` and
+`project_unit_ball`, so they
 share no gradient arithmetic with covkit.  `test_train_driver.py`
 requires the driver's iterates to equal these bit for bit.
 """
@@ -60,6 +61,12 @@ def grad_logprob_token(model, x, prefix, v):
     feats = model.featmap.candidates(x, [prefix], model.V)[0]
     p = _softmax(feats @ model.theta)
     return feats[v] - p @ feats
+
+
+def token_step(model, x, prefix, v, eta):
+    """The model's theta after one projected step on log pi(v | x, prefix)."""
+    return project_unit_ball(
+        model.theta + eta * grad_logprob_token(model, x, prefix, v))
 
 
 def mle_fit(dataset, featmap, tol=1e-8, max_iters=10 ** 5):
@@ -158,8 +165,7 @@ def sgd_token(dataset, featmap, config):
         prefix = ()
         for v in y:
             model = LinearARModel(theta, featmap, V, H)
-            g = grad_logprob_token(model, x, prefix, v)
-            theta = project_unit_ball(theta + config.eta * g)
+            theta = token_step(model, x, prefix, v, config.eta)
             prefix = prefix + (v,)
         rec.n_examples += 1
         if t in cps:

@@ -36,9 +36,9 @@ JSONL data line is one object {"x": prompt, "y": [tokens]} with H integer
 tokens in [0, V); anything else raises a ValueError that names the line.
 Files are read as UTF-8, JSON's encoding.  `load_jsonl` reads a chunk of
 lines in the layout `save_jsonl` writes for integer prompts,
-{"x": 3, "y": [0, 1]}, without the JSON decoder (one regex check and one
-numpy integer parse); every other valid file goes through `json`, with the
-same results and errors.
+{"x": 3, "y": [0, 1]}, without the JSON decoder (numpy passes over the
+chunk's bytes that check the layout and read the integers); every other
+valid file goes through `json`, with the same results and errors.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ import json
 import math
 import numbers
 import operator
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -504,7 +503,7 @@ def save_jsonl(dataset: Dataset, path):
             f.write(json.dumps({"x": x, "y": y}) + "\n")
 
 
-# Lines read per chunk: one regex check or json.loads call per chunk, not
+# Lines read per chunk: one byte check or json.loads call per chunk, not
 # per line, but never the whole file's records at once.
 LOAD_CHUNK = 4096
 
@@ -516,14 +515,14 @@ def load_jsonl(path, H: int, V: int) -> Dataset:
     a tuple.  Lines are read LOAD_CHUNK at a time.  A chunk whose every
     line is exactly the layout `save_jsonl` writes for an integer prompt,
     {"x": <int>, "y": [<int>, ...]} with ", " and ": " separators and
-    integers of at most 18 digits, is parsed by `_parse_canonical`.  Any
-    other chunk is parsed as one JSON array, and accepted only if it holds
-    one record per line.  Otherwise, or if any record breaks a rule, the
-    chunk is parsed line by line to raise a ValueError naming the first bad
-    line.  A string cannot span lines (JSON forbids a raw newline in one)
-    but an array or object can, so a file that continues one record over
-    two lines and also puts two values on one line is read as its records,
-    not refused.
+    integers of at most 18 digits, is parsed by `_parse_canonical` in
+    numpy passes over the chunk's bytes.  Any other chunk is parsed as one
+    JSON array, and accepted only if it holds one record per line.
+    Otherwise, or if any record breaks a rule, the chunk is parsed line by
+    line to raise a ValueError naming the first bad line.  A string cannot
+    span lines (JSON forbids a raw newline in one) but an array or object
+    can, so a file that continues one record over two lines and also puts
+    two values on one line is read as its records, not refused.
     """
     xs, blocks = [], []
     with open(path, encoding="utf-8") as f:
@@ -541,36 +540,74 @@ def load_jsonl(path, H: int, V: int) -> Dataset:
     return Dataset(xs, Y, H=H, V=V)
 
 
-# A JSON integer of at most 18 digits, which int64 holds.
-_INT = "(?:0|[1-9][0-9]{0,17})"
-# The punctuation and key letters of a canonical line, each made a space.
-_CANONICAL_PUNCT = str.maketrans('{}[],:"xy', " " * 9)
-
-
 @functools.cache
-def _canonical_lines(H):
-    """Regex of lines {"x": <int>, "y": [<H ints>]}, each ending in a
-    newline.  Compiled on first use for each H, not at import."""
-    tokens = ", ".join([_INT] * H)
-    return re.compile(rf'(?:\{{"x": -?{_INT}, "y": \[{tokens}\]\}}\n)*')
+def _canonical_layout(H):
+    """(one canonical line's bytes with its H + 1 integers taken out, the
+    number of those bytes before each integer since the one before it,
+    the offset where the last integer of a line before the first ends)."""
+    head, mid = b'{"x": ', b', "y": ['
+    line = head + mid + b", " * max(H - 1, 0) + b"]}\n"
+    slots = np.array([len(head)] + [len(head + mid) + 2 * i
+                                    for i in range(H)])
+    before = slots[-1] - len(line)
+    return line, np.diff(slots, prepend=before), before
 
 
 def _parse_canonical(lines, H, V):
     """(int prompts, (k, H) responses) of k lines in `save_jsonl`'s layout
     for integer prompts, or None to leave the lines to `_parse_chunk`.
-    What it accepts, `json` reads the same: -0 is the int 0."""
-    text = "".join(lines)
-    if not _canonical_lines(H).fullmatch(text):
+
+    The chunk's bytes are checked in whole-chunk passes, with no loop per
+    line: without their digits and "-", they must be the canonical line
+    with its integers taken out, k times over; the maximal runs of digits
+    and "-" must be k(H + 1), each in its integer slot (after as many
+    other bytes since the run before it as the layout puts there); a "-"
+    may only open a prompt; and each integer must have 1 to 18 digits
+    (int64 holds them all) and no leading zero.  The values are then read
+    one digit position at a time, one pass when every integer is one
+    digit.  What it accepts, `json` reads the same: -0 is the int 0.
+    """
+    raw = "".join(lines).encode()
+    line, gaps, before = _canonical_layout(H)
+    k, w = len(lines), H + 1
+    if raw.translate(None, b"-0123456789") != line * k:
         return None
-    ints = np.fromstring(text.translate(_CANONICAL_PUNCT), dtype=np.int64,
-                         sep=" ")
-    if ints.size != len(lines) * (H + 1):
+    buf = np.frombuffer(raw, np.uint8)
+    minus = buf == 45
+    num = ((buf - 48) < 10) | minus
+    if num[0] or num[-1]:
         return None
-    rows = ints.reshape(len(lines), H + 1)
+    # Every run starts after the first byte and ends before the last, so
+    # the edges alternate start, end.
+    edges = np.flatnonzero(num[1:] != num[:-1]) + 1
+    if edges.size != 2 * k * w:
+        return None
+    # Punctuation before each run (the first as if a line came before it),
+    # then each run's length.
+    d = np.diff(edges, prepend=before)
+    if (d[0::2].reshape(k, w) != gaps).any():
+        return None
+    neg = minus[edges[::2 * w]]
+    if np.count_nonzero(minus) != np.count_nonzero(neg):
+        return None
+    ndig = d[1::2].copy()
+    ndig[::w] -= neg
+    top = int(ndig.max())
+    first = edges[1::2] - ndig
+    lead = buf[first]
+    if ndig.min() < 1 or top > 18 or \
+            (top > 1 and ((lead == 48) & (ndig > 1)).any()):
+        return None
+    vals = lead.astype(np.int64) - 48
+    for j in range(1, top):
+        more = ndig > j
+        digit = buf[np.where(more, first + j, first)].astype(np.int64) - 48
+        vals = np.where(more, vals * 10 + digit, vals)
+    rows = vals.reshape(k, w)
     Y = rows[:, 1:]
     if Y.size and Y.max() >= V:
         return None
-    return rows[:, 0].tolist(), Y
+    return np.where(neg, -rows[:, 0], rows[:, 0]).tolist(), Y
 
 
 def _parse_chunk(lines, H, V):

@@ -162,6 +162,45 @@ def test_load_equals_json_only_load(tmp_path, monkeypatch, chunk, case):
         assert [type(x) for x in got.xs] == [type(x) for x in want.xs]
 
 
+# The widest integers the canonical layout holds: 18 digits.
+WIDE = 10 ** 18 - 1
+
+
+@st.composite
+def wide_file(draw):
+    """(H, V, text): up to 12 lines in `save_jsonl`'s layout with prompts
+    up to +-(10^18 - 1) and tokens up to 10^18 - 1, now and then one
+    integer spelled as one of ODD_INTS."""
+    H = draw(st.integers(0, 4))
+    V = draw(st.sampled_from([2, 12, 10 ** 9, WIDE + 1]))
+    lines = []
+    for _ in range(draw(st.integers(1, 12))):
+        ints = [str(draw(st.integers(-WIDE, WIDE)))] + [
+            str(draw(st.integers(0, V - 1))) for _ in range(H)]
+        if draw(st.integers(0, 7)) == 0:
+            ints[draw(st.integers(0, H))] = draw(st.sampled_from(ODD_INTS))
+        lines.append(f'{{"x": {ints[0]}, "y": [{", ".join(ints[1:])}]}}\n')
+    return H, V, "".join(lines)
+
+
+@pytest.mark.parametrize("chunk", [1, 5, core.LOAD_CHUNK])
+@seed(31)
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=wide_file())
+def test_wide_integers_load_as_json_only_load(tmp_path, monkeypatch, chunk,
+                                              case):
+    monkeypatch.setattr(core, "LOAD_CHUNK", chunk)
+    H, V, text = case
+    path = tmp_path / "d.jsonl"
+    path.write_text(text, encoding="utf-8")
+    want = load_or_error(json_only_load, path, H, V)
+    got = load_or_error(load_jsonl, path, H, V)
+    assert got == want
+    if isinstance(want, Dataset):
+        assert [type(x) for x in got.xs] == [type(x) for x in want.xs]
+
+
 def test_canonical_files_never_call_json(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(core, "LOAD_CHUNK", 64)
     calls = []

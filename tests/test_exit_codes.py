@@ -301,3 +301,21 @@ def test_library_checks_refuse_nan():
     for call in calls:
         with pytest.raises(ValueError):
             call()
+
+
+def test_eval_coverage_exact_over_the_budget_exits_2(tmp_path, capsys):
+    # It once exited 3 ("kind": "runtime"), though README lists exact
+    # metrics over the enumeration budget under exit 2, as `run` does.
+    task = write(tmp_path / "task.json",
+                 {"name": "heterogeneous_kl", "params": {"n": 4, "H": 24}})
+    pol = write(tmp_path / "pol.json", {
+        "type": "tabular", "V": 2, "H": 24,
+        "tables": [{"x": x, "prefix": [1], "p": [0.5, 0.5]}
+                   for x in (0, 1)]})
+    assert main(["eval-coverage", "--task", task, "--pi-hat", pol,
+                 "--N-grid", "2", "--mode", "exact"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    err = json.loads(err)
+    assert err["kind"] == "validation"
+    assert err["error"].startswith("enumeration budget exceeded")

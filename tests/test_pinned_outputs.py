@@ -9,7 +9,10 @@ Each pin is the digest of one output group:
   metrics, two seeds, two sweep points), and every checkpoint's KL and
   coverage in full precision (the CSVs round them to 12 digits);
 * `<command>:<variant>` - the stdout of `eval-coverage`, `tournament` and
-  `bon`, each at two seeds;
+  `bon`, each at two seeds; `tournament:wide:<seed>` is the stdout of all
+  three rules on V = 12 candidates with multi-digit negative prompts,
+  shuffled and partly missing rows and a `default`, over a data file in
+  `save_jsonl`'s layout;
 * `gen-data:<task>:<seed>` - the JSONL and `--header` sidecar bytes that
   `gen-data` writes for `heterogeneous_kl` and for `graph_teaser` (whose
   prompt sampler is a plain callable), each at two seeds;
@@ -28,6 +31,7 @@ import contextlib
 import functools
 import hashlib
 import io
+import itertools
 import json
 import os
 import sys
@@ -45,7 +49,7 @@ if __name__ == "__main__":
 
 from covkit import harness
 from covkit.cli import main
-from covkit.core import FinitePromptDist, sample_dataset
+from covkit.core import Dataset, FinitePromptDist, sample_dataset, save_jsonl
 from covkit.models import CallableFeatureMap, LinearARModel
 from covkit.seeding import SeedTree
 from covkit.training import mle_fit
@@ -141,6 +145,10 @@ PINS = {
         'af6e325a8a7f9c10be612bc7a7efe67c22dd25523ca6d8caa9a60e6cb0e702d5',
     'tournament:simple:1':
         'c05d467261a48c130fa956debab79ea34bf505dc68c245f30cba6a809f4c891a',
+    'tournament:wide:0':
+        'd926a67b32c89520c87dd1190ef07575522d1d2f8f86bc8cc376210a09ca2060',
+    'tournament:wide:1':
+        'c7322dc8d95cc918e1c5ea36509f821c5abb71941d2dee8782c6d9fec5260059',
 }
 
 
@@ -195,6 +203,35 @@ def _tabular(path, shift, H=3, prompts=(0, 1)):
     return path
 
 
+# Multi-digit negative prompts; 7 is in the data but in no policy file.
+WIDE_PROMPTS = (-4096, -17, 305)
+
+
+def _wide_tabular(path, k, seed, V=12, H=3):
+    """A random prefix-dependent policy over V = 12 tokens (two-digit
+    token ids), written with its rows shuffled, a fifth of them missing and
+    a `default` row."""
+    rng = np.random.default_rng([k, seed, V])
+    rows = [{"x": x, "prefix": list(pre),
+             "p": rng.dirichlet(np.ones(V)).tolist()}
+            for x in WIDE_PROMPTS for h in range(H)
+            for pre in itertools.product(range(V), repeat=h)]
+    keep = rng.permutation(len(rows))[:len(rows) * 4 // 5]
+    with open(path, "w") as f:
+        json.dump({"type": "tabular", "V": V, "H": H,
+                   "tables": [rows[i] for i in keep],
+                   "default": rng.dirichlet(np.ones(V)).tolist()}, f)
+    return path
+
+
+def _wide_data(path, seed, n=300, V=12, H=3):
+    rng = np.random.default_rng([seed, n])
+    prompts = [*WIDE_PROMPTS, 7]
+    xs = [prompts[i] for i in rng.integers(len(prompts), size=n)]
+    save_jsonl(Dataset(xs, rng.integers(V, size=(n, H)), H=H, V=V), path)
+    return path
+
+
 def _stdout(argv):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
@@ -238,6 +275,13 @@ def _command_outputs(tmp):
             outs[f"tournament:{rule}:{seed}"] = _stdout(
                 ["tournament", "--candidates", *cands, "--data", data,
                  "--N", "2", "--rule", rule, "--gamma", "0.25"] + s)
+        wide = [_wide_tabular(os.path.join(tmp, f"wide{k}.json"), k, seed)
+                for k in range(3)]
+        wide_data = _wide_data(os.path.join(tmp, f"wide{seed}.jsonl"), seed)
+        outs[f"tournament:wide:{seed}"] = "".join(
+            _stdout(["tournament", "--candidates", *wide, "--data",
+                     wide_data, "--N", "2", "--rule", rule, "--gamma",
+                     "0.25"] + s) for rule in ("ce", "simple", "offset"))
         outs[f"bon:{seed}"] = _stdout(
             ["bon", "--task", task, "--pi-hat", cands[2], "--N-grid",
              "1,2,4", "--trials", "200", "--reward-scale", "2"] + s)

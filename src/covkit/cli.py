@@ -12,13 +12,12 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import operator
 import sys
 
 from .core import EnumBudgetError, check_number, load_jsonl
 from .decoding import AdversarialReward, bon_regret
-from .harness import (ConfigError, build_task, check_n_grid, config_errors,
-                      gen_data, json_object, run)
+from .harness import (ConfigError, build_task, check_keys, check_n_grid,
+                      config_errors, gen_data, json_object, run)
 from .metrics import coverage_exact, coverage_mc
 from .models import TabularModel
 from .seeding import SeedTree
@@ -27,7 +26,7 @@ from .selection import (CandidateClass, offset_tournament, select_ce,
 
 
 _POLICY_KEYS = {"type", "V", "H", "tables", "default"}
-_ROW_KEYS = ("x", "prefix", "p")
+_ROW_KEYS = {"x", "prefix", "p"}
 
 
 def load_policy(path: str) -> TabularModel:
@@ -35,87 +34,53 @@ def load_policy(path: str) -> TabularModel:
     "tables": [{"x", "prefix", "p"}, ...], "default"?}.
 
     A key outside these, top-level or in a row, is refused by name, and so
-    is a missing "tables".  A list prompt becomes a tuple.  The rows are
-    checked column by column, with no Python loop per row: every row an
-    object with exactly the keys x, prefix and p, every prefix a list, and
-    the (x, prefix) keys hashable and distinct.  Python equates the
-    prompts 1, 1.0 and true, so two such rows are one repeated key.  A
-    file that fails a column check is walked row by row to raise the
-    error that names its first bad row.
+    is a missing "tables".  A list prompt becomes a tuple.
     """
     where = f"policy file {path}"
     with open(path, encoding="utf-8") as f:
         spec = json_object(json.load(f), where)
     if spec.get("type") != "tabular":
         raise ConfigError(f"unsupported policy type {spec.get('type')!r}")
-    unknown = set(spec) - _POLICY_KEYS
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+    check_keys(spec, _POLICY_KEYS, where)
     json_object(spec, where, ("V", "H", "tables"))
     rows = spec["tables"]
     if not isinstance(rows, list):
         raise ConfigError(f"{where}: tables must be a list")
-    tables = _table_dict(rows)
-    if tables is None:
-        _raise_bad_row(rows, where)
+    tables = {}
+    for i, row in enumerate(rows):
+        if not isinstance(row, dict) or row.keys() != _ROW_KEYS:
+            # Not an object, or a key unknown or missing: name it.
+            at = f"{where}: tables[{i}]"
+            check_keys(json_object(row, at), _ROW_KEYS, at)
+            json_object(row, at, ("x", "prefix", "p"))
+        if not isinstance(row["prefix"], list):
+            raise ConfigError(f"{where}: tables[{i}].prefix must be a list "
+                              f"of tokens, got {row['prefix']!r}")
+        x = tuple(row["x"]) if isinstance(row["x"], list) else row["x"]
+        try:
+            hash(x)
+        except TypeError:
+            raise ConfigError(f"{where}: tables[{i}].x must be a number, a "
+                              f"string or a list of them, got {row['x']!r}")
+        key = (x, tuple(row["prefix"]))
+        try:
+            seen = key in tables
+        except TypeError:       # a list or an object among the tokens
+            raise ConfigError(f"{where}: tables[{i}].prefix must be a list "
+                              f"of tokens, got {row['prefix']!r}")
+        # Python equates the prompts 1, 1.0 and true, so such rows would
+        # silently overwrite one another.  No key repeats before row i, so
+        # the earlier row's index is its key's position in `tables`.
+        if seen:
+            raise ConfigError(f"{where}: tables[{list(tables).index(key)}] "
+                              f"and tables[{i}] have the same (x, prefix) "
+                              f"key {key!r}")
+        tables[key] = row["p"]
     try:
         return TabularModel(tables, V=spec["V"], H=spec["H"],
                             default=spec.get("default"))
     except ValueError as e:
         raise ConfigError(f"{where}: {e}") from e
-
-
-def _table_dict(rows):
-    """The {(x, prefix tuple): p} dict of the policy rows, or None if a
-    row breaks a rule that `_raise_bad_row` names."""
-    if not set(map(type, rows)) <= {dict} or \
-            not set(map(len, rows)) <= {len(_ROW_KEYS)}:
-        return None
-    try:
-        xs, prefixes, ps = [list(map(operator.itemgetter(key), rows))
-                            for key in _ROW_KEYS]
-    except KeyError:
-        return None
-    if not set(map(type, prefixes)) <= {list}:
-        return None
-    if list in set(map(type, xs)):
-        xs = [tuple(x) if type(x) is list else x for x in xs]
-    try:
-        tables = dict(zip(zip(xs, map(tuple, prefixes)), ps))
-    except TypeError:           # an object or a list in a key
-        return None
-    return tables if len(tables) == len(rows) else None
-
-
-def _raise_bad_row(rows, where):
-    """Raise the ConfigError naming the first row that `_table_dict`
-    refused."""
-    seen = {}
-    for i, row in enumerate(rows):
-        at = f"{where}: tables[{i}]"
-        unknown = set(json_object(row, at)) - set(_ROW_KEYS)
-        if unknown:
-            raise ConfigError(f"{at} has unknown keys {sorted(unknown)}")
-        json_object(row, at, _ROW_KEYS)
-        if not isinstance(row["prefix"], list):
-            raise ConfigError(f"{at}.prefix must be a list of tokens, got "
-                              f"{row['prefix']!r}")
-        x = tuple(row["x"]) if isinstance(row["x"], list) else row["x"]
-        try:
-            hash(x)
-        except TypeError:
-            raise ConfigError(f"{at}.x must be a number, a string or a "
-                              f"list of them, got {row['x']!r}")
-        key = (x, tuple(row["prefix"]))
-        try:
-            first = seen.setdefault(key, i)
-        except TypeError:       # a list or an object among the tokens
-            raise ConfigError(f"{at}.prefix must be a list of tokens, got "
-                              f"{row['prefix']!r}")
-        if first != i:
-            raise ConfigError(f"{where}: tables[{first}] and tables[{i}] "
-                              f"have the same (x, prefix) key {key!r}")
-    raise AssertionError("no bad row in a refused policy table")
 
 
 def _load_task_file(path: str):

@@ -59,7 +59,7 @@ def config_errors():
 def _graph_task(family, **params):
     from .graphs import (HORIZON_MIX, TEASER_MIX, GraphConfig,
                          GraphPathPolicy, mixture_prompt_sampler)
-    _check_keys(params, {"m", "L", "nodes_per_layer", "mix"}, "graph params")
+    check_keys(params, {"m", "L", "nodes_per_layer", "mix"}, "graph params")
     mix = params.pop("mix", None)
     cfg = GraphConfig(**params)
     if mix is None:
@@ -130,7 +130,7 @@ def json_object(d, where: str, required=()) -> dict:
     return dict(d)
 
 
-def _check_keys(d, allowed, where):
+def check_keys(d, allowed, where):
     unknown = set(d) - allowed
     if unknown:
         raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")
@@ -164,7 +164,7 @@ def check_n_grid(values, integers: bool = False) -> np.ndarray:
 def _check_metrics(metrics: dict) -> dict:
     """Refuse a metrics block that the metric calls of a job would; return
     a copy with `_METRIC_DEFAULTS` filled in."""
-    _check_keys(metrics, set(_METRIC_DEFAULTS), "metrics")
+    check_keys(metrics, set(_METRIC_DEFAULTS), "metrics")
     metrics = {**_METRIC_DEFAULTS, **metrics}
     if metrics["mode"] not in ("exact", "mc"):
         raise ConfigError("metrics.mode must be 'exact' or 'mc'")
@@ -190,7 +190,7 @@ def validate_config(cfg: dict) -> dict:
     ConfigError."""
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
-    _check_keys(cfg, _TOP_KEYS, "config")
+    check_keys(cfg, _TOP_KEYS, "config")
     version = cfg.get("version")
     if type(version) is not int or version != CONFIG_VERSION:
         raise ConfigError(f"config version must be {CONFIG_VERSION}")
@@ -202,25 +202,25 @@ def validate_config(cfg: dict) -> dict:
         raise ConfigError(f"out_dir must be a nonempty string, got "
                           f"{cfg['out_dir']!r}")
     task = json_object(cfg["task"], "task")
-    _check_keys(task, {"name", "params"}, "task")
+    check_keys(task, {"name", "params"}, "task")
     # A name is looked up only once it is a string: a list or an object
     # is unhashable and would fail the lookup with a bare TypeError.
     if not isinstance(task.get("name"), str) or task["name"] not in TASKS:
         raise ConfigError(f"unknown task {task.get('name')!r}")
     learner = json_object(cfg["learner"], "learner")
-    _check_keys(learner, {"name", "train"}, "learner")
+    check_keys(learner, {"name", "train"}, "learner")
     if not isinstance(learner.get("name"), str) or \
             learner["name"] not in LEARNERS:
         raise ConfigError(f"unknown learner {learner.get('name')!r}")
     train = json_object(learner.get("train", {}), "learner.train")
-    _check_keys(train, _TRAIN_FIELDS, "learner.train")
+    check_keys(train, _TRAIN_FIELDS, "learner.train")
     ignored = _TRAIN_FIELDS - LEARNERS[learner["name"]][1]
     if ignored & set(train):
         raise ConfigError(f"learner {learner['name']!r} ignores train "
                           f"fields {sorted(ignored & set(train))}")
     metrics = _check_metrics(json_object(cfg.get("metrics", {}), "metrics"))
     sweep = json_object(cfg.get("sweep", {}), "sweep")
-    _check_keys(sweep, {"axes", "seeds"}, "sweep")
+    check_keys(sweep, {"axes", "seeds"}, "sweep")
     axes = json_object(sweep.get("axes", {}), "sweep.axes")
     seeds = sweep.get("seeds", [0])
     # A seed names a run directory and a seed subtree: distinct ints >= 0.

@@ -1,6 +1,6 @@
-"""Per-row reference for policy files: the loader that checks each row of
-`tables` in a Python loop and inserts its key into the dict one at a time,
-kept to check `covkit.cli.load_policy`'s column checks against.
+"""Reference for policy files: the loader as it was before policy files
+refused unknown keys, kept to check that `covkit.cli.load_policy` still
+builds the same model and raises the same row-naming messages.
 
 It takes no view of the top-level or row keys it does not read, so it is
 a reference only for files whose keys are the ones `load_policy` allows.

@@ -1,6 +1,7 @@
-"""`cli.load_policy` against the per-row reference loader: the same
-TabularModel arrays on random files, the same message on each malformed
-row, and a refusal naming each key a policy file must not have."""
+"""`cli.load_policy` against the reference loader without the key checks:
+the same TabularModel arrays on random files, the same message on each
+malformed row, and a refusal naming each key a policy file must not
+have."""
 
 import itertools
 import json
@@ -113,14 +114,15 @@ GOOD = {"type": "tabular", "V": 2, "H": 1,
 @pytest.mark.parametrize("spec,wanted", [
     # A file with both typos once loaded as a uniform policy with no rows.
     ({"type": "tabular", "V": 2, "H": 1, "table": GOOD["tables"],
-      "defualt": [0.5, 0.5]}, "unknown keys ['defualt', 'table']"),
-    (dict(GOOD, tabels=[]), "unknown keys ['tabels']"),
-    ({"type": "tabular", "V": 2, "H": 1}, "has no 'tables'"),
+      "defualt": [0.5, 0.5]},
+     "unknown keys ['defualt', 'table'] in policy file {path}"),
+    (dict(GOOD, tabels=[]), "unknown keys ['tabels'] in policy file {path}"),
+    ({"type": "tabular", "V": 2, "H": 1}, "{path} has no 'tables'"),
     (dict(GOOD, tables=[{"x": 0, "prefix": [], "p": [0.7, 0.3], "q": 1}]),
-     "tables[0] has unknown keys ['q']"),
+     "unknown keys ['q'] in policy file {path}: tables[0]"),
     (dict(GOOD, tables=[{"x": 1, "prefix": [], "p": [0.5, 0.5]},
                         {"x": 0, "prefx": [], "p": [0.7, 0.3]}]),
-     "tables[1] has unknown keys ['prefx']"),
+     "unknown keys ['prefx'] in policy file {path}: tables[1]"),
 ])
 def test_unknown_and_missing_keys_exit_2_by_name(tmp_path, capsys, spec,
                                                  wanted):
@@ -133,4 +135,4 @@ def test_unknown_and_missing_keys_exit_2_by_name(tmp_path, capsys, spec,
     assert out == ""
     err = json.loads(err)
     assert err["kind"] == "validation"
-    assert path in err["error"] and wanted in err["error"], err
+    assert wanted.format(path=path) in err["error"], err

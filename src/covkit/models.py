@@ -176,21 +176,26 @@ def grad_logprob(theta, featmap: FeatureMap, V: int, x, Y,
 
 def grad_logprob_token(theta, featmap: FeatureMap, V: int, x, prefix: tuple,
                        v: int) -> np.ndarray:
-    """Gradient of a single token conditional log pi_theta(v | x, prefix)."""
-    feats = featmap.candidates(x, [prefix], V)[0]
-    p = _softmax(feats @ theta)
-    return feats[v] - p @ feats
+    """Gradient of log pi_theta(v | x, prefix): one row of `token_grads`."""
+    return token_grads(theta, featmap.candidates(x, [prefix], V), [v])[0][0]
+
+
+def token_grads(theta, feats, tokens):
+    """(k, d) gradients phi_v - E_p[phi] of log pi_theta(v | x, prefix) at
+    k theta rows (or one shared) toward tokens at the (k, V, d) candidate
+    features feats, and their (k, V) softmax rows p; the mean is a
+    vector-matrix product per row, so a row's bits do not depend on k."""
+    p = candidate_dists(feats, theta)
+    return feats[np.arange(len(feats)), tokens] - (p[:, None] @ feats)[:, 0], p
 
 
 def token_steps(theta, feats, tokens, eta: float) -> np.ndarray:
     """k theta rows (or one shared) after one projected token step each,
     Pi(theta + eta * grad log pi_theta(v | x, prefix)), toward tokens at
-    the (k, V, d) candidate features feats: a matmul per row, the norm as
+    the (k, V, d) candidate features feats (`token_grads`), the norm as
     sqrt(theta . theta), so each row equals `project_unit_ball` of its
     `grad_logprob_token` step bit for bit."""
-    grad = feats[np.arange(len(feats)), tokens] - \
-        (candidate_dists(feats, theta)[:, None, :] @ feats)[:, 0]
-    return project_rows(theta + eta * grad)
+    return project_rows(theta + eta * token_grads(theta, feats, tokens)[0])
 
 
 def project_rows(theta) -> np.ndarray:

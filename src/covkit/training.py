@@ -15,13 +15,11 @@ SGD learner is its S = 1 case, and hands it its step builder
 (`sgd_vanilla_steps`, ...), which gives the learner's one step, taken by
 every row at every iteration.  Vanilla and normalized SGD read the
 rows' sequence gradients from `_Stack.grads`: on product prompts it
-gathers each row's step table by its prompt and subtracts H times one
-stacked softmax mean from the row's token counts (computed once per
-dataset); an iteration with a walked prompt makes one
-`models.grad_logprob` call per example and row.  Token SGD takes H
-stacked `models.token_steps` on the candidate features `_Stack.feats`
-gives.  Truncated distillation, which reads a teacher token by token,
-loops over the rows inside its step.
+subtracts H times one stacked softmax mean of each row's step table from
+its token counts (computed once per dataset); on a walked prompt it sums
+over h the `models.token_grads` at the example's `_Stack.prefixes`.
+Token SGD steps through those candidate features, and truncated
+distillation weighs their token gradients by teacher-student KLs.
 Every row keeps the operation order of the per-example loop, so a job's
 iterates are the same bits in a stack of any size.
 
@@ -39,9 +37,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import check_number, group_prompts
-from .metrics import step_kl
+from .metrics import _kl_rows
 from .models import (FeatureMap, candidate_dists, count_rows, grad_logprob,
-                     grad_logprob_token, project_rows, project_unit_ball,
+                     project_rows, project_unit_ball, token_grads,
                      token_steps)
 
 
@@ -208,7 +206,8 @@ class _Stack:
     walked prompt; `walked` says whether any example has one.  Everything
     else is built on first use, by the steps that read it, so a stack
     holds no second copy of its datasets' tokens that its learner does
-    not read.
+    not read; `prefixes` builds an example's features, which no theta
+    enters, at every prefix of every row at once.
     """
 
     def __init__(self, datasets, featmap: FeatureMap):
@@ -248,41 +247,53 @@ class _Stack:
         """Y[i, h, s], token h of example i of row s."""
         return np.stack([dataset.Y for dataset in self.datasets], axis=2)
 
-    def product(self, lo: int, hi: int) -> bool:
-        """Whether examples lo to hi - 1 of every row have step tables."""
-        return not self.walked or bool((self.ids[lo:hi] >= 0).all())
-
-    def grad(self, theta, s: int, i: int) -> np.ndarray:
-        """The `grad_logprob` of example i of row s at the row's theta,
-        with the example's counts, if it has them."""
-        dataset = self.datasets[s]
-        return grad_logprob(theta, self.featmap, self.V, dataset.xs[i],
-                            dataset.Y[i:i + 1], self.C[i:i + 1, s])[0]
-
     def grads(self, theta, lo: int, hi: int) -> np.ndarray:
         """(hi - lo, S, d) sequence gradients of examples lo to hi - 1 of
         every row at the row's theta.  On product prompts: one gather of
         their step tables, one stacked softmax and one stacked
         vector-matrix product, each row bit-equal to its `grad_logprob`;
-        otherwise one `grad` per example and row."""
+        otherwise one `walk` per example."""
         k, (S, d) = hi - lo, theta.shape
-        if not self.product(lo, hi):
-            return np.array([[self.grad(theta[s], s, i) for s in range(S)]
-                             for i in range(lo, hi)])
+        if self.walked and (self.ids[lo:hi] < 0).any():
+            return np.array([self.walk(theta, i) for i in range(lo, hi)])
         tab = self.tables[self.ids[lo] if k == 1 else self.ids[lo:hi].ravel()]
         rows = theta if k == 1 else np.tile(theta, (k, 1))
         mean = (candidate_dists(tab, rows)[:, None, :] @ tab)[:, 0]
         return self.C[lo:hi] - self.H * mean.reshape(k, S, d)
 
-    def feats(self, i: int, h: int) -> np.ndarray:
-        """(S, V, d) candidate features at the h-token prefix of example i
-        of every row: their step tables, gathered, or on a walked prompt
-        one `featmap.candidates` per row."""
-        if self.product(i, i + 1):
-            return self.tables[self.ids[i]]
-        return np.array([self.featmap.candidates(
-            dataset.xs[i], dataset.Y[i:i + 1, :h], self.V)[0]
-            for dataset in self.datasets])
+    def walk(self, theta, i: int) -> np.ndarray:
+        """(S, d) sequence gradients of example i of every row, each
+        bit-equal to its `grad_logprob`: on a walked prompt the sum over h
+        of its `token_grads`, on a product prompt as in `grads`."""
+        F, _ = self.prefixes(i)
+        H, S, V, d = F.shape
+        g, p = token_grads(np.tile(theta, (H, 1)), F.reshape(-1, V, d),
+                           self.Y[i].ravel())
+        G = np.zeros_like(theta)
+        for gh in g.reshape(H, S, d):
+            G += gh
+        tab = self.ids[i] >= 0
+        if tab.any():
+            G[tab] = self.C[i, tab] - H * (p[:S, None][tab] @ F[0, tab])[:, 0]
+        return G
+
+    def prefixes(self, i: int, teacher=None):
+        """(H, S, V, d) candidate features at the H prefixes of example i
+        of every row, and a teacher's (H, S, V) rows there (or None): step
+        tables gathered, and per level one `featmap.candidates` call per
+        distinct walked prompt and one teacher `prefix_dists` per prompt."""
+        ids, Y = self.ids[i], self.Y[i]
+        F = np.empty((self.H, len(ids), self.V, self.featmap.d))
+        F[:, ids >= 0] = self.tables[ids[ids >= 0]]
+        P = None if teacher is None else np.empty(F.shape[:3])
+        for x, idx in group_prompts([d.xs[i] for d in self.datasets]).items():
+            for h in range(self.H):
+                if ids[idx[0]] < 0:
+                    F[h, idx] = self.featmap.candidates(x, Y[:h, idx].T,
+                                                        self.V)
+                if teacher is not None:
+                    P[h, idx] = teacher.prefix_dists(x, Y[:h, idx].T)
+        return F, P
 
 
 def train_stack(steps, datasets, featmap: FeatureMap, configs) -> list:
@@ -292,7 +303,7 @@ def train_stack(steps, datasets, featmap: FeatureMap, configs) -> list:
     on datasets[s] and configs[s], which is the learner's own call.
 
     `steps` is the learner's step builder (`sgd_vanilla_steps`, ...),
-    called as steps(V, featmap, configs) -> (step, k); it resolves each
+    called as steps(V, H, featmap, configs) -> (step, k); it resolves each
     config's step sizes (`resolve_config`).  The configs may differ in
     eta, lam, A, N, sigma_star_sq and theta0, but must share T, K and
     checkpoint_every, and every dataset must hold exactly T * k examples;
@@ -314,7 +325,7 @@ def train_stack(steps, datasets, featmap: FeatureMap, configs) -> list:
                          "checkpoint_every")
     if len({(dataset.V, dataset.H) for dataset in datasets}) > 1:
         raise ValueError("the datasets of a stack must share V and H")
-    step, k = steps(datasets[0].V, featmap, configs)
+    step, k = steps(datasets[0].V, datasets[0].H, featmap, configs)
     for dataset in datasets:
         if len(dataset) != T * k:
             raise ValueError(f"the dataset must hold T*K = {T * k} "
@@ -349,7 +360,7 @@ def sgd_vanilla(dataset, featmap: FeatureMap,
     return train_stack(sgd_vanilla_steps, [dataset], featmap, [config])[0]
 
 
-def sgd_vanilla_steps(V, featmap, configs):
+def sgd_vanilla_steps(V, H, featmap, configs):
     """`sgd_vanilla`'s step builder, for `train_stack`."""
     eta = _column([resolve_config("sgd_vanilla", c, featmap)[0]
                    for c in configs])
@@ -385,7 +396,7 @@ def _flag(rec):
         rec.flags.append("zero-gradient-zero-lambda")
 
 
-def sgd_normalized_steps(V, featmap, configs):
+def sgd_normalized_steps(V, H, featmap, configs):
     """`sgd_normalized`'s step builder, for `train_stack`."""
     K = configs[0].K
     rates = [resolve_config("sgd_normalized", c, featmap) for c in configs]
@@ -417,14 +428,14 @@ def sgd_token(dataset, featmap: FeatureMap, config: TrainConfig) -> RunRecord:
     return train_stack(sgd_token_steps, [dataset], featmap, [config])[0]
 
 
-def sgd_token_steps(V, featmap, configs):
+def sgd_token_steps(V, H, featmap, configs):
     """`sgd_token`'s step builder, for `train_stack`."""
     eta = _column([resolve_config("sgd_token", c, featmap)[0]
                    for c in configs])
 
     def step(theta, data, lo, hi, recs):
-        for h, tokens in enumerate(data.Y[lo]):
-            theta = token_steps(theta, data.feats(lo, h), tokens, eta)
+        for feats, tokens in zip(data.prefixes(lo)[0], data.Y[lo]):
+            theta = token_steps(theta, feats, tokens, eta)
         return theta
     return step, 1
 
@@ -464,49 +475,41 @@ def sgd_truncated_distill(dataset, teacher, featmap: FeatureMap,
                           config: TrainConfig) -> RunRecord:
     """Distillation SGD with token gradients truncated at KL budget A = log N.
 
-    The teacher must expose exact token conditionals.  The truncation
-    identity sum_h alpha_h eps_h = min(A, sum_h eps_h) is asserted on every
-    processed example.
+    The teacher must share the dataset's (V, H) and expose exact token
+    conditionals.  The truncation identity sum_h alpha_h eps_h =
+    min(A, sum_h eps_h) is asserted on every processed example.
     """
     return train_stack(functools.partial(sgd_truncated_steps, teacher),
                        [dataset], featmap, [config])[0]
 
 
-def sgd_truncated_steps(teacher, V, featmap, configs):
+def sgd_truncated_steps(teacher, V, H, featmap, configs):
     """`sgd_truncated_distill`'s step builder for `train_stack`, bound to
-    a teacher with `functools.partial`.  Its step takes each row's
-    example token by token, as each token reads the teacher's
-    conditional."""
-    etas = [resolve_config("sgd_truncated_distill", c, featmap)[0]
-            for c in configs]
+    a teacher of the datasets' (V, H) with `functools.partial`.  Its step
+    reads teacher and student rows at all prefixes of every row's example
+    at once, and weighs the row's token gradients by their KLs."""
+    if (teacher.V, teacher.H) != (V, H):
+        raise ValueError(f"the teacher's (V, H) = {(teacher.V, teacher.H)} "
+                         f"differs from the datasets' (V, H) = {(V, H)}")
+    eta = _column([resolve_config("sgd_truncated_distill", c, featmap)[0]
+                   for c in configs])
 
     def step(theta, data, lo, hi, recs):
-        rows = []
-        for row, dataset, config, eta in zip(theta, data.datasets, configs,
-                                             etas):
-            x, y = dataset.xs[lo], dataset.Y[lo].tolist()
-            eps = []
-            grads = []
-            prefix = ()
-            for v in y:
-                p_teacher = teacher.next_dist(x, prefix)
-                if p_teacher[v] <= 0.0:
-                    raise ValueError(
-                        "teacher assigns zero mass to an observed token")
-                student = candidate_dists(
-                    featmap.candidates(x, [prefix], V), row)[0]
-                eps.append(step_kl(p_teacher, student))
-                grads.append(grad_logprob_token(row, featmap, V, x, prefix,
-                                                v))
-                prefix = prefix + (v,)
-            alpha, mass = truncation_weights(eps, config.A)
+        (F, P), Y = data.prefixes(lo, teacher), data.Y[lo]
+        if (np.take_along_axis(P, Y[..., None], 2) <= 0.0).any():
+            raise ValueError("teacher assigns zero mass to an observed token")
+        g, q = token_grads(np.tile(theta, (H, 1)),
+                           F.reshape(-1, V, featmap.d), Y.ravel())
+        alpha = []
+        for eps, config in zip(_kl_rows(P, q.reshape(P.shape)).T.tolist(),
+                               configs):
+            a, mass = truncation_weights(eps, config.A)
             if not math.isclose(mass, min(config.A, sum(eps)), rel_tol=1e-9,
                                 abs_tol=1e-9):
                 raise AssertionError("truncation identity violated")
-            g = np.zeros(featmap.d)
-            for a, gh in zip(alpha, grads):
-                if a > 0.0:
-                    g += a * gh
-            rows.append(project_unit_ball(row + eta * g))
-        return np.array(rows)
+            alpha.append(a)
+        G = np.zeros_like(theta)
+        for a, gh in zip(np.array(alpha).T, g.reshape(H, *theta.shape)):
+            G += a[:, None] * gh
+        return project_rows(theta + eta * G)
     return step, 1

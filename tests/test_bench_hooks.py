@@ -75,7 +75,13 @@ def test_traced_run_sees_each_learner(tmp_path, learner):
         # names, as they did before stacks.
         assert (names == rec.names.index("harness.run_learner")).sum() == 2
         assert (names == rec.names.index(span)).sum() == 2
-        assert out["models.grad.calls"] > 0
+        # mle_fit takes block gradients; truncated distillation, like the
+        # stacked learners, takes its token gradients from
+        # models.token_grads, which spans.py does not wrap.
+        if learner == "mle":
+            assert out["models.grad.calls"] > 0
+        else:
+            assert out["models.grad.calls"] == 0
         if learner != "mle":
             assert out["training.examples"] == 2 * examples
         return

@@ -8,9 +8,11 @@ The instances cover mixed step sizes, two step tables, a prompt without
 a step table (walked), a task with both kinds, a normalized row with
 lambda = 0 and a zero gradient beside rows that step, and random step
 tables up to V = d = 8, where a gemm in place of a vector-matrix product
-per row would change bits.
+per row would change bits, some of them walked, so that one iteration
+mixes product and walked rows.
 """
 
+import copy
 import functools
 import math
 
@@ -19,8 +21,8 @@ import pytest
 
 import train_oracle
 from covkit import training
-from covkit.core import FinitePromptDist, sample_dataset
-from covkit.models import CallableFeatureMap, LinearARModel
+from covkit.core import Dataset, FinitePromptDist, sample_dataset
+from covkit.models import CallableFeatureMap, LinearARModel, TabularModel
 from covkit.seeding import SeedTree
 from covkit.tasks import (TaskInstance, heterogeneous_kl_instance,
                           sgd_lower_instance, sigma_star_instance)
@@ -30,7 +32,7 @@ from covkit.training import TrainConfig, train_stack
 def table_task(tables, H, theta_star, walked=()):
     """A linear task on the (V, d) step tables of prompts 0, 1, ...; a
     prompt in `walked` has the same features but no step table, so its
-    examples take per-row gradients."""
+    examples take the walked path."""
     def phi(x, prefix):
         return tables[x][prefix[-1]]
 
@@ -46,13 +48,15 @@ def table_task(tables, H, theta_star, walked=()):
 
 
 def random_task(seed):
+    """A random table task whose prompts are each walked with chance 1/2."""
     rng = np.random.default_rng(seed)
     V, d = rng.integers(2, 9, size=2)
     H = int(rng.integers(1, 6))
     tables = [rng.normal(size=(V, d)) for _ in range(rng.integers(1, 4))]
     theta_star = rng.normal(size=d)
     theta_star /= 1.5 * np.linalg.norm(theta_star)
-    return table_task(tables, H, theta_star), rng
+    walked = [x for x in range(len(tables)) if rng.random() < 0.5]
+    return table_task(tables, H, theta_star, walked), rng
 
 
 def mixed_task():
@@ -171,6 +175,88 @@ def test_random_step_tables(seed):
                  for e, lam, t0 in zip(etas, lams, theta0)], seeds)
 
 
+def mixes(task, datasets, k):
+    """Whether some iteration of k examples holds a product and a walked
+    example."""
+    walked = np.array([[task.featmap.step_table(x) is None for x in d.xs]
+                       for d in datasets]).reshape(len(datasets), -1, k)
+    return bool((walked.any(axis=(0, 2)) & ~walked.all(axis=(0, 2))).any())
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("S", [1, 2, 5])
+def test_random_walked_and_product_rows(S, seed):
+    # All four learners on random tables with walked prompts, normalized
+    # SGD at K = 1 and 2, and truncated distillation with budgets that
+    # never clip, clip at the first token and clip further on.
+    task, rng = random_task(seed)
+    etas = rng.uniform(0.01, 2.0, size=S).tolist()
+    seeds = rng.integers(0, 1000, size=S).tolist()
+    lams = rng.choice([0.0, 0.3, 1.0], size=S).tolist()
+    As = rng.choice([1e6, 1e-3, 0.05, 0.3], size=S).tolist()
+    T = int(rng.integers(1, 8))
+    for learner in ("sgd_vanilla", "sgd_token"):
+        check_stack(learner, task, [TrainConfig(eta=e, T=T) for e in etas],
+                    seeds)
+    for K in (1, 2):
+        check_stack("sgd_normalized", task,
+                    [TrainConfig(eta=e, lam=lam, K=K, T=T)
+                     for e, lam in zip(etas, lams)], seeds)
+    check_stack("sgd_truncated_distill", task,
+                [TrainConfig(eta=e, A=A, T=T) for e, A in zip(etas, As)],
+                seeds)
+
+
+def test_random_tasks_mix_product_and_walked_rows():
+    # Those random tasks do mix the two kinds: on five datasets of eight
+    # examples, some iteration holds a walked and a product example for
+    # at least three of the twelve seeds.
+    mixed = 0
+    for seed in range(12):
+        task, rng = random_task(seed)
+        data = [sample_dataset(task.piD, task.mu, 8, SeedTree(s).rng())
+                for s in range(5)]
+        mixed += mixes(task, data, 1)
+    assert mixed >= 3
+
+
+def test_truncated_stack_clips_mid_example(monkeypatch):
+    # On the mixed task's walked prompt every token's KL is about 0.4, so
+    # A = 0.5 clips an example at its second token while A = 1e6 never
+    # clips; the rows beside them clip at the first token or not at all.
+    weights = []
+
+    def recorded(eps, A):
+        alpha, mass = truncation_weights(eps, A)
+        weights.append((A, alpha))
+        return alpha, mass
+    truncation_weights = training.truncation_weights
+    monkeypatch.setattr(training, "truncation_weights", recorded)
+    configs = [TrainConfig(eta=eta, A=A, T=6)
+               for eta, A in zip(ETAS, [1e6, 0.5, 0.01, 0.5, 1e6])]
+    check_stack("sgd_truncated_distill", TASKS["mixed"](), configs,
+                seeds=range(20, 25))
+    assert all(alpha == [1.0] * 3 for A, alpha in weights if A == 1e6)
+    assert any(alpha[0] == 1.0 and 0.0 < alpha[1] < 1.0 and alpha[2] == 0.0
+               for A, alpha in weights if A == 0.5)
+
+
+def test_truncated_stack_refuses_zero_teacher_mass_in_a_later_row():
+    # The teacher gives token 2 no mass; only row 1's data has one.
+    task = TASKS["mixed"]()
+    teacher = TabularModel({}, V=3, H=3, default=[0.5, 0.5, 0.0])
+    Y0 = [[0, 1, 0], [1, 1, 0], [0, 0, 1]]
+    data = [Dataset([0, 1, 1], Y0, H=3, V=3),
+            Dataset([1, 0, 1], Y0[:2] + [[0, 2, 1]], H=3, V=3)]
+    configs = [TrainConfig(eta=0.3, A=1.0, T=3)] * 2
+    step = functools.partial(training.sgd_truncated_steps, teacher)
+    train_stack(step, data[:1], task.featmap, configs[:1])
+    for rows in (data, data[::-1]):
+        with pytest.raises(ValueError, match="teacher assigns zero mass to "
+                                             "an observed token"):
+            train_stack(step, rows, task.featmap, configs)
+
+
 def test_stack_jobs_must_share_the_schedule():
     task = TASKS["hetero"]()
     data = [sample_dataset(task.piD, task.mu, 4, SeedTree(s).rng())
@@ -186,54 +272,73 @@ def test_stack_jobs_must_share_the_schedule():
                     [TrainConfig(eta=0.1, T=4)])
 
 
-def counted(monkeypatch, names):
-    """Count calls of training's per-row gradient functions."""
+def counted(monkeypatch, obj, names):
+    """Count the calls of obj's functions `names`."""
     calls = {name: 0 for name in names}
     for name in names:
-        def wrapper(*args, _fn=getattr(training, name), _name=name):
+        def wrapper(*args, _fn=getattr(obj, name), _name=name):
             calls[_name] += 1
             return _fn(*args)
-        monkeypatch.setattr(training, name, wrapper)
+        monkeypatch.setattr(obj, name, wrapper)
     return calls
 
 
-@pytest.mark.parametrize("learner", ["sgd_vanilla", "sgd_normalized",
-                                     "sgd_token"])
+@pytest.mark.parametrize("learner", sorted(ORACLE))
 def test_product_stacks_take_no_per_row_step(learner, monkeypatch):
     # Every iteration takes the learner's one step.  On product prompts it
     # gathers step tables at every S and K, one row and one example
     # included: a per-row gradient would still give the same bits, so only
-    # a count of the per-row calls can show it.
-    calls = counted(monkeypatch, ["grad_logprob", "grad_logprob_token"])
+    # a count of the per-row calls can show it.  On walked prompts an
+    # example's features take one `candidates` call per level and distinct
+    # walked prompt, and a teacher is read level by level, never by
+    # `next_dist`.
+    calls = counted(monkeypatch, training, ["grad_logprob"])
     T = 6
 
     def run(task_name, S, K):
         task = TASKS[task_name]()
         configs = [TrainConfig(eta=eta, lam=0.5, K=K, T=T)
                    if learner == "sgd_normalized" else
-                   TrainConfig(eta=eta, T=T) for eta in ETAS[:S]]
+                   TrainConfig(eta=eta, A=0.5, T=T) for eta in ETAS[:S]]
         data = [sample_dataset(task.piD, task.mu, T * configs[0].K,
                                SeedTree(s).rng()) for s in range(S)]
+        walked = [{d.xs[i] for d in data
+                   if task.featmap.step_table(d.xs[i]) is None}
+                  for i in range(T * K)]
+        # The teacher gets a feature map of its own, so that only the
+        # student's `candidates` calls are counted.
+        teacher = copy.copy(task.piD)
+        teacher.featmap = copy.copy(task.featmap)
+        read = counted(monkeypatch, teacher, ["next_dist"])
+        feats = counted(monkeypatch, task.featmap, ["candidates"])
         taken = []
 
         def builder(*args):
-            step, k = steps(learner, task)(*args)
+            step, k = (functools.partial(training.sgd_truncated_steps,
+                                         teacher)
+                       if learner == "sgd_truncated_distill" else
+                       steps(learner, task))(*args)
 
             def counted_step(*step_args):
-                taken.append(1)
+                taken.append(feats["candidates"])
                 return step(*step_args)
             return counted_step, k
         train_stack(builder, data, task.featmap, configs)
         assert len(taken) == T
+        assert read == {"next_dist": 0}
+        # Per iteration, at most H calls per distinct walked prompt of
+        # each of its examples.
+        made = np.diff(taken + [feats["candidates"]])
+        for t, n in enumerate(made.tolist()):
+            assert n <= task.piD.H * sum(map(len, walked[t * K:t * K + K]))
+        return int(made.sum())
     Ks = (1, 2) if learner == "sgd_normalized" else (1,)
     for name in ("hetero", "sgd_lower"):
         for S in (1, 2, 5):
             for K in Ks:
-                run(name, S, K)
-    assert calls == {name: 0 for name in calls}
-    # On walked prompts the sequence gradients are one `grad_logprob` per
-    # example and row; token SGD reads their candidate features instead.
-    S, K = 2, Ks[-1]
-    run("sigma_star", S, K)
-    assert calls == {"grad_logprob": 0 if learner == "sgd_token" else
-                     S * T * K, "grad_logprob_token": 0}
+                assert run(name, S, K) == 0
+    assert calls == {"grad_logprob": 0}
+    # Walked stacks make no `grad_logprob` call either.
+    for name in ("sigma_star", "mixed"):
+        assert run(name, 2, Ks[-1]) > 0
+    assert calls == {"grad_logprob": 0}

@@ -17,7 +17,8 @@ import train_oracle
 from covkit import harness, training
 from covkit.core import Dataset, sample_dataset
 from covkit.models import (CallableFeatureMap, LinearARModel, grad_logprob,
-                           grad_logprob_token, project_unit_ball, token_steps)
+                           grad_logprob_token, project_unit_ball, token_grads,
+                           token_steps)
 from covkit.seeding import SeedTree
 from covkit.tasks import bernoulli_featmap
 from covkit.training import mle_fit
@@ -87,6 +88,37 @@ def test_token_gradient_and_step_are_the_per_model_ones(kind, seed):
                 token_steps(model.theta[None], fm.candidates(x, [prefix], V),
                             [v], eta)[0],
                 train_oracle.token_step(model, x, prefix, v, eta))
+
+
+@pytest.mark.parametrize("kind,seed", itertools.product(KINDS, range(3)))
+def test_stacked_token_gradients_are_the_one_token_ones(kind, seed):
+    # `token_grads` over all prefixes of n responses, at one shared theta
+    # and at one theta per row: each row is its `grad_logprob_token` and
+    # its softmax row the model's `next_dist`; summed over h in order they
+    # are `grad_logprob`'s walked rows (the same features, no step table).
+    model, rng = instance(kind, seed)
+    fm, V, H, n = model.featmap, model.V, model.H, 5
+    walked = CallableFeatureMap(fm.fn, d=fm.d, B=fm.B)
+    for x in PROMPTS:
+        Y = rng.integers(0, V, size=(n, H))
+        rows = [(tuple(y[:h]), y[h]) for y in Y.tolist() for h in range(H)]
+        feats = np.concatenate([fm.candidates(x, [p], V) for p, _ in rows])
+        tokens = [v for _, v in rows]
+        thetas = rng.normal(size=(len(rows), fm.d))
+        for theta in (model.theta, thetas):
+            g, p = token_grads(theta, feats, tokens)
+            for r, (prefix, v) in enumerate(rows):
+                th = theta if theta.ndim == 1 else theta[r]
+                assert np.array_equal(
+                    g[r], grad_logprob_token(th, fm, V, x, prefix, v))
+                if theta.ndim == 1:
+                    assert np.array_equal(p[r], model.next_dist(x, prefix))
+        g = token_grads(model.theta, feats, tokens)[0].reshape(n, H, fm.d)
+        total = np.zeros((n, fm.d))
+        for h in range(H):
+            total += g[:, h]
+        assert np.array_equal(total,
+                              grad_logprob(model.theta, walked, V, x, Y))
 
 
 def test_a_model_refuses_a_non_finite_theta():

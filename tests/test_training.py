@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -7,13 +8,14 @@ from hypothesis import strategies as st
 
 from covkit import training
 from covkit.core import Dataset, FinitePromptDist, sample_dataset
-from covkit.models import CallableFeatureMap, LinearARModel
+from covkit.models import CallableFeatureMap, LinearARModel, TabularModel
 from covkit.seeding import SeedTree
 from covkit.tasks import bernoulli_featmap, bernoulli_model
 from covkit.training import (TrainConfig, checkpoint_iters, mle_fit,
                              normalized_schedule, sgd_normalized, sgd_token,
-                             sgd_truncated_distill, sgd_vanilla,
-                             truncated_schedule, truncation_weights)
+                             sgd_truncated_distill, sgd_truncated_steps,
+                             sgd_vanilla, train_stack, truncated_schedule,
+                             truncation_weights)
 
 
 def coin_data(p, n, rng):
@@ -238,6 +240,25 @@ def test_truncated_distill_runs_and_matches_vanilla_when_unclipped():
                                teacher, fm, cfg_t)
     r2 = sgd_vanilla(coin_data(0.7, 40, SeedTree(7).rng()), fm, cfg_v)
     assert np.allclose(r1.final_theta, r2.final_theta, atol=1e-12)
+
+
+@pytest.mark.parametrize("V,H", [(3, 3), (2, 5)])
+def test_truncated_distill_refuses_a_teacher_of_other_V_or_H(V, H):
+    # A V = 3 teacher on V = 2 data used to fail mid-step on a broadcast,
+    # and an H = 5 teacher on H = 3 data trained; both are refused before
+    # the first step, which would fail the test.
+    fm = CallableFeatureMap(lambda x, pre: pytest.fail("a step was taken"),
+                            d=1, B=1.0)
+    teacher = TabularModel({}, V=V, H=H)
+    data = Dataset([0] * 4, [[0, 1, 1]] * 4, H=3, V=2)
+    cfg = TrainConfig(eta=0.1, T=4, A=1.0)
+    match = rf"teacher's \(V, H\) = \({V}, {H}\) differs from the " \
+        r"datasets' \(V, H\) = \(2, 3\)"
+    with pytest.raises(ValueError, match=match):
+        sgd_truncated_distill(data, teacher, fm, cfg)
+    with pytest.raises(ValueError, match=match):
+        train_stack(functools.partial(sgd_truncated_steps, teacher),
+                    [data, data], fm, [cfg, cfg])
 
 
 def test_truncated_distill_teacher_zero_mass():

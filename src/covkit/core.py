@@ -9,10 +9,12 @@ Conventions used throughout the package:
 Batched paths: a policy is its token conditionals, and it implements them
 once, as `prefix_dists`: the next-token rows of a whole level of
 prefixes.  `Policy.next_dist` is its one-row case.  `Policy.logprob_many`
-scores an (n, H) array of responses to one prompt; both it and the one
-sampler, `sample_from_uniforms`, take the product path when `step_dist`
-is not None, and otherwise make one `prefix_dists` call per level over
-its distinct prefixes (`prefix_levels`, which numbers them in sorted code
+scores an (n, H) array of responses to one prompt, each distinct row once
+(`distinct_rows`, which ranks the rows' base-V codes), and takes the
+totals back to the rows.  Both it and the one sampler,
+`sample_from_uniforms`, take the product path when `step_dist` is not
+None, and otherwise make one `prefix_dists` call per level over its
+distinct prefixes (`prefix_levels`, which numbers them in sorted code
 order by a table of flags and a cumsum, sorting only levels whose table
 would outgrow 16 slots per row).  The sampler maps an (n, H) array
 of uniform doubles to responses by Generator.choice's inverse-CDF rule,
@@ -22,8 +24,11 @@ distribution with `from_uniforms` (`FinitePromptDist`) applies the same
 rule to prompts, and `sample_dataset` draws n examples from one
 (n, 1 + H) block: each row is a prompt double and then H token doubles,
 the per-example order.  `sample_prompts` draws n prompts at once and
-`group_prompts` groups them, so Monte Carlo callers make one batched call
-per distinct prompt; `logprob_matrix` does the same for a `Dataset`.
+`group_prompts` groups them; `prompt_groups` gives the same groups from
+the same draws, in numpy for a `FinitePromptDist`, so Monte Carlo callers
+make one batched call per distinct prompt.  `distinct_logprobs` scores
+the distinct (prompt, response) pairs of a `Dataset` under K policies,
+and `logprob_matrix` takes them back to its examples.
 
 Examples: inside covkit an example is a pair (x, y) of a prompt and a
 response row of H token ints, and a `Dataset` is built only from its
@@ -168,37 +173,52 @@ class Policy:
         """log pi(y|x) of each row y of the (n, H) int array Y, -inf where
         pi has no mass; a ValueError for any other shape.
 
-        Product policies gather log step[Y]; others make one prefix_dists
-        call per level, over the level's distinct prefixes.  Either way
-        each row sums its H token log-probs left to right, as a per-token
-        loop would.
+        Each distinct row is scored once (`distinct_rows`): product
+        policies gather log step[U] of the distinct rows U; others make
+        one prefix_dists call per level, over the level's distinct
+        prefixes.  Either way each row sums its H token log-probs left to
+        right, as a per-token loop would.
         """
         return self._logprob_rows(x, np.asarray(Y, dtype=np.int64), {})
 
     def _logprob_rows(self, x, Y, levels: dict) -> np.ndarray:
-        """logprob_many of the int64 array Y; the prefix levels of Y are
-        read from, or added to, `levels` (keyed by V), so callers scoring
-        the same Y under several policies compute them once.  Y must be
-        (n, H) with tokens in [0, V)."""
+        """logprob_many of the int64 array Y: `_logprob_distinct`, taken
+        back to Y's rows."""
+        total, inv = self._logprob_distinct(x, Y, levels)
+        return total.take(inv)
+
+    def _logprob_distinct(self, x, Y, levels: dict):
+        """(log pi of each distinct row of Y in lexicographic order, inv):
+        row i of Y is distinct row inv[i].  Y must be (n, H) with tokens
+        in [0, V).  The distinct rows U and inv are read from, or added
+        to, levels["rows"], and the prefix levels of U from levels[V], so
+        callers scoring the same Y under several policies compute them
+        once.  Every level of U holds exactly Y's distinct prefixes, in
+        the same order, so `prefix_dists` sees the arrays it would see
+        on Y."""
         if Y.ndim != 2 or Y.shape[1] != self.H:
             raise ValueError(f"responses must be an (n, {self.H}) array, "
                              f"got shape {Y.shape}")
         if Y.size and not 0 <= Y.min() <= Y.max() < self.V:
             raise ValueError(f"tokens must lie in [0, {self.V})")
-        total = np.zeros(len(Y))
+        if "rows" not in levels:
+            first, inv = distinct_rows(Y, self.V)
+            levels["rows"] = Y[first], inv
+        U, inv = levels["rows"]
+        total = np.zeros(len(U))
         step = self.step_dist(x)
         with np.errstate(divide="ignore"):
             if step is not None:
-                logs = np.log(np.asarray(step, dtype=float))[Y]
-                for h in range(Y.shape[1]):
+                logs = np.log(np.asarray(step, dtype=float))[U]
+                for h in range(U.shape[1]):
                     total += logs[:, h]
-                return total
+                return total, inv
             if self.V not in levels:
-                levels[self.V] = list(prefix_levels(Y, self.V))
-            for h, first, inv in levels[self.V]:
-                P = self.prefix_dists(x, Y[first, :h])
-                total += np.log(P.ravel().take(inv * self.V + Y[:, h]))
-        return total
+                levels[self.V] = list(prefix_levels(U, self.V))
+            for h, first, at in levels[self.V]:
+                P = self.prefix_dists(x, U[first, :h])
+                total += np.log(P.ravel().take(at * self.V + U[:, h]))
+        return total, inv
 
     def sample(self, x, rng: np.random.Generator) -> tuple:
         """One response: the one-row case of `sample_from_uniforms`, fed
@@ -324,6 +344,39 @@ def prefix_levels(Y: np.ndarray, V: int):
         yield h, first, inv
 
 
+def distinct_rows(Y: np.ndarray, V: int):
+    """(first, inv) of the distinct rows of the (n, H) int array Y, whose
+    tokens lie in [0, V), in lexicographic order: row i is the inv[i]-th
+    distinct row, and Y[first[j]] is the j-th.
+
+    The rows' base-V codes are ranked by `_rank_codes` (inv is
+    np.unique's inverse of the rows).  Columns are coded in blocks: each
+    block's code, the rank of the rows on the columns before it times
+    V^b plus the b columns' own base-V code, stays below 2^63, so the
+    loop runs once (one Y @ V^pow) whenever V^H fits in int64.
+    """
+    n, H = Y.shape
+    if n <= 1:              # at most one row: nothing to rank
+        return np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    rows = np.arange(n)
+    first, inv = np.zeros(1, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    lo = 0
+    while lo < H:
+        # The widest block whose codes, below k * V^b, fit in int64.
+        k, b = len(first), 1
+        while lo + b < H and k * V ** (b + 1) <= _INT64_MAX:
+            b += 1
+        code = Y[:, lo:lo + b] @ V ** np.arange(b - 1, -1, -1,
+                                                dtype=np.int64)
+        if lo:
+            code += inv * V ** b
+        first, inv = _rank_codes(code, k * V ** b, rows)
+        lo += b
+    return first, inv
+
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
 # Past this many table slots per row, a level's codes are ranked by sort.
 _SLOTS_PER_ROW = 16
 
@@ -388,6 +441,9 @@ class FinitePromptDist:
         if w.shape != (len(self.prompts),):
             raise ValueError(f"need one weight per prompt: weights of "
                              f"shape {w.shape}, {len(self.prompts)} prompts")
+        if not self.prompts:
+            raise ValueError("a prompt distribution needs at least one "
+                             "prompt")
         if w.min() < 0 or abs(w.sum() - 1.0) > 1e-9:
             raise ValueError("weights must be a probability vector")
         self.weights = w
@@ -401,6 +457,27 @@ class FinitePromptDist:
         idx = np.searchsorted(self._cdf, u, side="right")
         return [self.prompts[i] for i in idx.tolist()]
 
+    @functools.cached_property
+    def _values(self) -> np.ndarray:
+        """Each listed prompt's value number: equal prompts (a prompt
+        listed twice, or 0, 0.0 and False) share the number of the first."""
+        ids = {}
+        return np.array([ids.setdefault(x, len(ids)) for x in self.prompts],
+                        dtype=np.int64)
+
+    def group_uniforms(self, u) -> dict:
+        """group_prompts(self.from_uniforms(u)) without the list: the
+        drawn indices are grouped by prompt value in numpy.  Each group is
+        keyed by its first draw and lists its positions in increasing
+        order, the groups in order of first appearance."""
+        idx = np.searchsorted(self._cdf, u, side="right")
+        values = self._values.take(idx)
+        order = np.argsort(values, kind="stable")
+        ends = np.cumsum(np.bincount(values, minlength=len(self.prompts)))
+        groups = [g for g in np.split(order, ends[:-1]) if len(g)]
+        groups.sort(key=operator.itemgetter(0))
+        return {self.prompts[idx[g[0]]]: g for g in groups}
+
     def __call__(self, rng: np.random.Generator):
         return self.from_uniforms(rng.random(1))[0]
 
@@ -411,6 +488,15 @@ def sample_prompts(mu, n: int, rng: np.random.Generator) -> list:
     if hasattr(mu, "from_uniforms"):
         return mu.from_uniforms(rng.random(n))
     return [mu(rng) for _ in range(n)]
+
+
+def prompt_groups(mu, n: int, rng: np.random.Generator) -> dict:
+    """group_prompts(sample_prompts(mu, n, rng)): the same groups and the
+    same draws from rng.  A mu with `group_uniforms` (`FinitePromptDist`)
+    groups rng.random(n) in numpy, with no list of n prompts."""
+    if hasattr(mu, "group_uniforms"):
+        return mu.group_uniforms(rng.random(n))
+    return group_prompts(sample_prompts(mu, n, rng))
 
 
 def group_prompts(prompts) -> dict:
@@ -428,15 +514,32 @@ def group_prompts(prompts) -> dict:
 
 def logprob_matrix(policies, dataset: Dataset) -> np.ndarray:
     """(K, n) log-probs of the n examples of `dataset` under K policies:
-    one logprob_many per policy and distinct prompt (`Dataset.groups`),
-    the prompt's prefix levels computed once and shared by the K
+    `distinct_logprobs`, taken back to the examples."""
+    lp, inv = distinct_logprobs(policies, dataset)
+    return lp.take(inv, axis=1)
+
+
+def distinct_logprobs(policies, dataset: Dataset):
+    """(lp, inv): lp (K, m) holds the log-probs under K policies of the m
+    distinct (prompt, response) pairs of `dataset`, and example i is pair
+    inv[i].  The pairs are listed by prompt group (`Dataset.groups`),
+    each group's responses in lexicographic order.  Each policy scores
+    each group once, with one `_logprob_distinct` call; the group's
+    distinct rows and prefix levels are computed once and shared by the K
     policies."""
-    lp = np.empty((len(policies), len(dataset)))
+    inv, blocks, m = np.empty(len(dataset), dtype=np.int64), [], 0
     for x, idx, Y in dataset.groups:
-        levels = {}
+        first, at = distinct_rows(Y, dataset.V)
+        levels = {"rows": (Y[first], at)}
+        block = np.empty((len(policies), len(first)))
         for k, pi in enumerate(policies):
-            lp[k, idx] = pi._logprob_rows(x, Y, levels)
-    return lp
+            block[k] = pi._logprob_distinct(x, Y, levels)[0]
+        blocks.append(block)
+        inv[idx] = at + m
+        m += len(first)
+    if not blocks:
+        return np.empty((len(policies), 0)), inv
+    return np.concatenate(blocks, axis=1), inv
 
 
 def check_number(name: str, v, lo=None, hi=None, *, lo_open=False,

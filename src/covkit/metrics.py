@@ -2,9 +2,14 @@
 
 All ratio events are evaluated in log domain and use the closed comparison
 log piD - log piHat >= log N.  Monte Carlo modes report Hoeffding (or
-Wilson) confidence half-widths; they draw all prompts first, then score
-each distinct prompt's responses with one sample_many and one logprob_many
-call per policy.  The MC modes of seq_kl, seq_ce and stopped_kl, and
+Wilson) confidence half-widths; they draw all prompts first
+(`prompt_groups`), then draw each distinct prompt's responses with one
+sample_many call and score each distinct response once per policy (the
+log-ratio finds the distinct rows once for both policies; the MC
+stopped_kl and sigma_star_sq sum their levels over distinct rows).
+`pairwise_cov_matrix` scores each distinct (prompt, response) pair of
+its dataset once per policy and weights its hits by the pair's count.
+The MC modes of seq_kl, seq_ce and stopped_kl, and
 mc_report (seq_kl and coverage_mc of one draw), reduce the per-draw values
 of one loop, `_mc_values`.  Exact modes reduce a `PairLaw`, the law of one
 (piD, piHat) pair under mu.  Per prompt x it keeps either
@@ -71,8 +76,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (ENUM_BUDGET, Policy, check_enum_budget, check_number,
-                   group_prompts, logprob_matrix, prefix_levels,
-                   sample_dataset, sample_prompts)
+                   distinct_logprobs, distinct_rows, group_prompts,
+                   prefix_levels, prompt_groups, sample_dataset)
 from .models import FeatureMap, candidate_dists
 
 
@@ -591,19 +596,25 @@ def mc_report(piD: Policy, piHat: Policy, mu_sampler, Ns, n_samples: int,
 
 def _mc_values(piD, mu_sampler, n, rng, value):
     """value(x, Y) of n draws from mu x piD, in the order the prompts were
-    drawn.  All n prompts are drawn first; then each distinct prompt, in
-    order of first appearance, gets its responses Y from one sample_many
-    call.  `value` must not draw from rng, whose draws it sits between."""
+    drawn.  All n prompts are drawn first (`prompt_groups`); then each
+    distinct prompt, in order of first appearance, gets its responses Y
+    from one sample_many call.  `value` must not draw from rng, whose
+    draws it sits between."""
     check_number("n", n, 1, integer=True)
     out = np.empty(n)
-    for x, idx in group_prompts(sample_prompts(mu_sampler, n, rng)).items():
+    for x, idx in prompt_groups(mu_sampler, n, rng).items():
         out[idx] = value(x, piD.sample_many(x, len(idx), rng))
     return out
 
 
 def _log_ratio_values(piD, piHat):
-    """log piD - log piHat of each row of Y; +inf where piHat has no mass."""
-    return lambda x, Y: piD.logprob_many(x, Y) - piHat.logprob_many(x, Y)
+    """log piD - log piHat of each row of Y; +inf where piHat has no mass.
+    Both score Y's distinct rows, found once."""
+    def value(x, Y):
+        levels = {}
+        lpD, inv = piD._logprob_distinct(x, Y, levels)
+        return (lpD - piHat._logprob_distinct(x, Y, levels)[0]).take(inv)
+    return value
 
 
 def _wilson_half_width(p, n, z):
@@ -670,12 +681,14 @@ def stopped_kl(piD: Policy, piHat: Policy, mu_items, N: float, mode="exact",
     if mode == "mc":
         # Step KLs are >= 0, so clipping the full sum equals stopping early.
         def clipped_kl(x, Y):
-            acc = np.zeros(len(Y))
-            for h, first, inv in prefix_levels(Y, piD.V):
-                pre = Y[first, :h]
+            first, inv = distinct_rows(Y, piD.V)
+            U = Y[first]
+            acc = np.zeros(len(U))
+            for h, first, at in prefix_levels(U, piD.V):
+                pre = U[first, :h]
                 acc += _kl_rows(piD.prefix_dists(x, pre),
-                                piHat.prefix_dists(x, pre))[inv]
-            return np.minimum(logN, acc)
+                                piHat.prefix_dists(x, pre))[at]
+            return np.minimum(logN, acc).take(inv)
         return float(_mc_values(piD, mu_sampler, n, rng, clipped_kl).mean())
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -704,13 +717,17 @@ def coverage_sup_log(piD: Policy, piHat: Policy, mu_items):
 
 def pairwise_cov_matrix(policies, dataset, N: float) -> np.ndarray:
     """M[i, j]: fraction of `dataset` points with log policies[i] -
-    log policies[j] >= log N, zero on the diagonal, from one (K, n)
-    log-prob matrix, so each example is scored K times."""
+    log policies[j] >= log N, zero on the diagonal.  Each distinct
+    (prompt, response) pair is scored once per policy
+    (`distinct_logprobs`); its hits count as many times as it occurs, and
+    the counts, divided by n, are the means of the per-example events."""
     check_number("N", N, 1, math.inf)
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
-    lp = logprob_matrix(policies, dataset)
-    M = np.array([covers(row, lp, math.log(N)).mean(axis=1) for row in lp])
+    lp, inv = distinct_logprobs(policies, dataset)
+    counts = np.bincount(inv, minlength=lp.shape[1])
+    M = np.array([covers(row, lp, math.log(N)) @ counts for row in lp])
+    M = M / len(dataset)
     np.fill_diagonal(M, 0.0)
     return M
 
@@ -803,12 +820,14 @@ def sigma_star_sq(piD: Policy, featmap: FeatureMap, mu_items, mode="exact",
         check_number("n", n, 2, integer=True)
         vals = np.empty(n)
         for x, idx, Yx in sample_dataset(piD, mu_items, n, rng).groups:
-            acc = np.zeros(len(idx))
-            for h, first, inv in prefix_levels(Yx, piD.V):
-                pre = Yx[first, :h]
+            first, inv = distinct_rows(Yx, piD.V)
+            U = Yx[first]
+            acc = np.zeros(len(U))
+            for h, first, at in prefix_levels(U, piD.V):
+                pre = U[first, :h]
                 sq = _sq_deviations(featmap, x, pre, piD.prefix_dists(x, pre))
-                acc += sq[inv, Yx[:, h]]
-            vals[idx] = acc
+                acc += sq[at, U[:, h]]
+            vals[idx] = acc.take(inv)
         return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n))
     raise ValueError(f"unknown mode {mode!r}")
 

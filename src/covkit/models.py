@@ -11,7 +11,7 @@ import types
 
 import numpy as np
 
-from .core import Policy, check_number, prefix_levels
+from .core import Policy, check_number, distinct_rows, prefix_levels
 
 _STEP_CACHE_LIMIT = 4096
 
@@ -154,10 +154,11 @@ def grad_logprob(theta, featmap: FeatureMap, V: int, x, Y,
     to right, bit for bit.  With a step table the rows are `count_rows`
     minus H (p @ table); a caller that asks at many theta may pass the
     block's `count_rows` as `counts`, since no theta enters it.
-    Otherwise level h is one softmax over the candidates of the distinct
-    prefixes Y[:, :h]."""
+    Otherwise each distinct row of Y (`distinct_rows`) is summed once, and
+    level h is one softmax over the candidates of the distinct prefixes
+    Y[:, :h]."""
     Y = np.asarray(Y, dtype=np.int64)
-    n, H = Y.shape
+    _, H = Y.shape
     table = featmap.step_table(x)
     if table is not None:
         p = _softmax(table @ theta)
@@ -166,12 +167,14 @@ def grad_logprob(theta, featmap: FeatureMap, V: int, x, Y,
         return counts - H * (p @ table)
     if Y.size and not 0 <= Y.min() <= Y.max() < V:
         raise ValueError(f"tokens must lie in [0, {V})")
-    G = np.zeros((n, featmap.d))
-    for h, first, inv in prefix_levels(Y, V):
-        feats = featmap.candidates(x, Y[first, :h], V)
+    first, inv = distinct_rows(Y, V)
+    U = Y[first]
+    G = np.zeros((len(U), featmap.d))
+    for h, first, at in prefix_levels(U, V):
+        feats = featmap.candidates(x, U[first, :h], V)
         mean = candidate_dists(feats, theta)[:, None, :] @ feats
-        G += (feats - mean)[inv, Y[:, h]]
-    return G
+        G += (feats - mean)[at, U[:, h]]
+    return G.take(inv, axis=0)
 
 
 def grad_logprob_token(theta, featmap: FeatureMap, V: int, x, prefix: tuple,

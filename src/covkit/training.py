@@ -281,17 +281,23 @@ class _Stack:
         """(H, S, V, d) candidate features at the H prefixes of example i
         of every row, and a teacher's (H, S, V) rows there (or None): step
         tables gathered, and per level one `featmap.candidates` call per
-        distinct walked prompt and one teacher `prefix_dists` per prompt."""
+        distinct walked prompt.  The teacher's rows at a prompt where its
+        `step_dist` is not None are that step row at every level, which
+        its `prefix_dists` agrees with; elsewhere they are one teacher
+        `prefix_dists` call per level and prompt."""
         ids, Y = self.ids[i], self.Y[i]
         F = np.empty((self.H, len(ids), self.V, self.featmap.d))
         F[:, ids >= 0] = self.tables[ids[ids >= 0]]
         P = None if teacher is None else np.empty(F.shape[:3])
         for x, idx in group_prompts([d.xs[i] for d in self.datasets]).items():
+            step = None if teacher is None else teacher.step_dist(x)
+            if step is not None:
+                P[:, idx] = step
             for h in range(self.H):
                 if ids[idx[0]] < 0:
                     F[h, idx] = self.featmap.candidates(x, Y[:h, idx].T,
                                                         self.V)
-                if teacher is not None:
+                if teacher is not None and step is None:
                     P[h, idx] = teacher.prefix_dists(x, Y[:h, idx].T)
         return F, P
 

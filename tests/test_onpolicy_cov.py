@@ -108,6 +108,10 @@ class Counted:
         self.log.append(("score", id(self), x))
         return self.pol._logprob_rows(x, Y, levels)
 
+    def _logprob_distinct(self, x, Y, levels):
+        self.log.append(("score", id(self), x))
+        return self.pol._logprob_distinct(x, Y, levels)
+
 
 @pytest.mark.parametrize("mode", ["exact", "mc"])
 def test_a_column_asks_each_candidate_once(monkeypatch, mode):

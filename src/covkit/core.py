@@ -24,11 +24,10 @@ distribution with `from_uniforms` (`FinitePromptDist`) applies the same
 rule to prompts, and `sample_dataset` draws n examples from one
 (n, 1 + H) block: each row is a prompt double and then H token doubles,
 the per-example order.  `sample_prompts` draws n prompts at once and
-`group_prompts` groups them; `prompt_groups` gives the same groups from
-the same draws, in numpy for a `FinitePromptDist`, so Monte Carlo callers
-make one batched call per distinct prompt.  `distinct_logprobs` scores
-the distinct (prompt, response) pairs of a `Dataset` under K policies,
-and `logprob_matrix` takes them back to its examples.
+`group_prompts` groups them, so Monte Carlo callers make one batched
+call per distinct prompt.  `distinct_logprobs` scores the distinct
+(prompt, response) pairs of a `Dataset` under K policies, and
+`logprob_matrix` takes them back to its examples.
 
 Examples: inside covkit an example is a pair (x, y) of a prompt and a
 response row of H token ints, and a `Dataset` is built only from its
@@ -190,9 +189,9 @@ class Policy:
     def _logprob_distinct(self, x, Y, levels: dict):
         """(log pi of each distinct row of Y in lexicographic order, inv):
         row i of Y is distinct row inv[i].  Y must be (n, H) with tokens
-        in [0, V).  The distinct rows U and inv are read from, or added
-        to, levels["rows"], and the prefix levels of U from levels[V], so
-        callers scoring the same Y under several policies compute them
+        in [0, V).  The distinct rows U and inv come from `_shared_rows`,
+        and the prefix levels of U are read from, or added to, levels[V],
+        so callers scoring the same Y under several policies compute them
         once.  Every level of U holds exactly Y's distinct prefixes, in
         the same order, so `prefix_dists` sees the arrays it would see
         on Y."""
@@ -201,10 +200,7 @@ class Policy:
                              f"got shape {Y.shape}")
         if Y.size and not 0 <= Y.min() <= Y.max() < self.V:
             raise ValueError(f"tokens must lie in [0, {self.V})")
-        if "rows" not in levels:
-            first, inv = distinct_rows(Y, self.V)
-            levels["rows"] = Y[first], inv
-        U, inv = levels["rows"]
+        U, inv = _shared_rows(Y, self.V, levels)
         total = np.zeros(len(U))
         step = self.step_dist(x)
         with np.errstate(divide="ignore"):
@@ -375,6 +371,16 @@ def distinct_rows(Y: np.ndarray, V: int):
     return first, inv
 
 
+def _shared_rows(Y: np.ndarray, V: int, levels: dict):
+    """(U, inv) of `distinct_rows`: Y's distinct rows and the index of
+    each row among them, read from levels["rows"] or found and stored
+    there, so several scorers of the same Y rank it once."""
+    if "rows" not in levels:
+        first, inv = distinct_rows(Y, V)
+        levels["rows"] = Y[first], inv
+    return levels["rows"]
+
+
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 # Past this many table slots per row, a level's codes are ranked by sort.
@@ -457,27 +463,6 @@ class FinitePromptDist:
         idx = np.searchsorted(self._cdf, u, side="right")
         return [self.prompts[i] for i in idx.tolist()]
 
-    @functools.cached_property
-    def _values(self) -> np.ndarray:
-        """Each listed prompt's value number: equal prompts (a prompt
-        listed twice, or 0, 0.0 and False) share the number of the first."""
-        ids = {}
-        return np.array([ids.setdefault(x, len(ids)) for x in self.prompts],
-                        dtype=np.int64)
-
-    def group_uniforms(self, u) -> dict:
-        """group_prompts(self.from_uniforms(u)) without the list: the
-        drawn indices are grouped by prompt value in numpy.  Each group is
-        keyed by its first draw and lists its positions in increasing
-        order, the groups in order of first appearance."""
-        idx = np.searchsorted(self._cdf, u, side="right")
-        values = self._values.take(idx)
-        order = np.argsort(values, kind="stable")
-        ends = np.cumsum(np.bincount(values, minlength=len(self.prompts)))
-        groups = [g for g in np.split(order, ends[:-1]) if len(g)]
-        groups.sort(key=operator.itemgetter(0))
-        return {self.prompts[idx[g[0]]]: g for g in groups}
-
     def __call__(self, rng: np.random.Generator):
         return self.from_uniforms(rng.random(1))[0]
 
@@ -488,15 +473,6 @@ def sample_prompts(mu, n: int, rng: np.random.Generator) -> list:
     if hasattr(mu, "from_uniforms"):
         return mu.from_uniforms(rng.random(n))
     return [mu(rng) for _ in range(n)]
-
-
-def prompt_groups(mu, n: int, rng: np.random.Generator) -> dict:
-    """group_prompts(sample_prompts(mu, n, rng)): the same groups and the
-    same draws from rng.  A mu with `group_uniforms` (`FinitePromptDist`)
-    groups rng.random(n) in numpy, with no list of n prompts."""
-    if hasattr(mu, "group_uniforms"):
-        return mu.group_uniforms(rng.random(n))
-    return group_prompts(sample_prompts(mu, n, rng))
 
 
 def group_prompts(prompts) -> dict:
@@ -529,14 +505,14 @@ def distinct_logprobs(policies, dataset: Dataset):
     policies."""
     inv, blocks, m = np.empty(len(dataset), dtype=np.int64), [], 0
     for x, idx, Y in dataset.groups:
-        first, at = distinct_rows(Y, dataset.V)
-        levels = {"rows": (Y[first], at)}
-        block = np.empty((len(policies), len(first)))
+        levels = {}
+        U, at = _shared_rows(Y, dataset.V, levels)
+        block = np.empty((len(policies), len(U)))
         for k, pi in enumerate(policies):
             block[k] = pi._logprob_distinct(x, Y, levels)[0]
         blocks.append(block)
         inv[idx] = at + m
-        m += len(first)
+        m += len(U)
     if not blocks:
         return np.empty((len(policies), 0)), inv
     return np.concatenate(blocks, axis=1), inv

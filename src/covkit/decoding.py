@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .core import Policy, check_number, prompt_groups
+from .core import Policy, check_number, group_prompts, sample_prompts
 from .metrics import covers, hoeffding_half_width
 from .models import LinearARModel, candidate_dists, token_steps
 
@@ -75,7 +75,7 @@ def bon_regret(policy: Policy, piT: Policy, reward, mu, Ns, trials: int,
     cols = np.array(Ns, dtype=np.int64) - 1
     n_max = int(cols.max()) + 1
     total = np.zeros(len(cols))
-    for x, idx in prompt_groups(mu, trials, rng).items():
+    for x, idx in group_prompts(sample_prompts(mu, trials, rng)).items():
         c = len(idx)
         r_t = _rewards(reward, x, piT.sample_many(x, c, rng))
         r_b = _rewards(reward, x, policy.sample_many(x, c * n_max, rng))

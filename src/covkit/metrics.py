@@ -2,14 +2,14 @@
 
 All ratio events are evaluated in log domain and use the closed comparison
 log piD - log piHat >= log N.  Monte Carlo modes report Hoeffding (or
-Wilson) confidence half-widths; they draw all prompts first
-(`prompt_groups`), then draw each distinct prompt's responses with one
-sample_many call and score each distinct response once per policy (the
-log-ratio finds the distinct rows once for both policies; the MC
-stopped_kl and sigma_star_sq sum their levels over distinct rows).
-`pairwise_cov_matrix` scores each distinct (prompt, response) pair of
-its dataset once per policy and weights its hits by the pair's count.
-The MC modes of seq_kl, seq_ce and stopped_kl, and
+Wilson) confidence half-widths; they draw all prompts first, then draw
+each distinct prompt's responses with one sample_many call and score
+each distinct response once per policy (the log-ratio finds the distinct
+rows once for both policies; the MC stopped_kl and sigma_star_sq sum
+their levels over distinct rows).  `pairwise_cov_matrix` scores each
+distinct (prompt, response) pair of its dataset once per policy and
+weights its hits by the pair's count.  The MC modes of seq_kl, seq_ce
+and stopped_kl, and
 mc_report (seq_kl and coverage_mc of one draw), reduce the per-draw values
 of one loop, `_mc_values`.  Exact modes reduce a `PairLaw`, the law of one
 (piD, piHat) pair under mu.  Per prompt x it keeps either
@@ -77,7 +77,7 @@ import numpy as np
 
 from .core import (ENUM_BUDGET, Policy, check_enum_budget, check_number,
                    distinct_logprobs, distinct_rows, group_prompts,
-                   prefix_levels, prompt_groups, sample_dataset)
+                   prefix_levels, sample_dataset, sample_prompts)
 from .models import FeatureMap, candidate_dists
 
 
@@ -596,13 +596,12 @@ def mc_report(piD: Policy, piHat: Policy, mu_sampler, Ns, n_samples: int,
 
 def _mc_values(piD, mu_sampler, n, rng, value):
     """value(x, Y) of n draws from mu x piD, in the order the prompts were
-    drawn.  All n prompts are drawn first (`prompt_groups`); then each
-    distinct prompt, in order of first appearance, gets its responses Y
-    from one sample_many call.  `value` must not draw from rng, whose
-    draws it sits between."""
+    drawn.  All n prompts are drawn first; then each distinct prompt, in
+    order of first appearance, gets its responses Y from one sample_many
+    call.  `value` must not draw from rng, whose draws it sits between."""
     check_number("n", n, 1, integer=True)
     out = np.empty(n)
-    for x, idx in prompt_groups(mu_sampler, n, rng).items():
+    for x, idx in group_prompts(sample_prompts(mu_sampler, n, rng)).items():
         out[idx] = value(x, piD.sample_many(x, len(idx), rng))
     return out
 

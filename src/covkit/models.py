@@ -11,7 +11,7 @@ import types
 
 import numpy as np
 
-from .core import Policy, check_number, distinct_rows, prefix_levels
+from .core import _INT64_MAX, Policy, check_number, prefix_levels
 
 _STEP_CACHE_LIMIT = 4096
 
@@ -154,11 +154,10 @@ def grad_logprob(theta, featmap: FeatureMap, V: int, x, Y,
     to right, bit for bit.  With a step table the rows are `count_rows`
     minus H (p @ table); a caller that asks at many theta may pass the
     block's `count_rows` as `counts`, since no theta enters it.
-    Otherwise each distinct row of Y (`distinct_rows`) is summed once, and
-    level h is one softmax over the candidates of the distinct prefixes
-    Y[:, :h]."""
+    Otherwise level h is one softmax over the candidates of the distinct
+    prefixes Y[:, :h]."""
     Y = np.asarray(Y, dtype=np.int64)
-    _, H = Y.shape
+    n, H = Y.shape
     table = featmap.step_table(x)
     if table is not None:
         p = _softmax(table @ theta)
@@ -167,14 +166,12 @@ def grad_logprob(theta, featmap: FeatureMap, V: int, x, Y,
         return counts - H * (p @ table)
     if Y.size and not 0 <= Y.min() <= Y.max() < V:
         raise ValueError(f"tokens must lie in [0, {V})")
-    first, inv = distinct_rows(Y, V)
-    U = Y[first]
-    G = np.zeros((len(U), featmap.d))
-    for h, first, at in prefix_levels(U, V):
-        feats = featmap.candidates(x, U[first, :h], V)
+    G = np.zeros((n, featmap.d))
+    for h, first, inv in prefix_levels(Y, V):
+        feats = featmap.candidates(x, Y[first, :h], V)
         mean = candidate_dists(feats, theta)[:, None, :] @ feats
-        G += (feats - mean)[at, U[:, h]]
-    return G.take(inv, axis=0)
+        G += (feats - mean)[inv, Y[:, h]]
+    return G
 
 
 def grad_logprob_token(theta, featmap: FeatureMap, V: int, x, prefix: tuple,
@@ -308,9 +305,6 @@ class TabularModel(Policy):
 
     def step_dist(self, x):
         return self._steps.get(x, self.default)
-
-
-_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _stacked_rows(rows, V):

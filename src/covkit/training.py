@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import check_number, group_prompts
+from .core import check_number, distinct_rows, group_prompts
 from .metrics import _kl_rows
 from .models import (FeatureMap, candidate_dists, count_rows, grad_logprob,
                      project_rows, project_unit_ball, token_grads,
@@ -134,9 +134,11 @@ def mle_fit(dataset, featmap: FeatureMap) -> MLEResult:
     """Full-batch projected gradient ascent on the average log-likelihood.
 
     Fixed step 1/(2 H B^2) (the objective is concave and H B^2-smooth).
-    Each iteration makes one `grad_logprob` block call per prompt group
-    and sums the rows in dataset order, as a per-example loop would.  A
-    group with a step table passes its `count_rows`, computed once.
+    Each iteration makes one `grad_logprob` block call per prompt group,
+    on the group's distinct rows (`distinct_rows`, ranked once), takes the
+    gradients back to the examples and sums them in dataset order, as a
+    per-example loop would.  A group with a step table passes its
+    `count_rows`, computed once.
     Terminates when the gradient-mapping norm drops below `MLE_TOL`; after
     `MLE_MAX_ITERS` iterations it returns the last one, converged=False.
     """
@@ -148,14 +150,16 @@ def mle_fit(dataset, featmap: FeatureMap) -> MLEResult:
     n = len(dataset)
     groups = []
     for x, idx, Y in dataset.groups:
-        table = featmap.step_table(x)
-        groups.append((x, idx, Y, None if table is None
-                       else count_rows(table, V, Y)))
+        first, inv = distinct_rows(Y, V)
+        U, table = Y[first], featmap.step_table(x)
+        groups.append((x, idx, U, inv, None if table is None
+                       else count_rows(table, V, U)))
     rows = np.empty((n, featmap.d))
     gnorm = math.inf
     for it in range(1, MLE_MAX_ITERS + 1):
-        for x, idx, Y, counts in groups:
-            rows[idx] = grad_logprob(theta, featmap, V, x, Y, counts)
+        for x, idx, U, inv, counts in groups:
+            G = grad_logprob(theta, featmap, V, x, U, counts)
+            rows[idx] = G.take(inv, axis=0)
         # Summed in dataset order, as a running += over the examples.
         g = np.cumsum(rows, axis=0)[-1]
         g /= n

@@ -3,11 +3,11 @@
 `core.distinct_rows` against a sorted-set reference, and every scorer
 built on it checked with `==` against per-row references: log-probs,
 the K-policy matrix, the pairwise coverage matrix and the adversarial
-reward against `exact_oracle.path_logprob(conditionals(...))`; the
-walked gradient, the MC stopped KL and the MC sigma*^2 against their
-level loops over every row; the numpy prompt groups against
-`group_prompts(sample_prompts(...))`; and truncated distillation's
-teacher rows from a step row against the per-level rows.
+reward against `exact_oracle.path_logprob(conditionals(...))`;
+`mle_fit` against its ascent over every row; the MC stopped KL and the
+MC sigma*^2 against their level loops over every row; prompt groups of
+equal prompts; and truncated distillation's teacher rows from a step
+row against the per-level rows.
 """
 
 import math
@@ -18,14 +18,15 @@ import pytest
 import exact_oracle
 import mc_oracle
 from conftest import random_product, random_tabular, tabular_with_missing_mass
-from covkit import core, metrics
+from covkit import core, metrics, training
 from covkit.core import (Dataset, FinitePromptDist, distinct_rows,
                          group_prompts, logprob_matrix, prefix_levels,
-                         prompt_groups, sample_dataset, sample_prompts)
+                         sample_dataset)
 from covkit.decoding import AdversarialReward, TTTPolicy
 from covkit.metrics import pairwise_cov_matrix, sigma_star_sq, stopped_kl
-from covkit.models import (CallableFeatureMap, LinearARModel,
-                           candidate_dists, grad_logprob, linear_to_tabular)
+from covkit.models import (CallableFeatureMap, LinearARModel, count_rows,
+                           grad_logprob, linear_to_tabular,
+                           project_unit_ball)
 from covkit.seeding import SeedTree
 from covkit.tasks import heterogeneous_kl_instance
 from covkit.training import (TrainConfig, _Stack, sgd_truncated_distill,
@@ -204,26 +205,37 @@ def test_scoring_past_int64_codes_takes_the_block_loop(monkeypatch, V, H):
 # --- level accumulators against the loop over every row ----------------
 
 
-def grad_levels(theta, featmap, V, x, Y):
-    """The walked gradient as a level loop over Y's own rows."""
-    G = np.zeros((len(Y), featmap.d))
-    for h, first, inv in prefix_levels(Y, V):
-        feats = featmap.candidates(x, Y[first, :h], V)
-        mean = candidate_dists(feats, theta)[:, None, :] @ feats
-        G += (feats - mean)[inv, Y[:, h]]
-    return G
+def mle_over_every_row(dataset, featmap, iters):
+    """mle_fit's first `iters` ascent steps with one grad_logprob call on
+    each group's own rows."""
+    V, H, n = dataset.V, dataset.H, len(dataset)
+    step = 1.0 / (2.0 * H * featmap.B ** 2)
+    theta, rows = np.zeros(featmap.d), np.empty((n, featmap.d))
+    for _ in range(iters):
+        for x, idx, Y in dataset.groups:
+            table = featmap.step_table(x)
+            counts = None if table is None else count_rows(table, V, Y)
+            rows[idx] = grad_logprob(theta, featmap, V, x, Y, counts)
+        g = np.cumsum(rows, axis=0)[-1] / n
+        theta = project_unit_ball(theta + step * g)
+    return theta
 
 
-def test_walked_gradient_equals_the_level_loop_over_every_row():
+@pytest.mark.parametrize("make", [walked_linear, product_linear])
+def test_mle_fit_equals_the_ascent_over_every_row(monkeypatch, make):
+    """Ranking each group's rows once and taking the distinct rows'
+    gradients back gives the per-row ascent, bit for bit."""
     rng = SeedTree(904).rng()
     V, H = 3, 4
-    model = walked_linear(rng, V, H)
-    for Y in batches(rng, V, H):
-        for x in PROMPTS:
-            for theta in (model.theta, np.zeros(3), -model.theta):
-                got = grad_logprob(theta, model.featmap, V, x, Y)
-                assert np.array_equal(
-                    got, grad_levels(theta, model.featmap, V, x, Y))
+    featmap = make(rng, V, H).featmap
+    Y = np.concatenate([rng.integers(0, V, (40, H)),
+                        repeated(rng, V, H, 200, k=4)])
+    ds = Dataset([PROMPTS[i] for i in rng.integers(0, 2, len(Y))], Y,
+                 H=H, V=V)
+    monkeypatch.setattr(training, "MLE_MAX_ITERS", 25)
+    got = training.mle_fit(ds, featmap)
+    assert got.iters == 25 and not got.converged
+    assert np.array_equal(got.theta, mle_over_every_row(ds, featmap, 25))
 
 
 def test_mc_stopped_kl_equals_the_level_loop_over_every_row():
@@ -271,49 +283,17 @@ def test_mc_sigma_star_equals_the_level_loop_over_every_row(n):
 # --- prompt groups ---------------------------------------------------------
 
 
-def prompt_dists():
-    return [FinitePromptDist([0, 1, 2], [0.5, 0.3, 0.2]),
-            # Equal prompts: one value, keyed by the first draw.
-            FinitePromptDist([0, 0.0, True, "a"], [0.25] * 4),
-            FinitePromptDist(["a", 1, "a"], [0.2, 0.5, 0.3]),
-            FinitePromptDist([(1, 2), 3, 4], [0.0, 0.9, 0.1]),
-            FinitePromptDist(["only"], [1.0]),
-            lambda rng: int(rng.integers(3))]
-
-
-def same_groups(got, want):
-    """Equal keys (and their types), order and position arrays."""
-    assert [(type(x), x) for x in got] == [(type(x), x) for x in want]
-    for g, w in zip(got.values(), want.values()):
-        assert g.dtype == w.dtype and np.array_equal(g, w)
-
-
-@pytest.mark.parametrize("n", [1, 2, 7, 1000])
-def test_prompt_groups_are_the_grouped_draws(n):
-    for i, mu in enumerate(prompt_dists()):
-        a, b = np.random.default_rng([909, i, n]), np.random.default_rng([909, i, n])
-        same_groups(prompt_groups(mu, n, a),
-                    group_prompts(sample_prompts(mu, n, b)))
-        assert a.bit_generator.state == b.bit_generator.state
-
-
 def test_equal_prompts_form_one_group_keyed_by_the_first_draw():
+    """The MC modes' prompt groups, on a `FinitePromptDist` listing equal
+    prompts and one prompt twice, are keyed by value."""
     # 0 == 0.0 == False and 1 == True: two values, and "a".
     mu = FinitePromptDist([0, 0.0, False, 1, True, "a", 0], [1 / 7] * 7)
     u = (np.array([2, 1, 4, 0, 3, 5, 6, 1]) + 0.5) / 7
-    got = mu.group_uniforms(u)
-    same_groups(got, group_prompts(mu.from_uniforms(u)))
+    got = group_prompts(mu.from_uniforms(u))
     assert [(type(x), x) for x in got] == [(bool, False), (bool, True),
                                            (str, "a")]
     assert [g.tolist() for g in got.values()] == [[0, 1, 3, 6, 7], [2, 4],
                                                   [5]]
-
-
-def test_boundary_uniforms_group_as_they_draw():
-    mu = FinitePromptDist(["x", "y", "x", "z"], [0.25, 0.25, 0.0, 0.5])
-    u = np.r_[0.0, mu._cdf[:-1], np.nextafter(mu._cdf[:-1], 0.0),
-              1.0 - 2.0 ** -53]
-    same_groups(mu.group_uniforms(u), group_prompts(mu.from_uniforms(u)))
 
 
 def test_an_empty_prompt_distribution_is_refused():

@@ -112,7 +112,8 @@ def test_sample_many_is_the_level_loop(base, eta, seed):
         assert same_rng_state(a, b)
 
 
-DERIVED = ["logprob", "logprob_many", "_logprob_rows", "sample",
+DERIVED = ["logprob", "logprob_many", "_logprob_rows", "_logprob_distinct",
+           "sample",
            "sample_many"]
 
 

@@ -38,16 +38,22 @@ arrays they fill, `save_jsonl` writes from them, and every learner trains
 on one (a harness job draws T * K examples with `sample_dataset`).  A
 JSONL data line is one object {"x": prompt, "y": [tokens]} with H integer
 tokens in [0, V); anything else raises a ValueError that names the line.
-Files are read as UTF-8, JSON's encoding.  `load_jsonl` reads a chunk of
-lines in the layout `save_jsonl` writes for integer prompts,
-{"x": 3, "y": [0, 1]}, without the JSON decoder (numpy passes over the
-chunk's bytes that check the layout and read the integers); every other
-valid file goes through `json`, with the same results and errors.
+Files are read as UTF-8, JSON's encoding, in the lines of a text-mode
+read; `load_jsonl` reads them as bytes, and decodes only from the first
+block that is not ASCII or holds a "\r".  It reads a chunk of lines in
+the layout `save_jsonl` writes for integer prompts, {"x": 3, "y": [0, 1]},
+without the JSON decoder: a chunk of equal-length lines with one-digit
+tokens as one (k, L) byte view, compared in one pass with the canonical
+line of that length, and any other by numpy passes over its runs of
+digits.  Every other valid file goes through `json`, with the same
+results and errors.
 """
 
 from __future__ import annotations
 
+import codecs
 import functools
+import io
 import itertools
 import json
 import math
@@ -586,37 +592,105 @@ def save_jsonl(dataset: Dataset, path):
 # per line, but never the whole file's records at once.
 LOAD_CHUNK = 4096
 
+# A text-mode read (TextIOWrapper) decodes a file _WINDOW bytes at a time,
+# counted from its start.  `_line_chunks` reads whole windows, so that
+# where it hands a file over to decoding, the windows are the same, and so
+# is any UnicodeDecodeError.
+_WINDOW = 8192
+_BLOCK = 32 * _WINDOW
+
 
 def load_jsonl(path, H: int, V: int) -> Dataset:
     """Dataset from a UTF-8 JSONL file of one {"x": ..., "y": [...]} per line.
 
     Each y must be a list of H integer tokens in [0, V); a list x becomes
-    a tuple.  Lines are read LOAD_CHUNK at a time.  A chunk whose every
-    line is exactly the layout `save_jsonl` writes for an integer prompt,
-    {"x": <int>, "y": [<int>, ...]} with ", " and ": " separators and
-    integers of at most 18 digits, is parsed by `_parse_canonical` in
-    numpy passes over the chunk's bytes.  Any other chunk is parsed as one
-    JSON array, and accepted only if it holds one record per line.
-    Otherwise, or if any record breaks a rule, the chunk is parsed line by
-    line to raise a ValueError naming the first bad line.  A string cannot
-    span lines (JSON forbids a raw newline in one) but an array or object
-    can, so a file that continues one record over two lines and also puts
-    two values on one line is read as its records, not refused.
+    a tuple.  The lines are those of a text-mode read (universal
+    newlines), taken LOAD_CHUNK at a time as bytes (`_line_chunks`): an
+    ASCII file with no "\r" is never decoded, and invalid UTF-8 raises
+    the UnicodeDecodeError of a text-mode read, before the same line.  A
+    chunk whose every line is exactly the layout `save_jsonl` writes for
+    an integer prompt, {"x": <int>, "y": [<int>, ...]} with ", " and ": "
+    separators and integers of at most 18 digits, is read by
+    `_parse_canonical` in numpy passes over its bytes.  Any other chunk
+    is parsed as one JSON array, and accepted only if it holds one record
+    per line.  Otherwise, or if any record breaks a rule, the chunk is
+    parsed line by line to raise a ValueError naming the first bad line.
+    A string cannot span lines (JSON forbids a raw newline in one) but an
+    array or object can, so a file that continues one record over two
+    lines and also puts two values on one line is read as its records,
+    not refused.
     """
     xs, blocks = [], []
-    with open(path, encoding="utf-8") as f:
-        for start in itertools.count(1, LOAD_CHUNK):
-            lines = list(itertools.islice(f, LOAD_CHUNK))
-            if not lines:
-                break
-            chunk = (_parse_canonical(lines, H, V)
-                     or _parse_chunk(lines, H, V))
+    with open(path, "rb") as f:
+        for start, raw in zip(itertools.count(1, LOAD_CHUNK),
+                              _line_chunks(f)):
+            chunk = _parse_canonical(raw, H, V)
+            if chunk is None:
+                # raw has no "\r", so its splitlines are its "\n" lines.
+                lines = list(map(bytes.decode, raw.splitlines(True)))
+                chunk = _parse_chunk(lines, H, V)
             if chunk is None:
                 _raise_bad_line(path, start, lines, H, V)
             xs += chunk[0]
             blocks.append(chunk[1])
-    Y = np.concatenate(blocks) if blocks else np.zeros((0, H), np.int64)
+    Y = np.concatenate(blocks, dtype=np.int64) if blocks else \
+        np.zeros((0, H), np.int64)
     return Dataset(xs, Y, H=H, V=V)
+
+
+def _line_chunks(f):
+    """The lines of the binary file f as a text-mode read gives them, as
+    the bytes of each run of LOAD_CHUNK lines (the last run shorter),
+    UTF-8 with every line ending in "\n" but perhaps the last.
+
+    f is read _BLOCK bytes at a time.  A block that is ASCII with no "\r"
+    is its own text: it is cut after every LOAD_CHUNK-th "\n", with no
+    decode, and the pieces of a run that spans blocks are joined once.
+    From the first other block on, the rest of the file is decoded as a
+    text-mode read decodes it (`_text_lines`)."""
+    k, parts, m = LOAD_CHUNK, [], 0     # m: the lines that parts end
+    while block := f.read(_BLOCK):
+        if not block.isascii() or b"\r" in block:
+            lines = _text_lines(b"".join(parts).decode(), block, f)
+            while run := list(itertools.islice(lines, k)):
+                yield "".join(run).encode()
+            return
+        nl = np.flatnonzero(np.frombuffer(block, np.uint8) == 10)
+        cut = 0
+        for end in (nl[k - m - 1::k] + 1).tolist():
+            yield b"".join([*parts, block[cut:end]])
+            parts, cut = [], end
+        if cut < len(block):
+            parts.append(block[cut:])
+        m = (m + len(nl)) % k
+    if parts:
+        yield b"".join(parts)
+
+
+def _text_lines(text, block, f):
+    """The lines of the text `text`, then of the bytes `block` (which
+    start a window) and the rest of f, decoded as a text-mode read decodes
+    them: UTF-8 in windows of _WINDOW bytes, "\r\n" and "\r" read as
+    "\n", and a window decoded only when the next line needs it, so that
+    a UnicodeDecodeError is raised with the same message, before the same
+    line.  A line that spans windows is joined once."""
+    dec = io.IncrementalNewlineDecoder(
+        codecs.getincrementaldecoder("utf-8")(), translate=True)
+    windows = itertools.chain(
+        (block[i:i + _WINDOW] for i in range(0, len(block), _WINDOW)),
+        iter(functools.partial(f.read, _WINDOW), b""), [b""])
+    pending = []                        # the pieces of an unfinished line
+    for piece in itertools.chain([text], (dec.decode(w, final=not w)
+                                          for w in windows)):
+        *lines, rest = piece.split("\n")
+        if lines:
+            lines[0] = "".join(pending) + lines[0]
+            pending = []
+            for line in lines:
+                yield line + "\n"
+        pending.append(rest)
+    if rest := "".join(pending):
+        yield rest
 
 
 @functools.cache
@@ -632,24 +706,76 @@ def _canonical_layout(H):
     return line, np.diff(slots, prepend=before), before
 
 
-def _parse_canonical(lines, H, V):
-    """(int prompts, (k, H) responses) of k lines in `save_jsonl`'s layout
-    for integer prompts, or None to leave the lines to `_parse_chunk`.
+def _parse_canonical(raw, H, V):
+    """(int prompts, (k, H) int responses) of the bytes of k lines in
+    `save_jsonl`'s layout for integer prompts, {"x": <int>, "y": [<int>,
+    ...]} with integers of 1 to 18 digits, or None to leave them to
+    `_parse_chunk`: `_parse_view` when every line has one length and one
+    digit per token, else `_parse_runs`.  Both check the chunk in whole-
+    chunk passes, with no loop per line, and what they accept `json`
+    reads the same (-0 is the int 0)."""
+    return _parse_view(raw, H, V) or _parse_runs(raw, H, V)
 
-    The chunk's bytes are checked in whole-chunk passes, with no loop per
-    line: without their digits and "-", they must be the canonical line
-    with its integers taken out, k times over; the maximal runs of digits
-    and "-" must be k(H + 1), each in its integer slot (after as many
-    other bytes since the run before it as the layout puts there); a "-"
-    may only open a prompt; and each integer must have 1 to 18 digits
-    (int64 holds them all) and no leading zero.  The values are then read
-    one digit position at a time, one pass when every integer is one
-    digit.  What it accepts, `json` reads the same: -0 is the int 0.
-    """
-    raw = "".join(lines).encode()
+
+def _parse_view(raw, H, V):
+    """`_parse_canonical` of a chunk whose lines all have the length L of
+    the first, read as one (k, L) uint8 view, or None.
+
+    The line length fixes the prompt's width w, if every token has one
+    digit.  Each row must then be the canonical line of that width
+    (`_line_view`): one comparison of the whole view checks every byte,
+    its punctuation, a digit at each digit column, no leading zero and
+    each token below V.  The values are read off the digit columns; the
+    responses stay uint8 until `load_jsonl` joins the chunks, so that no
+    int64 copy of a chunk is made on the way."""
+    L = raw.find(b"\n") + 1
+    w = L - len(_canonical_layout(H)[0]) - H
+    if not (1 <= w <= 18 and V >= 1 and len(raw) % L == 0):
+        return None
+    base, span, cols = _line_view(H, V, w)
+    rows = np.frombuffer(raw, np.uint8).reshape(-1, L)
+    if not ((rows - base) <= span).all():
+        return None
+    xs = (rows[:, 6:6 + w] - 48) @ 10 ** np.arange(w - 1, -1, -1,
+                                                   dtype=np.int64)
+    return xs.tolist(), rows[:, cols] - 48
+
+
+@functools.cache
+def _line_view(H, V, w):
+    """(base, span, token columns) of the canonical line with a w-digit
+    prompt and H one-digit tokens: a line's bytes b are one such line iff
+    b - base <= span everywhere in uint8 arithmetic.  base is the line
+    with every digit "0" (the prompt's first "1" when w > 1, as JSON has
+    no leading zero), and span is 0 at each other byte and the number of
+    further digits allowed at a digit: 9 for the prompt, 8 for its first
+    digit when w > 1, and min(V, 10) - 1 for a token."""
+    tokens = b", ".join([b"0"] * H)
+    base = bytearray(b'{"x": ' + b"0" * w + b', "y": [' + tokens + b"]}\n")
+    span = np.zeros(len(base), np.uint8)
+    span[6:6 + w] = 9
+    if w > 1:
+        base[6], span[6] = ord("1"), 8
+    cols = slice(14 + w, 14 + w + 3 * H, 3)
+    span[cols] = min(V, 10) - 1
+    return np.frombuffer(bytes(base), np.uint8), span, cols
+
+
+def _parse_runs(raw, H, V):
+    """`_parse_canonical` of any chunk, by its maximal runs of digits and
+    "-", or None.
+
+    Without those runs, the chunk's bytes must be the canonical line with
+    its integers taken out, k times over; the runs must be k(H + 1), each
+    in its integer slot (after as many other bytes since the run before
+    it as the layout puts there); a "-" may only open a prompt; and each
+    integer must have 1 to 18 digits (int64 holds them all) and no
+    leading zero.  The values are then read one digit position at a time,
+    one pass when every integer is one digit."""
     line, gaps, before = _canonical_layout(H)
-    k, w = len(lines), H + 1
-    if raw.translate(None, b"-0123456789") != line * k:
+    stripped = raw.translate(None, b"-0123456789")
+    k, w = len(stripped) // len(line), H + 1
+    if stripped != line * k:
         return None
     buf = np.frombuffer(raw, np.uint8)
     minus = buf == 45

@@ -113,8 +113,11 @@ class AdversarialReward:
         return int(self.many(x, [y])[0])
 
     def many(self, x, Y) -> np.ndarray:
-        """0/1 reward of each row of the (n, H) int array Y."""
-        return covers(self.piT.logprob_many(x, Y),
-                      self.piHat.logprob_many(x, Y),
-                      self.log_thresh).astype(np.int64)
+        """0/1 reward of each row of the (n, H) int array Y.  Both policies
+        score Y's distinct rows, found once, and the rewards are taken
+        back to Y's rows."""
+        Y, levels = np.asarray(Y, dtype=np.int64), {}
+        lpT, inv = self.piT._logprob_distinct(x, Y, levels)
+        lpHat = self.piHat._logprob_distinct(x, Y, levels)[0]
+        return covers(lpT, lpHat, self.log_thresh).astype(np.int64).take(inv)
 

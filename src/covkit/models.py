@@ -236,7 +236,7 @@ class TabularModel(Policy):
             default = np.full(V, 1.0 / V)
         keys, n = list(tables), len(tables)
         rows = _stacked_rows([*tables.values(), default], V)
-        parsed = None if rows is None or _bad_rows(rows).any() else \
+        parsed = None if rows is None or not _all_distributions(rows) else \
             _parsed_keys(keys, V, H)
         if parsed is None:
             _raise_bad_entry(tables, default, V, H)
@@ -314,6 +314,15 @@ def _stacked_rows(rows, V):
     except (TypeError, ValueError):
         return None
     return out if out.shape == (len(rows), V) else None
+
+
+def _all_distributions(rows):
+    """Whether every row of a non-empty 2-D array is a distribution, by
+    two whole-array reductions; each is False on a NaN, and a row with an
+    inf sums to inf or NaN."""
+    with np.errstate(invalid="ignore"):
+        return rows.min() >= 0 and \
+            np.abs(rows.sum(axis=1) - 1.0).max() <= 1e-9
 
 
 def _bad_rows(rows):

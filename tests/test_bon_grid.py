@@ -124,20 +124,25 @@ def two_prompt_files(tmp_path):
 def test_bon_command_draws_max_n_per_trial(two_prompt_files, capsys,
                                            monkeypatch):
     task, pol = two_prompt_files
-    samples, logprobs = [], []
-    sample_many, logprob_many = core.Policy.sample_many, \
-        core.Policy.logprob_many
+    samples, logprobs, ranks = [], [], []
+    sample_many, logprob_distinct, distinct_rows = core.Policy.sample_many, \
+        core.Policy._logprob_distinct, core.distinct_rows
 
     def counted_sample(self, x, n, rng):
         samples.append((self, x, n))
         return sample_many(self, x, n, rng)
 
-    def counted_logprob(self, x, Y):
+    def counted_logprob(self, x, Y, levels):
         logprobs.append((self, x))
-        return logprob_many(self, x, Y)
+        return logprob_distinct(self, x, Y, levels)
+
+    def counted_rows(Y, V):
+        ranks.append(len(Y))
+        return distinct_rows(Y, V)
 
     monkeypatch.setattr(core.Policy, "sample_many", counted_sample)
-    monkeypatch.setattr(core.Policy, "logprob_many", counted_logprob)
+    monkeypatch.setattr(core.Policy, "_logprob_distinct", counted_logprob)
+    monkeypatch.setattr(core, "distinct_rows", counted_rows)
     trials = 400
     assert main(["bon", "--task", task, "--pi-hat", pol, "--N-grid",
                  "1,4,16", "--trials", str(trials), "--seed", "3"]) == 0
@@ -150,8 +155,10 @@ def test_bon_command_draws_max_n_per_trial(two_prompt_files, capsys,
     assert sorted(x for _, x, _ in piHat) == [0, 1]
     assert sum(n for _, _, n in piT) == trials
     assert sum(n for _, _, n in piHat) == 16 * trials
-    # Each reward batch asks both policies: 2 prompts x 2 batches x 2.
+    # Each reward batch asks both policies: 2 prompts x 2 batches x 2,
+    # and ranks its responses once, for both.
     assert len(logprobs) == 8
+    assert len(ranks) == 4
 
 
 def test_bon_rows_follow_the_grid_order(two_prompt_files, capsys):

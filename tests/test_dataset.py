@@ -1,6 +1,7 @@
 """Array-backed datasets against the per-example reference in
 dataset_oracle.py: loading, writing, sampling, grouping and scoring."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -199,6 +200,269 @@ def test_wide_integers_load_as_json_only_load(tmp_path, monkeypatch, chunk,
     assert got == want
     if isinstance(want, Dataset):
         assert [type(x) for x in got.xs] == [type(x) for x in want.xs]
+
+
+def canonical_line(x, ys):
+    """One line as `save_jsonl` writes an int prompt, from the texts (or
+    values) of the prompt and the tokens."""
+    return f'{{"x": {x}, "y": [{", ".join(map(str, ys))}]}}\n'
+
+
+def random_digits(rng, w):
+    """A w-digit JSON integer text: no leading zero unless w == 1."""
+    first = int(rng.integers(0 if w == 1 else 1, 10))
+    return str(first) + "".join(map(str, rng.integers(0, 10, w - 1)))
+
+
+def equal_length_lines(rng, n, H, V, w):
+    """n (prompt, tokens) texts, each a w-digit prompt and H one-digit
+    tokens below V, so that their lines all have one length."""
+    return [(random_digits(rng, w),
+             [str(t) for t in rng.integers(0, min(V, 10), H)])
+            for _ in range(n)]
+
+
+# Changes that keep a line's length.  "moved digits" takes a digit from
+# the prompt and gives one token a second digit (10), which is valid only
+# when V > 10.
+KEEP_LENGTH = ["leading zero", "big token", "digit in punctuation",
+               "not a digit", "y first", "moved digits"]
+
+
+def changed_line(rng, change, x, ys, V):
+    """canonical_line(x, ys) with `change` made and its length kept, or
+    None if the line has no room for the change."""
+    ys = list(ys)
+    if change == "leading zero":
+        return canonical_line("0" + x[1:], ys) if len(x) > 1 else None
+    if change == "big token" or change == "moved digits":
+        token = str(V) if change == "big token" else "10"
+        cut = len(token) - 1        # the prompt digits the token takes
+        if not ys or len(x) <= cut:
+            return None
+        ys[int(rng.integers(len(ys)))] = token
+        return canonical_line(x[:len(x) - cut], ys)
+    line = canonical_line(x, ys)
+    if change == "digit in punctuation":
+        at = int(rng.choice([i for i, c in enumerate(line[:-1])
+                             if not c.isdigit()]))
+        return line[:at] + str(int(rng.integers(10))) + line[at + 1:]
+    if change == "not a digit":     # the bytes beside "0"-"9", and others
+        at = int(rng.choice([i for i, c in enumerate(line) if c.isdigit()]))
+        return line[:at] + str(rng.choice(list("/: a"))) + line[at + 1:]
+    assert change == "y first"
+    return f'{{"y": [{", ".join(ys)}], "x": {x}}}\n'
+
+
+@pytest.mark.parametrize("chunk", [1, 5, core.LOAD_CHUNK])
+@pytest.mark.parametrize("change", [None] + KEEP_LENGTH)
+def test_equal_length_files_load_as_json_only_load(tmp_path, monkeypatch,
+                                                   chunk, change):
+    monkeypatch.setattr(core, "LOAD_CHUNK", chunk)
+    rng = np.random.default_rng([chunk, ([None] + KEEP_LENGTH).index(change)])
+    path = tmp_path / "d.jsonl"
+    for V, H, w in itertools.product([2, 10, 11], [0, 1, 8], range(1, 20)):
+        n = int(rng.integers(1, 13))
+        lines = equal_length_lines(rng, n, H, V, w)
+        text = [canonical_line(x, ys) for x, ys in lines]
+        if change:
+            i = int(rng.integers(n))
+            line = changed_line(rng, change, *lines[i], V)
+            if line is None:
+                continue
+            assert len(line) == len(text[i])
+            text[i] = line
+        path.write_text("".join(text))
+        want = load_or_error(json_only_load, path, H, V)
+        got = load_or_error(load_jsonl, path, H, V)
+        assert got == want, (V, H, w)
+        if isinstance(want, Dataset):
+            assert [type(x) for x in got.xs] == [type(x) for x in want.xs]
+            assert got.Y.dtype == np.int64
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_view_reads_what_digit_runs_read(seed):
+    rng = np.random.default_rng([seed, 34])
+    for V, H, w in itertools.product([2, 10, 11], [0, 1, 8], range(1, 20)):
+        k = int(rng.integers(1, 40))
+        lines = equal_length_lines(rng, k, H, V, w)
+        text = [canonical_line(x, ys) for x, ys in lines]
+        raw = "".join(text).encode()
+        view = core._parse_view(raw, H, V)
+        runs = core._parse_runs(raw, H, V)
+        if w > 18:                  # wider than int64 holds: json's
+            assert view is None and runs is None
+        else:
+            assert view[0] == runs[0] == [int(x) for x, _ in lines]
+            assert set(map(type, view[0])) == {int}
+            assert np.array_equal(view[1], runs[1])
+            assert view[1].shape == (k, H)
+        # Each change of one line leaves the view; the digit runs read a
+        # moved token 10 when V > 10 and the other prompts fit (w <= 18).
+        for change in KEEP_LENGTH:
+            i = int(rng.integers(k))
+            line = changed_line(rng, change, *lines[i], V)
+            if line is None:
+                continue
+            raw = "".join(text[:i] + [line] + text[i + 1:]).encode()
+            assert core._parse_view(raw, H, V) is None
+            moved = change == "moved digits" and V > 10 and (w <= 18 or
+                                                             k == 1)
+            assert (core._parse_runs(raw, H, V) is not None) == moved
+
+
+def text_mode_load(path, H, V):
+    """The reference loader: the lines of a UTF-8 text-mode read
+    (universal newlines), LOAD_CHUNK at a time, each chunk read by
+    `json`."""
+    xs, blocks = [], []
+    with open(path, encoding="utf-8") as f:
+        for start in itertools.count(1, core.LOAD_CHUNK):
+            lines = list(itertools.islice(f, core.LOAD_CHUNK))
+            if not lines:
+                break
+            chunk = core._parse_chunk(lines, H, V)
+            if chunk is None:
+                core._raise_bad_line(path, start, lines, H, V)
+            xs += chunk[0]
+            blocks.append(chunk[1])
+    Y = np.concatenate(blocks) if blocks else np.zeros((0, H), np.int64)
+    return Dataset(xs, Y, H=H, V=V)
+
+
+def load_outcome(load, path, H, V):
+    """The Dataset, or the type and message of the ValueError (a
+    UnicodeDecodeError is one)."""
+    try:
+        return load(path, H=H, V=V)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+def data_lines(rng, n, H=2, V=3):
+    """n canonical lines without their newlines."""
+    return [canonical_line(int(rng.integers(-30, 30)),
+                           rng.integers(0, V, H).tolist())[:-1]
+            for _ in range(n)]
+
+
+def around_the_cut(rng, before, after):
+    """Canonical "\n" lines; a line with a string prompt, padded so that
+    its bytes `before` end at byte core._BLOCK, where a block ends; then
+    `after` and more canonical lines."""
+    head = "".join(s + "\n" for s in data_lines(rng, 12000)).encode()
+    head = head[:head.rfind(b"\n", 0, core._BLOCK - 200) + 1] + b'{"x": "'
+    pad = b"a" * (core._BLOCK - len(head) - len(before))
+    tail = "".join(s + "\n" for s in data_lines(rng, 400)).encode()
+    return head + pad + before + after + tail
+
+
+def ending_files(rng):
+    """{name: (H, V, file bytes)}: line endings, encodings and block cuts
+    that a text-mode read handles."""
+    lines = data_lines(rng, 40)
+    ends = [["\n", "\r\n", "\r"][i] for i in rng.integers(0, 3, 40)]
+    text = "\n".join(lines) + "\n"
+    at = text.index("\n", len(text) // 2) + 1
+    rest = b'", "y": [0, 1]}'
+    over = "".join(s + "\n" for s in data_lines(rng, 14000)).encode()
+    bad = over.index(b"\n", core._BLOCK + 20000) + 1
+    wide = "".join(canonical_line(int(x), rng.integers(0, 3, 40).tolist())
+                   for x in rng.integers(0, 10 ** 6, 4500))
+    cut = core._BLOCK
+    files = {
+        "crlf": "\r\n".join(lines) + "\r\n",
+        "lone cr": "\r".join(lines) + "\r",
+        "mixed": "".join(s + e for s, e in zip(lines, ends)),
+        "no final newline": "\n".join(lines),
+        "crlf, no final newline": "\r\n".join(lines),
+        "final cr": "\n".join(lines) + "\r",
+        "bom": "\ufeff" + text,
+        "non-ascii prompt": text[:at] + '{"x": "é中", "y": [0, 1]}\n'
+        + text[at:],
+        "invalid byte": text[:at].encode() + b"\xff" + text[at:].encode(),
+        "cut after crlf": around_the_cut(rng, rest + b"\r\n", b""),
+        "cut inside crlf": around_the_cut(rng, rest + b"\r", b"\n"),
+        "cut after cr": around_the_cut(rng, rest + b"\r", b""),
+        "cut after lf then cr": around_the_cut(rng, rest + b"\n", b"\r"),
+        "char split by the cut": around_the_cut(
+            rng, "é".encode()[:1], "é".encode()[1:] + rest + b"\n"),
+        "non-ascii after the cut": around_the_cut(
+            rng, rest + b"\n", '{"x": "é", "y": [1, 1]}\n'.encode()),
+        "invalid byte after the cut": over[:cut + 5000] + b"\xfe"
+        + over[cut + 5000:],
+        "bad line after the cut": over[:bad] + b'{"x": 0, "y": [0, 3]}\n'
+        + over[bad:],
+        "cut inside a run": over,
+        "run over three blocks": wide,
+    }
+    H = {"run over three blocks": 40}
+    return {name: (H.get(name, 2), 3,
+                   data if isinstance(data, bytes) else data.encode())
+            for name, data in files.items()}
+
+
+ENDING_FILES = ending_files(np.random.default_rng(34))
+
+
+@pytest.mark.parametrize("chunk", [1, 5, core.LOAD_CHUNK])
+@pytest.mark.parametrize("name", list(ENDING_FILES))
+def test_endings_and_encodings_load_as_text_mode_read(tmp_path, monkeypatch,
+                                                      chunk, name):
+    monkeypatch.setattr(core, "LOAD_CHUNK", chunk)
+    H, V, data = ENDING_FILES[name]
+    path = tmp_path / "d.jsonl"
+    path.write_bytes(data)
+    want = load_outcome(text_mode_load, path, H, V)
+    got = load_outcome(load_jsonl, path, H, V)
+    assert got == want
+    if isinstance(want, Dataset):
+        assert [type(x) for x in got.xs] == [type(x) for x in want.xs]
+
+
+def test_ending_files_hold_their_cases(tmp_path):
+    cut = core._BLOCK
+    data = {name: d for name, (_, _, d) in ENDING_FILES.items()}
+    assert data["cut after crlf"][cut - 2:cut] == b"\r\n"
+    assert data["cut inside crlf"][cut - 1:cut + 1] == b"\r\n"
+    assert data["cut after cr"][cut - 1:cut + 1] == b"\r{"
+    assert data["cut after lf then cr"][cut - 1:cut + 1] == b"\n\r"
+    assert data["char split by the cut"][cut - 1:cut + 1] == "é".encode()
+    for name in ("cut inside a run", "run over three blocks"):
+        assert data[name].isascii() and b"\r" not in data[name]
+        assert data[name][cut - 1] != ord("\n")
+    # The first LOAD_CHUNK lines reach into the third block.
+    lines = data["run over three blocks"].split(b"\n")[:core.LOAD_CHUNK]
+    assert sum(map(len, lines)) + len(lines) > 2 * cut
+    # All but these load.
+    path, failed = tmp_path / "d.jsonl", {}
+    for name, (H, V, d) in ENDING_FILES.items():
+        path.write_bytes(d)
+        got = load_outcome(text_mode_load, path, H, V)
+        if not isinstance(got, Dataset):
+            failed[name] = got[0]
+    assert failed == {"bom": ValueError, "cut after lf then cr": ValueError,
+                      "bad line after the cut": ValueError,
+                      "invalid byte": UnicodeDecodeError,
+                      "invalid byte after the cut": UnicodeDecodeError}
+
+
+@pytest.mark.parametrize("chunk", [1, 5, core.LOAD_CHUNK])
+def test_line_chunks_are_runs_of_text_mode_lines(tmp_path, monkeypatch,
+                                                 chunk):
+    monkeypatch.setattr(core, "LOAD_CHUNK", chunk)
+    path = tmp_path / "d.jsonl"
+    for name, (_, _, data) in ENDING_FILES.items():
+        if name.startswith("invalid byte"):
+            continue
+        path.write_bytes(data)
+        with open(path, encoding="utf-8") as f:
+            lines = f.readlines()
+        want = ["".join(lines[i:i + chunk]).encode()
+                for i in range(0, len(lines), chunk)]
+        with open(path, "rb") as f:
+            assert list(core._line_chunks(f)) == want, name
 
 
 def test_canonical_files_never_call_json(tmp_path, monkeypatch, capsys):

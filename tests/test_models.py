@@ -159,6 +159,35 @@ def test_tabular_row_validation_and_default():
     assert np.allclose(pol.next_dist(0, ()), 0.25)
 
 
+# Rows that are not distributions, then rows within 1e-9 of summing to 1.
+ROW_CASES = [([math.nan, 1.0], False), ([math.inf, 0.0], False),
+             ([-math.inf, 1.0], False), ([math.inf, -math.inf], False),
+             ([-0.25, 1.25], False), ([0.5, 0.5 + 2e-9], False),
+             ([0.5, 0.5 - 2e-9], False), ([0.5, 0.5 + 5e-10], True),
+             ([0.5, 0.5 - 5e-10], True)]
+
+
+@pytest.mark.parametrize("row,ok", ROW_CASES)
+@pytest.mark.parametrize("where", ["stored", "default"])
+def test_tabular_refuses_rows_that_are_not_distributions(row, ok, where):
+    good = [0.25, 0.75]
+    # The row sits after a good key and before another, so a refusal must
+    # name it, not the first or last entry.
+    tables = {(0, ()): good, (1, ()): row if where == "stored" else good,
+              (1, (1,)): good}
+    default = row if where == "default" else None
+    if ok:
+        pol = TabularModel(tables, V=2, H=2, default=default)
+        got = pol.next_dist(1, ()) if where == "stored" else pol.default
+        assert got.tolist() == row
+        return
+    with pytest.raises(ValueError) as e:
+        TabularModel(tables, V=2, H=2, default=default)
+    assert str(e.value) == ("table key (1, ()): row is not a distribution"
+                            if where == "stored" else
+                            "default is not a distribution")
+
+
 def test_tabular_step_dist():
     rng = SeedTree(9).rng()
     prod = random_product(rng, 3, 3, prompts=(0, 1))

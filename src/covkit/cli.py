@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import operator
 import sys
 
 from .core import EnumBudgetError, check_number, load_jsonl
@@ -34,7 +35,11 @@ def load_policy(path: str) -> TabularModel:
     "tables": [{"x", "prefix", "p"}, ...], "default"?}.
 
     A key outside these, top-level or in a row, is refused by name, and so
-    is a missing "tables".  A list prompt becomes a tuple.
+    is a missing "tables".  A list prompt becomes a tuple.  The rows'
+    "x", "prefix" and "p" columns are read and checked in whole-list
+    passes and handed to TabularModel's core as they are, so each key is
+    parsed once; only a refused file is read again row by row, to name
+    its first bad row (`_raise_bad_row`).
     """
     where = f"policy file {path}"
     with open(path, encoding="utf-8") as f:
@@ -46,6 +51,37 @@ def load_policy(path: str) -> TabularModel:
     rows = spec["tables"]
     if not isinstance(rows, list):
         raise ConfigError(f"{where}: tables must be a list")
+    model = _column_model(rows, spec)
+    if model is None:
+        _raise_bad_row(rows, spec, where)
+    return model
+
+
+def _column_model(rows, spec):
+    """The TabularModel of a policy file's rows, read column by column, or
+    None if any row, key, V, H or "default" is refused."""
+    # Three keys, all of them named: exactly _ROW_KEYS.
+    if not set(map(type, rows)) <= {dict} or not set(map(len, rows)) <= {3}:
+        return None
+    try:
+        xs, prefixes, ps = (list(map(operator.itemgetter(k), rows))
+                            for k in ("x", "prefix", "p"))
+    except KeyError:
+        return None
+    if not set(map(type, prefixes)) <= {list}:
+        return None
+    if list in set(map(type, xs)):
+        xs = [tuple(x) if type(x) is list else x for x in xs]
+    return TabularModel._from_columns(xs, prefixes, ps, spec["V"], spec["H"],
+                                      spec.get("default"))
+
+
+def _raise_bad_row(rows, spec, where):
+    """Raise the ConfigError that names why a policy file's rows were
+    refused: the first row that is not an object of the three keys, has
+    a prefix that is not a list of hashable tokens or an unhashable x, or
+    repeats an earlier row's key, else the TabularModel constructor's
+    ValueError for the whole table."""
     tables = {}
     for i, row in enumerate(rows):
         if not isinstance(row, dict) or row.keys() != _ROW_KEYS:
@@ -77,10 +113,11 @@ def load_policy(path: str) -> TabularModel:
                               f"key {key!r}")
         tables[key] = row["p"]
     try:
-        return TabularModel(tables, V=spec["V"], H=spec["H"],
-                            default=spec.get("default"))
+        TabularModel(tables, V=spec["V"], H=spec["H"],
+                     default=spec.get("default"))
     except ValueError as e:
         raise ConfigError(f"{where}: {e}") from e
+    raise AssertionError("no bad row in a refused policy file")
 
 
 def _load_task_file(path: str):

@@ -605,16 +605,18 @@ def load_jsonl(path, H: int, V: int) -> Dataset:
 
     Each y must be a list of H integer tokens in [0, V); a list x becomes
     a tuple.  The lines are those of a text-mode read (universal
-    newlines), taken LOAD_CHUNK at a time as bytes (`_line_chunks`): an
-    ASCII file with no "\r" is never decoded, and invalid UTF-8 raises
-    the UnicodeDecodeError of a text-mode read, before the same line.  A
-    chunk whose every line is exactly the layout `save_jsonl` writes for
-    an integer prompt, {"x": <int>, "y": [<int>, ...]} with ", " and ": "
-    separators and integers of at most 18 digits, is read by
-    `_parse_canonical` in numpy passes over its bytes.  Any other chunk
-    is parsed as one JSON array, and accepted only if it holds one record
-    per line.  Otherwise, or if any record breaks a rule, the chunk is
-    parsed line by line to raise a ValueError naming the first bad line.
+    newlines), taken LOAD_CHUNK at a time (`_line_chunks`): an ASCII
+    file with no "\r" is never decoded, and invalid UTF-8 raises the
+    UnicodeDecodeError of a text-mode read, before the same line.  A
+    chunk with a non-ASCII character comes as its decoded lines, which
+    go to `json` as they are.  An ASCII chunk whose every line is exactly
+    the layout `save_jsonl` writes for an integer prompt, {"x": <int>,
+    "y": [<int>, ...]} with ", " and ": " separators and integers of at
+    most 18 digits, is read by `_parse_canonical` in numpy passes over
+    its bytes.  Any other chunk is parsed as one JSON array, and accepted
+    only if it holds one record per line.  Otherwise, or if any record
+    breaks a rule, the chunk is parsed line by line to raise a ValueError
+    naming the first bad line.
     A string cannot span lines (JSON forbids a raw newline in one) but an
     array or object can, so a file that continues one record over two
     lines and also puts two values on one line is read as its records,
@@ -622,12 +624,15 @@ def load_jsonl(path, H: int, V: int) -> Dataset:
     """
     xs, blocks = [], []
     with open(path, "rb") as f:
-        for start, raw in zip(itertools.count(1, LOAD_CHUNK),
+        for start, run in zip(itertools.count(1, LOAD_CHUNK),
                               _line_chunks(f)):
-            chunk = _parse_canonical(raw, H, V)
+            chunk = _parse_canonical(run, H, V) if type(run) is bytes \
+                else None
             if chunk is None:
-                # raw has no "\r", so its splitlines are its "\n" lines.
-                lines = list(map(bytes.decode, raw.splitlines(True)))
+                # A bytes run has no "\r", so its splitlines are its "\n"
+                # lines.
+                lines = run if type(run) is list else \
+                    list(map(bytes.decode, run.splitlines(True)))
                 chunk = _parse_chunk(lines, H, V)
             if chunk is None:
                 _raise_bad_line(path, start, lines, H, V)
@@ -639,9 +644,10 @@ def load_jsonl(path, H: int, V: int) -> Dataset:
 
 
 def _line_chunks(f):
-    """The lines of the binary file f as a text-mode read gives them, as
-    the bytes of each run of LOAD_CHUNK lines (the last run shorter),
-    UTF-8 with every line ending in "\n" but perhaps the last.
+    """The lines of the binary file f as a text-mode read gives them, in
+    runs of LOAD_CHUNK lines (the last run shorter), every line ending in
+    "\n" but perhaps the last: an ASCII run as its bytes, a run with a
+    non-ASCII character as the list of its decoded lines.
 
     f is read _BLOCK bytes at a time.  A block that is ASCII with no "\r"
     is its own text: it is cut after every LOAD_CHUNK-th "\n", with no
@@ -653,7 +659,9 @@ def _line_chunks(f):
         if not block.isascii() or b"\r" in block:
             lines = _text_lines(b"".join(parts).decode(), block, f)
             while run := list(itertools.islice(lines, k)):
-                yield "".join(run).encode()
+                # A run with a non-ASCII character is never canonical.
+                text = "".join(run)
+                yield text.encode() if text.isascii() else run
             return
         nl = np.flatnonzero(np.frombuffer(block, np.uint8) == 10)
         cut = 0

@@ -222,40 +222,92 @@ class TabularModel(Policy):
     code array.  `prefix_dists` answers a level with one gather: by code
     when the level is complete, by searchsorted otherwise.  `tables` is a
     read-only mapping rebuilt from those arrays on request.
+
+    A model is built in two steps: the keys are parsed once into columns
+    (prompts, prefix lengths, concatenated tokens), and one core checks
+    them and the stacked rows in whole-array passes and builds the arrays.
+    The constructor parses its dict's keys; `cli.load_policy` hands the
+    core a file's columns directly (`_from_columns`).  Only a refused
+    table is walked entry by entry, to name its first bad entry.
     """
 
     def __init__(self, tables: dict, V: int, H: int, default=None):
+        self._set_shape(V, H)
+        if not self._build(_key_columns(list(tables)), tables.values(),
+                           default):
+            _raise_bad_entry(tables, default, self.V, self.H)
+
+    @classmethod
+    def _from_columns(cls, xs, prefixes, rows, V, H, default=None):
+        """The model with row rows[i] at key (xs[i], prefixes[i]), each
+        prefix a sequence of tokens, or None if V, H, a key, a row or
+        `default` is refused or a key repeats: the caller names the
+        refusal."""
+        self = cls.__new__(cls)
+        try:
+            self._set_shape(V, H)
+        except ValueError:
+            return None
+        return self if self._build(_token_columns(xs, prefixes), rows,
+                                   default) else None
+
+    def _set_shape(self, V, H):
         check_number("V", V, 1, integer=True)
         check_number("H", H, 1, integer=True)
-        V, H = int(V), int(H)
-        self.V, self.H = V, H
+        self.V, self.H = V, H = int(V), int(H)
         if V ** max(H - 1, 0) > _INT64_MAX:
             raise ValueError(f"V^(H-1) = {V}^{H - 1} exceeds the int64 "
                              f"prefix code limit {_INT64_MAX}")
+        self._pow = V ** np.arange(H - 1, -1, -1, dtype=np.int64)
+
+    def _build(self, columns, rows, default) -> bool:
+        """Set the model's arrays from the key columns (`_token_columns`)
+        and the rows, or return False if a column, a row or `default` is
+        refused or two keys are equal."""
+        V, H = self.V, self.H
         if default is None:
             default = np.full(V, 1.0 / V)
-        keys, n = list(tables), len(tables)
-        rows = _stacked_rows([*tables.values(), default], V)
-        parsed = None if rows is None or not _all_distributions(rows) else \
-            _parsed_keys(keys, V, H)
-        if parsed is None:
-            _raise_bad_entry(tables, default, V, H)
-        self._prompts, ids, lens, tok = parsed
-        self._pow = V ** np.arange(H - 1, -1, -1, dtype=np.int64)
-        # Base-V code of each prefix: token i of an h-token prefix weighs
-        # V^(h-1-i), so the codes of one level are its lexicographic ranks.
-        owner = np.repeat(np.arange(n), lens)
-        pos = np.arange(len(tok)) - np.repeat(np.cumsum(lens) - lens, lens)
+        stacked = _stacked_rows([*rows, default], V)
+        if columns is None or stacked is None or \
+                not _all_distributions(stacked):
+            return False
+        xs, lens, tok = columns
+        if tok.size and (tok.min() < 0 or tok.max() >= V) or \
+                lens.size and lens.max() >= H:
+            return False
+        # Prompts numbered in order of first appearance; as in a dict, the
+        # prompts 1, 1.0 and true are one.
+        try:
+            prompts = dict(zip(dict.fromkeys(xs), itertools.count()))
+        except TypeError:       # an unhashable prompt
+            return False
+        n = len(lens)
+        pid = np.fromiter(map(prompts.__getitem__, xs), np.int64, n)
+        # Base-V code of each prefix: token j of a prefix ending at token
+        # e weighs V^(e-1-j), so the codes of one level are its
+        # lexicographic ranks.  An empty prefix adds no tokens, so the
+        # others' tokens are contiguous runs and one reduceat sums them.
+        ends = lens.cumsum()
         code = np.zeros(n, dtype=np.int64)
-        np.add.at(code, owner, tok * self._pow[H - lens[owner] + pos])
-        order = np.lexsort((code, lens, ids))
-        self._rows = rows[np.append(order, n)]
+        if tok.size:
+            w = self._pow[H + np.arange(tok.size) - ends.repeat(lens)]
+            some = lens > 0
+            code[some] = np.add.reduceat(tok * w, (ends - lens)[some])
+        # Block (p, h) of the sorted rows is rows _bounds[p*H + h] to
+        # _bounds[p*H + h + 1]; two equal keys are adjacent in this order.
+        block = pid * H + lens
+        order = np.lexsort((code, block))
+        block, code = block[order], code[order]
+        if ((block[1:] == block[:-1]) & (code[1:] == code[:-1])).any():
+            return False
+        self._prompts = prompts
+        self._rows = stacked[np.concatenate((order, [n]))]
         self._rows.flags.writeable = False
-        self._codes = code[order]
-        # Block (p, h) is rows _bounds[p*H + h] to _bounds[p*H + h + 1].
-        counts = np.bincount(ids * H + lens, minlength=len(self._prompts) * H)
-        self._bounds = [0] + np.cumsum(counts).tolist()
+        self._codes = code
+        counts = np.bincount(block, minlength=len(prompts) * H)
+        self._bounds = [0] + counts.cumsum().tolist()
         self.default = self._rows[n]
+        return True
 
     @property
     def tables(self):
@@ -332,16 +384,21 @@ def _bad_rows(rows):
             (np.abs(rows.sum(axis=1) - 1.0) > 1e-9)
 
 
-def _parsed_keys(keys, V, H):
-    """({prompt: id}, the keys' prompt ids, prefix lengths and concatenated
-    tokens), prompts numbered in order of first appearance; None if any
-    key is bad."""
+def _key_columns(keys):
+    """`_token_columns` of dict keys, or None unless each is a pair
+    (prompt, prefix tuple)."""
     if not set(map(type, keys)) <= {tuple} or not set(map(len, keys)) <= {2}:
         return None
-    xs = list(map(operator.itemgetter(0), keys))
     prefixes = list(map(operator.itemgetter(1), keys))
     if not set(map(type, prefixes)) <= {tuple}:
         return None
+    return _token_columns(list(map(operator.itemgetter(0), keys)), prefixes)
+
+
+def _token_columns(xs, prefixes):
+    """(the prompts, the prefixes' lengths and their concatenated tokens
+    as int64 arrays), or None unless every token is an integer (a bool is
+    not one) that int64 holds."""
     flat = list(itertools.chain.from_iterable(prefixes))
     if not all(issubclass(t, numbers.Integral) and t is not bool
                for t in set(map(type, flat))):
@@ -350,13 +407,7 @@ def _parsed_keys(keys, V, H):
         tok = np.fromiter(flat, np.int64, len(flat))
     except OverflowError:
         return None
-    lens = np.fromiter(map(len, prefixes), np.int64, len(keys))
-    if tok.size and (tok.min() < 0 or tok.max() >= V) or \
-            lens.size and lens.max() >= H:
-        return None
-    ids = {x: i for i, x in enumerate(dict.fromkeys(xs))}
-    pid = np.fromiter(map(ids.__getitem__, xs), np.int64, len(xs))
-    return ids, pid, lens, tok
+    return xs, np.fromiter(map(len, prefixes), np.int64, len(prefixes)), tok
 
 
 def _entry_problem(key, row, V, H):

@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 import policy_oracle
+from covkit import cli
 from covkit.cli import load_policy, main
 from covkit.harness import ConfigError
+from covkit.models import TabularModel
 
 # Int prompts (negative and multi-digit among them), strings and lists.
 PROMPTS = [0, 1, -7, -4096, 305, 10 ** 12, "a", "é", [1, 2], [-3], []]
@@ -84,6 +86,13 @@ BAD_ROWS = {
     # prompt 1.
     "x true": lambda rows, i: dict(rows[i], x=True),
     "x 1.0": lambda rows, i: dict(rows[i], x=1.0),
+    "repeated row": lambda rows, i: dict(rows[i]),
+    "token 1.0": lambda rows, i: dict(rows[i], prefix=[1.0]),
+    "prefix of length H": lambda rows, i: dict(rows[i], prefix=[0, 1]),
+    "p sums to 0.9": lambda rows, i: dict(rows[i], p=[0.25, 0.65]),
+    "p holds a string": lambda rows, i: dict(rows[i], p=[0.25, "a"]),
+    "x a list holding an object": lambda rows, i: dict(rows[i],
+                                                       x=[0, {"a": 1}]),
 }
 
 
@@ -105,6 +114,53 @@ def test_bad_row_message_matches_reference(tmp_path, kind, where):
     with pytest.raises(ConfigError) as got:
         load_policy(path)
     assert str(got.value) == str(want.value)
+
+
+def complete_spec(rng, V, H):
+    """A `cli_mc`-shaped policy file's object: prompts 0 and 1, a row at
+    every prefix of each."""
+    return {"type": "tabular", "V": V, "H": H,
+            "tables": [{"x": x, "prefix": list(pre),
+                        "p": rng.dirichlet(np.ones(V)).tolist()}
+                       for x in (0, 1) for h in range(H)
+                       for pre in itertools.product(range(V), repeat=h)]}
+
+
+def test_good_files_take_the_column_path_alone(tmp_path, monkeypatch):
+    """A file that loads is read column by column: neither the per-row
+    loop nor the dict constructor runs."""
+    def entered(*args, **kwargs):
+        raise AssertionError("per-row path entered")
+
+    monkeypatch.setattr(cli, "_raise_bad_row", entered)
+    monkeypatch.setattr(TabularModel, "__init__", entered)
+    specs = [random_spec(np.random.default_rng([seed, 31]), V, H)
+             for seed, (V, H) in zip(range(30), itertools.cycle(
+                 [(2, 1), (2, 3), (3, 2), (4, 2), (12, 2)]))]
+    specs.append(complete_spec(np.random.default_rng(8), 2, 8))
+    for k, spec in enumerate(specs):
+        pol = load_policy(write(tmp_path / f"pol{k}.json", spec))
+        assert len(pol._rows) == len(spec["tables"]) + 1
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_dict_constructor_matches_load(tmp_path, seed):
+    """TabularModel of a file's rows as a dict gives the arrays and prompt
+    key types that `load_policy` of the file gives."""
+    rng = np.random.default_rng([seed, 37])
+    V, H = [(2, 3), (3, 2), (2, 8)][seed % 3]
+    spec = random_spec(rng, V, H) if seed < 3 else complete_spec(rng, V, H)
+    # Float, null and bool prompts as well, each equal to no other.
+    swap = {0: 2.5, 1: None, 305: False}
+    for row in spec["tables"]:
+        if type(row["x"]) is int:
+            row["x"] = swap.get(row["x"], row["x"])
+    path = write(tmp_path / "pol.json", spec)
+    tables = {(tuple(r["x"]) if type(r["x"]) is list else r["x"],
+               tuple(r["prefix"])): r["p"] for r in spec["tables"]}
+    assert_same_model(TabularModel(tables, V=V, H=H,
+                                   default=spec.get("default")),
+                      load_policy(path))
 
 
 GOOD = {"type": "tabular", "V": 2, "H": 1,
